@@ -32,11 +32,13 @@ bench-city:
 microbench:
 	$(GO) test -bench=. -benchtime=100x ./internal/...
 
-# Short fuzz pass over the parsers and the topic matcher.
+# Short fuzz pass over the parsers, the topic matcher and the realnet
+# datagram decoder.
 fuzz:
 	$(GO) test -fuzz FuzzParseCTL -fuzztime 10s ./internal/verify/
 	$(GO) test -fuzz FuzzParseLTL -fuzztime 10s ./internal/verify/
 	$(GO) test -fuzz FuzzTopicMatches -fuzztime 10s ./internal/pubsub/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeDatagram -fuzztime 20s ./internal/realnet/
 
 # All experiments at paper-scale parameters (see EXPERIMENTS.md).
 experiments:

@@ -202,7 +202,7 @@ func run(args []string, out io.Writer) error {
 	var reg *obs.Registry
 	var aliveGauge, keysGauge *obs.Gauge
 	var syncBytesGauge, syncEntriesGauge, syncPendingGauge *obs.Gauge
-	var netDroppedGauge, netDelayedGauge, netShapedGauge *obs.Gauge
+	var netDroppedGauge, netDelayedGauge, netShapedGauge, netMalformedGauge *obs.Gauge
 	if cfg.metricsAddr != "" {
 		reg = obs.NewRegistry()
 		reg.WatchBus(bus)
@@ -217,6 +217,8 @@ func run(args []string, out io.Writer) error {
 			"datagrams routed through a shaped link's delay queue")
 		netShapedGauge = reg.Gauge("riot_realnet_shaped_total",
 			"datagrams that traversed a link with an active shaping rule")
+		netMalformedGauge = reg.Gauge("riot_realnet_malformed_total",
+			"datagrams received but refused by the wire codec")
 
 		// Incident counters: every peer transition to dead opens an
 		// incident, the next alive transition closes it and records the
@@ -332,6 +334,7 @@ func run(args []string, out io.Writer) error {
 					netDroppedGauge.Set(float64(ns.Dropped))
 					netDelayedGauge.Set(float64(ns.Delayed))
 					netShapedGauge.Set(float64(ns.Shaped))
+					netMalformedGauge.Set(float64(ns.Malformed))
 				})
 			}
 		case <-deadlineC:

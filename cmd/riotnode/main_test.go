@@ -137,6 +137,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"riot_realnet_dropped_total 0",
 		"riot_realnet_delayed_total 0",
 		"riot_realnet_shaped_total 0",
+		"riot_realnet_malformed_total 0",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)

@@ -141,7 +141,7 @@ type appendEntriesResp struct {
 }
 
 // RegisterWire registers the protocol's message types with a wire
-// codec (e.g. realnet's gob transport). Applications must additionally
+// codec (e.g. realnet's datagram codec). Applications must additionally
 // register the concrete types of the commands they propose.
 func RegisterWire(register func(any)) {
 	register(requestVoteMsg{})

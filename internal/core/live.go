@@ -256,23 +256,26 @@ func (sys *System) faultLog() []fault.Event {
 	return sys.injector.Log()
 }
 
-// registerLiveWire registers every message type the archetypes put on
-// the wire with realnet's gob codec. Idempotent; shared by all live
-// systems in the process.
+// RegisterWire registers every message type the archetypes put on the
+// wire — the protocol packages' and core's own — with a wire codec.
+func RegisterWire(register func(any)) {
+	simnet.RegisterMuxWire(register)
+	register(simnet.Envelope{})
+	gossip.RegisterWire(register)
+	dataflow.RegisterWire(register)
+	consensus.RegisterWire(register)
+	mape.RegisterWire(register)
+	pubsub.RegisterWire(register)
+	register(readingMsg{})
+	register(readingAck{})
+	register(actuateMsg{})
+	register(placementCmd{})
+}
+
+// liveWireOnce makes the registration with realnet's codec happen once
+// per process; it is shared by all live systems.
 var liveWireOnce sync.Once
 
 func registerLiveWire() {
-	liveWireOnce.Do(func() {
-		simnet.RegisterMuxWire(realnet.RegisterWireType)
-		realnet.RegisterWireType(simnet.Envelope{})
-		gossip.RegisterWire(realnet.RegisterWireType)
-		dataflow.RegisterWire(realnet.RegisterWireType)
-		consensus.RegisterWire(realnet.RegisterWireType)
-		mape.RegisterWire(realnet.RegisterWireType)
-		pubsub.RegisterWire(realnet.RegisterWireType)
-		realnet.RegisterWireType(readingMsg{})
-		realnet.RegisterWireType(readingAck{})
-		realnet.RegisterWireType(actuateMsg{})
-		realnet.RegisterWireType(placementCmd{})
-	})
+	liveWireOnce.Do(func() { RegisterWire(realnet.RegisterWireType) })
 }

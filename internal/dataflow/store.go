@@ -38,7 +38,7 @@ type storeInterest struct {
 }
 
 // RegisterWire registers the data plane's message and payload types
-// with a wire codec (e.g. realnet's gob transport). Applications must
+// with a wire codec (e.g. realnet's datagram codec). Applications must
 // additionally register the concrete types of their item values if
 // they are not plain Go scalars.
 func RegisterWire(register func(any)) {

@@ -180,7 +180,7 @@ type leaveMsg struct {
 }
 
 // RegisterWire registers the protocol's message types with a wire
-// codec (e.g. realnet's gob transport). Call once before starting
+// codec (e.g. realnet's datagram codec). Call once before starting
 // nodes that communicate over a real network.
 func RegisterWire(register func(any)) {
 	register(pingMsg{})

@@ -18,7 +18,7 @@ type syncMsg struct {
 func (m syncMsg) Size() int { return 8 + crdt.EntriesSize(m.Entries) }
 
 // RegisterWire registers the knowledge-sync message with a wire codec
-// (e.g. realnet's gob transport). The entry payload types ride on the
+// (e.g. realnet's datagram codec). The entry payload types ride on the
 // dataflow/crdt registrations.
 func RegisterWire(register func(any)) {
 	register(syncMsg{})

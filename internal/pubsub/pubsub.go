@@ -62,7 +62,7 @@ type deliverMsg struct {
 }
 
 // RegisterWire registers the broker protocol's messages with a wire
-// codec (e.g. realnet's gob transport). Payload types carried inside
+// codec (e.g. realnet's datagram codec). Payload types carried inside
 // publishMsg/deliverMsg must be registered by the application.
 func RegisterWire(register func(any)) {
 	register(subscribeMsg{})

@@ -190,6 +190,7 @@ func (c *Cluster) NetStats() NetStats {
 		total.Dropped += s.Dropped
 		total.Delayed += s.Delayed
 		total.Shaped += s.Shaped
+		total.Malformed += s.Malformed
 	}
 	return total
 }

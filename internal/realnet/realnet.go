@@ -18,13 +18,23 @@
 // of a fault.Schedule replays on live sockets. Fabric coordinates those
 // per-node controls across a node set with simnet's exact semantics.
 //
-// Wire format: gob. Protocol packages register their message types via
-// their RegisterWire functions before nodes start.
+// Wire format: a datagram-native binary codec (codec.go). Protocol
+// packages register their message types via their RegisterWire
+// functions before nodes start; registration compiles, once per type, a
+// plan over the type's exported fields (bool, integers, floats,
+// strings, []byte, slices, maps, structs, and interface fields carrying
+// a built-in scalar or another registered type). A datagram is
+// [version byte][From][type tag][fields…], the tag a 32-bit hash of the
+// type's name: nothing on the wire describes a type and every datagram
+// decodes on its own, so loss, reordering, a restarted peer and separate
+// processes need no stream state and no handshake. What cannot be
+// carried (an unsupported kind, a recursive type, two names with one
+// tag) panics at registration; what arrives broken (unknown version or
+// tag, a length past the datagram's end, interfaces nested too deep,
+// trailing bytes) is a decode error, counted in NetStats.Malformed.
 package realnet
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"net"
@@ -35,21 +45,12 @@ import (
 	"repro/internal/simnet"
 )
 
-// wireEnvelope frames one datagram.
-type wireEnvelope struct {
-	From    simnet.NodeID
-	Payload any
-}
-
-// RegisterWireType makes a message type encodable. Call once per
-// concrete message type before any node starts (protocol packages
-// export RegisterWire helpers that do this for their types).
-func RegisterWireType(value any) {
-	gob.Register(value)
-}
-
 // maxDatagram bounds encoded message size.
 const maxDatagram = 64 * 1024
+
+// sendBufs recycles the buffers Send encodes into; a datagram's bytes
+// are dead once the socket write returns.
+var sendBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // shapeQueueCap bounds each shaped link's delay queue; packets beyond
 // it drop, the overload behaviour of a congested real link.
@@ -59,7 +60,8 @@ const shapeQueueCap = 4096
 // the fault machinery put on it. Dropped counts packets removed by
 // partitions, shaper loss, delay-queue overflow, and delayed packets
 // whose link was cut before delivery — not sends refused because the
-// node itself was down.
+// node itself was down. Malformed counts arrivals the codec refused:
+// a decode error, an unknown version or type tag, trailing bytes.
 type NetStats struct {
 	Sent      int64 // datagrams written to the socket
 	SentBytes int64 // bytes written to the socket
@@ -67,6 +69,7 @@ type NetStats struct {
 	Dropped   int64 // datagrams dropped by partition/loss/overflow
 	Delayed   int64 // datagrams routed through a delay queue
 	Shaped    int64 // datagrams that traversed a shaped link
+	Malformed int64 // datagrams received but undecodable
 }
 
 type netCounters struct {
@@ -76,6 +79,7 @@ type netCounters struct {
 	dropped   atomic.Int64
 	delayed   atomic.Int64
 	shaped    atomic.Int64
+	malformed atomic.Int64
 }
 
 // delayedPacket is one encoded datagram waiting in a link's delay
@@ -213,6 +217,7 @@ func (n *Node) NetStats() NetStats {
 		Dropped:   n.stat.dropped.Load(),
 		Delayed:   n.stat.delayed.Load(),
 		Shaped:    n.stat.shaped.Load(),
+		Malformed: n.stat.malformed.Load(),
 	}
 }
 
@@ -261,15 +266,16 @@ func (n *Node) readLoop() {
 		if err != nil {
 			return // socket closed
 		}
-		var env wireEnvelope
-		if err := gob.NewDecoder(bytes.NewReader(buf[:sz])).Decode(&env); err != nil {
-			continue // malformed datagram
+		from, msg, err := wire.decodeDatagram(buf[:sz])
+		if err != nil {
+			n.stat.malformed.Add(1)
+			continue
 		}
 		n.post(func() {
 			n.mu.Lock()
 			h := n.handler
 			down := n.down
-			blocked := n.blocked[env.From]
+			blocked := n.blocked[from]
 			n.mu.Unlock()
 			if blocked {
 				// The sender was partitioned away by the time the
@@ -280,7 +286,7 @@ func (n *Node) readLoop() {
 			}
 			if h != nil && !down {
 				n.stat.received.Add(1)
-				h(env.From, env.Payload)
+				h(from, msg)
 			}
 		})
 	}
@@ -417,20 +423,20 @@ func (n *Node) Down() bool {
 	return n.down
 }
 
+// encode appends msg's datagram to b; false means the message cannot go
+// on the wire (unregistered type, or larger than maxDatagram).
+func (n *Node) encode(b []byte, msg simnet.Message) ([]byte, bool) {
+	b, err := wire.appendDatagram(b, n.id, msg)
+	return b, err == nil && len(b) <= maxDatagram
+}
+
 // Send encodes and transmits msg to the peer. Unknown peers and
 // encoding failures report false, as do sends refused by an injected
 // fault: a down node, a partitioned peer, or a loss draw on a shaped
 // link — mirroring simnet, where Send reports false when the message
-// will not arrive.
+// will not arrive. Refusals are decided first, so only a message that
+// will be written or queued is encoded. Safe for concurrent callers.
 func (n *Node) Send(to simnet.NodeID, msg simnet.Message) bool {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wireEnvelope{From: n.id, Payload: msg}); err != nil {
-		return false
-	}
-	if buf.Len() > maxDatagram {
-		return false
-	}
-
 	n.mu.Lock()
 	addr, ok := n.peers[to]
 	if !ok || n.closed || n.down {
@@ -456,14 +462,15 @@ func (n *Node) Send(to simnet.NodeID, msg simnet.Message) bool {
 			// Enqueue under mu: the queue is only closed (by
 			// ClearShapedLink/Close) while mu is held and the shape
 			// removed from the map, so this send cannot race a close.
-			pkt := delayedPacket{
-				data: append([]byte(nil), buf.Bytes()...),
-				addr: addr,
-				to:   to,
-				due:  time.Now().Add(delay),
+			// A queued packet owns its bytes, so it is encoded into a
+			// fresh slice and not a pooled one.
+			data, ok := n.encode(nil, msg)
+			if !ok {
+				n.mu.Unlock()
+				return false
 			}
 			select {
-			case sh.q <- pkt:
+			case sh.q <- delayedPacket{data: data, addr: addr, to: to, due: time.Now().Add(delay)}:
 				n.mu.Unlock()
 				n.stat.delayed.Add(1)
 				return true
@@ -476,10 +483,17 @@ func (n *Node) Send(to simnet.NodeID, msg simnet.Message) bool {
 	}
 	n.mu.Unlock()
 
-	_, err := n.conn.WriteToUDP(buf.Bytes(), addr)
+	buf := sendBufs.Get().(*[]byte)
+	defer sendBufs.Put(buf)
+	data, ok := n.encode((*buf)[:0], msg)
+	*buf = data
+	if !ok {
+		return false
+	}
+	_, err := n.conn.WriteToUDP(data, addr)
 	if err == nil {
 		n.stat.sent.Add(1)
-		n.stat.sentBytes.Add(int64(buf.Len()))
+		n.stat.sentBytes.Add(int64(len(data)))
 	}
 	return err == nil
 }

@@ -56,8 +56,9 @@ type Cluster struct {
 
 var wireOnce sync.Once
 
-// registerWire makes the cluster's protocol messages gob-encodable
-// exactly once per process (idempotent with riotnode's own calls).
+// registerWire makes the cluster's protocol messages encodable by
+// realnet exactly once per process (idempotent with riotnode's own
+// calls).
 func registerWire() {
 	wireOnce.Do(func() {
 		gossip.RegisterWire(realnet.RegisterWireType)

@@ -313,8 +313,9 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad body: "+err.Error())
 		return
 	}
-	// Values must survive the gob wire between stores, so only scalar
-	// JSON values are accepted (numbers arrive as float64).
+	// Values must cross realnet's wire between stores, where an
+	// interface field carries a built-in scalar or a registered type, so
+	// only scalar JSON values are accepted (numbers arrive as float64).
 	switch body.Value.(type) {
 	case float64, string, bool:
 	default:

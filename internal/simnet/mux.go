@@ -80,7 +80,7 @@ func NewPortMux(p Port) *Mux {
 }
 
 // RegisterMuxWire registers the mux's envelope type with a wire codec
-// (e.g. realnet's gob transport). Required when multiplexed protocols
+// (e.g. realnet's datagram codec). Required when multiplexed protocols
 // run over a real network.
 func RegisterMuxWire(register func(any)) {
 	register(envelope{})
