@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-city fuzz experiments examples obs-demo bench-baseline bench-gate bench-serve bench-sync serve-demo determinism metro metro-smoke chaos chaos-replay chaos-verify realnet explain clean
+.PHONY: all build test race cover bench bench-city fuzz experiments examples obs-demo bench-baseline bench-gate bench-serve bench-sync serve-demo determinism metro metro-smoke metro-setup chaos chaos-replay chaos-verify realnet explain clean
 
 all: build test
 
@@ -100,6 +100,8 @@ determinism:
 	diff -u /tmp/shards1.txt /tmp/shards2.txt
 	diff -u /tmp/shards1.txt /tmp/shards4.txt
 	$(GO) test -race -run 'TestShard' ./internal/simnet/ ./internal/core/
+	$(GO) test -race -count=1 -run 'TestRanking|TestDeferredOrderEqualsEager|TestReporter|TestOrderRunsOnlyOnFailover' ./internal/space/ ./internal/core/
+	$(GO) test -count=1 -run TestMetroConstructionStaysLinear ./internal/core/
 
 # Metropolis tier (1000 zones, ~102k devices; -zones 10000 reaches the
 # 1M-device target) on the zone-sharded scheduler. The journal hash is
@@ -110,6 +112,13 @@ metro:
 
 metro-smoke:
 	$(GO) run ./cmd/riotsim -tier metro-smoke -arch ML4 -shards 4 -hash
+
+# What the metropolis pays before its first event: NewSystem alone at
+# the sim-metro shape (B/device, ms/kdev), then the gate that bounds
+# B/device and its growth with the zone count.
+metro-setup:
+	$(GO) test -run '^$$' -bench BenchmarkMetroConstruction -benchmem -benchtime=3x .
+	$(GO) test -count=1 -run TestMetroConstructionStaysLinear -v ./internal/core/
 
 # Chaos search: sample disruption schedules, shrink every violation to
 # a minimal counterexample, save new finds into the committed corpus.

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -48,6 +49,35 @@ func BenchmarkCityScaleMatrix(b *testing.B) {
 	}
 	b.Logf("\n%s", experiments.FormatTable12(reports))
 }
+
+// BenchmarkMetroConstruction prices core.NewSystem alone at the
+// metropolis shape the gated benchmark's sim-metro workload uses (ML4,
+// 250 zones, 2 lanes): what a run pays before its first event. B/device
+// is the figure the construction gate in internal/core bounds; it must
+// not grow with the zone count, so -short at 125 zones should report
+// about the same number.
+func BenchmarkMetroConstruction(b *testing.B) {
+	cfg := core.MetropolisScenarioSmoke()
+	cfg.Zones, cfg.Shards = 250, 2
+	if testing.Short() {
+		cfg.Zones = 125
+	}
+	devices := float64(len(core.TopologyOf(cfg).All()))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		builtSystem = core.NewSystem(cfg, core.ML4)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n/devices, "B/device")
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/n/(devices/1000), "ms/kdev")
+}
+
+// builtSystem keeps BenchmarkMetroConstruction's result reachable.
+var builtSystem *core.System
 
 // BenchmarkMatrixCampaignParallel measures the experiment engine's
 // scaling: the same 8-seed maturity-matrix campaign on 1, 2, and 4

@@ -7,6 +7,7 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/obs"
 	"repro/internal/simnet"
+	"repro/internal/space"
 )
 
 // Wire messages shared by the archetypes.
@@ -106,20 +107,63 @@ const reporterMissLimit = 2
 // primary candidate, so a recovered collector is rediscovered.
 const reporterHomeInterval = 30 * time.Second
 
+// candidateList is a reporter's prioritized collector candidates with
+// everything behind the first deferred. A reporter talks to primary
+// until reporterMissLimit acks in a row go missing, which in a
+// standard-fault metropolis run happens to about one sensor in a
+// hundred; the rotation arithmetic needs only n. So the full list is a
+// function the reporter calls the first time it leaves primary, and
+// construction does not pay sensors × edge to build lists nobody reads.
+type candidateList struct {
+	primary simnet.NodeID
+	n       int
+	// order returns all n candidates, primary first. It runs on the
+	// sensor's own event loop at failover time, concurrently with other
+	// nodes' handlers (shard lanes, live per-node loops), so it must
+	// read nothing that mutates after construction — in particular not
+	// space.Map, which domain-transfer faults write.
+	order func() []simnet.NodeID
+}
+
+// fixedCandidates is the candidate list of a sensor whose collectors
+// are designated statically (ML1, ML3, the ML4 no-failover ablation).
+func fixedCandidates(ids ...simnet.NodeID) candidateList {
+	if len(ids) == 0 {
+		return candidateList{}
+	}
+	return candidateList{primary: ids[0], n: len(ids), order: func() []simnet.NodeID { return ids }}
+}
+
+// nearestFirst is the candidate list of a sensor at from that may
+// report to any member of rank, nearest first (ML4). Both are captured
+// by value here, at wiring time; order never goes back to the map.
+func nearestFirst(rank *space.Ranking, from space.Point) candidateList {
+	primary, _ := rank.Nearest(from)
+	return candidateList{primary: simnet.NodeID(primary), n: rank.Len(), order: func() []simnet.NodeID {
+		ordered := rank.Order(from)
+		out := make([]simnet.NodeID, len(ordered))
+		for i, id := range ordered {
+			out[i] = simnet.NodeID(id)
+		}
+		return out
+	}}
+}
+
 // reporter delivers sensor readings to a prioritized list of collector
 // candidates with ack-based failover: after reporterMissLimit
 // consecutive unacknowledged readings it rotates to the next candidate
 // (and eventually back, so a recovered primary is rediscovered).
 type reporter struct {
-	port       simnet.Port
-	argSched   simnet.ArgScheduler // non-nil when port supports arg timers
-	timeoutFn  func(uint64)        // onAckTimeout bound once, reused per send
-	candidates []simnet.NodeID
-	cur        int
-	misses     int
-	seq        uint64
-	pending    map[uint64]*simnet.Timer
-	bus        *obs.Bus
+	port      simnet.Port
+	argSched  simnet.ArgScheduler // non-nil when port supports arg timers
+	timeoutFn func(uint64)        // onAckTimeout bound once, reused per send
+	candidateList
+	ordered []simnet.NodeID // order(), kept from the first failover on
+	cur     int
+	misses  int
+	seq     uint64
+	pending map[uint64]*simnet.Timer
+	bus     *obs.Bus
 	// sticky (ScenarioConfig.StickyFailover) makes a failed home retry
 	// jump straight back to the last acked candidate instead of walking
 	// the list from the top. Inside a device-side island most of the
@@ -132,12 +176,15 @@ type reporter struct {
 
 // newReporter wires a reporter onto port. The port's message handler is
 // installed here; sensors own the whole port.
-func newReporter(port simnet.Port, candidates []simnet.NodeID) *reporter {
+func newReporter(port simnet.Port, candidates candidateList) *reporter {
+	if candidates.n == 0 {
+		panic(fmt.Sprintf("core: reporter on %s has no collector candidates", port.ID()))
+	}
 	r := &reporter{
-		port:       port,
-		candidates: append([]simnet.NodeID(nil), candidates...),
-		pending:    make(map[uint64]*simnet.Timer),
-		lastGood:   -1,
+		port:          port,
+		candidateList: candidates,
+		pending:       make(map[uint64]*simnet.Timer),
+		lastGood:      -1,
 	}
 	r.argSched, _ = port.(simnet.ArgScheduler)
 	r.timeoutFn = r.onAckTimeout
@@ -153,7 +200,7 @@ func newReporter(port simnet.Port, candidates []simnet.NodeID) *reporter {
 			}
 		})
 	}
-	if len(r.candidates) > 1 {
+	if r.n > 1 {
 		// Periodically fail back to the primary so a recovered
 		// collector is rediscovered (otherwise the reporter would stay
 		// on a working backup forever).
@@ -166,7 +213,15 @@ func newReporter(port simnet.Port, candidates []simnet.NodeID) *reporter {
 }
 
 // target returns the current collector candidate.
-func (r *reporter) target() simnet.NodeID { return r.candidates[r.cur] }
+func (r *reporter) target() simnet.NodeID {
+	if r.cur == 0 {
+		return r.primary
+	}
+	if r.ordered == nil {
+		r.ordered = r.order()
+	}
+	return r.ordered[r.cur]
+}
 
 // onAck settles one acknowledged reading (boxed or envelope path).
 func (r *reporter) onAck(seq uint64) {
@@ -186,14 +241,14 @@ func (r *reporter) onAckTimeout(seq uint64) {
 	}
 	delete(r.pending, seq)
 	r.misses++
-	if r.misses >= reporterMissLimit && len(r.candidates) > 1 {
+	if r.misses >= reporterMissLimit && r.n > 1 {
 		if r.sticky && r.lastGood >= 0 && r.lastGood != r.cur {
 			r.cur = r.lastGood
 		} else {
 			if r.sticky && r.lastGood == r.cur {
 				r.lastGood = -1 // the remembered candidate died; walk again
 			}
-			r.cur = (r.cur + 1) % len(r.candidates)
+			r.cur = (r.cur + 1) % r.n
 		}
 		r.misses = 0
 	}

@@ -385,7 +385,10 @@ func standardFaults(cfg ScenarioConfig, heavy bool) *fault.Schedule {
 	dur := func(f float64) time.Duration { return time.Duration(f * scale * float64(T)) }
 
 	s := &fault.Schedule{}
-	// 1) Cloud WAN outage: all traffic to/from the cloud dies.
+	// 1) Cloud WAN outage: all traffic to/from the cloud dies. Every
+	// device's uplink is cut and restored, which is all but a dozen of
+	// the schedule's events.
+	s.Grow(2*(cfg.Zones*(cfg.TempSensorsPerZone+3)+cfg.Cloudlets) + 12)
 	for z := 0; z < cfg.Zones; z++ {
 		s.CutLink(frac(0.10), dur(0.15), gatewayID(z), cloudID)
 		for i := 0; i < cfg.TempSensorsPerZone; i++ {

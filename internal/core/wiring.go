@@ -43,7 +43,7 @@ func controlFnName(z int) string {
 // startSensorsWithReporter arms every sensor's sampling ticker
 // delivering through an ack-failover reporter with the given candidate
 // lists.
-func (sys *System) startSensorsWithReporter(candidates func(*sensorRig) []simnet.NodeID) {
+func (sys *System) startSensorsWithReporter(candidates func(*sensorRig) candidateList) {
 	for _, rig := range sys.sensors {
 		rig := rig
 		rig.reporter = newReporter(rig.mux.Port("data"), candidates(rig))
@@ -202,8 +202,8 @@ func (sys *System) wireML1() {
 			directActuate(actPort),
 		))
 	}
-	sys.startSensorsWithReporter(func(rig *sensorRig) []simnet.NodeID {
-		return []simnet.NodeID{gatewayID(rig.zone)}
+	sys.startSensorsWithReporter(func(rig *sensorRig) candidateList {
+		return fixedCandidates(gatewayID(rig.zone))
 	})
 	sys.wireActuatorsDirect()
 	// ML1 has no validation machinery: runtimeMonitored and
@@ -322,8 +322,8 @@ func (sys *System) wireML3() {
 		sys.auditArrival(item, sys.cloud.id, sys.cloud.ep)
 	})
 
-	sys.startSensorsWithReporter(func(rig *sensorRig) []simnet.NodeID {
-		return []simnet.NodeID{gatewayID(rig.zone), sys.backupFor(rig.zone).id}
+	sys.startSensorsWithReporter(func(rig *sensorRig) candidateList {
+		return fixedCandidates(gatewayID(rig.zone), sys.backupFor(rig.zone).id)
 	})
 	sys.wireActuatorsDirect()
 
@@ -565,20 +565,19 @@ func (sys *System) wireML4() {
 
 	// Sensors fail over across the whole edge, nearest first (the
 	// "no-failover" ablation pins them to the home gateway instead).
-	sys.startSensorsWithReporter(func(rig *sensorRig) []simnet.NodeID {
+	// The edge is ranked once; each sensor takes its nearest member now
+	// and orders the rest only if it ever has to leave it.
+	edgeNames := make([]string, len(edgeIDs))
+	for i, id := range edgeIDs {
+		edgeNames[i] = string(id)
+	}
+	edgeRank := sys.spaces.Rank(edgeNames)
+	sys.startSensorsWithReporter(func(rig *sensorRig) candidateList {
 		if sys.cfg.ML4Ablation == "no-failover" {
-			return []simnet.NodeID{gatewayID(rig.zone)}
+			return fixedCandidates(gatewayID(rig.zone))
 		}
-		cands := make([]string, 0, len(edgeIDs))
-		for _, id := range edgeIDs {
-			cands = append(cands, string(id))
-		}
-		ordered := sys.spaces.NearestOrder(string(rig.id), cands)
-		out := make([]simnet.NodeID, 0, len(ordered))
-		for _, c := range ordered {
-			out = append(out, simnet.NodeID(c))
-		}
-		return out
+		here, _ := sys.spaces.PlacementOf(string(rig.id)) // buildWorld places every sensor
+		return nearestFirst(edgeRank, here.Position)
 	})
 	sys.wireActuatorsDirect()
 

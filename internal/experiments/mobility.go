@@ -94,12 +94,13 @@ func runMobility(seed int64, speed float64, handover bool) (freshness float64, c
 
 	// Reporting: fixed home gateway (static) or nearest gateway
 	// (handover).
-	gwIDs := []string{"gw-west", "gw-east"}
+	gateways := world.Rank([]string{"gw-west", "gw-east"})
 	sensor.Every(mobilitySample, func() {
 		target := simnet.NodeID("gw-west")
 		if handover {
-			ordered := world.NearestOrder("wearable", gwIDs)
-			target = simnet.NodeID(ordered[0])
+			here, _ := world.PlacementOf("wearable")
+			nearest, _ := gateways.Nearest(here.Position)
+			target = simnet.NodeID(nearest)
 		}
 		sensor.Send(target, dataflow.Item{
 			Key: "wearable/hr", Value: 72.0,

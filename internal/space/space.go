@@ -10,6 +10,7 @@
 package space
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -236,68 +237,77 @@ func (m *Map) Distance(a, b string) (float64, bool) {
 	return pa.Position.Distance(pb.Position), true
 }
 
-// Nearest returns, among candidates, the entity closest to the given
-// entity, preferring earlier candidates on ties. It returns false if the
-// entity or all candidates are unplaced.
-func (m *Map) Nearest(entity string, candidates []string) (string, bool) {
-	pl, ok := m.placements[entity]
-	if !ok {
-		return "", false
-	}
-	best, bestDist := "", math.Inf(1)
-	for _, c := range candidates {
-		pc, ok := m.placements[c]
-		if !ok {
-			continue
-		}
-		if d := pl.Position.Distance(pc.Position); d < bestDist {
-			best, bestDist = c, d
-		}
-	}
-	return best, best != ""
+// Ranking is an immutable snapshot of a candidate set's placed members
+// — their IDs and positions, in candidate order — from which any point
+// can ask for its nearest candidate or for all of them nearest first.
+// The snapshot is taken once, by Rank: later Place, Move and Transfer
+// calls on the Map do not reach it, so a Ranking may be read from any
+// goroutine with no further synchronisation. One Ranking serves every
+// asker; nothing per asker is stored, so ranking n askers against e
+// candidates costs e up front and e·log e only for the askers that
+// want the whole order.
+type Ranking struct {
+	ids []string
+	pos []Point
 }
 
-// NearestOrder returns the placed candidates ordered by ascending
-// distance from the entity (ties broken by candidate order); unplaced
-// candidates are dropped. If the entity itself is unplaced, the
-// candidates are returned in their given order.
-//
-// Distances are computed once per candidate, not per comparison: the
-// metropolis tier orders ~1000 edge candidates for each of ~100k
-// sensors at construction, and map lookups inside the comparator were
-// the single largest line in that profile.
-func (m *Map) NearestOrder(entity string, candidates []string) []string {
-	pl, entPlaced := m.placements[entity]
+// Rank snapshots the placed candidates, keeping their given order;
+// unplaced candidates are dropped.
+func (m *Map) Rank(candidates []string) *Ranking {
+	r := &Ranking{
+		ids: make([]string, 0, len(candidates)),
+		pos: make([]Point, 0, len(candidates)),
+	}
+	for _, c := range candidates {
+		if pl, ok := m.placements[c]; ok {
+			r.ids = append(r.ids, c)
+			r.pos = append(r.pos, pl.Position)
+		}
+	}
+	return r
+}
+
+// Len returns the number of ranked (placed) candidates.
+func (r *Ranking) Len() int { return len(r.ids) }
+
+// Nearest returns the candidate closest to from, preferring earlier
+// candidates on ties — element 0 of Order(from) without the sort. It
+// returns false if no candidate was placed.
+func (r *Ranking) Nearest(from Point) (string, bool) {
+	best, bestDist := -1, math.Inf(1)
+	for i, p := range r.pos {
+		if d := from.Distance(p); d < bestDist {
+			best, bestDist = i, d
+		}
+	}
+	if best < 0 {
+		return "", false
+	}
+	return r.ids[best], true
+}
+
+// Order returns the candidates by ascending distance from from, ties
+// broken by candidate order. The result is a fresh slice.
+func (r *Ranking) Order(from Point) []string {
 	type cand struct {
 		d float64
-		c string
+		i int
 	}
-	placed := make([]cand, 0, len(candidates))
-	for _, c := range candidates {
-		pc, ok := m.placements[c]
-		if !ok {
-			continue
+	byDist := make([]cand, len(r.pos))
+	for i, p := range r.pos {
+		byDist[i] = cand{d: from.Distance(p), i: i}
+	}
+	// Candidate indexes are distinct, so comparing them after the
+	// distance makes the order total and an unstable sort stable.
+	slices.SortFunc(byDist, func(a, b cand) int {
+		if c := cmp.Compare(a.d, b.d); c != 0 {
+			return c
 		}
-		var d float64
-		if entPlaced {
-			d = pl.Position.Distance(pc.Position)
-		}
-		placed = append(placed, cand{d: d, c: c})
-	}
-	out := make([]string, len(placed))
-	if entPlaced {
-		slices.SortStableFunc(placed, func(a, b cand) int {
-			switch {
-			case a.d < b.d:
-				return -1
-			case a.d > b.d:
-				return 1
-			}
-			return 0
-		})
-	}
-	for i, p := range placed {
-		out[i] = p.c
+		return cmp.Compare(a.i, b.i)
+	})
+	out := make([]string, len(byDist))
+	for i, c := range byDist {
+		out[i] = r.ids[c.i]
 	}
 	return out
 }

@@ -1,8 +1,13 @@
 package space
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
+	"testing/quick"
 	"time"
 )
 
@@ -126,21 +131,102 @@ func TestSameDomain(t *testing.T) {
 	}
 }
 
-func TestNearest(t *testing.T) {
+func TestRankingNearest(t *testing.T) {
 	m := newTestMap(t)
-	m.Place("dev", Point{0, 0}, "campus")
 	m.Place("e1", Point{10, 0}, "campus")
 	m.Place("e2", Point{5, 0}, "campus")
 	m.Place("e3", Point{100, 0}, "city")
-	got, ok := m.Nearest("dev", []string{"e1", "e2", "e3"})
-	if !ok || got != "e2" {
+	r := m.Rank([]string{"e1", "ghost", "e2", "e3"})
+	if r.Len() != 3 {
+		t.Fatalf("Len = %d, want 3 (unplaced candidate dropped)", r.Len())
+	}
+	if got, ok := r.Nearest(Point{0, 0}); !ok || got != "e2" {
 		t.Fatalf("Nearest = %q/%v, want e2", got, ok)
 	}
-	if _, ok := m.Nearest("ghost", []string{"e1"}); ok {
-		t.Fatal("Nearest of unplaced entity succeeded")
+	if got := r.Order(Point{0, 0}); !slices.Equal(got, []string{"e2", "e1", "e3"}) {
+		t.Fatalf("Order = %v, want [e2 e1 e3]", got)
 	}
-	if _, ok := m.Nearest("dev", []string{"ghost"}); ok {
-		t.Fatal("Nearest with only unplaced candidates succeeded")
+	empty := m.Rank([]string{"ghost"})
+	if _, ok := empty.Nearest(Point{}); ok || empty.Len() != 0 || len(empty.Order(Point{})) != 0 {
+		t.Fatal("ranking of only unplaced candidates is not empty")
+	}
+}
+
+// TestRankingIsASnapshot pins the property the lazy reporters rely on:
+// a Ranking never reads the Map again, so moving a candidate after
+// Rank does not change what it answers.
+func TestRankingIsASnapshot(t *testing.T) {
+	m := newTestMap(t)
+	m.Place("near", Point{1, 0}, "campus")
+	m.Place("far", Point{50, 0}, "campus")
+	r := m.Rank([]string{"far", "near"})
+	if err := m.Move("near", Point{99, 0}); err != nil {
+		t.Fatal(err)
+	}
+	m.Place("far", Point{0, 0}, "city")
+	if got := r.Order(Point{0, 0}); !slices.Equal(got, []string{"near", "far"}) {
+		t.Fatalf("Order after the map changed = %v, want [near far]", got)
+	}
+}
+
+// stableSortOrder is the construction-time ranking this package used
+// to offer as Map.NearestOrder, kept as the reference Ranking is
+// checked against: resolve each candidate through the map, stable-sort
+// the placed ones by distance alone.
+func stableSortOrder(m *Map, from Point, candidates []string) []string {
+	type cand struct {
+		d float64
+		c string
+	}
+	var placed []cand
+	for _, c := range candidates {
+		if pl, ok := m.PlacementOf(c); ok {
+			placed = append(placed, cand{d: from.Distance(pl.Position), c: c})
+		}
+	}
+	sort.SliceStable(placed, func(i, j int) bool { return placed[i].d < placed[j].d })
+	out := make([]string, len(placed))
+	for i, p := range placed {
+		out[i] = p.c
+	}
+	return out
+}
+
+// TestRankingMatchesStableSort draws random maps on a coarse integer
+// grid — so exact distance ties are common — with some candidates left
+// unplaced, and checks Order and Nearest against the reference sort.
+func TestRankingMatchesStableSort(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		m := NewMap()
+		grid := func() Point { return Point{X: float64(rng.Intn(7) - 3), Y: float64(rng.Intn(7) - 3)} }
+		var candidates []string
+		for i, n := 0, rng.Intn(40); i < n; i++ {
+			id := fmt.Sprintf("c%d", i)
+			candidates = append(candidates, id)
+			if rng.Intn(5) > 0 {
+				m.Place(id, grid(), "")
+			}
+		}
+		rng.Shuffle(len(candidates), func(i, j int) { candidates[i], candidates[j] = candidates[j], candidates[i] })
+		r := m.Rank(candidates)
+		for k := 0; k < 8; k++ {
+			from := grid()
+			want := stableSortOrder(m, from, candidates)
+			if got := r.Order(from); !slices.Equal(got, want) {
+				t.Logf("seed %d from %v: Order = %v, want %v", seed, from, got, want)
+				return false
+			}
+			got, ok := r.Nearest(from)
+			if ok != (len(want) > 0) || (ok && got != want[0]) {
+				t.Logf("seed %d from %v: Nearest = %q/%v, want head of %v", seed, from, got, ok, want)
+				return false
+			}
+		}
+		return r.Len() == len(stableSortOrder(m, Point{}, candidates))
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -216,14 +302,16 @@ func TestLatencyScalesWithDistance(t *testing.T) {
 	}
 }
 
-func TestNearestTieBreaksEarlier(t *testing.T) {
+func TestRankingTieBreaksEarlier(t *testing.T) {
 	m := newTestMap(t)
-	m.Place("dev", Point{0, 0}, "campus")
 	m.Place("x", Point{5, 0}, "campus")
 	m.Place("y", Point{0, 5}, "campus")
-	got, _ := m.Nearest("dev", []string{"x", "y"})
-	if got != "x" {
+	r := m.Rank([]string{"x", "y"})
+	if got, _ := r.Nearest(Point{0, 0}); got != "x" {
 		t.Fatalf("Nearest tie = %q, want x (earlier candidate)", got)
+	}
+	if got := r.Order(Point{0, 0}); !slices.Equal(got, []string{"x", "y"}) {
+		t.Fatalf("Order tie = %v, want [x y] (candidate order)", got)
 	}
 }
 
