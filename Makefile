@@ -93,7 +93,7 @@ determinism:
 	$(GO) run ./cmd/riotbench -quick -only table12 -seeds 4 -hashes > /tmp/serial.txt
 	$(GO) run -race ./cmd/riotbench -quick -only table12 -seeds 4 -parallel 4 -hashes > /tmp/parallel.txt
 	diff -u /tmp/serial.txt /tmp/parallel.txt
-	$(GO) test -race -run TestSchedulerDifferential ./internal/core/
+	$(GO) test -race -count=1 ./internal/simnet/
 	$(GO) run ./cmd/riotsim -tier city-smoke -matrix -shards 1 -hash > /tmp/shards1.txt
 	$(GO) run ./cmd/riotsim -tier city-smoke -matrix -shards 2 -hash > /tmp/shards2.txt
 	$(GO) run -race ./cmd/riotsim -tier city-smoke -matrix -shards 4 -hash > /tmp/shards4.txt

@@ -8,7 +8,7 @@
 //	riotbench -only f3             # one experiment: table12, f1..f5, a1,
 //	                               # a2, x1, x2, city, chaos/<name>
 //	riotbench -parallel 4 -seeds 8 # fan the table12 campaign over workers
-//	riotbench -shards 4            # zone-sharded scheduler in every run
+//	riotbench -shards 4            # four zone lanes in every run
 //	riotbench -out BENCH_riot.json # write per-experiment benchmark JSON
 //
 // The city experiment runs the four-archetype matrix at the Figure-1
@@ -30,9 +30,11 @@
 // per-run journal hashes so serial and parallel output can be diffed
 // directly (the determinism CI job does exactly that).
 //
-// -shards selects the zone-sharded scheduler (DESIGN.md §11) inside
-// every simulation; -shards 1 is the sharded serial reference and
-// higher counts run zone lanes in parallel with identical journals.
+// -shards splits every simulation into zone lanes (DESIGN.md §11) and
+// thereby picks the journal family: 0 is the single-lane family the
+// pinned hashes belong to, -shards 1 is the serial reference of the
+// per-node-stream family and higher counts run zone lanes in parallel
+// with journals identical to it.
 // -parallel and -shards multiply: N workers × S shard lanes would run
 // N*S goroutines hot, so when both exceed one the worker count is
 // capped at GOMAXPROCS/shards — campaign throughput already saturates
@@ -142,7 +144,7 @@ func run(args []string, out io.Writer) error {
 	seedRuns := fs.Int("seeds", 1, "number of seeds for the table12 campaign (>1 adds mean/min/max rows)")
 	parallel := fs.Int("parallel", 1, "worker count for the table12 campaign (0 = GOMAXPROCS)")
 	hashes := fs.Bool("hashes", false, "print per-(seed,archetype) journal hashes for the table12 campaign")
-	shards := fs.Int("shards", 0, "zone-shard count for every simulation (0 = legacy serial scheduler, 1 = sharded reference leg)")
+	shards := fs.Int("shards", 0, "zone-shard lane count for every simulation; picks the journal family (0 = one lane, shared random stream: the pinned hashes; >= 1 = per-node streams, identical at any count, 1 = serial reference leg)")
 	outPath := fs.String("out", "", "write per-experiment benchmark JSON (ns/op, allocs/op, runs/sec) to this file")
 	benchReps := fs.Int("benchreps", 1, "repetitions per experiment for -out measurements; the minimum is recorded")
 	trace := fs.String("trace", "", "additionally trace a short ML4 run into this Chrome trace JSON file")
@@ -150,6 +152,9 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
+	if *shards < 0 {
+		return fmt.Errorf("-shards %d: must be 0 or more", *shards)
+	}
 	cfg := core.DefaultScenario()
 	cfg.Seed = *seed
 	cfg.Shards = *shards

@@ -33,6 +33,17 @@ func TestRunBadFlag(t *testing.T) {
 	}
 }
 
+func TestRunNegativeShards(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-quick", "-only", "f2", "-shards", "-2"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "-shards") {
+		t.Fatalf("negative -shards: err = %v, want an error naming the flag", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("negative -shards still ran something:\n%s", out.String())
+	}
+}
+
 func TestRunQuickTable12(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-quick", "-only", "table12"}, &out); err != nil {

@@ -7,11 +7,13 @@
 //
 // -tier selects a scenario preset (default, city, city-smoke, metro,
 // metro-smoke); -zones and -duration still override it when given
-// explicitly. -shards runs the zone-sharded scheduler (DESIGN.md §11):
-// -shards 1 is the serial reference leg and higher counts execute zone
-// lanes in parallel with a byte-identical journal, which -hash prints
-// for differential checks (the metropolis-determinism CI job diffs
-// these across shard counts):
+// explicitly. -shards splits the simulation into zone lanes (DESIGN.md
+// §11) and thereby picks the journal family: 0 is the single-lane
+// family every pinned hash belongs to; -shards 1 is the serial
+// reference leg of the per-node-stream family and higher counts execute
+// zone lanes in parallel with a journal byte-identical to it, which
+// -hash prints for differential checks (the metropolis-determinism CI
+// job diffs these across shard counts):
 //
 //	riotsim -tier city-smoke -arch ML4 -shards 4 -hash
 //
@@ -49,7 +51,7 @@ func run(args []string, out io.Writer) error {
 	zones := fs.Int("zones", 4, "number of zones")
 	duration := fs.Duration("duration", 20*time.Minute, "virtual run duration")
 	seed := fs.Int64("seed", 1, "simulation seed")
-	shards := fs.Int("shards", 0, "zone-shard count (0 = legacy serial scheduler, 1 = sharded reference leg)")
+	shards := fs.Int("shards", 0, "zone-shard lane count; picks the journal family (0 = one lane, shared random stream: the pinned hashes; >= 1 = per-node streams, identical at any count, 1 = serial reference leg)")
 	preset := fs.String("preset", "standard", "fault preset: standard, none or heavy")
 	matrix := fs.Bool("matrix", false, "run all four archetypes (Tables 1/2)")
 	events := fs.Bool("events", false, "print the run journal (faults, placements, violations, alerts)")
@@ -83,6 +85,9 @@ func run(args []string, out io.Writer) error {
 	}
 	if *tier == "default" || explicit["duration"] {
 		cfg.Duration = *duration
+	}
+	if *shards < 0 {
+		return fmt.Errorf("-shards %d: must be 0 or more", *shards)
 	}
 	cfg.Seed = *seed
 	cfg.Shards = *shards

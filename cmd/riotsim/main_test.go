@@ -42,6 +42,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-badflag"}, &out); err == nil {
 		t.Fatal("bad flag accepted")
 	}
+	if err := run([]string{"-shards", "-1", "-duration", "1m"}, &out); err == nil || !strings.Contains(err.Error(), "-shards") {
+		t.Fatalf("negative -shards: err = %v, want an error naming the flag", err)
+	}
 }
 
 func TestParseArchetype(t *testing.T) {

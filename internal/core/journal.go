@@ -73,7 +73,7 @@ type laneEvent struct {
 // span IDs. The journal is written directly — not via a bus
 // subscription — so it stays an always-on view while the bus keeps its
 // zero-subscriber fast path. In sharded mode the entry goes to the
-// executing lane's buffer (see mergeJournal); in legacy mode straight
+// executing lane's buffer (see mergeJournal); at Shards = 0 straight
 // to the journal, byte-identically to the pre-sharding code.
 func (sys *System) recordAt(ep simnet.Port, kind string, span, parent uint64, format string, args ...any) {
 	detail := fmt.Sprintf(format, args...)

@@ -190,7 +190,7 @@ func (sys *System) reachable(from, to simnet.NodeID) bool {
 }
 
 // shardCount reports the sharded scheduler's lane count; live runs and
-// legacy simulation report zero.
+// unsharded simulation report zero.
 func (sys *System) shardCount() int {
 	if sys.sim != nil {
 		return sys.sim.ShardCount()

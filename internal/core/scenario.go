@@ -101,13 +101,6 @@ type ScenarioConfig struct {
 	// run.
 	RaftHeartbeat time.Duration
 
-	// UseHeapScheduler selects simnet's reference 4-ary heap event
-	// queue instead of the default hierarchical timing wheel. Both pop
-	// events in the identical (at, seq) order, so runs are bit-identical
-	// either way — enforced by TestSchedulerDifferential, which is the
-	// knob's reason to exist.
-	UseHeapScheduler bool
-
 	// Resilience hardening knobs (DESIGN.md §9). All default off/zero
 	// so every pinned journal — paper scale, city tier, and the chaos
 	// corpus replay contract — stays bit-identical. Hardened() turns
@@ -141,16 +134,16 @@ type ScenarioConfig struct {
 	// retry cycle walking dead candidates and freshness flaps.
 	StickyFailover bool
 
-	// Shards selects simnet's zone-sharded deterministic scheduler
-	// (DESIGN.md §11): the zones are block-partitioned across Shards
-	// lanes that advance in conservative lookahead windows, and the
-	// journal is merged by shard-count-invariant logical event keys —
-	// so the JournalHash is byte-identical at any Shards ≥ 1, with
-	// Shards = 1 the serial reference leg. Zero keeps the legacy
-	// single-threaded scheduler and its pinned journal family
-	// (sharded-mode hashes form a separate family: per-node RNG
-	// streams replace the global draw order). Not defaulted by
-	// withDefaults. Supersedes UseHeapScheduler when set.
+	// Shards is the number of simnet shard lanes (DESIGN.md §11) and
+	// thereby the journal family. Zero runs the whole simulation on
+	// one lane with one shared random stream and a global event
+	// counter — the family every pinned hash, the chaos corpus and the
+	// bench baselines belong to. Shards ≥ 1 block-partitions the zones
+	// across that many lanes advancing in conservative lookahead
+	// windows, with per-node streams and shard-count-invariant logical
+	// event keys — so the JournalHash is byte-identical at any
+	// Shards ≥ 1 (Shards = 1 is the serial reference leg) but differs
+	// from the zero-lane family. Not defaulted by withDefaults.
 	Shards int
 }
 

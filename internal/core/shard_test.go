@@ -79,29 +79,29 @@ func TestShardInvarianceCity(t *testing.T) {
 	}
 }
 
-// TestShardLegacyUnchanged pins the dual-mode boundary: constructing a
-// system with Shards left at zero must keep the legacy scheduler's
-// journal family byte-for-byte — the chaos corpus and the committed
-// bench baselines depend on it. (The sharded family is a different
-// hash: per-node RNG streams replace the global draw order.)
-func TestShardLegacyUnchanged(t *testing.T) {
+// TestShardZeroKeepsPinnedFamily pins the family boundary: a system
+// with Shards left at zero must stay on the single-lane journal family
+// byte-for-byte — the chaos corpus and the committed bench baselines
+// depend on it. (Shards ≥ 1 is a different hash: per-node RNG streams
+// replace the global draw order.)
+func TestShardZeroKeepsPinnedFamily(t *testing.T) {
 	cfg := DefaultScenario()
 	cfg.Duration = 5 * time.Minute
-	legacy := NewSystem(cfg, ML4)
-	legacy.Run()
+	unsharded := NewSystem(cfg, ML4)
+	unsharded.Run()
 
 	cfg.Shards = 1
 	sharded := NewSystem(cfg, ML4)
 	sharded.Run()
 
-	if legacy.JournalHash() == sharded.JournalHash() {
+	if unsharded.JournalHash() == sharded.JournalHash() {
 		// Not a failure of determinism — but if the families ever
-		// collide, the "legacy untouched" claim is no longer being
-		// tested by the corpus replays alone. Flag it for a human.
-		t.Log("note: legacy and sharded journal families coincide for this config")
+		// collide, the "zero-lane family untouched" claim is no longer
+		// being tested by the corpus replays alone. Flag it for a human.
+		t.Log("note: unsharded and sharded journal families coincide for this config")
 	}
-	if got := legacy.sim.ShardCount(); got != 0 {
-		t.Fatalf("legacy system reports ShardCount %d, want 0", got)
+	if got := unsharded.sim.ShardCount(); got != 0 {
+		t.Fatalf("unsharded system reports ShardCount %d, want 0", got)
 	}
 	if got := sharded.sim.ShardCount(); got != 1 {
 		t.Fatalf("sharded system reports ShardCount %d, want 1", got)

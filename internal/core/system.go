@@ -166,7 +166,7 @@ type System struct {
 	journal []RunEvent
 	// laneJournals buffers journal records per lane in sharded mode,
 	// keyed by logical event sequence; mergeJournal flattens them into
-	// journal after the run. Nil in legacy mode.
+	// journal after the run. Nil at Shards = 0.
 	laneJournals [][]laneEvent
 	prevTempOK   []bool
 	prevFresh    []bool
@@ -208,12 +208,7 @@ func newSystem(cfg ScenarioConfig, arch Archetype, live *liveBackend) *System {
 	}
 	if live == nil {
 		simOpts := []simnet.Option{simnet.WithSeed(cfg.Seed), simnet.WithDefaultLatency(2 * time.Millisecond)}
-		if cfg.UseHeapScheduler {
-			simOpts = append(simOpts, simnet.WithHeapScheduler())
-		}
 		if cfg.Shards > 0 {
-			// Sharded deterministic mode supersedes the scheduler choice:
-			// every lane runs its own timing wheel.
 			simOpts = append(simOpts, simnet.WithShards(cfg.Shards))
 		}
 		sys.sim = simnet.New(simOpts...)
@@ -330,7 +325,7 @@ func (sys *System) buildWorld() {
 	// Zone→shard partitioning: contiguous zone blocks, so intra-zone
 	// traffic (sensors↔gateway↔actuators — the overwhelming bulk) stays
 	// shard-local and only gateway↔gateway, gateway↔cloudlet and WAN
-	// traffic crosses lanes. SetShard is a no-op in legacy mode.
+	// traffic crosses lanes. SetShard is a no-op at Shards = 0.
 	shards := sys.shardCount()
 	shardFor := func(z int) int {
 		if shards > 1 && z >= 0 {

@@ -45,36 +45,3 @@ func BenchmarkLWWMapDelta(b *testing.B) {
 		_ = m.Since(time.Duration(900)) // last 10% of writes
 	}
 }
-
-// BenchmarkORSetAddContains measures set operations.
-func BenchmarkORSetAddContains(b *testing.B) {
-	s := NewORSet("a")
-	elems := make([]string, 128)
-	for i := range elems {
-		elems[i] = fmt.Sprintf("e%d", i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := elems[i%128]
-		s.Add(e)
-		if !s.Contains(e) {
-			b.Fatal("missing element")
-		}
-	}
-}
-
-// BenchmarkVClockCompare measures causal comparison of 16-replica
-// clocks.
-func BenchmarkVClockCompare(b *testing.B) {
-	x := make(VClock)
-	y := make(VClock)
-	for i := 0; i < 16; i++ {
-		r := ReplicaID(fmt.Sprintf("r%d", i))
-		x[r] = uint64(i)
-		y[r] = uint64(16 - i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = x.Compare(y)
-	}
-}

@@ -6,371 +6,6 @@ import (
 	"time"
 )
 
-// --- VClock ---
-
-func TestVClockCompare(t *testing.T) {
-	a := VClock{"r1": 1, "r2": 2}
-	tests := []struct {
-		name  string
-		other VClock
-		want  Ordering
-	}{
-		{"equal", VClock{"r1": 1, "r2": 2}, OrderingEqual},
-		{"before", VClock{"r1": 2, "r2": 2}, OrderingBefore},
-		{"after", VClock{"r1": 1, "r2": 1}, OrderingAfter},
-		{"concurrent", VClock{"r1": 2, "r2": 1}, OrderingConcurrent},
-		{"after empty", VClock{}, OrderingAfter},
-		{"concurrent disjoint", VClock{"r3": 1}, OrderingConcurrent},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := a.Compare(tt.other); got != tt.want {
-				t.Fatalf("Compare = %v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
-func TestVClockTickAndMerge(t *testing.T) {
-	a := make(VClock).Tick("r1").Tick("r1")
-	b := make(VClock).Tick("r2")
-	a.Merge(b)
-	if a["r1"] != 2 || a["r2"] != 1 {
-		t.Fatalf("merged = %v", a)
-	}
-	if got := a.Compare(b); got != OrderingAfter {
-		t.Fatalf("Compare = %v, want after", got)
-	}
-}
-
-func TestVClockReplicas(t *testing.T) {
-	v := VClock{"b": 1, "a": 2, "zero": 0}
-	got := v.Replicas()
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Replicas = %v", got)
-	}
-}
-
-func TestVClockCopyIndependent(t *testing.T) {
-	a := make(VClock).Tick("r1")
-	b := a.Copy()
-	b.Tick("r1")
-	if a["r1"] != 1 || b["r1"] != 2 {
-		t.Fatal("copy not independent")
-	}
-}
-
-func TestOrderingString(t *testing.T) {
-	for o, want := range map[Ordering]string{
-		OrderingEqual: "equal", OrderingBefore: "before",
-		OrderingAfter: "after", OrderingConcurrent: "concurrent",
-	} {
-		if o.String() != want {
-			t.Fatalf("%d.String() = %q", o, o.String())
-		}
-	}
-}
-
-// --- GCounter / PNCounter ---
-
-func TestGCounterBasics(t *testing.T) {
-	g := NewGCounter()
-	g.Add("a", 3)
-	g.Add("b", 2)
-	g.Add("a", 1)
-	if g.Value() != 6 {
-		t.Fatalf("Value = %d, want 6", g.Value())
-	}
-}
-
-func TestGCounterZeroValueUsable(t *testing.T) {
-	var g GCounter
-	g.Add("a", 1)
-	if g.Value() != 1 {
-		t.Fatal("zero-value GCounter unusable")
-	}
-	var g2 GCounter
-	g2.Merge(&g)
-	if g2.Value() != 1 {
-		t.Fatal("zero-value merge failed")
-	}
-}
-
-func TestGCounterMergeIsMax(t *testing.T) {
-	a, b := NewGCounter(), NewGCounter()
-	a.Add("r", 5)
-	b.Merge(a)
-	b.Merge(a) // idempotent
-	if b.Value() != 5 {
-		t.Fatalf("Value = %d, want 5 (merge must not double-count)", b.Value())
-	}
-}
-
-func TestPNCounter(t *testing.T) {
-	p := NewPNCounter()
-	p.Add("a", 10)
-	p.Sub("b", 4)
-	if p.Value() != 6 {
-		t.Fatalf("Value = %d, want 6", p.Value())
-	}
-	q := p.Copy()
-	q.Sub("a", 10)
-	p.Merge(q)
-	if p.Value() != -4 {
-		t.Fatalf("after merge, Value = %d, want -4", p.Value())
-	}
-}
-
-// Property: GCounter merge is commutative, associative, idempotent.
-func TestGCounterMergeProperties(t *testing.T) {
-	mk := func(incs []uint8) *GCounter {
-		g := NewGCounter()
-		replicas := []ReplicaID{"a", "b", "c"}
-		for i, n := range incs {
-			g.Add(replicas[i%len(replicas)], uint64(n))
-		}
-		return g
-	}
-	prop := func(x, y, z []uint8) bool {
-		a, b, c := mk(x), mk(y), mk(z)
-
-		// Commutativity: a⊔b == b⊔a
-		ab := a.Copy()
-		ab.Merge(b)
-		ba := b.Copy()
-		ba.Merge(a)
-		if ab.Value() != ba.Value() {
-			return false
-		}
-		// Associativity: (a⊔b)⊔c == a⊔(b⊔c)
-		abc1 := a.Copy()
-		abc1.Merge(b)
-		abc1.Merge(c)
-		bc := b.Copy()
-		bc.Merge(c)
-		abc2 := a.Copy()
-		abc2.Merge(bc)
-		if abc1.Value() != abc2.Value() {
-			return false
-		}
-		// Idempotence: a⊔a == a
-		aa := a.Copy()
-		aa.Merge(a)
-		return aa.Value() == a.Value()
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// --- LWWRegister ---
-
-func TestLWWRegisterLastWriteWins(t *testing.T) {
-	var r LWWRegister
-	if _, ok := r.Get(); ok {
-		t.Fatal("unset register reported a value")
-	}
-	if !r.Set("v1", time.Second, "a") {
-		t.Fatal("first write lost")
-	}
-	if r.Set("old", 500*time.Millisecond, "b") {
-		t.Fatal("older write won")
-	}
-	if !r.Set("v2", 2*time.Second, "b") {
-		t.Fatal("newer write lost")
-	}
-	v, ok := r.Get()
-	if !ok || v != "v2" {
-		t.Fatalf("Get = %v/%v", v, ok)
-	}
-	if r.Timestamp() != 2*time.Second || r.Writer() != "b" {
-		t.Fatal("metadata wrong")
-	}
-}
-
-func TestLWWRegisterTieBreaksByReplica(t *testing.T) {
-	var a, b LWWRegister
-	a.Set("fromA", time.Second, "alpha")
-	b.Set("fromB", time.Second, "beta")
-	a.Merge(&b)
-	b.Merge(&a)
-	va, _ := a.Get()
-	vb, _ := b.Get()
-	if va != vb {
-		t.Fatalf("replicas diverged: %v vs %v", va, vb)
-	}
-	if va != "fromB" { // "beta" > "alpha"
-		t.Fatalf("tie winner = %v, want fromB", va)
-	}
-}
-
-func TestLWWRegisterMergeEmptyNoop(t *testing.T) {
-	var a, empty LWWRegister
-	a.Set("x", time.Second, "r")
-	a.Merge(&empty)
-	a.Merge(nil)
-	if v, _ := a.Get(); v != "x" {
-		t.Fatal("merge with empty register changed value")
-	}
-}
-
-// Property: register merge converges regardless of merge order.
-func TestLWWRegisterConvergence(t *testing.T) {
-	type write struct {
-		Val     uint16
-		Ts      uint16
-		Replica uint8
-	}
-	prop := func(writes []write) bool {
-		if len(writes) == 0 {
-			return true
-		}
-		regs := make([]*LWWRegister, 3)
-		for i := range regs {
-			regs[i] = &LWWRegister{}
-		}
-		for i, w := range writes {
-			regs[i%3].Set(w.Val, time.Duration(w.Ts), ReplicaID(rune('a'+w.Replica%5)))
-		}
-		// Merge in two different orders.
-		x := regs[0].Copy()
-		x.Merge(regs[1])
-		x.Merge(regs[2])
-		y := regs[2].Copy()
-		y.Merge(regs[0])
-		y.Merge(regs[1])
-		vx, okx := x.Get()
-		vy, oky := y.Get()
-		return okx == oky && vx == vy
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// --- ORSet ---
-
-func TestORSetAddRemove(t *testing.T) {
-	s := NewORSet("a")
-	s.Add("x")
-	s.Add("y")
-	if !s.Contains("x") || s.Len() != 2 {
-		t.Fatal("adds missing")
-	}
-	s.Remove("x")
-	if s.Contains("x") || s.Len() != 1 {
-		t.Fatal("remove failed")
-	}
-	got := s.Elements()
-	if len(got) != 1 || got[0] != "y" {
-		t.Fatalf("Elements = %v", got)
-	}
-}
-
-func TestORSetConcurrentAddWinsOverRemove(t *testing.T) {
-	a := NewORSet("a")
-	a.Add("x")
-	b := a.Copy()
-	// Concurrently: a removes x, b re-adds x (new tag).
-	a.Remove("x")
-	bAsB := NewORSet("b")
-	bAsB.Merge(b)
-	bAsB.Add("x")
-
-	a.Merge(bAsB)
-	bAsB.Merge(a)
-	if !a.Contains("x") || !bAsB.Contains("x") {
-		t.Fatal("concurrent add did not win over remove")
-	}
-}
-
-func TestORSetRemoveOnlyObserved(t *testing.T) {
-	a := NewORSet("a")
-	b := NewORSet("b")
-	b.Add("x")
-	// a has not observed b's add; a.Remove is a no-op for it.
-	a.Remove("x")
-	a.Merge(b)
-	if !a.Contains("x") {
-		t.Fatal("unobserved add was removed")
-	}
-}
-
-func TestORSetReAddAfterRemove(t *testing.T) {
-	s := NewORSet("a")
-	s.Add("x")
-	s.Remove("x")
-	s.Add("x")
-	if !s.Contains("x") {
-		t.Fatal("re-add after remove failed")
-	}
-}
-
-func TestORSetMergeKeepsSeqAhead(t *testing.T) {
-	a := NewORSet("a")
-	a.Add("x")
-	a.Add("y") // seq=2
-	restored := NewORSet("a")
-	restored.Merge(a) // same replica identity restored from peer state
-	restored.Add("z") // must not reuse tag a#1/a#2
-	restored.Remove("z")
-	if restored.Contains("z") {
-		t.Fatal("fresh add reused an old tag and survived its own remove")
-	}
-	if !restored.Contains("x") || !restored.Contains("y") {
-		t.Fatal("restore lost elements")
-	}
-}
-
-// Property: ORSet merge is commutative and idempotent on membership.
-func TestORSetMergeProperties(t *testing.T) {
-	elems := []string{"p", "q", "r"}
-	type op struct {
-		Elem   uint8
-		Remove bool
-	}
-	mk := func(r ReplicaID, ops []op) *ORSet {
-		s := NewORSet(r)
-		for _, o := range ops {
-			e := elems[int(o.Elem)%len(elems)]
-			if o.Remove {
-				s.Remove(e)
-			} else {
-				s.Add(e)
-			}
-		}
-		return s
-	}
-	eq := func(a, b *ORSet) bool {
-		ea, eb := a.Elements(), b.Elements()
-		if len(ea) != len(eb) {
-			return false
-		}
-		for i := range ea {
-			if ea[i] != eb[i] {
-				return false
-			}
-		}
-		return true
-	}
-	prop := func(x, y []op) bool {
-		a, b := mk("a", x), mk("b", y)
-		ab := a.Copy()
-		ab.Merge(b)
-		ba := b.Copy()
-		ba.Merge(a)
-		if !eq(ab, ba) {
-			return false
-		}
-		aa := a.Copy()
-		aa.Merge(a)
-		return eq(aa, a)
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // --- LWWMap ---
 
 func TestLWWMapSetGetDelete(t *testing.T) {

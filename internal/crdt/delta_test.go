@@ -135,101 +135,3 @@ func TestDeltaBufferUnknownPeer(t *testing.T) {
 		t.Fatal("unknown peer acked")
 	}
 }
-
-func TestORSetDigestDeltaRoundTrip(t *testing.T) {
-	a := NewORSet("A")
-	b := NewORSet("B")
-	a.Add("x")
-	a.Add("y")
-	a.Remove("x")
-
-	// B has seen nothing: the delta since its digest is A's whole
-	// operation history.
-	d := a.DeltaSince(b.Digest())
-	if d.Empty() {
-		t.Fatal("delta empty")
-	}
-	b.ApplyDelta(d)
-	if b.Contains("x") || !b.Contains("y") {
-		t.Fatalf("elements after delta = %v", b.Elements())
-	}
-
-	// Now B is caught up: the next delta is empty — no full-state
-	// reship for a converged peer.
-	if d2 := a.DeltaSince(b.Digest()); !d2.Empty() {
-		t.Fatalf("delta for converged peer = %+v", d2)
-	}
-
-	// One more op ships exactly that op.
-	a.Add("z")
-	d3 := a.DeltaSince(b.Digest())
-	if len(d3.Adds) != 1 || len(d3.Adds["z"]) != 1 || len(d3.Tombs) != 0 {
-		t.Fatalf("incremental delta = %+v", d3)
-	}
-	b.ApplyDelta(d3)
-	if !b.Contains("z") {
-		t.Fatal("incremental delta lost the add")
-	}
-}
-
-func TestORSetDeltaIdempotent(t *testing.T) {
-	a := NewORSet("A")
-	b := NewORSet("B")
-	a.Add("x")
-	a.Remove("x")
-	a.Add("y")
-	d := a.DeltaSince(b.Digest())
-	b.ApplyDelta(d)
-	b.ApplyDelta(d) // duplicate delivery
-	if b.Contains("x") || !b.Contains("y") || b.Len() != 1 {
-		t.Fatalf("after duplicate apply: %v", b.Elements())
-	}
-}
-
-func TestGCounterDeltaSince(t *testing.T) {
-	g := NewGCounter()
-	g.Add("A", 3)
-	g.Add("B", 2)
-	peer := NewGCounter()
-	peer.MergeDelta(g.DeltaSince(peer.Frontier()))
-	if peer.Value() != 5 {
-		t.Fatalf("value = %d", peer.Value())
-	}
-	// Converged: nothing to ship.
-	if d := g.DeltaSince(peer.Frontier()); d != nil {
-		t.Fatalf("delta for converged peer = %v", d)
-	}
-	g.Add("A", 1)
-	d := g.DeltaSince(peer.Frontier())
-	if len(d) != 1 || d["A"] != 4 {
-		t.Fatalf("incremental delta = %v", d)
-	}
-	peer.MergeDelta(d)
-	peer.MergeDelta(d) // idempotent
-	if peer.Value() != 6 {
-		t.Fatalf("value = %d", peer.Value())
-	}
-}
-
-func TestPNCounterDeltaSince(t *testing.T) {
-	p := NewPNCounter()
-	p.Add("A", 10)
-	p.Sub("B", 4)
-	peer := NewPNCounter()
-	peer.MergeDelta(p.DeltaSince(peer.Frontier()))
-	if peer.Value() != 6 {
-		t.Fatalf("value = %d", peer.Value())
-	}
-	if d := p.DeltaSince(peer.Frontier()); !d.Empty() {
-		t.Fatalf("delta for converged peer = %+v", d)
-	}
-	p.Sub("A", 1)
-	d := p.DeltaSince(peer.Frontier())
-	if d.Empty() || len(d.Pos) != 0 || d.Neg["A"] != 1 {
-		t.Fatalf("incremental delta = %+v", d)
-	}
-	peer.MergeDelta(d)
-	if peer.Value() != 5 {
-		t.Fatalf("value = %d", peer.Value())
-	}
-}

@@ -26,39 +26,3 @@ func ExampleLWWMap() {
 	// Output:
 	// 22 22
 }
-
-// An observed-remove set keeps a concurrently re-added element: the
-// remove only covers the adds it has seen.
-func ExampleORSet() {
-	a := crdt.NewORSet("a")
-	a.Add("sensor-7")
-	b := a.Copy()
-
-	a.Remove("sensor-7") // a removes...
-	b.Add("sensor-7")    // ...while b re-registers it concurrently
-
-	a.Merge(b)
-	fmt.Println(a.Contains("sensor-7"))
-
-	// Output:
-	// true
-}
-
-// A multi-value register surfaces conflicting concurrent writes
-// instead of silently dropping one.
-func ExampleMVRegister() {
-	a := crdt.NewMVRegister("controller-a")
-	b := crdt.NewMVRegister("controller-b")
-	a.Set("cool")
-	b.Set("heat") // concurrent: neither saw the other
-
-	a.Merge(b)
-	fmt.Println(a.Conflicting(), a.Values())
-
-	a.Set("off") // application resolves the conflict
-	fmt.Println(a.Conflicting(), a.Values())
-
-	// Output:
-	// true [cool heat]
-	// false [off]
-}

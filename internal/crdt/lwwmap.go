@@ -1,3 +1,12 @@
+// Package crdt implements the conflict-free replicated data type the
+// data plane runs on: a last-writer-wins map, with the per-peer delta
+// buffer (delta.go) and encoded-size accounting (size.go) its sync
+// protocol needs. The paper's data-flow vision (§VI) requires data to be
+// "kept synchronized or transferred" between IoT software components
+// across unreliable links and partitions without central storage; a
+// state-based CRDT provides exactly that — replicas merge pairwise in
+// any order, any grouping, any number of times, and converge (the
+// property-based tests check commutativity and convergence explicitly).
 package crdt
 
 import (
@@ -7,10 +16,16 @@ import (
 	"time"
 )
 
+// ReplicaID identifies one replica of a CRDT.
+type ReplicaID string
+
 // LWWMap is a last-writer-wins key/value map — the workhorse of the
-// data plane: each key behaves as an LWWRegister, and replicas converge
-// by exchanging either full state or deltas (entries newer than a known
-// timestamp). Deletes are tombstoned writes so they propagate.
+// data plane: each key is a last-writer-wins register (a write carries
+// a timestamp and the writing replica's ID; the larger timestamp wins,
+// ties broken by replica ID so all replicas resolve identically), and
+// replicas converge by exchanging either full state or deltas (entries
+// newer than a known timestamp). Deletes are tombstoned writes so they
+// propagate.
 type LWWMap struct {
 	replica ReplicaID
 	entries map[string]mapEntry

@@ -22,25 +22,15 @@ func (e *Endpoint) ID() NodeID { return e.node.id }
 // Sim returns the underlying simulator.
 func (e *Endpoint) Sim() *Sim { return e.sim }
 
-// Now returns the current virtual time. In sharded mode this is the
-// node's lane clock — equal to the global clock at barriers, and the
-// only clock a node's events may read during a parallel window.
-func (e *Endpoint) Now() time.Duration {
-	if ln := e.node.ln; ln != nil {
-		return ln.now
-	}
-	return e.sim.Now()
-}
+// Now returns the current virtual time: the node's lane clock — equal
+// to the global clock at barriers, and the only clock a node's events
+// may read during a parallel window.
+func (e *Endpoint) Now() time.Duration { return e.node.ln.now }
 
 // Rand returns the node's deterministic random source: the shared
-// simulation stream in legacy mode, the node's private stream in
-// sharded mode (so draw order cannot depend on lane interleaving).
-func (e *Endpoint) Rand() *rand.Rand {
-	if e.node.rng != nil {
-		return e.node.rng
-	}
-	return e.sim.Rand()
-}
+// simulation stream, or with shard lanes the node's private stream (so
+// draw order cannot depend on lane interleaving).
+func (e *Endpoint) Rand() *rand.Rand { return e.node.rng }
 
 // Up reports whether the node is currently up.
 func (e *Endpoint) Up() bool { return !e.node.down }
@@ -63,7 +53,7 @@ func (e *Endpoint) OnUp(fn func()) { e.node.onUp = append(e.node.onUp, fn) }
 // latency, loss, partition and liveness state. It reports whether the
 // message entered the network (a true result does not imply delivery).
 func (e *Endpoint) Send(to NodeID, msg Message) bool {
-	return e.sim.sendFrom(e.node, to, msg)
+	return e.sim.send(e.node, "", to, msg, nil)
 }
 
 // After schedules fn to run once, d from now, unless the node is down at
@@ -71,16 +61,10 @@ func (e *Endpoint) Send(to NodeID, msg Message) bool {
 // when the timer fires. The down-gate is the event's owner field, not a
 // wrapping closure, so a node-scoped timer costs the same as a bare one.
 func (e *Endpoint) After(d time.Duration, fn func()) *Timer {
-	if e.sim.shd != nil {
-		ev, ln := e.sim.shardSchedule(e.node, e.node.ln.now+d)
-		ev.owner = e.node
-		ev.fn = fn
-		return ln.newTimer(ev)
-	}
-	ev := e.sim.schedule(e.sim.now + d)
+	ev, ln := e.sim.scheduleOn(e.node, e.node.ln.now+d)
 	ev.owner = e.node
 	ev.fn = fn
-	return e.sim.newTimer(ev)
+	return ln.newTimer(ev)
 }
 
 // ArgScheduler is an optional Port extension for allocation-free
@@ -98,22 +82,15 @@ var _ ArgScheduler = (*Endpoint)(nil)
 // AfterArg schedules fn(arg) to run once, d from now, with the same
 // down-gating as After.
 func (e *Endpoint) AfterArg(d time.Duration, fn func(uint64), arg uint64) *Timer {
-	if e.sim.shd != nil {
-		ev, ln := e.sim.shardSchedule(e.node, e.node.ln.now+d)
-		ev.owner = e.node
-		ev.argFn = fn
-		ev.arg = arg
-		return ln.newTimer(ev)
-	}
-	ev := e.sim.schedule(e.sim.now + d)
+	ev, ln := e.sim.scheduleOn(e.node, e.node.ln.now+d)
 	ev.owner = e.node
 	ev.argFn = fn
 	ev.arg = arg
-	return e.sim.newTimer(ev)
+	return ln.newTimer(ev)
 }
 
 // Ticker is a periodic node-scoped timer. Simulated tickers own a
-// single pooled event that re-arms itself (see Sim.runTick); external
+// single pooled event that re-arms itself (see Sim.laneTick); external
 // tickers delegate to the wrapped cancel function.
 type Ticker struct {
 	stopped  bool
@@ -148,19 +125,12 @@ func (t *Ticker) Stop() {
 // Every runs fn every interval, starting one interval from now. Ticks
 // that occur while the node is down are skipped, but the ticker keeps
 // re-arming, so it resumes automatically when the node comes back up.
-// Tickers are owned by their node: in sharded mode they fire, re-arm
-// and must be stopped on the owning node's lane (all in-repo protocol
+// Tickers are owned by their node: they fire, re-arm and must be
+// stopped on the owning node's lane (all in-repo protocol
 // code stops timers from the owner's own events, which satisfies this).
 func (e *Endpoint) Every(interval time.Duration, fn func()) *Ticker {
 	t := &Ticker{owner: e.node, interval: interval, fn: fn}
-	if e.sim.shd != nil {
-		ev, _ := e.sim.shardSchedule(e.node, e.node.ln.now+interval)
-		ev.tick = t
-		t.ev = ev
-		t.gen = ev.gen
-		return t
-	}
-	ev := e.sim.schedule(e.sim.now + interval)
+	ev, _ := e.sim.scheduleOn(e.node, e.node.ln.now+interval)
 	ev.tick = t
 	t.ev = ev
 	t.gen = ev.gen

@@ -1,7 +1,5 @@
 package simnet
 
-import "time"
-
 // Envelope is a compact tagged-union representation for the small
 // fixed-shape datagrams that dominate protocol traffic: raft votes,
 // heartbeats and acks, gossip probes, delivery acknowledgements. A
@@ -54,79 +52,4 @@ type EnvelopeCarrier interface {
 	SendEnvelope(to NodeID, env Envelope) bool
 	// OnEnvelope installs the envelope handler.
 	OnEnvelope(h EnvelopeHandler)
-}
-
-// sendProtoEnv is sendProto for envelopes: the payload is copied into
-// the event inline, so the send path touches the allocator only for
-// its queue slot (which is arena-pooled). The control flow — including
-// the order of random draws — mirrors sendProto exactly; a call site
-// switched from Send(struct) to SendEnvelope produces a bit-identical
-// simulation provided Bytes matches the struct's Size().
-func (s *Sim) sendProtoEnv(src *node, proto string, to NodeID, env Envelope) bool {
-	if s.shd != nil {
-		return s.shardSend(src, proto, to, nil, env)
-	}
-	if src.down {
-		return false
-	}
-	s.stats.Sent++
-	dst, ok := s.nodes[to]
-	if !ok {
-		s.stats.Dropped++
-		return false
-	}
-	if !s.reachable(src.id, to) {
-		s.stats.Dropped++
-		return false
-	}
-	latency, loss := s.linkParams(src.id, to)
-	if loss > 0 && s.rng.Float64() < loss {
-		s.stats.Dropped++
-		return false
-	}
-	if latency > 0 {
-		latency += time.Duration(s.rng.Int63n(int64(latency)/10 + 1))
-	}
-	deliveries := 1
-	if s.defDup > 0 && s.rng.Float64() < s.defDup {
-		deliveries = 2
-	}
-	for i := 0; i < deliveries; i++ {
-		ev := s.schedule(s.now + latency + time.Duration(i)*latency)
-		ev.dst = dst
-		ev.from = src.id
-		ev.proto = proto
-		ev.env = env
-	}
-	return true
-}
-
-// deliverEnv executes an envelope delivery event. Byte accounting and
-// in-flight checks mirror deliver; dispatch goes to the protocol's
-// envelope handler, falling back to the boxed handler (which then pays
-// the boxing the sender avoided) if none is installed.
-func (s *Sim) deliverEnv(ev *event) {
-	dst := ev.dst
-	if dst.down || !s.reachable(ev.from, dst.id) {
-		s.stats.Dropped++
-		return
-	}
-	s.stats.Delivered++
-	s.stats.Bytes += int(ev.env.Bytes) + protoOverhead
-	if len(s.taps) > 0 {
-		var m Message = ev.env // box once for all taps
-		for _, tap := range s.taps {
-			tap(ev.from, dst.id, m)
-		}
-	}
-	for i := range dst.protoHandlers {
-		if e := &dst.protoHandlers[i]; e.proto == ev.proto {
-			if e.eh != nil {
-				e.eh(ev.from, &ev.env)
-			} else if e.h != nil {
-				e.h(ev.from, ev.env)
-			}
-			return
-		}
-	}
 }

@@ -42,7 +42,7 @@ const protoOverhead = 4
 
 // envelope wraps a protocol message with its protocol name for routing
 // at the receiving mux. Simulated endpoints bypass it (see
-// Sim.sendProto); it remains the wire format for generic Ports such as
+// Sim.send); it remains the wire format for generic Ports such as
 // realnet adapters.
 type envelope struct {
 	Proto string
@@ -59,7 +59,7 @@ func (e envelope) Size() int { return protoOverhead + messageSize(e.Msg) }
 // e.g. a real-network node); either takes over the message handler.
 //
 // Over a simulated *Endpoint the mux short-circuits the envelope
-// entirely: sends go through Sim.sendProto (no per-message boxing) and
+// entirely: sends go through Sim.send (no per-message boxing) and
 // handlers register directly on the simulator node.
 type Mux struct {
 	ep          Port
@@ -140,7 +140,7 @@ func (p *protoPort) OnMessage(h Handler) {
 
 func (p *protoPort) Send(to NodeID, msg Message) bool {
 	if ep := p.mux.sim; ep != nil {
-		return ep.sim.sendProto(ep.node, p.proto, to, msg)
+		return ep.sim.send(ep.node, p.proto, to, msg, nil)
 	}
 	return p.mux.ep.Send(to, envelope{Proto: p.proto, Msg: msg})
 }
@@ -151,7 +151,7 @@ func (p *protoPort) Send(to NodeID, msg Message) bool {
 // accounting, via Envelope.Size) at the cost of the allocation.
 func (p *protoPort) SendEnvelope(to NodeID, env Envelope) bool {
 	if ep := p.mux.sim; ep != nil {
-		return ep.sim.sendProtoEnv(ep.node, p.proto, to, env)
+		return ep.sim.send(ep.node, p.proto, to, nil, &env)
 	}
 	return p.mux.ep.Send(to, envelope{Proto: p.proto, Msg: env})
 }

@@ -45,21 +45,21 @@ type node struct {
 	down    bool
 	handler Handler
 	// protoHandlers routes natively multiplexed traffic (see
-	// Sim.sendProto). A node runs a handful of protocols at most, so a
+	// Sim.send). A node runs a handful of protocols at most, so a
 	// linear scan beats a map: the proto strings are shared constants,
 	// and Go's string compare short-circuits on pointer equality.
 	protoHandlers []protoEntry
 	onUp          []func()
 	onDown        []func()
 
-	// Sharded deterministic mode (see shard.go). rank is the node's
-	// AddNode position (the tie-break half of its logical event keys),
-	// ctr its private event counter, rng its private random stream and
-	// ln the lane that executes its events. All nil/zero in legacy mode.
+	// ln is the lane that executes the node's events and rng the
+	// stream its draws come from; with shard lanes, rank (AddNode
+	// position) and ctr (private event counter) make up its logical
+	// event keys. Assigned by Sim.addToLane.
+	ln   *lane
+	rng  *rand.Rand
 	rank uint32
 	ctr  uint64
-	rng  *rand.Rand
-	ln   *lane
 }
 
 // setProtoHandler installs (or replaces) the handler for proto.
@@ -138,9 +138,7 @@ func (s *Sim) AddNode(id NodeID) *Endpoint {
 		panic(fmt.Sprintf("simnet: duplicate node %q", id))
 	}
 	n := &node{id: id}
-	if s.shd != nil {
-		s.shardNode(n)
-	}
+	s.addToLane(n)
 	s.nodes[id] = n
 	return &Endpoint{sim: s, node: n}
 }
@@ -193,9 +191,7 @@ func (s *Sim) HealPartition() {
 // SetLink overrides latency and loss for the directed link from→to.
 func (s *Sim) SetLink(from, to NodeID, latency time.Duration, loss float64) {
 	s.net.links[linkKey{from, to}] = linkOverride{latency: latency, loss: loss}
-	if s.shd != nil {
-		s.shd.laDirty = true // link floors bound the sharded lookahead
-	}
+	s.shd.laDirty = true // link floors bound the lookahead
 }
 
 // SetLinkBidirectional overrides both directions of a link.
@@ -207,9 +203,7 @@ func (s *Sim) SetLinkBidirectional(a, b NodeID, latency time.Duration, loss floa
 // ClearLink removes any override for the directed link from→to.
 func (s *Sim) ClearLink(from, to NodeID) {
 	delete(s.net.links, linkKey{from, to})
-	if s.shd != nil {
-		s.shd.laDirty = true
-	}
+	s.shd.laDirty = true
 }
 
 // CutLink blocks all traffic from→to (both directions must be cut
@@ -240,20 +234,16 @@ func (s *Sim) Tap(t MessageTap) {
 	s.taps = append(s.taps, t)
 }
 
-// Stats returns a copy of the traffic counters. In sharded mode the
-// per-lane counters are summed.
+// Stats returns the traffic counters, summed over the lanes.
 func (s *Sim) Stats() Stats {
-	if sh := s.shd; sh != nil {
-		total := s.stats
-		for _, ln := range sh.lanes {
-			total.Sent += ln.stats.Sent
-			total.Delivered += ln.stats.Delivered
-			total.Dropped += ln.stats.Dropped
-			total.Bytes += ln.stats.Bytes
-		}
-		return total
+	var total Stats
+	for _, ln := range s.shd.lanes {
+		total.Sent += ln.stats.Sent
+		total.Delivered += ln.stats.Delivered
+		total.Dropped += ln.stats.Dropped
+		total.Bytes += ln.stats.Bytes
 	}
-	return s.stats
+	return total
 }
 
 // Reachable reports whether traffic from→to would currently traverse
@@ -290,84 +280,116 @@ func (s *Sim) linkParams(from, to NodeID) (time.Duration, float64) {
 // semantics. Partition and down state are evaluated both at send and at
 // delivery time, mirroring how a real datagram can be lost by a failure
 // occurring while it is in flight.
-func (s *Sim) send(from, to NodeID, msg Message) bool {
-	src, ok := s.nodes[from]
-	if !ok {
-		return false
-	}
-	return s.sendFrom(src, to, msg)
-}
-
-// sendFrom is send with the source already resolved — the path every
-// Endpoint.Send takes, skipping one map lookup per message. Deliveries
-// are scheduled as payload-carrying events (see event.dst), not
-// closures, so a send costs no allocation beyond its queue slot.
-func (s *Sim) sendFrom(src *node, to NodeID, msg Message) bool {
-	return s.sendProto(src, "", to, msg)
-}
-
-// sendProto is the native multiplexed send: proto travels as an event
-// field instead of an envelope wrapper, so protocol traffic (the bulk
-// of every ML4 run) avoids one interface boxing per message. An empty
-// proto is plain traffic delivered to the node's main handler.
-func (s *Sim) sendProto(src *node, proto string, to NodeID, msg Message) bool {
-	if s.shd != nil {
-		return s.shardSend(src, proto, to, msg, Envelope{})
-	}
+//
+// proto travels as an event field instead of a wrapper message, so
+// protocol traffic (the bulk of every ML4 run) avoids one interface
+// boxing per message; an empty proto is plain traffic for the node's
+// main handler. The payload is msg, or — when env is non-nil — the
+// envelope, copied inline into the event (see env.go). Deliveries are
+// payload-carrying events, not closures, so a send costs no allocation
+// beyond its arena-pooled queue slot.
+//
+// All random draws come from the sender's stream and the delivery key
+// is assigned by the sender, so with shard lanes the outcome depends
+// only on the sender's own history. Same-lane deliveries are pushed
+// directly; cross-lane deliveries are buffered in the sender lane's
+// outbox during parallel windows and pushed directly between windows.
+func (s *Sim) send(src *node, proto string, to NodeID, msg Message, env *Envelope) bool {
 	if src.down {
 		return false
 	}
-	s.stats.Sent++
+	ln := src.ln
+	ln.stats.Sent++
 	dst, ok := s.nodes[to]
-	if !ok {
-		s.stats.Dropped++
-		return false
-	}
-	if !s.reachable(src.id, to) {
-		s.stats.Dropped++
+	if !ok || !s.reachable(src.id, to) {
+		ln.stats.Dropped++
 		return false
 	}
 	latency, loss := s.linkParams(src.id, to)
-	if loss > 0 && s.rng.Float64() < loss {
-		s.stats.Dropped++
+	rng := src.rng
+	if loss > 0 && rng.Float64() < loss {
+		ln.stats.Dropped++
 		return false
 	}
 	// Jitter up to 10% keeps simultaneous broadcasts from arriving in
 	// pathological lockstep while staying deterministic under the seed.
 	if latency > 0 {
-		latency += time.Duration(s.rng.Int63n(int64(latency)/10 + 1))
+		latency += time.Duration(rng.Int63n(int64(latency)/10 + 1))
 	}
 	deliveries := 1
-	if s.defDup > 0 && s.rng.Float64() < s.defDup {
+	if s.defDup > 0 && rng.Float64() < s.defDup {
 		deliveries = 2
 	}
 	for i := 0; i < deliveries; i++ {
 		// A duplicate trails the original by up to one latency.
-		ev := s.schedule(s.now + latency + time.Duration(i)*latency)
+		at := ln.now + latency + time.Duration(i)*latency
+		seq := s.nextKey(src)
+		if s.shd.inPar && dst.ln != ln {
+			if at < s.shd.windowEnd {
+				panic(fmt.Sprintf("simnet: lookahead violated: %s→%s arrives %v inside window ending %v",
+					src.id, to, at, s.shd.windowEnd))
+			}
+			x := xfer{at: at, seq: seq, dst: dst, from: src.id, proto: proto, msg: msg}
+			if env != nil {
+				x.env = *env
+			}
+			ln.outbox = append(ln.outbox, x)
+			continue
+		}
+		idx, ev := dst.ln.alloc()
+		dst.ln.wheel.push(at, seq, idx)
 		ev.dst = dst
 		ev.from = src.id
 		ev.proto = proto
 		ev.msg = msg
+		if env != nil {
+			ev.env = *env
+		}
 	}
 	return true
 }
 
-// deliver executes a delivery event: the in-flight checks mirror a real
-// datagram being lost to a failure that happened after send. Protocol
-// traffic dispatches straight to the node's per-protocol handler; the
-// byte accounting matches the envelope framing it replaces.
-func (s *Sim) deliver(ev *event) {
+// laneDeliver executes a delivery event on the destination's lane: the
+// in-flight checks mirror a real datagram being lost to a failure that
+// happened after send. Protocol traffic dispatches straight to the
+// node's per-protocol handler; the byte accounting matches the wire
+// envelope it replaces (mux.go). An inline envelope goes to the
+// protocol's envelope handler, falling back to the boxed handler (which
+// then pays the boxing the sender avoided) if none is installed. Taps
+// must be safe for concurrent invocation when combined with shard lanes
+// (core does not tap).
+func (s *Sim) laneDeliver(ln *lane, ev *event) {
 	dst := ev.dst
 	if dst.down || !s.reachable(ev.from, dst.id) {
-		s.stats.Dropped++
+		ln.stats.Dropped++
 		return
 	}
-	s.stats.Delivered++
+	ln.stats.Delivered++
+	if ev.env.Kind != 0 {
+		ln.stats.Bytes += int(ev.env.Bytes) + protoOverhead
+		if len(s.taps) > 0 {
+			var m Message = ev.env // box once for all taps
+			for _, tap := range s.taps {
+				tap(ev.from, dst.id, m)
+			}
+		}
+		for i := range dst.protoHandlers {
+			if e := &dst.protoHandlers[i]; e.proto == ev.proto {
+				if e.eh != nil {
+					e.eh(ev.from, &ev.env)
+				} else if e.h != nil {
+					e.h(ev.from, ev.env)
+				}
+				return
+			}
+		}
+		return
+	}
 	size := messageSize(ev.msg)
 	if ev.proto != "" {
 		size += protoOverhead
 	}
-	s.stats.Bytes += size
+	ln.stats.Bytes += size
 	for _, tap := range s.taps {
 		tap(ev.from, dst.id, ev.msg)
 	}

@@ -1,63 +1,9 @@
 package simnet
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 )
-
-// TestEventHeapProperty pushes entries with random times and unique
-// sequence numbers and checks that pops come out totally ordered by
-// (at, seq).
-func TestEventHeapProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	var h eventHeap
-	const n = 2000
-	for seq := uint64(1); seq <= n; seq++ {
-		at := time.Duration(rng.Intn(100)) * time.Millisecond
-		h.push(at, seq, uint32(seq))
-	}
-	if h.len() != n {
-		t.Fatalf("len = %d, want %d", h.len(), n)
-	}
-	prev, ok := heapEntry{}, false
-	for h.len() > 0 {
-		e := h.pop()
-		if ok && !entryLess(prev, e) && (prev.at != e.at || prev.seq != e.seq) {
-			t.Fatalf("pop out of order: (%v,%d) after (%v,%d)", e.at, e.seq, prev.at, prev.seq)
-		}
-		if ok && !entryLess(prev, e) {
-			t.Fatalf("duplicate ordering key (%v,%d)", e.at, e.seq)
-		}
-		prev, ok = e, true
-	}
-}
-
-// TestEventHeapEqualTimesFIFO pins the tie-break: events scheduled for
-// the same instant pop in scheduling order regardless of push pattern.
-func TestEventHeapEqualTimesFIFO(t *testing.T) {
-	var h eventHeap
-	at := 10 * time.Millisecond
-	// Interleave a few distinct times so the equal-time entries take
-	// different paths through the tree.
-	for seq := uint64(1); seq <= 64; seq++ {
-		h.push(at, seq, uint32(seq))
-		h.push(at+time.Millisecond*time.Duration(seq%3+1), 1000+seq, uint32(1000+seq))
-	}
-	var lastEqual uint64
-	for h.len() > 0 {
-		e := h.pop()
-		if e.at == at {
-			if e.seq <= lastEqual {
-				t.Fatalf("equal-time pop out of FIFO order: seq %d after %d", e.seq, lastEqual)
-			}
-			lastEqual = e.seq
-		}
-	}
-	if lastEqual != 64 {
-		t.Fatalf("last equal-time seq = %d, want 64", lastEqual)
-	}
-}
 
 // TestStaleTimerHandleIsInert is the pooled-reuse safety property: a
 // Timer whose event has fired and been recycled must not cancel the
@@ -130,12 +76,13 @@ func TestEventPoolRecyclesAcrossPages(t *testing.T) {
 	}
 	// All storage is back on the free list; a fresh burst must not
 	// grow the page table.
-	pages := len(s.pages)
+	ln := s.shd.coord
+	pages := len(ln.pages)
 	for i := 0; i < n; i++ {
 		s.After(time.Millisecond, func() {})
 	}
 	s.Run()
-	if len(s.pages) != pages {
-		t.Fatalf("page table grew from %d to %d despite recycling", pages, len(s.pages))
+	if len(ln.pages) != pages {
+		t.Fatalf("page table grew from %d to %d despite recycling", pages, len(ln.pages))
 	}
 }

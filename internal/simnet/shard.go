@@ -1,35 +1,37 @@
 package simnet
 
-// Sharded deterministic mode: conservative parallel discrete-event
-// simulation (Chandy–Misra–Bryant style) behind WithShards.
+// Shard lanes: conservative parallel discrete-event simulation
+// (Chandy–Misra–Bryant style) behind WithShards.
 //
-// The simulation is split into n shard lanes plus one coordinator lane.
-// Every node is assigned to a lane (SetShard); sim-level timers
+// The simulation is n shard lanes plus one coordinator lane. Every
+// node is assigned to a shard lane (SetShard); sim-level timers
 // (Sim.At/After — environment stepping, fault injection, measurement)
 // run on the coordinator lane. Each lane owns a full scheduler — timing
 // wheel, event arena, timer arena, traffic stats — so lanes execute
-// without sharing any scheduler state.
+// without sharing any scheduler state. With n == 0 (no WithShards) the
+// coordinator lane is the whole simulation: every node lives on it and
+// nothing below the accessors in this file runs.
 //
-// Correctness rests on three mechanisms:
+// Correctness at n >= 1 rests on three mechanisms:
 //
-//  1. Logical event keys. In legacy mode events are ordered by
+//  1. Logical event keys. With zero lanes events are ordered by
 //     (at, seq) with seq a global allocation counter — an order that
-//     only exists on one thread. Sharded mode packs seq as
+//     only exists on one thread. With shard lanes seq is packed as
 //     rank<<ctrBits | counter, where rank is the scheduling node's
 //     AddNode position (coordinator = rank 0) and counter is that
-//     node's private event count. The key depends only on per-node
-//     history, so it is identical at any shard count, and the total
-//     order (at, seq) is reconstructible after the fact — that is what
-//     makes journals byte-identical at 1, 2, 4 or 8 shards.
+//     node's private event count (Sim.nextKey). The key depends only on
+//     per-node history, so it is identical at any shard count, and the
+//     total order (at, seq) is reconstructible after the fact — that is
+//     what makes journals byte-identical at 1, 2, 4 or 8 shards.
 //
 //  2. Per-node random streams. The shared rng would be consumed in
 //     nondeterministic order across lanes, so every node draws loss/
 //     jitter/duplication and application randomness (Endpoint.Rand)
-//     from its own splitmix-seeded stream. Draw sequences then depend
-//     only on the node's own event history. (This makes sharded runs a
-//     different — but internally consistent — universe from legacy
-//     runs; the invariance contract is across shard counts, not
-//     against the legacy rng.)
+//     from its own splitmix-seeded stream (addToLane). Draw sequences
+//     then depend only on the node's own event history. (This makes
+//     runs with shard lanes a different — but internally consistent —
+//     universe from runs without; the invariance contract is across
+//     shard counts, not against the shared stream.)
 //
 //  3. Conservative lookahead windows. Cross-lane influence travels
 //     only through messages, and every link has a latency floor (the
@@ -61,31 +63,6 @@ import (
 // per node and 2^24 nodes are both far beyond any simulated scenario.
 const ctrBits = 40
 
-// packKey builds the logical event key for a node's next event.
-func packKey(rank uint32, ctr uint64) uint64 {
-	return uint64(rank)<<ctrBits | ctr
-}
-
-// lane is one independently schedulable slice of the simulation: its
-// own clock, timing wheel, event/timer arenas and traffic counters.
-// Lane index n (== sharding.n) is the coordinator lane.
-type lane struct {
-	idx        int
-	now        time.Duration
-	wheel      *timerWheel
-	pages      [][]event
-	free       []uint32
-	timerArena []Timer
-	stats      Stats
-	// outbox buffers cross-lane transfers generated during a parallel
-	// window; the barrier drains it into destination wheels.
-	outbox []xfer
-	// curAt/curSeq are the key of the event currently executing — the
-	// journal context handed out by Sim.ExecContext.
-	curAt  time.Duration
-	curSeq uint64
-}
-
 // xfer is one cross-lane message in flight between window barriers.
 // The key (at, seq) was assigned by the sender at send time, so the
 // barrier's injection order cannot affect the delivery order.
@@ -106,13 +83,14 @@ type laneJob struct {
 	incl bool
 }
 
-// sharding is the Sim extension state for sharded mode.
+// sharding is the Sim's set of lanes and the window state that
+// coordinates them.
 type sharding struct {
-	n     int     // shard lanes; lanes[n] is the coordinator
+	n     int     // shard lanes
 	lanes []*lane // length n+1
+	coord *lane   // lanes[n]
 
 	nextRank uint32 // rank allocator; 0 is reserved for the coordinator
-	coordCtr uint64 // coordinator logical-event counter
 
 	la      time.Duration // cached lookahead: min cross-lane link latency
 	laDirty bool          // recompute la before the next window
@@ -130,37 +108,36 @@ type sharding struct {
 	started bool
 }
 
-// WithShards enables sharded deterministic mode with n shard lanes.
-// n == 1 runs the same logical-key scheduler without parallelism — the
-// serial reference the invariance gate diffs against. Nodes default to
-// lane 0; assign them with SetShard before scheduling anything.
+// init builds n shard lanes and the coordinator lane.
+func (sh *sharding) init(n int) {
+	*sh = sharding{n: n, laDirty: true, lanes: make([]*lane, n+1)}
+	for i := range sh.lanes {
+		sh.lanes[i] = &lane{idx: i, wheel: newTimerWheel()}
+	}
+	sh.coord = sh.lanes[n]
+}
+
+// WithShards splits the simulation into n shard lanes. n == 1 runs the
+// same logical-key scheduler without parallelism — the serial reference
+// the invariance gate diffs against. Nodes default to lane 0; assign
+// them with SetShard before scheduling anything.
 func WithShards(n int) Option {
 	return func(s *Sim) {
 		if n < 1 {
 			panic(fmt.Sprintf("simnet: WithShards(%d): need at least one shard", n))
 		}
-		sh := &sharding{n: n, laDirty: true}
-		sh.lanes = make([]*lane, n+1)
-		for i := range sh.lanes {
-			sh.lanes[i] = &lane{idx: i, wheel: newTimerWheel()}
-		}
-		s.shd = sh
+		s.shd.n = n // New builds the lanes
 	}
 }
 
-// ShardCount returns the number of shard lanes, 0 in legacy mode.
-func (s *Sim) ShardCount() int {
-	if s.shd == nil {
-		return 0
-	}
-	return s.shd.n
-}
+// ShardCount returns the number of shard lanes, 0 without WithShards.
+func (s *Sim) ShardCount() int { return s.shd.n }
 
 // Lookahead returns the conservative window width currently in effect
-// (the minimum cross-lane link latency), 0 in legacy mode.
+// (the minimum cross-lane link latency), 0 without shard lanes.
 func (s *Sim) Lookahead() time.Duration {
-	sh := s.shd
-	if sh == nil {
+	sh := &s.shd
+	if sh.n == 0 {
 		return 0
 	}
 	if sh.laDirty {
@@ -173,11 +150,11 @@ func (s *Sim) Lookahead() time.Duration {
 // SetShard assigns a node to a shard lane. It must be called during
 // topology construction, before anything is scheduled on or sent to
 // the node — moving a node with queued events would strand them on the
-// old lane. In legacy mode it is a no-op, so scenario builders call it
-// unconditionally.
+// old lane. Without shard lanes it is a no-op, so scenario builders call
+// it unconditionally.
 func (s *Sim) SetShard(id NodeID, shard int) {
-	sh := s.shd
-	if sh == nil {
+	sh := &s.shd
+	if sh.n == 0 {
 		return
 	}
 	if shard < 0 || shard >= sh.n {
@@ -194,26 +171,22 @@ func (s *Sim) SetShard(id NodeID, shard int) {
 	sh.laDirty = true
 }
 
-// Shard returns the endpoint's lane index (0 in legacy mode).
-func (e *Endpoint) Shard() int {
-	if e.node.ln == nil {
-		return 0
-	}
-	return e.node.ln.idx
-}
+// Shard returns the endpoint's lane index (0 without shard lanes).
+func (e *Endpoint) Shard() int { return e.node.ln.idx }
 
 // ExecContext reports the lane index and logical key of the event
 // currently executing on behalf of ep — the node's lane during a
 // parallel window, the coordinator lane during barrier execution (and
-// for ep == nil). ok is false in legacy mode. Callers use it to route
-// side records (journals, audit engines) to per-lane storage that is
-// merged by key after the run.
+// for ep == nil). ok is false without shard lanes: there is one lane
+// and nothing to merge. Callers use it to route side records (journals,
+// audit engines) to per-lane storage that is merged by key after the
+// run.
 func (s *Sim) ExecContext(ep *Endpoint) (laneIdx int, seq uint64, ok bool) {
-	sh := s.shd
-	if sh == nil {
+	sh := &s.shd
+	if sh.n == 0 {
 		return 0, 0, false
 	}
-	ln := sh.lanes[sh.n]
+	ln := sh.coord
 	if sh.inPar && ep != nil {
 		ln = ep.node.ln
 	}
@@ -229,282 +202,22 @@ func mixSeed(seed int64, rank uint32) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// shardNode initializes the sharded-mode fields of a freshly added
-// node: its rank (and thereby its key space and rng stream) and its
-// default lane.
-func (s *Sim) shardNode(n *node) {
-	sh := s.shd
+// addToLane gives a freshly added node its lane and its random stream.
+// Without shard lanes that is the coordinator lane and the simulation's
+// one shared stream. With them it is shard lane 0 until SetShard says
+// otherwise, a rank (its key space, see Sim.nextKey) and a private
+// stream derived from the seed and the rank.
+func (s *Sim) addToLane(n *node) {
+	sh := &s.shd
+	n.ln = sh.lanes[0]
+	if sh.n == 0 {
+		n.rng = s.rng
+		return
+	}
 	sh.nextRank++
 	n.rank = sh.nextRank
 	n.rng = rand.New(rand.NewSource(mixSeed(s.seed, n.rank)))
-	n.ln = sh.lanes[0]
 	sh.laDirty = true
-}
-
-// --- per-lane scheduler plumbing (mirrors the Sim methods) ---
-
-func (l *lane) eventAt(idx uint32) *event {
-	return &l.pages[idx>>eventPageShift][idx&eventPageMask]
-}
-
-func (l *lane) alloc() (uint32, *event) {
-	if n := len(l.free); n > 0 {
-		idx := l.free[n-1]
-		l.free = l.free[:n-1]
-		return idx, l.eventAt(idx)
-	}
-	page := make([]event, eventPageSize)
-	base := uint32(len(l.pages)) << eventPageShift
-	l.pages = append(l.pages, page)
-	for i := eventPageSize - 1; i >= 1; i-- {
-		l.free = append(l.free, base+uint32(i))
-	}
-	return base, &page[0]
-}
-
-func (l *lane) recycle(idx uint32, ev *event) {
-	ev.gen++
-	ev.dead = false
-	ev.fn = nil
-	ev.argFn = nil
-	ev.arg = 0
-	ev.owner = nil
-	ev.dst = nil
-	ev.from = ""
-	ev.proto = ""
-	ev.msg = nil
-	ev.env = Envelope{}
-	ev.tick = nil
-	l.free = append(l.free, idx)
-}
-
-func (l *lane) newTimer(ev *event) *Timer {
-	if len(l.timerArena) == 0 {
-		l.timerArena = make([]Timer, eventArenaSize)
-	}
-	t := &l.timerArena[0]
-	l.timerArena = l.timerArena[1:]
-	t.ev = ev
-	t.gen = ev.gen
-	return t
-}
-
-// peekLive returns the lane's next live entry, recycling cancelled
-// entries it skips over.
-func (l *lane) peekLive() (heapEntry, bool) {
-	for {
-		entry, ok := l.wheel.peek()
-		if !ok {
-			return heapEntry{}, false
-		}
-		if ev := l.eventAt(entry.idx); ev.dead {
-			l.wheel.pop()
-			l.recycle(entry.idx, ev)
-			continue
-		}
-		return entry, true
-	}
-}
-
-// pending counts the lane's live entries.
-func (l *lane) pending(scratch []heapEntry) (int, []heapEntry) {
-	scratch = l.wheel.entries(scratch[:0])
-	n := 0
-	for _, entry := range scratch {
-		if !l.eventAt(entry.idx).dead {
-			n++
-		}
-	}
-	return n, scratch
-}
-
-// shardSchedule allocates and queues an event at absolute time t on
-// n's lane (the coordinator lane when n is nil), keyed by the
-// scheduler's next logical sequence.
-func (s *Sim) shardSchedule(n *node, t time.Duration) (*event, *lane) {
-	sh := s.shd
-	var ln *lane
-	var seq uint64
-	if n == nil {
-		if sh.inPar {
-			panic("simnet: coordinator scheduling from inside a shard window")
-		}
-		ln = sh.lanes[sh.n]
-		sh.coordCtr++
-		seq = sh.coordCtr // rank 0: sorts before node events at equal times
-	} else {
-		ln = n.ln
-		n.ctr++
-		seq = packKey(n.rank, n.ctr)
-	}
-	if t < ln.now {
-		t = ln.now
-	}
-	idx, ev := ln.alloc()
-	ln.wheel.push(t, seq, idx)
-	return ev, ln
-}
-
-// shardSend is the sharded counterpart of sendProto/sendProtoEnv: all
-// random draws come from the sender's private stream and the delivery
-// key is assigned by the sender, so the outcome depends only on the
-// sender's own history. Same-lane deliveries are pushed directly;
-// cross-lane deliveries are buffered in the sender lane's outbox
-// during parallel windows and pushed directly between windows.
-func (s *Sim) shardSend(src *node, proto string, to NodeID, msg Message, env Envelope) bool {
-	if src.down {
-		return false
-	}
-	ln := src.ln
-	ln.stats.Sent++
-	dst, ok := s.nodes[to]
-	if !ok || !s.reachable(src.id, to) {
-		ln.stats.Dropped++
-		return false
-	}
-	latency, loss := s.linkParams(src.id, to)
-	rng := src.rng
-	if loss > 0 && rng.Float64() < loss {
-		ln.stats.Dropped++
-		return false
-	}
-	if latency > 0 {
-		latency += time.Duration(rng.Int63n(int64(latency)/10 + 1))
-	}
-	deliveries := 1
-	if s.defDup > 0 && rng.Float64() < s.defDup {
-		deliveries = 2
-	}
-	for i := 0; i < deliveries; i++ {
-		at := ln.now + latency + time.Duration(i)*latency
-		src.ctr++
-		seq := packKey(src.rank, src.ctr)
-		if s.shd.inPar && dst.ln != ln {
-			if at < s.shd.windowEnd {
-				panic(fmt.Sprintf("simnet: lookahead violated: %s→%s arrives %v inside window ending %v",
-					src.id, to, at, s.shd.windowEnd))
-			}
-			ln.outbox = append(ln.outbox, xfer{at: at, seq: seq, dst: dst, from: src.id, proto: proto, msg: msg, env: env})
-			continue
-		}
-		idx, ev := dst.ln.alloc()
-		dst.ln.wheel.push(at, seq, idx)
-		ev.dst = dst
-		ev.from = src.id
-		ev.proto = proto
-		ev.msg = msg
-		ev.env = env
-	}
-	return true
-}
-
-// shardDeliver executes a delivery on the destination's lane,
-// accounting traffic in that lane's counters. The logic mirrors
-// deliver/deliverEnv; taps must be safe for concurrent invocation when
-// combined with shards (core does not tap).
-func (s *Sim) shardDeliver(ln *lane, ev *event) {
-	dst := ev.dst
-	if dst.down || !s.reachable(ev.from, dst.id) {
-		ln.stats.Dropped++
-		return
-	}
-	ln.stats.Delivered++
-	if ev.env.Kind != 0 {
-		ln.stats.Bytes += int(ev.env.Bytes) + protoOverhead
-		if len(s.taps) > 0 {
-			var m Message = ev.env
-			for _, tap := range s.taps {
-				tap(ev.from, dst.id, m)
-			}
-		}
-		for i := range dst.protoHandlers {
-			if e := &dst.protoHandlers[i]; e.proto == ev.proto {
-				if e.eh != nil {
-					e.eh(ev.from, &ev.env)
-				} else if e.h != nil {
-					e.h(ev.from, ev.env)
-				}
-				return
-			}
-		}
-		return
-	}
-	size := messageSize(ev.msg)
-	if ev.proto != "" {
-		size += protoOverhead
-	}
-	ln.stats.Bytes += size
-	for _, tap := range s.taps {
-		tap(ev.from, dst.id, ev.msg)
-	}
-	if ev.proto != "" {
-		if h := dst.protoHandler(ev.proto); h != nil {
-			h(ev.from, ev.msg)
-		}
-		return
-	}
-	if dst.handler != nil {
-		dst.handler(ev.from, ev.msg)
-	}
-}
-
-// shardRunTick fires a ticker on its lane and re-arms the same storage
-// under the owner's next logical key.
-func (s *Sim) shardRunTick(ln *lane, idx uint32, ev *event) {
-	t := ev.tick
-	if t.stopped {
-		ln.recycle(idx, ev)
-		return
-	}
-	if !t.owner.down {
-		t.fn()
-	}
-	if t.stopped {
-		ln.recycle(idx, ev)
-		return
-	}
-	n := t.owner
-	n.ctr++
-	ln.wheel.push(ln.now+t.interval, packKey(n.rank, n.ctr), idx)
-}
-
-// laneExec pops and executes one event (the lane's current head).
-func (s *Sim) laneExec(ln *lane, entry heapEntry) {
-	ln.wheel.pop()
-	ev := ln.eventAt(entry.idx)
-	ln.now = entry.at
-	ln.curAt = entry.at
-	ln.curSeq = entry.seq
-	switch {
-	case ev.dst != nil:
-		s.shardDeliver(ln, ev)
-		ln.recycle(entry.idx, ev)
-	case ev.tick != nil:
-		s.shardRunTick(ln, entry.idx, ev)
-	default:
-		fn, argFn, arg, owner := ev.fn, ev.argFn, ev.arg, ev.owner
-		ln.recycle(entry.idx, ev)
-		if owner == nil || !owner.down {
-			if fn != nil {
-				fn()
-			} else if argFn != nil {
-				argFn(arg)
-			}
-		}
-	}
-}
-
-// laneRun executes ln's events with at < end (at <= end when incl) in
-// key order, leaving the lane clock at end.
-func (s *Sim) laneRun(ln *lane, end time.Duration, incl bool) {
-	for {
-		entry, ok := ln.peekLive()
-		if !ok || entry.at > end || (entry.at == end && !incl) {
-			break
-		}
-		s.laneExec(ln, entry)
-	}
-	ln.now = end
 }
 
 // syncLanes advances every lane clock that is behind t to t.
@@ -590,7 +303,7 @@ func (sh *sharding) stopWorkers() {
 // runShards executes one parallel window across all lanes that have
 // work before end. With one active lane the window runs inline.
 func (s *Sim) runShards(end time.Duration, incl bool) {
-	sh := s.shd
+	sh := &s.shd
 	var active []*lane
 	for _, ln := range sh.lanes[:sh.n] {
 		if entry, ok := ln.peekLive(); ok && (entry.at < end || (incl && entry.at == end)) {
@@ -634,11 +347,11 @@ func (s *Sim) minLaneAt(horizon time.Duration) (*lane, heapEntry, bool) {
 	return best, bestE, best != nil
 }
 
-// shardRunSerial executes all lanes' events up to horizon in global
+// runSerial executes all lanes' events up to horizon in global
 // (at, seq) order on one goroutine — the fallback when the lookahead
 // is zero and the reference semantics the parallel windows realize.
-func (s *Sim) shardRunSerial(horizon time.Duration) {
-	coord := s.shd.lanes[s.shd.n]
+func (s *Sim) runSerial(horizon time.Duration) {
+	coord := s.shd.coord
 	for {
 		ln, entry, ok := s.minLaneAt(horizon)
 		if !ok {
@@ -657,30 +370,16 @@ func (s *Sim) shardRunSerial(horizon time.Duration) {
 	s.syncLanes(horizon)
 }
 
-// shardStep executes the single globally next event, in (at, seq)
-// order — Step's sharded-mode semantics.
-func (s *Sim) shardStep() bool {
-	ln, entry, ok := s.minLaneAt(1<<62 - 1)
-	if !ok {
-		return false
-	}
-	if ln == s.shd.lanes[s.shd.n] {
-		s.syncLanes(entry.at) // see shardRunSerial
-	}
-	s.laneExec(ln, entry)
-	return true
-}
-
-// shardRunUntil is RunUntil in sharded mode: alternate single-threaded
+// runWindows is RunUntil with shard lanes: alternate single-threaded
 // coordinator drains (global mutations) with parallel lane windows
 // bounded by the lookahead and the next coordinator event.
-func (s *Sim) shardRunUntil(horizon time.Duration) {
-	sh := s.shd
+func (s *Sim) runWindows(horizon time.Duration) {
+	sh := &s.shd
 	if sh.serialized {
-		s.shardRunSerial(horizon)
+		s.runSerial(horizon)
 		return
 	}
-	coord := sh.lanes[sh.n]
+	coord := sh.coord
 	sh.startWorkers(s)
 	defer sh.stopWorkers()
 	for {
@@ -693,7 +392,7 @@ func (s *Sim) shardRunUntil(horizon time.Duration) {
 			// link restore could re-enable windows, but a scenario that
 			// zeroes a cross-lane link has chosen correctness over speed.)
 			sh.serialized = sh.la <= 0
-			s.shardRunSerial(horizon)
+			s.runSerial(horizon)
 			return
 		}
 		coordEntry, coordOK := coord.peekLive()
@@ -726,8 +425,8 @@ func (s *Sim) shardRunUntil(horizon time.Duration) {
 			end = coordEntry.at
 		}
 		if end > horizon {
-			// Final window: events exactly at the horizon execute, to
-			// match legacy RunUntil semantics. Safe: their sends arrive
+			// Final window: events exactly at the horizon execute, as
+			// RunUntil promises. Safe: their sends arrive
 			// strictly later and stay queued past the horizon.
 			end, incl = horizon, true
 		}

@@ -13,15 +13,22 @@
 // paper: disruptions (crashes, partitions, latency spikes) are injected
 // reproducibly instead of occurring in the wild.
 //
-// The scheduler is built for throughput: events are ordered by a
-// hierarchical timing wheel (see wheel.go; a 4-ary min-heap reference
-// implementation survives in heap.go behind WithHeapScheduler), are
-// allocated from a per-simulator arena and recycled after firing, and
-// the highest-volume event kinds — message deliveries and periodic
-// ticks — are encoded as struct fields instead of closures so that
-// steady-state simulation does not allocate per event. A generation
-// counter on each event keeps recycled storage safe against stale
-// Timer handles.
+// There is one event engine: the lane (this file). A lane owns a
+// clock, a hierarchical timing wheel (wheel.go) that pops events in
+// (at, seq) order, and the arenas its events and timers live in. A Sim
+// built without WithShards is a single lane — every node and every
+// sim-level timer runs on it, all draws come from the one seeded
+// stream and seq is one global counter. WithShards(n) adds n shard
+// lanes that advance in parallel lookahead windows (shard.go), with
+// per-node streams and per-node keys so the result does not depend on
+// n. The two are different journal families; the code is the same.
+//
+// The engine is built for throughput: events are allocated from a
+// per-lane arena and recycled after firing, and the highest-volume
+// event kinds — message deliveries and periodic ticks — are encoded as
+// struct fields instead of closures so that steady-state simulation
+// does not allocate per event. A generation counter on each event
+// keeps recycled storage safe against stale Timer handles.
 package simnet
 
 import (
@@ -44,7 +51,7 @@ type Clock interface {
 	Rand() *rand.Rand
 }
 
-// event is a scheduled entry in the simulator's queue. Exactly one of
+// event is a scheduled entry in a lane's queue. Exactly one of
 // three payloads is set: fn (a plain callback, optionally gated on
 // owner being up), dst (a message delivery, executed without any
 // closure), or tick (a periodic ticker that re-arms its own event).
@@ -88,7 +95,7 @@ const eventArenaSize = 64
 // keeps heapEntry pointer-free — sift operations then move plain
 // integers and never trip the GC write barrier. Pages are never
 // reallocated, so *event pointers held by Timer/Ticker handles stay
-// valid for the lifetime of the Sim.
+// valid for the lifetime of the Sim. Indices are per lane.
 const (
 	eventPageShift = 9 // 512 events per page
 	eventPageSize  = 1 << eventPageShift
@@ -134,23 +141,18 @@ func (t *Timer) Stop() bool {
 // Sim is a deterministic discrete-event simulator. The zero value is not
 // usable; construct with New.
 type Sim struct {
-	now        time.Duration
-	seq        uint64
-	wheel      *timerWheel // default scheduler; nil when the heap is selected
-	queue      eventHeap   // reference scheduler (WithHeapScheduler)
-	pages      [][]event
-	free       []uint32 // free event indices, used as a stack
-	timerArena []Timer
-	rng        *rand.Rand
-	seed       int64 // the WithSeed value; derives per-node streams in sharded mode
-	nodes      map[NodeID]*node
-	net        netState
-	stats      Stats
-	taps       []MessageTap
-	defLat     time.Duration
-	defLoss    float64
-	defDup     float64
-	shd        *sharding // non-nil in sharded deterministic mode (see shard.go)
+	// seq keys sim-level timers and, with zero shard lanes, every event:
+	// one global scheduling-order counter (see nextKey).
+	seq     uint64
+	rng     *rand.Rand
+	seed    int64 // the WithSeed value; derives per-node streams when sharded
+	nodes   map[NodeID]*node
+	net     netState
+	taps    []MessageTap
+	defLat  time.Duration
+	defLoss float64
+	defDup  float64
+	shd     sharding // the lanes; see shard.go
 }
 
 // Option configures a Sim at construction time.
@@ -185,18 +187,6 @@ func WithDuplicateProb(p float64) Option {
 	return func(s *Sim) { s.defDup = p }
 }
 
-// WithHeapScheduler selects the 4-ary min-heap event queue instead of
-// the default hierarchical timing wheel. The two schedulers pop events
-// in the identical (at, seq) total order — the heap is retained as the
-// reference implementation for differential and property tests, and as
-// an escape hatch.
-func WithHeapScheduler() Option {
-	return func(s *Sim) {
-		s.wheel = nil
-		s.queue.e = make([]heapEntry, 0, 256)
-	}
-}
-
 // New constructs a simulator.
 func New(opts ...Option) *Sim {
 	s := &Sim{
@@ -205,90 +195,67 @@ func New(opts ...Option) *Sim {
 		nodes:  make(map[NodeID]*node),
 		defLat: 5 * time.Millisecond,
 	}
-	s.wheel = newTimerWheel()
 	s.net.init()
 	for _, opt := range opts {
 		opt(s)
 	}
+	s.shd.init(s.shd.n) // zero unless WithShards
 	return s
-}
-
-// qpush queues an entry on whichever scheduler is active.
-func (s *Sim) qpush(at time.Duration, seq uint64, idx uint32) {
-	if s.wheel != nil {
-		s.wheel.push(at, seq, idx)
-	} else {
-		s.queue.push(at, seq, idx)
-	}
-}
-
-// qpop removes and returns the minimum entry; qlen must be > 0.
-func (s *Sim) qpop() heapEntry {
-	if s.wheel != nil {
-		if s.wheel.head == len(s.wheel.run) {
-			s.wheel.advance()
-		}
-		return s.wheel.pop()
-	}
-	return s.queue.pop()
-}
-
-// qpeek returns the minimum entry without removing it.
-func (s *Sim) qpeek() (heapEntry, bool) {
-	if s.wheel != nil {
-		return s.wheel.peek()
-	}
-	return s.queue.peek()
-}
-
-// qlen is the number of queued (live or cancelled) entries.
-func (s *Sim) qlen() int {
-	if s.wheel != nil {
-		return s.wheel.len()
-	}
-	return s.queue.len()
 }
 
 var _ Clock = (*Sim)(nil)
 
-// Now returns the current virtual time. In sharded mode this is the
-// coordinator lane's clock; node code should prefer Endpoint.Now,
-// which reads the node's own lane.
-func (s *Sim) Now() time.Duration {
-	if sh := s.shd; sh != nil {
-		return sh.lanes[sh.n].now
-	}
-	return s.now
-}
+// Now returns the current virtual time: the coordinator lane's clock.
+// Node code should prefer Endpoint.Now, which reads the node's own
+// lane (the same lane when there are no shard lanes).
+func (s *Sim) Now() time.Duration { return s.shd.coord.now }
 
 // Rand returns the simulation's deterministic random source.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
+// lane is one independently schedulable slice of the simulation: its
+// own clock, timing wheel, event/timer arenas and traffic counters.
+type lane struct {
+	idx        int
+	now        time.Duration
+	wheel      *timerWheel
+	pages      [][]event
+	free       []uint32 // free event indices, used as a stack
+	timerArena []Timer
+	stats      Stats
+	// outbox buffers cross-lane transfers generated during a parallel
+	// window; the barrier drains it into destination wheels.
+	outbox []xfer
+	// curSeq is the key of the event currently executing — the journal
+	// context handed out by Sim.ExecContext.
+	curSeq uint64
+}
+
 // eventAt resolves an arena index to its event.
-func (s *Sim) eventAt(idx uint32) *event {
-	return &s.pages[idx>>eventPageShift][idx&eventPageMask]
+func (l *lane) eventAt(idx uint32) *event {
+	return &l.pages[idx>>eventPageShift][idx&eventPageMask]
 }
 
 // alloc takes an event index from the free list, appending a fresh
 // page when the list is empty.
-func (s *Sim) alloc() (uint32, *event) {
-	if n := len(s.free); n > 0 {
-		idx := s.free[n-1]
-		s.free = s.free[:n-1]
-		return idx, s.eventAt(idx)
+func (l *lane) alloc() (uint32, *event) {
+	if n := len(l.free); n > 0 {
+		idx := l.free[n-1]
+		l.free = l.free[:n-1]
+		return idx, l.eventAt(idx)
 	}
 	page := make([]event, eventPageSize)
-	base := uint32(len(s.pages)) << eventPageShift
-	s.pages = append(s.pages, page)
+	base := uint32(len(l.pages)) << eventPageShift
+	l.pages = append(l.pages, page)
 	for i := eventPageSize - 1; i >= 1; i-- {
-		s.free = append(s.free, base+uint32(i))
+		l.free = append(l.free, base+uint32(i))
 	}
 	return base, &page[0]
 }
 
 // recycle returns a fired or cancelled event to the free list, bumping
 // its generation so outstanding Timer handles become inert.
-func (s *Sim) recycle(idx uint32, ev *event) {
+func (l *lane) recycle(idx uint32, ev *event) {
 	ev.gen++
 	ev.dead = false
 	ev.fn = nil
@@ -301,47 +268,96 @@ func (s *Sim) recycle(idx uint32, ev *event) {
 	ev.msg = nil
 	ev.env = Envelope{}
 	ev.tick = nil
-	s.free = append(s.free, idx)
+	l.free = append(l.free, idx)
 }
 
 // newTimer hands out a Timer for ev from a chunked arena: timers are
 // caller-owned and never recycled, but allocating them 64 at a time
 // turns per-schedule allocator traffic into a rounding error.
-func (s *Sim) newTimer(ev *event) *Timer {
-	if len(s.timerArena) == 0 {
-		s.timerArena = make([]Timer, eventArenaSize)
+func (l *lane) newTimer(ev *event) *Timer {
+	if len(l.timerArena) == 0 {
+		l.timerArena = make([]Timer, eventArenaSize)
 	}
-	t := &s.timerArena[0]
-	s.timerArena = s.timerArena[1:]
+	t := &l.timerArena[0]
+	l.timerArena = l.timerArena[1:]
 	t.ev = ev
 	t.gen = ev.gen
 	return t
 }
 
-// schedule allocates and queues an event at absolute time t (clamped to
-// now) with the next sequence number. The caller fills in the payload.
-func (s *Sim) schedule(t time.Duration) *event {
-	if t < s.now {
-		t = s.now
+// peekLive returns the lane's next live entry, recycling cancelled
+// entries it skips over.
+func (l *lane) peekLive() (heapEntry, bool) {
+	for {
+		entry, ok := l.wheel.peek()
+		if !ok {
+			return heapEntry{}, false
+		}
+		if ev := l.eventAt(entry.idx); ev.dead {
+			l.wheel.pop()
+			l.recycle(entry.idx, ev)
+			continue
+		}
+		return entry, true
 	}
-	s.seq++
-	idx, ev := s.alloc()
-	s.qpush(t, s.seq, idx)
-	return ev
+}
+
+// pending counts the lane's live entries.
+func (l *lane) pending(scratch []heapEntry) (int, []heapEntry) {
+	scratch = l.wheel.entries(scratch[:0])
+	n := 0
+	for _, entry := range scratch {
+		if !l.eventAt(entry.idx).dead {
+			n++
+		}
+	}
+	return n, scratch
+}
+
+// nextKey returns the seq half of the (at, seq) key for the next event
+// n schedules (nil: a sim-level timer). Sim-level timers count on
+// Sim.seq. With zero shard lanes so does every node: the key is global
+// scheduling order, which is the pinned unsharded journal family. With
+// shard lanes a node packs its rank over its own counter, so the key
+// depends only on that node's history and is the same at any lane
+// count (see shard.go).
+func (s *Sim) nextKey(n *node) uint64 {
+	if n == nil || s.shd.n == 0 {
+		s.seq++
+		return s.seq
+	}
+	n.ctr++
+	return uint64(n.rank)<<ctrBits | n.ctr
+}
+
+// scheduleOn allocates and queues an event at absolute time t (clamped
+// to now) on n's lane — the coordinator lane when n is nil — under the
+// scheduler's next key. The caller fills in the payload.
+func (s *Sim) scheduleOn(n *node, t time.Duration) (*event, *lane) {
+	var ln *lane
+	if n != nil {
+		ln = n.ln
+	} else {
+		if s.shd.inPar {
+			panic("simnet: coordinator scheduling from inside a shard window")
+		}
+		ln = s.shd.coord
+	}
+	if t < ln.now {
+		t = ln.now
+	}
+	idx, ev := ln.alloc()
+	ln.wheel.push(t, s.nextKey(n), idx)
+	return ev, ln
 }
 
 // At schedules fn at absolute virtual time t. Scheduling in the past is an
 // error in the caller; the event is clamped to now to keep the clock
 // monotonic.
 func (s *Sim) At(t time.Duration, fn func()) *Timer {
-	if s.shd != nil {
-		ev, ln := s.shardSchedule(nil, t)
-		ev.fn = fn
-		return ln.newTimer(ev)
-	}
-	ev := s.schedule(t)
+	ev, ln := s.scheduleOn(nil, t)
 	ev.fn = fn
-	return s.newTimer(ev)
+	return ln.newTimer(ev)
 }
 
 // After schedules fn to run d from now.
@@ -349,84 +365,99 @@ func (s *Sim) After(d time.Duration, fn func()) *Timer {
 	return s.At(s.Now()+d, fn)
 }
 
-// Step executes the next pending event. It reports whether an event was
-// executed. In sharded mode the next event is the globally minimal one
-// across all lanes, executed on the calling goroutine.
-func (s *Sim) Step() bool {
-	if s.shd != nil {
-		return s.shardStep()
-	}
-	for s.qlen() > 0 {
-		entry := s.qpop()
-		ev := s.eventAt(entry.idx)
-		if ev.dead {
-			s.recycle(entry.idx, ev)
-			continue
-		}
-		s.now = entry.at
-		switch {
-		case ev.dst != nil:
-			if ev.env.Kind != 0 {
-				s.deliverEnv(ev)
-			} else {
-				s.deliver(ev)
-			}
-			s.recycle(entry.idx, ev)
-		case ev.tick != nil:
-			s.runTick(entry.idx, ev)
-		default:
-			fn, argFn, arg, owner := ev.fn, ev.argFn, ev.arg, ev.owner
-			s.recycle(entry.idx, ev)
-			if owner == nil || !owner.down {
-				if fn != nil {
-					fn()
-				} else if argFn != nil {
-					argFn(arg)
-				}
+// laneExec pops and executes one event (the lane's current head).
+func (s *Sim) laneExec(ln *lane, entry heapEntry) {
+	ln.wheel.pop()
+	ev := ln.eventAt(entry.idx)
+	ln.now = entry.at
+	ln.curSeq = entry.seq
+	switch {
+	case ev.dst != nil:
+		s.laneDeliver(ln, ev)
+		ln.recycle(entry.idx, ev)
+	case ev.tick != nil:
+		s.laneTick(ln, entry.idx, ev)
+	default:
+		fn, argFn, arg, owner := ev.fn, ev.argFn, ev.arg, ev.owner
+		ln.recycle(entry.idx, ev)
+		if owner == nil || !owner.down {
+			if fn != nil {
+				fn()
+			} else if argFn != nil {
+				argFn(arg)
 			}
 		}
-		return true
 	}
-	return false
 }
 
-// runTick fires a ticker event and re-arms the same event storage for
-// the next period — a steady ticker never touches the allocator.
-func (s *Sim) runTick(idx uint32, ev *event) {
+// laneTick fires a ticker event on its lane and re-arms the same event
+// storage under the owner's next key — a steady ticker never touches
+// the allocator.
+func (s *Sim) laneTick(ln *lane, idx uint32, ev *event) {
 	t := ev.tick
 	if t.stopped {
-		s.recycle(idx, ev)
+		ln.recycle(idx, ev)
 		return
 	}
 	if !t.owner.down {
 		t.fn()
 	}
 	if t.stopped { // fn stopped its own ticker
-		s.recycle(idx, ev)
+		ln.recycle(idx, ev)
 		return
 	}
-	s.seq++
-	s.qpush(s.now+t.interval, s.seq, idx)
+	ln.wheel.push(ln.now+t.interval, s.nextKey(t.owner), idx)
+}
+
+// laneRun executes ln's events with at < end (at <= end when incl) in
+// key order, leaving the lane clock at end unless it is already past.
+func (s *Sim) laneRun(ln *lane, end time.Duration, incl bool) {
+	for {
+		entry, ok := ln.peekLive()
+		if !ok || entry.at > end || (entry.at == end && !incl) {
+			break
+		}
+		s.laneExec(ln, entry)
+	}
+	if ln.now < end {
+		ln.now = end
+	}
+}
+
+// Step executes the next pending event — the globally minimal one by
+// (at, seq) across all lanes — on the calling goroutine. It reports
+// whether an event was executed.
+func (s *Sim) Step() bool {
+	sh := &s.shd
+	coord := sh.coord
+	if sh.n == 0 {
+		// The one lane is the whole simulation: no merge, no clocks to park.
+		entry, ok := coord.peekLive()
+		if ok {
+			s.laneExec(coord, entry)
+		}
+		return ok
+	}
+	ln, entry, ok := s.minLaneAt(1<<62 - 1)
+	if !ok {
+		return false
+	}
+	if ln == coord {
+		s.syncLanes(entry.at) // see runSerial
+	}
+	s.laneExec(ln, entry)
+	return true
 }
 
 // RunUntil executes events in order until the queue is exhausted or the
-// next event is later than t. The clock is left at min(t, last event time)
-// advanced to exactly t if the horizon is reached.
+// next event is later than t, then advances every clock still behind t
+// to exactly t. A horizon earlier than now moves nothing.
 func (s *Sim) RunUntil(t time.Duration) {
-	if s.shd != nil {
-		s.shardRunUntil(t)
+	if sh := &s.shd; sh.n == 0 {
+		s.laneRun(sh.coord, t, true)
 		return
 	}
-	for {
-		at, ok := s.peek()
-		if !ok || at > t {
-			break
-		}
-		s.Step()
-	}
-	if s.now < t {
-		s.now = t
-	}
+	s.runWindows(t)
 }
 
 // Run executes all pending events until the queue is exhausted. Periodic
@@ -437,45 +468,16 @@ func (s *Sim) Run() {
 	}
 }
 
-// peek reports the time of the next live event.
-func (s *Sim) peek() (time.Duration, bool) {
-	for {
-		entry, ok := s.qpeek()
-		if !ok {
-			return 0, false
-		}
-		if ev := s.eventAt(entry.idx); ev.dead {
-			s.qpop()
-			s.recycle(entry.idx, ev)
-			continue
-		}
-		return entry.at, true
-	}
-}
-
 // Pending returns the number of live scheduled events.
 func (s *Sim) Pending() int {
-	if sh := s.shd; sh != nil {
-		total := 0
-		var scratch []heapEntry
-		for _, ln := range sh.lanes {
-			var n int
-			n, scratch = ln.pending(scratch)
-			total += n
-		}
-		return total
+	total := 0
+	var scratch []heapEntry
+	for _, ln := range s.shd.lanes {
+		var n int
+		n, scratch = ln.pending(scratch)
+		total += n
 	}
-	entries := s.queue.e
-	if s.wheel != nil {
-		entries = s.wheel.entries(nil)
-	}
-	n := 0
-	for _, entry := range entries {
-		if !s.eventAt(entry.idx).dead {
-			n++
-		}
-	}
-	return n
+	return total
 }
 
 // String summarizes the simulator state, mainly for debugging.

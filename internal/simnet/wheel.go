@@ -6,13 +6,36 @@ import (
 	"time"
 )
 
-// timerWheel is a hierarchical timing wheel (Varghese & Lauck) that
-// replaces the global event heap on the scheduler's hottest path. The
-// heap pays O(log n) sift cost per event against the *whole* pending
-// set — at city scale that is a ~10^5-entry array walked on every
-// push and pop. The wheel buckets events by coarse deadline instead,
-// so an insert is an append into one of 512 slots and a pop drains one
-// small bucket at a time: O(1) amortized in the total queue size.
+// heapEntry is one queue slot: the ordering key (at, seq) inline next
+// to the event's arena index. Sorting and binary inserts touch only the
+// entry arrays — never the events themselves — and because the entry is
+// pointer-free, moving one incurs no GC write barrier. The
+// container/heap reference model in wheel_test.go orders the same type.
+type heapEntry struct {
+	at  time.Duration
+	seq uint64
+	idx uint32 // event arena index; see lane.eventAt
+}
+
+// entryLess orders entries by time, then by seq (scheduling order for
+// equal timestamps when seq is a global counter). seq is unique, so the
+// order is total and pop order is fully determined by scheduling
+// history — which is what keeps runs bit-identical across refactors of
+// this file.
+func entryLess(a, b heapEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// timerWheel is a hierarchical timing wheel (Varghese & Lauck): a
+// lane's event queue. A heap pays O(log n) sift cost per event against
+// the *whole* pending set — at city scale that is a ~10^5-entry array
+// walked on every push and pop. The wheel buckets events by coarse
+// deadline instead, so an insert is an append into one of 512 slots and
+// a pop drains one small bucket at a time: O(1) amortized in the total
+// queue size.
 //
 // Layout (bucket widths are powers of two so slot math is a shift):
 //
@@ -24,9 +47,9 @@ import (
 // Buckets are unordered; when a bucket becomes current it is sorted by
 // (at, seq) into the *run* — the currently draining, totally ordered
 // slice. Because (at, seq) is a total order (seq is unique), the pop
-// sequence is exactly the heap's pop sequence, which is what keeps
-// journals bit-identical between the two schedulers (verified by
-// TestSchedulerDifferential and the property test in wheel_test.go).
+// sequence is exactly a heap's pop sequence — verified against a
+// container/heap model by the property tests in wheel_test.go — which
+// is what journal determinism rests on.
 //
 // Invariants, with runHi == cur0<<l0Shift at all times:
 //
@@ -39,8 +62,7 @@ import (
 // Inserts below runHi (same-tick sends, zero-delay callbacks) binary-
 // insert into the run, preserving the total order; everything else is
 // a bucket append. Cancellation is not the wheel's job: events are
-// marked dead in the arena and skipped at pop, exactly as with the
-// heap.
+// marked dead in the arena and skipped at pop.
 type timerWheel struct {
 	run    []heapEntry // current sorted drain window
 	head   int         // next run entry to pop

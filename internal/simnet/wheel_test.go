@@ -8,7 +8,7 @@ import (
 )
 
 // refModel is an independent reference scheduler built on the standard
-// library's container/heap, deliberately sharing no code with either
+// library's container/heap, deliberately sharing no code with the
 // production queue. The property tests drive the timing wheel and this
 // model with identical operation sequences and require identical pop
 // sequences.
@@ -161,39 +161,73 @@ func TestWheelSpillPromotion(t *testing.T) {
 	}
 }
 
-// TestSimSchedulerEquivalence runs the same timer workload — including
-// cancellations — through two Sims, one per scheduler, and requires
-// identical execution traces.
+// TestSimSchedulerEquivalence runs a timer workload — sim-level and
+// node timers, a third cancelled — through a whole Sim at zero and one
+// shard lanes, and requires the execution trace to be the reference
+// model's pop order of the (at, seq) keys the engine assigned. It also
+// pins the key policy that separates the two journal families: a
+// global scheduling-order counter at zero lanes, rank<<ctrBits|counter
+// per node at one.
 func TestSimSchedulerEquivalence(t *testing.T) {
-	run := func(opts ...Option) []string {
-		s := New(append(opts, WithSeed(7))...)
-		var trace []string
+	for _, lanes := range []int{0, 1} {
+		s := withLanes(lanes, WithSeed(7))
+		owners := []*Endpoint{nil, s.AddNode("a"), s.AddNode("b")} // nil: Sim.After
 		rng := rand.New(rand.NewSource(42))
+		var trace []uint32
 		var timers []*Timer
-		for i := 0; i < 500; i++ {
+		for i := uint32(0); i < 500; i++ {
 			i := i
 			d := drawDeadline(rng, 0)
-			timers = append(timers, s.After(d, func() {
-				trace = append(trace, time.Duration(i).String())
-			}))
-		}
-		// Cancel a deterministic third of them.
-		for i, tm := range timers {
-			if i%3 == 0 {
-				tm.Stop()
+			fn := func() { trace = append(trace, i) }
+			if ep := owners[i%3]; ep != nil {
+				timers = append(timers, ep.After(d, fn))
+			} else {
+				timers = append(timers, s.After(d, fn))
 			}
 		}
+		// Read back the key each timer was queued under.
+		keys := make(map[*event]heapEntry)
+		for _, ln := range s.shd.lanes {
+			for _, e := range ln.wheel.entries(nil) {
+				keys[ln.eventAt(e.idx)] = e
+			}
+		}
+		ref := &refModel{}
+		perOwner := make([]uint64, len(owners))
+		for i, tm := range timers {
+			key, ok := keys[tm.ev]
+			if !ok {
+				t.Fatalf("lanes=%d: timer %d is not queued", lanes, i)
+			}
+			o := i % 3
+			perOwner[o]++
+			want := uint64(i + 1) // zero lanes: global scheduling order
+			if lanes > 0 {
+				want = uint64(o)<<ctrBits | perOwner[o] // rank 0 is the coordinator
+			}
+			if key.seq != want {
+				t.Fatalf("lanes=%d: timer %d keyed %#x, want %#x", lanes, i, key.seq, want)
+			}
+			if (i/3)%3 == 0 { // cancel a third, spread over all three owners
+				if !tm.Stop() {
+					t.Fatalf("lanes=%d: Stop(%d) = false before the run", lanes, i)
+				}
+				continue
+			}
+			heap.Push(ref, heapEntry{at: key.at, seq: key.seq, idx: uint32(i)})
+		}
 		s.RunUntil(5 * time.Hour)
-		return trace
-	}
-	wheel := run()
-	heapTrace := run(WithHeapScheduler())
-	if len(wheel) != len(heapTrace) {
-		t.Fatalf("trace lengths differ: wheel %d, heap %d", len(wheel), len(heapTrace))
-	}
-	for i := range wheel {
-		if wheel[i] != heapTrace[i] {
-			t.Fatalf("trace[%d]: wheel %q, heap %q", i, wheel[i], heapTrace[i])
+		if len(trace) != ref.Len() {
+			t.Fatalf("lanes=%d: %d timers fired, reference holds %d", lanes, len(trace), ref.Len())
+		}
+		for n, got := range trace {
+			if want := heap.Pop(ref).(heapEntry); got != want.idx {
+				t.Fatalf("lanes=%d: fired[%d] = timer %d, reference pops timer %d (at %v seq %#x)",
+					lanes, n, got, want.idx, want.at, want.seq)
+			}
+		}
+		if s.Pending() != 0 {
+			t.Fatalf("lanes=%d: %d events still pending", lanes, s.Pending())
 		}
 	}
 }
