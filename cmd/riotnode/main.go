@@ -9,7 +9,9 @@
 //	         -put room1/temp=21.5
 //
 // Each node prints its membership view and store contents once per
-// second. Stop with ^C (or -duration for a bounded run).
+// second. Stop with ^C (or -duration for a bounded run). -put values
+// must be finite numbers (NaN and Inf are rejected: JSON cannot carry
+// them to readers).
 //
 // With -metrics-addr the node serves Prometheus-format metrics at
 // /metrics, a liveness probe at /healthz, and a readiness probe at
@@ -40,6 +42,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -47,7 +50,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -57,7 +59,6 @@ import (
 	"repro/internal/realnet"
 	"repro/internal/serve"
 	"repro/internal/simnet"
-	"repro/internal/space"
 )
 
 func main() {
@@ -134,6 +135,11 @@ func parseArgs(args []string) (config, error) {
 			if err != nil {
 				return config{}, fmt.Errorf("bad put value %q: %w", parts[1], err)
 			}
+			// JSON has no NaN or Inf: a stored one would wedge every
+			// read of the key, on every peer it replicates to.
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return config{}, fmt.Errorf("bad put value %q: not finite", parts[1])
+			}
 			cfg.puts[parts[0]] = v
 		}
 	}
@@ -146,66 +152,41 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	gossip.RegisterWire(realnet.RegisterWireType)
-	dataflow.RegisterWire(realnet.RegisterWireType)
-	simnet.RegisterMuxWire(realnet.RegisterWireType)
-
 	node, err := realnet.NewNode(cfg.id, cfg.bind)
 	if err != nil {
 		return err
 	}
-	defer node.Close()
-	// Gossip and the data store share the socket through the protocol
-	// mux, exactly as the ML4 edge stack does in simulation.
-	mux := simnet.NewPortMux(node)
-
-	// One trusted site domain: riotnode is a connectivity tool; richer
-	// domain layouts come from the library API.
-	world := space.NewMap()
-	world.AddDomain(space.Domain{ID: "site", Trusted: true})
-	world.Place(string(cfg.id), space.Point{}, "site")
 	var peerIDs []simnet.NodeID
 	for id, addr := range cfg.peers {
 		if err := node.AddPeer(id, addr); err != nil {
+			node.Close()
 			return err
 		}
-		world.Place(string(id), space.Point{}, "site")
 		peerIDs = append(peerIDs, id)
 	}
 	sort.Slice(peerIDs, func(i, j int) bool { return peerIDs[i] < peerIDs[j] })
 
-	members := gossip.New(mux.Port("gossip"), gossip.Config{
-		ProbeInterval:    500 * time.Millisecond,
-		ProbeTimeout:     150 * time.Millisecond,
-		SuspicionTimeout: 2 * time.Second,
-	})
-
-	// Observability: the bus reads the node's wall clock; the registry
-	// counts bus events and serves scrape endpoints when enabled.
-	bus := obs.NewBus(node.Now)
-	members.SetBus(bus)
-
-	// Readiness: a node with seeds is ready once a probe of any peer
-	// has been acked — confirmed two-way contact, not the optimistic
-	// alive that Start assumes for its seeds. A seedless node
-	// bootstraps its own cluster and is ready immediately. Both the
-	// /readyz probe and the serve front door gate on this.
-	var joined atomic.Bool
-	joined.Store(len(cfg.seeds) == 0)
-	probeSub := bus.SubscribeFunc(func(ev obs.Event) {
-		if ev.Kind == "gossip.probe" {
-			joined.Store(true)
-		}
-	})
-	defer probeSub.Close()
-
+	// With metrics on, the registry counts the node's bus events, takes
+	// the serve front door's metrics (one scrape surface) and the
+	// incident counters.
 	var reg *obs.Registry
+	if cfg.metricsAddr != "" {
+		reg = obs.NewRegistry()
+	}
+	// One trusted site domain and fixed intervals: riotnode is a
+	// connectivity tool; richer layouts come from the library API. Both
+	// the /readyz probe and the serve front door gate on cn.Ready.
+	cn := serve.StartNode(node, peerIDs, cfg.seeds, reg, serve.ClusterOptions{
+		ProbeInterval: 500 * time.Millisecond,
+		SyncInterval:  time.Second,
+	})
+	defer cn.Close()
+	members, store := cn.Members, cn.Store
+
 	var aliveGauge, keysGauge *obs.Gauge
 	var syncBytesGauge, syncEntriesGauge, syncPendingGauge *obs.Gauge
 	var netDroppedGauge, netDelayedGauge, netShapedGauge, netMalformedGauge *obs.Gauge
-	if cfg.metricsAddr != "" {
-		reg = obs.NewRegistry()
-		reg.WatchBus(bus)
+	if reg != nil {
 		aliveGauge = reg.Gauge("riot_members_alive", "members this node believes alive")
 		keysGauge = reg.Gauge("riot_store_keys", "keys in the local replicated store")
 		syncBytesGauge = reg.Gauge("riot_sync_bytes_sent", "replication bytes shipped to peers")
@@ -220,74 +201,25 @@ func run(args []string, out io.Writer) error {
 		netMalformedGauge = reg.Gauge("riot_realnet_malformed_total",
 			"datagrams received but refused by the wire codec")
 
-		// Incident counters: every peer transition to dead opens an
-		// incident, the next alive transition closes it and records the
-		// recovery time — the live counterpart of the simulator's
-		// observatory. The OnChange callback runs on the node's event
-		// loop, so the tracking map needs no lock; the metrics it
-		// updates are atomic and safe to scrape concurrently.
-		incidentsTotal := reg.Counter("riot_incidents_total", "peer-down incidents observed by membership")
-		incidentsOpen := reg.Gauge("riot_incidents_open", "peer-down incidents currently open")
-		recoverySec := reg.Histogram("riot_incident_recovery_seconds",
-			"peer dead-to-alive recovery time", []float64{1, 5, 15, 60, 300})
-
-		downSince := make(map[simnet.NodeID]time.Duration)
-		members.OnChange(func(m gossip.Member) {
-			switch m.Status {
-			case gossip.StatusAlive:
-				if at, ok := downSince[m.ID]; ok {
-					delete(downSince, m.ID)
-					recoverySec.Observe((node.Now() - at).Seconds())
-					incidentsOpen.Set(float64(len(downSince)))
-				}
-			case gossip.StatusDead:
-				if _, ok := downSince[m.ID]; !ok {
-					downSince[m.ID] = node.Now()
-					incidentsTotal.Inc()
-					incidentsOpen.Set(float64(len(downSince)))
-				}
-			}
-		})
-
 		ln, err := net.Listen("tcp", cfg.metricsAddr)
 		if err != nil {
 			return fmt.Errorf("metrics listener: %w", err)
 		}
-		srv := &http.Server{Handler: obs.Handler(reg, node.Up, joined.Load)}
+		srv := &http.Server{Handler: obs.Handler(reg, node.Up, cn.Ready)}
 		defer srv.Close()
 		go func() { _ = srv.Serve(ln) }()
 		fmt.Fprintf(out, "metrics: http://%s/metrics\n", ln.Addr())
 	}
-	store := dataflow.NewStore(mux.Port("store"), world, dataflow.StoreConfig{
-		Peers: peerIDs, SyncInterval: time.Second,
-	})
-
-	// The serve front door shares the node's registry when metrics are
-	// on (one scrape surface) and must be constructed before the event
-	// loop starts so its store/membership callbacks are registered
-	// race-free.
-	var srv *serve.Server
 	if cfg.serveAddr != "" {
-		srv = serve.NewServer(serve.Config{
-			Loop:     node,
-			Store:    store,
-			Members:  members,
-			Registry: reg,
-			Ready:    joined.Load,
-			Now:      node.Now,
-		})
 		ln, err := net.Listen("tcp", cfg.serveAddr)
 		if err != nil {
 			return fmt.Errorf("serve listener: %w", err)
 		}
-		go func() { _ = srv.Serve(ln) }()
+		go func() { _ = cn.Server.Serve(ln) }()
 		fmt.Fprintf(out, "serve: http://%s\n", ln.Addr())
 	}
 
-	node.Run()
 	node.Do(func() {
-		members.Start(cfg.seeds...)
-		store.Start()
 		for key, val := range cfg.puts {
 			store.Put(dataflow.Item{
 				Key: key, Value: val,
@@ -338,26 +270,24 @@ func run(args []string, out io.Writer) error {
 				})
 			}
 		case <-deadlineC:
-			return shutdown(out, srv, node, members)
+			return shutdown(out, cn)
 		case sig := <-sigc:
 			fmt.Fprintf(out, "received %s, draining\n", sig)
-			return shutdown(out, srv, node, members)
+			return shutdown(out, cn)
 		}
 	}
 }
 
 // shutdown drains gracefully: stop accepting API traffic and flush
 // accepted writes, announce departure so peers mark this node left
-// instead of suspect, then let the deferred node.Close stop the loop.
-func shutdown(out io.Writer, srv *serve.Server, node *realnet.Node, members *gossip.Protocol) error {
-	if srv != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		if err := srv.Shutdown(ctx); err != nil {
-			fmt.Fprintf(out, "serve drain: %v\n", err)
-		}
-		cancel()
+// instead of suspect, then let the deferred Close stop the loop.
+func shutdown(out io.Writer, cn *serve.ClusterNode) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	if err := cn.Server.Shutdown(ctx); err != nil {
+		fmt.Fprintf(out, "serve drain: %v\n", err)
 	}
-	node.Do(func() { members.Leave() })
+	cancel()
+	cn.Node.Do(func() { cn.Members.Leave() })
 	return nil
 }
 

@@ -41,6 +41,9 @@ func TestParseArgsErrors(t *testing.T) {
 		{"-id", "a", "-seeds", "ghost"},      // seed not in peers
 		{"-id", "a", "-put", "keyonly"},      // bad put
 		{"-id", "a", "-put", "k=notanumber"}, // bad value
+		{"-id", "a", "-put", "k=NaN"},        // not finite
+		{"-id", "a", "-put", "k=Inf"},        // not finite
+		{"-id", "a", "-put", "k=-inf"},       // not finite
 		{"-id", "a", "-notaflag"},            // bad flag
 	}
 	for _, args := range bad {

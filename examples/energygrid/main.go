@@ -59,9 +59,9 @@ func runGrid(decentralized bool) float64 {
 	for i := range subIDs {
 		subIDs[i] = simnet.NodeID(fmt.Sprintf("sub-%d", i))
 		subEps[i] = sim.AddNode(subIDs[i])
-		sim.SetLinkBidirectional(subIDs[i], "scada", 50*time.Millisecond, 0)
+		sim.DegradeLink(subIDs[i], "scada", 50*time.Millisecond, 0)
 	}
-	sim.SetLinkBidirectional("feeder", "scada", 50*time.Millisecond, 0)
+	sim.DegradeLink("feeder", "scada", 50*time.Millisecond, 0)
 
 	served := map[int]bool{}
 	feeder.OnMessage(func(_ simnet.NodeID, msg simnet.Message) {

@@ -34,8 +34,8 @@ func main() {
 	gwA := sim.AddNode("gw-a")
 	gwB := sim.AddNode("gw-b")
 	cloud := sim.AddNode("cloud")
-	sim.SetLinkBidirectional("gw-a", "cloud", 45*time.Millisecond, 0)
-	sim.SetLinkBidirectional("gw-b", "cloud", 45*time.Millisecond, 0)
+	sim.DegradeLink("gw-a", "cloud", 45*time.Millisecond, 0)
+	sim.DegradeLink("gw-b", "cloud", 45*time.Millisecond, 0)
 
 	// Governed stores: the ward gateways enforce the privacy scopes.
 	storeA := dataflow.NewStore(gwA, world, dataflow.StoreConfig{

@@ -30,8 +30,9 @@ type LiveOutcome struct {
 	Verdict Verdict
 	Report  core.Report
 	Info    core.LiveInfo
-	// Err is set on boot/config errors or when any schedule event
-	// failed to arm — a corpus entry must replay fully armed.
+	// Err is set on boot/config errors or when a schedule event crashes
+	// or recovers a node the topology lacks — a corpus entry must replay
+	// in full.
 	Err error
 }
 
@@ -72,7 +73,7 @@ func (ce *Counterexample) ReplayLive(opts LiveOptions) LiveOutcome {
 		return out
 	}
 	if info.Skipped > 0 {
-		out.Err = fmt.Errorf("counterexample %s: %d schedule event(s) failed to arm on realnet", ce.Name, info.Skipped)
+		out.Err = fmt.Errorf("counterexample %s: %d schedule event(s) target a node outside the topology", ce.Name, info.Skipped)
 		return out
 	}
 	out.Verdict = NewOracle(cfg).JudgeLive(report, sys.Journal())

@@ -5,15 +5,15 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/realnet"
-	"repro/internal/simnet"
 )
 
 // TestCorpusArmsFullyOnRealnet boots every committed corpus entry's
-// topology as live loopback UDP nodes and arms its schedule on the
-// realnet injector: every event of every entry must arm — the injector
-// no longer silently drops any fault kind, so skipped must be zero
-// across the whole corpus.
+// topology as a live loopback UDP cluster and arms its schedule on it:
+// every event of every entry must arm, and none may name a node the
+// topology does not have — skipped must be zero across the whole
+// corpus.
 func TestCorpusArmsFullyOnRealnet(t *testing.T) {
 	ces, err := LoadCorpus(filepath.Join("..", "..", "corpus", "chaos"))
 	if err != nil {
@@ -29,20 +29,18 @@ func TestCorpusArmsFullyOnRealnet(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nodes := make(map[simnet.NodeID]*realnet.Node)
+			cluster := realnet.NewCluster(realnet.ClusterConfig{})
+			defer cluster.Close()
 			for _, id := range core.TopologyOf(cfg.Scenario).All() {
-				n, err := realnet.NewNode(id, "127.0.0.1:0")
-				if err != nil {
+				if _, err := cluster.AddNode(id); err != nil {
 					t.Fatal(err)
 				}
-				defer n.Close()
-				nodes[id] = n
 			}
-			inj := realnet.NewInjector(nodes, 1)
-			defer inj.Stop()
-			armed, skipped := inj.Arm(ce.Schedule)
+			inj := fault.NewInjector(cluster)
+			inj.Arm(ce.Schedule)
+			armed, skipped := inj.Armed(), inj.Skipped()
 			if skipped != 0 {
-				t.Fatalf("entry %s: %d of %d events failed to arm on realnet", ce.Name, skipped, ce.Schedule.Len())
+				t.Fatalf("entry %s: %d of %d events target a node outside the topology", ce.Name, skipped, ce.Schedule.Len())
 			}
 			if armed != ce.Schedule.Len() {
 				t.Fatalf("entry %s: armed %d, schedule has %d", ce.Name, armed, ce.Schedule.Len())

@@ -77,7 +77,7 @@ type laneEvent struct {
 // to the journal, byte-identically to the pre-sharding code.
 func (sys *System) recordAt(ep simnet.Port, kind string, span, parent uint64, format string, args ...any) {
 	detail := fmt.Sprintf(format, args...)
-	at := sys.now()
+	at := sys.world.Now()
 	if ep != nil {
 		at = ep.Now()
 	}

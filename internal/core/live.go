@@ -15,15 +15,6 @@ import (
 	"repro/internal/simnet"
 )
 
-// liveBackend carries the realnet state behind a live System: the
-// loopback UDP cluster hosting every node, and — once RunLive arms the
-// schedule — the wall-clock fault injector.
-type liveBackend struct {
-	cluster *realnet.Cluster
-	inj     *realnet.Injector
-	scale   float64
-}
-
 // LiveConfig tunes a live (real-socket) run.
 type LiveConfig struct {
 	// TimeScale compresses virtual time onto the wall clock: wall =
@@ -60,12 +51,11 @@ func NewLiveSystem(cfg ScenarioConfig, arch Archetype, lc LiveConfig) (sys *Syst
 			sys, err = nil, fmt.Errorf("core: live boot failed: %v", r)
 		}
 	}()
-	sys = newSystem(cfg, arch, &liveBackend{cluster: cluster, scale: scale})
-	return sys, nil
+	return newSystem(cfg, arch, nil, liveWorld{cluster, scale}), nil
 }
 
-// LiveInfo summarizes the non-Report side of a live run: how much of
-// the fault schedule armed, the aggregate socket traffic, and the wall
+// LiveInfo summarizes the non-Report side of a live run: the injector's
+// armed and skipped counts, the aggregate socket traffic, and the wall
 // time the run took.
 type LiveInfo struct {
 	Armed        int
@@ -81,24 +71,18 @@ type LiveInfo struct {
 // simulator's single-threaded event loop), with virtual-time
 // watermarks so a late tick catches up rather than skipping samples.
 func (sys *System) RunLive() (Report, LiveInfo, error) {
-	lb := sys.live
-	if lb == nil {
+	lb, ok := sys.world.(liveWorld)
+	if !ok {
 		return Report{}, LiveInfo{}, fmt.Errorf("core: RunLive on a simulated system; use Run")
 	}
 	wallStart := time.Now()
-	if err := lb.cluster.Start(); err != nil {
-		lb.cluster.Close()
+	if err := lb.Start(); err != nil {
+		lb.Close()
 		return Report{}, LiveInfo{}, err
 	}
-	defer lb.cluster.Close()
+	defer lb.Close()
 
-	inj := lb.cluster.Injector()
-	lb.inj = inj
-	defer inj.Stop()
-	sys.attachFaultSubscribers(inj)
-	armed, skipped := inj.Arm(buildFaults(sys.cfg))
-
-	lock := lb.cluster.WorldLock()
+	lock := lb.WorldLock()
 	step := sys.cfg.EnvStep
 	inv := sys.cfg.ControlInterval
 	nextEnv, nextInv := step, inv
@@ -113,7 +97,7 @@ func (sys *System) RunLive() (Report, LiveInfo, error) {
 	defer ticker.Stop()
 	for {
 		<-ticker.C
-		now := lb.cluster.Now()
+		now := lb.Now()
 		lock.Lock()
 		for nextEnv <= now && nextEnv <= sys.cfg.Duration {
 			sys.envTickBody(step)
@@ -142,51 +126,58 @@ func (sys *System) RunLive() (Report, LiveInfo, error) {
 	r := sys.report()
 	lock.Unlock()
 	info := LiveInfo{
-		Armed:        armed,
-		Skipped:      skipped,
-		Net:          lb.cluster.NetStats(),
+		Armed:        sys.injector.Armed(),
+		Skipped:      sys.injector.Skipped(),
+		Net:          lb.NetStats(),
 		WallDuration: time.Since(wallStart),
 	}
 	return r, info, nil
 }
 
 // ---- backend seam ----------------------------------------------------
-//
-// Every run-time query the measurement and control code makes goes
-// through these wrappers, so the same code drives the simulator and
-// the live cluster.
 
-// now reads the current virtual time from whichever backend is active.
-func (sys *System) now() time.Duration {
-	if sys.live != nil {
-		return sys.live.cluster.Now()
-	}
-	return sys.sim.Now()
+// world is the backend a System is built on and measured through: the
+// fault surface its injector drives, plus node registration and the
+// queries measurement and control make. The simulator and the live
+// cluster differ only in how a node is added and how traffic is
+// counted, which is all the two adapters below contain.
+type world interface {
+	fault.World
+	AddNode(id simnet.NodeID) simnet.Port
+	NodeUp(id simnet.NodeID) bool
+	Reachable(from, to simnet.NodeID) bool
+	// Traffic totals delivered messages and bytes on the wire.
+	Traffic() (msgs, bytes int)
 }
 
-// nodeUp reports whether a node exists and is not crashed.
-func (sys *System) nodeUp(id simnet.NodeID) bool {
-	if sys.live != nil {
-		return sys.live.cluster.NodeUp(id)
-	}
-	return sys.sim.NodeUp(id)
+type simWorld struct{ *simnet.Sim }
+
+func (w simWorld) AddNode(id simnet.NodeID) simnet.Port { return w.Sim.AddNode(id) }
+
+func (w simWorld) Traffic() (msgs, bytes int) {
+	st := w.Stats()
+	return st.Delivered, st.Bytes
 }
 
-// setNodeDown crashes or revives a node (battery exhaustion).
-func (sys *System) setNodeDown(id simnet.NodeID, down bool) {
-	if sys.live != nil {
-		sys.live.cluster.SetDown(id, down)
-		return
-	}
-	sys.sim.SetDown(id, down)
+// liveWorld is a loopback UDP cluster; scale is its wall seconds per
+// virtual second.
+type liveWorld struct {
+	*realnet.Cluster
+	scale float64
 }
 
-// reachable reports whether the network currently lets from talk to to.
-func (sys *System) reachable(from, to simnet.NodeID) bool {
-	if sys.live != nil {
-		return sys.live.cluster.Reachable(from, to)
+// AddNode panics on a failed socket bind; NewLiveSystem recovers it.
+func (w liveWorld) AddNode(id simnet.NodeID) simnet.Port {
+	n, err := w.Cluster.AddNode(id)
+	if err != nil {
+		panic(err)
 	}
-	return sys.sim.Reachable(from, to)
+	return n
+}
+
+func (w liveWorld) Traffic() (msgs, bytes int) {
+	st := w.NetStats()
+	return int(st.Received), int(st.SentBytes)
 }
 
 // shardCount reports the sharded scheduler's lane count; live runs and
@@ -198,62 +189,11 @@ func (sys *System) shardCount() int {
 	return 0
 }
 
-// addNode registers a node with the active backend and returns its
-// network surface.
-func (sys *System) addNode(id simnet.NodeID) simnet.Port {
-	if sys.live != nil {
-		n, err := sys.live.cluster.AddNode(id)
-		if err != nil {
-			panic(err)
-		}
-		return n
-	}
-	return sys.sim.AddNode(id)
-}
-
 // setShard assigns a node to a scheduler lane; a no-op on live runs.
 func (sys *System) setShard(id simnet.NodeID, shard int) {
 	if sys.sim != nil {
 		sys.sim.SetShard(id, shard)
 	}
-}
-
-// setWANLink installs the scenario's WAN latency between two nodes. On
-// the simulator this is a plain link parameter; live it is a shaper
-// rule on the loopback fabric (loss 0), scaled like every latency.
-func (sys *System) setWANLink(a, b simnet.NodeID, latency time.Duration) {
-	if sys.live != nil {
-		sys.live.cluster.Fabric().DegradeLink(a, b, latency, 0)
-		return
-	}
-	sys.sim.SetLinkBidirectional(a, b, latency, 0)
-}
-
-// messageCount totals delivered messages across the backend.
-func (sys *System) messageCount() int {
-	if sys.live != nil {
-		return int(sys.live.cluster.NetStats().Received)
-	}
-	return sys.sim.Stats().Delivered
-}
-
-// byteCount totals bytes put on the wire across the backend.
-func (sys *System) byteCount() int {
-	if sys.live != nil {
-		return int(sys.live.cluster.NetStats().SentBytes)
-	}
-	return sys.sim.Stats().Bytes
-}
-
-// faultLog returns the events the active injector has fired so far.
-func (sys *System) faultLog() []fault.Event {
-	if sys.live != nil {
-		if sys.live.inj == nil {
-			return nil
-		}
-		return sys.live.inj.Log()
-	}
-	return sys.injector.Log()
 }
 
 // RegisterWire registers every message type the archetypes put on the

@@ -39,14 +39,14 @@ func (sys *System) envTickBody(step time.Duration) {
 	sys.envm.Step(step)
 	for _, rig := range sys.actuators {
 		// A crashed actuator node has no effect on the world.
-		if sys.nodeUp(rig.id) {
+		if sys.world.NodeUp(rig.id) {
 			rig.actuator.Apply(sys.envm, step)
 		}
 	}
 	for _, rig := range sys.sensors {
 		if rig.dev.Idle(step) {
 			// Battery exhausted: the node goes dark.
-			sys.setNodeDown(rig.id, true)
+			sys.world.SetDown(rig.id, true)
 		}
 	}
 }
@@ -71,7 +71,7 @@ func (sys *System) startEnvironmentLoop() {
 func (sys *System) sampleInvocations() {
 	inv := sys.cfg.ControlInterval
 	for z := 0; z < sys.cfg.Zones; z++ {
-		ok := sys.now()-time.Duration(sys.lastControlOK[z].Load()) <= inv+inv/2
+		ok := sys.world.Now()-time.Duration(sys.lastControlOK[z].Load()) <= inv+inv/2
 		sys.invocations.RecordOutcome(ok)
 	}
 }
@@ -109,19 +109,19 @@ func (sys *System) controllerStack(z int) (*edgeStack, bool) {
 	switch sys.arch {
 	case ML1:
 		st := sys.gateways[z]
-		return st, sys.nodeUp(st.id)
+		return st, sys.world.NodeUp(st.id)
 	case ML2:
-		return sys.cloud, sys.nodeUp(cloudID)
+		return sys.cloud, sys.world.NodeUp(cloudID)
 	case ML3:
-		if sys.nodeUp(sys.gateways[z].id) {
+		if sys.world.NodeUp(sys.gateways[z].id) {
 			return sys.gateways[z], true
 		}
 		bak := sys.backupFor(z)
-		return bak, sys.nodeUp(bak.id)
+		return bak, sys.world.NodeUp(bak.id)
 	case ML4:
 		if !sys.ml4Hardened() {
 			for _, st := range sys.edgeStacks() {
-				if st.applied[z] == st.id && sys.nodeUp(st.id) {
+				if st.applied[z] == st.id && sys.world.NodeUp(st.id) {
 					return st, true
 				}
 			}
@@ -135,7 +135,7 @@ func (sys *System) controllerStack(z int) (*edgeStack, bool) {
 		// claimant when nobody has data.
 		var first *edgeStack
 		for _, st := range sys.edgeStacks() {
-			if !sys.nodeUp(st.id) || !sys.ml4Controls(st, z) {
+			if !sys.world.NodeUp(st.id) || !sys.ml4Controls(st, z) {
 				continue
 			}
 			if _, fresh := sys.freshAt(st.view, zoneTempKey(z)); fresh {
@@ -178,13 +178,13 @@ func (sys *System) freshAt(view dataView, key string) (time.Duration, bool) {
 	if !ok {
 		return 0, false
 	}
-	age := sys.now() - item.ProducedAt
+	age := sys.world.Now() - item.ProducedAt
 	return age, age <= sys.freshWin
 }
 
 // measure samples every metric once.
 func (sys *System) measure() {
-	now := sys.now()
+	now := sys.world.Now()
 	if sys.prevTempOK == nil {
 		sys.prevTempOK = make([]bool, sys.cfg.Zones)
 		sys.prevFresh = make([]bool, sys.cfg.Zones)
@@ -243,7 +243,7 @@ func (sys *System) measure() {
 		sensor := tempSensorID(z, 0)
 		servable := false
 		for _, c := range sys.servableCandidates(z) {
-			if sys.nodeUp(c) && sys.reachable(sensor, c) {
+			if sys.world.NodeUp(c) && sys.world.Reachable(sensor, c) {
 				servable = true
 				break
 			}
@@ -253,11 +253,11 @@ func (sys *System) measure() {
 		// Data-flow vector: the application's intended consumers.
 		dash := sys.gateways[(z+1)%sys.cfg.Zones]
 		var dashView dataView
-		if sys.nodeUp(dash.id) {
+		if sys.world.NodeUp(dash.id) {
 			dashView = dash.view
 		}
 		var cloudView dataView
-		if sys.nodeUp(cloudID) {
+		if sys.world.NodeUp(cloudID) {
 			cloudView = sys.cloud.view
 		}
 		for _, consumer := range []dataView{ctrlView, cloudView, dashView} {
@@ -271,7 +271,7 @@ func (sys *System) measure() {
 		// dashboards inside the jurisdiction (never the cloud).
 		home := sys.gateways[z]
 		var homeView dataView
-		if sys.nodeUp(home.id) {
+		if sys.world.NodeUp(home.id) {
 			homeView = home.view
 		}
 		for _, consumer := range []dataView{homeView, dashView} {
@@ -297,9 +297,8 @@ func (sys *System) report() Report {
 		DesignChecksPassed: sys.designPassed,
 		RuntimeChecks:      int(sys.runtimeChecks.Load()),
 		RuntimeAlerts:      int(sys.runtimeAlerts.Load()),
-		Messages:           sys.messageCount(),
-		Bytes:              sys.byteCount(),
 	}
+	r.Messages, r.Bytes = sys.world.Traffic()
 	st := sys.SyncTraffic()
 	r.SyncFrames = int(st.FramesSent)
 	r.SyncEntries = int(st.EntriesSent)
@@ -351,7 +350,7 @@ func (sys *System) report() Report {
 // recoveryTimes extracts external repair instants from the fault log.
 func (sys *System) recoveryTimes() []time.Duration {
 	var out []time.Duration
-	for _, ev := range sys.faultLog() {
+	for _, ev := range sys.injector.Log() {
 		switch ev.Kind {
 		case fault.KindRecover, fault.KindPartitionEnd, fault.KindLinkRestore:
 			out = append(out, ev.At)

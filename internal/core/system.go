@@ -103,12 +103,13 @@ type System struct {
 	cfg  ScenarioConfig
 	arch Archetype
 
-	// sim backs simulated runs; live backs wall-clock runs over real
-	// UDP sockets (exactly one is non-nil). All run-time queries go
-	// through the now/nodeUp/reachable seam so the measurement and
-	// control code is backend-agnostic.
+	// world is the backend the system runs on — the simulator, or a
+	// cluster of real UDP sockets on the wall clock — and injector the
+	// one fault injector driving it. Building, measurement and control
+	// go through world; sim is the same simulator again (nil on a live
+	// system) for what only a simulator has: the run loop and lanes.
+	world    world
 	sim      *simnet.Sim
-	live     *liveBackend
 	envm     *env.Environment
 	spaces   *space.Map
 	injector *fault.Injector
@@ -182,18 +183,25 @@ type System struct {
 
 // NewSystem builds the scenario at the given maturity level.
 func NewSystem(cfg ScenarioConfig, arch Archetype) *System {
-	return newSystem(cfg, arch, nil)
+	cfg = cfg.withDefaults()
+	simOpts := []simnet.Option{simnet.WithSeed(cfg.Seed), simnet.WithDefaultLatency(2 * time.Millisecond)}
+	if cfg.Shards > 0 {
+		simOpts = append(simOpts, simnet.WithShards(cfg.Shards))
+	}
+	sim := simnet.New(simOpts...)
+	return newSystem(cfg, arch, sim, simWorld{sim})
 }
 
-// newSystem is the shared constructor: with live == nil the system runs
-// on the simulator exactly as before; with a live backend the same
-// topology boots on real UDP nodes and the simulator is never created.
-func newSystem(cfg ScenarioConfig, arch Archetype, live *liveBackend) *System {
-	cfg = cfg.withDefaults()
+// newSystem is the shared constructor: the same topology, wiring and
+// armed fault schedule on whichever world it is handed. cfg has its
+// defaults; sim is nil on a live world.
+func newSystem(cfg ScenarioConfig, arch Archetype, sim *simnet.Sim, w world) *System {
 	sys := &System{
 		cfg:          cfg,
 		arch:         arch,
-		live:         live,
+		world:        w,
+		sim:          sim,
+		injector:     fault.NewInjector(w),
 		envm:         env.New(cfg.Seed + 1),
 		spaces:       space.NewMap(),
 		auditor:      dataflow.ObservedEngine(),
@@ -206,22 +214,12 @@ func newSystem(cfg ScenarioConfig, arch Archetype, live *liveBackend) *System {
 		// record path would otherwise dominate short runs.
 		journal: make([]RunEvent, 0, 256),
 	}
-	if live == nil {
-		simOpts := []simnet.Option{simnet.WithSeed(cfg.Seed), simnet.WithDefaultLatency(2 * time.Millisecond)}
-		if cfg.Shards > 0 {
-			simOpts = append(simOpts, simnet.WithShards(cfg.Shards))
-		}
-		sys.sim = simnet.New(simOpts...)
-		sys.injector = fault.NewInjector(sys.sim)
-	}
-	sys.bus = obs.NewBus(sys.now)
-	if sys.sim != nil {
-		if n := sys.sim.ShardCount(); n > 0 {
-			sys.laneJournals = make([][]laneEvent, n+1)
-			sys.auditors = make([]*dataflow.Engine, n+1)
-			for i := range sys.auditors {
-				sys.auditors[i] = dataflow.ObservedEngine()
-			}
+	sys.bus = obs.NewBus(w.Now)
+	if n := sys.shardCount(); n > 0 {
+		sys.laneJournals = make([][]laneEvent, n+1)
+		sys.auditors = make([]*dataflow.Engine, n+1)
+		for i := range sys.auditors {
+			sys.auditors[i] = dataflow.ObservedEngine()
 		}
 	}
 	sys.buildWorld()
@@ -238,25 +236,16 @@ func newSystem(cfg ScenarioConfig, arch Archetype, live *liveBackend) *System {
 	default:
 		panic(fmt.Sprintf("core: unknown archetype %v", arch))
 	}
-	if sys.injector != nil {
-		sys.injector.Arm(buildFaults(cfg))
-		sys.attachFaultSubscribers(sys.injector)
-	}
-	return sys
-}
-
-// attachFaultSubscribers wires the system's fault handling onto an
-// injector — the simulator's or a live realnet one, both of which
-// expose the same Subscribe surface.
-func (sys *System) attachFaultSubscribers(src interface{ Subscribe(fault.Subscriber) }) {
-	src.Subscribe(sys.onFault)
-	src.Subscribe(func(ev fault.Event) {
+	sys.injector.Arm(buildFaults(cfg))
+	sys.injector.Subscribe(sys.onFault)
+	sys.injector.Subscribe(func(ev fault.Event) {
 		// Each fault roots a causal chain: the violations it provokes
 		// and the recoveries that resolve them are parented on its span.
 		span := sys.bus.NewSpanID()
 		sys.lastFaultSpan = span
 		sys.recordSpan(EventFault, span, 0, "%s%s", ev.Kind, faultDetail(ev))
 	})
+	return sys
 }
 
 // Bus returns the system's observability bus. Attach subscribers (a
@@ -351,7 +340,7 @@ func (sys *System) buildWorld() {
 				},
 				key: zoneTempKey(z),
 			}
-			rig.ep = sys.addNode(id)
+			rig.ep = sys.world.AddNode(id)
 			rig.mux = simnet.NewPortMux(rig.ep)
 			sys.setShard(id, shardFor(z))
 			sys.sensors = append(sys.sensors, rig)
@@ -371,7 +360,7 @@ func (sys *System) buildWorld() {
 			},
 			key: zoneOccKey(z),
 		}
-		occRig.ep = sys.addNode(occ)
+		occRig.ep = sys.world.AddNode(occ)
 		occRig.mux = simnet.NewPortMux(occRig.ep)
 		sys.setShard(occ, shardFor(z))
 		sys.sensors = append(sys.sensors, occRig)
@@ -387,7 +376,7 @@ func (sys *System) buildWorld() {
 			id: act, zone: z, dev: actDev,
 			actuator: &device.Actuator{Device: actDev, Zone: zoneID(z), Variable: env.Temperature, Effect: cfg.CoolRate},
 		}
-		actR.ep = sys.addNode(act)
+		actR.ep = sys.world.AddNode(act)
 		actR.mux = simnet.NewPortMux(actR.ep)
 		sys.setShard(act, shardFor(z))
 		sys.actuators = append(sys.actuators, actR)
@@ -405,7 +394,7 @@ func (sys *System) buildWorld() {
 				id: bid, zone: z, dev: bDev,
 				actuator: &device.Actuator{Device: bDev, Zone: zoneID(z), Variable: env.Temperature, Effect: cfg.CoolRate},
 			}
-			bR.ep = sys.addNode(bid)
+			bR.ep = sys.world.AddNode(bid)
 			bR.mux = simnet.NewPortMux(bR.ep)
 			sys.setShard(bid, shardFor(z))
 			sys.actuators = append(sys.actuators, bR)
@@ -432,17 +421,18 @@ func (sys *System) buildWorld() {
 	sys.setShard(cloudID, 0)
 	place(cloudID, -1, 500, 500, "cloudprov")
 
-	// WAN links to the cloud: 40ms each way.
+	// WAN links to the cloud: 40ms each way (live, a zero-loss shaper
+	// rule on the loopback sockets, scaled like every latency).
 	for _, id := range sys.allNodeIDs() {
 		if id != cloudID {
-			sys.setWANLink(id, cloudID, 40*time.Millisecond)
+			sys.world.DegradeLink(id, cloudID, 40*time.Millisecond, 0)
 		}
 	}
 }
 
 // newEdgeStack registers the node and device for an edge/cloud host.
 func (sys *System) newEdgeStack(id simnet.NodeID, zone int, class device.Class) *edgeStack {
-	ep := sys.addNode(id)
+	ep := sys.world.AddNode(id)
 	st := &edgeStack{
 		id:      id,
 		ep:      ep,

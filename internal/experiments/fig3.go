@@ -76,7 +76,7 @@ func runFig3(seed int64, downtime float64, decentralized bool) (success float64,
 	}
 	cloud := sim.AddNode("cloud")
 	for _, id := range append(append([]simnet.NodeID{}, edgeIDs...), "actuator") {
-		sim.SetLinkBidirectional(id, "cloud", 40*time.Millisecond, 0)
+		sim.DegradeLink(id, "cloud", 40*time.Millisecond, 0)
 	}
 
 	// Actuator counts unique periods served.

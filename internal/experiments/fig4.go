@@ -68,8 +68,8 @@ func runFig4(seed int64, duty float64, edgeGoverned bool) (avail float64, staleP
 	prodEp := sim.AddNode("producer")
 	consEp := sim.AddNode("consumer")
 	cloudEp := sim.AddNode("cloud")
-	sim.SetLinkBidirectional("producer", "cloud", 40*time.Millisecond, 0)
-	sim.SetLinkBidirectional("consumer", "cloud", 40*time.Millisecond, 0)
+	sim.DegradeLink("producer", "cloud", 40*time.Millisecond, 0)
+	sim.DegradeLink("consumer", "cloud", 40*time.Millisecond, 0)
 
 	engine := dataflow.ObservedEngine
 	if edgeGoverned {

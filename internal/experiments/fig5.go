@@ -91,7 +91,7 @@ func runFig5(seed int64, shocksPerMinute float64, atEdge bool) (persistence floa
 	edgeEp := sim.AddNode("edge")
 	cloudEp := sim.AddNode("cloud")
 	for _, id := range []simnet.NodeID{"sensor", "actuator", "edge"} {
-		sim.SetLinkBidirectional(id, "cloud", 40*time.Millisecond, fig5WANLoss)
+		sim.DegradeLink(id, "cloud", 40*time.Millisecond, fig5WANLoss)
 	}
 
 	sensorDev := device.New("sensor", device.Config{Class: device.ClassSensorNode})

@@ -208,12 +208,11 @@ func TestFalsePositiveRefutation(t *testing.T) {
 	// probes also take >timeout... suspicion will start. n1 refutes via
 	// incarnation bump carried on its own probes.
 	for _, other := range []simnet.NodeID{"n0", "n2", "n3"} {
-		sim.SetLinkBidirectional("n1", other, 100*time.Millisecond, 0)
+		sim.DegradeLink("n1", other, 100*time.Millisecond, 0)
 	}
 	sim.RunUntil(8 * time.Second)
 	for _, other := range []simnet.NodeID{"n0", "n2", "n3"} {
-		sim.ClearLink("n1", other)
-		sim.ClearLink(other, "n1")
+		sim.RestoreLink("n1", other)
 	}
 	sim.RunUntil(20 * time.Second)
 

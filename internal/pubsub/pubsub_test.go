@@ -123,7 +123,7 @@ func TestQoS1GivesUpAfterMaxRetries(t *testing.T) {
 	b := NewBroker(sim.AddNode("broker"))
 	c := NewClient(sim.AddNode("c0"), "broker", ClientConfig{RetryInterval: 100 * time.Millisecond, MaxRetries: 3})
 	_ = b
-	sim.CutLinkBidirectional("c0", "broker")
+	sim.DegradeLink("c0", "broker", time.Millisecond, 1.0)
 	c.Publish("t", "x", AtLeastOnce)
 	sim.RunUntil(10 * time.Second)
 	if c.Acked() != 0 {

@@ -24,18 +24,28 @@ type ClusterConfig struct {
 }
 
 // Cluster boots a topology of realnet nodes on loopback UDP, wires the
-// full peer mesh, and exposes the fabric's fault surface plus an
-// injector factory — the process-level harness the live city runs on.
+// full peer mesh, and is the live fault.World: the same clock-and-fault
+// surface simnet.Sim offers, with the simulator's exact semantics.
+// Partition REPLACES any previous grouping (nodes absent from every
+// group form an implicit extra group, unreachable from all named ones),
+// HealPartition clears all groups at once, and link shapes override a
+// link independently of partitions — so overlapping partitions collapse
+// under a single heal and crashes compose freely with both.
+//
+// The fault methods are safe to call from any goroutine; they only flip
+// per-node drop/shape state, never touch protocol state.
 type Cluster struct {
-	cfg    ClusterConfig
-	world  sync.Mutex
-	fabric *Fabric
+	cfg   ClusterConfig
+	world sync.Mutex
 
 	mu      sync.Mutex
 	nodes   map[simnet.NodeID]*Node
 	order   []simnet.NodeID
+	group   map[simnet.NodeID]string
 	started bool
 	epoch   time.Time
+	pending []func()      // At calls made before Start
+	timers  []*time.Timer // At calls not yet cancelled by Close
 }
 
 // NewCluster creates an empty cluster.
@@ -43,13 +53,15 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1
 	}
-	c := &Cluster{cfg: cfg, nodes: make(map[simnet.NodeID]*Node)}
-	c.fabric = NewFabric(nil)
-	return c
+	return &Cluster{
+		cfg:   cfg,
+		nodes: make(map[simnet.NodeID]*Node),
+		group: make(map[simnet.NodeID]string),
+	}
 }
 
-// AddNode binds a new node on an ephemeral loopback port and registers
-// it in the fabric. Call before Start.
+// AddNode binds a new node on an ephemeral loopback port. Call before
+// Start.
 func (c *Cluster) AddNode(id simnet.NodeID) (*Node, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -70,13 +82,12 @@ func (c *Cluster) AddNode(id simnet.NodeID) (*Node, error) {
 	}
 	c.nodes[id] = n
 	c.order = append(c.order, id)
-	c.fabric.Register(n)
 	return n, nil
 }
 
 // Start wires the full peer mesh, resets every node's clock to a shared
-// epoch, and starts the event loops. Protocols must already be
-// installed on the nodes.
+// epoch, starts the event loops and puts the At calls made so far on
+// that clock. Protocols must already be installed on the nodes.
 func (c *Cluster) Start() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -99,12 +110,21 @@ func (c *Cluster) Start() error {
 		c.nodes[id].Run()
 	}
 	c.started = true
+	for _, arm := range c.pending {
+		arm()
+	}
+	c.pending = nil
 	return nil
 }
 
-// Close shuts every node down.
+// Close cancels every At callback still pending and shuts every node
+// down. Callbacks that already ran stay applied.
 func (c *Cluster) Close() {
 	c.mu.Lock()
+	for _, t := range c.timers {
+		t.Stop()
+	}
+	c.timers, c.pending = nil, nil
 	nodes := make([]*Node, 0, len(c.order))
 	for _, id := range c.order {
 		nodes = append(nodes, c.nodes[id])
@@ -115,66 +135,141 @@ func (c *Cluster) Close() {
 	}
 }
 
-// Node returns the node with the given id, or nil.
-func (c *Cluster) Node(id simnet.NodeID) *Node {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.nodes[id]
-}
-
-// NodeUp reports whether id exists and is not crashed — the live
-// analogue of simnet's NodeUp.
-func (c *Cluster) NodeUp(id simnet.NodeID) bool {
-	n := c.Node(id)
-	return n != nil && !n.Down()
-}
-
-// SetDown injects or repairs a crash on id; unknown ids are ignored.
-func (c *Cluster) SetDown(id simnet.NodeID, down bool) {
-	if n := c.Node(id); n != nil {
-		n.SetDown(down)
-	}
-}
-
-// Fabric exposes the cluster's partition / link-shaping surface.
-func (c *Cluster) Fabric() *Fabric { return c.fabric }
-
-// Reachable reports the fabric's partition-level reachability.
-func (c *Cluster) Reachable(from, to simnet.NodeID) bool {
-	return c.fabric.Reachable(from, to)
-}
-
-// WorldLock returns the shared serializer (nil unless Serialize was
-// set): hold it to read protocol state owned by node event loops.
-func (c *Cluster) WorldLock() *sync.Mutex {
-	if !c.cfg.Serialize {
-		return nil
-	}
-	return &c.world
-}
+// WorldLock returns the lock every At callback runs under — and, with
+// Serialize, every node event callback too: hold it to read state those
+// callbacks own.
+func (c *Cluster) WorldLock() *sync.Mutex { return &c.world }
 
 // Now returns the cluster's virtual time: wall time since Start divided
 // by the time scale (zero before Start).
 func (c *Cluster) Now() time.Duration {
 	c.mu.Lock()
-	epoch := c.epoch
-	started := c.started
-	c.mu.Unlock()
-	if !started {
+	defer c.mu.Unlock()
+	if !c.started {
 		return 0
 	}
-	return time.Duration(float64(time.Since(epoch)) / c.cfg.TimeScale)
+	return time.Duration(float64(time.Since(c.epoch)) / c.cfg.TimeScale)
 }
 
-// Injector builds a fault injector sharing this cluster's fabric,
-// schedule offsets scaled by the cluster's time scale, fault
-// application serialized with the world lock when one exists.
-func (c *Cluster) Injector() *Injector {
-	inj := NewFabricInjector(c.fabric, c.cfg.TimeScale)
-	if c.cfg.Serialize {
-		inj.SetSerializer(&c.world)
+// At runs fn at virtual time t on the cluster's clock (at once if t has
+// passed; once the clock starts if it has not yet). On top of what
+// Sim.At does it scales t onto the wall clock, holds the world lock
+// around fn so that fn is serialized with every other callback as the
+// simulator's single thread serializes them, and remembers the timer so
+// Close can cancel it.
+func (c *Cluster) At(t time.Duration, fn func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	arm := func() {
+		delay := time.Duration(float64(t)*c.cfg.TimeScale) - time.Since(c.epoch)
+		c.timers = append(c.timers, time.AfterFunc(delay, func() {
+			c.world.Lock()
+			defer c.world.Unlock()
+			fn()
+		}))
 	}
-	return inj
+	if !c.started {
+		c.pending = append(c.pending, arm)
+		return
+	}
+	arm()
+}
+
+// node returns the node with the given id, or nil.
+func (c *Cluster) node(id simnet.NodeID) *Node {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.nodes[id]
+}
+
+// HasNode reports whether id was added to the cluster.
+func (c *Cluster) HasNode(id simnet.NodeID) bool { return c.node(id) != nil }
+
+// NodeUp reports whether id exists and is not crashed.
+func (c *Cluster) NodeUp(id simnet.NodeID) bool {
+	n := c.node(id)
+	return n != nil && !n.Down()
+}
+
+// SetDown injects or repairs a crash on id; unknown ids are ignored.
+func (c *Cluster) SetDown(id simnet.NodeID, down bool) {
+	if n := c.node(id); n != nil {
+		n.SetDown(down)
+	}
+}
+
+// Partition splits the network into the given groups, replacing any
+// previous partition. Nodes listed in no group land in an implicit
+// group of their own ("" — simnet's zero group), mutually reachable
+// but cut off from every named group.
+func (c *Cluster) Partition(groups ...[]simnet.NodeID) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.group = make(map[simnet.NodeID]string)
+	for i, g := range groups {
+		name := fmt.Sprintf("g%d", i)
+		for _, id := range g {
+			c.group[id] = name
+		}
+	}
+	c.pushBlockedLocked()
+}
+
+// HealPartition removes every partition at once, whatever sequence of
+// Partition calls produced the current state.
+func (c *Cluster) HealPartition() { c.Partition() }
+
+// Reachable reports whether the current partition state lets from talk
+// to to — the live analogue of simnet's group check (link loss, even
+// total, does not affect reachability, matching the simulator).
+func (c *Cluster) Reachable(from, to simnet.NodeID) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.group) == 0 {
+		return true
+	}
+	return c.group[from] == c.group[to]
+}
+
+// pushBlockedLocked recomputes every node's blocked-peer set from the
+// group map and installs it. Caller holds c.mu.
+func (c *Cluster) pushBlockedLocked() {
+	partitioned := len(c.group) > 0
+	for id, n := range c.nodes {
+		blocked := make(map[simnet.NodeID]bool)
+		if partitioned {
+			g := c.group[id]
+			for peer := range c.nodes {
+				if peer != id && c.group[peer] != g {
+					blocked[peer] = true
+				}
+			}
+		}
+		n.SetBlocked(blocked)
+	}
+}
+
+// DegradeLink raises latency/loss on both directions of a↔b, mirroring
+// Sim.DegradeLink. Unknown endpoints are ignored, as the simulator
+// harmlessly records overrides for ids it never routes.
+func (c *Cluster) DegradeLink(a, b simnet.NodeID, latency time.Duration, loss float64) {
+	if n := c.node(a); n != nil {
+		n.ShapeLink(b, latency, loss)
+	}
+	if n := c.node(b); n != nil {
+		n.ShapeLink(a, latency, loss)
+	}
+}
+
+// RestoreLink clears both directions of a↔b back to native latency and
+// zero loss. Restoring a link that was never degraded is a no-op.
+func (c *Cluster) RestoreLink(a, b simnet.NodeID) {
+	if n := c.node(a); n != nil {
+		n.ClearShapedLink(b)
+	}
+	if n := c.node(b); n != nil {
+		n.ClearShapedLink(a)
+	}
 }
 
 // NetStats aggregates every node's traffic counters.
@@ -193,11 +288,4 @@ func (c *Cluster) NetStats() NetStats {
 		total.Malformed += s.Malformed
 	}
 	return total
-}
-
-// Size returns the number of nodes in the cluster.
-func (c *Cluster) Size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.nodes)
 }

@@ -1,7 +1,6 @@
 package realnet
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -16,22 +15,18 @@ type pingMsg struct{ N int }
 // live UDP nodes: while the fault is applied the target must drop
 // traffic, silence its ticker and refuse Send; after the scheduled
 // repair it must resume, with OnDown/OnUp observing both transitions.
+// What the injector logs, counts and tells subscribers is the
+// conformance test's (internal/fault).
 func TestInjectorCrashRecover(t *testing.T) {
 	RegisterWireType(pingMsg{})
-	a, err := NewNode("a", "127.0.0.1:0")
+	c := NewCluster(ClusterConfig{})
+	defer c.Close()
+	a, err := c.AddNode("a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
-	b, err := NewNode("b", "127.0.0.1:0")
+	b, err := c.AddNode("b")
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if err := a.AddPeer("b", b.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddPeer("a", a.Addr()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -40,28 +35,12 @@ func TestInjectorCrashRecover(t *testing.T) {
 	b.OnDown(func() { downs++ })
 	b.OnUp(func() { ups++ })
 	b.Every(5*time.Millisecond, func() { ticks++ })
-	a.Run()
-	b.Run()
-	a.Every(5*time.Millisecond, func() { a.Send("b", pingMsg{N: 1}) })
-
-	// Crash b at 10ms (virtual 100ms, scale 0.1) for 150ms.
-	s := (&fault.Schedule{}).Crash(100*time.Millisecond, "b", 1500*time.Millisecond)
-	s.TransferDomain(50*time.Millisecond, "b", "foreign") // model-level: arms, delivered to subscribers
-	inj := NewInjector(map[simnet.NodeID]*Node{"a": a, "b": b}, 0.1)
-	defer inj.Stop()
-	var modelEvents []fault.Event
-	var modelMu sync.Mutex
-	inj.Subscribe(func(ev fault.Event) {
-		if ev.Kind == fault.KindDomainTransfer {
-			modelMu.Lock()
-			modelEvents = append(modelEvents, ev)
-			modelMu.Unlock()
-		}
-	})
-	armed, skipped := inj.Arm(s)
-	if armed != 3 || skipped != 0 {
-		t.Fatalf("Arm: armed=%d skipped=%d, want 3 armed (crash+recover+transfer), 0 skipped", armed, skipped)
+	// Armed before Start: the schedule counts from the cluster epoch.
+	fault.NewInjector(c).Arm((&fault.Schedule{}).Crash(10*time.Millisecond, "b", 150*time.Millisecond))
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
 	}
+	a.Every(5*time.Millisecond, func() { a.Send("b", pingMsg{N: 1}) })
 
 	waitFor := func(what string, cond func() bool) {
 		t.Helper()
@@ -99,27 +78,5 @@ func TestInjectorCrashRecover(t *testing.T) {
 	b.Do(func() { gotDowns, gotUps = downs, ups })
 	if gotDowns != 1 || gotUps != 1 {
 		t.Fatalf("transitions: OnDown=%d OnUp=%d, want 1/1", gotDowns, gotUps)
-	}
-	if lg := inj.Log(); len(lg) != 3 || lg[0].Kind != fault.KindDomainTransfer ||
-		lg[1].Kind != fault.KindCrash || lg[2].Kind != fault.KindRecover {
-		t.Fatalf("injector log = %v, want [transfer crash recover]", lg)
-	}
-	modelMu.Lock()
-	nModel := len(modelEvents)
-	modelMu.Unlock()
-	if nModel != 1 {
-		t.Fatalf("model-level subscriber saw %d events, want 1", nModel)
-	}
-	tl := inj.TimedLog()
-	if len(tl) != 3 {
-		t.Fatalf("timed log has %d entries, want 3", len(tl))
-	}
-	for i, te := range tl {
-		if te.Wall.IsZero() {
-			t.Fatalf("timed log entry %d has zero wall timestamp", i)
-		}
-		if i > 0 && te.Wall.Before(tl[i-1].Wall) {
-			t.Fatalf("timed log out of order at %d", i)
-		}
 	}
 }

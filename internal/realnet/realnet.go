@@ -5,18 +5,16 @@
 // funneling every event — incoming datagram, timer fire, tick —
 // through one event-loop goroutine, so the exact same gossip,
 // consensus and data-plane code that runs deterministically in the
-// simulator also runs on real infrastructure. Crash faults port too:
-// Node.SetDown mirrors simnet's crashed-node semantics and Injector
-// replays the crash events of a fault.Schedule (e.g. a committed chaos
-// counterexample) against live nodes on the wall clock.
-//
-// Partition and link-shaping faults port as well: every node carries a
-// blocked-peer set (group partitions enforce bidirectional drops at
-// both the sender and the receiver) and a per-link shaper (added
-// latency through a FIFO delay queue, probabilistic loss from a PRNG
-// seeded deterministically per link), so the full network-fault surface
-// of a fault.Schedule replays on live sockets. Fabric coordinates those
-// per-node controls across a node set with simnet's exact semantics.
+// simulator also runs on real infrastructure. Faults port too:
+// Node.SetDown mirrors simnet's crashed-node semantics, every node
+// carries a blocked-peer set (group partitions enforce bidirectional
+// drops at both the sender and the receiver) and a per-link shaper
+// (added latency through a FIFO delay queue, probabilistic loss from a
+// PRNG seeded deterministically per link). Cluster coordinates those
+// per-node controls across a node set with simnet's exact semantics and
+// is a fault.World, so the injector that replays a fault.Schedule (e.g.
+// a committed chaos counterexample) on the simulator replays it on live
+// sockets.
 //
 // Wire format: a datagram-native binary codec (codec.go). Protocol
 // packages register their message types via their RegisterWire
@@ -514,14 +512,6 @@ func (n *Node) SetBlocked(peers map[simnet.NodeID]bool) {
 	n.mu.Lock()
 	n.blocked = cp
 	n.mu.Unlock()
-}
-
-// Blocked reports whether traffic to/from peer is currently cut by a
-// partition.
-func (n *Node) Blocked(peer simnet.NodeID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.blocked[peer]
 }
 
 // ShapeLink installs (or replaces) the outgoing shape of the link to

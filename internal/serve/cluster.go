@@ -32,7 +32,9 @@ type ClusterOptions struct {
 	Registries []*obs.Registry
 }
 
-// ClusterNode is one member of a local serving cluster.
+// ClusterNode is one assembled edge node: a realnet socket carrying
+// gossip membership and a governed store, fronted by a Server. URL is
+// set for members of a Cluster.
 type ClusterNode struct {
 	ID      simnet.NodeID
 	Node    *realnet.Node
@@ -41,8 +43,8 @@ type ClusterNode struct {
 	Server  *Server
 	URL     string
 
-	ln  net.Listener
-	sub *obs.Subscription
+	joined atomic.Bool
+	sub    *obs.Subscription
 }
 
 // Cluster is a set of loopback realnet nodes, each running gossip
@@ -56,15 +58,88 @@ type Cluster struct {
 
 var wireOnce sync.Once
 
-// registerWire makes the cluster's protocol messages encodable by
-// realnet exactly once per process (idempotent with riotnode's own
-// calls).
+// registerWire makes the edge stack's protocol messages encodable by
+// realnet exactly once per process.
 func registerWire() {
 	wireOnce.Do(func() {
 		gossip.RegisterWire(realnet.RegisterWireType)
 		dataflow.RegisterWire(realnet.RegisterWireType)
 		simnet.RegisterMuxWire(realnet.RegisterWireType)
 	})
+}
+
+// StartNode assembles the edge stack on an already-bound node whose
+// peers are registered, and starts it — the one way a live edge node is
+// put together, for riotnode and StartCluster alike. Gossip and the
+// store share the socket through the protocol mux, exactly as the ML4
+// edge stack does in simulation; the node and its peers sit in one
+// trusted site domain; gossip's timeouts derive from
+// opts.ProbeInterval and the store syncs every opts.SyncInterval. A
+// node with seeds is ready once a probe of any peer has been acked —
+// confirmed two-way contact, not the optimistic alive that Start
+// assumes for its seeds; a seedless node bootstraps its own cluster and
+// is ready at once. reg, when non-nil, also counts the node's bus
+// events; nil gives the server a private registry. The server is built
+// before the event loop starts, so its store and membership callbacks
+// are registered race-free; callers serve it on a listener of their
+// own.
+func StartNode(node *realnet.Node, peers, seeds []simnet.NodeID, reg *obs.Registry, opts ClusterOptions) *ClusterNode {
+	registerWire()
+	cn := &ClusterNode{ID: node.ID(), Node: node}
+	world := space.NewMap()
+	world.AddDomain(space.Domain{ID: "site", Trusted: true})
+	world.Place(string(cn.ID), space.Point{}, "site")
+	for _, p := range peers {
+		world.Place(string(p), space.Point{}, "site")
+	}
+	mux := simnet.NewPortMux(node)
+	cn.Members = gossip.New(mux.Port("gossip"), gossip.Config{
+		ProbeInterval:    opts.ProbeInterval,
+		ProbeTimeout:     opts.ProbeInterval / 2,
+		SuspicionTimeout: 4 * opts.ProbeInterval,
+	})
+	bus := obs.NewBus(node.Now)
+	cn.Members.SetBus(bus)
+	if reg != nil {
+		reg.WatchBus(bus)
+	}
+	cn.joined.Store(len(seeds) == 0)
+	cn.sub = bus.SubscribeFunc(func(ev obs.Event) {
+		if ev.Kind == "gossip.probe" {
+			cn.joined.Store(true)
+		}
+	})
+	cn.Store = dataflow.NewStore(mux.Port("store"), world, dataflow.StoreConfig{
+		Peers: peers, SyncInterval: opts.SyncInterval,
+	})
+	cn.Server = NewServer(Config{
+		Loop:        node,
+		Store:       cn.Store,
+		Members:     cn.Members,
+		Registry:    reg,
+		Ready:       cn.Ready,
+		Now:         node.Now,
+		MaxInFlight: opts.MaxInFlight,
+		MaxBatch:    opts.MaxBatch,
+	})
+	node.Run()
+	node.Do(func() {
+		cn.Members.Start(seeds...)
+		cn.Store.Start()
+	})
+	return cn
+}
+
+// Ready reports whether the node has joined its cluster.
+func (cn *ClusterNode) Ready() bool { return cn.joined.Load() }
+
+// Close drains the server (bounded) and stops the node.
+func (cn *ClusterNode) Close() {
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	_ = cn.Server.Shutdown(ctx)
+	cancel()
+	cn.sub.Close()
+	cn.Node.Close()
 }
 
 // StartCluster boots n nodes on ephemeral loopback ports (UDP for the
@@ -83,102 +158,59 @@ func StartCluster(n int, opts ClusterOptions) (*Cluster, error) {
 	if opts.Registries != nil && len(opts.Registries) != n {
 		return nil, fmt.Errorf("serve: %d registries for %d nodes", len(opts.Registries), n)
 	}
-	registerWire()
 
 	c := &Cluster{}
+	ids := make([]simnet.NodeID, n)
+	nodes := make([]*realnet.Node, n)
 	ok := false
 	defer func() {
 		if !ok {
 			c.Close()
+			for _, node := range nodes {
+				if node != nil {
+					node.Close()
+				}
+			}
 		}
 	}()
 
-	ids := make([]simnet.NodeID, n)
-	for i := range ids {
+	for i := range nodes {
 		ids[i] = simnet.NodeID(fmt.Sprintf("n%d", i))
-	}
-	for i := 0; i < n; i++ {
 		node, err := realnet.NewNode(ids[i], "127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
-		c.Nodes = append(c.Nodes, &ClusterNode{ID: ids[i], Node: node})
+		nodes[i] = node
 	}
-	for _, cn := range c.Nodes {
-		for _, other := range c.Nodes {
-			if other.ID == cn.ID {
+	for i, node := range nodes {
+		for j, other := range nodes {
+			if i == j {
 				continue
 			}
-			if err := cn.Node.AddPeer(other.ID, other.Node.Addr()); err != nil {
+			if err := node.AddPeer(ids[j], other.Addr()); err != nil {
 				return nil, err
 			}
 		}
 	}
 
-	for i, cn := range c.Nodes {
-		world := space.NewMap()
-		world.AddDomain(space.Domain{ID: "site", Trusted: true})
-		var peers []simnet.NodeID
-		for _, other := range c.Nodes {
-			world.Place(string(other.ID), space.Point{}, "site")
-			if other.ID != cn.ID {
-				peers = append(peers, other.ID)
-			}
+	for i, node := range nodes {
+		peers := append(append([]simnet.NodeID(nil), ids[:i]...), ids[i+1:]...)
+		var seeds []simnet.NodeID
+		if i > 0 {
+			seeds = ids[:1]
 		}
-		mux := simnet.NewPortMux(cn.Node)
-		cn.Members = gossip.New(mux.Port("gossip"), gossip.Config{
-			ProbeInterval:    opts.ProbeInterval,
-			ProbeTimeout:     opts.ProbeInterval / 2,
-			SuspicionTimeout: 4 * opts.ProbeInterval,
-		})
-		bus := obs.NewBus(cn.Node.Now)
-		cn.Members.SetBus(bus)
-		// Node 0 bootstraps the cluster and is ready at once; the rest
-		// are ready after their first acked probe proves two-way contact.
-		var joined atomic.Bool
-		joined.Store(i == 0)
-		cn.sub = bus.SubscribeFunc(func(ev obs.Event) {
-			if ev.Kind == "gossip.probe" {
-				joined.Store(true)
-			}
-		})
-		cn.Store = dataflow.NewStore(mux.Port("store"), world, dataflow.StoreConfig{
-			Peers: peers, SyncInterval: opts.SyncInterval,
-		})
 		var reg *obs.Registry
 		if opts.Registries != nil {
 			reg = opts.Registries[i]
 		}
-		cn.Server = NewServer(Config{
-			Loop:        cn.Node,
-			Store:       cn.Store,
-			Members:     cn.Members,
-			Registry:    reg,
-			Ready:       joined.Load,
-			Now:         cn.Node.Now,
-			MaxInFlight: opts.MaxInFlight,
-			MaxBatch:    opts.MaxBatch,
-		})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
-		cn.ln = ln
+		cn := StartNode(node, peers, seeds, reg, opts)
 		cn.URL = "http://" + ln.Addr().String()
-	}
-
-	for i, cn := range c.Nodes {
-		cn := cn
-		var seeds []simnet.NodeID
-		if i > 0 {
-			seeds = []simnet.NodeID{ids[0]}
-		}
-		cn.Node.Run()
-		cn.Node.Do(func() {
-			cn.Members.Start(seeds...)
-			cn.Store.Start()
-		})
-		go func() { _ = cn.Server.Serve(cn.ln) }()
+		go func() { _ = cn.Server.Serve(ln) }()
+		c.Nodes = append(c.Nodes, cn)
 	}
 	ok = true
 	return c, nil
@@ -193,24 +225,9 @@ func (c *Cluster) URLs() []string {
 	return urls
 }
 
-// Close drains every server (bounded) and stops every node. Safe on a
-// partially-started cluster.
+// Close drains every server (bounded) and stops every node.
 func (c *Cluster) Close() {
 	for _, cn := range c.Nodes {
-		if cn.Server != nil {
-			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			_ = cn.Server.Shutdown(ctx)
-			cancel()
-		} else if cn.ln != nil {
-			_ = cn.ln.Close()
-		}
-		if cn.sub != nil {
-			cn.sub.Close()
-		}
-	}
-	for _, cn := range c.Nodes {
-		if cn.Node != nil {
-			cn.Node.Close()
-		}
+		cn.Close()
 	}
 }

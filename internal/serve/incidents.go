@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/gossip"
+	"repro/internal/obs"
 )
 
 // maxClosedIncidents bounds the retained history of closed incidents.
@@ -29,7 +30,9 @@ type IncidentsView struct {
 
 // incidentLog derives incident records from membership transitions: a
 // peer turning dead opens an incident, its next alive transition
-// closes it. observe runs on the event loop, snapshot on HTTP handler
+// closes it. It is the node's one incident tracker: /v1/incidents reads
+// snapshot and the riot_incident* metrics are updated from the same
+// transitions. observe runs on the event loop, snapshot on HTTP handler
 // goroutines, so the log carries its own lock.
 type incidentLog struct {
 	mu     sync.Mutex
@@ -37,10 +40,21 @@ type incidentLog struct {
 	open   map[string]time.Duration
 	closed []IncidentView
 	total  int
+
+	totalC   *obs.Counter
+	openG    *obs.Gauge
+	recovery *obs.Histogram
 }
 
-func newIncidentLog(now func() time.Duration) *incidentLog {
-	return &incidentLog{now: now, open: make(map[string]time.Duration)}
+func newIncidentLog(now func() time.Duration, reg *obs.Registry) *incidentLog {
+	return &incidentLog{
+		now:    now,
+		open:   make(map[string]time.Duration),
+		totalC: reg.Counter("riot_incidents_total", "peer-down incidents observed by membership"),
+		openG:  reg.Gauge("riot_incidents_open", "peer-down incidents currently open"),
+		recovery: reg.Histogram("riot_incident_recovery_seconds",
+			"peer dead-to-alive recovery time", []float64{1, 5, 15, 60, 300}),
+	}
 }
 
 func (l *incidentLog) observe(m gossip.Member) {
@@ -51,11 +65,13 @@ func (l *incidentLog) observe(m gossip.Member) {
 		if _, ok := l.open[string(m.ID)]; !ok {
 			l.open[string(m.ID)] = l.now()
 			l.total++
+			l.totalC.Inc()
 		}
 	case gossip.StatusAlive:
 		if downAt, ok := l.open[string(m.ID)]; ok {
 			delete(l.open, string(m.ID))
 			up := l.now()
+			l.recovery.Observe((up - downAt).Seconds())
 			l.closed = append(l.closed, IncidentView{
 				Peer:       string(m.ID),
 				DownAtMs:   downAt.Milliseconds(),
@@ -67,6 +83,7 @@ func (l *incidentLog) observe(m gossip.Member) {
 			}
 		}
 	}
+	l.openG.Set(float64(len(l.open)))
 }
 
 // snapshot renders open incidents first (most recent down last), then

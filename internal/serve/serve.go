@@ -171,7 +171,7 @@ func NewServer(cfg Config) *Server {
 	s.hub = newHub(cfg.StreamBuffer, cfg.MaxStreams,
 		s.reg.Gauge("riot_serve_stream_subscribers", "live stream subscribers"),
 		s.reg.Counter("riot_serve_stream_dropped_total", "stream events dropped on slow subscribers"))
-	s.incidents = newIncidentLog(cfg.Now)
+	s.incidents = newIncidentLog(cfg.Now, s.reg)
 	s.batcher = newBatcher(cfg.Loop, s.applyBatch, cfg.MaxBatch, cfg.MaxInFlight,
 		s.reg.Histogram("riot_serve_batch_size", "writes applied per event-loop turn",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128}))
@@ -489,10 +489,18 @@ func parseSensitivity(s string) (dataflow.Sensitivity, error) {
 	}
 }
 
+// writeJSON encodes before it writes the header, so a value JSON cannot
+// carry (a NaN that reached the store from a peer or the library API)
+// answers 500 with an error body instead of 200 with an empty one.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		data, _ = json.Marshal(map[string]string{"error": err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(data, '\n'))
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -127,6 +128,23 @@ func TestPutGetRoundTrip(t *testing.T) {
 	resp, body = doReq(t, http.MethodGet, hts.URL+"/v1/data", "")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(body, "room1/temp") {
 		t.Fatalf("list = %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestGetUnencodableValueIs500: a value JSON cannot carry (a NaN put
+// through the library API, or replicated from a peer that did) must
+// answer 500 with an error body, not 200 with an empty one.
+func TestGetUnencodableValueIs500(t *testing.T) {
+	srv, hts := newTestServer(t, Config{})
+	srv.loop.Do(func() {
+		srv.store.Put(dataflow.Item{
+			Key: "k", Value: math.NaN(),
+			Label: dataflow.Label{Topic: "cli", Sensitivity: dataflow.Public, Origin: "site"},
+		})
+	})
+	resp, body := doReq(t, http.MethodGet, hts.URL+"/v1/data/k", "")
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(body, `"error"`) {
+		t.Fatalf("GET of a NaN item = %d %q, want 500 with an error body", resp.StatusCode, body)
 	}
 }
 
@@ -392,7 +410,7 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 // TestIncidentLog exercises the open/close bookkeeping directly.
 func TestIncidentLog(t *testing.T) {
 	now := 10 * time.Second
-	log := newIncidentLog(func() time.Duration { return now })
+	log := newIncidentLog(func() time.Duration { return now }, obs.NewRegistry())
 
 	log.observe(gossip.Member{ID: "b", Status: gossip.StatusDead})
 	now = 12 * time.Second
@@ -422,7 +440,7 @@ func TestIncidentLog(t *testing.T) {
 // TestIncidentLogRingBound checks the closed-history bound holds.
 func TestIncidentLogRingBound(t *testing.T) {
 	var now time.Duration
-	log := newIncidentLog(func() time.Duration { return now })
+	log := newIncidentLog(func() time.Duration { return now }, obs.NewRegistry())
 	for i := 0; i < maxClosedIncidents+10; i++ {
 		id := simnet.NodeID(fmt.Sprintf("p%d", i))
 		log.observe(gossip.Member{ID: id, Status: gossip.StatusDead})

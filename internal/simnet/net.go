@@ -113,20 +113,18 @@ type netState struct {
 	// the implicit group "".
 	group map[NodeID]string
 	links map[linkKey]linkOverride
-	cut   map[linkKey]bool
 }
 
 func (n *netState) init() {
 	n.group = make(map[NodeID]string)
 	n.links = make(map[linkKey]linkOverride)
-	n.cut = make(map[linkKey]bool)
 }
 
 // Stats aggregates traffic counters for the whole simulation.
 type Stats struct {
 	Sent      int
 	Delivered int
-	Dropped   int // lost to link loss, cuts, partitions or down nodes
+	Dropped   int // lost to link loss, partitions or down nodes
 	Bytes     int // bytes of delivered messages
 }
 
@@ -143,7 +141,13 @@ func (s *Sim) AddNode(id NodeID) *Endpoint {
 	return &Endpoint{sim: s, node: n}
 }
 
-// Node reports whether id is registered and currently up.
+// HasNode reports whether id is registered.
+func (s *Sim) HasNode(id NodeID) bool {
+	_, ok := s.nodes[id]
+	return ok
+}
+
+// NodeUp reports whether id is registered and currently up.
 func (s *Sim) NodeUp(id NodeID) bool {
 	n, ok := s.nodes[id]
 	return ok && !n.down
@@ -194,8 +198,9 @@ func (s *Sim) SetLink(from, to NodeID, latency time.Duration, loss float64) {
 	s.shd.laDirty = true // link floors bound the lookahead
 }
 
-// SetLinkBidirectional overrides both directions of a link.
-func (s *Sim) SetLinkBidirectional(a, b NodeID, latency time.Duration, loss float64) {
+// DegradeLink overrides both directions of the link a↔b; loss 1.0 cuts
+// it.
+func (s *Sim) DegradeLink(a, b NodeID, latency time.Duration, loss float64) {
 	s.SetLink(a, b, latency, loss)
 	s.SetLink(b, a, latency, loss)
 }
@@ -206,27 +211,10 @@ func (s *Sim) ClearLink(from, to NodeID) {
 	s.shd.laDirty = true
 }
 
-// CutLink blocks all traffic from→to (both directions must be cut
-// separately; see CutLinkBidirectional).
-func (s *Sim) CutLink(from, to NodeID) {
-	s.net.cut[linkKey{from, to}] = true
-}
-
-// CutLinkBidirectional blocks traffic in both directions between a and b.
-func (s *Sim) CutLinkBidirectional(a, b NodeID) {
-	s.CutLink(a, b)
-	s.CutLink(b, a)
-}
-
-// RestoreLink unblocks traffic from→to.
-func (s *Sim) RestoreLink(from, to NodeID) {
-	delete(s.net.cut, linkKey{from, to})
-}
-
-// RestoreLinkBidirectional unblocks both directions between a and b.
-func (s *Sim) RestoreLinkBidirectional(a, b NodeID) {
-	s.RestoreLink(a, b)
-	s.RestoreLink(b, a)
+// RestoreLink removes the overrides of both directions of a↔b.
+func (s *Sim) RestoreLink(a, b NodeID) {
+	s.ClearLink(a, b)
+	s.ClearLink(b, a)
 }
 
 // Tap registers a delivery observer.
@@ -247,19 +235,11 @@ func (s *Sim) Stats() Stats {
 }
 
 // Reachable reports whether traffic from→to would currently traverse
-// the network (no cut link, same partition group), ignoring loss and
-// node liveness. Combine with NodeUp for end-to-end reachability.
+// the network (same partition group), ignoring loss — even total — and
+// node liveness. Combine with NodeUp for end-to-end reachability. The
+// len check skips the map hashing entirely in the common healthy-network
+// state (no partition).
 func (s *Sim) Reachable(from, to NodeID) bool {
-	return s.reachable(from, to)
-}
-
-// reachable reports whether a message from→to would currently traverse
-// the network (ignoring loss). The len checks skip the map hashing
-// entirely in the common healthy-network state (no cuts, no partition).
-func (s *Sim) reachable(from, to NodeID) bool {
-	if len(s.net.cut) != 0 && s.net.cut[linkKey{from, to}] {
-		return false
-	}
 	if len(s.net.group) == 0 {
 		return true
 	}
@@ -301,7 +281,7 @@ func (s *Sim) send(src *node, proto string, to NodeID, msg Message, env *Envelop
 	ln := src.ln
 	ln.stats.Sent++
 	dst, ok := s.nodes[to]
-	if !ok || !s.reachable(src.id, to) {
+	if !ok || !s.Reachable(src.id, to) {
 		ln.stats.Dropped++
 		return false
 	}
@@ -360,7 +340,7 @@ func (s *Sim) send(src *node, proto string, to NodeID, msg Message, env *Envelop
 // (core does not tap).
 func (s *Sim) laneDeliver(ln *lane, ev *event) {
 	dst := ev.dst
-	if dst.down || !s.reachable(ev.from, dst.id) {
+	if dst.down || !s.Reachable(ev.from, dst.id) {
 		ln.stats.Dropped++
 		return
 	}

@@ -354,15 +354,16 @@ func (s *Sim) scheduleOn(n *node, t time.Duration) (*event, *lane) {
 // At schedules fn at absolute virtual time t. Scheduling in the past is an
 // error in the caller; the event is clamped to now to keep the clock
 // monotonic.
-func (s *Sim) At(t time.Duration, fn func()) *Timer {
-	ev, ln := s.scheduleOn(nil, t)
+func (s *Sim) At(t time.Duration, fn func()) {
+	ev, _ := s.scheduleOn(nil, t)
 	ev.fn = fn
-	return ln.newTimer(ev)
 }
 
 // After schedules fn to run d from now.
 func (s *Sim) After(d time.Duration, fn func()) *Timer {
-	return s.At(s.Now()+d, fn)
+	ev, ln := s.scheduleOn(nil, s.Now()+d)
+	ev.fn = fn
+	return ln.newTimer(ev)
 }
 
 // laneExec pops and executes one event (the lane's current head).

@@ -216,7 +216,7 @@ func TestCutLink(t *testing.T) {
 	b.OnMessage(func(NodeID, Message) { fromA++ })
 	a.OnMessage(func(NodeID, Message) { fromB++ })
 
-	s.CutLink("a", "b")
+	s.SetLink("a", "b", time.Millisecond, 1.0)
 	a.Send("b", "x")
 	b.Send("a", "y") // reverse direction not cut
 	s.Run()
@@ -226,7 +226,7 @@ func TestCutLink(t *testing.T) {
 	if fromB != 1 {
 		t.Fatal("reverse direction wrongly cut")
 	}
-	s.RestoreLink("a", "b")
+	s.ClearLink("a", "b")
 	a.Send("b", "z")
 	s.Run()
 	if fromA != 1 {
