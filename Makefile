@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-city fuzz experiments examples obs-demo bench-baseline bench-gate bench-serve bench-sync serve-demo determinism metro metro-smoke metro-setup chaos chaos-replay chaos-verify realnet explain clean
+.PHONY: all build test race cover bench bench-city city-tables fuzz experiments examples obs-demo bench-baseline bench-gate bench-serve bench-sync serve-demo determinism metro metro-smoke metro-setup chaos chaos-replay chaos-verify realnet explain clean
 
 all: build test
 
@@ -27,6 +27,15 @@ bench:
 # devices, ~10 s). CI smokes the reduced tier with -short.
 bench-city:
 	$(GO) test -bench BenchmarkCityScaleMatrix -benchmem -benchtime=1x .
+
+# The ordered tables behind the city's per-message handlers (gossip
+# members and broadcast queue, orchestrator hosts, broker topics):
+# reference-model and allocation-gate tests, then one iteration of each
+# table's benchmark. CI runs this in the bench-city job.
+CITY_TABLES = ./internal/gossip/ ./internal/orchestrate/ ./internal/pubsub/
+city-tables:
+	$(GO) test -count=1 -run 'TestQueueMatchesStableSortModel|TestSortedMembersTrackMap|TestAntiEntropyMatchesSortedPoolModel|TestPerMessageAllocations|TestPickMatchesBruteForce|TestPickDoesNotAllocate|TestIndexMatchesFullScan|TestFanOutOrderIsReproducible|TestExactFanOutCost' $(CITY_TABLES)
+	$(GO) test -run '^$$' -bench 'BenchmarkProbeRound|BenchmarkAntiEntropy|BenchmarkPick|BenchmarkFanOutExact' -benchmem -benchtime 1x $(CITY_TABLES)
 
 # Package-level micro-benchmarks.
 microbench:

@@ -23,6 +23,12 @@
 // https://ui.perfetto.dev:
 //
 //	riotsim -arch ML4 -duration 5m -trace run.json
+//
+// -cpuprofile and -memprofile write runtime/pprof profiles of the run
+// alone (construction and report formatting excluded), for
+// `go tool pprof`:
+//
+//	riotsim -tier city -arch ML4 -cpuprofile cpu.out
 package main
 
 import (
@@ -30,6 +36,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -57,6 +65,8 @@ func run(args []string, out io.Writer) error {
 	events := fs.Bool("events", false, "print the run journal (faults, placements, violations, alerts)")
 	hash := fs.Bool("hash", false, "print the journal hash (per archetype with -matrix)")
 	trace := fs.String("trace", "", "write a Chrome trace-event JSON file of the run")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run (for go tool pprof)")
+	memProfile := fs.String("memprofile", "", "write an allocation profile of the run (for go tool pprof)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -103,8 +113,8 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *matrix {
-		if *trace != "" {
-			return fmt.Errorf("-trace needs a single run; drop -matrix")
+		if *trace != "" || *cpuProfile != "" || *memProfile != "" {
+			return fmt.Errorf("-trace, -cpuprofile and -memprofile need a single run; drop -matrix")
 		}
 		if *hash {
 			for _, a := range core.AllArchetypes() {
@@ -128,7 +138,10 @@ func run(args []string, out io.Writer) error {
 	if *trace != "" {
 		tc = obs.Collect(sys.Bus())
 	}
-	report := sys.Run()
+	report, err := runProfiled(sys, *cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
 	fmt.Fprint(out, report.String())
 	if *hash {
 		fmt.Fprintf(out, "journal %s\n", sys.JournalHash())
@@ -145,4 +158,47 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "\ntrace: %d events written to %s\n", tc.Len(), *trace)
 	}
 	return nil
+}
+
+// runProfiled is sys.Run under the CPU profile and followed by the
+// allocation profile, each written only when its path is set.
+func runProfiled(sys *core.System, cpuPath, memPath string) (core.Report, error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err != nil {
+			return core.Report{}, err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return core.Report{}, err
+		}
+		cpu = f
+	}
+	report := sys.Run()
+	if cpu != nil {
+		pprof.StopCPUProfile()
+		if err := cpu.Close(); err != nil {
+			return report, err
+		}
+	}
+	if memPath != "" {
+		if err := writeAllocProfile(memPath); err != nil {
+			return report, err
+		}
+	}
+	return report, nil
+}
+
+func writeAllocProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // fold the run's last allocations into the profile
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -50,5 +52,26 @@ func TestRunErrors(t *testing.T) {
 func TestParseArchetype(t *testing.T) {
 	if _, err := core.ParseArchetype("ml3"); err != nil {
 		t.Fatal("lowercase archetype rejected")
+	}
+}
+
+func TestRunWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	var out strings.Builder
+	err := run([]string{"-arch", "ML4", "-duration", "2m", "-cpuprofile", cpu, "-memprofile", mem}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Fatalf("profile %s: err = %v, want a non-empty file", filepath.Base(path), err)
+		}
+	}
+	if err := run([]string{"-matrix", "-duration", "1m", "-cpuprofile", cpu}, &out); err == nil {
+		t.Fatal("-cpuprofile accepted with -matrix")
+	}
+	if err := run([]string{"-duration", "1m", "-cpuprofile", filepath.Join(dir, "missing", "cpu.out")}, &out); err == nil {
+		t.Fatal("unwritable -cpuprofile path accepted")
 	}
 }

@@ -12,9 +12,8 @@ package gossip
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -232,7 +231,14 @@ type Protocol struct {
 
 	incarnation uint64
 	members     map[simnet.NodeID]*memberState
-	queue       []*broadcast
+	// sorted holds exactly the values of members, in id order. It is
+	// kept in order as members are discovered (and reset with the map
+	// in onRecover), so every path that needs the members in a
+	// seed-determined order reads it instead of sorting the map's keys.
+	sorted []*memberState
+	queue  []broadcast
+	// sortScratch is sortQueue's copy of the queue, reused across calls.
+	sortScratch []broadcast
 	probeOrder  []simnet.NodeID
 	probeIdx    int
 	seqCounter  uint64
@@ -273,7 +279,7 @@ func New(ep simnet.Port, cfg Config) *Protocol {
 		acked:    make(map[uint64]*simnet.Timer),
 		relaySeq: make(map[uint64]relay),
 	}
-	p.members[ep.ID()] = &memberState{Member: Member{ID: ep.ID(), Status: StatusAlive}}
+	p.addMember(&memberState{Member: Member{ID: ep.ID(), Status: StatusAlive}})
 	ep.OnMessage(p.handle)
 	if ec, ok := ep.(simnet.EnvelopeCarrier); ok {
 		p.ec = ec
@@ -327,15 +333,10 @@ func (p *Protocol) Leave() {
 	// leaver falsely suspects must still hear the farewell directly, and
 	// iterating the map raw would make send order (and thus per-target
 	// latency jitter) depend on map hashing rather than on the seed.
-	ids := make([]simnet.NodeID, 0, len(p.members))
-	for id, ms := range p.members {
-		if id != p.ep.ID() && ms.Status != StatusDead {
-			ids = append(ids, id)
+	for _, ms := range p.sorted {
+		if p.probeable(ms) {
+			p.ep.Send(ms.ID, msg)
 		}
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		p.ep.Send(id, msg)
 	}
 	self := p.members[p.ep.ID()]
 	self.Status = StatusDead
@@ -363,18 +364,16 @@ func (p *Protocol) Stop() {
 // and the refutation machinery reconverges both sides without any
 // external reseeding.
 func (p *Protocol) antiEntropy() {
-	var pool []simnet.NodeID
-	for id := range p.members {
-		if id != p.ep.ID() {
-			pool = append(pool, id)
-		}
-	}
-	if len(pool) == 0 {
+	others := len(p.sorted) - 1
+	if others == 0 {
 		return
 	}
-	slices.Sort(pool)
-	target := pool[p.ep.Rand().Intn(len(pool))]
-	p.ep.Send(target, syncMsg{Members: p.fullState()})
+	// One draw over the sorted non-self ids: index past self's slot.
+	k := p.ep.Rand().Intn(others)
+	if self, _ := p.memberIndex(p.ep.ID()); k >= self {
+		k++
+	}
+	p.ep.Send(p.sorted[k].ID, syncMsg{Members: p.fullState()})
 }
 
 // onRecover runs when the underlying node comes back up after a crash:
@@ -386,13 +385,14 @@ func (p *Protocol) onRecover() {
 	}
 	p.left = false // a restarted node rejoins deliberately
 	p.incarnation++
-	for id, ms := range p.members {
-		if id != p.ep.ID() {
+	self := p.members[p.ep.ID()]
+	for _, ms := range p.sorted {
+		if ms != self {
 			stopSuspect(ms)
-			delete(p.members, id)
+			delete(p.members, ms.ID)
 		}
 	}
-	self := p.members[p.ep.ID()]
+	p.sorted = []*memberState{self}
 	self.Status = StatusAlive
 	self.Incarnation = p.incarnation
 	p.queue = nil
@@ -414,14 +414,29 @@ func stopSuspect(ms *memberState) {
 	}
 }
 
+// memberIndex is the slot of id in p.sorted, or the slot it would be
+// inserted at when it is not a member.
+func (p *Protocol) memberIndex(id simnet.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(p.sorted, id, func(ms *memberState, id simnet.NodeID) int {
+		return strings.Compare(string(ms.ID), string(id))
+	})
+}
+
+// addMember records a newly discovered member in the map and at its
+// place in the sorted slice.
+func (p *Protocol) addMember(ms *memberState) {
+	p.members[ms.ID] = ms
+	i, _ := p.memberIndex(ms.ID)
+	p.sorted = slices.Insert(p.sorted, i, ms)
+}
+
 // Members returns a snapshot of all known members (including self),
 // sorted by ID.
 func (p *Protocol) Members() []Member {
-	out := make([]Member, 0, len(p.members))
-	for _, ms := range p.members {
-		out = append(out, ms.Member)
+	out := make([]Member, len(p.sorted))
+	for i, ms := range p.sorted {
+		out[i] = ms.Member
 	}
-	slices.SortFunc(out, func(a, b Member) int { return strings.Compare(string(a.ID), string(b.ID)) })
 	return out
 }
 
@@ -429,12 +444,11 @@ func (p *Protocol) Members() []Member {
 // self), sorted.
 func (p *Protocol) Alive() []simnet.NodeID {
 	var out []simnet.NodeID
-	for id, ms := range p.members {
+	for _, ms := range p.sorted {
 		if ms.Status == StatusAlive {
-			out = append(out, id)
+			out = append(out, ms.ID)
 		}
 	}
-	slices.Sort(out)
 	return out
 }
 
@@ -496,14 +510,25 @@ func (p *Protocol) indirectProbe(target simnet.NodeID) {
 	})
 }
 
-func (p *Protocol) nextProbeTarget() (simnet.NodeID, bool) {
-	candidates := 0
-	for id, ms := range p.members {
-		if id != p.ep.ID() && ms.Status != StatusDead {
-			candidates++
+// probeable reports whether a member is a probe target: anyone but self
+// not yet declared dead.
+func (p *Protocol) probeable(ms *memberState) bool {
+	return ms.ID != p.ep.ID() && ms.Status != StatusDead
+}
+
+// anyProbeable stops at the first target found, so only a node that
+// believes everyone else dead walks the whole slice.
+func (p *Protocol) anyProbeable() bool {
+	for _, ms := range p.sorted {
+		if p.probeable(ms) {
+			return true
 		}
 	}
-	if candidates == 0 {
+	return false
+}
+
+func (p *Protocol) nextProbeTarget() (simnet.NodeID, bool) {
+	if !p.anyProbeable() {
 		return "", false
 	}
 	for tries := 0; tries < len(p.members)+1; tries++ {
@@ -515,7 +540,7 @@ func (p *Protocol) nextProbeTarget() (simnet.NodeID, bool) {
 		}
 		id := p.probeOrder[p.probeIdx]
 		p.probeIdx++
-		if ms, ok := p.members[id]; ok && ms.Status != StatusDead && id != p.ep.ID() {
+		if ms, ok := p.members[id]; ok && p.probeable(ms) {
 			return id, true
 		}
 	}
@@ -524,12 +549,11 @@ func (p *Protocol) nextProbeTarget() (simnet.NodeID, bool) {
 
 func (p *Protocol) reshuffleProbeOrder() {
 	p.probeOrder = p.probeOrder[:0]
-	for id, ms := range p.members {
-		if id != p.ep.ID() && ms.Status != StatusDead {
-			p.probeOrder = append(p.probeOrder, id)
+	for _, ms := range p.sorted {
+		if p.probeable(ms) {
+			p.probeOrder = append(p.probeOrder, ms.ID)
 		}
 	}
-	slices.Sort(p.probeOrder)
 	p.ep.Rand().Shuffle(len(p.probeOrder), func(i, j int) {
 		p.probeOrder[i], p.probeOrder[j] = p.probeOrder[j], p.probeOrder[i]
 	})
@@ -538,12 +562,11 @@ func (p *Protocol) reshuffleProbeOrder() {
 
 func (p *Protocol) randomAliveExcept(n int, except simnet.NodeID) []simnet.NodeID {
 	var pool []simnet.NodeID
-	for id, ms := range p.members {
-		if id != p.ep.ID() && id != except && ms.Status == StatusAlive {
-			pool = append(pool, id)
+	for _, ms := range p.sorted {
+		if ms.ID != p.ep.ID() && ms.ID != except && ms.Status == StatusAlive {
+			pool = append(pool, ms.ID)
 		}
 	}
-	slices.Sort(pool)
 	p.ep.Rand().Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 	if len(pool) > n {
 		pool = pool[:n]
@@ -579,18 +602,56 @@ func (p *Protocol) notify(m Member) {
 func (p *Protocol) enqueue(u Update) {
 	// Replace any queued update for the same member: the newest claim
 	// supersedes older ones.
-	for i, b := range p.queue {
-		if b.update.ID == u.ID {
-			p.queue[i] = &broadcast{update: u}
+	for i := range p.queue {
+		if p.queue[i].update.ID == u.ID {
+			p.queue[i] = broadcast{update: u}
 			return
 		}
 	}
-	p.queue = append(p.queue, &broadcast{update: u})
+	p.queue = append(p.queue, broadcast{update: u})
 }
 
 func (p *Protocol) retransmitLimit() int {
-	n := len(p.members)
-	return p.cfg.RetransmitMult * int(math.Ceil(math.Log2(float64(n+1))))
+	// bits.Len(n) is ceil(log2(n+1)) for every n >= 0.
+	return p.cfg.RetransmitMult * bits.Len(uint(len(p.members)))
+}
+
+// sortQueue orders the queue by transmits, least first, keeping the
+// queue order among equals. A stable sort has one result, so this
+// counting sort over the small transmit counts yields the queue any
+// other stable sort would; a queue already in order is left alone.
+func (p *Protocol) sortQueue() {
+	q := p.queue
+	most, inOrder := 0, true
+	for i := range q {
+		if i > 0 && q[i].transmits < q[i-1].transmits {
+			inOrder = false
+		}
+		most = max(most, q[i].transmits)
+	}
+	if inOrder {
+		return
+	}
+	// next[t] becomes the slot of the next broadcast with t transmits.
+	var small [64]int
+	next := small[:]
+	if most >= len(next) {
+		next = make([]int, most+1)
+	}
+	for i := range q {
+		next[q[i].transmits]++
+	}
+	slot := 0
+	for t, n := range next[:most+1] {
+		next[t] = slot
+		slot += n
+	}
+	p.sortScratch = append(p.sortScratch[:0], q...)
+	for i := range p.sortScratch {
+		b := &p.sortScratch[i]
+		q[next[b.transmits]] = *b
+		next[b.transmits]++
+	}
 }
 
 // takePiggyback selects up to MaxPiggyback least-transmitted updates and
@@ -599,20 +660,29 @@ func (p *Protocol) takePiggyback() []Update {
 	if len(p.queue) == 0 {
 		return nil
 	}
-	sort.SliceStable(p.queue, func(i, j int) bool { return p.queue[i].transmits < p.queue[j].transmits })
+	p.sortQueue()
 	limit := p.retransmitLimit()
+	// The updates travel in a message that owns them: a fresh slice per
+	// call, sized once.
 	var out []Update
-	kept := p.queue[:0]
-	for _, b := range p.queue {
+	if n := min(len(p.queue), p.cfg.MaxPiggyback); n > 0 {
+		out = make([]Update, 0, n)
+	}
+	kept := 0
+	for i := range p.queue {
+		b := &p.queue[i]
 		if len(out) < p.cfg.MaxPiggyback {
 			out = append(out, b.update)
 			b.transmits++
 		}
 		if b.transmits < limit {
-			kept = append(kept, b)
+			if kept != i {
+				p.queue[kept] = *b
+			}
+			kept++
 		}
 	}
-	p.queue = kept
+	p.queue = p.queue[:kept]
 	return out
 }
 
@@ -640,7 +710,7 @@ func (p *Protocol) applyUpdate(u Update) {
 			return // don't learn already-dead strangers
 		}
 		ms = &memberState{Member: Member{ID: u.ID, Status: u.Status, Incarnation: u.Incarnation}}
-		p.members[u.ID] = ms
+		p.addMember(ms)
 		p.enqueue(u)
 		if u.Status == StatusSuspect {
 			p.armSuspicion(ms)
@@ -794,11 +864,12 @@ func (p *Protocol) applyAll(us []Update) {
 	}
 }
 
+// fullState is the whole membership view in id order, in a slice the
+// message carrying it owns.
 func (p *Protocol) fullState() []Update {
-	out := make([]Update, 0, len(p.members))
-	for _, ms := range p.members {
-		out = append(out, Update(ms.Member))
+	out := make([]Update, len(p.sorted))
+	for i, ms := range p.sorted {
+		out[i] = Update(ms.Member)
 	}
-	slices.SortFunc(out, func(a, b Update) int { return strings.Compare(string(a.ID), string(b.ID)) })
 	return out
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // cluster builds n nodes running the protocol, all seeded through node 0.
-func cluster(t *testing.T, sim *simnet.Sim, n int, cfg Config) []*Protocol {
+func cluster(t testing.TB, sim *simnet.Sim, n int, cfg Config) []*Protocol {
 	t.Helper()
 	ps := make([]*Protocol, n)
 	ids := make([]simnet.NodeID, n)

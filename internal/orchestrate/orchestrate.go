@@ -12,6 +12,7 @@ package orchestrate
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/device"
@@ -58,8 +59,13 @@ type Orchestrator struct {
 
 	hosts     map[device.ID]*device.Device
 	hostOrder []device.ID
-	usedCPU   map[device.ID]int
-	usedMem   map[device.ID]int
+	// byID is hostOrder sorted, the order placement scans in; read it
+	// through hostsByID. Hosts are never removed, so it is stale exactly
+	// when it is shorter than hostOrder, and the first pick after a
+	// registration rebuilds it.
+	byID    []device.ID
+	usedCPU map[device.ID]int
+	usedMem map[device.ID]int
 
 	placements map[string]Placement
 	stats      Stats
@@ -149,7 +155,7 @@ func (o *Orchestrator) Deploy(fn Function) (device.ID, error) {
 	if old, ok := o.placements[fn.Name]; ok {
 		o.release(old)
 	}
-	host, ok := o.pick(fn)
+	host, ok := o.pick(fn, nil)
 	if !ok {
 		o.stats.FailedDeploys++
 		return "", fmt.Errorf("orchestrate: no feasible host for function %q", fn.Name)
@@ -159,15 +165,26 @@ func (o *Orchestrator) Deploy(fn Function) (device.ID, error) {
 	return host, nil
 }
 
-func (o *Orchestrator) pick(fn Function) (device.ID, bool) {
+// hostsByID returns the registered hosts in id order, re-sorting only
+// after a registration.
+func (o *Orchestrator) hostsByID() []device.ID {
+	if len(o.byID) != len(o.hostOrder) {
+		o.byID = append(o.byID[:0], o.hostOrder...)
+		slices.Sort(o.byID)
+	}
+	return o.byID
+}
+
+// pick returns the best-scoring feasible host outside excluded (nil
+// excludes nothing; replicas pass their siblings' hosts for
+// anti-affinity). Deterministic: hosts are scanned in id order and the
+// first of equal scores wins.
+func (o *Orchestrator) pick(fn Function, excluded map[device.ID]bool) (device.ID, bool) {
 	best := device.ID("")
 	bestScore := 0.0
 	found := false
-	// Deterministic: iterate hosts in sorted order.
-	ids := append([]device.ID(nil), o.hostOrder...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if !o.feasible(fn, id) {
+	for _, id := range o.hostsByID() {
+		if excluded[id] || !o.feasible(fn, id) {
 			continue
 		}
 		s := o.score(fn, id)
@@ -250,7 +267,7 @@ func (o *Orchestrator) DeployReplicated(fn Function, n int) ([]device.ID, error)
 	for i := 0; i < n; i++ {
 		rep := fn
 		rep.Name = replicaName(fn.Name, i)
-		host, ok := o.pickExcluding(rep, used)
+		host, ok := o.pick(rep, used)
 		if !ok {
 			rollback()
 			o.stats.FailedDeploys++
@@ -274,7 +291,7 @@ func (o *Orchestrator) DeployAvoiding(fn Function, avoid map[device.ID]bool) (de
 	if old, ok := o.placements[fn.Name]; ok {
 		o.release(old)
 	}
-	host, ok := o.pickExcluding(fn, avoid)
+	host, ok := o.pick(fn, avoid)
 	if !ok {
 		o.stats.FailedDeploys++
 		return "", fmt.Errorf("orchestrate: no feasible host outside avoid set for function %q", fn.Name)
@@ -282,25 +299,6 @@ func (o *Orchestrator) DeployAvoiding(fn Function, avoid map[device.ID]bool) (de
 	o.place(fn, host)
 	o.stats.Deployments++
 	return host, nil
-}
-
-// pickExcluding is pick with an exclusion set for anti-affinity.
-func (o *Orchestrator) pickExcluding(fn Function, excluded map[device.ID]bool) (device.ID, bool) {
-	best := device.ID("")
-	bestScore := 0.0
-	found := false
-	ids := append([]device.ID(nil), o.hostOrder...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if excluded[id] || !o.feasible(fn, id) {
-			continue
-		}
-		s := o.score(fn, id)
-		if !found || s > bestScore {
-			best, bestScore, found = id, s, true
-		}
-	}
-	return best, found
 }
 
 // Undeploy removes a function.
@@ -342,7 +340,7 @@ func (o *Orchestrator) Operational(name string) bool {
 // retried by the next heal pass — and counted as a failed migration.
 func (o *Orchestrator) migrate(p Placement) bool {
 	o.release(p)
-	host, ok := o.pickExcluding(p.Function, o.siblingHosts(p.Function.Name))
+	host, ok := o.pick(p.Function, o.siblingHosts(p.Function.Name))
 	if !ok {
 		o.place(p.Function, p.Host) // keep it; a later heal retries
 		o.stats.FailedMigrations++

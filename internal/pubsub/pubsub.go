@@ -8,7 +8,7 @@
 package pubsub
 
 import (
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -95,14 +95,16 @@ func payloadSize(p any) int {
 // they are broker-side state created before the crash is wiped — a
 // faithful model of a non-replicated broker deployment.
 type Broker struct {
-	ep   simnet.Port
-	ec   simnet.EnvelopeCarrier // non-nil when ep supports inline envelopes
-	subs map[string]map[simnet.NodeID]struct{}
-	// local are in-process subscribers: applications colocated with
-	// the broker (e.g. a cloud-side controller next to a cloud
-	// broker). They are part of the application deployment, so unlike
-	// network subscriptions they survive broker restarts.
-	local map[string][]MessageHandler
+	ep simnet.Port
+	ec simnet.EnvelopeCarrier // non-nil when ep supports inline envelopes
+	// subs has one row per subscribed pattern, and wild lists, in
+	// pattern order, the rows whose pattern holds a wildcard character.
+	// A pattern without one covers the topic spelled like it and no
+	// other, so a publication finds its rows with one lookup in subs
+	// plus a TopicMatches walk over wild, and finds them in pattern
+	// order: the order of the sends, which the seed alone must decide.
+	subs map[string]*subscription
+	wild []*subscription
 	// retained holds each topic's last retained publication.
 	retained map[string]any
 	// delivered counts fan-out deliveries sent, for experiments.
@@ -111,20 +113,37 @@ type Broker struct {
 	bus *obs.Bus
 }
 
+// subscription is one pattern's row in the broker's topic table.
+type subscription struct {
+	pattern string
+	// ids are the network subscribers, sorted.
+	ids []simnet.NodeID
+	// local are in-process subscribers: applications colocated with
+	// the broker (e.g. a cloud-side controller next to a cloud
+	// broker). They are part of the application deployment, so unlike
+	// network subscriptions they survive broker restarts.
+	local []MessageHandler
+}
+
 // NewBroker installs a broker on ep.
 func NewBroker(ep simnet.Port) *Broker {
 	b := &Broker{
 		ep:       ep,
-		subs:     make(map[string]map[simnet.NodeID]struct{}),
-		local:    make(map[string][]MessageHandler),
+		subs:     make(map[string]*subscription),
 		retained: make(map[string]any),
 	}
 	b.ec, _ = ep.(simnet.EnvelopeCarrier)
 	ep.OnMessage(b.handle)
 	ep.OnUp(func() {
-		// A restarted broker has lost its subscription table and its
-		// retained messages.
-		b.subs = make(map[string]map[simnet.NodeID]struct{})
+		// A restarted broker has lost its network subscriptions and its
+		// retained messages; rows with local subscribers stay.
+		for pattern, s := range b.subs {
+			s.ids = nil
+			if len(s.local) == 0 {
+				delete(b.subs, pattern)
+			}
+		}
+		b.wild = slices.DeleteFunc(b.wild, func(s *subscription) bool { return len(s.local) == 0 })
 		b.retained = make(map[string]any)
 	})
 	return b
@@ -137,23 +156,65 @@ func (b *Broker) SetBus(bus *obs.Bus) { b.bus = bus }
 
 // Subscribers returns the subscriber IDs for a topic, sorted.
 func (b *Broker) Subscribers(topic string) []simnet.NodeID {
-	var out []simnet.NodeID
-	for id := range b.subs[topic] {
-		out = append(out, id)
+	if s := b.subs[topic]; s != nil {
+		return slices.Clone(s.ids)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return nil
 }
 
 // Delivered returns how many deliver messages the broker has sent.
 func (b *Broker) Delivered() int { return b.delivered }
+
+// isWild reports whether a pattern may cover a topic other than the
+// one spelled like it. Any "+" or "#" counts, level of its own or not:
+// a row wrongly listed in wild is still matched correctly.
+func isWild(pattern string) bool { return strings.ContainsAny(pattern, "+#") }
+
+// row returns the table row of a pattern, adding it on first use.
+func (b *Broker) row(pattern string) *subscription {
+	s := b.subs[pattern]
+	if s == nil {
+		s = &subscription{pattern: pattern}
+		b.subs[pattern] = s
+		if isWild(pattern) {
+			i, _ := slices.BinarySearchFunc(b.wild, pattern, func(w *subscription, p string) int {
+				return strings.Compare(w.pattern, p)
+			})
+			b.wild = slices.Insert(b.wild, i, s)
+		}
+	}
+	return s
+}
+
+// covering appends to dst the rows whose pattern covers topic, in
+// pattern order.
+func (b *Broker) covering(dst []*subscription, topic string) []*subscription {
+	exact := b.subs[topic]
+	if exact != nil && isWild(topic) {
+		exact = nil // a topic spelled like a pattern: its row is in wild
+	}
+	for _, w := range b.wild {
+		if exact != nil && topic < w.pattern {
+			dst = append(dst, exact)
+			exact = nil
+		}
+		if TopicMatches(w.pattern, topic) {
+			dst = append(dst, w)
+		}
+	}
+	if exact != nil {
+		dst = append(dst, exact)
+	}
+	return dst
+}
 
 // SubscribeLocal registers an in-process subscriber colocated with the
 // broker. Local handlers run synchronously at publish fan-out time and
 // survive broker restarts (they are application wiring, not protocol
 // state).
 func (b *Broker) SubscribeLocal(topic string, h MessageHandler) {
-	b.local[topic] = append(b.local[topic], h)
+	s := b.row(topic)
+	s.local = append(s.local, h)
 }
 
 // Inject publishes a message on behalf of an application colocated
@@ -172,26 +233,31 @@ func (b *Broker) InjectRetained(topic string, payload any) {
 func (b *Broker) handle(from simnet.NodeID, msg simnet.Message) {
 	switch m := msg.(type) {
 	case subscribeMsg:
-		if b.subs[m.Topic] == nil {
-			b.subs[m.Topic] = make(map[simnet.NodeID]struct{})
+		s := b.row(m.Topic)
+		i, dup := slices.BinarySearch(s.ids, from)
+		if dup {
+			return
 		}
-		isNew := true
-		if _, dup := b.subs[m.Topic][from]; dup {
-			isNew = false
-		}
-		b.subs[m.Topic][from] = struct{}{}
+		s.ids = slices.Insert(s.ids, i, from)
 		// Hand a fresh subscriber the retained state of every topic
-		// the (possibly wildcard) subscription covers.
-		if isNew {
-			for topic, payload := range b.retained {
-				if TopicMatches(m.Topic, topic) {
-					b.delivered++
-					b.ep.Send(from, deliverMsg{Topic: topic, Payload: payload})
-				}
+		// the (possibly wildcard) subscription covers, in topic order.
+		var topics []string
+		for topic := range b.retained {
+			if TopicMatches(m.Topic, topic) {
+				topics = append(topics, topic)
 			}
 		}
+		slices.Sort(topics)
+		for _, topic := range topics {
+			b.delivered++
+			b.ep.Send(from, deliverMsg{Topic: topic, Payload: b.retained[topic]})
+		}
 	case unsubscribeMsg:
-		delete(b.subs[m.Topic], from)
+		if s := b.subs[m.Topic]; s != nil {
+			if i, ok := slices.BinarySearch(s.ids, from); ok {
+				s.ids = slices.Delete(s.ids, i, i+1)
+			}
+		}
 	case publishMsg:
 		if m.ID != 0 {
 			if b.ec != nil {
@@ -208,18 +274,18 @@ func (b *Broker) handle(from simnet.NodeID, msg simnet.Message) {
 }
 
 // fanOut delivers a publication to every subscriber whose pattern
-// matches, except the publisher itself.
+// matches, except the publisher itself: network subscribers first, by
+// pattern and then by id, then local handlers by pattern.
 func (b *Broker) fanOut(from simnet.NodeID, topic string, payload any) {
 	var sentAt time.Duration
 	if b.bus.Active() {
 		sentAt = b.bus.Now()
 		b.bus.Emit("pubsub.publish", string(b.ep.ID()), 0, 0, "topic %s from %s", topic, from)
 	}
-	for pattern, subs := range b.subs {
-		if !TopicMatches(pattern, topic) {
-			continue
-		}
-		for id := range subs {
+	var buf [4]*subscription
+	rows := b.covering(buf[:0], topic)
+	for _, s := range rows {
+		for _, id := range s.ids {
 			if id == from {
 				continue
 			}
@@ -227,11 +293,8 @@ func (b *Broker) fanOut(from simnet.NodeID, topic string, payload any) {
 			b.ep.Send(id, deliverMsg{Topic: topic, Payload: payload, SentAt: sentAt})
 		}
 	}
-	for pattern, handlers := range b.local {
-		if !TopicMatches(pattern, topic) {
-			continue
-		}
-		for _, h := range handlers {
+	for _, s := range rows {
+		for _, h := range s.local {
 			b.delivered++
 			h(topic, payload)
 		}
@@ -249,8 +312,8 @@ type MessageHandler func(topic string, payload any)
 //	zone/#       matches  zone/3/temp and zone
 func TopicMatches(pattern, topic string) bool {
 	// Walks both strings level by level in place. Brokers run this for
-	// every (publish, subscription) pair, so it must not allocate —
-	// which rules out strings.Split.
+	// every (publish, wildcard subscription) pair, so it must not
+	// allocate — which rules out strings.Split.
 	topicDone := false
 	for {
 		p, pRest := pattern, ""
@@ -290,7 +353,10 @@ type Client struct {
 	retryInterval time.Duration
 	maxRetries    int
 
-	handlers map[string]MessageHandler
+	// handlers is sorted by pattern, the order of dispatch and of
+	// resubscription. Adding or removing a pattern replaces the slice,
+	// so a handler may (un)subscribe from inside a delivery.
+	handlers []clientSub
 	nextID   uint64
 	pending  map[uint64]*simnet.Timer
 	// published/acked counters for experiments.
@@ -298,6 +364,12 @@ type Client struct {
 	acked     int
 
 	bus *obs.Bus
+}
+
+// clientSub is one subscription of a client.
+type clientSub struct {
+	pattern string
+	h       MessageHandler
 }
 
 // ClientConfig tunes a client. Zero fields take defaults.
@@ -319,7 +391,6 @@ func NewClient(ep simnet.Port, brokerID simnet.NodeID, cfg ClientConfig) *Client
 		broker:        brokerID,
 		retryInterval: cfg.RetryInterval,
 		maxRetries:    cfg.MaxRetries,
-		handlers:      make(map[string]MessageHandler),
 		pending:       make(map[uint64]*simnet.Timer),
 	}
 	ep.OnMessage(c.handle)
@@ -344,14 +415,26 @@ func (c *Client) SetBus(bus *obs.Bus) { c.bus = bus }
 // subscription is gone until the client subscribes again (ML2's
 // weakness, surfaced in the experiments).
 func (c *Client) Subscribe(topic string, h MessageHandler) {
-	c.handlers[topic] = h
+	if i, found := c.handlerIndex(topic); found {
+		c.handlers[i].h = h
+	} else {
+		c.handlers = slices.Insert(slices.Clone(c.handlers), i, clientSub{topic, h})
+	}
 	c.ep.Send(c.broker, subscribeMsg{Topic: topic})
 }
 
 // Unsubscribe removes the handler and informs the broker.
 func (c *Client) Unsubscribe(topic string) {
-	delete(c.handlers, topic)
+	if i, found := c.handlerIndex(topic); found {
+		c.handlers = slices.Delete(slices.Clone(c.handlers), i, i+1)
+	}
 	c.ep.Send(c.broker, unsubscribeMsg{Topic: topic})
+}
+
+func (c *Client) handlerIndex(pattern string) (int, bool) {
+	return slices.BinarySearchFunc(c.handlers, pattern, func(s clientSub, p string) int {
+		return strings.Compare(s.pattern, p)
+	})
 }
 
 // Publish sends payload to the topic. With AtLeastOnce, the client
@@ -396,8 +479,8 @@ func (c *Client) Published() int { return c.published }
 func (c *Client) Acked() int { return c.acked }
 
 func (c *Client) resubscribe() {
-	for topic := range c.handlers {
-		c.ep.Send(c.broker, subscribeMsg{Topic: topic})
+	for _, s := range c.handlers {
+		c.ep.Send(c.broker, subscribeMsg{Topic: s.pattern})
 	}
 }
 
@@ -413,9 +496,9 @@ func (c *Client) handle(_ simnet.NodeID, msg simnet.Message) {
 		}
 		// Subscriptions may be wildcard patterns; dispatch to every
 		// matching handler.
-		for pattern, h := range c.handlers {
-			if TopicMatches(pattern, m.Topic) {
-				h(m.Topic, m.Payload)
+		for _, s := range c.handlers {
+			if TopicMatches(s.pattern, m.Topic) {
+				s.h(m.Topic, m.Payload)
 			}
 		}
 	case pubAckMsg:
