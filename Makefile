@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-city city-tables fuzz experiments examples obs-demo bench-baseline bench-gate bench-serve bench-sync serve-demo determinism metro metro-smoke metro-setup chaos chaos-replay chaos-verify realnet explain clean
+.PHONY: all build test race cover bench bench-city bench-smoke city-tables microbench fuzz experiments examples obs-demo serve-demo determinism metro metro-smoke metro-setup chaos chaos-replay chaos-verify realnet explain clean
 
 all: build test
 
@@ -31,7 +31,7 @@ bench-city:
 # The ordered tables behind the city's per-message handlers (gossip
 # members and broadcast queue, orchestrator hosts, broker topics):
 # reference-model and allocation-gate tests, then one iteration of each
-# table's benchmark. CI runs this in the bench-city job.
+# table's benchmark. CI runs this in the bench-smoke job.
 CITY_TABLES = ./internal/gossip/ ./internal/orchestrate/ ./internal/pubsub/
 city-tables:
 	$(GO) test -count=1 -run 'TestQueueMatchesStableSortModel|TestSortedMembersTrackMap|TestAntiEntropyMatchesSortedPoolModel|TestPerMessageAllocations|TestPickMatchesBruteForce|TestPickDoesNotAllocate|TestIndexMatchesFullScan|TestFanOutOrderIsReproducible|TestExactFanOutCost' $(CITY_TABLES)
@@ -61,37 +61,32 @@ examples:
 	$(GO) run ./examples/udpgossip
 	$(GO) run ./examples/smartcity
 
-# Regenerate the committed CI bench baseline (after intentional perf
-# changes), and the gate CI applies to it.
-bench-baseline:
-	$(GO) run ./cmd/riotbench -quick -parallel 2 -benchreps 3 -out BENCH_riot.json
+# The CI perf smoke: every bench/ workload once, quick, with its
+# correctness checks (the exit code carries them); the bench module's
+# own vet and tests; the city smoke matrix and the city handler tables.
+# Performance numbers and gates come from bench/ alone (BENCHMARK.json,
+# bench/README.md).
+bench-smoke: city-tables
+	bash bench/run.sh -quick -seconds 2
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+	$(GO) test -short -bench BenchmarkCityScaleMatrix -benchmem -benchtime 1x -run '^$$' .
 
-bench-gate:
-	$(GO) run ./cmd/riotbench -quick -parallel 2 -benchreps 3 -out /tmp/bench.json
-	$(GO) run ./scripts BENCH_riot.json /tmp/bench.json
-
-# Serving-path latency only: the 3-node cluster + open-loop load leg.
-bench-serve:
-	$(GO) run ./cmd/riotbench -quick -benchreps 3 -only serve -out /tmp/bench_serve.json
-
-# Replication bytes-on-wire only: the city and metropolis sync legs
-# record sync_bytes, the upward-gated bandwidth metric.
-bench-sync:
-	$(GO) run ./cmd/riotbench -quick -benchreps 3 -only sync/city -out /tmp/bench_sync_city.json
-	$(GO) run ./cmd/riotbench -quick -benchreps 3 -only sync/metro -out /tmp/bench_sync_metro.json
-
-# Two riotnode processes with the HTTP data API, driven by riotload
-# for 10 seconds — the README "Serving traffic" walkthrough as one
-# command.
+# Two riotnode processes with the HTTP data API take 300 writes
+# round-robin and the last one is read back from the other node — the
+# README "Serving traffic" walkthrough as one command.
 serve-demo:
 	$(GO) build -o /tmp/riotnode ./cmd/riotnode
-	$(GO) build -o /tmp/riotload ./cmd/riotload
 	/tmp/riotnode -id a -bind 127.0.0.1:7946 -peers b=127.0.0.1:7947 \
 		-serve-addr 127.0.0.1:8080 -duration 15s -interval 5s & \
 	/tmp/riotnode -id b -bind 127.0.0.1:7947 -peers a=127.0.0.1:7946 -seeds a \
 		-serve-addr 127.0.0.1:8081 -duration 15s -interval 5s & \
-	sleep 1 && /tmp/riotload -targets http://127.0.0.1:8080,http://127.0.0.1:8081 \
-		-rps 200 -duration 10s -fail-on-5xx -min-writes 1; \
+	sleep 1; \
+	for i in $$(seq 1 300); do \
+		curl -sf -o /dev/null -X PUT -d "{\"value\": $$i}" \
+			"http://127.0.0.1:$$((8080 + i % 2))/v1/data/demo/k$$((i % 16))" \
+			|| { echo "write $$i was not accepted"; break; }; \
+	done; \
+	sleep 1; curl -s http://127.0.0.1:8081/v1/data/demo/k12; echo; \
 	wait
 
 # Serial vs parallel campaign must print byte-identical journal
@@ -168,11 +163,6 @@ explain:
 # Short traced smart-city run; open trace.json at chrome://tracing.
 obs-demo:
 	$(GO) run ./cmd/riotsim -arch ML4 -zones 4 -duration 2m -trace trace.json
-
-# Record the outputs checked into the repository root.
-record:
-	$(GO) test ./... 2>&1 | tee test_output.txt
-	$(GO) test -bench=. -benchmem -benchtime=1x . 2>&1 | tee bench_output.txt
 
 clean:
 	$(GO) clean -testcache

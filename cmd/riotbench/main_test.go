@@ -1,10 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -27,9 +24,25 @@ func TestRunUnknownExperiment(t *testing.T) {
 }
 
 func TestRunBadFlag(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-nope"}, &out); err == nil {
-		t.Fatal("bad flag accepted")
+	for _, tc := range []struct {
+		args []string
+		want string // substring the error must carry
+	}{
+		{[]string{"-nope"}, "-nope"},
+		{[]string{"-quick", "-only", "x1", "extra", "args"}, `"extra"`},
+		{[]string{"only", "f2"}, `"only"`},
+		{[]string{"-quick", "-only", "f2", "-seeds", "0"}, "-seeds 0"},
+		{[]string{"-quick", "-only", "f2", "-seeds", "-3"}, "-seeds -3"},
+		{[]string{"-quick", "-only", "serve"}, `unknown experiment "serve"`},
+	} {
+		var out strings.Builder
+		err := run(tc.args, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%q): err = %v, want an error naming %s", tc.args, err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run(%q) still ran something:\n%s", tc.args, out.String())
+		}
 	}
 }
 
@@ -75,51 +88,6 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunOutWritesBenchJSON checks the -out schema benchdiff consumes.
-func TestRunOutWritesBenchJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	var out strings.Builder
-	if err := run([]string{"-quick", "-only", "f2", "-out", path}, &out); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Schema  string `json:"schema"`
-		Benches []struct {
-			ID          string  `json:"id"`
-			NsPerOp     int64   `json:"ns_per_op"`
-			AllocsPerOp uint64  `json:"allocs_per_op"`
-			Runs        int     `json:"runs"`
-			RunsPerSec  float64 `json:"runs_per_sec"`
-		} `json:"benches"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("bench file is not valid JSON: %v", err)
-	}
-	if doc.Schema != "riotbench/bench/v1" {
-		t.Fatalf("schema = %q", doc.Schema)
-	}
-	if len(doc.Benches) != 1 || doc.Benches[0].ID != "f2" {
-		t.Fatalf("benches = %+v", doc.Benches)
-	}
-	b := doc.Benches[0]
-	if b.NsPerOp <= 0 || b.Runs <= 0 || b.RunsPerSec <= 0 {
-		t.Fatalf("degenerate measurement: %+v", b)
-	}
-}
-
-// TestRunOutBadPath: an unwritable -out target must fail the run.
-func TestRunOutBadPath(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-quick", "-only", "f2", "-out", filepath.Join(t.TempDir(), "no", "such", "dir", "b.json")}, &out)
-	if err == nil {
-		t.Fatal("unwritable -out path accepted")
-	}
-}
-
 // failWriter errors after the first write, standing in for a broken
 // pipe or full disk on stdout.
 type failWriter struct{ writes int }
@@ -140,31 +108,5 @@ func TestRunWriteErrorPropagates(t *testing.T) {
 	err := run([]string{"-quick", "-only", "f2"}, &failWriter{})
 	if !errors.Is(err, errSink) {
 		t.Fatalf("err = %v, want wrapped sink error", err)
-	}
-}
-
-// TestRunTraceOnly writes a Chrome trace without running experiments
-// and round-trips it through encoding/json.
-func TestRunTraceOnly(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.json")
-	var out strings.Builder
-	if err := run([]string{"-trace", path, "-only", "none"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "trace:") {
-		t.Fatalf("output = %q", out.String())
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	if len(doc.TraceEvents) == 0 {
-		t.Fatal("trace has no events")
 	}
 }

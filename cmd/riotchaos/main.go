@@ -90,6 +90,19 @@ func run(args []string, out io.Writer) error {
 	}
 }
 
+// parse parses args and rejects leftover positional arguments: flag
+// stops at the first non-flag word, so without this a stray word
+// silently drops every flag after it.
+func parse(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	return nil
+}
+
 // oracleFlags registers the flags shared by search and shrink and
 // returns a builder resolving them into a chaos.Config.
 func oracleFlags(fs *flag.FlagSet) func() (chaos.Config, error) {
@@ -121,7 +134,7 @@ func runSearch(args []string, out io.Writer) error {
 	minEvents := fs.Int("min-events", 0, "floor on events per candidate schedule (multi-fault campaigns)")
 	corpusDir := fs.String("corpus", "", "write deduplicated minimal counterexamples to this directory")
 	verbose := fs.Bool("v", false, "stream chaos.* progress events")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 	cfg, err := cfgOf()
@@ -171,7 +184,7 @@ func runShrink(args []string, out io.Writer) error {
 	in := fs.String("in", "", "failing schedule to minimize (fault.Schedule JSON)")
 	outPath := fs.String("out", "", "write the minimized counterexample JSON here")
 	budget := fs.Int("budget", chaos.DefaultShrinkBudget, "oracle-run budget for shrinking")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 	if *in == "" {
@@ -217,7 +230,7 @@ func runReplay(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("riotchaos replay", flag.ContinueOnError)
 	corpusDir := fs.String("corpus", "corpus/chaos", "counterexample corpus directory")
 	parallel := fs.Int("parallel", 1, "worker count (0 = GOMAXPROCS)")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 	ces, err := chaos.LoadCorpus(*corpusDir)
@@ -248,7 +261,7 @@ func runVerify(args []string, out io.Writer) error {
 	parallel := fs.Int("parallel", 1, "worker count (0 = GOMAXPROCS)")
 	explain := fs.Bool("explain", false, "print an incident timeline per entry (riotscope analysis of the hardened run)")
 	flightDir := fs.String("flight-dir", "", "dump flight-recorder artifacts here for entries that still fail hardened")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 	ces, err := chaos.LoadCorpus(*corpusDir)
@@ -299,7 +312,7 @@ func runVerify(args []string, out io.Writer) error {
 func runRefresh(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("riotchaos refresh", flag.ContinueOnError)
 	corpusDir := fs.String("corpus", "corpus/chaos", "counterexample corpus directory")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 	ces, err := chaos.LoadCorpus(*corpusDir)

@@ -110,6 +110,13 @@ func TestCLIErrors(t *testing.T) {
 	if err := run([]string{"replay", "-corpus", "/does/not/exist"}, &out); err == nil {
 		t.Fatal("empty corpus accepted")
 	}
+	// A stray word would drop every flag after it; each subcommand
+	// rejects it by name before doing any work.
+	for _, sub := range []string{"search", "shrink", "replay", "verify", "refresh", "realnet"} {
+		if err := run([]string{sub, "corpus", "-corpus", "/does/not/exist"}, &out); err == nil || !strings.Contains(err.Error(), `"corpus"`) {
+			t.Fatalf("%s with a stray argument: err = %v, want an error naming it", sub, err)
+		}
+	}
 }
 
 func TestVerifySubcommand(t *testing.T) {

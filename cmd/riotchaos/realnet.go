@@ -30,7 +30,7 @@ func runRealnet(args []string, out io.Writer) error {
 	city := fs.Bool("city", false, "additionally boot the city smoke tier live (hardened ML4) under a corpus entry's schedule")
 	cityEntry := fs.String("city-entry", "ml4-low-persistence-af146e73", "corpus entry whose schedule the live city replays")
 	explain := fs.Bool("explain", false, "print an incident timeline per live run (riotscope analysis)")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 	var wantDefault, wantHardened bool

@@ -95,6 +95,9 @@ func parseArgs(args []string) (config, error) {
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
 	}
+	if fs.NArg() > 0 {
+		return config{}, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
 	if *id == "" {
 		return config{}, fmt.Errorf("-id is required")
 	}

@@ -45,6 +45,7 @@ func TestParseArgsErrors(t *testing.T) {
 		{"-id", "a", "-put", "k=Inf"},        // not finite
 		{"-id", "a", "-put", "k=-inf"},       // not finite
 		{"-id", "a", "-notaflag"},            // bad flag
+		{"-id", "a", "put", "k=1"},           // stray word: the flags after it would be dropped
 	}
 	for _, args := range bad {
 		if _, err := parseArgs(args); err == nil {

@@ -141,6 +141,19 @@ func (rf renderFlags) render(out io.Writer, exps []explanation) error {
 	return nil
 }
 
+// parse parses args and rejects leftover positional arguments: flag
+// stops at the first non-flag word, so without this a stray word
+// silently drops every flag after it.
+func parse(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	return nil
+}
+
 func runScenario(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("riotscope run", flag.ContinueOnError)
 	arch := fs.String("arch", "ML4", "architecture maturity level: ML1..ML4")
@@ -150,7 +163,7 @@ func runScenario(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", 0, "override simulation seed (0 = scenario default)")
 	hardened := fs.Bool("hardened", false, "enable the full resilience profile (island mode, spread, backups, sticky failover)")
 	rf := addRenderFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 	a, err := core.ParseArchetype(*arch)
@@ -201,7 +214,7 @@ func runCorpus(args []string, out io.Writer) error {
 	entry := fs.String("entry", "", "explain only this entry (default: every entry)")
 	hardened := fs.Bool("hardened", false, "replay under the hardened profile instead of the recorded knobs")
 	rf := addRenderFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 	ces, err := chaos.LoadCorpus(*corpusDir)

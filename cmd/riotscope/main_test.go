@@ -20,6 +20,16 @@ func TestRunExplainsDisruptedScenario(t *testing.T) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
 	}
+	// A stray word would drop every flag after it (here the one that
+	// makes the command a check); both subcommands reject it by name.
+	for _, args := range [][]string{
+		{"run", "-arch", "ML1", "extra", "-require-incidents"},
+		{"corpus", "extra", "-require-incidents"},
+	} {
+		if err := run(args, &sb); err == nil || !strings.Contains(err.Error(), `"extra"`) {
+			t.Fatalf("run(%q): err = %v, want an error naming the stray argument", args, err)
+		}
+	}
 }
 
 func TestRunJSONRoundTrips(t *testing.T) {

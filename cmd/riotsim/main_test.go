@@ -47,6 +47,14 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-shards", "-1", "-duration", "1m"}, &out); err == nil || !strings.Contains(err.Error(), "-shards") {
 		t.Fatalf("negative -shards: err = %v, want an error naming the flag", err)
 	}
+	// "matrix" for "-matrix": flag would stop there and run one ML4
+	// with no -shards and no -hash.
+	if err := run([]string{"-tier", "city-smoke", "matrix", "-shards", "2", "-hash"}, &out); err == nil || !strings.Contains(err.Error(), `"matrix"`) {
+		t.Fatalf("stray argument: err = %v, want an error naming it", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("a rejected command line still ran something:\n%s", out.String())
+	}
 }
 
 func TestParseArchetype(t *testing.T) {

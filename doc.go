@@ -23,7 +23,9 @@
 //   - internal/experiments: one experiment per table/figure
 //   - cmd/riotsim, cmd/riotverify, cmd/riotbench: CLI tools
 //   - examples/: runnable scenarios using the public surface
+//   - bench/: the gated benchmark (its own module, BENCHMARK.json), the
+//     only source of performance numbers and perf gates
 //
-// The benchmarks in bench_test.go regenerate every table and figure;
-// see EXPERIMENTS.md for paper-vs-measured results.
+// The benchmarks in bench_test.go and cmd/riotbench regenerate every
+// table and figure; see EXPERIMENTS.md for paper-vs-measured results.
 package repro

@@ -61,6 +61,31 @@ func TestAnalysisAgreesWithReport(t *testing.T) {
 	}
 }
 
+// TestCitySmokeResilienceBudget bounds the three deterministic figures
+// of the city-smoke ML4 run (seed 1, default knobs) that bench/ records
+// (sync.bytes, observatory.mttd_p99_vs, observatory.mttr_p99_vs) but
+// does not bound. The bounds are the values the retired BENCH_riot.json
+// baseline pinned; they are upward-only, and lowering one is the way to
+// record an improvement.
+func TestCitySmokeResilienceBudget(t *testing.T) {
+	cfg := core.CityScenarioSmoke()
+	sys := core.NewSystem(cfg, core.ML4)
+	sys.Run()
+	a := Analyze(sys.Journal(), Options{Duration: cfg.Duration, Zones: cfg.Zones})
+	if got := sys.SyncTraffic().BytesSent; got > 1506154 {
+		t.Errorf("sync bytes on the wire = %d, budget 1506154", got)
+	}
+	if a.MTTD.Count == 0 {
+		t.Fatal("disrupted city run produced no detected incidents")
+	}
+	if a.MTTD.P99 > 6800*time.Millisecond {
+		t.Errorf("MTTD p99 = %v, budget 6.8s", a.MTTD.P99)
+	}
+	if a.MTTR.P99 > 25*time.Second {
+		t.Errorf("MTTR p99 = %v, budget 25s", a.MTTR.P99)
+	}
+}
+
 func TestFlightDumpRoundTrip(t *testing.T) {
 	bus := obs.NewBus(nil)
 	fr := NewFlightRecorder(bus, 8)

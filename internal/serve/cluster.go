@@ -50,7 +50,7 @@ type ClusterNode struct {
 // Cluster is a set of loopback realnet nodes, each running gossip
 // membership, a governed store synchronized all-to-all, and a serve
 // front door — the in-process shape of the CI smoke's three riotnode
-// processes. Used by the riotbench `serve` experiment and the e2e
+// processes. Used by the bench/ serve workloads and the e2e
 // tests.
 type Cluster struct {
 	Nodes []*ClusterNode
