@@ -6,8 +6,9 @@
 //	riotsim -arch ML4 -zones 4 -duration 20m -seed 1 -preset standard
 //
 // -tier selects a scenario preset (default, city, city-smoke, metro,
-// metro-smoke); -zones and -duration still override it when given
-// explicitly. -shards splits the simulation into zone lanes (DESIGN.md
+// metro-smoke); -zones, -duration and -preset override it only when
+// given explicitly, so the city tiers keep their heavy fault preset.
+// -shards splits the simulation into zone lanes (DESIGN.md
 // §11) and thereby picks the journal family: 0 is the single-lane
 // family every pinned hash belongs to; -shards 1 is the serial
 // reference leg of the per-node-stream family and higher counts execute
@@ -60,7 +61,7 @@ func run(args []string, out io.Writer) error {
 	duration := fs.Duration("duration", 20*time.Minute, "virtual run duration")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	shards := fs.Int("shards", 0, "zone-shard lane count; picks the journal family (0 = one lane, shared random stream: the pinned hashes; >= 1 = per-node streams, identical at any count, 1 = serial reference leg)")
-	preset := fs.String("preset", "standard", "fault preset: standard, none or heavy")
+	preset := fs.String("preset", "standard", "fault preset: standard, none or heavy (a named tier keeps its own unless this is given)")
 	matrix := fs.Bool("matrix", false, "run all four archetypes (Tables 1/2)")
 	events := fs.Bool("events", false, "print the run journal (faults, placements, violations, alerts)")
 	hash := fs.Bool("hash", false, "print the journal hash (per archetype with -matrix)")
@@ -89,35 +90,45 @@ func run(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown tier %q", *tier)
 	}
-	// -zones/-duration defaults describe the default tier; only apply
-	// them over a named tier when the user set them explicitly.
+	// -zones, -duration and -preset defaults describe the default tier;
+	// only apply them over a named tier when the user set them
+	// explicitly.
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if *tier == "default" || explicit["zones"] {
-		cfg.Zones = *zones
+	own := func(name string) bool { return *tier == "default" || explicit[name] }
+	if *zones < 1 {
+		return fmt.Errorf("-zones %d: must be 1 or more", *zones)
 	}
-	if *tier == "default" || explicit["duration"] {
-		cfg.Duration = *duration
+	if *duration <= 0 {
+		return fmt.Errorf("-duration %v: must be positive", *duration)
 	}
 	if *shards < 0 {
 		return fmt.Errorf("-shards %d: must be 0 or more", *shards)
 	}
+	if own("zones") {
+		cfg.Zones = *zones
+	}
+	if own("duration") {
+		cfg.Duration = *duration
+	}
 	cfg.Seed = *seed
 	cfg.Shards = *shards
-	switch strings.ToLower(*preset) {
-	case "standard":
-		cfg.Preset = core.FaultsStandard
-	case "none":
-		cfg.Preset = core.FaultsNone
-	case "heavy":
-		cfg.Preset = core.FaultsHeavy
-	default:
-		return fmt.Errorf("unknown preset %q", *preset)
+	if own("preset") {
+		switch strings.ToLower(*preset) {
+		case "standard":
+			cfg.Preset = core.FaultsStandard
+		case "none":
+			cfg.Preset = core.FaultsNone
+		case "heavy":
+			cfg.Preset = core.FaultsHeavy
+		default:
+			return fmt.Errorf("unknown preset %q", *preset)
+		}
 	}
 
 	if *matrix {
-		if *trace != "" || *cpuProfile != "" || *memProfile != "" {
-			return fmt.Errorf("-trace, -cpuprofile and -memprofile need a single run; drop -matrix")
+		if *trace != "" || *cpuProfile != "" || *memProfile != "" || *events {
+			return fmt.Errorf("-trace, -cpuprofile, -memprofile and -events need a single run; drop -matrix")
 		}
 		if *hash {
 			for _, a := range core.AllArchetypes() {

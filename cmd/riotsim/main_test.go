@@ -44,8 +44,20 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-badflag"}, &out); err == nil {
 		t.Fatal("bad flag accepted")
 	}
-	if err := run([]string{"-shards", "-1", "-duration", "1m"}, &out); err == nil || !strings.Contains(err.Error(), "-shards") {
-		t.Fatalf("negative -shards: err = %v, want an error naming the flag", err)
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-shards", []string{"-shards", "-1", "-duration", "1m"}},
+		{"-zones", []string{"-zones", "-1"}},
+		{"-zones", []string{"-tier", "city-smoke", "-zones", "0"}},
+		{"-duration", []string{"-duration", "-1m"}},
+		{"-duration", []string{"-tier", "city-smoke", "-duration", "0s"}},
+		{"-events", []string{"-matrix", "-events", "-duration", "1m"}},
+	} {
+		if err := run(c.args, &out); err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Fatalf("%v: err = %v, want an error naming %s", c.args, err, c.flag)
+		}
 	}
 	// "matrix" for "-matrix": flag would stop there and run one ML4
 	// with no -shards and no -hash.
@@ -54,6 +66,27 @@ func TestRunErrors(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Fatalf("a rejected command line still ran something:\n%s", out.String())
+	}
+}
+
+// TestNamedTierKeepsItsPreset: without -preset a city tier runs its
+// own heavy schedule, not the default tier's standard one.
+func TestNamedTierKeepsItsPreset(t *testing.T) {
+	hash := func(args ...string) string {
+		t.Helper()
+		var out strings.Builder
+		if err := run(append([]string{"-tier", "city-smoke", "-arch", "ML4", "-hash"}, args...), &out); err != nil {
+			t.Fatal(err)
+		}
+		_, h, ok := strings.Cut(out.String(), "journal ")
+		if !ok {
+			t.Fatalf("no journal hash in output:\n%s", out.String())
+		}
+		return strings.TrimSpace(h)
+	}
+	own, heavy, standard := hash(), hash("-preset", "heavy"), hash("-preset", "standard")
+	if own != heavy || own == standard {
+		t.Fatalf("city-smoke hashes %.12s with no -preset, %.12s with heavy, %.12s with standard: want the heavy run", own, heavy, standard)
 	}
 }
 

@@ -559,27 +559,26 @@ func (n *Node) broadcastAppend() {
 	if n.role != Leader {
 		return
 	}
-	for _, p := range n.peers {
-		if p != n.ep.ID() {
-			n.sendAppend(p)
+	for i := range n.peers {
+		if i != n.selfIdx {
+			n.sendAppend(i)
 		}
 	}
 }
 
 // peerIdx resolves a peer ID to its position in the sorted peers
-// slice. Groups are small, and the IDs are shared strings, so a linear
-// scan with its pointer-equality fast path beats hashing.
+// slice: a binary search, since a city placement group has hundreds of
+// members and every AppendEntries response resolves its sender.
 func (n *Node) peerIdx(id simnet.NodeID) int {
-	for i, p := range n.peers {
-		if p == id {
-			return i
-		}
+	if i, ok := slices.BinarySearch(n.peers, id); ok {
+		return i
 	}
 	return -1
 }
 
-func (n *Node) sendAppend(to simnet.NodeID) {
-	next := n.nextIndex[n.peerIdx(to)]
+// sendAppend replicates to the peer at slot pi of the sorted peers.
+func (n *Node) sendAppend(pi int) {
+	to, next := n.peers[pi], n.nextIndex[pi]
 	if next < 1 {
 		next = 1
 	}
@@ -819,13 +818,19 @@ func (n *Node) handleAppendResp(from simnet.NodeID, m appendEntriesResp) {
 		n.peerContact[fi] = n.ep.Now()
 	}
 	if m.Success {
-		if m.MatchIndex > n.matchIndex[fi] {
+		moved := m.MatchIndex > n.matchIndex[fi]
+		if moved {
 			n.matchIndex[fi] = m.MatchIndex
 		}
 		n.nextIndex[fi] = n.matchIndex[fi] + 1
-		n.advanceCommit()
+		// Only a moved match can move the commit point: Propose runs
+		// advanceCommit after moving the leader's own match, and maybeWin
+		// leaves no entry of the current term to commit.
+		if moved {
+			n.advanceCommit()
+		}
 		if n.nextIndex[fi] <= n.lastLogIndex() {
-			n.sendAppend(from)
+			n.sendAppend(fi)
 		}
 		return
 	}
@@ -833,7 +838,7 @@ func (n *Node) handleAppendResp(from simnet.NodeID, m appendEntriesResp) {
 	if n.nextIndex[fi] > 1 {
 		n.nextIndex[fi]--
 	}
-	n.sendAppend(from)
+	n.sendAppend(fi)
 }
 
 func min64(a, b uint64) uint64 {

@@ -56,6 +56,22 @@ func TestRoleString(t *testing.T) {
 	}
 }
 
+// TestPeerIdxResolvesEveryPeer: the binary search finds each member at
+// its slot of the sorted peers (r10 sorts before r2) and nobody else.
+func TestPeerIdxResolvesEveryPeer(t *testing.T) {
+	nd := group(t, simnet.New(simnet.WithSeed(1)), 12)[3]
+	for i, p := range nd.peers {
+		if got := nd.peerIdx(p); got != i {
+			t.Fatalf("peerIdx(%s) = %d, want %d", p, got, i)
+		}
+	}
+	for _, stranger := range []simnet.NodeID{"", "r", "r12", "r1x", "s0"} {
+		if got := nd.peerIdx(stranger); got != -1 {
+			t.Fatalf("peerIdx(%q) = %d, want -1", stranger, got)
+		}
+	}
+}
+
 func TestSingleNodeBecomesLeaderAndCommits(t *testing.T) {
 	sim := simnet.New(simnet.WithSeed(1))
 	var applied []Command

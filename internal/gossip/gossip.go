@@ -236,12 +236,18 @@ type Protocol struct {
 	// in onRecover), so every path that needs the members in a
 	// seed-determined order reads it instead of sorting the map's keys.
 	sorted []*memberState
-	queue  []broadcast
-	// sortScratch is sortQueue's copy of the queue, reused across calls.
-	sortScratch []broadcast
-	probeOrder  []simnet.NodeID
-	probeIdx    int
-	seqCounter  uint64
+	// queue holds the updates awaiting piggybacking. Between takes it is
+	// two runs, each sorted by transmits: the head queue[:front], which
+	// the last take carried, and the untouched rest. enqueue breaks that
+	// shape and sets front to -1; the next take then sorts in full.
+	queue []broadcast
+	front int
+	// scratch is a spare array for takes: sortQueue scatters into it
+	// and trades it for the queue's, mergeHead copies the head into it.
+	scratch    []broadcast
+	probeOrder []simnet.NodeID
+	probeIdx   int
+	seqCounter uint64
 	// pending acks: seq → callback(acked bool) resolution state
 	acked    map[uint64]*simnet.Timer
 	relaySeq map[uint64]relay // indirect probe relays
@@ -600,6 +606,8 @@ func (p *Protocol) notify(m Member) {
 }
 
 func (p *Protocol) enqueue(u Update) {
+	// A fresh claim has no transmits, wherever it lands.
+	p.front = -1
 	// Replace any queued update for the same member: the newest claim
 	// supersedes older ones.
 	for i := range p.queue {
@@ -611,6 +619,8 @@ func (p *Protocol) enqueue(u Update) {
 	p.queue = append(p.queue, broadcast{update: u})
 }
 
+// retransmitLimit never falls while the queue holds entries: members
+// are only ever added, except by onRecover, which empties the queue.
 func (p *Protocol) retransmitLimit() int {
 	// bits.Len(n) is ceil(log2(n+1)) for every n >= 0.
 	return p.cfg.RetransmitMult * bits.Len(uint(len(p.members)))
@@ -646,11 +656,33 @@ func (p *Protocol) sortQueue() {
 		next[t] = slot
 		slot += n
 	}
-	p.sortScratch = append(p.sortScratch[:0], q...)
-	for i := range p.sortScratch {
-		b := &p.sortScratch[i]
-		q[next[b.transmits]] = *b
+	// Scatter into the scratch array, which then becomes the queue.
+	sorted := slices.Grow(p.scratch[:0], len(q))[:len(q)]
+	for i := range q {
+		b := &q[i]
+		sorted[next[b.transmits]] = *b
 		next[b.transmits]++
+	}
+	p.queue, p.scratch = sorted, q[:0]
+}
+
+// mergeHead merges the head run into the rest, ties going to the head.
+// The head precedes the rest in queue order, so this is the queue a
+// stable sort by transmits would produce, at the cost of moving the
+// rest entries that now sort before the head's last entry.
+func (p *Protocol) mergeHead() {
+	head := append(p.scratch[:0], p.queue[:p.front]...)
+	p.scratch = head
+	q, w, r := p.queue, 0, p.front
+	for _, h := range head {
+		k := r
+		for k < len(q) && q[k].transmits < h.transmits {
+			k++
+		}
+		w += copy(q[w:], q[r:k])
+		r = k
+		q[w] = h
+		w++
 	}
 }
 
@@ -660,21 +692,27 @@ func (p *Protocol) takePiggyback() []Update {
 	if len(p.queue) == 0 {
 		return nil
 	}
-	p.sortQueue()
-	limit := p.retransmitLimit()
+	if p.front < 0 {
+		p.sortQueue()
+	} else {
+		p.mergeHead()
+	}
+	n := min(len(p.queue), p.cfg.MaxPiggyback)
+	if n <= 0 {
+		p.front = 0
+		return nil
+	}
 	// The updates travel in a message that owns them: a fresh slice per
 	// call, sized once.
-	var out []Update
-	if n := min(len(p.queue), p.cfg.MaxPiggyback); n > 0 {
-		out = make([]Update, 0, n)
-	}
+	out := make([]Update, n)
+	// Only the entries taken now can reach the limit: the rest kept
+	// their counts, and the limit has not fallen since they were queued.
+	limit := p.retransmitLimit()
 	kept := 0
-	for i := range p.queue {
+	for i := range out {
 		b := &p.queue[i]
-		if len(out) < p.cfg.MaxPiggyback {
-			out = append(out, b.update)
-			b.transmits++
-		}
+		out[i] = b.update
+		b.transmits++
 		if b.transmits < limit {
 			if kept != i {
 				p.queue[kept] = *b
@@ -682,7 +720,10 @@ func (p *Protocol) takePiggyback() []Update {
 			kept++
 		}
 	}
-	p.queue = p.queue[:kept]
+	if kept < n {
+		p.queue = append(p.queue[:kept], p.queue[n:]...)
+	}
+	p.front = kept
 	return out
 }
 

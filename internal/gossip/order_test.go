@@ -75,12 +75,15 @@ func TestQueueMatchesStableSortModel(t *testing.T) {
 		members, ids    int // table size; ids the enqueues draw from
 		mult, maxOut    int
 		enqueuePerMille int
+		joinPerMille    int // a new member: one more enqueue, maybe a higher limit
 	}{
-		{"city", 200, 220, 3, 6, 300},
-		{"replace-heavy", 40, 12, 3, 6, 700},
-		{"drops", 3, 30, 1, 2, 500},
-		{"one-per-message", 16, 40, 2, 1, 400},
-		{"transmits-past-64", 200, 20, 12, 8, 50},
+		{"city", 200, 220, 3, 6, 300, 0},
+		{"replace-heavy", 40, 12, 3, 6, 700, 0},
+		{"drops", 3, 30, 1, 2, 500, 0},
+		{"one-per-message", 16, 40, 2, 1, 400, 0},
+		{"transmits-past-64", 200, 20, 12, 8, 50, 0},
+		{"merges", 200, 220, 3, 6, 5, 0},
+		{"joins", 2, 20, 2, 3, 20, 60},
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
@@ -89,8 +92,14 @@ func TestQueueMatchesStableSortModel(t *testing.T) {
 				m := &queueModel{mult: sh.mult, maxOut: sh.maxOut}
 				m.queue = slices.Clone(p.queue)
 				rng := rand.New(rand.NewSource(seed))
+				joined := 0
 				for step := 0; step < 3000; step++ {
-					if rng.Intn(1000) < sh.enqueuePerMille {
+					if sh.joinPerMille > 0 && rng.Intn(1000) < sh.joinPerMille {
+						u := Update{ID: simnet.NodeID(fmt.Sprintf("j%04d", joined)), Status: StatusAlive}
+						joined++
+						p.applyUpdate(u)
+						m.enqueue(u)
+					} else if rng.Intn(1000) < sh.enqueuePerMille {
 						u := Update{
 							ID:          simnet.NodeID(fmt.Sprintf("n%03d", rng.Intn(sh.ids))),
 							Status:      Status(1 + rng.Intn(3)),

@@ -63,7 +63,15 @@ type Orchestrator struct {
 	// through hostsByID. Hosts are never removed, so it is stale exactly
 	// when it is shorter than hostOrder, and the first pick after a
 	// registration rebuilds it.
-	byID    []device.ID
+	byID []device.ID
+	// inZone is byID split by zone: the hosts each zone contains, in id
+	// order, the only candidates of a zone-constrained pick; read it
+	// through hostsIn. It is built at the first zoned pick, dropped with
+	// byID when a host registers, and rebuilt once the spatial map
+	// reports a zone or placement change (space.Map.Changes moved off
+	// zonesAt).
+	inZone  map[space.ZoneID][]device.ID
+	zonesAt uint64
 	usedCPU map[device.ID]int
 	usedMem map[device.ID]int
 
@@ -106,7 +114,8 @@ func (o *Orchestrator) Hosts() []device.ID {
 // Stats returns a copy of the counters.
 func (o *Orchestrator) Stats() Stats { return o.stats }
 
-// feasible reports whether host can run fn right now.
+// feasible reports whether host can run fn right now, zone aside: pick
+// offers a zoned function only the hosts in its zone.
 func (o *Orchestrator) feasible(fn Function, id device.ID) bool {
 	d, ok := o.hosts[id]
 	if !ok || !o.alive(id) || d.Drained() {
@@ -118,19 +127,7 @@ func (o *Orchestrator) feasible(fn Function, id device.ID) bool {
 		}
 	}
 	res := d.Resources()
-	if o.usedCPU[id]+fn.CPUMIPS > res.CPUMIPS || o.usedMem[id]+fn.MemMB > res.MemMB {
-		return false
-	}
-	if fn.Zone != "" {
-		if o.spaces == nil {
-			return false
-		}
-		z, ok := o.spaces.ZoneOf(string(id))
-		if !ok || z.ID != fn.Zone {
-			return false
-		}
-	}
-	return true
+	return o.usedCPU[id]+fn.CPUMIPS <= res.CPUMIPS && o.usedMem[id]+fn.MemMB <= res.MemMB
 }
 
 // score ranks a feasible host: prefer edge hosts when asked, then the
@@ -171,8 +168,26 @@ func (o *Orchestrator) hostsByID() []device.ID {
 	if len(o.byID) != len(o.hostOrder) {
 		o.byID = append(o.byID[:0], o.hostOrder...)
 		slices.Sort(o.byID)
+		o.inZone = nil
 	}
 	return o.byID
+}
+
+// hostsIn returns the registered hosts the zone contains, in id order,
+// rebuilding the per-zone lists only after a zone or placement change
+// or a registration. A host belongs to the zone ZoneOf names for it.
+func (o *Orchestrator) hostsIn(zone space.ZoneID) []device.ID {
+	byID := o.hostsByID()
+	if o.inZone == nil || o.zonesAt != o.spaces.Changes() {
+		o.inZone = make(map[space.ZoneID][]device.ID)
+		for _, id := range byID {
+			if z, ok := o.spaces.ZoneOf(string(id)); ok {
+				o.inZone[z.ID] = append(o.inZone[z.ID], id)
+			}
+		}
+		o.zonesAt = o.spaces.Changes()
+	}
+	return o.inZone[zone]
 }
 
 // pick returns the best-scoring feasible host outside excluded (nil
@@ -183,7 +198,14 @@ func (o *Orchestrator) pick(fn Function, excluded map[device.ID]bool) (device.ID
 	best := device.ID("")
 	bestScore := 0.0
 	found := false
-	for _, id := range o.hostsByID() {
+	hosts := o.hostsByID()
+	if fn.Zone != "" {
+		if o.spaces == nil {
+			return "", false
+		}
+		hosts = o.hostsIn(fn.Zone)
+	}
+	for _, id := range hosts {
 		if excluded[id] || !o.feasible(fn, id) {
 			continue
 		}

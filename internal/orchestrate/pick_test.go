@@ -11,7 +11,8 @@ import (
 )
 
 // modelPick is pick as it was before the orchestrator kept its hosts
-// sorted: copy the ids, sort them, take the first best score.
+// sorted and indexed by zone: copy the ids, sort them, ask the map for
+// each host's zone, take the first best score.
 func modelPick(o *Orchestrator, fn Function, excluded map[device.ID]bool) (device.ID, bool) {
 	best := device.ID("")
 	bestScore := 0.0
@@ -21,6 +22,11 @@ func modelPick(o *Orchestrator, fn Function, excluded map[device.ID]bool) (devic
 	for _, id := range ids {
 		if excluded[id] || !o.feasible(fn, id) {
 			continue
+		}
+		if fn.Zone != "" {
+			if z, ok := o.spaces.ZoneOf(string(id)); !ok || z.ID != fn.Zone {
+				continue
+			}
 		}
 		s := o.score(fn, id)
 		if !found || s > bestScore {
@@ -50,8 +56,9 @@ func grid(tb testing.TB, n int) *space.Map {
 }
 
 // TestPickMatchesBruteForce interleaves registrations, deployments,
-// host failures and heals, and requires pick to choose the model's
-// host for every kind of function before each step.
+// host failures, heals, host moves and zone redefinitions, and requires
+// pick to choose the model's host for every kind of function before
+// each step: a stale zone index fails it.
 func TestPickMatchesBruteForce(t *testing.T) {
 	const zones = 6
 	for seed := int64(1); seed <= 8; seed++ {
@@ -61,11 +68,23 @@ func TestPickMatchesBruteForce(t *testing.T) {
 		o := New(spaces, func(id device.ID) bool { return !down[id] })
 		classes := []device.Class{device.ClassGateway, device.ClassCloudlet, device.ClassCloudVM, device.ClassMicrocontroller}
 		var registered []device.ID
+		// somewhere is the centre of a zone's original square or of the
+		// gap after it, which only a redefined zone can contain.
+		somewhere := func() space.Point {
+			return space.Point{X: float64(rng.Intn(2*zones)) + 0.5, Y: 0.5}
+		}
+		// Every id is placed before any registers, so a registration
+		// need not move the map's change counter.
+		for i := 0; i < 60; i++ {
+			spaces.Place(fmt.Sprintf("h%02d", i), somewhere(), "d")
+		}
 		register := func() {
 			// Ids arrive in no order, and an id may be registered again.
 			id := device.ID(fmt.Sprintf("h%02d", rng.Intn(60)))
-			z := rng.Intn(zones)
-			spaces.Place(string(id), space.Point{X: float64(2*z) + 0.5, Y: 0.5}, "d")
+			if rng.Intn(2) == 0 {
+				z := rng.Intn(zones)
+				spaces.Place(string(id), space.Point{X: float64(2*z) + 0.5, Y: 0.5}, "d")
+			}
 			o.RegisterHost(device.New(id, device.Config{Class: classes[rng.Intn(len(classes))]}))
 			registered = append(registered, id)
 		}
@@ -108,6 +127,24 @@ func TestPickMatchesBruteForce(t *testing.T) {
 				o.DeployAvoiding(fn, excluded)
 			case 5:
 				o.DeployReplicated(function(fmt.Sprintf("r%d", rng.Intn(5))), 2)
+			case 6:
+				id := registered[rng.Intn(len(registered))]
+				if err := spaces.Move(string(id), somewhere()); err != nil {
+					t.Fatal(err)
+				}
+			case 7:
+				// Redefine a zone over any square or gap: it may now
+				// overlap a zone registered before or after it.
+				at := somewhere()
+				zone := space.Zone{
+					ID:       space.ZoneID(fmt.Sprintf("z%d", rng.Intn(zones))),
+					Min:      space.Point{X: at.X - 0.5},
+					Max:      space.Point{X: at.X + 0.5, Y: 1},
+					DomainID: "d",
+				}
+				if err := spaces.AddZone(zone); err != nil {
+					t.Fatal(err)
+				}
 			default:
 				o.Deploy(fn)
 			}

@@ -80,6 +80,16 @@ type timerWheel struct {
 	// second between events.
 	occ0 [wheelSlots / 64]uint64
 	occ1 [wheelSlots / 64]uint64
+	// spare holds each level's emptied bucket arrays, length zero,
+	// capacity kept. A drained bucket gives its array back and an empty
+	// bucket takes one before its first append, so a level grows about
+	// as many arrays as it has buckets occupied at once — in the ML4
+	// city about two dozen L1 buckets, not all 256 slots each regrowing
+	// from nil.
+	// L0's arrays pass through the run: a drained bucket becomes the run
+	// and the run it replaces is spare. Each lane owns its wheel, so the
+	// lists need no lock.
+	spare [2][][]heapEntry
 }
 
 const (
@@ -132,15 +142,11 @@ func (w *timerWheel) push(at time.Duration, seq uint64, idx uint32) {
 		return
 	}
 	if b := int64(at >> l0Shift); b < w.cur1<<8 {
-		w.l0[b&wheelMask] = append(w.l0[b&wheelMask], e)
-		w.occ0[(b&wheelMask)>>6] |= 1 << (uint(b) & 63)
-		w.n0++
+		w.file0(b&wheelMask, e)
 		return
 	}
 	if b := int64(at >> l1Shift); b < w.cur1+wheelSlots {
-		w.l1[b&wheelMask] = append(w.l1[b&wheelMask], e)
-		w.occ1[(b&wheelMask)>>6] |= 1 << (uint(b) & 63)
-		w.n1++
+		w.file1(b&wheelMask, e)
 		return
 	}
 	// Far future: sorted descending, so the minimum sits at the end.
@@ -156,6 +162,38 @@ func (w *timerWheel) push(at time.Duration, seq uint64, idx uint32) {
 	w.spill = append(w.spill, heapEntry{})
 	copy(w.spill[lo+1:], w.spill[lo:])
 	w.spill[lo] = e
+}
+
+// file0 and file1 append e to an L0 or L1 slot, marking it occupied.
+func (w *timerWheel) file0(slot int64, e heapEntry) {
+	w.l0[slot] = w.bucketAppend(0, w.l0[slot], e)
+	w.occ0[slot>>6] |= 1 << (uint(slot) & 63)
+	w.n0++
+}
+
+func (w *timerWheel) file1(slot int64, e heapEntry) {
+	w.l1[slot] = w.bucketAppend(1, w.l1[slot], e)
+	w.occ1[slot>>6] |= 1 << (uint(slot) & 63)
+	w.n1++
+}
+
+// bucketAppend appends e to bucket b of the level, giving an empty
+// bucket a spare array first.
+func (w *timerWheel) bucketAppend(level int, b []heapEntry, e heapEntry) []heapEntry {
+	if b == nil {
+		if sp := w.spare[level]; len(sp) > 0 {
+			b = sp[len(sp)-1]
+			w.spare[level] = sp[:len(sp)-1]
+		}
+	}
+	return append(b, e)
+}
+
+// recycle returns a drained bucket's array to the level's spare list.
+func (w *timerWheel) recycle(level int, b []heapEntry) {
+	if cap(b) > 0 {
+		w.spare[level] = append(w.spare[level], b[:0])
+	}
 }
 
 // peek returns the minimum entry without removing it.
@@ -189,7 +227,8 @@ func (w *timerWheel) advance() bool {
 			w.runHi = time.Duration(w.cur0) << l0Shift
 			b := &w.l0[idx]
 			w.n0 -= len(*b)
-			w.run, *b = *b, w.run[:0]
+			w.recycle(0, w.run)
+			w.run, *b = *b, nil
 			w.occ0[idx>>6] &^= 1 << (uint(idx) & 63)
 			w.head = 0
 			slices.SortFunc(w.run, entryCmp)
@@ -227,12 +266,10 @@ func (w *timerWheel) advance() bool {
 		w.cur1++
 		w.n1 -= len(*b)
 		for _, e := range *b {
-			slot := int64(e.at>>l0Shift) & wheelMask
-			w.l0[slot] = append(w.l0[slot], e)
-			w.occ0[slot>>6] |= 1 << (uint(slot) & 63)
+			w.file0(int64(e.at>>l0Shift)&wheelMask, e)
 		}
-		w.n0 += len(*b)
-		*b = (*b)[:0]
+		w.recycle(1, *b)
+		*b = nil
 		w.promote()
 	}
 }
@@ -270,10 +307,7 @@ func (w *timerWheel) promote() {
 	for n := len(w.spill); n > 0 && w.spill[n-1].at < limit; n = len(w.spill) {
 		e := w.spill[n-1]
 		w.spill = w.spill[:n-1]
-		slot := int64(e.at>>l1Shift) & wheelMask
-		w.l1[slot] = append(w.l1[slot], e)
-		w.occ1[slot>>6] |= 1 << (uint(slot) & 63)
-		w.n1++
+		w.file1(int64(e.at>>l1Shift)&wheelMask, e)
 	}
 }
 

@@ -3,8 +3,10 @@ package simnet
 import (
 	"container/heap"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // refModel is an independent reference scheduler built on the standard
@@ -158,6 +160,51 @@ func TestWheelSpillPromotion(t *testing.T) {
 	}
 	if w.len() != 0 {
 		t.Fatalf("wheel len = %d after drain", w.len())
+	}
+}
+
+// TestWheelRecyclesBucketArrays holds a steady population across the L1
+// horizon — half 5 s tickers, half 0.5 s timeouts, each entry filing
+// its successor as it pops, like a city's sample ticks and probe
+// timeouts — for three L1 rotations, and bounds the bytes the wheel
+// allocates by a small multiple of the entries it ever holds at once:
+// bucket arrays circulate among the buckets occupied together instead
+// of each of the 512 slots growing its own.
+func TestWheelRecyclesBucketArrays(t *testing.T) {
+	const population = 4000
+	period := func(idx uint32) time.Duration {
+		if idx%2 == 0 {
+			return 5 * time.Second
+		}
+		return 500 * time.Millisecond
+	}
+	rng := rand.New(rand.NewSource(1))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	w := newTimerWheel()
+	seq := uint64(0)
+	for i := uint32(0); i < population; i++ {
+		seq++
+		w.push(time.Duration(rng.Int63n(int64(period(i)))), seq, i)
+	}
+	peak, pops := w.len(), 0
+	horizon := time.Duration(3*wheelSlots) << l1Shift
+	for e, _ := w.peek(); e.at < horizon; e, _ = w.peek() {
+		w.pop()
+		seq++
+		w.push(e.at+period(e.idx), seq, e.idx)
+		peak = max(peak, w.len())
+		pops++
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(w)
+	held := uint64(peak) * uint64(unsafe.Sizeof(heapEntry{}))
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d pops over %v: %d KB allocated, %d KB held at peak (%.1fx)",
+		pops, horizon, alloc>>10, held>>10, float64(alloc)/float64(held))
+	if alloc > 32*held {
+		t.Fatalf("the wheel allocated %d KB for at most %d KB of queued entries: more than 32x", alloc>>10, held>>10)
 	}
 }
 

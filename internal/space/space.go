@@ -87,15 +87,9 @@ type Map struct {
 	zones      map[ZoneID]Zone
 	placements map[string]Placement
 	zoneOrder  []ZoneID // deterministic iteration
-	// zoneMemo caches ZoneOf results (the first containing zone in
-	// registration order). Orchestrator feasibility checks resolve the
-	// zone of every candidate for every pending service, which at
-	// metropolis scale turns the linear zone scan quadratic. Entries
-	// are dropped when the entity moves and the whole memo flushes
-	// when a zone is added or redefined; only positive results are
-	// cached, so a later zone that newly contains an unmatched entity
-	// is picked up without invalidation.
-	zoneMemo map[string]ZoneID
+	// changes counts the calls that can change an entity's zone; see
+	// Changes.
+	changes uint64
 }
 
 // NewMap constructs an empty spatial model.
@@ -104,7 +98,6 @@ func NewMap() *Map {
 		domains:    make(map[DomainID]Domain),
 		zones:      make(map[ZoneID]Zone),
 		placements: make(map[string]Placement),
-		zoneMemo:   make(map[string]ZoneID),
 	}
 }
 
@@ -128,7 +121,7 @@ func (m *Map) AddZone(z Zone) error {
 		m.zoneOrder = append(m.zoneOrder, z.ID)
 	}
 	m.zones[z.ID] = z
-	clear(m.zoneMemo) // bounds may have changed for an already-memoized entity
+	m.changes++
 	return nil
 }
 
@@ -151,7 +144,7 @@ func (m *Map) Zones() []Zone {
 // Place positions an entity and assigns its owning domain.
 func (m *Map) Place(entity string, p Point, domain DomainID) {
 	m.placements[entity] = Placement{Position: p, Domain: domain}
-	delete(m.zoneMemo, entity)
+	m.changes++
 }
 
 // Move updates an entity's position, keeping its domain.
@@ -162,7 +155,7 @@ func (m *Map) Move(entity string, p Point) error {
 	}
 	pl.Position = p
 	m.placements[entity] = pl
-	delete(m.zoneMemo, entity)
+	m.changes++
 	return nil
 }
 
@@ -194,17 +187,19 @@ func (m *Map) ZoneOf(entity string) (Zone, bool) {
 	if !ok {
 		return Zone{}, false
 	}
-	if id, ok := m.zoneMemo[entity]; ok {
-		return m.zones[id], true
-	}
 	for _, id := range m.zoneOrder {
 		if z := m.zones[id]; z.Contains(pl.Position) {
-			m.zoneMemo[entity] = id
 			return z, true
 		}
 	}
 	return Zone{}, false
 }
+
+// Changes counts the AddZone, Place and Move calls so far — everything
+// that can change what ZoneOf answers. Whatever is derived from zones
+// and positions (the orchestrator's per-zone host lists) is current
+// while the count is the one it was built at.
+func (m *Map) Changes() uint64 { return m.changes }
 
 // JurisdictionOf returns the jurisdiction of the entity's owning domain.
 func (m *Map) JurisdictionOf(entity string) Jurisdiction {

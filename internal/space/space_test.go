@@ -88,6 +88,27 @@ func TestMove(t *testing.T) {
 	}
 }
 
+// TestChangesCountsZoneInputs: every call that can change what ZoneOf
+// answers moves the counter, and nothing else does.
+func TestChangesCountsZoneInputs(t *testing.T) {
+	m := newTestMap(t)
+	step := func(what string, moves bool, f func()) {
+		t.Helper()
+		before := m.Changes()
+		f()
+		if got := m.Changes() != before; got != moves {
+			t.Fatalf("%s: counter moved = %v, want %v", what, got, moves)
+		}
+	}
+	step("Place", true, func() { m.Place("car", Point{50, 50}, "campus") })
+	step("Move", true, func() { _ = m.Move("car", Point{300, 50}) })
+	step("AddZone", true, func() { _ = m.AddZone(Zone{ID: "floor1", Max: Point{1, 1}, DomainID: "campus"}) })
+	step("Transfer", false, func() { _ = m.Transfer("car", "city") })
+	step("Move of an unknown entity", false, func() { _ = m.Move("ghost", Point{}) })
+	step("AddZone in an unknown domain", false, func() { _ = m.AddZone(Zone{ID: "z", DomainID: "ghost"}) })
+	step("ZoneOf", false, func() { m.ZoneOf("car") })
+}
+
 func TestTransferChangesJurisdiction(t *testing.T) {
 	m := newTestMap(t)
 	m.Place("dev", Point{10, 10}, "campus")
