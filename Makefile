@@ -43,13 +43,14 @@ city-tables:
 microbench:
 	$(GO) test -bench=. -benchtime=100x ./internal/...
 
-# Short fuzz pass over the parsers, the topic matcher and the realnet
-# datagram decoder.
+# Short fuzz pass over the parsers, the topic matcher, the realnet
+# datagram decoder and the fault-schedule JSON decoder.
 fuzz:
 	$(GO) test -fuzz FuzzParseCTL -fuzztime 10s ./internal/verify/
 	$(GO) test -fuzz FuzzParseLTL -fuzztime 10s ./internal/verify/
 	$(GO) test -fuzz FuzzTopicMatches -fuzztime 10s ./internal/pubsub/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeDatagram -fuzztime 20s ./internal/realnet/
+	$(GO) test -run '^$$' -fuzz FuzzScheduleJSON -fuzztime 10s ./internal/fault/
 
 # All experiments at paper-scale parameters (see EXPERIMENTS.md).
 experiments:
@@ -116,8 +117,11 @@ determinism:
 metro:
 	$(GO) run ./cmd/riotsim -tier metro -arch ML4 -shards 4 -hash
 
+# The smoke tier at 1 and 4 shards; the outputs must be byte-identical.
 metro-smoke:
-	$(GO) run ./cmd/riotsim -tier metro-smoke -arch ML4 -shards 4 -hash
+	$(GO) run ./cmd/riotsim -tier metro-smoke -arch ML4 -shards 1 -hash > /tmp/metro1.txt
+	$(GO) run ./cmd/riotsim -tier metro-smoke -arch ML4 -shards 4 -hash > /tmp/metro4.txt
+	diff -u /tmp/metro1.txt /tmp/metro4.txt
 
 # What the metropolis pays before its first event: NewSystem alone at
 # the sim-metro shape (B/device, ms/kdev), then the gate that bounds

@@ -140,8 +140,9 @@ type ScenarioConfig struct {
 	// counter — the family every pinned hash, the chaos corpus and the
 	// bench baselines belong to. Shards ≥ 1 block-partitions the zones
 	// across that many lanes advancing in conservative lookahead
-	// windows, with per-node streams and shard-count-invariant logical
-	// event keys — so the JournalHash is byte-identical at any
+	// windows, with per-node streams (16 bytes of PCG state each, held
+	// in the node) and shard-count-invariant logical event keys — so
+	// the JournalHash is byte-identical at any
 	// Shards ≥ 1 (Shards = 1 is the serial reference leg) but differs
 	// from the zero-lane family. Not defaulted by withDefaults.
 	Shards int

@@ -86,7 +86,10 @@ func (e Event) MarshalJSON() ([]byte, error) {
 	return json.Marshal(ej)
 }
 
-// UnmarshalJSON decodes an event produced by MarshalJSON.
+// UnmarshalJSON decodes an event produced by MarshalJSON. It rejects
+// a negative at or latency and a loss outside [0, 1], naming the field:
+// the worlds would apply them silently (a negative latency delivers
+// at once).
 func (e *Event) UnmarshalJSON(data []byte) error {
 	var ej eventJSON
 	if err := json.Unmarshal(data, &ej); err != nil {
@@ -96,11 +99,20 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return fmt.Errorf("fault: event at: %w", err)
 	}
+	if at < 0 {
+		return fmt.Errorf("fault: event at %s is negative", ej.At)
+	}
 	var latency time.Duration
 	if ej.Latency != "" {
 		if latency, err = time.ParseDuration(ej.Latency); err != nil {
 			return fmt.Errorf("fault: event latency: %w", err)
 		}
+		if latency < 0 {
+			return fmt.Errorf("fault: event latency %s is negative", ej.Latency)
+		}
+	}
+	if !(ej.Loss >= 0 && ej.Loss <= 1) {
+		return fmt.Errorf("fault: event loss %v is outside [0, 1]", ej.Loss)
 	}
 	*e = Event{
 		At:      at,

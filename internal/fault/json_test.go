@@ -111,6 +111,32 @@ func TestUnmarshalRejectsBadDurations(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRejectsOutOfRange rejects what parses but no world can
+// apply — a negative time or latency, a loss that is not a probability —
+// with an error naming the field.
+func TestUnmarshalRejectsOutOfRange(t *testing.T) {
+	for _, c := range []struct{ field, in string }{
+		{"at", `{"at":"-1s","kind":"crash","node":"a"}`},
+		{"latency", `{"at":"1s","kind":"link-degrade","from":"a","to":"b","latency":"-1s"}`},
+		{"loss", `{"at":"1s","kind":"link-degrade","from":"a","to":"b","loss":-0.1}`},
+		{"loss", `{"at":"1s","kind":"link-degrade","from":"a","to":"b","loss":1.5}`},
+	} {
+		var ev Event
+		err := json.Unmarshal([]byte(c.in), &ev)
+		if err == nil {
+			t.Errorf("%s accepted", c.in)
+			continue
+		}
+		if !strings.Contains(err.Error(), "event "+c.field) {
+			t.Errorf("%s: error %q does not name %q", c.in, err, c.field)
+		}
+	}
+	var ev Event
+	if err := json.Unmarshal([]byte(`{"at":"0s","kind":"link-degrade","from":"a","to":"b","latency":"0s","loss":1}`), &ev); err != nil {
+		t.Fatalf("the range ends were rejected: %v", err)
+	}
+}
+
 func TestScheduleString(t *testing.T) {
 	out := fullSchedule().String()
 	for _, want := range []string{"crash", "gw-0", "partition-start", "latency=250ms loss=0.35", "cityB"} {

@@ -71,11 +71,14 @@ func (c *Cluster) AddNode(id simnet.NodeID) (*Node, error) {
 	if _, ok := c.nodes[id]; ok {
 		return nil, fmt.Errorf("realnet: duplicate node %q", id)
 	}
-	n, err := NewNode(id, "127.0.0.1:0")
+	// Seeded once, deterministically: the node's stream from the
+	// cluster seed and its ID, and the per-link loss streams from the
+	// cluster seed, so a replayed schedule draws the same loss pattern
+	// on every run.
+	n, err := newNode(id, "127.0.0.1:0", subSeed(c.cfg.Seed, "node/"+string(id)), c.cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	n.SetSeed(c.cfg.Seed)
 	n.SetTimeScale(c.cfg.TimeScale)
 	if c.cfg.Serialize {
 		n.SetSerializer(&c.world)

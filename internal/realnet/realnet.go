@@ -133,8 +133,15 @@ type Node struct {
 var _ simnet.Port = (*Node)(nil)
 
 // NewNode binds a UDP socket. bind may be ":0" for an ephemeral port;
-// Addr reports the actual address.
+// Addr reports the actual address. The node's random stream is seeded
+// from the wall clock; Cluster nodes get deterministic seeds instead.
 func NewNode(id simnet.NodeID, bind string) (*Node, error) {
+	return newNode(id, bind, time.Now().UnixNano(), 0)
+}
+
+// newNode binds the socket of a node whose random stream starts at
+// seed and whose per-link loss streams derive from netSeed.
+func newNode(id simnet.NodeID, bind string, seed, netSeed int64) (*Node, error) {
 	addr, err := net.ResolveUDPAddr("udp", bind)
 	if err != nil {
 		return nil, fmt.Errorf("realnet: resolve %q: %w", bind, err)
@@ -151,8 +158,9 @@ func NewNode(id simnet.NodeID, bind string) (*Node, error) {
 	return &Node{
 		id:      id,
 		conn:    conn,
-		rng:     rand.New(rand.NewSource(time.Now().UnixNano())),
+		rng:     simnet.NewStream(seed),
 		scale:   1,
+		netSeed: netSeed,
 		start:   time.Now(),
 		peers:   make(map[simnet.NodeID]*net.UDPAddr),
 		blocked: make(map[simnet.NodeID]bool),
@@ -160,14 +168,6 @@ func NewNode(id simnet.NodeID, bind string) (*Node, error) {
 		events:  make(chan func(), 1024),
 		done:    make(chan struct{}),
 	}, nil
-}
-
-// SetSeed reseeds the node's RNG deterministically and fixes the base
-// seed that per-link loss PRNG streams derive from, so a replayed
-// schedule draws the same loss pattern on every run. Call before Run.
-func (n *Node) SetSeed(seed int64) {
-	n.rng = rand.New(rand.NewSource(subSeed(seed, "node/"+string(n.id))))
-	n.netSeed = seed
 }
 
 // SetTimeScale compresses (or stretches) the node's clock: one virtual
@@ -528,7 +528,7 @@ func (n *Node) ShapeLink(to simnet.NodeID, latency time.Duration, loss float64) 
 	sh := n.shapes[to]
 	if sh == nil {
 		sh = &linkShape{
-			rng: rand.New(rand.NewSource(subSeed(n.netSeed, "loss/"+string(n.id)+"->"+string(to)))),
+			rng: simnet.NewStream(subSeed(n.netSeed, "loss/"+string(n.id)+"->"+string(to))),
 		}
 		n.shapes[to] = sh
 	}

@@ -53,11 +53,13 @@ type node struct {
 	onDown        []func()
 
 	// ln is the lane that executes the node's events and rng the
-	// stream its draws come from; with shard lanes, rank (AddNode
-	// position) and ctr (private event counter) make up its logical
-	// event keys. Assigned by Sim.addToLane.
+	// stream its draws come from (st with shard lanes, the Sim's shared
+	// stream without); with shard lanes, rank (AddNode position) and
+	// ctr (private event counter) make up its logical event keys.
+	// Assigned by Sim.addToLane.
 	ln   *lane
 	rng  *rand.Rand
+	st   stream
 	rank uint32
 	ctr  uint64
 }

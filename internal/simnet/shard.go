@@ -27,8 +27,9 @@ package simnet
 //  2. Per-node random streams. The shared rng would be consumed in
 //     nondeterministic order across lanes, so every node draws loss/
 //     jitter/duplication and application randomness (Endpoint.Rand)
-//     from its own splitmix-seeded stream (addToLane). Draw sequences
-//     then depend only on the node's own event history. (This makes
+//     from its own splitmix-seeded 16-byte PCG stream (addToLane,
+//     stream.go). Draw sequences then depend only on the node's own
+//     event history. (This makes
 //     runs with shard lanes a different — but internally consistent —
 //     universe from runs without; the invariance contract is across
 //     shard counts, not against the shared stream.)
@@ -53,7 +54,6 @@ package simnet
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 )
@@ -194,19 +194,16 @@ func (s *Sim) ExecContext(ep *Endpoint) (laneIdx int, seq uint64, ok bool) {
 }
 
 // mixSeed derives a node's private stream seed from the simulation
-// seed and the node's rank (splitmix64 finalizer).
+// seed and the node's rank: the rank-th splitmix64 output from seed.
 func mixSeed(seed int64, rank uint32) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(rank+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
+	return int64(splitmix64(uint64(seed) + 0x9e3779b97f4a7c15*uint64(rank)))
 }
 
 // addToLane gives a freshly added node its lane and its random stream.
 // Without shard lanes that is the coordinator lane and the simulation's
 // one shared stream. With them it is shard lane 0 until SetShard says
 // otherwise, a rank (its key space, see Sim.nextKey) and a private
-// stream derived from the seed and the rank.
+// PCG stream, held in the node, derived from the seed and the rank.
 func (s *Sim) addToLane(n *node) {
 	sh := &s.shd
 	n.ln = sh.lanes[0]
@@ -216,7 +213,7 @@ func (s *Sim) addToLane(n *node) {
 	}
 	sh.nextRank++
 	n.rank = sh.nextRank
-	n.rng = rand.New(rand.NewSource(mixSeed(s.seed, n.rank)))
+	n.rng = n.st.init(mixSeed(s.seed, n.rank))
 	sh.laDirty = true
 }
 

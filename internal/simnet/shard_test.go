@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -194,5 +195,56 @@ func TestShardInvarianceProperty(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestShardNodeFootprint bounds what AddNode allocates per node with
+// shard lanes. Each sharded node owns a random stream; a math/rand
+// source there is 4.9 KB per node, which alone breaks the bound, so
+// the metropolis cannot quietly go back to one.
+func TestShardNodeFootprint(t *testing.T) {
+	const (
+		nodes   = 10000
+		ceiling = 512 // heap bytes per node
+	)
+	ids := make([]NodeID, nodes)
+	for i := range ids {
+		ids[i] = NodeID(fmt.Sprintf("n%d", i))
+	}
+	s := New(WithShards(2))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, id := range ids {
+		s.AddNode(id)
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / nodes
+	t.Logf("AddNode on 2 lanes: %.0f B/node", per)
+	if per > ceiling {
+		t.Fatalf("AddNode allocated %.0f B/node on 2 lanes, gate is %d", per, ceiling)
+	}
+}
+
+// TestNodeStreamsAreSeededPCG pins what a sharded node draws from: a
+// PCG seeded from (seed, rank), the same sequence as a fresh NewStream
+// of that seed, and a different sequence for every rank.
+func TestNodeStreamsAreSeededPCG(t *testing.T) {
+	s := New(WithSeed(7), WithShards(2))
+	a, b := s.AddNode("a"), s.AddNode("b")
+	ref := NewStream(mixSeed(7, 1))
+	for i := 0; i < 100; i++ {
+		if got, want := a.Rand().Int63(), ref.Int63(); got != want {
+			t.Fatalf("draw %d: node a got %d, NewStream(mixSeed(7, 1)) %d", i, got, want)
+		}
+	}
+	if a.Rand().Uint64() == b.Rand().Uint64() {
+		t.Fatal("nodes of different rank share a stream")
+	}
+	r := NewStream(42)
+	first := r.Int63()
+	r.Seed(42)
+	if again := r.Int63(); again != first {
+		t.Fatalf("Seed(42) restarted the stream at %d, want %d", again, first)
 	}
 }
