@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-city bench-smoke city-tables microbench fuzz experiments examples obs-demo serve-demo determinism metro metro-smoke metro-setup chaos chaos-replay chaos-verify realnet explain clean
+.PHONY: all build test race cover bench bench-city bench-smoke city-tables microbench fuzz experiments obs-demo serve-demo determinism metro metro-smoke metro-setup chaos chaos-replay chaos-verify realnet explain clean
 
 all: build test
 
@@ -44,25 +44,19 @@ microbench:
 	$(GO) test -bench=. -benchtime=100x ./internal/...
 
 # Short fuzz pass over the parsers, the topic matcher, the realnet
-# datagram decoder and the fault-schedule JSON decoder.
+# datagram decoder, the fault-schedule JSON decoder and the chaos
+# corpus entry decoder.
 fuzz:
 	$(GO) test -fuzz FuzzParseCTL -fuzztime 10s ./internal/verify/
 	$(GO) test -fuzz FuzzParseLTL -fuzztime 10s ./internal/verify/
 	$(GO) test -fuzz FuzzTopicMatches -fuzztime 10s ./internal/pubsub/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeDatagram -fuzztime 20s ./internal/realnet/
 	$(GO) test -run '^$$' -fuzz FuzzScheduleJSON -fuzztime 10s ./internal/fault/
+	$(GO) test -run '^$$' -fuzz FuzzCorpusEntry -fuzztime 10s ./internal/chaos/
 
 # All experiments at paper-scale parameters (see EXPERIMENTS.md).
 experiments:
 	$(GO) run ./cmd/riotbench
-
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/deviceless
-	$(GO) run ./examples/healthcare
-	$(GO) run ./examples/energygrid
-	$(GO) run ./examples/udpgossip
-	$(GO) run ./examples/smartcity
 
 # The CI perf smoke: every bench/ workload once, quick, with its
 # correctness checks (the exit code carries them); the bench module's

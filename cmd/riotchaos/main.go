@@ -121,6 +121,9 @@ func oracleFlags(fs *flag.FlagSet) func() (chaos.Config, error) {
 		sc.Zones = *zones
 		sc.Duration = *duration
 		sc.Seed = *seed
+		if err := sc.Validate(); err != nil {
+			return chaos.Config{}, fmt.Errorf("-%w", err) // the flags are named like the settings
+		}
 		return chaos.Config{Scenario: sc, Archetype: a, MinPersistence: *floor}, nil
 	}
 }

@@ -110,6 +110,26 @@ func TestCLIErrors(t *testing.T) {
 	if err := run([]string{"replay", "-corpus", "/does/not/exist"}, &out); err == nil {
 		t.Fatal("empty corpus accepted")
 	}
+	// A scenario no run can honour is refused before any candidate runs:
+	// a negative duration used to panic in the generator, negative zones
+	// came back as makeslice panics reported as counterexamples, and 0
+	// zones silently ran the 4-zone default.
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-duration", []string{"search", "-duration", "-1s", "-budget", "1"}},
+		{"-zones", []string{"search", "-zones", "-3", "-budget", "2"}},
+		{"-zones", []string{"search", "-zones", "0", "-budget", "1"}},
+		{"-duration", []string{"shrink", "-duration", "0s", "-in", "/does/not/exist"}},
+	} {
+		if err := run(c.args, &out); err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") {
+			t.Fatalf("%v: err = %v, want an error naming %s", c.args, err, c.flag)
+		}
+	}
+	if out.Len() != 0 {
+		t.Fatalf("a rejected command line still ran something:\n%s", out.String())
+	}
 	// A stray word would drop every flag after it; each subcommand
 	// rejects it by name before doing any work.
 	for _, sub := range []string{"search", "shrink", "replay", "verify", "refresh", "realnet"} {

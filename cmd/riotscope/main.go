@@ -181,11 +181,14 @@ func runScenario(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown -scenario %q (want default, city or city-smoke)", *scenario)
 	}
-	if *zones > 0 {
+	if *zones != 0 {
 		cfg.Zones = *zones
 	}
-	if *duration > 0 {
+	if *duration != 0 {
 		cfg.Duration = *duration
+	}
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("-%w", err) // the flags are named like the settings
 	}
 	if *seed != 0 {
 		cfg.Seed = *seed

@@ -30,6 +30,16 @@ func TestRunExplainsDisruptedScenario(t *testing.T) {
 			t.Fatalf("run(%q): err = %v, want an error naming the stray argument", args, err)
 		}
 	}
+	// 0 keeps the scenario's own value; a negative one is an error, not
+	// another way to say 0.
+	for flag, args := range map[string][]string{
+		"-zones":    {"run", "-zones", "-3"},
+		"-duration": {"run", "-duration", "-1s"},
+	} {
+		if err := run(args, &sb); err == nil || !strings.HasPrefix(err.Error(), flag+" ") {
+			t.Fatalf("run(%q): err = %v, want an error naming %s", args, err, flag)
+		}
+	}
 }
 
 func TestRunJSONRoundTrips(t *testing.T) {

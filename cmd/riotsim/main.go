@@ -96,20 +96,17 @@ func run(args []string, out io.Writer) error {
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	own := func(name string) bool { return *tier == "default" || explicit[name] }
-	if *zones < 1 {
-		return fmt.Errorf("-zones %d: must be 1 or more", *zones)
-	}
-	if *duration <= 0 {
-		return fmt.Errorf("-duration %v: must be positive", *duration)
-	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards %d: must be 0 or more", *shards)
-	}
 	if own("zones") {
 		cfg.Zones = *zones
 	}
 	if own("duration") {
 		cfg.Duration = *duration
+	}
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("-%w", err) // the flags are named like the settings
+	}
+	if *shards < 0 {
+		return fmt.Errorf("-shards %d: must be 0 or more", *shards)
 	}
 	cfg.Seed = *seed
 	cfg.Shards = *shards

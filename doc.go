@@ -22,7 +22,7 @@
 //   - internal/core: the ML1–ML4 archetypes and scenario runner
 //   - internal/experiments: one experiment per table/figure
 //   - cmd/riotsim, cmd/riotverify, cmd/riotbench: CLI tools
-//   - examples/: runnable scenarios using the public surface
+//   - internal/*/example_test.go: runnable, output-checked examples
 //   - bench/: the gated benchmark (its own module, BENCHMARK.json), the
 //     only source of performance numbers and perf gates
 //

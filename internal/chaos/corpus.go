@@ -208,7 +208,8 @@ func (ce *Counterexample) WriteFile(dir string) (string, error) {
 }
 
 // LoadCorpus reads every *.json counterexample in dir, sorted by file
-// name for deterministic replay order.
+// name for deterministic replay order. An entry no replay can run is an
+// error naming the file and the field.
 func LoadCorpus(dir string) ([]*Counterexample, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {
@@ -221,16 +222,37 @@ func LoadCorpus(dir string) ([]*Counterexample, error) {
 		if err != nil {
 			return nil, err
 		}
-		var ce Counterexample
-		if err := json.Unmarshal(data, &ce); err != nil {
+		ce, err := decodeCounterexample(data)
+		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
-		if ce.Schema != CorpusSchema {
-			return nil, fmt.Errorf("%s: schema %q, want %q", path, ce.Schema, CorpusSchema)
-		}
-		out = append(out, &ce)
+		out = append(out, ce)
 	}
 	return out, nil
+}
+
+// decodeCounterexample parses one corpus entry and rejects what no
+// replay can run: another schema, a missing schedule, or scenario pins
+// core.ScenarioConfig.Validate refuses.
+func decodeCounterexample(data []byte) (*Counterexample, error) {
+	var ce Counterexample
+	if err := json.Unmarshal(data, &ce); err != nil {
+		return nil, err
+	}
+	if ce.Schema != CorpusSchema {
+		return nil, fmt.Errorf("schema %q, want %q", ce.Schema, CorpusSchema)
+	}
+	if ce.Schedule == nil {
+		return nil, fmt.Errorf("schedule: missing")
+	}
+	cfg, err := ce.Config()
+	if err != nil {
+		return nil, err
+	}
+	if err := cfg.Scenario.Validate(); err != nil {
+		return nil, err
+	}
+	return &ce, nil
 }
 
 // VerifyResult is one corpus entry's outcome under the hardened
@@ -300,16 +322,11 @@ func (ce *Counterexample) VerifyObserved(opts VerifyOptions) VerifyResult {
 	return res
 }
 
-// VerifyAll verifies every counterexample against the hardened profile,
-// fanning over a RunPool at the given worker count. Results come back
-// in corpus order whatever the parallelism; the returned error is the
-// first expectation mismatch (all entries are verified regardless).
-func VerifyAll(ces []*Counterexample, workers int) ([]VerifyResult, error) {
-	return VerifyAllObserved(ces, workers, VerifyOptions{})
-}
-
-// VerifyAllObserved is VerifyAll with observability options applied to
-// every entry.
+// VerifyAllObserved verifies every counterexample against the hardened
+// profile with opts applied to each entry, fanning over a RunPool at
+// the given worker count. Results come back in corpus order whatever
+// the parallelism; the returned error is the first expectation
+// mismatch (all entries are verified regardless).
 func VerifyAllObserved(ces []*Counterexample, workers int, opts VerifyOptions) ([]VerifyResult, error) {
 	results := make([]VerifyResult, len(ces))
 	jobs := make([]experiments.Job, len(ces))

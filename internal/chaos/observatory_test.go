@@ -102,7 +102,7 @@ func TestCorpusVerifyExplains(t *testing.T) {
 	if len(ces) == 0 {
 		t.Skip("no corpus checked out")
 	}
-	results, err := VerifyAll(ces, 4)
+	results, err := VerifyAllObserved(ces, 4, VerifyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,11 +103,11 @@ func TestVerifyAllWorkerCountInvariance(t *testing.T) {
 	ce.Expect = ExpectFixed
 	ces := []*Counterexample{ce}
 
-	serial, err := VerifyAll(ces, 1)
+	serial, err := VerifyAllObserved(ces, 1, VerifyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := VerifyAll(ces, 4)
+	wide, err := VerifyAllObserved(ces, 4, VerifyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestVerifyReportsExpectationMismatch(t *testing.T) {
 	if res.Err == nil || res.Status != ExpectStillFails {
 		t.Fatalf("mismatch not reported: %+v", res)
 	}
-	if _, err := VerifyAll([]*Counterexample{ce}, 2); err == nil {
-		t.Fatal("VerifyAll swallowed the mismatch")
+	if _, err := VerifyAllObserved([]*Counterexample{ce}, 2, VerifyOptions{}); err == nil {
+		t.Fatal("VerifyAllObserved swallowed the mismatch")
 	}
 }

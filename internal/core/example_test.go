@@ -1,0 +1,27 @@
+package core_test
+
+import (
+	"fmt"
+	"time"
+
+	"repro/internal/core"
+)
+
+// Build the resilient-IoT archetype (ML4) and the vertically coupled
+// silo (ML1) on the default smart-city scenario, run each for ten
+// virtual minutes under the standard disruption schedule (cloud WAN
+// outage, gateway crashes, an edge partition, a cloud restart), and
+// compare their resilience: the persistence of goal satisfaction.
+func ExampleNewSystem() {
+	cfg := core.DefaultScenario()
+	cfg.Duration = 10 * time.Minute
+	for _, arch := range []core.Archetype{core.ML4, core.ML1} {
+		r := core.NewSystem(cfg, arch).Run()
+		fmt.Printf("%-13s R(goal) %.3f  MTTR %-3v  data availability %.3f  privacy violations %d\n",
+			r.Archetype, r.GoalPersistence, r.MTTR, r.DataAvailability, r.PrivacyViolations)
+	}
+
+	// Output:
+	// ML4-resilient R(goal) 0.953  MTTR 13s  data availability 0.894  privacy violations 0
+	// ML1-silo      R(goal) 0.735  MTTR 6s   data availability 0.374  privacy violations 0
+}

@@ -160,6 +160,25 @@ func (c ScenarioConfig) Hardened() ScenarioConfig {
 	return c
 }
 
+// Validate reports the first setting no run can honour: a scenario
+// needs at least one zone and a positive duration, and cannot have a
+// negative number of sensors or cloudlets. The error names the setting
+// as the command-line flags and corpus files spell it. Check a config
+// as given, before zero fields take their defaults.
+func (c ScenarioConfig) Validate() error {
+	switch {
+	case c.Zones < 1:
+		return fmt.Errorf("zones %d: must be 1 or more", c.Zones)
+	case c.Duration <= 0:
+		return fmt.Errorf("duration %v: must be positive", c.Duration)
+	case c.TempSensorsPerZone < 0:
+		return fmt.Errorf("temp_sensors_per_zone %d: must be 0 or more", c.TempSensorsPerZone)
+	case c.Cloudlets < 0:
+		return fmt.Errorf("cloudlets %d: must be 0 or more", c.Cloudlets)
+	}
+	return nil
+}
+
 // DefaultScenario returns the configuration used by the Table 1/2
 // experiment.
 func DefaultScenario() ScenarioConfig {

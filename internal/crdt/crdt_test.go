@@ -8,20 +8,33 @@ import (
 
 // --- LWWMap ---
 
+// del tombstones key at ts the way a replica's tombstone arrives: as an
+// applied entry.
+func del(m *LWWMap, key string, ts time.Duration) bool {
+	return m.Apply([]Entry{{Key: key, Ts: ts, Replica: m.replica, Deleted: true}}) == 1
+}
+
+// joined returns a fresh replica that has applied each map's full
+// state in order, the anti-entropy path between replicas.
+func joined(ms ...*LWWMap) *LWWMap {
+	out := NewLWWMap("join")
+	for _, m := range ms {
+		out.Apply(m.State())
+	}
+	return out
+}
+
 func TestLWWMapSetGetDelete(t *testing.T) {
 	m := NewLWWMap("a")
-	if m.Replica() != "a" {
-		t.Fatal("replica wrong")
-	}
 	m.Set("k1", 1, time.Second)
 	m.Set("k2", 2, time.Second)
 	if v, ok := m.Get("k1"); !ok || v != 1 {
 		t.Fatalf("Get = %v/%v", v, ok)
 	}
-	if m.Len() != 2 {
-		t.Fatalf("Len = %d", m.Len())
+	if keys := m.Keys(); len(keys) != 2 {
+		t.Fatalf("Keys = %v", keys)
 	}
-	m.Delete("k1", 2*time.Second)
+	del(m, "k1", 2*time.Second)
 	if _, ok := m.Get("k1"); ok {
 		t.Fatal("deleted key readable")
 	}
@@ -45,7 +58,7 @@ func TestLWWMapOldWriteLoses(t *testing.T) {
 func TestLWWMapDeleteThenOlderWriteLoses(t *testing.T) {
 	m := NewLWWMap("a")
 	m.Set("k", "v", time.Second)
-	m.Delete("k", 3*time.Second)
+	del(m, "k", 3*time.Second)
 	if m.Set("k", "zombie", 2*time.Second) {
 		t.Fatal("write older than tombstone won")
 	}
@@ -63,7 +76,7 @@ func TestLWWMapSinceDelta(t *testing.T) {
 	m := NewLWWMap("a")
 	m.Set("k1", 1, time.Second)
 	m.Set("k2", 2, 2*time.Second)
-	m.Delete("k1", 3*time.Second)
+	del(m, "k1", 3*time.Second)
 	delta := m.Since(time.Second)
 	if len(delta) != 2 {
 		t.Fatalf("delta = %v", delta)
@@ -89,13 +102,15 @@ func TestLWWMapMergeCommutes(t *testing.T) {
 	b := NewLWWMap("b")
 	a.Set("k", "fromA", time.Second)
 	b.Set("k", "fromB", time.Second) // tie → replica "b" wins
-	a2 := a.Copy()
-	a.Merge(b)
-	b.Merge(a2)
+	vab, _ := joined(a, b).Get("k")
+	vba, _ := joined(b, a).Get("k")
+	aDelta, bDelta := a.Since(0), b.Since(0)
+	a.Apply(bDelta)
+	b.Apply(aDelta)
 	va, _ := a.Get("k")
 	vb, _ := b.Get("k")
-	if va != vb || va != "fromB" {
-		t.Fatalf("diverged: %v vs %v", va, vb)
+	if va != vb || va != "fromB" || vab != va || vba != va {
+		t.Fatalf("diverged: deltas %v vs %v, full state %v vs %v", va, vb, vab, vba)
 	}
 }
 
@@ -116,18 +131,14 @@ func TestLWWMapConvergence(t *testing.T) {
 			m := ms[int(x.Target)%3]
 			k := keys[int(x.Key)%3]
 			if x.Del {
-				m.Delete(k, time.Duration(x.Ts))
+				del(m, k, time.Duration(x.Ts))
 			} else {
 				m.Set(k, x.Val, time.Duration(x.Ts))
 			}
 		}
 		// Full pairwise exchange, two different orders.
-		x := ms[0].Copy()
-		x.Merge(ms[1])
-		x.Merge(ms[2])
-		y := ms[2].Copy()
-		y.Merge(ms[1])
-		y.Merge(ms[0])
+		x := joined(ms[0], ms[1], ms[2])
+		y := joined(ms[2], ms[1], ms[0])
 		kx, ky := x.Keys(), y.Keys()
 		if len(kx) != len(ky) {
 			return false

@@ -16,8 +16,8 @@ func ExampleLWWMap() {
 	edge.Set("zone1/temp", 21.5, 1*time.Second)
 	cloud.Set("zone1/temp", 22.0, 2*time.Second) // newer
 
-	edge.Merge(cloud)
-	cloud.Merge(edge)
+	edge.Apply(cloud.State())
+	cloud.Apply(edge.State())
 
 	v1, _ := edge.Get("zone1/temp")
 	v2, _ := cloud.Get("zone1/temp")

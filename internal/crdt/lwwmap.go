@@ -62,18 +62,10 @@ func NewLWWMap(r ReplicaID) *LWWMap {
 	return &LWWMap{replica: r, entries: make(map[string]mapEntry)}
 }
 
-// Replica returns the owning replica ID.
-func (m *LWWMap) Replica() ReplicaID { return m.replica }
-
 // Set writes key=value at timestamp ts on behalf of the local replica.
 // It reports whether the write won against the current state.
 func (m *LWWMap) Set(key string, value any, ts time.Duration) bool {
 	return m.apply(Entry{Key: key, Value: value, Ts: ts, Replica: m.replica})
-}
-
-// Delete tombstones the key at ts. It reports whether the delete won.
-func (m *LWWMap) Delete(key string, ts time.Duration) bool {
-	return m.apply(Entry{Key: key, Ts: ts, Replica: m.replica, Deleted: true})
 }
 
 // apply merges one entry (local or remote) into the map.
@@ -105,16 +97,6 @@ func (m *LWWMap) Get(key string) (any, bool) {
 	return e.Value, true
 }
 
-// Timestamp returns the winning write time for key (including deletes),
-// and false if the key was never written.
-func (m *LWWMap) Timestamp(key string) (time.Duration, bool) {
-	e, ok := m.entries[key]
-	if !ok {
-		return 0, false
-	}
-	return e.Ts, true
-}
-
 // Keys returns the live keys, sorted.
 func (m *LWWMap) Keys() []string {
 	var out []string
@@ -125,17 +107,6 @@ func (m *LWWMap) Keys() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Len returns the number of live keys.
-func (m *LWWMap) Len() int {
-	n := 0
-	for _, e := range m.entries {
-		if !e.Deleted {
-			n++
-		}
-	}
-	return n
 }
 
 // State exports every entry (including tombstones), sorted by key, for
@@ -184,26 +155,8 @@ func (m *LWWMap) Apply(entries []Entry) int {
 	return won
 }
 
-// Merge folds another map into this one.
-func (m *LWWMap) Merge(other *LWWMap) {
-	if other == nil {
-		return
-	}
-	m.Apply(other.State())
-}
-
 // MaxTimestamp returns the newest write time in the map. It is O(1):
 // the map tracks the maximum incrementally (winning writes only ever
 // advance it), so callers can use it as a cheap has-anything-changed
 // probe before exporting a delta.
 func (m *LWWMap) MaxTimestamp() time.Duration { return m.maxTs }
-
-// Copy returns a deep copy keeping the same replica identity.
-func (m *LWWMap) Copy() *LWWMap {
-	out := NewLWWMap(m.replica)
-	for k, e := range m.entries {
-		out.entries[k] = e
-	}
-	out.maxTs = m.maxTs
-	return out
-}

@@ -80,22 +80,6 @@ func TestRuleNoConfidentialToUntrusted(t *testing.T) {
 	}
 }
 
-func TestRuleTopicAllowlist(t *testing.T) {
-	m := twoDomains()
-	e := NewEngine(Enforce, true, RuleTopicAllowlist("us", "temperature"))
-	if d := e.Decide(FlowContext{Item: publicItem("k"), From: euDomain(m), To: usDomain(m)}); !d.Allowed {
-		t.Fatal("allowlisted topic blocked")
-	}
-	other := Item{Key: "k", Label: Label{Topic: "secret-topic", Sensitivity: Public}}
-	if d := e.Decide(FlowContext{Item: other, From: euDomain(m), To: usDomain(m)}); d.Allowed {
-		t.Fatal("non-allowlisted topic allowed")
-	}
-	// Other destinations unaffected.
-	if d := e.Decide(FlowContext{Item: other, From: euDomain(m), To: eu2Domain(m)}); !d.Allowed {
-		t.Fatal("allowlist leaked to other destination")
-	}
-}
-
 func TestAdmitEnforceVsObserve(t *testing.T) {
 	m := twoDomains()
 	fc := FlowContext{Item: sensitiveItem("k"), From: euDomain(m), To: usDomain(m)}
@@ -115,8 +99,8 @@ func TestAdmitEnforceVsObserve(t *testing.T) {
 			t.Fatalf("violations = %+v", vs)
 		}
 	}
-	if ev, den := enf.Stats(); ev != 1 || den != 1 {
-		t.Fatalf("stats = %d/%d", ev, den)
+	if n := enf.ViolationCount(); n != 1 {
+		t.Fatalf("ViolationCount = %d, want 1", n)
 	}
 }
 
@@ -125,14 +109,6 @@ func TestDefaultDecision(t *testing.T) {
 	deny := NewEngine(Enforce, false)
 	if d := deny.Decide(FlowContext{Item: publicItem("k"), From: euDomain(m), To: euDomain(m)}); d.Allowed || d.Rule != "default" {
 		t.Fatalf("decision = %+v", d)
-	}
-}
-
-func TestSortViolations(t *testing.T) {
-	vs := []Violation{{At: 3}, {At: 1}, {At: 2}}
-	SortViolationsByTime(vs)
-	if vs[0].At != 1 || vs[2].At != 3 {
-		t.Fatalf("sorted = %v", vs)
 	}
 }
 
@@ -181,7 +157,7 @@ func TestStoreBlocksSensitiveCrossJurisdiction(t *testing.T) {
 	if _, ok := peer.Get("room1/temp"); !ok {
 		t.Fatal("public item was blocked too")
 	}
-	if len(edge.Engine().Violations()) == 0 {
+	if len(edge.engine.Violations()) == 0 {
 		t.Fatal("sender recorded no violations")
 	}
 }
@@ -203,10 +179,10 @@ func TestObserveModeLeaksButCounts(t *testing.T) {
 		t.Fatal("observe mode should let the item through")
 	}
 	// Violation recorded at sender out-flow and receiver in-flow.
-	if len(edge.Engine().Violations()) == 0 {
+	if len(edge.engine.Violations()) == 0 {
 		t.Fatal("sender saw no violation")
 	}
-	if len(peer.Engine().Violations()) == 0 {
+	if len(peer.engine.Violations()) == 0 {
 		t.Fatal("receiver saw no violation")
 	}
 }
@@ -231,8 +207,8 @@ func TestReceiverInFlowPolicyRejects(t *testing.T) {
 	if _, ok := peer.Get("patient/hr"); ok {
 		t.Fatal("receiver enforcement failed")
 	}
-	if peer.Rejected() == 0 {
-		t.Fatal("receiver counted no rejections")
+	if len(peer.engine.Violations()) == 0 {
+		t.Fatal("receiver recorded no in-flow violation")
 	}
 }
 
@@ -637,20 +613,14 @@ func TestRelayInterestPreSeedsNewKeys(t *testing.T) {
 	}
 }
 
-func TestStoreStopAndKeys(t *testing.T) {
-	sim, edge, _ := storeRig(t, "eu2", DefaultPrivacyEngine)
+func TestStoreKeysSorted(t *testing.T) {
+	_, edge, _ := storeRig(t, "eu2", DefaultPrivacyEngine)
 	edge.Put(publicItem("b"))
 	edge.Put(publicItem("a"))
 	keys := edge.Keys()
 	if len(keys) != 2 || keys[0] != "a" {
 		t.Fatalf("keys = %v", keys)
 	}
-	edge.Stop()
-	before := sim.Stats().Sent
-	sim.RunUntil(2 * time.Second)
-	// Peer still sends (it wasn't stopped); assert edge stopped by
-	// checking its deltas don't flow: peer never receives the items.
-	_ = before
 	if _, ok := edge.Get("a"); !ok {
 		t.Fatal("local get failed")
 	}

@@ -10,7 +10,6 @@
 package dataflow
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/crdt"
@@ -149,8 +148,6 @@ type Engine struct {
 	defaultAllow bool
 	mode         Mode
 
-	evaluated  int
-	denied     int
 	violations []Violation
 }
 
@@ -170,12 +167,8 @@ func NewEngine(mode Mode, defaultAllow bool, rules ...Rule) *Engine {
 	return &Engine{rules: append([]Rule(nil), rules...), defaultAllow: defaultAllow, mode: mode}
 }
 
-// Mode returns the engine's mode.
-func (e *Engine) Mode() Mode { return e.mode }
-
 // Decide evaluates the policy for a flow.
 func (e *Engine) Decide(fc FlowContext) Decision {
-	e.evaluated++
 	for _, r := range e.rules {
 		if r.Applies(fc) {
 			return Decision{Allowed: r.Allow, Rule: r.Name}
@@ -193,7 +186,6 @@ func (e *Engine) Admit(fc FlowContext, now time.Duration) bool {
 	if d.Allowed {
 		return true
 	}
-	e.denied++
 	e.violations = append(e.violations, Violation{
 		At: now, Key: fc.Item.Key, Rule: d.Rule, From: fc.From.ID, To: fc.To.ID,
 	})
@@ -210,9 +202,6 @@ func (e *Engine) Violations() []Violation {
 // ViolationCount returns the number of recorded violations without
 // copying them.
 func (e *Engine) ViolationCount() int { return len(e.violations) }
-
-// Stats returns (flows evaluated, flows denied by policy).
-func (e *Engine) Stats() (evaluated, denied int) { return e.evaluated, e.denied }
 
 // --- standard rules from the paper's privacy discussion ---
 
@@ -241,22 +230,6 @@ func RuleNoConfidentialToUntrusted() Rule {
 	}
 }
 
-// RuleTopicAllowlist permits only the listed topics to the given
-// destination domain; other topics fall through to later rules.
-func RuleTopicAllowlist(to space.DomainID, topics ...string) Rule {
-	allowed := make(map[string]bool, len(topics))
-	for _, t := range topics {
-		allowed[t] = true
-	}
-	return Rule{
-		Name: "topic-allowlist:" + string(to),
-		Applies: func(fc FlowContext) bool {
-			return fc.To.ID == to && !allowed[fc.Item.Label.Topic]
-		},
-		Allow: false,
-	}
-}
-
 // DefaultPrivacyEngine returns an enforcing engine with the paper's two
 // core privacy scopes.
 func DefaultPrivacyEngine() *Engine {
@@ -273,9 +246,4 @@ func ObservedEngine() *Engine {
 		RuleSensitiveStaysInJurisdiction(),
 		RuleNoConfidentialToUntrusted(),
 	)
-}
-
-// SortViolationsByTime orders violations chronologically in place.
-func SortViolationsByTime(vs []Violation) {
-	sort.Slice(vs, func(i, j int) bool { return vs[i].At < vs[j].At })
 }

@@ -144,7 +144,6 @@ type Store struct {
 	links    map[simnet.NodeID]*LinkStats
 
 	received int
-	rejected int
 	onApply  []func(Item, simnet.NodeID)
 	// admitScratch is reused by handle for the per-message admitted
 	// batch; its contents never outlive the call.
@@ -211,17 +210,6 @@ func NewStore(port simnet.Port, spaces *space.Map, cfg StoreConfig) *Store {
 func (s *Store) Start() {
 	s.ticker = s.port.Every(s.interval, s.syncAll)
 }
-
-// Stop halts synchronization.
-func (s *Store) Stop() {
-	if s.ticker != nil {
-		s.ticker.Stop()
-		s.ticker = nil
-	}
-}
-
-// Engine returns the store's policy engine.
-func (s *Store) Engine() *Engine { return s.engine }
 
 // Handler returns the store's network message handler. NewStore
 // installs it on the port automatically; callers that need to share
@@ -298,9 +286,6 @@ func (s *Store) Keys() []string { return s.data.Keys() }
 // Received returns how many remote entries were admitted and applied.
 func (s *Store) Received() int { return s.received }
 
-// Rejected returns how many remote entries in-flow policy refused.
-func (s *Store) Rejected() int { return s.rejected }
-
 // link returns (creating) the stats row for one peer.
 func (s *Store) link(peer simnet.NodeID) *LinkStats {
 	ls, ok := s.links[peer]
@@ -309,15 +294,6 @@ func (s *Store) link(peer simnet.NodeID) *LinkStats {
 		s.links[peer] = ls
 	}
 	return ls
-}
-
-// LinkStats returns a copy of the per-peer sync traffic counters.
-func (s *Store) LinkStats() map[simnet.NodeID]LinkStats {
-	out := make(map[simnet.NodeID]LinkStats, len(s.links))
-	for p, ls := range s.links {
-		out[p] = *ls
-	}
-	return out
 }
 
 // SyncStats returns the sync traffic counters summed over all links.
@@ -554,8 +530,6 @@ func (s *Store) handleFrame(from simnet.NodeID, m storeSyncMsg) {
 				}
 			}
 			admitted = append(admitted, e)
-		} else {
-			s.rejected++
 		}
 	}
 	s.admitScratch = admitted[:0]

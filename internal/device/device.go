@@ -115,11 +115,10 @@ type Device struct {
 	stack SoftwareStack
 	caps  []Capability
 
-	battery    float64 // remaining mAh
-	idleDraw   float64 // mAh per second while up
-	perMessage float64 // mAh per message sent
-	perSample  float64 // mAh per sensor sample
-	drained    bool
+	battery   float64 // remaining mAh
+	idleDraw  float64 // mAh per second while up
+	perSample float64 // mAh per sensor sample
+	drained   bool
 }
 
 // Config parameterizes New. Zero fields take class-profile defaults.
@@ -128,46 +127,43 @@ type Config struct {
 	Resources    *Resources
 	Stack        SoftwareStack
 	Capabilities []Capability
-	// IdleDrawmAhPerSec etc. override the class energy profile.
+	// IdleDrawmAhPerSec and PerSamplemAh override the class energy
+	// profile.
 	IdleDrawmAhPerSec float64
-	PerMessagemAh     float64
 	PerSamplemAh      float64
 }
 
 // profile returns the default resources and energy profile for a class,
 // shaped after typical hardware (e.g. an MCU with coin cell vs a mains
 // powered cloudlet).
-func profile(c Class) (Resources, float64, float64, float64) {
+func profile(c Class) (res Resources, idle, perSample float64) {
 	switch c {
 	case ClassSensorNode, ClassActuatorNode:
-		return Resources{CPUMIPS: 16, MemMB: 1, StorageMB: 1, BatterymAh: 1000}, 0.002, 0.001, 0.0005
+		return Resources{CPUMIPS: 16, MemMB: 1, StorageMB: 1, BatterymAh: 1000}, 0.002, 0.0005
 	case ClassMicrocontroller:
-		return Resources{CPUMIPS: 100, MemMB: 8, StorageMB: 16, BatterymAh: 2000}, 0.004, 0.001, 0.0005
+		return Resources{CPUMIPS: 100, MemMB: 8, StorageMB: 16, BatterymAh: 2000}, 0.004, 0.0005
 	case ClassMobile:
-		return Resources{CPUMIPS: 4000, MemMB: 4096, StorageMB: 65536, BatterymAh: 4000}, 0.05, 0.002, 0.001
+		return Resources{CPUMIPS: 4000, MemMB: 4096, StorageMB: 65536, BatterymAh: 4000}, 0.05, 0.001
 	case ClassGateway:
-		return Resources{CPUMIPS: 2000, MemMB: 1024, StorageMB: 32768, Mains: true}, 0, 0, 0
+		return Resources{CPUMIPS: 2000, MemMB: 1024, StorageMB: 32768, Mains: true}, 0, 0
 	case ClassCloudlet:
-		return Resources{CPUMIPS: 16000, MemMB: 16384, StorageMB: 1 << 20, Mains: true}, 0, 0, 0
+		return Resources{CPUMIPS: 16000, MemMB: 16384, StorageMB: 1 << 20, Mains: true}, 0, 0
 	case ClassCloudVM:
-		return Resources{CPUMIPS: 64000, MemMB: 65536, StorageMB: 1 << 22, Mains: true}, 0, 0, 0
+		return Resources{CPUMIPS: 64000, MemMB: 65536, StorageMB: 1 << 22, Mains: true}, 0, 0
 	default:
-		return Resources{}, 0, 0, 0
+		return Resources{}, 0, 0
 	}
 }
 
 // New constructs a device of the given class, applying class-profile
 // defaults for unset config fields.
 func New(id ID, cfg Config) *Device {
-	res, idle, perMsg, perSample := profile(cfg.Class)
+	res, idle, perSample := profile(cfg.Class)
 	if cfg.Resources != nil {
 		res = *cfg.Resources
 	}
 	if cfg.IdleDrawmAhPerSec != 0 {
 		idle = cfg.IdleDrawmAhPerSec
-	}
-	if cfg.PerMessagemAh != 0 {
-		perMsg = cfg.PerMessagemAh
 	}
 	if cfg.PerSamplemAh != 0 {
 		perSample = cfg.PerSamplemAh
@@ -179,15 +175,14 @@ func New(id ID, cfg Config) *Device {
 	}
 	sort.Slice(caps, func(i, j int) bool { return caps[i] < caps[j] })
 	return &Device{
-		id:         id,
-		class:      cfg.Class,
-		res:        res,
-		stack:      cfg.Stack,
-		caps:       caps,
-		battery:    res.BatterymAh,
-		idleDraw:   idle,
-		perMessage: perMsg,
-		perSample:  perSample,
+		id:        id,
+		class:     cfg.Class,
+		res:       res,
+		stack:     cfg.Stack,
+		caps:      caps,
+		battery:   res.BatterymAh,
+		idleDraw:  idle,
+		perSample: perSample,
 	}
 }
 
@@ -209,13 +204,6 @@ func (d *Device) UpgradeStack() {
 	d.stack.Version++
 }
 
-// Capabilities returns a copy of the device's capability list.
-func (d *Device) Capabilities() []Capability {
-	out := make([]Capability, len(d.caps))
-	copy(out, d.caps)
-	return out
-}
-
 // Has reports whether the device offers a capability matching the query
 // (exact or "prefix:*" form).
 func (d *Device) Has(query Capability) bool {
@@ -225,18 +213,6 @@ func (d *Device) Has(query Capability) bool {
 		}
 	}
 	return false
-}
-
-// BatteryLevel returns the remaining battery fraction in [0,1]; mains
-// powered devices always report 1.
-func (d *Device) BatteryLevel() float64 {
-	if d.res.Mains {
-		return 1
-	}
-	if d.res.BatterymAh == 0 {
-		return 0
-	}
-	return d.battery / d.res.BatterymAh
 }
 
 // Drained reports whether the battery has been exhausted.
@@ -263,17 +239,8 @@ func (d *Device) Idle(dt time.Duration) bool {
 	return d.drawCharge(d.idleDraw * dt.Seconds())
 }
 
-// SpendMessage accounts for sending one message.
-func (d *Device) SpendMessage() bool { return d.drawCharge(d.perMessage) }
-
 // SpendSample accounts for taking one sensor sample.
 func (d *Device) SpendSample() bool { return d.drawCharge(d.perSample) }
-
-// Recharge restores the battery to full and clears the drained state.
-func (d *Device) Recharge() {
-	d.battery = d.res.BatterymAh
-	d.drained = false
-}
 
 // Sensor binds a device to an environment variable in a zone: Sample
 // reads the ground truth plus sensor noise.

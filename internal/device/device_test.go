@@ -77,32 +77,28 @@ func TestConfigOverridesResources(t *testing.T) {
 	if d.Resources().CPUMIPS != 1 {
 		t.Fatalf("CPUMIPS = %d, want override 1", d.Resources().CPUMIPS)
 	}
-	if d.BatteryLevel() != 1 {
-		t.Fatalf("fresh battery level = %v, want 1", d.BatteryLevel())
+	if d.battery != 10 {
+		t.Fatalf("fresh battery = %v mAh, want the override's 10", d.battery)
 	}
 }
 
-func TestBatteryDrainAndRecharge(t *testing.T) {
+func TestBatteryDrain(t *testing.T) {
 	d := New("s", Config{Class: ClassSensorNode, Resources: &Resources{BatterymAh: 1},
 		IdleDrawmAhPerSec: 0.1})
 	if d.Idle(5 * time.Second) {
 		t.Fatal("device drained too early")
 	}
-	if lvl := d.BatteryLevel(); lvl != 0.5 {
-		t.Fatalf("level = %v, want 0.5", lvl)
+	if d.battery != 0.5 {
+		t.Fatalf("battery = %v mAh, want 0.5", d.battery)
 	}
 	if !d.Idle(10 * time.Second) {
 		t.Fatal("device did not report draining")
 	}
-	if !d.Drained() || d.BatteryLevel() != 0 {
+	if !d.Drained() || d.battery != 0 {
 		t.Fatal("drained state inconsistent")
 	}
 	if d.Idle(time.Second) {
 		t.Fatal("already-drained device reported draining again")
-	}
-	d.Recharge()
-	if d.Drained() || d.BatteryLevel() != 1 {
-		t.Fatal("recharge did not restore battery")
 	}
 }
 
@@ -111,21 +107,20 @@ func TestMainsNeverDrains(t *testing.T) {
 	if d.Idle(1000 * time.Hour) {
 		t.Fatal("mains device drained")
 	}
-	if d.BatteryLevel() != 1 {
-		t.Fatal("mains battery level != 1")
+	if d.Drained() {
+		t.Fatal("mains device reports drained")
 	}
 }
 
-func TestSpendMessageAndSample(t *testing.T) {
+func TestSpendSampleDrains(t *testing.T) {
 	d := New("s", Config{Class: ClassSensorNode, Resources: &Resources{BatterymAh: 0.01},
-		PerMessagemAh: 0.004, PerSamplemAh: 0.002})
-	d.SpendMessage() // 0.006 left
-	d.SpendSample()  // 0.004 left
+		PerSamplemAh: 0.005})
+	d.SpendSample() // 0.005 left
 	if d.Drained() {
 		t.Fatal("drained too early")
 	}
-	if !d.SpendMessage() { // 0 left
-		t.Fatal("final message did not drain")
+	if !d.SpendSample() { // 0 left
+		t.Fatal("final sample did not drain")
 	}
 }
 
@@ -134,18 +129,6 @@ func TestUpgradeStack(t *testing.T) {
 	d.UpgradeStack()
 	if d.Stack().Version != 4 {
 		t.Fatalf("version = %d, want 4", d.Stack().Version)
-	}
-}
-
-func TestCapabilitiesReturnsCopy(t *testing.T) {
-	d := New("m", Config{Class: ClassMobile})
-	caps := d.Capabilities()
-	if len(caps) == 0 {
-		t.Fatal("no capabilities")
-	}
-	caps[0] = "mutated"
-	if d.Capabilities()[0] == "mutated" {
-		t.Fatal("mutating returned slice changed device state")
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"repro/internal/space"
@@ -22,14 +21,11 @@ import (
 // "occupancy".
 type Variable string
 
-// Common variables used by the examples and experiments.
+// Common variables used by the scenarios.
 const (
 	Temperature Variable = "temperature"
 	Humidity    Variable = "humidity"
 	Occupancy   Variable = "occupancy"
-	AirQuality  Variable = "air_quality"
-	Power       Variable = "power"
-	Traffic     Variable = "traffic"
 )
 
 // Process defines how a variable evolves per simulation tick. The update
@@ -96,17 +92,6 @@ func (e *Environment) Value(zone space.ZoneID, v Variable) (float64, bool) {
 	return c.value, true
 }
 
-// Set forces a variable to a value (clamped), e.g. to script a scenario
-// event like a heat wave.
-func (e *Environment) Set(zone space.ZoneID, v Variable, val float64) error {
-	c, ok := e.cells[key{zone, v}]
-	if !ok {
-		return fmt.Errorf("env: undefined variable %s in zone %s", v, zone)
-	}
-	c.value = clamp(val, c.proc.Min, c.proc.Max)
-	return nil
-}
-
 // Add applies a delta to a variable, used by actuators: a running HVAC
 // unit adds a negative temperature delta each tick.
 func (e *Environment) Add(zone space.ZoneID, v Variable, delta float64) error {
@@ -137,28 +122,6 @@ func (e *Environment) Step(dt time.Duration) {
 		}
 		c.value = clamp(v, c.proc.Min, c.proc.Max)
 	}
-}
-
-// Snapshot returns all (zone, variable, value) triples in a stable order.
-func (e *Environment) Snapshot() []Reading {
-	out := make([]Reading, 0, len(e.order))
-	for _, k := range e.order {
-		out = append(out, Reading{Zone: k.zone, Variable: k.v, Value: e.cells[k].value})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Zone != out[j].Zone {
-			return out[i].Zone < out[j].Zone
-		}
-		return out[i].Variable < out[j].Variable
-	})
-	return out
-}
-
-// Reading is one observed (zone, variable, value) triple.
-type Reading struct {
-	Zone     space.ZoneID
-	Variable Variable
-	Value    float64
 }
 
 func clamp(v, lo, hi float64) float64 {

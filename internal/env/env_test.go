@@ -54,9 +54,9 @@ func TestStepClampsToBounds(t *testing.T) {
 
 func TestUnboundedProcessNotClamped(t *testing.T) {
 	e := New(1)
-	e.Define(zone, Power, Process{Initial: 0, Drift: -5})
+	e.Define(zone, Temperature, Process{Initial: 0, Drift: -5})
 	e.Step(10 * time.Second)
-	v, _ := e.Value(zone, Power)
+	v, _ := e.Value(zone, Temperature)
 	if v != -50 {
 		t.Fatalf("value = %v, want -50 (Min==Max==0 means unbounded)", v)
 	}
@@ -74,13 +74,13 @@ func TestNoiseMovesValue(t *testing.T) {
 
 func TestShocksOccurAtConfiguredRate(t *testing.T) {
 	e := New(7)
-	e.Define(zone, Traffic, Process{Initial: 0, ShockProb: 0.5, ShockMag: 1})
+	e.Define(zone, Occupancy, Process{Initial: 0, ShockProb: 0.5, ShockMag: 1})
 	shocks := 0
 	prev := 0.0
 	const ticks = 1000
 	for i := 0; i < ticks; i++ {
 		e.Step(0) // dt=0 isolates the shock term
-		v, _ := e.Value(zone, Traffic)
+		v, _ := e.Value(zone, Occupancy)
 		if v != prev {
 			shocks++
 		}
@@ -91,15 +91,9 @@ func TestShocksOccurAtConfiguredRate(t *testing.T) {
 	}
 }
 
-func TestSetAndAdd(t *testing.T) {
+func TestAddClamps(t *testing.T) {
 	e := New(1)
-	e.Define(zone, Temperature, Process{Initial: 20, Min: 0, Max: 40})
-	if err := e.Set(zone, Temperature, 35); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := e.Value(zone, Temperature); v != 35 {
-		t.Fatalf("after Set, value = %v", v)
-	}
+	e.Define(zone, Temperature, Process{Initial: 35, Min: 0, Max: 40})
 	if err := e.Add(zone, Temperature, -5); err != nil {
 		t.Fatal(err)
 	}
@@ -112,42 +106,22 @@ func TestSetAndAdd(t *testing.T) {
 	if v, _ := e.Value(zone, Temperature); v != 40 {
 		t.Fatalf("Add did not clamp: %v", v)
 	}
-	if err := e.Set(zone, Humidity, 1); err == nil {
-		t.Fatal("Set on undefined variable succeeded")
-	}
 	if err := e.Add(zone, Humidity, 1); err == nil {
 		t.Fatal("Add on undefined variable succeeded")
-	}
-}
-
-func TestSnapshotSortedAndComplete(t *testing.T) {
-	e := New(1)
-	e.Define("zb", Temperature, Process{Initial: 1})
-	e.Define("za", Humidity, Process{Initial: 2})
-	e.Define("za", AirQuality, Process{Initial: 3})
-	snap := e.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("snapshot has %d entries, want 3", len(snap))
-	}
-	if snap[0].Zone != "za" || snap[0].Variable != AirQuality {
-		t.Fatalf("snapshot[0] = %+v, want za/air_quality", snap[0])
-	}
-	if snap[2].Zone != "zb" {
-		t.Fatalf("snapshot[2] = %+v, want zb last", snap[2])
 	}
 }
 
 func TestRedefineResetsValue(t *testing.T) {
 	e := New(1)
 	e.Define(zone, Temperature, Process{Initial: 20})
-	if err := e.Set(zone, Temperature, 33); err != nil {
+	if err := e.Add(zone, Temperature, 13); err != nil {
 		t.Fatal(err)
 	}
 	e.Define(zone, Temperature, Process{Initial: 18})
 	if v, _ := e.Value(zone, Temperature); v != 18 {
 		t.Fatalf("redefine did not reset value: %v", v)
 	}
-	if n := len(e.Snapshot()); n != 1 {
+	if n := len(e.order); n != 1 {
 		t.Fatalf("redefine duplicated the cell: %d entries", n)
 	}
 }

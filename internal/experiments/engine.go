@@ -93,36 +93,13 @@ type SeedRun struct {
 	Workers []int
 }
 
-// RunObserver is called with every System a campaign constructs,
-// before the run starts. Observers attach per-run instrumentation —
-// e.g. a trace collector whose PID is the worker index.
-type RunObserver func(worker int, seed int64, arch core.Archetype, sys *core.System)
-
-// CampaignOption configures MatrixCampaign.
-type CampaignOption func(*campaignConfig)
-
-type campaignConfig struct {
-	observer RunObserver
-}
-
-// WithRunObserver registers fn on the campaign. It runs on the worker
-// goroutine that owns the run, so it may touch the System freely until
-// Run starts.
-func WithRunObserver(fn RunObserver) CampaignOption {
-	return func(c *campaignConfig) { c.observer = fn }
-}
-
 // MatrixCampaign fans the maturity matrix across seeds and workers:
 // one job per (seed, archetype), each running a self-contained
 // simulation. Every simulation owns its world — simulator, RNG, bus —
 // so the journals (and their hashes) are byte-identical whether the
 // campaign runs on one worker or many; only wall-clock time changes.
 // Results are written into per-job slots, so no locking is needed.
-func MatrixCampaign(cfg core.ScenarioConfig, seeds []int64, workers int, opts ...CampaignOption) ([]SeedRun, error) {
-	var cc campaignConfig
-	for _, opt := range opts {
-		opt(&cc)
-	}
+func MatrixCampaign(cfg core.ScenarioConfig, seeds []int64, workers int) ([]SeedRun, error) {
 	archs := core.AllArchetypes()
 	runs := make([]SeedRun, len(seeds))
 	jobs := make([]Job, 0, len(seeds)*len(archs))
@@ -141,9 +118,6 @@ func MatrixCampaign(cfg core.ScenarioConfig, seeds []int64, workers int, opts ..
 				ID: fmt.Sprintf("seed%d/%s", seed, arch),
 				Run: func(worker int) error {
 					sys := core.NewSystem(c, arch)
-					if cc.observer != nil {
-						cc.observer(worker, seed, arch, sys)
-					}
 					runs[si].Reports[ai] = sys.Run()
 					runs[si].Hashes[ai] = sys.JournalHash()
 					runs[si].Workers[ai] = worker
@@ -159,8 +133,9 @@ func MatrixCampaign(cfg core.ScenarioConfig, seeds []int64, workers int, opts ..
 }
 
 // StatsFromRuns aggregates goal persistence per archetype from
-// campaign results — the same statistic Table12Stats computes, without
-// re-running anything.
+// campaign results — the statistical version of the Table 1/2
+// experiment, guarding the headline ordering against single-schedule
+// luck.
 func StatsFromRuns(runs []SeedRun) []ArchetypeStats {
 	byArch := make(map[core.Archetype][]float64)
 	for _, run := range runs {

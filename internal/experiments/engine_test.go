@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 )
 
 func shortCfg() core.ScenarioConfig {
@@ -139,10 +138,9 @@ func TestMatrixCampaignParallelMatchesSerial(t *testing.T) {
 		}
 	}
 
-	// The aggregate derived from campaign results must match the
-	// serial Table12Stats path.
+	// So must the aggregate derived from them.
 	fromRuns := StatsFromRuns(parallel)
-	direct := Table12Stats(cfg, seeds)
+	direct := StatsFromRuns(serial)
 	if len(fromRuns) != len(direct) {
 		t.Fatalf("stats row counts differ: %d vs %d", len(fromRuns), len(direct))
 	}
@@ -153,30 +151,15 @@ func TestMatrixCampaignParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestMatrixCampaignWorkerAttribution checks the observer hook and the
-// recorded worker indices: with one worker everything belongs to
-// worker 0, and a trace collector attached per run carries the
-// worker-derived PID.
+// TestMatrixCampaignWorkerAttribution checks the recorded worker
+// indices: with one worker everything belongs to worker 0.
 func TestMatrixCampaignWorkerAttribution(t *testing.T) {
-	cfg := shortCfg()
-	var observed atomic.Int64
-	runs, err := MatrixCampaign(cfg, []int64{1}, 1, WithRunObserver(
-		func(worker int, seed int64, arch core.Archetype, sys *core.System) {
-			observed.Add(1)
-			tc := obs.Collect(sys.Bus())
-			tc.SetPID(worker + 1)
-			if worker != 0 {
-				t.Errorf("worker = %d with a single-worker pool", worker)
-			}
-			if seed != 1 {
-				t.Errorf("seed = %d, want 1", seed)
-			}
-		}))
+	runs, err := MatrixCampaign(shortCfg(), []int64{1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if observed.Load() != int64(len(core.AllArchetypes())) {
-		t.Fatalf("observer ran %d times, want %d", observed.Load(), len(core.AllArchetypes()))
+	if len(runs[0].Workers) != len(core.AllArchetypes()) {
+		t.Fatalf("recorded workers = %v, want one per archetype", runs[0].Workers)
 	}
 	for _, w := range runs[0].Workers {
 		if w != 0 {

@@ -38,7 +38,11 @@ func TestTable12Shape(t *testing.T) {
 
 func TestTable12StatsOrderingAcrossSeeds(t *testing.T) {
 	cfg := quickCfg()
-	stats := Table12Stats(cfg, []int64{1, 2, 3})
+	runs, err := MatrixCampaign(cfg, []int64{1, 2, 3}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := StatsFromRuns(runs)
 	if len(stats) != 4 {
 		t.Fatalf("stats = %d archetypes", len(stats))
 	}

@@ -30,21 +30,6 @@ type ArchetypeStats struct {
 	StdDevR   float64
 }
 
-// Table12Stats runs the maturity matrix at each seed and aggregates
-// goal persistence per archetype — the statistical version of the
-// Table 1/2 experiment, guarding the headline ordering against
-// single-schedule luck. It is the serial entry point over
-// MatrixCampaign; pass workers > 1 to MatrixCampaign directly for the
-// concurrent version.
-func Table12Stats(cfg core.ScenarioConfig, seeds []int64) []ArchetypeStats {
-	runs, err := MatrixCampaign(cfg, seeds, 1)
-	if err != nil {
-		// Jobs only fail by panicking; re-raise rather than swallow.
-		panic(err)
-	}
-	return StatsFromRuns(runs)
-}
-
 // statsFromSamples reduces per-archetype samples to the aggregate rows,
 // in canonical archetype order.
 func statsFromSamples(byArch map[core.Archetype][]float64) []ArchetypeStats {

@@ -157,17 +157,6 @@ func TestInjectImmediate(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := &Schedule{}
-	a.Crash(time.Millisecond, "x", 0)
-	b := &Schedule{}
-	b.Crash(2*time.Millisecond, "y", 0)
-	a.Merge(b)
-	if a.Len() != 2 {
-		t.Fatalf("merged len = %d, want 2", a.Len())
-	}
-}
-
 func TestCampaignDeterministic(t *testing.T) {
 	c := Campaign{
 		Seed:       9,

@@ -40,11 +40,10 @@ func ExampleLoop() {
 	temperature = 24 // the action worked
 	now = 10 * time.Second
 	loop.Cycle()
-	fmt.Println("satisfied:", loop.Satisfaction()["R-comfort"])
-	fmt.Println("recoveries:", loop.Stats().Recoveries)
+	st := loop.Stats()
+	fmt.Println("issues detected:", st.IssuesDetected, "recoveries:", st.Recoveries)
 
 	// Output:
 	// cooling engaged: true
-	// satisfied: true
-	// recoveries: 1
+	// issues detected: 1 recoveries: 1
 }

@@ -34,9 +34,6 @@ func NewIslandGuard(grace time.Duration) *IslandGuard {
 // Island reports whether the loop is currently in island mode.
 func (g *IslandGuard) Island() bool { return g.island }
 
-// Grace returns the configured grace window.
-func (g *IslandGuard) Grace() time.Duration { return g.grace }
-
 // Observe feeds one (now, lastQuorumContact) sample and reports
 // whether the island state changed on this observation.
 func (g *IslandGuard) Observe(now, quorumContact time.Duration) (changed bool) {

@@ -82,18 +82,6 @@ func (k *Knowledge) GetFloat(key string) (float64, bool) {
 	}
 }
 
-// Age returns how long ago the fact was last written.
-func (k *Knowledge) Age(key string) (time.Duration, bool) {
-	ts, ok := k.data.Timestamp(key)
-	if !ok {
-		return 0, false
-	}
-	return k.now() - ts, true
-}
-
-// Keys returns the live fact keys, sorted.
-func (k *Knowledge) Keys() []string { return k.data.Keys() }
-
 // Delta exports facts newer than ts for knowledge sharing.
 func (k *Knowledge) Delta(ts time.Duration) []crdt.Entry { return k.data.Since(ts) }
 
@@ -101,10 +89,8 @@ func (k *Knowledge) Delta(ts time.Duration) []crdt.Entry { return k.data.Since(t
 func (k *Knowledge) MaxTimestamp() time.Duration { return k.data.MaxTimestamp() }
 
 // Absorb merges exported entries from another loop's knowledge.
-func (k *Knowledge) Absorb(entries []crdt.Entry) int {
-	won := k.data.Apply(entries)
-	k.version += uint64(won)
-	return won
+func (k *Knowledge) Absorb(entries []crdt.Entry) {
+	k.version += uint64(k.data.Apply(entries))
 }
 
 // Version returns the knowledge change counter; it advances on every
@@ -157,14 +143,6 @@ type Stats struct {
 	TotalRecovery time.Duration
 }
 
-// MTTR returns the mean time to recovery over observed recoveries.
-func (s Stats) MTTR() time.Duration {
-	if s.Recoveries == 0 {
-		return 0
-	}
-	return s.TotalRecovery / time.Duration(s.Recoveries)
-}
-
 // Loop is one MAPE-K loop instance. Construct with NewLoop, register
 // monitors/rules/requirements, then drive it with Cycle (typically from
 // a simnet ticker owned by the hosting node).
@@ -182,7 +160,6 @@ type Loop struct {
 	violatedSince map[model.RequirementID]time.Duration
 	lastObs       map[verify.Prop]bool
 	stats         Stats
-	onCycle       []func(obs map[verify.Prop]bool, issues []Issue, actions []Action)
 
 	bus     *obs.Bus
 	busNode string
@@ -230,42 +207,8 @@ func (l *Loop) SetPlanner(p PlanFunc) { l.plan = p }
 // SetExecutor installs the E phase.
 func (l *Loop) SetExecutor(e ExecuteFunc) { l.execute = e }
 
-// OnCycle registers an observer invoked after every cycle.
-func (l *Loop) OnCycle(fn func(obs map[verify.Prop]bool, issues []Issue, actions []Action)) {
-	l.onCycle = append(l.onCycle, fn)
-}
-
 // Stats returns a copy of the loop's counters.
 func (l *Loop) Stats() Stats { return l.stats }
-
-// Observations returns the propositions derived in the last cycle.
-func (l *Loop) Observations() map[verify.Prop]bool {
-	out := make(map[verify.Prop]bool, len(l.lastObs))
-	for p, v := range l.lastObs {
-		out[p] = v
-	}
-	return out
-}
-
-// Satisfaction returns per-requirement instantaneous satisfaction from
-// the last cycle, for goal-model evaluation.
-func (l *Loop) Satisfaction() map[model.RequirementID]bool {
-	out := make(map[model.RequirementID]bool, len(l.reqs))
-	for _, r := range l.reqs {
-		out[r.ID] = l.lastObs[r.Prop]
-	}
-	return out
-}
-
-// Verdict returns the runtime-monitor verdict for a requirement, or
-// VerdictUnknown for requirements the loop does not track.
-func (l *Loop) Verdict(id model.RequirementID) verify.Verdict {
-	m, ok := l.runtime[id]
-	if !ok {
-		return verify.VerdictUnknown
-	}
-	return m.Verdict()
-}
 
 // Cycle runs one full Monitor→Analyze→Plan→Execute pass.
 func (l *Loop) Cycle() {
@@ -333,8 +276,5 @@ func (l *Loop) Cycle() {
 		}
 	}
 
-	for _, fn := range l.onCycle {
-		fn(obs, issues, actions)
-	}
 	span.End("issues=%d actions=%d", len(issues), len(actions))
 }

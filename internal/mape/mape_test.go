@@ -24,6 +24,17 @@ func testLoop(now *time.Duration) *Loop {
 	return l
 }
 
+// satisfied reports whether requirement id held in the loop's last
+// cycle.
+func satisfied(l *Loop, id model.RequirementID) bool {
+	for _, r := range l.reqs {
+		if r.ID == id {
+			return l.lastObs[r.Prop]
+		}
+	}
+	return false
+}
+
 func TestKnowledgePutGet(t *testing.T) {
 	var now time.Duration
 	k := NewKnowledge("n1", func() time.Duration { return now })
@@ -33,14 +44,6 @@ func TestKnowledgePutGet(t *testing.T) {
 	}
 	if _, ok := k.Get("ghost"); ok {
 		t.Fatal("ghost fact found")
-	}
-	now = 5 * time.Second
-	age, ok := k.Age("x")
-	if !ok || age != 5*time.Second {
-		t.Fatalf("Age = %v/%v", age, ok)
-	}
-	if _, ok := k.Age("ghost"); ok {
-		t.Fatal("ghost age found")
 	}
 }
 
@@ -67,28 +70,31 @@ func TestKnowledgeGetFloatConversions(t *testing.T) {
 func TestCycleDetectsViolationAndRecovery(t *testing.T) {
 	var now time.Duration
 	l := testLoop(&now)
+	// The planner sees each cycle's issues; it only runs when there are
+	// any, so a cycle that leaves lastIssues nil found none.
 	var lastIssues []Issue
-	l.OnCycle(func(_ map[verify.Prop]bool, issues []Issue, _ []Action) { lastIssues = issues })
+	l.SetPlanner(func(_ *Knowledge, issues []Issue) []Action { lastIssues = issues; return nil })
+	cycle := func() { lastIssues = nil; l.Cycle() }
 
 	l.Knowledge().Put("temp", 22.0)
-	l.Cycle()
+	cycle()
 	if len(lastIssues) != 0 {
 		t.Fatalf("issues = %v, want none", lastIssues)
 	}
-	if !l.Satisfaction()["R1"] {
+	if !satisfied(l, "R1") {
 		t.Fatal("R1 should be satisfied")
 	}
 
 	now = 10 * time.Second
 	l.Knowledge().Put("temp", 30.0)
-	l.Cycle()
+	cycle()
 	if len(lastIssues) != 1 || lastIssues[0].Requirement != "R1" {
 		t.Fatalf("issues = %v, want [R1]", lastIssues)
 	}
 
 	now = 25 * time.Second
 	l.Knowledge().Put("temp", 20.0)
-	l.Cycle()
+	cycle()
 	if len(lastIssues) != 0 {
 		t.Fatalf("issues after recovery = %v", lastIssues)
 	}
@@ -96,8 +102,8 @@ func TestCycleDetectsViolationAndRecovery(t *testing.T) {
 	if st.Recoveries != 1 {
 		t.Fatalf("Recoveries = %d, want 1", st.Recoveries)
 	}
-	if st.MTTR() != 15*time.Second {
-		t.Fatalf("MTTR = %v, want 15s (violated at 10s, recovered at 25s)", st.MTTR())
+	if st.TotalRecovery != 15*time.Second {
+		t.Fatalf("TotalRecovery = %v, want 15s (violated at 10s, recovered at 25s)", st.TotalRecovery)
 	}
 }
 
@@ -151,12 +157,12 @@ func TestMonitorFeedsKnowledge(t *testing.T) {
 	sensor := 21.0
 	l.AddMonitor(func(k *Knowledge) { k.Put("temp", sensor) })
 	l.Cycle()
-	if !l.Satisfaction()["R1"] {
+	if !satisfied(l, "R1") {
 		t.Fatal("monitor did not feed knowledge")
 	}
 	sensor = 40
 	l.Cycle()
-	if l.Satisfaction()["R1"] {
+	if satisfied(l, "R1") {
 		t.Fatal("stale satisfaction")
 	}
 }
@@ -176,33 +182,12 @@ func TestRuntimeMonitorVerdicts(t *testing.T) {
 		Temporal: verify.LEventuallyWithin(1, verify.LAP("p")),
 	})
 	l.Cycle() // x unset → p false, F<=1 pending
-	if v := l.Verdict("R"); v != verify.VerdictUnknown {
+	if v := l.runtime["R"].Verdict(); v != verify.VerdictUnknown {
 		t.Fatalf("verdict = %v", v)
 	}
 	l.Cycle() // deadline missed → false
-	if v := l.Verdict("R"); v != verify.VerdictFalse {
+	if v := l.runtime["R"].Verdict(); v != verify.VerdictFalse {
 		t.Fatalf("verdict = %v, want false", v)
-	}
-	if v := l.Verdict("ghost"); v != verify.VerdictUnknown {
-		t.Fatalf("ghost verdict = %v", v)
-	}
-}
-
-func TestMTTRZeroWithoutRecoveries(t *testing.T) {
-	if (Stats{}).MTTR() != 0 {
-		t.Fatal("MTTR on empty stats should be 0")
-	}
-}
-
-func TestObservationsCopy(t *testing.T) {
-	var now time.Duration
-	l := testLoop(&now)
-	l.Knowledge().Put("temp", 20.0)
-	l.Cycle()
-	obs := l.Observations()
-	obs["temp_ok"] = false
-	if !l.Observations()["temp_ok"] {
-		t.Fatal("mutating returned observations changed loop state")
 	}
 }
 
@@ -215,19 +200,14 @@ func TestSyncerSharesKnowledge(t *testing.T) {
 
 	la := NewLoop(NewKnowledge("a", sim.Now), sim.Now)
 	lb := NewLoop(NewKnowledge("b", sim.Now), sim.Now)
-	sa := NewSyncer(epA, la, []simnet.NodeID{"b"}, 100*time.Millisecond)
-	sb := NewSyncer(epB, lb, []simnet.NodeID{"a"}, 100*time.Millisecond)
-	sa.Start()
-	sb.Start()
+	NewSyncer(epA, la, []simnet.NodeID{"b"}, 100*time.Millisecond).Start()
+	NewSyncer(epB, lb, []simnet.NodeID{"a"}, 100*time.Millisecond).Start()
 
 	la.Knowledge().Put("zone1/temp", 22.5)
 	sim.RunUntil(time.Second)
 
 	if v, ok := lb.Knowledge().GetFloat("zone1/temp"); !ok || v != 22.5 {
 		t.Fatalf("peer knowledge = %v/%v", v, ok)
-	}
-	if sb.Absorbed() == 0 {
-		t.Fatal("no entries absorbed")
 	}
 }
 
@@ -255,22 +235,6 @@ func TestSyncerSurvivesPartition(t *testing.T) {
 	sim.RunUntil(4 * time.Second)
 	if v, ok := lb.Knowledge().GetFloat("k"); !ok || v != 2.0 {
 		t.Fatalf("post-heal knowledge = %v/%v", v, ok)
-	}
-}
-
-func TestSyncerStop(t *testing.T) {
-	sim := simnet.New()
-	epA := sim.AddNode("a")
-	sim.AddNode("b")
-	la := NewLoop(NewKnowledge("a", sim.Now), sim.Now)
-	s := NewSyncer(epA, la, []simnet.NodeID{"b"}, 100*time.Millisecond)
-	s.Start()
-	s.Stop()
-	la.Knowledge().Put("k", 1.0)
-	before := sim.Stats().Sent
-	sim.RunUntil(time.Second)
-	if sim.Stats().Sent != before {
-		t.Fatal("stopped syncer still sending")
 	}
 }
 

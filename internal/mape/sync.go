@@ -41,9 +41,7 @@ type Syncer struct {
 	// quiescent loop (no new local writes or absorbed wins) skips the
 	// export and the send entirely instead of re-sharing the boundary
 	// entries every round.
-	lastVer  uint64
-	ticker   *simnet.Ticker
-	absorbed int
+	lastVer uint64
 }
 
 // NewSyncer wires knowledge sharing for loop over port with the given
@@ -65,20 +63,8 @@ func NewSyncer(port simnet.Port, loop *Loop, peers []simnet.NodeID, interval tim
 
 // Start begins periodic delta exchange.
 func (s *Syncer) Start() {
-	s.ticker = s.port.Every(s.interval, s.share)
+	s.port.Every(s.interval, s.share)
 }
-
-// Stop halts sharing.
-func (s *Syncer) Stop() {
-	if s.ticker != nil {
-		s.ticker.Stop()
-		s.ticker = nil
-	}
-}
-
-// Absorbed returns how many remote entries won locally — a measure of
-// how much context arrived from peers.
-func (s *Syncer) Absorbed() int { return s.absorbed }
 
 // ShareNow ships the pending delta immediately, outside the periodic
 // cadence. Island rejoin calls it so the healed side sees the island's
@@ -112,5 +98,5 @@ func (s *Syncer) handle(_ simnet.NodeID, msg simnet.Message) {
 	if !ok {
 		return
 	}
-	s.absorbed += s.loop.Knowledge().Absorb(m.Entries)
+	s.loop.Knowledge().Absorb(m.Entries)
 }

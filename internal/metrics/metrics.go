@@ -2,8 +2,8 @@
 // definition — "the persistence of reliable requirements satisfaction
 // when facing change" — becomes a measurable quantity here: a
 // SatisfactionTrace samples whether requirements hold over time and
-// reports persistence (time-weighted satisfied fraction), outage
-// counts, MTTR and MTBF; a LatencyRecorder summarizes distributions
+// reports persistence (time-weighted satisfied fraction), outage ends
+// and MTTR; a LatencyRecorder summarizes distributions
 // (mean, percentiles) for timeliness properties; counters track
 // delivery availability. Every experiment in the repository reports its
 // results through these types.
@@ -33,24 +33,6 @@ func (tr *SatisfactionTrace) Record(at time.Duration, ok bool) {
 	tr.samples = append(tr.samples, sample{at: at, ok: ok})
 }
 
-// Len returns the number of observations.
-func (tr *SatisfactionTrace) Len() int { return len(tr.samples) }
-
-// Persistence returns the fraction of observations that were satisfied
-// (sample-weighted R). It returns 0 for an empty trace.
-func (tr *SatisfactionTrace) Persistence() float64 {
-	if len(tr.samples) == 0 {
-		return 0
-	}
-	ok := 0
-	for _, s := range tr.samples {
-		if s.ok {
-			ok++
-		}
-	}
-	return float64(ok) / float64(len(tr.samples))
-}
-
 // TimeWeightedPersistence returns the fraction of the interval [first
 // sample, end] during which the requirement was satisfied, holding each
 // observation's value until the next observation.
@@ -78,22 +60,9 @@ func (tr *SatisfactionTrace) TimeWeightedPersistence(end time.Duration) float64 
 	return float64(satisfied) / float64(end-start)
 }
 
-// Outages returns the number of satisfied→unsatisfied transitions. A
-// trace that starts unsatisfied counts that as an outage too.
-func (tr *SatisfactionTrace) Outages() int {
-	n := 0
-	prev := true
-	for _, s := range tr.samples {
-		if prev && !s.ok {
-			n++
-		}
-		prev = s.ok
-	}
-	return n
-}
-
 // MTTR returns the mean duration of completed outages (unsatisfied
-// periods that ended with a satisfied observation).
+// periods that ended with a satisfied observation). A trace that starts
+// unsatisfied starts in an outage.
 func (tr *SatisfactionTrace) MTTR() time.Duration {
 	var total time.Duration
 	count := 0
@@ -118,22 +87,6 @@ func (tr *SatisfactionTrace) MTTR() time.Duration {
 	return total / time.Duration(count)
 }
 
-// MTBF returns the mean time between the starts of consecutive outages.
-func (tr *SatisfactionTrace) MTBF() time.Duration {
-	var starts []time.Duration
-	prev := true
-	for _, s := range tr.samples {
-		if prev && !s.ok {
-			starts = append(starts, s.at)
-		}
-		prev = s.ok
-	}
-	if len(starts) < 2 {
-		return 0
-	}
-	return (starts[len(starts)-1] - starts[0]) / time.Duration(len(starts)-1)
-}
-
 // OutageEnds returns the times at which completed outages ended (the
 // first satisfied observation after each unsatisfied stretch).
 func (tr *SatisfactionTrace) OutageEnds() []time.Duration {
@@ -151,34 +104,6 @@ func (tr *SatisfactionTrace) OutageEnds() []time.Duration {
 		prev = s.ok
 	}
 	return out
-}
-
-// LongestOutage returns the duration of the longest completed or
-// still-open outage, with end bounding an open one.
-func (tr *SatisfactionTrace) LongestOutage(end time.Duration) time.Duration {
-	var longest time.Duration
-	var outageStart time.Duration
-	inOutage := false
-	prev := true
-	for _, s := range tr.samples {
-		switch {
-		case prev && !s.ok:
-			inOutage = true
-			outageStart = s.at
-		case inOutage && s.ok:
-			if d := s.at - outageStart; d > longest {
-				longest = d
-			}
-			inOutage = false
-		}
-		prev = s.ok
-	}
-	if inOutage {
-		if d := end - outageStart; d > longest {
-			longest = d
-		}
-	}
-	return longest
 }
 
 // LatencyRecorder accumulates a latency distribution.

@@ -18,21 +18,10 @@ func outageTrace() *SatisfactionTrace {
 	return tr
 }
 
-func TestPersistenceSampleWeighted(t *testing.T) {
-	tr := outageTrace() // samples at 0..60: unsat at 10,20 → 5/7
-	want := 5.0 / 7.0
-	if got := tr.Persistence(); got != want {
-		t.Fatalf("Persistence = %v, want %v", got, want)
-	}
-}
-
 func TestPersistenceEmpty(t *testing.T) {
 	tr := &SatisfactionTrace{}
-	if tr.Persistence() != 0 || tr.TimeWeightedPersistence(sec(10)) != 0 {
+	if tr.TimeWeightedPersistence(sec(10)) != 0 || tr.MTTR() != 0 || len(tr.OutageEnds()) != 0 {
 		t.Fatal("empty trace should report 0")
-	}
-	if tr.Len() != 0 {
-		t.Fatal("Len != 0")
 	}
 }
 
@@ -53,7 +42,7 @@ func TestTimeWeightedPersistenceEndBeforeStart(t *testing.T) {
 	}
 }
 
-func TestOutagesMTTRMTBF(t *testing.T) {
+func TestOutageEndsAndMTTR(t *testing.T) {
 	tr := &SatisfactionTrace{}
 	// Outage 1: 10-20; outage 2: 40-45 (recorded at 5s granularity).
 	points := []struct {
@@ -66,20 +55,12 @@ func TestOutagesMTTRMTBF(t *testing.T) {
 	for _, p := range points {
 		tr.Record(sec(p.t), p.ok)
 	}
-	if got := tr.Outages(); got != 2 {
-		t.Fatalf("Outages = %d, want 2", got)
+	if got := tr.OutageEnds(); len(got) != 2 || got[0] != sec(20) || got[1] != sec(45) {
+		t.Fatalf("OutageEnds = %v, want [20s 45s]", got)
 	}
 	// MTTR = ((20-10) + (45-40)) / 2 = 7.5s
 	if got := tr.MTTR(); got != 7500*time.Millisecond {
 		t.Fatalf("MTTR = %v, want 7.5s", got)
-	}
-	// MTBF = (40-10)/1 = 30s
-	if got := tr.MTBF(); got != sec(30) {
-		t.Fatalf("MTBF = %v, want 30s", got)
-	}
-	// Longest outage = 10s.
-	if got := tr.LongestOutage(sec(50)); got != sec(10) {
-		t.Fatalf("LongestOutage = %v, want 10s", got)
 	}
 }
 
@@ -87,8 +68,8 @@ func TestTraceStartingUnsatisfiedCountsOutage(t *testing.T) {
 	tr := &SatisfactionTrace{}
 	tr.Record(0, false)
 	tr.Record(sec(5), true)
-	if tr.Outages() != 1 {
-		t.Fatalf("Outages = %d, want 1", tr.Outages())
+	if got := tr.OutageEnds(); len(got) != 1 || got[0] != sec(5) {
+		t.Fatalf("OutageEnds = %v, want [5s]", got)
 	}
 	if tr.MTTR() != sec(5) {
 		t.Fatalf("MTTR = %v", tr.MTTR())
@@ -102,11 +83,8 @@ func TestOpenOutage(t *testing.T) {
 	if tr.MTTR() != 0 {
 		t.Fatal("open outage should not contribute to MTTR")
 	}
-	if got := tr.LongestOutage(sec(60)); got != sec(50) {
-		t.Fatalf("LongestOutage = %v, want 50s (open, bounded by end)", got)
-	}
-	if tr.MTBF() != 0 {
-		t.Fatal("single outage has no MTBF")
+	if got := tr.OutageEnds(); len(got) != 0 {
+		t.Fatalf("OutageEnds = %v, want none while the outage is open", got)
 	}
 }
 
@@ -120,7 +98,7 @@ func TestPersistenceBoundsProperty(t *testing.T) {
 			tr.Record(time.Duration(i)*time.Second, b)
 			all = all && b
 		}
-		p := tr.Persistence()
+		p := tr.TimeWeightedPersistence(time.Duration(len(bits)) * time.Second)
 		if p < 0 || p > 1 {
 			return false
 		}
@@ -212,19 +190,6 @@ func TestTimeWeightedAlternating(t *testing.T) {
 	}
 }
 
-func TestMTBFWithoutOutages(t *testing.T) {
-	tr := &SatisfactionTrace{}
-	for i := 0; i < 5; i++ {
-		tr.Record(sec(i*10), true)
-	}
-	if tr.MTBF() != 0 {
-		t.Fatalf("MTBF with zero outages = %v, want 0", tr.MTBF())
-	}
-	if tr.Outages() != 0 {
-		t.Fatalf("Outages = %d, want 0", tr.Outages())
-	}
-}
-
 func TestTimeWeightedPersistenceEndAtFirstSample(t *testing.T) {
 	tr := &SatisfactionTrace{}
 	tr.Record(sec(10), true)
@@ -262,19 +227,13 @@ func TestTraceNeverSatisfied(t *testing.T) {
 	tr.Record(0, false)
 	tr.Record(sec(10), false)
 	tr.Record(sec(20), false)
-	if got := tr.Outages(); got != 1 {
-		t.Fatalf("Outages = %d, want 1 (the initial one, never recovered)", got)
+	if got := tr.OutageEnds(); len(got) != 0 {
+		t.Fatalf("OutageEnds = %v, want none (the initial outage never ends)", got)
 	}
 	if tr.MTTR() != 0 {
 		t.Fatal("never-recovering outage must not contribute to MTTR")
 	}
 	if got := tr.TimeWeightedPersistence(sec(30)); got != 0 {
 		t.Fatalf("R = %v, want 0", got)
-	}
-	if got := tr.Persistence(); got != 0 {
-		t.Fatalf("sample-weighted R = %v, want 0", got)
-	}
-	if got := tr.LongestOutage(sec(30)); got != sec(30) {
-		t.Fatalf("LongestOutage = %v, want 30s", got)
 	}
 }

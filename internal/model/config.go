@@ -49,46 +49,6 @@ func (c *Configuration) Add(comp Component) {
 	c.comps[comp.ID] = &cp
 }
 
-// Remove deletes a component.
-func (c *Configuration) Remove(id ComponentID) {
-	if _, ok := c.comps[id]; !ok {
-		return
-	}
-	delete(c.comps, id)
-	for i, o := range c.order {
-		if o == id {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
-}
-
-// Component returns a deep copy of a component by ID.
-func (c *Configuration) Component(id ComponentID) (Component, bool) {
-	comp, ok := c.comps[id]
-	if !ok {
-		return Component{}, false
-	}
-	return copyComponent(comp), true
-}
-
-// Components returns deep copies of all components in registration
-// order.
-func (c *Configuration) Components() []Component {
-	out := make([]Component, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, copyComponent(c.comps[id]))
-	}
-	return out
-}
-
-func copyComponent(comp *Component) Component {
-	cp := *comp
-	cp.Provides = append([]Service(nil), comp.Provides...)
-	cp.Requires = append([]Service(nil), comp.Requires...)
-	return cp
-}
-
 // Hosts returns the distinct hosts referenced, sorted.
 func (c *Configuration) Hosts() []string {
 	set := make(map[string]bool)

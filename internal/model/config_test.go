@@ -74,24 +74,12 @@ func TestSnapshotProps(t *testing.T) {
 	}
 }
 
-func TestAddReplaceRemove(t *testing.T) {
+func TestAddReplaces(t *testing.T) {
 	cfg := NewConfiguration()
 	cfg.Add(Component{ID: "c", Host: "h1", Provides: []Service{"x"}})
 	cfg.Add(Component{ID: "c", Host: "h2", Provides: []Service{"x"}}) // migration
-	comp, ok := cfg.Component("c")
-	if !ok || comp.Host != "h2" {
-		t.Fatalf("component = %+v", comp)
-	}
-	if n := len(cfg.Components()); n != 1 {
-		t.Fatalf("components = %d, want 1 after replace", n)
-	}
-	cfg.Remove("c")
-	if _, ok := cfg.Component("c"); ok {
-		t.Fatal("component survived Remove")
-	}
-	cfg.Remove("c") // idempotent
-	if len(cfg.Hosts()) != 0 {
-		t.Fatal("hosts nonempty after removal")
+	if hosts := cfg.Hosts(); len(hosts) != 1 || hosts[0] != "h2" {
+		t.Fatalf("hosts = %v, want [h2] after replace", hosts)
 	}
 }
 
@@ -102,11 +90,6 @@ func TestComponentCopySemantics(t *testing.T) {
 	provides[0] = "mutated"
 	if !cfg.ServiceAvailable("x", allUp) {
 		t.Fatal("mutating caller slice changed configuration")
-	}
-	comp, _ := cfg.Component("c")
-	comp.Provides[0] = "mutated2"
-	if !cfg.ServiceAvailable("x", allUp) {
-		t.Fatal("mutating returned component changed configuration")
 	}
 }
 

@@ -12,7 +12,6 @@ package model
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/verify"
 )
@@ -100,23 +99,10 @@ func NewGoalModel(root *Goal, reqs []*Requirement) *GoalModel {
 	return m
 }
 
-// Root returns the root goal.
-func (m *GoalModel) Root() *Goal { return m.root }
-
 // Requirement returns a requirement by ID.
 func (m *GoalModel) Requirement(id RequirementID) (*Requirement, bool) {
 	r, ok := m.reqs[id]
 	return r, ok
-}
-
-// Requirements returns all requirements sorted by ID.
-func (m *GoalModel) Requirements() []*Requirement {
-	out := make([]*Requirement, 0, len(m.reqs))
-	for _, r := range m.reqs {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // Validate checks structural sanity: a root exists, goal IDs are
@@ -165,27 +151,6 @@ func (m *GoalModel) Satisfied(sat map[RequirementID]bool) bool {
 		}
 	}
 	return m.goalSatisfied(m.root, sat)
-}
-
-// SinglePointsOfFailure returns the requirements whose individual
-// unsatisfaction — with everything else satisfied — breaks the root
-// goal. OR-refined alternatives mask their members; AND paths and
-// critical requirements surface here. This is the design-time "where
-// does redundancy end" analysis the goal model enables.
-func (m *GoalModel) SinglePointsOfFailure() []RequirementID {
-	all := make(map[RequirementID]bool, len(m.reqs))
-	for id := range m.reqs {
-		all[id] = true
-	}
-	var out []RequirementID
-	for _, r := range m.Requirements() {
-		all[r.ID] = false
-		if !m.Satisfied(all) {
-			out = append(out, r.ID)
-		}
-		all[r.ID] = true
-	}
-	return out
 }
 
 func (m *GoalModel) goalSatisfied(g *Goal, sat map[RequirementID]bool) bool {

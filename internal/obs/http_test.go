@@ -25,7 +25,7 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string, http.Hea
 
 func TestHandlerServesMetricsAndHealth(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("riot_events_total", "events", "kind", "test").Add(7)
+	reg.Counter("riot_events_total", "events", "kind", "test").Inc()
 	healthy := true
 	srv := httptest.NewServer(Handler(reg, func() bool { return healthy }, nil))
 	defer srv.Close()
@@ -37,7 +37,7 @@ func TestHandlerServesMetricsAndHealth(t *testing.T) {
 	if ct := hdr.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
 		t.Fatalf("content type = %q", ct)
 	}
-	if !strings.Contains(body, `riot_events_total{kind="test"} 7`) {
+	if !strings.Contains(body, `riot_events_total{kind="test"} 1`) {
 		t.Fatalf("metrics body:\n%s", body)
 	}
 

@@ -20,7 +20,8 @@ func TestCounterExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("riot_faults_total", "faults injected", "kind", "crash")
 	c.Inc()
-	c.Add(2)
+	c.Inc()
+	c.Inc()
 	if c.Value() != 3 {
 		t.Fatalf("value = %d", c.Value())
 	}

@@ -159,9 +159,6 @@ func (b *Bus) StartSpan(kind, node string, parent uint64) Span {
 	}
 }
 
-// Live reports whether the span was started against an active bus.
-func (s Span) Live() bool { return s.bus != nil }
-
 // End closes the span, publishing it as one event covering [start,
 // now). The detail is formatted lazily.
 func (s Span) End(format string, args ...any) {

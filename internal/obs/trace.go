@@ -18,27 +18,6 @@ type TraceCollector struct {
 	mu     sync.Mutex
 	events []Event
 	sub    *Subscription
-	pid    int // Chrome trace process ID; 0 renders as 1
-}
-
-// SetPID sets the process ID stamped on every exported trace event.
-// Concurrent experiment workers each collect their own trace; distinct
-// PIDs keep the merged view attributable (worker N shows up as process
-// N in chrome://tracing). The default PID is 1.
-func (tc *TraceCollector) SetPID(pid int) {
-	tc.mu.Lock()
-	tc.pid = pid
-	tc.mu.Unlock()
-}
-
-// effectivePID resolves the configured PID, defaulting to 1.
-func (tc *TraceCollector) effectivePID() int {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if tc.pid == 0 {
-		return 1
-	}
-	return tc.pid
 }
 
 // Collect attaches a collector to the bus.
@@ -99,7 +78,7 @@ type chromeTrace struct {
 // (empty Node) land on thread 0.
 func (tc *TraceCollector) WriteChromeTrace(w io.Writer) error {
 	events := tc.Events()
-	pid := tc.effectivePID()
+	const pid = 1 // one process; each node is one of its threads
 
 	// Stable node → tid assignment, sorted for determinism.
 	nodes := make(map[string]int)

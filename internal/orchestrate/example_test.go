@@ -8,7 +8,7 @@ import (
 )
 
 // Deviceless placement: functions declare capabilities and resources,
-// never devices. When a host fails, Heal migrates its functions.
+// never devices. When a host fails, HealHost migrates its functions.
 func ExampleOrchestrator() {
 	down := map[device.ID]bool{}
 	orch := orchestrate.New(nil, func(id device.ID) bool { return !down[id] })
@@ -22,11 +22,9 @@ func ExampleOrchestrator() {
 	fmt.Println("placed on:", host)
 
 	down[host] = true
-	healed := orch.Heal()
-	newHost, _ := orch.HostOf("analytics")
-	fmt.Println("healed:", healed, "→", newHost)
+	fmt.Println("migrated off", host+":", orch.HealHost(host))
 
 	// Output:
 	// placed on: gw-a
-	// healed: 1 → gw-b
+	// migrated off gw-a: [analytics]
 }

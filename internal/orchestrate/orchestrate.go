@@ -42,14 +42,6 @@ type Placement struct {
 	Host     device.ID
 }
 
-// Stats counts orchestrator activity.
-type Stats struct {
-	Deployments      int
-	FailedDeploys    int
-	Migrations       int
-	FailedMigrations int
-}
-
 // Orchestrator places functions on registered hosts. Construct with
 // New; it is not safe for concurrent use (drive it from the simulation
 // loop).
@@ -76,7 +68,6 @@ type Orchestrator struct {
 	usedMem map[device.ID]int
 
 	placements map[string]Placement
-	stats      Stats
 }
 
 // New creates an orchestrator. alive reports host liveness (wire it to
@@ -103,16 +94,6 @@ func (o *Orchestrator) RegisterHost(d *device.Device) {
 	}
 	o.hosts[d.ID()] = d
 }
-
-// Hosts returns the registered host IDs in registration order.
-func (o *Orchestrator) Hosts() []device.ID {
-	out := make([]device.ID, len(o.hostOrder))
-	copy(out, o.hostOrder)
-	return out
-}
-
-// Stats returns a copy of the counters.
-func (o *Orchestrator) Stats() Stats { return o.stats }
 
 // feasible reports whether host can run fn right now, zone aside: pick
 // offers a zoned function only the hosts in its zone.
@@ -154,11 +135,9 @@ func (o *Orchestrator) Deploy(fn Function) (device.ID, error) {
 	}
 	host, ok := o.pick(fn, nil)
 	if !ok {
-		o.stats.FailedDeploys++
 		return "", fmt.Errorf("orchestrate: no feasible host for function %q", fn.Name)
 	}
 	o.place(fn, host)
-	o.stats.Deployments++
 	return host, nil
 }
 
@@ -229,12 +208,7 @@ func (o *Orchestrator) release(p Placement) {
 	delete(o.placements, p.Function.Name)
 }
 
-// replicaName names the i-th replica of a replicated function.
-func replicaName(base string, i int) string {
-	return fmt.Sprintf("%s#%d", base, i)
-}
-
-// replicaGroup returns the base name of a replica ("svc#2" → "svc"),
+// replicaGroup returns the base name of a replica ("svc#b2" → "svc"),
 // or "" for non-replicated functions.
 func replicaGroup(name string) string {
 	for i := len(name) - 1; i >= 0; i-- {
@@ -261,49 +235,6 @@ func (o *Orchestrator) siblingHosts(name string) map[device.ID]bool {
 	return out
 }
 
-// DeployReplicated places n replicas of fn on n *distinct* hosts
-// (anti-affinity), so that no single host failure takes out more than
-// one replica. Replicas are named "<name>#0" … "<name>#<n-1>". The
-// operation is all-or-nothing: if fewer than n distinct feasible
-// hosts exist, nothing is placed and an error is returned.
-func (o *Orchestrator) DeployReplicated(fn Function, n int) ([]device.ID, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("orchestrate: replica count %d must be positive", n)
-	}
-	// Release any previous generation of this replicated function.
-	for i := 0; ; i++ {
-		p, ok := o.placements[replicaName(fn.Name, i)]
-		if !ok {
-			break
-		}
-		o.release(p)
-	}
-	used := make(map[device.ID]bool, n)
-	placed := make([]Placement, 0, n)
-	hosts := make([]device.ID, 0, n)
-	rollback := func() {
-		for _, p := range placed {
-			o.release(p)
-		}
-	}
-	for i := 0; i < n; i++ {
-		rep := fn
-		rep.Name = replicaName(fn.Name, i)
-		host, ok := o.pick(rep, used)
-		if !ok {
-			rollback()
-			o.stats.FailedDeploys++
-			return nil, fmt.Errorf("orchestrate: only %d of %d distinct hosts feasible for %q", i, n, fn.Name)
-		}
-		o.place(rep, host)
-		placed = append(placed, o.placements[rep.Name])
-		used[host] = true
-		hosts = append(hosts, host)
-	}
-	o.stats.Deployments += n
-	return hosts, nil
-}
-
 // DeployAvoiding places fn like Deploy but never on a host in avoid.
 // The partition-aware planner uses it to spread a zone's controller
 // replicas across connectivity domains: the backup replica avoids the
@@ -315,61 +246,24 @@ func (o *Orchestrator) DeployAvoiding(fn Function, avoid map[device.ID]bool) (de
 	}
 	host, ok := o.pick(fn, avoid)
 	if !ok {
-		o.stats.FailedDeploys++
 		return "", fmt.Errorf("orchestrate: no feasible host outside avoid set for function %q", fn.Name)
 	}
 	o.place(fn, host)
-	o.stats.Deployments++
 	return host, nil
-}
-
-// Undeploy removes a function.
-func (o *Orchestrator) Undeploy(name string) {
-	if p, ok := o.placements[name]; ok {
-		o.release(p)
-	}
-}
-
-// HostOf returns the host currently running the function.
-func (o *Orchestrator) HostOf(name string) (device.ID, bool) {
-	p, ok := o.placements[name]
-	return p.Host, ok
-}
-
-// Placements returns all placements sorted by function name.
-func (o *Orchestrator) Placements() []Placement {
-	out := make([]Placement, 0, len(o.placements))
-	for _, p := range o.placements {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Function.Name < out[j].Function.Name })
-	return out
-}
-
-// Operational reports whether the function is placed on a live host.
-func (o *Orchestrator) Operational(name string) bool {
-	p, ok := o.placements[name]
-	if !ok {
-		return false
-	}
-	d := o.hosts[p.Host]
-	return o.alive(p.Host) && d != nil && !d.Drained()
 }
 
 // migrate tries to move one broken placement to a feasible host
 // (respecting replica anti-affinity). When no alternative exists the
 // placement is kept on its dead host — still accounted, still visible,
-// retried by the next heal pass — and counted as a failed migration.
+// retried by the next heal pass.
 func (o *Orchestrator) migrate(p Placement) bool {
 	o.release(p)
 	host, ok := o.pick(p.Function, o.siblingHosts(p.Function.Name))
 	if !ok {
 		o.place(p.Function, p.Host) // keep it; a later heal retries
-		o.stats.FailedMigrations++
 		return false
 	}
 	o.place(p.Function, host)
-	o.stats.Migrations++
 	return true
 }
 
@@ -392,24 +286,4 @@ func (o *Orchestrator) HealHost(failed device.ID) []string {
 		}
 	}
 	return migrated
-}
-
-// Heal re-places every function whose host is currently infeasible
-// (down, drained or overloaded after changes). It returns the number of
-// successful migrations this pass.
-func (o *Orchestrator) Heal() int {
-	var broken []Placement
-	for _, p := range o.placements {
-		if !o.Operational(p.Function.Name) {
-			broken = append(broken, p)
-		}
-	}
-	sort.Slice(broken, func(i, j int) bool { return broken[i].Function.Name < broken[j].Function.Name })
-	n := 0
-	for _, p := range broken {
-		if o.migrate(p) {
-			n++
-		}
-	}
-	return n
 }

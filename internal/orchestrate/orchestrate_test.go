@@ -1,6 +1,7 @@
 package orchestrate
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/device"
@@ -29,6 +30,36 @@ func pool(t *testing.T, alive func(device.ID) bool) *Orchestrator {
 
 func alwaysAlive(device.ID) bool { return true }
 
+// operational reports whether the function is placed on a live,
+// undrained host.
+func operational(o *Orchestrator, name string) bool {
+	p, ok := o.placements[name]
+	if !ok {
+		return false
+	}
+	d := o.hosts[p.Host]
+	return o.alive(p.Host) && d != nil && !d.Drained()
+}
+
+// deployReplicas places n replicas of fn, "<name>#0" … "<name>#<n-1>",
+// each avoiding the hosts of the ones before it.
+func deployReplicas(t *testing.T, o *Orchestrator, fn Function, n int) []device.ID {
+	t.Helper()
+	avoid := map[device.ID]bool{}
+	var hosts []device.ID
+	for i := 0; i < n; i++ {
+		rep := fn
+		rep.Name = fmt.Sprintf("%s#%d", fn.Name, i)
+		host, err := o.DeployAvoiding(rep, avoid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		avoid[host] = true
+		hosts = append(hosts, host)
+	}
+	return hosts
+}
+
 func TestDeployPrefersEdge(t *testing.T) {
 	o := pool(t, alwaysAlive)
 	host, err := o.Deploy(Function{Name: "analytics", Requires: []device.Capability{device.CapCompute},
@@ -39,7 +70,7 @@ func TestDeployPrefersEdge(t *testing.T) {
 	if host == "cloud" {
 		t.Fatalf("placed on cloud despite PreferEdge: %s", host)
 	}
-	if !o.Operational("analytics") {
+	if !operational(o, "analytics") {
 		t.Fatal("not operational after deploy")
 	}
 }
@@ -55,7 +86,7 @@ func TestDeployWithoutPreferenceUsesLeastLoaded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1, _ := o.HostOf("f1")
+	h1 := o.placements["f1"].Host
 	if host2 == h1 {
 		t.Fatalf("both functions on %s; expected spreading", h1)
 	}
@@ -66,9 +97,6 @@ func TestCapabilityConstraints(t *testing.T) {
 	// No host senses temperature.
 	if _, err := o.Deploy(Function{Name: "sense", Requires: []device.Capability{device.SenseCap(env.Temperature)}}); err == nil {
 		t.Fatal("deploy with unsatisfiable capability succeeded")
-	}
-	if st := o.Stats(); st.FailedDeploys != 1 {
-		t.Fatalf("stats = %+v", st)
 	}
 	// Register a sensor host: still fails (sensor nodes don't get
 	// CapCompute, but the function only asks for sensing — so it works).
@@ -97,8 +125,10 @@ func TestCapacityAccounting(t *testing.T) {
 	if _, err := o.Deploy(Function{Name: "d", CPUMIPS: 100, MemMB: 100}); err != nil {
 		t.Fatal("fitting deploy failed:", err)
 	}
-	// Undeploy releases capacity.
-	o.Undeploy("a")
+	// Redeploying releases the old placement's capacity.
+	if _, err := o.Deploy(Function{Name: "a", CPUMIPS: 1, MemMB: 1}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := o.Deploy(Function{Name: "e", CPUMIPS: 1500, MemMB: 500}); err != nil {
 		t.Fatal("capacity not released:", err)
 	}
@@ -135,40 +165,18 @@ func TestHealHostMigrates(t *testing.T) {
 		t.Fatal(err)
 	}
 	down[host] = true
-	if o.Operational("ctrl") {
+	if operational(o, "ctrl") {
 		t.Fatal("operational on dead host")
 	}
 	migrated := o.HealHost(host)
 	if len(migrated) != 1 || migrated[0] != "ctrl" {
 		t.Fatalf("migrated = %v", migrated)
 	}
-	newHost, _ := o.HostOf("ctrl")
-	if newHost == host {
+	if o.placements["ctrl"].Host == host {
 		t.Fatal("function still on failed host")
 	}
-	if !o.Operational("ctrl") {
+	if !operational(o, "ctrl") {
 		t.Fatal("not operational after heal")
-	}
-	if st := o.Stats(); st.Migrations != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestHealScansAllPlacements(t *testing.T) {
-	down := map[device.ID]bool{}
-	o := pool(t, func(id device.ID) bool { return !down[id] })
-	o.Deploy(Function{Name: "f1", CPUMIPS: 10, MemMB: 1, PreferEdge: true})
-	o.Deploy(Function{Name: "f2", CPUMIPS: 10, MemMB: 1, PreferEdge: true})
-	h1, _ := o.HostOf("f1")
-	h2, _ := o.HostOf("f2")
-	down[h1] = true
-	down[h2] = true
-	n := o.Heal()
-	if n != 2 {
-		t.Fatalf("healed %d, want 2", n)
-	}
-	if !o.Operational("f1") || !o.Operational("f2") {
-		t.Fatal("functions not operational after Heal")
 	}
 }
 
@@ -178,27 +186,21 @@ func TestHealFailsWhenNoHostFeasible(t *testing.T) {
 	o.RegisterHost(device.New("only", device.Config{Class: device.ClassGateway}))
 	o.Deploy(Function{Name: "f", CPUMIPS: 10, MemMB: 1})
 	down["only"] = true
-	if n := o.Heal(); n != 0 {
-		t.Fatalf("healed %d with no feasible host", n)
-	}
-	if st := o.Stats(); st.FailedMigrations != 1 {
-		t.Fatalf("stats = %+v", st)
+	if migrated := o.HealHost("only"); len(migrated) != 0 {
+		t.Fatalf("migrated %v with no feasible host", migrated)
 	}
 	// The placement is kept (non-operational) so later heals retry.
-	if _, ok := o.HostOf("f"); !ok {
+	if _, ok := o.placements["f"]; !ok {
 		t.Fatal("failed migration dropped the placement entirely")
 	}
-	if o.Operational("f") {
+	if operational(o, "f") {
 		t.Fatal("function operational on a dead host")
 	}
 	// Recovery: host comes back; the placement is operational again
 	// without any migration.
 	down["only"] = false
-	if !o.Operational("f") {
+	if !operational(o, "f") {
 		t.Fatal("function not operational after host recovery")
-	}
-	if n := o.Heal(); n != 0 {
-		t.Fatalf("heal migrated %d although nothing is broken", n)
 	}
 }
 
@@ -214,7 +216,7 @@ func TestDrainedHostInfeasible(t *testing.T) {
 	if !d.Drained() {
 		d.Idle(1e9) // 1 second
 	}
-	if o.Operational("f") {
+	if operational(o, "f") {
 		t.Fatal("operational on drained host")
 	}
 }
@@ -227,87 +229,22 @@ func TestRedeployReleasesOldPlacement(t *testing.T) {
 	if _, err := o.Deploy(Function{Name: "f", CPUMIPS: 1500, MemMB: 512}); err != nil {
 		t.Fatal("redeploy failed:", err)
 	}
-	if got := len(o.Placements()); got != 1 {
+	if got := len(o.placements); got != 1 {
 		t.Fatalf("placements = %d", got)
-	}
-}
-
-func TestDeployReplicatedAntiAffinity(t *testing.T) {
-	o := pool(t, alwaysAlive)
-	hosts, err := o.DeployReplicated(Function{Name: "svc", CPUMIPS: 10, MemMB: 1}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[device.ID]bool{}
-	for _, h := range hosts {
-		if seen[h] {
-			t.Fatalf("replicas share host %s", h)
-		}
-		seen[h] = true
-	}
-	if len(o.Placements()) != 3 {
-		t.Fatalf("placements = %d", len(o.Placements()))
-	}
-	if h, ok := o.HostOf("svc#1"); !ok || h == "" {
-		t.Fatal("replica name not placed")
-	}
-}
-
-func TestDeployReplicatedAllOrNothing(t *testing.T) {
-	o := pool(t, alwaysAlive) // 3 hosts
-	if _, err := o.DeployReplicated(Function{Name: "svc", CPUMIPS: 10, MemMB: 1}, 4); err == nil {
-		t.Fatal("4 replicas on 3 hosts accepted")
-	}
-	if len(o.Placements()) != 0 {
-		t.Fatalf("partial placement left behind: %v", o.Placements())
-	}
-	if st := o.Stats(); st.FailedDeploys != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestDeployReplicatedRedeployReleasesOldGeneration(t *testing.T) {
-	o := pool(t, alwaysAlive)
-	if _, err := o.DeployReplicated(Function{Name: "svc", CPUMIPS: 700, MemMB: 256}, 3); err != nil {
-		t.Fatal(err)
-	}
-	// Same function again: old generation must be released first or
-	// capacity would be double-counted.
-	if _, err := o.DeployReplicated(Function{Name: "svc", CPUMIPS: 700, MemMB: 256}, 3); err != nil {
-		t.Fatal("redeploy failed:", err)
-	}
-	if len(o.Placements()) != 3 {
-		t.Fatalf("placements = %d", len(o.Placements()))
-	}
-}
-
-func TestDeployReplicatedInvalidCount(t *testing.T) {
-	o := pool(t, alwaysAlive)
-	if _, err := o.DeployReplicated(Function{Name: "svc"}, 0); err == nil {
-		t.Fatal("zero replicas accepted")
 	}
 }
 
 func TestReplicatedSurvivesSingleHostFailure(t *testing.T) {
 	down := map[device.ID]bool{}
 	o := pool(t, func(id device.ID) bool { return !down[id] })
-	hosts, err := o.DeployReplicated(Function{Name: "svc", CPUMIPS: 10, MemMB: 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hosts := deployReplicas(t, o, Function{Name: "svc", CPUMIPS: 10, MemMB: 1}, 2)
 	down[hosts[0]] = true
-	alive := 0
-	for i := 0; i < 2; i++ {
-		if o.Operational(replicaName("svc", i)) {
-			alive++
-		}
+	if operational(o, "svc#0") || !operational(o, "svc#1") {
+		t.Fatal("a single host failure should take out exactly the replica on it")
 	}
-	if alive != 1 {
-		t.Fatalf("alive replicas = %d, want 1", alive)
-	}
-	// Heal migrates the dead replica to the remaining distinct host.
-	if n := o.Heal(); n != 1 {
-		t.Fatalf("healed %d, want 1", n)
+	// Healing migrates the dead replica to the remaining distinct host.
+	if migrated := o.HealHost(hosts[0]); len(migrated) != 1 {
+		t.Fatalf("migrated %v, want the one dead replica", migrated)
 	}
 }
 
@@ -317,21 +254,18 @@ func TestHealPreservesAntiAffinity(t *testing.T) {
 	// two replicas on one host.
 	down := map[device.ID]bool{}
 	o := pool(t, func(id device.ID) bool { return !down[id] })
-	hosts, err := o.DeployReplicated(Function{Name: "svc", CPUMIPS: 10, MemMB: 1}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hosts := deployReplicas(t, o, Function{Name: "svc", CPUMIPS: 10, MemMB: 1}, 3)
 	down[hosts[0]] = true
-	if n := o.Heal(); n != 0 {
-		t.Fatalf("healed %d; stacking replicas violates anti-affinity", n)
+	if migrated := o.HealHost(hosts[0]); len(migrated) != 0 {
+		t.Fatalf("migrated %v; stacking replicas violates anti-affinity", migrated)
 	}
 	// With a 4th host available the heal succeeds onto it.
 	o.RegisterHost(device.New("extra", device.Config{Class: device.ClassGateway}))
-	if n := o.Heal(); n != 1 {
-		t.Fatalf("healed %d onto the new host, want 1", n)
+	if migrated := o.HealHost(hosts[0]); len(migrated) != 1 {
+		t.Fatalf("migrated %v onto the new host, want one replica", migrated)
 	}
 	counts := map[device.ID]int{}
-	for _, p := range o.Placements() {
+	for _, p := range o.placements {
 		counts[p.Host]++
 	}
 	for h, n := range counts {
@@ -344,25 +278,6 @@ func TestHealPreservesAntiAffinity(t *testing.T) {
 func TestReplicaGroup(t *testing.T) {
 	if replicaGroup("svc#2") != "svc" || replicaGroup("plain") != "" || replicaGroup("a#b#1") != "a#b" {
 		t.Fatal("replicaGroup parsing wrong")
-	}
-}
-
-func TestPlacementsSortedAndHosts(t *testing.T) {
-	o := pool(t, alwaysAlive)
-	o.Deploy(Function{Name: "b", CPUMIPS: 1, MemMB: 1})
-	o.Deploy(Function{Name: "a", CPUMIPS: 1, MemMB: 1})
-	ps := o.Placements()
-	if len(ps) != 2 || ps[0].Function.Name != "a" {
-		t.Fatalf("placements = %v", ps)
-	}
-	if len(o.Hosts()) != 3 {
-		t.Fatalf("hosts = %v", o.Hosts())
-	}
-	if _, ok := o.HostOf("ghost"); ok {
-		t.Fatal("ghost function placed")
-	}
-	if o.Operational("ghost") {
-		t.Fatal("ghost function operational")
 	}
 }
 
@@ -382,7 +297,7 @@ func TestDeployAvoidingSpreadsReplicas(t *testing.T) {
 	if backup == primary {
 		t.Fatalf("replica landed on the avoided host %s", backup)
 	}
-	if !o.Operational("ctl#b1") {
+	if !operational(o, "ctl#b1") {
 		t.Fatal("replica not operational after DeployAvoiding")
 	}
 	// Redeploying the same replica releases the old placement first, so

@@ -122,11 +122,12 @@ func TestPickMatchesBruteForce(t *testing.T) {
 				id := registered[rng.Intn(len(registered))]
 				down[id] = !down[id]
 			case 3:
-				o.Heal()
+				o.HealHost(registered[rng.Intn(len(registered))])
 			case 4:
 				o.DeployAvoiding(fn, excluded)
 			case 5:
-				o.DeployReplicated(function(fmt.Sprintf("r%d", rng.Intn(5))), 2)
+				// A replica: healing keeps it off its siblings' hosts.
+				o.DeployAvoiding(function(fmt.Sprintf("r%d#%d", rng.Intn(3), rng.Intn(2))), excluded)
 			case 6:
 				id := registered[rng.Intn(len(registered))]
 				if err := spaces.Move(string(id), somewhere()); err != nil {

@@ -25,8 +25,6 @@ func (m scanModel) subscribe(pattern string, id simnet.NodeID) {
 	m[pattern][id] = struct{}{}
 }
 
-func (m scanModel) unsubscribe(pattern string, id simnet.NodeID) { delete(m[pattern], id) }
-
 func (m scanModel) deliveries(topic string) []string {
 	var out []string
 	for pattern, ids := range m {
@@ -62,21 +60,15 @@ func TestIndexMatchesFullScan(t *testing.T) {
 		var patterns []string
 		for step := 0; step < 300; step++ {
 			id := simnet.NodeID(fmt.Sprintf("c%02d", rng.Intn(12)))
-			switch {
-			case len(patterns) == 0 || rng.Intn(10) < 6:
-				p := randomName(rng, patternLevels)
+			var p string
+			if len(patterns) == 0 || rng.Intn(10) < 6 {
+				p = randomName(rng, patternLevels)
 				patterns = append(patterns, p)
-				b.handle(id, subscribeMsg{Topic: p})
-				model.subscribe(p, id)
-			case rng.Intn(10) < 7: // a second subscriber, or a duplicate subscription
-				p := patterns[rng.Intn(len(patterns))]
-				b.handle(id, subscribeMsg{Topic: p})
-				model.subscribe(p, id)
-			default:
-				p := patterns[rng.Intn(len(patterns))]
-				b.handle(id, unsubscribeMsg{Topic: p})
-				model.unsubscribe(p, id)
+			} else { // a second subscriber, or a duplicate subscription
+				p = patterns[rng.Intn(len(patterns))]
 			}
+			b.handle(id, subscribeMsg{Topic: p})
+			model.subscribe(p, id)
 			for probe := 0; probe < 8; probe++ {
 				topic := randomName(rng, topicLevels)
 				if probe == 0 {
@@ -190,15 +182,16 @@ func TestBrokerRestartKeepsLocalRows(t *testing.T) {
 
 // cityBroker has the ML2 city's table: a local subscriber on the
 // readings topic and 200 actuators on a topic each, no wildcards.
-func cityBroker(tb testing.TB) (*Broker, *int) {
+func cityBroker(tb testing.TB) (*simnet.Sim, *Broker, *int) {
 	tb.Helper()
-	b := NewBroker(simnet.New().AddNode("broker"))
+	sim := simnet.New()
+	b := NewBroker(sim.AddNode("broker"))
 	local := new(int)
 	b.SubscribeLocal("readings", func(string, any) { *local++ })
 	for z := 0; z < 200; z++ {
 		b.handle(simnet.NodeID(fmt.Sprintf("act-%03d", z)), subscribeMsg{Topic: fmt.Sprintf("act/zone-%d", z)})
 	}
-	return b, local
+	return sim, b, local
 }
 
 // TestExactFanOutCost gates the exact-topic path: with no wildcard
@@ -206,7 +199,7 @@ func cityBroker(tb testing.TB) (*Broker, *int) {
 // over — is empty, so a publish costs its own deliveries and nothing
 // per subscription that does not match.
 func TestExactFanOutCost(t *testing.T) {
-	b, local := cityBroker(t)
+	sim, b, local := cityBroker(t)
 	if len(b.wild) != 0 {
 		t.Fatalf("%d exact subscriptions put %d rows in the wildcard walk", len(b.subs), len(b.wild))
 	}
@@ -218,11 +211,11 @@ func TestExactFanOutCost(t *testing.T) {
 		t.Fatalf("local handler ran %d times in 101 publishes", *local)
 	}
 	b.handle("second", subscribeMsg{Topic: "act/zone-7"})
-	before := b.Delivered()
+	before := sim.Stats().Sent
 	if n := testing.AllocsPerRun(100, func() { b.fanOut("", "act/zone-7", payload) }); n != 2 {
 		t.Errorf("publish to 2 subscribers: %v allocs, want 2 (one boxed delivery each)", n)
 	}
-	if got := b.Delivered() - before; got != 2*101 {
+	if got := sim.Stats().Sent - before; got != 2*101 {
 		t.Fatalf("%d deliveries in 101 publishes to 2 subscribers", got)
 	}
 }
@@ -231,7 +224,7 @@ func TestExactFanOutCost(t *testing.T) {
 // the cloud's local subscriber, past 200 actuator subscriptions that do
 // not match.
 func BenchmarkFanOutExact(b *testing.B) {
-	br, _ := cityBroker(b)
+	_, br, _ := cityBroker(b)
 	var payload any = 21.5
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -33,19 +33,10 @@ type subscribeMsg struct {
 	Topic string
 }
 
-type unsubscribeMsg struct {
-	Topic string
-}
-
 type publishMsg struct {
 	ID      uint64 // nonzero for QoS 1
 	Topic   string
 	Payload any
-	// Retain asks the broker to keep this as the topic's last-known
-	// value and hand it to future subscribers immediately (MQTT-style
-	// retained message). Retained state is broker-volatile: a broker
-	// restart loses it.
-	Retain bool
 }
 
 type pubAckMsg struct {
@@ -66,17 +57,15 @@ type deliverMsg struct {
 // publishMsg/deliverMsg must be registered by the application.
 func RegisterWire(register func(any)) {
 	register(subscribeMsg{})
-	register(unsubscribeMsg{})
 	register(publishMsg{})
 	register(pubAckMsg{})
 	register(deliverMsg{})
 }
 
-func (m subscribeMsg) Size() int   { return 8 + len(m.Topic) }
-func (m unsubscribeMsg) Size() int { return 8 + len(m.Topic) }
-func (m publishMsg) Size() int     { return 16 + len(m.Topic) + payloadSize(m.Payload) }
-func (m pubAckMsg) Size() int      { return 12 }
-func (m deliverMsg) Size() int     { return 8 + len(m.Topic) + payloadSize(m.Payload) }
+func (m subscribeMsg) Size() int { return 8 + len(m.Topic) }
+func (m publishMsg) Size() int   { return 16 + len(m.Topic) + payloadSize(m.Payload) }
+func (m pubAckMsg) Size() int    { return 12 }
+func (m deliverMsg) Size() int   { return 8 + len(m.Topic) + payloadSize(m.Payload) }
 
 // envPubAck is the inline-envelope form of pubAckMsg (A=ID); Bytes
 // mirrors the boxed Size, so byte accounting is identical.
@@ -105,10 +94,10 @@ type Broker struct {
 	// order: the order of the sends, which the seed alone must decide.
 	subs map[string]*subscription
 	wild []*subscription
-	// retained holds each topic's last retained publication.
+	// retained holds each topic's last retained publication (MQTT-style:
+	// handed to future subscribers immediately). It is broker-volatile:
+	// a restart loses it.
 	retained map[string]any
-	// delivered counts fan-out deliveries sent, for experiments.
-	delivered int
 
 	bus *obs.Bus
 }
@@ -153,17 +142,6 @@ func NewBroker(ep simnet.Port) *Broker {
 // "pubsub.publish" instant; deliveries are stamped so subscribing
 // clients with a bus can report "pubsub.deliver" latency spans.
 func (b *Broker) SetBus(bus *obs.Bus) { b.bus = bus }
-
-// Subscribers returns the subscriber IDs for a topic, sorted.
-func (b *Broker) Subscribers(topic string) []simnet.NodeID {
-	if s := b.subs[topic]; s != nil {
-		return slices.Clone(s.ids)
-	}
-	return nil
-}
-
-// Delivered returns how many deliver messages the broker has sent.
-func (b *Broker) Delivered() int { return b.delivered }
 
 // isWild reports whether a pattern may cover a topic other than the
 // one spelled like it. Any "+" or "#" counts, level of its own or not:
@@ -217,14 +195,9 @@ func (b *Broker) SubscribeLocal(topic string, h MessageHandler) {
 	s.local = append(s.local, h)
 }
 
-// Inject publishes a message on behalf of an application colocated
-// with the broker (no network hop to reach the broker).
-func (b *Broker) Inject(topic string, payload any) {
-	b.fanOut("", topic, payload)
-}
-
-// InjectRetained is Inject with the retain flag: the payload becomes
-// the topic's retained state for future subscribers.
+// InjectRetained publishes a message on behalf of an application
+// colocated with the broker (no network hop to reach the broker), and
+// makes the payload the topic's retained state for future subscribers.
 func (b *Broker) InjectRetained(topic string, payload any) {
 	b.retained[topic] = payload
 	b.fanOut("", topic, payload)
@@ -249,14 +222,7 @@ func (b *Broker) handle(from simnet.NodeID, msg simnet.Message) {
 		}
 		slices.Sort(topics)
 		for _, topic := range topics {
-			b.delivered++
 			b.ep.Send(from, deliverMsg{Topic: topic, Payload: b.retained[topic]})
-		}
-	case unsubscribeMsg:
-		if s := b.subs[m.Topic]; s != nil {
-			if i, ok := slices.BinarySearch(s.ids, from); ok {
-				s.ids = slices.Delete(s.ids, i, i+1)
-			}
 		}
 	case publishMsg:
 		if m.ID != 0 {
@@ -265,9 +231,6 @@ func (b *Broker) handle(from simnet.NodeID, msg simnet.Message) {
 			} else {
 				b.ep.Send(from, pubAckMsg{ID: m.ID})
 			}
-		}
-		if m.Retain {
-			b.retained[m.Topic] = m.Payload
 		}
 		b.fanOut(from, m.Topic, m.Payload)
 	}
@@ -289,13 +252,11 @@ func (b *Broker) fanOut(from simnet.NodeID, topic string, payload any) {
 			if id == from {
 				continue
 			}
-			b.delivered++
 			b.ep.Send(id, deliverMsg{Topic: topic, Payload: payload, SentAt: sentAt})
 		}
 	}
 	for _, s := range rows {
 		for _, h := range s.local {
-			b.delivered++
 			h(topic, payload)
 		}
 	}
@@ -354,14 +315,11 @@ type Client struct {
 	maxRetries    int
 
 	// handlers is sorted by pattern, the order of dispatch and of
-	// resubscription. Adding or removing a pattern replaces the slice,
-	// so a handler may (un)subscribe from inside a delivery.
+	// resubscription. Adding a pattern replaces the slice, so a handler
+	// may subscribe from inside a delivery.
 	handlers []clientSub
 	nextID   uint64
 	pending  map[uint64]*simnet.Timer
-	// published/acked counters for experiments.
-	published int
-	acked     int
 
 	bus *obs.Bus
 }
@@ -423,14 +381,6 @@ func (c *Client) Subscribe(topic string, h MessageHandler) {
 	c.ep.Send(c.broker, subscribeMsg{Topic: topic})
 }
 
-// Unsubscribe removes the handler and informs the broker.
-func (c *Client) Unsubscribe(topic string) {
-	if i, found := c.handlerIndex(topic); found {
-		c.handlers = slices.Delete(slices.Clone(c.handlers), i, i+1)
-	}
-	c.ep.Send(c.broker, unsubscribeMsg{Topic: topic})
-}
-
 func (c *Client) handlerIndex(pattern string) (int, bool) {
 	return slices.BinarySearchFunc(c.handlers, pattern, func(s clientSub, p string) int {
 		return strings.Compare(s.pattern, p)
@@ -440,43 +390,25 @@ func (c *Client) handlerIndex(pattern string) (int, bool) {
 // Publish sends payload to the topic. With AtLeastOnce, the client
 // retries until acknowledged or MaxRetries is exhausted.
 func (c *Client) Publish(topic string, payload any, qos QoS) {
-	c.publish(topic, payload, qos, false)
-}
-
-// PublishRetained is Publish with the retain flag: the broker keeps
-// the payload as the topic's last-known value for future subscribers.
-func (c *Client) PublishRetained(topic string, payload any, qos QoS) {
-	c.publish(topic, payload, qos, true)
-}
-
-func (c *Client) publish(topic string, payload any, qos QoS, retain bool) {
-	c.published++
 	if qos != AtLeastOnce {
-		c.ep.Send(c.broker, publishMsg{Topic: topic, Payload: payload, Retain: retain})
+		c.ep.Send(c.broker, publishMsg{Topic: topic, Payload: payload})
 		return
 	}
 	c.nextID++
-	id := c.nextID
-	c.sendWithRetry(id, topic, payload, retain, 0)
+	c.sendWithRetry(c.nextID, topic, payload, 0)
 }
 
-func (c *Client) sendWithRetry(id uint64, topic string, payload any, retain bool, attempt int) {
-	c.ep.Send(c.broker, publishMsg{ID: id, Topic: topic, Payload: payload, Retain: retain})
+func (c *Client) sendWithRetry(id uint64, topic string, payload any, attempt int) {
+	c.ep.Send(c.broker, publishMsg{ID: id, Topic: topic, Payload: payload})
 	if attempt >= c.maxRetries {
 		return
 	}
 	c.pending[id] = c.ep.After(c.retryInterval, func() {
 		if _, still := c.pending[id]; still {
-			c.sendWithRetry(id, topic, payload, retain, attempt+1)
+			c.sendWithRetry(id, topic, payload, attempt+1)
 		}
 	})
 }
-
-// Published returns the number of Publish calls.
-func (c *Client) Published() int { return c.published }
-
-// Acked returns the number of QoS-1 publications acknowledged.
-func (c *Client) Acked() int { return c.acked }
 
 func (c *Client) resubscribe() {
 	for _, s := range c.handlers {
@@ -511,6 +443,5 @@ func (c *Client) onPubAck(id uint64) {
 	if t, ok := c.pending[id]; ok {
 		t.Stop()
 		delete(c.pending, id)
-		c.acked++
 	}
 }

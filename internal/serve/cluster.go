@@ -216,15 +216,6 @@ func StartCluster(n int, opts ClusterOptions) (*Cluster, error) {
 	return c, nil
 }
 
-// URLs returns each node's serve base URL, in node order.
-func (c *Cluster) URLs() []string {
-	urls := make([]string, len(c.Nodes))
-	for i, cn := range c.Nodes {
-		urls[i] = cn.URL
-	}
-	return urls
-}
-
 // Close drains every server (bounded) and stops every node.
 func (c *Cluster) Close() {
 	for _, cn := range c.Nodes {

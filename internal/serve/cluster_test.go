@@ -29,6 +29,15 @@ func waitOK(t *testing.T, url string) string {
 	return body
 }
 
+// nodeURLs returns each node's serve base URL, in node order.
+func nodeURLs(c *Cluster) []string {
+	urls := make([]string, len(c.Nodes))
+	for i, cn := range c.Nodes {
+		urls[i] = cn.URL
+	}
+	return urls
+}
+
 // TestClusterEndToEnd is the serving-path acceptance test: a 3-node
 // real-socket cluster where a write accepted by one node becomes
 // readable from another, membership converges, and the stream on a
@@ -42,7 +51,7 @@ func TestClusterEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	urls := cl.URLs()
+	urls := nodeURLs(cl)
 
 	// Readiness: every node joins within the warmup budget.
 	for _, u := range urls {
@@ -133,7 +142,7 @@ func TestClusterUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	urls := cl.URLs()
+	urls := nodeURLs(cl)
 	for _, u := range urls {
 		waitOK(t, u+"/readyz")
 	}

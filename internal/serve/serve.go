@@ -208,9 +208,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // shutdown.
 func (s *Server) Serve(ln net.Listener) error { return s.httpSrv.Serve(ln) }
 
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Shutdown drains the server: readiness flips to 503, stream
 // subscribers are closed (so their handlers finish), the HTTP server
 // stops accepting and waits for in-flight requests up to ctx's

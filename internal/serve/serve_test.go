@@ -340,7 +340,7 @@ func TestWritesRefusedWhileDraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	cancel()
-	if !srv.Draining() {
+	if !srv.draining.Load() {
 		t.Fatal("server not draining after Shutdown")
 	}
 	resp, _ := doReq(t, http.MethodPut, hts.URL+"/v1/data/late", `{"value": 1}`)

@@ -19,9 +19,6 @@ var _ Clock = (*Endpoint)(nil)
 // ID returns the node's identifier.
 func (e *Endpoint) ID() NodeID { return e.node.id }
 
-// Sim returns the underlying simulator.
-func (e *Endpoint) Sim() *Sim { return e.sim }
-
 // Now returns the current virtual time: the node's lane clock — equal
 // to the global clock at barriers, and the only clock a node's events
 // may read during a parallel window.

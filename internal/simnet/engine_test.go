@@ -26,8 +26,8 @@ func TestZeroLaneSurface(t *testing.T) {
 	}
 	s.SetShard("a", 5)       // out of range for any lane count: must be ignored
 	s.SetShard("nobody", -1) // and so must an unknown node
-	if got := a.Shard(); got != 0 {
-		t.Errorf("Endpoint.Shard() = %d, want 0", got)
+	if got := a.node.ln.idx; got != 0 {
+		t.Errorf("a's lane = %d, want 0", got)
 	}
 	if got := s.Lookahead(); got != 0 {
 		t.Errorf("Lookahead() = %v, want 0", got)

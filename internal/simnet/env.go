@@ -27,8 +27,8 @@ type Envelope struct {
 	Bytes int32
 }
 
-// Size implements Sized so a boxed Envelope (generic-Port fallback,
-// taps) accounts the same wire size as the native path.
+// Size implements Sized so a boxed Envelope (the generic-Port
+// fallback) accounts the same wire size as the native path.
 func (e Envelope) Size() int { return int(e.Bytes) }
 
 // EnvelopeHandler consumes envelopes arriving at a protocol port. The

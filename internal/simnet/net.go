@@ -24,10 +24,6 @@ type Sized interface {
 // Sized. It approximates a small protocol datagram.
 const defaultMessageSize = 100
 
-// MessageTap observes every delivered message. Taps run at delivery time,
-// after the receiving handler is selected but before it runs.
-type MessageTap func(from, to NodeID, msg Message)
-
 // Handler consumes messages arriving at an endpoint.
 type Handler func(from NodeID, msg Message)
 
@@ -219,11 +215,6 @@ func (s *Sim) RestoreLink(a, b NodeID) {
 	s.ClearLink(b, a)
 }
 
-// Tap registers a delivery observer.
-func (s *Sim) Tap(t MessageTap) {
-	s.taps = append(s.taps, t)
-}
-
 // Stats returns the traffic counters, summed over the lanes.
 func (s *Sim) Stats() Stats {
 	var total Stats
@@ -337,9 +328,7 @@ func (s *Sim) send(src *node, proto string, to NodeID, msg Message, env *Envelop
 // node's per-protocol handler; the byte accounting matches the wire
 // envelope it replaces (mux.go). An inline envelope goes to the
 // protocol's envelope handler, falling back to the boxed handler (which
-// then pays the boxing the sender avoided) if none is installed. Taps
-// must be safe for concurrent invocation when combined with shard lanes
-// (core does not tap).
+// then pays the boxing the sender avoided) if none is installed.
 func (s *Sim) laneDeliver(ln *lane, ev *event) {
 	dst := ev.dst
 	if dst.down || !s.Reachable(ev.from, dst.id) {
@@ -349,12 +338,6 @@ func (s *Sim) laneDeliver(ln *lane, ev *event) {
 	ln.stats.Delivered++
 	if ev.env.Kind != 0 {
 		ln.stats.Bytes += int(ev.env.Bytes) + protoOverhead
-		if len(s.taps) > 0 {
-			var m Message = ev.env // box once for all taps
-			for _, tap := range s.taps {
-				tap(ev.from, dst.id, m)
-			}
-		}
 		for i := range dst.protoHandlers {
 			if e := &dst.protoHandlers[i]; e.proto == ev.proto {
 				if e.eh != nil {
@@ -372,9 +355,6 @@ func (s *Sim) laneDeliver(ln *lane, ev *event) {
 		size += protoOverhead
 	}
 	ln.stats.Bytes += size
-	for _, tap := range s.taps {
-		tap(ev.from, dst.id, ev.msg)
-	}
 	if ev.proto != "" {
 		if h := dst.protoHandler(ev.proto); h != nil {
 			h(ev.from, ev.msg)

@@ -133,20 +133,6 @@ func WithShards(n int) Option {
 // ShardCount returns the number of shard lanes, 0 without WithShards.
 func (s *Sim) ShardCount() int { return s.shd.n }
 
-// Lookahead returns the conservative window width currently in effect
-// (the minimum cross-lane link latency), 0 without shard lanes.
-func (s *Sim) Lookahead() time.Duration {
-	sh := &s.shd
-	if sh.n == 0 {
-		return 0
-	}
-	if sh.laDirty {
-		sh.la = s.computeLookahead()
-		sh.laDirty = false
-	}
-	return sh.la
-}
-
 // SetShard assigns a node to a shard lane. It must be called during
 // topology construction, before anything is scheduled on or sent to
 // the node — moving a node with queued events would strand them on the
@@ -170,9 +156,6 @@ func (s *Sim) SetShard(id NodeID, shard int) {
 	n.ln = sh.lanes[shard]
 	sh.laDirty = true
 }
-
-// Shard returns the endpoint's lane index (0 without shard lanes).
-func (e *Endpoint) Shard() int { return e.node.ln.idx }
 
 // ExecContext reports the lane index and logical key of the event
 // currently executing on behalf of ep — the node's lane during a

@@ -148,7 +148,6 @@ type Sim struct {
 	seed    int64 // the WithSeed value; derives per-node streams when sharded
 	nodes   map[NodeID]*node
 	net     netState
-	taps    []MessageTap
 	defLat  time.Duration
 	defLoss float64
 	defDup  float64

@@ -349,20 +349,6 @@ func TestStatsAndSizedMessages(t *testing.T) {
 	}
 }
 
-func TestTapObservesDeliveries(t *testing.T) {
-	s := New()
-	a := s.AddNode("a")
-	b := s.AddNode("b")
-	b.OnMessage(func(NodeID, Message) {})
-	var seen []NodeID
-	s.Tap(func(from, to NodeID, _ Message) { seen = append(seen, from, to) })
-	a.Send("b", "x")
-	s.Run()
-	if len(seen) != 2 || seen[0] != "a" || seen[1] != "b" {
-		t.Fatalf("tap saw %v, want [a b]", seen)
-	}
-}
-
 func TestDuplicateDelivery(t *testing.T) {
 	s := New(WithSeed(4), WithDuplicateProb(0.5))
 	a := s.AddNode("a")

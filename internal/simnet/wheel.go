@@ -103,10 +103,6 @@ func newTimerWheel() *timerWheel {
 	return &timerWheel{cur1: 1} // L0 owns [0, 256); L1 owns [1, 257)
 }
 
-func (w *timerWheel) len() int {
-	return (len(w.run) - w.head) + w.n0 + w.n1 + len(w.spill)
-}
-
 // entryCmp is entryLess as a three-way comparison for slices.SortFunc.
 func entryCmp(a, b heapEntry) int {
 	if a.at != b.at {

@@ -33,6 +33,12 @@ func (m *refModel) Pop() any {
 	return e
 }
 
+// len counts the queued entries: the drain run's remainder, both wheel
+// levels and the spill.
+func (w *timerWheel) len() int {
+	return (len(w.run) - w.head) + w.n0 + w.n1 + len(w.spill)
+}
+
 // drawDeadline picks a deadline at or after now from one of several
 // regimes so the test exercises every wheel level: the current drain
 // window, the L0 wheel, the L1 wheel, and the far-future spill.

@@ -2,7 +2,6 @@ package space
 
 import (
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -89,29 +88,4 @@ func (mv *Mover) Step(dt time.Duration) bool {
 	default:
 		return false
 	}
-}
-
-// Position returns the entity's current position.
-func (mv *Mover) Position() Point {
-	pl, _ := mv.spaces.PlacementOf(mv.entity)
-	return pl.Position
-}
-
-// ETA estimates the remaining travel time to the final waypoint for a
-// non-looping mover (infinite for looping movers).
-func (mv *Mover) ETA() time.Duration {
-	if mv.loop {
-		return time.Duration(math.MaxInt64)
-	}
-	if mv.Done() {
-		return 0
-	}
-	pl, _ := mv.spaces.PlacementOf(mv.entity)
-	pos := pl.Position
-	total := 0.0
-	for i := mv.next; i < len(mv.waypoints); i++ {
-		total += pos.Distance(mv.waypoints[i])
-		pos = mv.waypoints[i]
-	}
-	return time.Duration(total / mv.speed * float64(time.Second))
 }

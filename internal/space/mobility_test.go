@@ -19,6 +19,12 @@ func moverMap(t *testing.T) *Map {
 	return m
 }
 
+// position returns where the map has the mover's entity.
+func position(mv *Mover) Point {
+	pl, _ := mv.spaces.PlacementOf(mv.entity)
+	return pl.Position
+}
+
 func TestMoverConstructorErrors(t *testing.T) {
 	m := moverMap(t)
 	if _, err := NewMover(m, "ghost", 1, false, Point{}); err == nil {
@@ -39,7 +45,7 @@ func TestMoverMovesAtSpeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	mv.Step(time.Second)
-	if pos := mv.Position(); pos.X != 10 || pos.Y != 50 {
+	if pos := position(mv); pos.X != 10 || pos.Y != 50 {
 		t.Fatalf("position = %+v, want (10,50)", pos)
 	}
 }
@@ -66,34 +72,27 @@ func TestMoverZoneCrossing(t *testing.T) {
 	if !mv.Done() {
 		t.Fatal("mover not done after reaching final waypoint")
 	}
-	if mv.ETA() != 0 {
-		t.Fatalf("ETA after arrival = %v", mv.ETA())
-	}
 	if mv.Step(time.Second) {
 		t.Fatal("done mover reported a crossing")
 	}
 }
 
-func TestMoverMultiWaypointAndETA(t *testing.T) {
+func TestMoverMultiWaypoint(t *testing.T) {
 	m := moverMap(t)
 	mv, err := NewMover(m, "car", 10, false, Point{X: 30, Y: 50}, Point{X: 30, Y: 90})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Total path: 30 + 40 = 70m at 10 m/s → 7s.
-	if eta := mv.ETA(); eta != 7*time.Second {
-		t.Fatalf("ETA = %v, want 7s", eta)
-	}
-	// One long step crosses the first waypoint and continues.
+	// Total path: 30 + 40 = 70m at 10 m/s → 7s. One long step crosses the first waypoint and continues.
 	mv.Step(4 * time.Second) // 40m: 30 to wp1, 10 up
-	if pos := mv.Position(); pos.X != 30 || pos.Y != 60 {
+	if pos := position(mv); pos.X != 30 || pos.Y != 60 {
 		t.Fatalf("position = %+v, want (30,60)", pos)
 	}
 	mv.Step(10 * time.Second)
 	if !mv.Done() {
 		t.Fatal("not done")
 	}
-	if pos := mv.Position(); pos.Y != 90 {
+	if pos := position(mv); pos.Y != 90 {
 		t.Fatalf("final position = %+v", pos)
 	}
 }
@@ -110,10 +109,7 @@ func TestMoverLoopPatrols(t *testing.T) {
 	if mv.Done() {
 		t.Fatal("looping mover reported done")
 	}
-	if pos := mv.Position(); pos.X > 50 {
+	if pos := position(mv); pos.X > 50 {
 		t.Fatalf("patrol left its segment: %+v", pos)
-	}
-	if mv.ETA() <= 0 {
-		t.Fatal("looping ETA should be effectively infinite")
 	}
 }

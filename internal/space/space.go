@@ -4,9 +4,8 @@
 // characteristic of IoT (§IV, §VII): devices are spatially distributed,
 // belong to administrative domains, and data is subject to the
 // jurisdiction it is produced in. This package gives those concepts an
-// analyzable representation and derives network latency from distance,
-// so that "the edge is close" is a measured property rather than an
-// assumption.
+// analyzable representation, with distances and nearest-candidate
+// rankings that failover and placement decisions are made from.
 package space
 
 import (
@@ -14,8 +13,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
-	"time"
 )
 
 // Point is a position in a 2-D deployment plane, in meters.
@@ -35,7 +32,6 @@ type Jurisdiction string
 
 // Common jurisdictions used throughout examples and experiments.
 const (
-	JurisdictionNone Jurisdiction = ""
 	JurisdictionGDPR Jurisdiction = "GDPR"
 	JurisdictionCCPA Jurisdiction = "CCPA"
 )
@@ -125,22 +121,6 @@ func (m *Map) AddZone(z Zone) error {
 	return nil
 }
 
-// Zone returns the zone with the given ID.
-func (m *Map) Zone(id ZoneID) (Zone, bool) {
-	z, ok := m.zones[id]
-	return z, ok
-}
-
-// Zones returns all zones in registration order. The returned slice is a
-// copy.
-func (m *Map) Zones() []Zone {
-	out := make([]Zone, 0, len(m.zoneOrder))
-	for _, id := range m.zoneOrder {
-		out = append(out, m.zones[id])
-	}
-	return out
-}
-
 // Place positions an entity and assigns its owning domain.
 func (m *Map) Place(entity string, p Point, domain DomainID) {
 	m.placements[entity] = Placement{Position: p, Domain: domain}
@@ -200,37 +180,6 @@ func (m *Map) ZoneOf(entity string) (Zone, bool) {
 // and positions (the orchestrator's per-zone host lists) is current
 // while the count is the one it was built at.
 func (m *Map) Changes() uint64 { return m.changes }
-
-// JurisdictionOf returns the jurisdiction of the entity's owning domain.
-func (m *Map) JurisdictionOf(entity string) Jurisdiction {
-	pl, ok := m.placements[entity]
-	if !ok {
-		return JurisdictionNone
-	}
-	d, ok := m.domains[pl.Domain]
-	if !ok {
-		return JurisdictionNone
-	}
-	return d.Jurisdiction
-}
-
-// SameDomain reports whether two entities are owned by the same domain.
-func (m *Map) SameDomain(a, b string) bool {
-	pa, oka := m.placements[a]
-	pb, okb := m.placements[b]
-	return oka && okb && pa.Domain == pb.Domain
-}
-
-// Distance returns the Euclidean distance between two placed entities in
-// meters, and false if either is unplaced.
-func (m *Map) Distance(a, b string) (float64, bool) {
-	pa, oka := m.placements[a]
-	pb, okb := m.placements[b]
-	if !oka || !okb {
-		return 0, false
-	}
-	return pa.Position.Distance(pb.Position), true
-}
 
 // Ranking is an immutable snapshot of a candidate set's placed members
 // — their IDs and positions, in candidate order — from which any point
@@ -305,52 +254,4 @@ func (r *Ranking) Order(from Point) []string {
 		out[i] = r.ids[c.i]
 	}
 	return out
-}
-
-// Entities returns the IDs of all placed entities, sorted.
-func (m *Map) Entities() []string {
-	out := make([]string, 0, len(m.placements))
-	for id := range m.placements {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// LatencyModel derives one-way network latency from spatial distance:
-// a base propagation/processing delay plus a per-meter term, with an
-// extra WAN penalty for links that cross domains (traffic between
-// domains transits the public internet in our model). This replaces the
-// paper's implicit assumption that "the edge is close and the cloud is
-// far" with a measurable model.
-type LatencyModel struct {
-	Base       time.Duration // fixed per-hop cost
-	PerMeter   time.Duration // distance-proportional cost
-	CrossWAN   time.Duration // added when endpoints are in different domains
-	DefaultLat time.Duration // used when an entity is unplaced
-}
-
-// DefaultLatencyModel returns parameters giving ≈1–2ms within a zone,
-// ≈5–10ms across a site and ≈40ms+ across domains — the shape of real
-// LAN/MAN/WAN deployments.
-func DefaultLatencyModel() LatencyModel {
-	return LatencyModel{
-		Base:       500 * time.Microsecond,
-		PerMeter:   3 * time.Microsecond,
-		CrossWAN:   40 * time.Millisecond,
-		DefaultLat: 5 * time.Millisecond,
-	}
-}
-
-// Latency computes the one-way latency between two placed entities.
-func (lm LatencyModel) Latency(m *Map, a, b string) time.Duration {
-	d, ok := m.Distance(a, b)
-	if !ok {
-		return lm.DefaultLat
-	}
-	lat := lm.Base + time.Duration(d*float64(lm.PerMeter))
-	if !m.SameDomain(a, b) {
-		lat += lm.CrossWAN
-	}
-	return lat
 }

@@ -2,13 +2,11 @@ package space
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func newTestMap(t *testing.T) *Map {
@@ -112,13 +110,18 @@ func TestChangesCountsZoneInputs(t *testing.T) {
 func TestTransferChangesJurisdiction(t *testing.T) {
 	m := newTestMap(t)
 	m.Place("dev", Point{10, 10}, "campus")
-	if j := m.JurisdictionOf("dev"); j != JurisdictionGDPR {
+	jurisdiction := func() Jurisdiction {
+		pl, _ := m.PlacementOf("dev")
+		d, _ := m.Domain(pl.Domain)
+		return d.Jurisdiction
+	}
+	if j := jurisdiction(); j != JurisdictionGDPR {
 		t.Fatalf("jurisdiction = %v, want GDPR", j)
 	}
 	if err := m.Transfer("dev", "city"); err != nil {
 		t.Fatal(err)
 	}
-	if j := m.JurisdictionOf("dev"); j != JurisdictionCCPA {
+	if j := jurisdiction(); j != JurisdictionCCPA {
 		t.Fatalf("after transfer jurisdiction = %v, want CCPA", j)
 	}
 	if err := m.Transfer("dev", "ghost"); err == nil {
@@ -126,29 +129,6 @@ func TestTransferChangesJurisdiction(t *testing.T) {
 	}
 	if err := m.Transfer("ghost", "city"); err == nil {
 		t.Fatal("Transfer of unknown entity succeeded")
-	}
-}
-
-func TestJurisdictionOfUnplaced(t *testing.T) {
-	m := newTestMap(t)
-	if j := m.JurisdictionOf("ghost"); j != JurisdictionNone {
-		t.Fatalf("jurisdiction of unplaced = %v, want none", j)
-	}
-}
-
-func TestSameDomain(t *testing.T) {
-	m := newTestMap(t)
-	m.Place("a", Point{1, 1}, "campus")
-	m.Place("b", Point{2, 2}, "campus")
-	m.Place("c", Point{3, 3}, "city")
-	if !m.SameDomain("a", "b") {
-		t.Fatal("a,b should share a domain")
-	}
-	if m.SameDomain("a", "c") {
-		t.Fatal("a,c should not share a domain")
-	}
-	if m.SameDomain("a", "ghost") {
-		t.Fatal("unplaced entity shares a domain")
 	}
 }
 
@@ -251,78 +231,6 @@ func TestRankingMatchesStableSort(t *testing.T) {
 	}
 }
 
-func TestEntitiesSorted(t *testing.T) {
-	m := newTestMap(t)
-	m.Place("b", Point{}, "campus")
-	m.Place("a", Point{}, "campus")
-	got := m.Entities()
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Entities = %v, want [a b]", got)
-	}
-}
-
-func TestZonesReturnsCopyInOrder(t *testing.T) {
-	m := newTestMap(t)
-	zs := m.Zones()
-	if len(zs) != 2 || zs[0].ID != "floor1" || zs[1].ID != "street" {
-		t.Fatalf("Zones = %v", zs)
-	}
-	zs[0].ID = "mutated"
-	if z, _ := m.Zone("floor1"); z.ID != "floor1" {
-		t.Fatal("mutating returned slice affected the map")
-	}
-}
-
-func TestLatencyModelLocalVsCrossDomain(t *testing.T) {
-	m := newTestMap(t)
-	lm := DefaultLatencyModel()
-	m.Place("s", Point{0, 0}, "campus")
-	m.Place("edge", Point{30, 40}, "campus") // 50m away, same domain
-	m.Place("cloud", Point{30, 40}, "city")  // same spot, other domain
-
-	local := lm.Latency(m, "s", "edge")
-	wantLocal := lm.Base + 50*lm.PerMeter
-	if local != wantLocal {
-		t.Fatalf("local latency = %v, want %v", local, wantLocal)
-	}
-	cross := lm.Latency(m, "s", "cloud")
-	if cross != wantLocal+lm.CrossWAN {
-		t.Fatalf("cross-domain latency = %v, want %v", cross, wantLocal+lm.CrossWAN)
-	}
-	if cross <= local {
-		t.Fatal("cross-domain latency should exceed local latency")
-	}
-}
-
-func TestLatencyModelUnplacedFallsBack(t *testing.T) {
-	m := newTestMap(t)
-	lm := DefaultLatencyModel()
-	if got := lm.Latency(m, "ghost1", "ghost2"); got != lm.DefaultLat {
-		t.Fatalf("latency = %v, want default %v", got, lm.DefaultLat)
-	}
-}
-
-func TestDistanceUnplaced(t *testing.T) {
-	m := newTestMap(t)
-	m.Place("a", Point{0, 0}, "campus")
-	if _, ok := m.Distance("a", "ghost"); ok {
-		t.Fatal("Distance with unplaced entity succeeded")
-	}
-}
-
-func TestLatencyScalesWithDistance(t *testing.T) {
-	m := newTestMap(t)
-	lm := DefaultLatencyModel()
-	m.Place("a", Point{0, 0}, "campus")
-	for _, d := range []float64{10, 100, 1000} {
-		m.Place("b", Point{d, 0}, "campus")
-		want := lm.Base + time.Duration(d*float64(lm.PerMeter))
-		if got := lm.Latency(m, "a", "b"); got != want {
-			t.Fatalf("latency at %vm = %v, want %v", d, got, want)
-		}
-	}
-}
-
 func TestRankingTieBreaksEarlier(t *testing.T) {
 	m := newTestMap(t)
 	m.Place("x", Point{5, 0}, "campus")
@@ -333,15 +241,5 @@ func TestRankingTieBreaksEarlier(t *testing.T) {
 	}
 	if got := r.Order(Point{0, 0}); !slices.Equal(got, []string{"x", "y"}) {
 		t.Fatalf("Order tie = %v, want [x y] (candidate order)", got)
-	}
-}
-
-func TestDistanceExact(t *testing.T) {
-	m := newTestMap(t)
-	m.Place("a", Point{1, 2}, "campus")
-	m.Place("b", Point{4, 6}, "campus")
-	d, ok := m.Distance("a", "b")
-	if !ok || math.Abs(d-5) > 1e-12 {
-		t.Fatalf("Distance = %v/%v, want 5", d, ok)
 	}
 }

@@ -36,15 +36,6 @@ func TestAddTransitionOutOfRange(t *testing.T) {
 	}
 }
 
-func TestTotalizeAddsSelfLoops(t *testing.T) {
-	k := NewKripke()
-	s0 := k.AddState()
-	k.Totalize()
-	if got := k.Successors(s0); len(got) != 1 || got[0] != s0 {
-		t.Fatalf("successors = %v", got)
-	}
-}
-
 func TestCTLOnChain(t *testing.T) {
 	k := chainKS(t)
 	tests := []struct {

@@ -1,14 +1,12 @@
 package verify
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // DTMC is a discrete-time Markov chain for quantitative ("PCTL-style")
 // analysis of resilience properties, e.g. "from the disrupted state,
 // the system recovers within 10 steps with probability ≥ 0.99". Build
-// with NewDTMC, AddState and SetProb, then Validate.
+// with NewDTMC, AddState and SetProb. A state with no outgoing edges is
+// absorbing.
 type DTMC struct {
 	labels []map[Prop]bool
 	rows   []map[int]float64
@@ -45,30 +43,6 @@ func (d *DTMC) SetProb(from, to int, p float64) error {
 		return nil
 	}
 	d.rows[from][to] = p
-	return nil
-}
-
-// Holds reports whether p labels state s.
-func (d *DTMC) Holds(s int, p Prop) bool {
-	return s >= 0 && s < len(d.labels) && d.labels[s][p]
-}
-
-// Validate checks that every state's outgoing probabilities sum to 1
-// (within 1e-9). States with no outgoing edges are treated as absorbing
-// and given an implicit self-loop by the analyses.
-func (d *DTMC) Validate() error {
-	for s, row := range d.rows {
-		if len(row) == 0 {
-			continue
-		}
-		sum := 0.0
-		for _, p := range row {
-			sum += p
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			return fmt.Errorf("verify: state %d outgoing probability sum %v != 1", s, sum)
-		}
-	}
 	return nil
 }
 
@@ -110,118 +84,6 @@ func (d *DTMC) ReachWithin(target Prop, k int) []float64 {
 				acc += p * cur[t]
 			}
 			next[s] = acc
-		}
-		cur = next
-	}
-	return cur
-}
-
-// Reach returns, per state, the probability of eventually reaching a
-// target-labeled state (unbounded reachability, P[F target]), computed
-// by value iteration to precision eps.
-func (d *DTMC) Reach(target Prop, eps float64, maxIter int) []float64 {
-	if eps <= 0 {
-		eps = 1e-10
-	}
-	if maxIter <= 0 {
-		maxIter = 100000
-	}
-	tgt := d.statesWhere(target)
-	n := d.NumStates()
-	cur := make([]float64, n)
-	for s := range tgt {
-		cur[s] = 1
-	}
-	for iter := 0; iter < maxIter; iter++ {
-		delta := 0.0
-		for s := 0; s < n; s++ {
-			if tgt[s] {
-				continue
-			}
-			row := d.rows[s]
-			if len(row) == 0 {
-				continue
-			}
-			acc := 0.0
-			for t, p := range row {
-				acc += p * cur[t]
-			}
-			if diff := math.Abs(acc - cur[s]); diff > delta {
-				delta = diff
-			}
-			cur[s] = acc
-		}
-		if delta < eps {
-			break
-		}
-	}
-	return cur
-}
-
-// BoundedUntil returns, per state, P[a U<=k b]: the probability that a
-// b-labeled state is reached within k steps along a path that stays in
-// a-labeled states until then.
-func (d *DTMC) BoundedUntil(a, b Prop, k int) []float64 {
-	n := d.NumStates()
-	bSet := d.statesWhere(b)
-	aSet := d.statesWhere(a)
-	cur := make([]float64, n)
-	for s := range bSet {
-		cur[s] = 1
-	}
-	for step := 0; step < k; step++ {
-		next := make([]float64, n)
-		for s := 0; s < n; s++ {
-			switch {
-			case bSet[s]:
-				next[s] = 1
-			case !aSet[s]:
-				next[s] = 0
-			default:
-				row := d.rows[s]
-				if len(row) == 0 {
-					next[s] = cur[s]
-					continue
-				}
-				acc := 0.0
-				for t, p := range row {
-					acc += p * cur[t]
-				}
-				next[s] = acc
-			}
-		}
-		cur = next
-	}
-	return cur
-}
-
-// SteadyState estimates the long-run occupancy distribution by power
-// iteration from the uniform distribution. The chain should be
-// irreducible and aperiodic for this to converge to the unique
-// stationary distribution.
-func (d *DTMC) SteadyState(iters int) []float64 {
-	n := d.NumStates()
-	if n == 0 {
-		return nil
-	}
-	if iters <= 0 {
-		iters = 1000
-	}
-	cur := make([]float64, n)
-	for s := range cur {
-		cur[s] = 1 / float64(n)
-	}
-	for i := 0; i < iters; i++ {
-		next := make([]float64, n)
-		for s := 0; s < n; s++ {
-			row := d.rows[s]
-			if len(row) == 0 {
-				next[s] += cur[s] // absorbing
-				continue
-			}
-			for t, p := range row {
-				next[t] += cur[s] * p
-			}
 		}
 		cur = next
 	}

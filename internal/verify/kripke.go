@@ -73,16 +73,6 @@ func (k *Kripke) Holds(s int, p Prop) bool {
 // read-only).
 func (k *Kripke) Successors(s int) []int { return k.trans[s] }
 
-// Totalize adds a self-loop to every deadlock state, making the
-// transition relation total as CTL semantics requires.
-func (k *Kripke) Totalize() {
-	for s := range k.trans {
-		if len(k.trans[s]) == 0 {
-			k.trans[s] = append(k.trans[s], s)
-		}
-	}
-}
-
 // predecessors builds the reverse adjacency once for backward fixpoints.
 func (k *Kripke) predecessors() [][]int {
 	pred := make([][]int, len(k.labels))

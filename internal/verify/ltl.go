@@ -317,15 +317,13 @@ func (f ltlBoundedGlobally) String() string {
 // Monitor tracks one LTL property over a growing trace. The verdict
 // latches: once true or false, further observations do not change it.
 type Monitor struct {
-	formula LTLFormula
-	cur     LTLFormula
+	cur     LTLFormula // the residual obligation
 	verdict Verdict
-	steps   int
 }
 
 // NewMonitor builds a monitor for f.
 func NewMonitor(f LTLFormula) *Monitor {
-	return &Monitor{formula: f, cur: f, verdict: VerdictUnknown}
+	return &Monitor{cur: f, verdict: VerdictUnknown}
 }
 
 // Step feeds one observation (the set of currently true propositions)
@@ -334,7 +332,6 @@ func (m *Monitor) Step(obs map[Prop]bool) Verdict {
 	if m.verdict != VerdictUnknown {
 		return m.verdict
 	}
-	m.steps++
 	m.cur = m.cur.progress(obs)
 	switch m.cur.(type) {
 	case ltlTrue:
@@ -347,23 +344,6 @@ func (m *Monitor) Step(obs map[Prop]bool) Verdict {
 
 // Verdict returns the current verdict.
 func (m *Monitor) Verdict() Verdict { return m.verdict }
-
-// Steps returns the number of observations consumed.
-func (m *Monitor) Steps() int { return m.steps }
-
-// Formula returns the original property.
-func (m *Monitor) Formula() LTLFormula { return m.formula }
-
-// Pending returns the current residual obligation (useful for
-// diagnosis: what still has to happen).
-func (m *Monitor) Pending() LTLFormula { return m.cur }
-
-// Reset restarts the monitor on an empty trace.
-func (m *Monitor) Reset() {
-	m.cur = m.formula
-	m.verdict = VerdictUnknown
-	m.steps = 0
-}
 
 // EvalTrace checks f on a complete finite trace under LTLf semantics
 // and returns a definite verdict.

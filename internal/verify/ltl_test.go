@@ -130,24 +130,6 @@ func TestMonitorResponseProperty(t *testing.T) {
 	}
 }
 
-func TestMonitorPendingAndReset(t *testing.T) {
-	m := NewMonitor(LEventually(LAP("p")))
-	m.Step(obs())
-	if m.Pending().String() == "true" || m.Pending().String() == "false" {
-		t.Fatal("pending should be residual obligation")
-	}
-	if m.Steps() != 1 {
-		t.Fatalf("Steps = %d", m.Steps())
-	}
-	m.Reset()
-	if m.Steps() != 0 || m.Verdict() != VerdictUnknown {
-		t.Fatal("reset incomplete")
-	}
-	if m.Formula().String() != "F p" {
-		t.Fatalf("Formula = %q", m.Formula())
-	}
-}
-
 func TestEvalTraceFiniteSemantics(t *testing.T) {
 	trace := []map[Prop]bool{obs("a"), obs("a"), obs("a", "b")}
 	tests := []struct {
@@ -225,7 +207,7 @@ func TestMonitorBoundedGrowth(t *testing.T) {
 			o = obs("p", "q")
 		}
 		m.Step(o)
-		if n := len(m.Pending().String()); n > 500 {
+		if n := len(m.cur.String()); n > 500 {
 			t.Fatalf("pending formula exploded to %d chars at step %d", n, i)
 		}
 	}

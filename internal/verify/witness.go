@@ -65,25 +65,3 @@ func DiagnoseAG(k *Kripke, inner CTLFormula) ([]int, bool) {
 	}
 	return best, best != nil
 }
-
-// Labels returns the propositions holding in state s, sorted — used to
-// render witness paths for humans.
-func (k *Kripke) Labels(s int) []Prop {
-	if s < 0 || s >= len(k.labels) {
-		return nil
-	}
-	out := make([]Prop, 0, len(k.labels[s]))
-	for p := range k.labels[s] {
-		out = append(out, p)
-	}
-	sortProps(out)
-	return out
-}
-
-func sortProps(ps []Prop) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j] < ps[j-1]; j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
-}

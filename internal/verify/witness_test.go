@@ -86,15 +86,3 @@ func TestDiagnoseAGUnreachableViolation(t *testing.T) {
 		t.Fatal("path to unreachable violation fabricated")
 	}
 }
-
-func TestLabelsSorted(t *testing.T) {
-	k := NewKripke()
-	s := k.AddState("b", "a", "c")
-	got := k.Labels(s)
-	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
-		t.Fatalf("labels = %v", got)
-	}
-	if k.Labels(99) != nil {
-		t.Fatal("labels of bad state")
-	}
-}

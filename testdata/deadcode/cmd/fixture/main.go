@@ -1,0 +1,9 @@
+// Command fixture runs core once.
+package main
+
+import (
+	"fixture/internal/core"
+	"fixture/internal/live"
+)
+
+func main() { println(core.Run(&live.Cluster{})) }

@@ -1,0 +1,13 @@
+package live_test
+
+import (
+	"testing"
+
+	"fixture/internal/live"
+)
+
+func TestOwn(t *testing.T) {
+	if live.Kept()+live.OwnTestsOnly() != 3 {
+		t.Fatal("sum")
+	}
+}
