@@ -44,8 +44,8 @@ microbench:
 	$(GO) test -bench=. -benchtime=100x ./internal/...
 
 # Short fuzz pass over the parsers, the topic matcher, the realnet
-# datagram decoder, the fault-schedule JSON decoder and the chaos
-# corpus entry decoder.
+# datagram decoder, the fault-schedule JSON decoder, the chaos corpus
+# entry decoder and the serve PUT handler.
 fuzz:
 	$(GO) test -fuzz FuzzParseCTL -fuzztime 10s ./internal/verify/
 	$(GO) test -fuzz FuzzParseLTL -fuzztime 10s ./internal/verify/
@@ -53,6 +53,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeDatagram -fuzztime 20s ./internal/realnet/
 	$(GO) test -run '^$$' -fuzz FuzzScheduleJSON -fuzztime 10s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzCorpusEntry -fuzztime 10s ./internal/chaos/
+	$(GO) test -run '^$$' -fuzz FuzzServePut -fuzztime 10s ./internal/serve/
 
 # All experiments at paper-scale parameters (see EXPERIMENTS.md).
 experiments:

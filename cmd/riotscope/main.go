@@ -7,8 +7,8 @@
 //
 // Usage:
 //
-//	riotscope run [-arch ML4] [-scenario default|city|city-smoke] [-zones N]
-//	              [-duration D] [-seed N] [-hardened] [-windows N] [-all-zones]
+//	riotscope run [-arch ML4] [-scenario default|city|city-smoke|metro|metro-smoke]
+//	              [-zones N] [-duration D] [-seed N] [-hardened] [-windows N] [-all-zones]
 //	              [-format text|json] [-trace FILE] [-require-incidents]
 //	riotscope corpus [-corpus DIR] [-entry NAME] [-hardened] [-windows N]
 //	              [-all-zones] [-format text|json] [-trace FILE] [-require-incidents]
@@ -157,7 +157,7 @@ func parse(fs *flag.FlagSet, args []string) error {
 func runScenario(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("riotscope run", flag.ContinueOnError)
 	arch := fs.String("arch", "ML4", "architecture maturity level: ML1..ML4")
-	scenario := fs.String("scenario", "default", "base scenario: default, city or city-smoke")
+	scenario := fs.String("scenario", "default", "base scenario: default, city, city-smoke, metro or metro-smoke")
 	zones := fs.Int("zones", 0, "override zone count (0 = scenario default)")
 	duration := fs.Duration("duration", 0, "override run duration (0 = scenario default)")
 	seed := fs.Int64("seed", 0, "override simulation seed (0 = scenario default)")
@@ -170,16 +170,9 @@ func runScenario(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var cfg core.ScenarioConfig
-	switch *scenario {
-	case "default":
-		cfg = core.DefaultScenario()
-	case "city":
-		cfg = core.CityScenario()
-	case "city-smoke":
-		cfg = core.CityScenarioSmoke()
-	default:
-		return fmt.Errorf("unknown -scenario %q (want default, city or city-smoke)", *scenario)
+	cfg, err := core.ParseTier(*scenario)
+	if err != nil {
+		return fmt.Errorf("-scenario: %w", err)
 	}
 	if *zones != 0 {
 		cfg.Zones = *zones

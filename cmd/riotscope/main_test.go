@@ -35,8 +35,9 @@ func TestRunExplainsDisruptedScenario(t *testing.T) {
 	for flag, args := range map[string][]string{
 		"-zones":    {"run", "-zones", "-3"},
 		"-duration": {"run", "-duration", "-1s"},
+		"-scenario": {"run", "-scenario", "mega"},
 	} {
-		if err := run(args, &sb); err == nil || !strings.HasPrefix(err.Error(), flag+" ") {
+		if err := run(args, &sb); err == nil || !strings.HasPrefix(err.Error(), flag) {
 			t.Fatalf("run(%q): err = %v, want an error naming %s", args, err, flag)
 		}
 	}

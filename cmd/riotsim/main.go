@@ -75,27 +75,16 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
 
-	var cfg core.ScenarioConfig
-	switch strings.ToLower(*tier) {
-	case "default":
-		cfg = core.DefaultScenario()
-	case "city":
-		cfg = core.CityScenario()
-	case "city-smoke":
-		cfg = core.CityScenarioSmoke()
-	case "metro":
-		cfg = core.MetropolisScenario()
-	case "metro-smoke":
-		cfg = core.MetropolisScenarioSmoke()
-	default:
-		return fmt.Errorf("unknown tier %q", *tier)
+	cfg, err := core.ParseTier(*tier)
+	if err != nil {
+		return fmt.Errorf("-tier: %w", err)
 	}
 	// -zones, -duration and -preset defaults describe the default tier;
 	// only apply them over a named tier when the user set them
 	// explicitly.
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	own := func(name string) bool { return *tier == "default" || explicit[name] }
+	own := func(name string) bool { return strings.EqualFold(*tier, "default") || explicit[name] }
 	if own("zones") {
 		cfg.Zones = *zones
 	}

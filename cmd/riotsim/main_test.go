@@ -49,6 +49,7 @@ func TestRunErrors(t *testing.T) {
 		args []string
 	}{
 		{"-shards", []string{"-shards", "-1", "-duration", "1m"}},
+		{"-tier", []string{"-tier", "mega"}},
 		{"-zones", []string{"-zones", "-1"}},
 		{"-zones", []string{"-tier", "city-smoke", "-zones", "0"}},
 		{"-duration", []string{"-duration", "-1m"}},

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,6 +31,30 @@ func TestArchetypeString(t *testing.T) {
 	}
 	if len(AllArchetypes()) != 4 {
 		t.Fatal("AllArchetypes wrong")
+	}
+}
+
+func TestParseTier(t *testing.T) {
+	for name, want := range map[string]ScenarioConfig{
+		"default":     DefaultScenario(),
+		"city":        CityScenario(),
+		"city-smoke":  CityScenarioSmoke(),
+		"metro":       MetropolisScenario(),
+		"metro-smoke": MetropolisScenarioSmoke(),
+		"City-SMOKE":  CityScenarioSmoke(),
+	} {
+		if got, err := ParseTier(name); err != nil || got != want {
+			t.Fatalf("ParseTier(%q) = %+v, %v; want %+v", name, got, err, want)
+		}
+	}
+	_, err := ParseTier("mega")
+	if err == nil {
+		t.Fatal(`ParseTier("mega") accepted`)
+	}
+	for _, name := range []string{`"mega"`, "default", "city", "city-smoke", "metro", "metro-smoke"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Fatalf("ParseTier error %q does not name %s", err, name)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/fault"
@@ -49,10 +50,6 @@ type ScenarioConfig struct {
 	ShockProb float64 // heat-shock probability per env step
 	ShockMag  float64 // heat-shock magnitude
 	CoolRate  float64 // actuator effect, units/s (negative)
-
-	// FreshnessFactor: a reading is fresh at the controller while its
-	// age is below FreshnessFactor × SampleInterval.
-	FreshnessFactor int
 
 	Preset FaultPreset
 	// Faults overrides the preset with a custom schedule.
@@ -108,15 +105,13 @@ type ScenarioConfig struct {
 	// that profile.
 
 	// IslandMode lets an ML4 edge node that has lost Raft quorum
-	// contact for IslandGrace fall back to a local planner: the node
-	// keeps its zones' sensing→analysis→actuation chains running from
-	// locally-cached state and hands control back deterministically
-	// when quorum contact returns (CRDT merge + placement handoff).
+	// contact for 3 × ControlInterval — long enough that an
+	// election-timeout flap never trips it — fall back to a local
+	// planner: the node keeps its zones' sensing→analysis→actuation
+	// chains running from locally-cached state and hands control back
+	// deterministically when quorum contact returns (CRDT merge +
+	// placement handoff).
 	IslandMode bool
-	// IslandGrace is how long quorum contact must be lost before a
-	// node enters island mode. Zero means 3 × ControlInterval — long
-	// enough that an election-timeout flap never trips it.
-	IslandGrace time.Duration
 	// PlacementSpread makes the ML4 planner place each zone controller
 	// on PlacementSpread distinct hosts spanning connectivity domains
 	// (primary + off-zone backups), so no single partition isolates
@@ -199,7 +194,6 @@ func DefaultScenario() ScenarioConfig {
 		ShockProb:          0.002,
 		ShockMag:           3,
 		CoolRate:           -0.3,
-		FreshnessFactor:    4,
 		Preset:             FaultsStandard,
 	}
 }
@@ -214,11 +208,10 @@ func DefaultScenario() ScenarioConfig {
 // amount as at paper scale (rate × interval is what the hysteresis
 // band sees; stretching the interval without rescaling the rates makes
 // every archetype overshoot the band and measures the config, not the
-// architecture). The default FreshnessFactor keeps the freshness
-// window at 4 × SampleInterval = 20 s: comfortably above the two-hop
-// sync latency of relayed data (≤10 s) yet far below the heavy
-// schedule's 48–72 s outages — the discrimination between archetypes
-// lives in that inequality.
+// architecture). The freshness window, 4 × SampleInterval = 20 s, sits
+// comfortably above the two-hop sync latency of relayed data (≤10 s)
+// yet far below the heavy schedule's 48–72 s outages — the
+// discrimination between archetypes lives in that inequality.
 // EdgePeerFanout bounds the ML4 peering degree and RaftHeartbeat
 // stretches the 208-member placement group's idle traffic, since
 // all-to-all sync and 50 ms heartbeats across 200 gateways would
@@ -294,6 +287,24 @@ func MetropolisScenarioSmoke() ScenarioConfig {
 	return cfg
 }
 
+// ParseTier resolves a scenario tier by name, case-insensitively:
+// default, city, city-smoke, metro or metro-smoke.
+func ParseTier(name string) (ScenarioConfig, error) {
+	switch strings.ToLower(name) {
+	case "default":
+		return DefaultScenario(), nil
+	case "city":
+		return CityScenario(), nil
+	case "city-smoke":
+		return CityScenarioSmoke(), nil
+	case "metro":
+		return MetropolisScenario(), nil
+	case "metro-smoke":
+		return MetropolisScenarioSmoke(), nil
+	}
+	return ScenarioConfig{}, fmt.Errorf("unknown tier %q (want default, city, city-smoke, metro or metro-smoke)", name)
+}
+
 // withDefaults fills zero fields from DefaultScenario.
 func (c ScenarioConfig) withDefaults() ScenarioConfig {
 	d := DefaultScenario()
@@ -344,9 +355,6 @@ func (c ScenarioConfig) withDefaults() ScenarioConfig {
 	}
 	if c.CoolRate == 0 {
 		c.CoolRate = d.CoolRate
-	}
-	if c.FreshnessFactor == 0 {
-		c.FreshnessFactor = d.FreshnessFactor
 	}
 	if c.Preset == 0 {
 		c.Preset = d.Preset

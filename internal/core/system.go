@@ -196,6 +196,9 @@ func NewSystem(cfg ScenarioConfig, arch Archetype) *System {
 // armed fault schedule on whichever world it is handed. cfg has its
 // defaults; sim is nil on a live world.
 func newSystem(cfg ScenarioConfig, arch Archetype, sim *simnet.Sim, w world) *System {
+	// A reading is fresh at the controller while its age is at most
+	// freshnessFactor × SampleInterval.
+	const freshnessFactor = 4
 	sys := &System{
 		cfg:          cfg,
 		arch:         arch,
@@ -205,7 +208,7 @@ func newSystem(cfg ScenarioConfig, arch Archetype, sim *simnet.Sim, w world) *Sy
 		envm:         env.New(cfg.Seed + 1),
 		spaces:       space.NewMap(),
 		auditor:      dataflow.ObservedEngine(),
-		freshWin:     time.Duration(cfg.FreshnessFactor) * cfg.SampleInterval,
+		freshWin:     freshnessFactor * cfg.SampleInterval,
 		warmup:       cfg.Duration / 20,
 		endOfRun:     cfg.Duration,
 		staleness:    &metrics.LatencyRecorder{},

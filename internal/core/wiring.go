@@ -706,14 +706,6 @@ func (sys *System) ml4Hardened() bool {
 	return sys.cfg.IslandMode || sys.cfg.PlacementSpread > 1 || sys.cfg.BackupActuators > 0
 }
 
-// islandGrace resolves the island-mode grace window.
-func (sys *System) islandGrace() time.Duration {
-	if g := sys.cfg.IslandGrace; g > 0 {
-		return g
-	}
-	return 3 * sys.cfg.ControlInterval
-}
-
 // armIslandGuard ticks the stack's island-mode state machine: enter
 // degraded local operation after a full grace window without Raft
 // quorum contact, reconcile and hand control back on rejoin. The
@@ -721,7 +713,7 @@ func (sys *System) islandGrace() time.Duration {
 // the island's accumulated knowledge (ShareNow), so both sides hold
 // the merged CRDT state before the next placement pass reads it.
 func (sys *System) armIslandGuard(st *edgeStack) {
-	grace := sys.islandGrace()
+	grace := 3 * sys.cfg.ControlInterval
 	st.guard = mape.NewIslandGuard(grace)
 	st.ep.Every(sys.cfg.ControlInterval, func() {
 		if !st.guard.Observe(st.ep.Now(), st.raft.QuorumContact()) {

@@ -24,9 +24,8 @@ type ClusterOptions struct {
 	ProbeInterval time.Duration
 	// SyncInterval is the store anti-entropy period (default 250ms).
 	SyncInterval time.Duration
-	// MaxInFlight / MaxBatch configure each node's server.
+	// MaxInFlight configures each node's server.
 	MaxInFlight int
-	MaxBatch    int
 	// Registries, when non-nil, must have one registry per node; nil
 	// gives each server a private registry.
 	Registries []*obs.Registry
@@ -120,7 +119,6 @@ func StartNode(node *realnet.Node, peers, seeds []simnet.NodeID, reg *obs.Regist
 		Ready:       cn.Ready,
 		Now:         node.Now,
 		MaxInFlight: opts.MaxInFlight,
-		MaxBatch:    opts.MaxBatch,
 	})
 	node.Run()
 	node.Do(func() {

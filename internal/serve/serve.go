@@ -4,11 +4,9 @@
 // where the resilience stack meets real client traffic, so it is built
 // service-shaped rather than demo-shaped:
 //
-//   - every store and membership access is funneled through the node's
-//     event loop (the Loop interface realnet.Node satisfies), keeping
-//     the single-threaded protocol contract intact;
-//   - writes are coalesced by a batcher so a burst of PUTs costs one
-//     event-loop turn, not one turn per request;
+//   - every store and membership access, read or write, is one turn of
+//     the node's event loop (the Loop interface realnet.Node
+//     satisfies), keeping the single-threaded protocol contract intact;
 //   - admission control bounds the in-flight request count and sheds
 //     the excess with 429 + Retry-After instead of queueing without
 //     bound — resilience measured at the service boundary means the
@@ -16,9 +14,10 @@
 //   - per-endpoint latency and outcome metrics land on the shared
 //     obs.Registry, so the serving path is observable with the same
 //     scrape the simulator metrics use;
-//   - Shutdown drains: the stream hub closes its subscribers, the HTTP
-//     listener stops accepting and waits for in-flight handlers, and
-//     the batcher flushes queued writes before the node goes away.
+//   - Shutdown drains: new writes are refused with 503, the stream hub
+//     closes its subscribers, and the HTTP listener stops accepting and
+//     waits for in-flight handlers, so every write already admitted is
+//     applied before the node goes away.
 //
 // API surface:
 //
@@ -81,9 +80,6 @@ type Config struct {
 	// MaxInFlight bounds concurrently admitted requests; beyond it the
 	// server sheds with 429 (default 256).
 	MaxInFlight int
-	// MaxBatch bounds how many queued writes one event-loop turn
-	// applies (default 64).
-	MaxBatch int
 	// StreamBuffer is each subscriber's event buffer; events beyond it
 	// are dropped for that subscriber (default 64).
 	StreamBuffer int
@@ -104,9 +100,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 256
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 64
 	}
 	if cfg.StreamBuffer <= 0 {
 		cfg.StreamBuffer = 64
@@ -130,7 +123,6 @@ type Server struct {
 
 	mux       *http.ServeMux
 	httpSrv   *http.Server
-	batcher   *batcher
 	hub       *hub
 	incidents *incidentLog
 
@@ -172,9 +164,6 @@ func NewServer(cfg Config) *Server {
 		s.reg.Gauge("riot_serve_stream_subscribers", "live stream subscribers"),
 		s.reg.Counter("riot_serve_stream_dropped_total", "stream events dropped on slow subscribers"))
 	s.incidents = newIncidentLog(cfg.Now, s.reg)
-	s.batcher = newBatcher(cfg.Loop, s.applyBatch, cfg.MaxBatch, cfg.MaxInFlight,
-		s.reg.Histogram("riot_serve_batch_size", "writes applied per event-loop turn",
-			[]float64{1, 2, 4, 8, 16, 32, 64, 128}))
 
 	// Remote applies and membership transitions feed the stream; the
 	// callbacks run on the event loop, the hub is lock-protected.
@@ -191,15 +180,6 @@ func NewServer(cfg Config) *Server {
 	return s
 }
 
-// applyBatch runs on the event loop: it applies one batch of admitted
-// writes to the store and publishes them to stream subscribers.
-func (s *Server) applyBatch(items []dataflow.Item) {
-	for _, item := range items {
-		s.store.Put(item)
-		s.hub.publish(StreamEvent{Type: "data", Key: item.Key, Value: item.Value, From: "local"})
-	}
-}
-
 // Handler returns the server's HTTP handler (for httptest mounting).
 func (s *Server) Handler() http.Handler { return s.mux }
 
@@ -208,18 +188,18 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // shutdown.
 func (s *Server) Serve(ln net.Listener) error { return s.httpSrv.Serve(ln) }
 
-// Shutdown drains the server: readiness flips to 503, stream
-// subscribers are closed (so their handlers finish), the HTTP server
-// stops accepting and waits for in-flight requests up to ctx's
-// deadline, and the batcher flushes queued writes. Safe to call more
-// than once.
+// Shutdown drains the server in three steps: readiness and new writes
+// flip to 503, stream subscribers are closed (so their handlers
+// finish), and the HTTP server stops accepting and waits up to ctx's
+// deadline for in-flight requests — each inside its own Loop.Do, so a
+// write admitted before the drain is applied before Shutdown returns.
+// Safe to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	var err error
 	s.downOnce.Do(func() {
 		s.draining.Store(true)
 		s.hub.close()
 		err = s.httpSrv.Shutdown(ctx)
-		s.batcher.stop()
 	})
 	return err
 }
@@ -341,8 +321,17 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		Value: body.Value,
 		Label: dataflow.Label{Topic: topic, Sensitivity: sens, Origin: s.cfg.Origin, TTL: ttl},
 	}
-	if err := s.batcher.submit(item); err != nil {
+	// A draining server refuses here: a handler mounted outside Serve
+	// still reaches a live loop after Shutdown.
+	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "draining")
+		return
+	}
+	if !s.loop.Do(func() {
+		s.store.Put(item)
+		s.hub.publish(StreamEvent{Type: "data", Key: item.Key, Value: item.Value, From: "local"})
+	}) {
+		writeError(w, http.StatusServiceUnavailable, "node shut down")
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)

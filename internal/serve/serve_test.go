@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -28,7 +29,7 @@ type testStack struct {
 	members *gossip.Protocol
 }
 
-func newTestStack(t *testing.T) *testStack {
+func newTestStack(t testing.TB) *testStack {
 	t.Helper()
 	registerWire()
 	node, err := realnet.NewNode("solo", "127.0.0.1:0")
@@ -156,16 +157,19 @@ func TestGetMissingIs404(t *testing.T) {
 	}
 }
 
+// badPutBodies are PUT payloads the server must answer with 400.
+var badPutBodies = []string{
+	``,                             // empty
+	`{"value": {"nested": 1}}`,     // non-scalar value
+	`{"value": [1,2]}`,             // non-scalar value
+	`{"value": null}`,              // null value
+	`{"value": 1, "ttl": "bogus"}`, // bad ttl
+	`{"value": 1, "sensitivity": "topsecret"}`, // unknown sensitivity
+}
+
 func TestPutRejectsBadBodies(t *testing.T) {
 	_, hts := newTestServer(t, Config{})
-	for _, body := range []string{
-		``,                             // empty
-		`{"value": {"nested": 1}}`,     // non-scalar value
-		`{"value": [1,2]}`,             // non-scalar value
-		`{"value": null}`,              // null value
-		`{"value": 1, "ttl": "bogus"}`, // bad ttl
-		`{"value": 1, "sensitivity": "topsecret"}`, // unknown sensitivity
-	} {
+	for _, body := range badPutBodies {
 		resp, got := doReq(t, http.MethodPut, hts.URL+"/v1/data/k", body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("PUT %q = %d %s, want 400", body, resp.StatusCode, got)
@@ -204,13 +208,18 @@ func TestIncidentsEndpointEmpty(t *testing.T) {
 }
 
 // gatedLoop blocks every Do until the gate closes — the test handle
-// for holding a request in flight.
+// for holding a request in flight. A non-nil entered receives once per
+// Do, as it starts waiting.
 type gatedLoop struct {
-	inner Loop
-	gate  chan struct{}
+	inner   Loop
+	gate    chan struct{}
+	entered chan struct{}
 }
 
 func (g gatedLoop) Do(fn func()) bool {
+	if g.entered != nil {
+		g.entered <- struct{}{}
+	}
 	<-g.gate
 	return g.inner.Do(fn)
 }
@@ -353,6 +362,114 @@ func TestWritesRefusedWhileDraining(t *testing.T) {
 	}
 }
 
+// TestPutAfterLoopClosedIs503: a server that is not draining but whose
+// node has closed refuses writes too, because its Loop.Do reports the
+// loop gone.
+func TestPutAfterLoopClosedIs503(t *testing.T) {
+	srv, hts := newTestServer(t, Config{})
+	srv.loop.(*realnet.Node).Close()
+	resp, _ := doReq(t, http.MethodPut, hts.URL+"/v1/data/late", `{"value": 1}`)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("PUT after the node closed = %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestConcurrentPutsAllReadBack: concurrent writers each get 204, and
+// every acknowledged key then reads back its own value.
+func TestConcurrentPutsAllReadBack(t *testing.T) {
+	_, hts := newTestServer(t, Config{})
+	const writers = 16
+	codes := make(chan int, writers)
+	for i := 0; i < writers; i++ {
+		go func(i int) {
+			req, _ := http.NewRequest(http.MethodPut, fmt.Sprintf("%s/v1/data/w/%d", hts.URL, i),
+				strings.NewReader(fmt.Sprintf(`{"value": %d}`, i)))
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				codes <- -1
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}(i)
+	}
+	for i := 0; i < writers; i++ {
+		if code := <-codes; code != http.StatusNoContent {
+			t.Fatalf("concurrent PUT = %d, want 204", code)
+		}
+	}
+	for i := 0; i < writers; i++ {
+		resp, body := doReq(t, http.MethodGet, fmt.Sprintf("%s/v1/data/w/%d", hts.URL, i), "")
+		var view itemView
+		if resp.StatusCode != http.StatusOK || json.Unmarshal([]byte(body), &view) != nil || view.Value != float64(i) {
+			t.Fatalf("GET w/%d = %d %s, want value %d", i, resp.StatusCode, body, i)
+		}
+	}
+}
+
+// TestShutdownFinishesAcceptedWrite holds a PUT inside Loop.Do while
+// Shutdown starts: the write still answers 204 and lands in the store,
+// and Shutdown returns only after it. The server runs on a real
+// listener so that Shutdown is what waits for the handler.
+func TestShutdownFinishesAcceptedWrite(t *testing.T) {
+	ts := newTestStack(t)
+	gate, entered := make(chan struct{}), make(chan struct{}, 1)
+	srv := NewServer(Config{
+		Loop:    gatedLoop{inner: ts.node, gate: gate, entered: entered},
+		Store:   ts.store,
+		Members: ts.members,
+		Now:     ts.node.Now,
+	})
+	ts.start()
+	t.Cleanup(ts.node.Close)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(ln) }()
+
+	put := make(chan int, 1)
+	go func() {
+		req, _ := http.NewRequest(http.MethodPut, "http://"+ln.Addr().String()+"/v1/data/held", strings.NewReader(`{"value": 3}`))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			put <- -1
+			return
+		}
+		resp.Body.Close()
+		put <- resp.StatusCode
+	}()
+	<-entered // the PUT is inside Loop.Do, past the drain check
+
+	shut := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		shut <- srv.Shutdown(ctx)
+	}()
+	waitFor(t, time.Second, srv.draining.Load)
+	select {
+	case err := <-shut:
+		t.Fatalf("Shutdown returned (%v) while a write was held in the loop", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	close(gate)
+	if err := <-shut; err != nil {
+		t.Fatalf("Shutdown = %v", err)
+	}
+	var item dataflow.Item
+	var ok bool
+	ts.node.Do(func() { item, ok = ts.store.Get("held") })
+	if !ok || item.Value != 3.0 {
+		t.Fatalf("store after Shutdown holds %+v (present %v), want value 3", item, ok)
+	}
+	if code := <-put; code != http.StatusNoContent {
+		t.Fatalf("held PUT = %d, want 204", code)
+	}
+}
+
 func TestReadyzTracksConfigReady(t *testing.T) {
 	ready := false
 	_, hts := newTestServer(t, Config{Ready: func() bool { return ready }})
@@ -388,7 +505,6 @@ func TestServeMetricsExposed(t *testing.T) {
 		`riot_serve_requests_total{code="204",route="put_data"} 1`,
 		`riot_serve_requests_total{code="200",route="get_data"} 1`,
 		`riot_serve_request_seconds_count{route="put_data"} 1`,
-		`riot_serve_batch_size_count 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, text)
