@@ -158,8 +158,8 @@ realnet:
 # Explain every corpus entry: R(t) timeline + incident records with
 # MTTD/MTTR, as found (default knobs) and under the hardened profile.
 explain:
-	$(GO) run ./cmd/riotscope corpus -corpus corpus/chaos
-	$(GO) run ./cmd/riotscope corpus -corpus corpus/chaos -hardened
+	$(GO) run ./cmd/riotchaos replay -corpus corpus/chaos -explain
+	$(GO) run ./cmd/riotchaos verify -corpus corpus/chaos -explain
 
 # Short traced smart-city run; open trace.json at chrome://tracing.
 obs-demo:

@@ -6,7 +6,7 @@
 //
 //	riotchaos search -arch ML1 -budget 100 -parallel 4 [-min-events 3] [-corpus DIR]
 //	riotchaos shrink -in schedule.json -arch ML1 [-out ce.json]
-//	riotchaos replay -corpus DIR [-parallel 4]
+//	riotchaos replay -corpus DIR [-parallel 4] [-explain]
 //	riotchaos verify -corpus DIR [-parallel 4] [-explain] [-flight-dir DIR]
 //	riotchaos refresh -corpus DIR
 //	riotchaos realnet -corpus DIR [-match SUBSTR] [-limit N] [-profile default|hardened|both|none] [-scale 0.1] [-city] [-city-entry NAME] [-explain]
@@ -20,14 +20,18 @@
 // shrink minimizes one failing schedule read from a fault.Schedule JSON
 // file. replay re-runs every committed counterexample and verifies both
 // the expected failure kinds and a byte-identical journal hash, serially
-// or with -parallel workers — the result is the same either way.
+// or with -parallel workers — the result is the same either way. With
+// -explain each entry also prints the incident timeline of the run it
+// just replayed (fault → detection → reaction → recovery, R(t), MTTD/
+// MTTR); every entry is a run the oracle failed, so an explanation with
+// no incidents fails the replay.
 // verify replays the corpus against the hardened scenario profile
 // (core.ScenarioConfig.Hardened: island mode, placement spreading,
 // backup actuators, sticky failover) and checks each entry against its
 // `expect` field: hardened ML4 must fix its partition-island and
 // actuator-loss entries, while ML1 entries must still fail — the
 // maturity ordering the paper claims. With -explain each entry also
-// prints a riotscope incident timeline of its hardened run; with
+// prints the incident timeline of its hardened run; with
 // -flight-dir, entries that still fail hardened dump a flight-recorder
 // artifact (the moments leading up to the failure) there.
 // realnet replays corpus entries on real loopback UDP sockets at a
@@ -233,6 +237,7 @@ func runReplay(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("riotchaos replay", flag.ContinueOnError)
 	corpusDir := fs.String("corpus", "corpus/chaos", "counterexample corpus directory")
 	parallel := fs.Int("parallel", 1, "worker count (0 = GOMAXPROCS)")
+	explain := fs.Bool("explain", false, "print an incident timeline per entry; an entry with no incidents fails")
 	if err := parse(fs, args); err != nil {
 		return err
 	}
@@ -244,11 +249,19 @@ func runReplay(args []string, out io.Writer) error {
 		return fmt.Errorf("replay: no counterexamples in %s", *corpusDir)
 	}
 	results, err := chaos.ReplayAll(ces, *parallel)
-	for _, r := range results {
+	for i, r := range results {
 		if r.Err != nil {
 			fmt.Fprintf(out, "FAIL  %s: %v\n", r.Name, r.Err)
 		} else {
 			fmt.Fprintf(out, "ok    %s\n", r.Name)
+		}
+		if *explain && r.Journal != nil {
+			cfg, _ := ces[i].Config() // LoadCorpus has built every entry's config
+			// Every entry pinned a run the oracle failed: an explanation
+			// without incidents has lost sight of what the oracle saw.
+			if a := explainRun(out, r.Journal, cfg.Scenario); len(a.Incidents) == 0 && err == nil {
+				err = fmt.Errorf("%s: no incidents in analysis", r.Name)
+			}
 		}
 	}
 	if err != nil {
@@ -262,7 +275,7 @@ func runVerify(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("riotchaos verify", flag.ContinueOnError)
 	corpusDir := fs.String("corpus", "corpus/chaos", "counterexample corpus directory")
 	parallel := fs.Int("parallel", 1, "worker count (0 = GOMAXPROCS)")
-	explain := fs.Bool("explain", false, "print an incident timeline per entry (riotscope analysis of the hardened run)")
+	explain := fs.Bool("explain", false, "print an incident timeline per entry (of the hardened run)")
 	flightDir := fs.String("flight-dir", "", "dump flight-recorder artifacts here for entries that still fail hardened")
 	if err := parse(fs, args); err != nil {
 		return err
@@ -274,13 +287,9 @@ func runVerify(args []string, out io.Writer) error {
 	if len(ces) == 0 {
 		return fmt.Errorf("verify: no counterexamples in %s", *corpusDir)
 	}
-	byName := make(map[string]*chaos.Counterexample, len(ces))
-	for _, ce := range ces {
-		byName[ce.Name] = ce
-	}
 	results, err := chaos.VerifyAllObserved(ces, *parallel, chaos.VerifyOptions{FlightDir: *flightDir})
 	fixed := 0
-	for _, r := range results {
+	for i, r := range results {
 		mark := "ok  "
 		if r.Err != nil {
 			mark = "FAIL"
@@ -294,14 +303,8 @@ func runVerify(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "      %s\n", r.Detail)
 		}
 		if *explain && r.Journal != nil {
-			cfg, cfgErr := byName[r.Name].HardenedConfig()
-			if cfgErr != nil {
-				return cfgErr
-			}
-			a := observatory.Analyze(r.Journal, observatory.Options{
-				Duration: cfg.Scenario.Duration, Zones: cfg.Scenario.Zones,
-			})
-			fmt.Fprint(out, indent(observatory.FormatAnalysis(a, false)))
+			cfg, _ := ces[i].Config() // LoadCorpus has built every entry's config
+			explainRun(out, r.Journal, cfg.Scenario)
 		}
 	}
 	if err != nil {
@@ -349,6 +352,15 @@ func runRefresh(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "refreshed %d of %d counterexample(s)\n", refreshed, len(ces))
 	return nil
+}
+
+// explainRun prints the incident analysis of one run's journal,
+// indented under its row, over the scenario's horizon and zone count,
+// and returns it.
+func explainRun(out io.Writer, journal []core.RunEvent, sc core.ScenarioConfig) observatory.Analysis {
+	a := observatory.Analyze(journal, observatory.Options{Duration: sc.Duration, Zones: sc.Zones})
+	fmt.Fprint(out, indent(observatory.FormatAnalysis(a)))
+	return a
 }
 
 // indent prefixes every line with four spaces.

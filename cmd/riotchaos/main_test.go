@@ -178,6 +178,38 @@ func TestVerifySubcommand(t *testing.T) {
 	}
 }
 
+// TestReplayExplainsEveryEntry: every committed entry pinned a run the
+// oracle failed, so each explanation must hold incidents.
+func TestReplayExplainsEveryEntry(t *testing.T) {
+	corpus := filepath.Join("..", "..", "corpus", "chaos")
+	if _, err := os.Stat(corpus); err != nil {
+		t.Skip("no corpus checked out")
+	}
+	var out strings.Builder
+	if err := run([]string{"replay", "-corpus", corpus, "-explain"}, &out); err != nil {
+		t.Fatalf("replay -explain: %v\n%s", err, out.String())
+	}
+	if got := strings.Count(out.String(), "\n    incidents: "); got != 12 {
+		t.Fatalf("explained %d entries, want 12:\n%s", got, out.String())
+	}
+}
+
+// TestExplainRunUsesScenarioHorizon: the analysis spans the scenario's
+// duration, not just up to the journal's last event.
+func TestExplainRunUsesScenarioHorizon(t *testing.T) {
+	sc := core.DefaultScenario()
+	sc.Duration = 6 * time.Minute
+	journal := []core.RunEvent{
+		{At: 10 * time.Second, Kind: core.EventFault, Detail: "crash gw-0"},
+		{At: 14 * time.Second, Kind: core.EventViolation, Detail: "zone 0 data stale at controller"},
+	}
+	var out strings.Builder
+	explainRun(&out, journal, sc)
+	if want := "    run: 6m0s, 4 zone(s), 1 fault event(s)\n"; !strings.HasPrefix(out.String(), want) {
+		t.Fatalf("explanation header:\n%s\nwant %q", out.String(), want)
+	}
+}
+
 // verifyFixtureConfig is the short ML1 scenario the verify test pins.
 func verifyFixtureConfig() (chaos.Config, error) {
 	arch, err := core.ParseArchetype("ML1")

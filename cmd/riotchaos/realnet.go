@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/observatory"
 )
 
 // runRealnet replays the corpus on real loopback UDP sockets: each
@@ -29,7 +28,7 @@ func runRealnet(args []string, out io.Writer) error {
 	scale := fs.Float64("scale", 0.1, "wall-clock time scale (wall = virtual × scale)")
 	city := fs.Bool("city", false, "additionally boot the city smoke tier live (hardened ML4) under a corpus entry's schedule")
 	cityEntry := fs.String("city-entry", "ml4-low-persistence-af146e73", "corpus entry whose schedule the live city replays")
-	explain := fs.Bool("explain", false, "print an incident timeline per live run (riotscope analysis)")
+	explain := fs.Bool("explain", false, "print an incident timeline per live run")
 	if err := parse(fs, args); err != nil {
 		return err
 	}
@@ -140,19 +139,10 @@ func replayOneLive(out io.Writer, ce *chaos.Counterexample, opts chaos.LiveOptio
 		fmt.Fprintf(out, "      expected %s, got %s: %s\n", expect, res.Status, res.Verdict)
 	}
 	if explain && res.Verdict.Journal != nil {
-		a := observatory.Analyze(res.Verdict.Journal, observatory.Options{Zones: zonesOf(ce)})
-		fmt.Fprint(out, indent(observatory.FormatAnalysis(a, false)))
+		cfg, _ := ce.Config() // ReplayLive has built it without error
+		explainRun(out, res.Verdict.Journal, cfg.Scenario)
 	}
 	return ok
-}
-
-// zonesOf reads the entry's zone count for observatory analysis.
-func zonesOf(ce *chaos.Counterexample) int {
-	cfg, err := ce.Config()
-	if err != nil {
-		return 0
-	}
-	return cfg.Scenario.Zones
 }
 
 // runCityLive boots the city smoke tier (hardened ML4) on real sockets
@@ -193,8 +183,7 @@ func runCityLive(out io.Writer, ce *chaos.Counterexample, scale float64, explain
 		fmt.Fprintf(out, "      %s\n", v)
 	}
 	if explain {
-		a := observatory.Analyze(journal, observatory.Options{Duration: sc.Duration, Zones: sc.Zones})
-		fmt.Fprint(out, indent(observatory.FormatAnalysis(a, false)))
+		explainRun(out, journal, sc)
 	}
 	return ok, nil
 }

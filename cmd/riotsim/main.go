@@ -25,6 +25,17 @@
 //
 //	riotsim -arch ML4 -duration 5m -trace run.json
 //
+// -hardened turns on the full resilience profile (island mode,
+// placement spreading, backup actuators, sticky failover) over whatever
+// the tier and overrides chose. -explain follows the report with the
+// run's explanation, derived from its journal without changing it:
+// incident records (fault → detection → reactions → recovery, with
+// MTTD/TTR), the per-zone R(t) timeline and MTTD/MTTR percentiles.
+// With -trace as well, the incidents join the run's spans in the same
+// trace file (zones as threads, incidents as spans):
+//
+//	riotsim -arch ML4 -hardened -explain -trace run.json
+//
 // -cpuprofile and -memprofile write runtime/pprof profiles of the run
 // alone (construction and report formatting excluded), for
 // `go tool pprof`:
@@ -44,6 +55,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/observatory"
 )
 
 func main() {
@@ -62,9 +74,11 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", 1, "simulation seed")
 	shards := fs.Int("shards", 0, "zone-shard lane count; picks the journal family (0 = one lane, shared random stream: the pinned hashes; >= 1 = per-node streams, identical at any count, 1 = serial reference leg)")
 	preset := fs.String("preset", "standard", "fault preset: standard, none or heavy (a named tier keeps its own unless this is given)")
+	hardened := fs.Bool("hardened", false, "enable the full resilience profile (island mode, spread, backups, sticky failover)")
 	matrix := fs.Bool("matrix", false, "run all four archetypes (Tables 1/2)")
 	events := fs.Bool("events", false, "print the run journal (faults, placements, violations, alerts)")
 	hash := fs.Bool("hash", false, "print the journal hash (per archetype with -matrix)")
+	explain := fs.Bool("explain", false, "print the run's incidents, R(t) timeline and MTTD/MTTR (with -trace, also as trace spans)")
 	trace := fs.String("trace", "", "write a Chrome trace-event JSON file of the run")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run (for go tool pprof)")
 	memProfile := fs.String("memprofile", "", "write an allocation profile of the run (for go tool pprof)")
@@ -111,10 +125,13 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("unknown preset %q", *preset)
 		}
 	}
+	if *hardened {
+		cfg = cfg.Hardened()
+	}
 
 	if *matrix {
-		if *trace != "" || *cpuProfile != "" || *memProfile != "" || *events {
-			return fmt.Errorf("-trace, -cpuprofile, -memprofile and -events need a single run; drop -matrix")
+		if *trace != "" || *cpuProfile != "" || *memProfile != "" || *events || *explain {
+			return fmt.Errorf("-trace, -cpuprofile, -memprofile, -events and -explain need a single run; drop -matrix")
 		}
 		if *hash {
 			for _, a := range core.AllArchetypes() {
@@ -149,6 +166,12 @@ func run(args []string, out io.Writer) error {
 	if *events {
 		fmt.Fprintf(out, "\nrun journal (%d events):\n", len(sys.Journal()))
 		fmt.Fprint(out, core.FormatJournal(sys.Journal()))
+	}
+	if *explain {
+		a := observatory.Analyze(sys.Journal(), observatory.Options{Duration: cfg.Duration, Zones: cfg.Zones})
+		fmt.Fprint(out, "\n"+observatory.FormatAnalysis(a))
+		// Only the -trace collector listens; the journal is already final.
+		observatory.PublishOverlay(a, sys.Bus())
 	}
 	if tc != nil {
 		tc.Close()

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -75,19 +77,106 @@ func TestRunErrors(t *testing.T) {
 func TestNamedTierKeepsItsPreset(t *testing.T) {
 	hash := func(args ...string) string {
 		t.Helper()
-		var out strings.Builder
-		if err := run(append([]string{"-tier", "city-smoke", "-arch", "ML4", "-hash"}, args...), &out); err != nil {
-			t.Fatal(err)
-		}
-		_, h, ok := strings.Cut(out.String(), "journal ")
-		if !ok {
-			t.Fatalf("no journal hash in output:\n%s", out.String())
-		}
-		return strings.TrimSpace(h)
+		return journalHash(t, append([]string{"-tier", "city-smoke", "-arch", "ML4"}, args...)...)
 	}
 	own, heavy, standard := hash(), hash("-preset", "heavy"), hash("-preset", "standard")
 	if own != heavy || own == standard {
 		t.Fatalf("city-smoke hashes %.12s with no -preset, %.12s with heavy, %.12s with standard: want the heavy run", own, heavy, standard)
+	}
+}
+
+// journalHash runs riotsim with args plus -hash and returns the hash.
+func journalHash(t *testing.T, args ...string) string {
+	t.Helper()
+	var out strings.Builder
+	if err := run(append([]string{"-hash"}, args...), &out); err != nil {
+		t.Fatal(err)
+	}
+	_, h, ok := strings.Cut(out.String(), "journal ")
+	if !ok {
+		t.Fatalf("no journal hash in output:\n%s", out.String())
+	}
+	h, _, _ = strings.Cut(h, "\n")
+	return h
+}
+
+func TestRunExplains(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-arch", "ML1", "-duration", "8m", "-explain"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	report, explanation, ok := strings.Cut(out.String(), "\nrun: 8m0s, 4 zone(s)")
+	if !ok || !strings.Contains(report, "ML1-silo") {
+		t.Fatalf("want the report, then the explanation of the 8-minute run:\n%s", out.String())
+	}
+	for _, want := range []string{"incidents:", "R(t) over", "MTTR"} {
+		if !strings.Contains(explanation, want) {
+			t.Fatalf("explanation missing %q:\n%s", want, explanation)
+		}
+	}
+
+	// Explaining only reads the journal.
+	plain := []string{"-arch", "ML4", "-duration", "2m"}
+	if a, b := journalHash(t, plain...), journalHash(t, append(plain, "-explain")...); a != b {
+		t.Fatalf("-explain moved the journal hash: %s vs %s", a, b)
+	}
+
+	if err := run([]string{"-matrix", "-explain", "-duration", "1m"}, &out); err == nil || !strings.Contains(err.Error(), "-explain") {
+		t.Fatalf("-matrix -explain: err = %v, want an error naming -explain", err)
+	}
+}
+
+// TestRunExplainTraceOverlay: with -trace the incident overlay shares
+// the run's trace file.
+func TestRunExplainTraceOverlay(t *testing.T) {
+	var out strings.Builder
+	path := filepath.Join(t.TempDir(), "run.json")
+	if err := run([]string{"-arch", "ML1", "-duration", "8m", "-explain", "-trace", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Args struct {
+				Span uint64 `json:"span"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &trace); err != nil {
+		t.Fatalf("trace is not JSON: %v", err)
+	}
+	var incidents, runSpans int
+	for _, ev := range trace.TraceEvents {
+		if strings.HasPrefix(ev.Name, "incident.") {
+			incidents++
+		}
+		if strings.HasPrefix(ev.Name, "core.") && ev.Args.Span != 0 {
+			runSpans++ // the run's causal fault/violation/recovery spans
+		}
+	}
+	if incidents == 0 || runSpans == 0 {
+		t.Fatalf("trace holds %d incident and %d run spans, want both", incidents, runSpans)
+	}
+}
+
+// TestRunHardened: -hardened is the default tier's config with every
+// resilience knob on, and it changes the run.
+func TestRunHardened(t *testing.T) {
+	cfg := core.DefaultScenario()
+	cfg.Duration = 2 * time.Minute
+	sys := core.NewSystem(cfg.Hardened(), core.ML4)
+	sys.Run()
+	args := []string{"-arch", "ML4", "-duration", "2m"}
+	hard := journalHash(t, append(args, "-hardened")...)
+	if want := sys.JournalHash(); hard != want {
+		t.Fatalf("-hardened hash %s, want %s", hard, want)
+	}
+	if plain := journalHash(t, args...); plain == hard {
+		t.Fatalf("-hardened left the journal unchanged (%s)", plain)
 	}
 }
 

@@ -21,7 +21,8 @@
 //     machinery of the roadmap
 //   - internal/core: the ML1–ML4 archetypes and scenario runner
 //   - internal/experiments: one experiment per table/figure
-//   - cmd/riotsim, cmd/riotverify, cmd/riotbench: CLI tools
+//   - cmd/riotsim, cmd/riotverify, cmd/riotbench, cmd/riotnode,
+//     cmd/riotchaos: CLI tools
 //   - internal/*/example_test.go: runnable, output-checked examples
 //   - bench/: the gated benchmark (its own module, BENCHMARK.json), the
 //     only source of performance numbers and perf gates

@@ -52,9 +52,9 @@ type Config struct {
 	// the obs fast path makes an idle bus near-free.
 	Bus *obs.Bus
 	// KeepJournal retains each run's journal on the Verdict so callers
-	// (riotscope, verify -explain) can derive incident timelines without
-	// re-running. Off by default: searches judge thousands of candidates
-	// and only care about pass/fail.
+	// (replay and verify -explain) can derive incident timelines
+	// without re-running. Off by default: searches judge thousands of
+	// candidates and only care about pass/fail.
 	KeepJournal bool
 	// FlightDir, when non-empty, attaches a flight recorder to every run
 	// and dumps its ring there whenever the oracle flags a failure. The

@@ -176,21 +176,29 @@ func (ce *Counterexample) HardenedConfig() (Config, error) {
 // byte-for-byte (the regression contract — any behavioral drift in the
 // simulated stack surfaces here).
 func (ce *Counterexample) Replay() error {
+	_, err := ce.replay()
+	return err
+}
+
+// replay is Replay that also returns the run's journal (nil on a config
+// error), so ReplayAll callers can explain a run without repeating it.
+func (ce *Counterexample) replay() ([]core.RunEvent, error) {
 	cfg, err := ce.Config()
 	if err != nil {
-		return err
+		return nil, err
 	}
+	cfg.KeepJournal = true
 	v := NewOracle(cfg).Run(ce.Schedule)
 	for _, want := range ce.Failures {
 		if !v.HasKind(want) {
-			return fmt.Errorf("counterexample %s: failure %q did not reproduce (got: %s)", ce.Name, want, v)
+			return v.Journal, fmt.Errorf("counterexample %s: failure %q did not reproduce (got: %s)", ce.Name, want, v)
 		}
 	}
 	if v.JournalHash != ce.JournalHash {
-		return fmt.Errorf("counterexample %s: journal hash drifted: recorded %s, replay %s",
+		return v.Journal, fmt.Errorf("counterexample %s: journal hash drifted: recorded %s, replay %s",
 			ce.Name, ce.JournalHash, v.JournalHash)
 	}
-	return nil
+	return v.Journal, nil
 }
 
 // WriteFile writes the counterexample as <dir>/<Name>.json (creating
@@ -269,7 +277,7 @@ type VerifyResult struct {
 	// still-fails ("" when fixed).
 	Detail string
 	// Journal is the hardened run's event journal, for incident
-	// analysis (riotscope, verify -explain). Nil on config errors.
+	// analysis (verify -explain). Nil on config errors.
 	Journal []core.RunEvent
 	// Err is set on a config error or an expectation mismatch.
 	Err error
@@ -291,13 +299,8 @@ type VerifyOptions struct {
 // different execution by design; the recorded hash pins only the
 // default-knob replay. The hardened run's journal is always retained
 // on the result — twelve short runs make journal capture free, and it
-// is what verify -explain and riotscope analyze.
-func (ce *Counterexample) Verify() VerifyResult {
-	return ce.VerifyObserved(VerifyOptions{})
-}
-
-// VerifyObserved is Verify with observability options applied.
-func (ce *Counterexample) VerifyObserved(opts VerifyOptions) VerifyResult {
+// is what verify -explain analyzes. opts adds observability only.
+func (ce *Counterexample) Verify(opts VerifyOptions) VerifyResult {
 	res := VerifyResult{Name: ce.Name, Expect: ce.expectation(), RecordedR: ce.GoalPersistence}
 	cfg, err := ce.HardenedConfig()
 	if err != nil {
@@ -335,7 +338,7 @@ func VerifyAllObserved(ces []*Counterexample, workers int, opts VerifyOptions) (
 		jobs[i] = experiments.Job{
 			ID: ce.Name,
 			Run: func(int) error {
-				results[i] = ce.VerifyObserved(opts)
+				results[i] = ce.Verify(opts)
 				return nil // mismatches are reported per entry, not as pool aborts
 			},
 		}
@@ -354,7 +357,10 @@ func VerifyAllObserved(ces []*Counterexample, workers int, opts VerifyOptions) (
 // ReplayResult is one corpus entry's replay outcome.
 type ReplayResult struct {
 	Name string
-	Err  error
+	// Journal is the replayed run's event journal, for incident
+	// analysis (replay -explain). Nil on config errors.
+	Journal []core.RunEvent
+	Err     error
 }
 
 // ReplayAll replays every counterexample, fanning over a RunPool at the
@@ -369,7 +375,8 @@ func ReplayAll(ces []*Counterexample, workers int) ([]ReplayResult, error) {
 		jobs[i] = experiments.Job{
 			ID: ce.Name,
 			Run: func(int) error {
-				results[i] = ReplayResult{Name: ce.Name, Err: ce.Replay()}
+				journal, err := ce.replay()
+				results[i] = ReplayResult{Name: ce.Name, Journal: journal, Err: err}
 				return nil // verification failures are reported per entry, not as pool aborts
 			},
 		}

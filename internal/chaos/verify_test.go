@@ -132,7 +132,7 @@ func TestVerifyReportsExpectationMismatch(t *testing.T) {
 	}
 	ce := NewCounterexample(cfg, Shrink(o, s, v, 0))
 	ce.Expect = ExpectFixed // hardened ML1 cannot fix a dead gateway
-	res := ce.Verify()
+	res := ce.Verify(VerifyOptions{})
 	if res.Err == nil || res.Status != ExpectStillFails {
 		t.Fatalf("mismatch not reported: %+v", res)
 	}

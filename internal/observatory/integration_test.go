@@ -118,22 +118,33 @@ func TestFlightDumpRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriteTraceOverlay(t *testing.T) {
+func TestPublishOverlay(t *testing.T) {
 	j := []core.RunEvent{
-		{At: 10 * time.Second, Kind: core.EventFault, Detail: "crash gw-0"},
+		{At: 0, Kind: core.EventFault, Detail: "crash gw-0"},
 		{At: 14 * time.Second, Kind: core.EventViolation, Detail: "zone 0 data stale at controller"},
 		{At: 20 * time.Second, Kind: core.EventRecovery, Detail: "zone 0 data fresh at controller again"},
 		{At: 30 * time.Second, Kind: core.EventViolation, Detail: "zone 1 temperature out of band (27.0°)"},
 	}
 	a := Analyze(j, Options{Duration: time.Minute, Zones: 2})
+	// A bus whose clock reads the end of the run, as a finished run's does.
+	bus := obs.NewBus(func() time.Duration { return time.Minute })
+	tc := obs.Collect(bus)
+	PublishOverlay(a, bus)
+	tc.Close()
 	var sb strings.Builder
-	if err := WriteTraceOverlay(a, &sb); err != nil {
+	if err := tc.WriteChromeTrace(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
 	for _, want := range []string{`"incident.freshness"`, `"incident.temperature.unresolved"`, `"fault"`, `"zone-0"`} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("trace overlay missing %s:\n%s", want, out)
+		}
+	}
+	// The time-zero fault stays at the start, not at the clock's reading.
+	for _, ev := range tc.Events() {
+		if ev.Kind == "fault" && ev.At >= time.Second {
+			t.Fatalf("fault at 0 published at %v", ev.At)
 		}
 	}
 }

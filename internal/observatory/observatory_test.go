@@ -195,7 +195,7 @@ func TestSparkAndFormat(t *testing.T) {
 		ev(20*time.Second, core.EventRecovery, "zone 0 data fresh at controller again"),
 	)
 	a := Analyze(j, Options{Duration: time.Minute, Zones: 2})
-	out := FormatAnalysis(a, false)
+	out := FormatAnalysis(a)
 	for _, want := range []string{"incidents: 1 (1 recovered, 0 unresolved)", "MTTD", "MTTR", "zone 0", "R(t)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)

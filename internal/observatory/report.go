@@ -2,7 +2,6 @@ package observatory
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"time"
 
@@ -11,8 +10,8 @@ import (
 
 // FormatAnalysis renders the analysis as a human-readable incident
 // report: headline, R(t) timeline, then one block per incident in
-// detection order. showAllZones forwards to FormatTimeline.
-func FormatAnalysis(a Analysis, showAllZones bool) string {
+// detection order.
+func FormatAnalysis(a Analysis) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "run: %s, %d zone(s), %d fault event(s)\n",
 		a.Duration.Round(time.Millisecond), a.Zones, len(a.Faults))
@@ -33,7 +32,7 @@ func FormatAnalysis(a Analysis, showAllZones bool) string {
 			a.MTTR.P50.Round(time.Millisecond), a.MTTR.P99.Round(time.Millisecond),
 			a.MTTR.Max.Round(time.Millisecond), a.MTTR.Count)
 	}
-	if tl := FormatTimeline(a.Timeline, showAllZones); tl != "" {
+	if tl := FormatTimeline(a.Timeline); tl != "" {
 		b.WriteString(tl)
 	}
 	for i, inc := range a.Incidents {
@@ -45,21 +44,18 @@ func FormatAnalysis(a Analysis, showAllZones bool) string {
 	return b.String()
 }
 
-// WriteTraceOverlay exports the analysis as Chrome trace-event JSON:
-// each zone renders as one "thread" carrying its incidents as spans
-// (detection → recovery), with faults and reactions as instants on the
-// system thread. Load the file in chrome://tracing or ui.perfetto.dev —
-// optionally alongside a full -trace capture of the same run, which
-// shares the time axis (both are virtual time since run start).
-func WriteTraceOverlay(a Analysis, w io.Writer) error {
-	// Reuse the obs exporter: replay the analysis onto a private bus as
-	// spans/instants and let the collector render them.
-	bus := obs.NewBus(func() time.Duration { return 0 })
-	tc := obs.Collect(bus)
-	defer tc.Close()
-
+// PublishOverlay publishes the analysis onto bus as trace events: each
+// zone's incidents become spans (detection → recovery) on a "zone-N"
+// node, with faults as system instants and reactions as instants on
+// their zone. Published on the run's own bus while an obs.Collect
+// collector is attached, the overlay lands in the same Chrome trace as
+// the run's spans, on the same virtual time axis.
+func PublishOverlay(a Analysis, bus *obs.Bus) {
+	// Publish stamps a zero At with the bus clock, which after a run
+	// reads its end; a nanosecond keeps time-zero events at the start.
+	at := func(d time.Duration) time.Duration { return max(d, time.Nanosecond) }
 	for _, f := range a.Faults {
-		bus.Publish(obs.Event{At: f.At, Kind: "fault", Detail: f.Detail})
+		bus.Publish(obs.Event{At: at(f.At), Kind: "fault", Detail: f.Detail})
 	}
 	for _, inc := range a.Incidents {
 		node := fmt.Sprintf("zone-%d", inc.Zone)
@@ -72,10 +68,9 @@ func WriteTraceOverlay(a Analysis, w io.Writer) error {
 		if dur <= 0 {
 			dur = time.Millisecond
 		}
-		bus.Publish(obs.Event{At: inc.DetectedAt, Dur: dur, Kind: kind, Node: node, Detail: inc.Detect})
+		bus.Publish(obs.Event{At: at(inc.DetectedAt), Dur: dur, Kind: kind, Node: node, Detail: inc.Detect})
 		for _, re := range inc.Reactions {
-			bus.Publish(obs.Event{At: re.At, Kind: "reaction." + re.Kind, Node: node, Detail: re.Detail})
+			bus.Publish(obs.Event{At: at(re.At), Kind: "reaction." + re.Kind, Node: node, Detail: re.Detail})
 		}
 	}
-	return tc.WriteChromeTrace(w)
 }

@@ -182,8 +182,8 @@ func Spark(r []float64) string {
 // FormatTimeline renders the timeline as aligned rows: the whole-goal
 // row first, then any zone that saw at least one degraded window (fully
 // healthy zones are summarized, not listed — at city scale 200 quiet
-// rows would bury the signal). With showAll every zone is listed.
-func FormatTimeline(tl Timeline, showAll bool) string {
+// rows would bury the signal).
+func FormatTimeline(tl Timeline) string {
 	if tl.Windows == 0 || len(tl.Goal) == 0 {
 		return ""
 	}
@@ -193,7 +193,7 @@ func FormatTimeline(tl Timeline, showAll bool) string {
 	fmt.Fprintf(&b, "  %-8s %s  R=%.3f\n", "goal", Spark(tl.Goal), tl.GoalOverall)
 	quiet := 0
 	for _, zt := range tl.PerZone {
-		if !showAll && zt.Overall >= 1 {
+		if zt.Overall >= 1 {
 			quiet++
 			continue
 		}
