@@ -89,8 +89,10 @@ serve-demo:
 
 # Serial vs parallel campaign must print byte-identical journal
 # hashes, and the zone-sharded scheduler must print byte-identical
-# city-tier hashes at 1, 2 and 4 shards (the shard-invariance gate;
-# CI runs the same legs in the metropolis-determinism job).
+# city-tier hashes and report tables at 1, 2 and 4 shards (the
+# shard-invariance gate; a report scored from the journal is as
+# shard-invariant as its hash; CI runs the same legs in the
+# metropolis-determinism job).
 determinism:
 	$(GO) run ./cmd/riotbench -quick -only table12 -seeds 4 -hashes > /tmp/serial.txt
 	$(GO) run -race ./cmd/riotbench -quick -only table12 -seeds 4 -parallel 4 -hashes > /tmp/parallel.txt
@@ -101,6 +103,11 @@ determinism:
 	$(GO) run -race ./cmd/riotsim -tier city-smoke -matrix -shards 4 -hash > /tmp/shards4.txt
 	diff -u /tmp/shards1.txt /tmp/shards2.txt
 	diff -u /tmp/shards1.txt /tmp/shards4.txt
+	$(GO) run ./cmd/riotsim -tier city-smoke -matrix -shards 1 > /tmp/report1.txt
+	$(GO) run ./cmd/riotsim -tier city-smoke -matrix -shards 2 > /tmp/report2.txt
+	$(GO) run -race ./cmd/riotsim -tier city-smoke -matrix -shards 4 > /tmp/report4.txt
+	diff -u /tmp/report1.txt /tmp/report2.txt
+	diff -u /tmp/report1.txt /tmp/report4.txt
 	$(GO) test -race -run 'TestShard' ./internal/simnet/ ./internal/core/
 	$(GO) test -race -count=1 -run 'TestRanking|TestDeferredOrderEqualsEager|TestReporter|TestOrderRunsOnlyOnFailover' ./internal/space/ ./internal/core/
 	$(GO) test -count=1 -run TestMetroConstructionStaysLinear ./internal/core/

@@ -19,13 +19,13 @@ func BenchmarkTable1MaturityMatrix(b *testing.B) {
 	var reports []core.Report
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reports = experiments.Table12(cfg)
+		reports = core.RunMatrix(cfg)
 	}
 	b.StopTimer()
 	for _, r := range reports {
 		b.ReportMetric(r.GoalPersistence, "R_"+r.Archetype.String())
 	}
-	b.Logf("\n%s", experiments.FormatTable12(reports))
+	b.Logf("\n%s", core.FormatReports(reports))
 }
 
 // BenchmarkCityScaleMatrix runs the maturity matrix at the Figure-1
@@ -41,13 +41,13 @@ func BenchmarkCityScaleMatrix(b *testing.B) {
 	var reports []core.Report
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reports = experiments.Table12(cfg)
+		reports = core.RunMatrix(cfg)
 	}
 	b.StopTimer()
 	for _, r := range reports {
 		b.ReportMetric(r.GoalPersistence, "R_"+r.Archetype.String())
 	}
-	b.Logf("\n%s", experiments.FormatTable12(reports))
+	b.Logf("\n%s", core.FormatReports(reports))
 }
 
 // BenchmarkMetroConstruction prices core.NewSystem alone at the
@@ -205,7 +205,7 @@ func BenchmarkAblationBoltOnVsNative(b *testing.B) {
 	b.ReportMetric(reports[0].GoalPersistence, "R_ML2_plain")
 	b.ReportMetric(reports[1].GoalPersistence, "R_ML2_bolton")
 	b.ReportMetric(reports[2].GoalPersistence, "R_ML4_native")
-	b.Logf("\nplain / bolt-on / native:\n%s", experiments.FormatTable12(reports))
+	b.Logf("\nplain / bolt-on / native:\n%s", core.FormatReports(reports))
 }
 
 // BenchmarkExtensionMobility regenerates extension X1: a mobile device

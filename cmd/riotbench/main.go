@@ -129,7 +129,7 @@ func run(args []string, out io.Writer) error {
 			if err != nil {
 				return err
 			}
-			fmt.Fprint(w, experiments.FormatTable12(runs[0].Reports))
+			fmt.Fprint(w, core.FormatReports(runs[0].Reports))
 			if len(seeds) > 1 {
 				stats := experiments.StatsFromRuns(runs)
 				fmt.Fprintf(w, "\naggregate over %d seeds:\n", len(seeds))
@@ -168,7 +168,7 @@ func run(args []string, out io.Writer) error {
 			return nil
 		}},
 		{"a1", "Ablation A1 — bolt-on resilience (hardened ML2) vs native ML4", func(w io.Writer) error {
-			fmt.Fprint(w, experiments.FormatTable12(experiments.AblationA1(cfg)))
+			fmt.Fprint(w, core.FormatReports(experiments.AblationA1(cfg)))
 			fmt.Fprintln(w, "(rows: ML2 plain, ML2 with bolt-on mechanisms, ML4 native)")
 			return nil
 		}},
@@ -192,7 +192,7 @@ func run(args []string, out io.Writer) error {
 			}
 			ccfg.Seed = *seed
 			// Run the matrix archetype by archetype (same order and
-			// reports as experiments.Table12) so the ML4 journal can be
+			// reports as core.RunMatrix) so the ML4 journal can be
 			// analyzed for city-scale detection/recovery latencies.
 			var reports []core.Report
 			var ml4 observatory.Analysis
@@ -205,7 +205,7 @@ func run(args []string, out io.Writer) error {
 					})
 				}
 			}
-			fmt.Fprint(w, experiments.FormatTable12(reports))
+			fmt.Fprint(w, core.FormatReports(reports))
 			if ml4.MTTD.Count > 0 {
 				fmt.Fprintf(w, "ML4 incidents: %d (%d unresolved)  MTTD p50=%s p99=%s  MTTR p50=%s p99=%s\n",
 					len(ml4.Incidents), ml4.Unresolved,

@@ -74,7 +74,7 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: riotchaos <search|shrink|replay> [flags]")
+		return fmt.Errorf("usage: riotchaos <search|shrink|replay|verify|refresh|realnet> [flags]")
 	}
 	switch args[0] {
 	case "search":

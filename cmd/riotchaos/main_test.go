@@ -92,8 +92,9 @@ func TestShrinkRejectsPassingSchedule(t *testing.T) {
 
 func TestCLIErrors(t *testing.T) {
 	var out strings.Builder
-	if err := run(nil, &out); err == nil {
-		t.Fatal("no subcommand accepted")
+	// The usage line lists every subcommand.
+	if err := run(nil, &out); err == nil || err.Error() != "usage: riotchaos <search|shrink|replay|verify|refresh|realnet> [flags]" {
+		t.Fatalf("no subcommand: err = %v, want the usage line naming all six subcommands", err)
 	}
 	if err := run([]string{"explode"}, &out); err == nil {
 		t.Fatal("unknown subcommand accepted")

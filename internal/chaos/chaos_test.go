@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -253,6 +254,25 @@ func TestReplayDetectsHashDrift(t *testing.T) {
 	err := ce.Replay()
 	if err == nil || !strings.Contains(err.Error(), "journal hash drifted") {
 		t.Fatalf("tampered hash not detected: %v", err)
+	}
+}
+
+func TestReplayDetectsPersistenceDrift(t *testing.T) {
+	cfg := testConfig(core.ML1)
+	o := NewOracle(cfg)
+	s := &fault.Schedule{}
+	s.Crash(time.Minute, core.TopologyOf(cfg.Scenario).Gateways[0], 0)
+	v := o.Run(s)
+	ce := NewCounterexample(cfg, Shrink(o, s, v, 0))
+	if err := ce.Replay(); err != nil {
+		t.Fatalf("untouched entry: %v", err)
+	}
+	recorded, perturbed := ce.GoalPersistence, ce.GoalPersistence+1e-9
+	ce.GoalPersistence = perturbed
+	err := ce.Replay()
+	if err == nil || !strings.Contains(err.Error(), "goal persistence drifted") ||
+		!strings.Contains(err.Error(), fmt.Sprint(perturbed)) || !strings.Contains(err.Error(), fmt.Sprint(recorded)) {
+		t.Fatalf("perturbed R not detected, or the error does not name both values: %v", err)
 	}
 }
 

@@ -172,9 +172,10 @@ func (ce *Counterexample) HardenedConfig() (Config, error) {
 }
 
 // Replay re-runs the counterexample and verifies it reproduces: every
-// recorded failure kind must recur and the journal hash must match
-// byte-for-byte (the regression contract — any behavioral drift in the
-// simulated stack surfaces here).
+// recorded failure kind must recur, the journal hash must match
+// byte-for-byte and the goal persistence must equal the recorded one
+// exactly (the regression contract — any behavioral drift in the
+// simulated stack, or in how a run is scored, surfaces here).
 func (ce *Counterexample) Replay() error {
 	_, err := ce.replay()
 	return err
@@ -197,6 +198,10 @@ func (ce *Counterexample) replay() ([]core.RunEvent, error) {
 	if v.JournalHash != ce.JournalHash {
 		return v.Journal, fmt.Errorf("counterexample %s: journal hash drifted: recorded %s, replay %s",
 			ce.Name, ce.JournalHash, v.JournalHash)
+	}
+	if r := v.Report.GoalPersistence; r != ce.GoalPersistence {
+		return v.Journal, fmt.Errorf("counterexample %s: goal persistence drifted: recorded %v, replay %v",
+			ce.Name, ce.GoalPersistence, r)
 	}
 	return v.Journal, nil
 }

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -145,6 +146,62 @@ func TestCorpusVerifyExplains(t *testing.T) {
 		if da.Unresolved != dv.Report.UnresolvedViolations {
 			t.Errorf("%s: analysis unresolved=%d, report=%d",
 				res.Name, da.Unresolved, dv.Report.UnresolvedViolations)
+		}
+	}
+}
+
+// TestReportAgreesWithAnalysis: a run's Report and the observatory's
+// explanation of its journal score the same outages, so R and the
+// unresolved count agree exactly — on the paper matrix at seeds 1–3,
+// the city-smoke matrix and every corpus entry, at default and hardened
+// knobs.
+func TestReportAgreesWithAnalysis(t *testing.T) {
+	type run struct {
+		name string
+		cfg  core.ScenarioConfig
+		arch core.Archetype
+	}
+	var runs []run
+	matrix := func(name string, cfg core.ScenarioConfig) {
+		for _, a := range core.AllArchetypes() {
+			runs = append(runs, run{name + "/" + a.String(), cfg, a})
+		}
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		cfg := core.DefaultScenario()
+		cfg.Seed = seed
+		matrix(fmt.Sprintf("paper/seed-%d", seed), cfg)
+	}
+	matrix("city-smoke", core.CityScenarioSmoke())
+	matrix("city-smoke-hardened", core.CityScenarioSmoke().Hardened())
+	ces, err := LoadCorpus(filepath.Join("..", "..", "corpus", "chaos"))
+	if err != nil || len(ces) == 0 {
+		t.Fatalf("corpus: %d entries, err %v", len(ces), err)
+	}
+	for _, ce := range ces {
+		for _, profile := range []string{"default", "hardened"} {
+			cfg, err := ce.Config()
+			if profile == "hardened" {
+				cfg, err = ce.HardenedConfig()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := cfg.Scenario
+			sc.Preset, sc.Faults = core.FaultsNone, ce.Schedule
+			runs = append(runs, run{ce.Name + "/" + profile, sc, cfg.Archetype})
+		}
+	}
+
+	for _, r := range runs {
+		sys := core.NewSystem(r.cfg, r.arch)
+		report := sys.Run()
+		a := observatory.Analyze(sys.Journal(), observatory.Options{Duration: r.cfg.Duration, Zones: r.cfg.Zones})
+		if a.Timeline.GoalOverall != report.GoalPersistence {
+			t.Errorf("%s: analysis R=%v, report R=%v", r.name, a.Timeline.GoalOverall, report.GoalPersistence)
+		}
+		if a.Unresolved != report.UnresolvedViolations {
+			t.Errorf("%s: analysis unresolved=%d, report=%d", r.name, a.Unresolved, report.UnresolvedViolations)
 		}
 	}
 }

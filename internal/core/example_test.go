@@ -22,6 +22,6 @@ func ExampleNewSystem() {
 	}
 
 	// Output:
-	// ML4-resilient R(goal) 0.953  MTTR 13s  data availability 0.894  privacy violations 0
-	// ML1-silo      R(goal) 0.735  MTTR 6s   data availability 0.374  privacy violations 0
+	// ML4-resilient R(goal) 0.955  MTTR 13s  data availability 0.894  privacy violations 0
+	// ML1-silo      R(goal) 0.748  MTTR 6s   data availability 0.374  privacy violations 0
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/metrics"
 	"repro/internal/simnet"
 	"repro/internal/space"
 )
@@ -135,32 +134,23 @@ func TestOnFaultModelEvents(t *testing.T) {
 
 func TestAttributeOutages(t *testing.T) {
 	// One outage ending right after an external recovery → manual;
-	// one ending with no recovery nearby → auto.
-	tr := newTraceWithOutages(t)
-	recoveries := []time.Duration{95 * time.Second} // outage1 ends at 100s
-	manual, auto := attributeOutages(tr, recoveries)
+	// one ending with no recovery nearby → auto; an unresolved one is
+	// neither.
+	outages := Outages([]RunEvent{
+		{At: 50 * time.Second, Kind: EventViolation, Detail: "zone 0 temperature out of band (27.0°)"},
+		{At: 100 * time.Second, Kind: EventRecovery, Detail: "zone 0 temperature back in band (25.9°)"},
+		{At: 200 * time.Second, Kind: EventViolation, Detail: "zone 0 temperature out of band (27.0°)"},
+		{At: 300 * time.Second, Kind: EventRecovery, Detail: "zone 0 temperature back in band (25.9°)"},
+		{At: 400 * time.Second, Kind: EventViolation, Detail: "zone 0 temperature out of band (27.0°)"},
+	}, 500*time.Second)
+	recoveries := []time.Duration{95 * time.Second} // outage 1 ends at 100s
+	manual, auto := attributeOutages(outages, recoveries)
 	if manual != 1 || auto != 1 {
 		t.Fatalf("manual=%d auto=%d, want 1/1", manual, auto)
 	}
 	// No recoveries at all → everything auto.
-	m2, a2 := attributeOutages(tr, nil)
+	m2, a2 := attributeOutages(outages, nil)
 	if m2 != 0 || a2 != 2 {
 		t.Fatalf("manual=%d auto=%d, want 0/2", m2, a2)
 	}
-}
-
-func newTraceWithOutages(t *testing.T) *metrics.SatisfactionTrace {
-	t.Helper()
-	tr := &metrics.SatisfactionTrace{}
-	points := []struct {
-		sec int
-		ok  bool
-	}{
-		{0, true}, {50, false}, {100, true}, // outage 1: 50→100
-		{200, false}, {300, true}, // outage 2: 200→300 (no repair nearby)
-	}
-	for _, p := range points {
-		tr.Record(time.Duration(p.sec)*time.Second, p.ok)
-	}
-	return tr
 }

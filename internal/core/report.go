@@ -14,11 +14,15 @@ type Report struct {
 
 	// GoalPersistence is the headline resilience number: the paper's
 	// "persistence of reliable requirements satisfaction when facing
-	// change", as the time-weighted fraction of the run during which
-	// the whole goal tree was satisfied.
+	// change", as the fraction of the run [0, Duration] during which no
+	// requirement was violated: every zone's temperature and freshness
+	// requirements held at once.
+	// Like every outcome field below it is scored from the journal's
+	// violation and recovery records (Outages); a run whose horizon
+	// ends inside the warmup window sampled nothing and scores 0.
 	GoalPersistence float64
 	// TempPersistence is the mean per-zone temperature-band
-	// satisfaction (ground truth).
+	// satisfaction (ground truth) over the same window.
 	TempPersistence float64
 
 	// Pervasiveness: fraction of time a zone's sensors had at least
@@ -34,10 +38,14 @@ type Report struct {
 	// DesignChecksPassed reports whether all executed design-time
 	// checks verified.
 	DesignChecksPassed bool
-	// MTTR is the mean time to recover ground-truth requirement
-	// satisfaction after a violation; ManualInterventions counts
-	// outages resolved only by external repair, AutoRecoveries those
-	// the architecture resolved itself (operations automation).
+	// MTTR is the mean time to bring a zone's temperature back into
+	// its band: each zone's mean over its recovered temperature outages,
+	// averaged over the zones that had one. Freshness outages do not
+	// count. It is not the observatory's incident MTTR (Analysis.MTTR),
+	// which covers both requirements and reports percentiles.
+	// ManualInterventions counts temperature outages resolved only by
+	// external repair, AutoRecoveries those the architecture resolved
+	// itself (operations automation).
 	MTTR                time.Duration
 	ManualInterventions int
 	AutoRecoveries      int

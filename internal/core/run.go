@@ -5,16 +5,8 @@ import (
 
 	"repro/internal/env"
 	"repro/internal/fault"
-	"repro/internal/metrics"
-	"repro/internal/model"
 	"repro/internal/simnet"
 )
-
-// coolDownWindow is the physical settling time after a repair: an
-// outage that ends within this window after an external recovery event
-// is attributed to the repair (a manual intervention), not to the
-// architecture's own adaptation.
-const coolDownWindow = 90 * time.Second
 
 // Run executes the scenario to its horizon and returns the measured
 // report. Run may be called once per System.
@@ -182,38 +174,34 @@ func (sys *System) freshAt(view dataView, key string) (time.Duration, bool) {
 	return age, age <= sys.freshWin
 }
 
+// monitor journals zone z's requirement req when its satisfaction
+// flips: a violation record under a new span when it stops holding, a
+// recovery record closing that span when it holds again. span is the
+// zone's open-violation span for req, 0 while the requirement holds.
+func (sys *System) monitor(span *uint64, z int, req string, ok bool, temp float64) {
+	if ok == (*span == 0) {
+		return
+	}
+	kind, id := EventRecovery, *span
+	*span = 0
+	if !ok {
+		kind, id = EventViolation, sys.bus.NewSpanID()
+		*span = id
+	}
+	sys.recordSpan(kind, id, sys.lastFaultSpan, "%s", requirementDetail(z, req, ok, temp))
+}
+
 // measure samples every metric once.
 func (sys *System) measure() {
-	now := sys.world.Now()
-	if sys.prevTempOK == nil {
-		sys.prevTempOK = make([]bool, sys.cfg.Zones)
-		sys.prevFresh = make([]bool, sys.cfg.Zones)
+	if sys.tempViolSpan == nil {
 		sys.tempViolSpan = make([]uint64, sys.cfg.Zones)
 		sys.freshViolSpan = make([]uint64, sys.cfg.Zones)
-		for z := range sys.prevTempOK {
-			sys.prevTempOK[z] = true
-			sys.prevFresh[z] = true
-		}
 	}
-	sat := make(map[model.RequirementID]bool, 2*sys.cfg.Zones)
 	for z := 0; z < sys.cfg.Zones; z++ {
 		// Ground-truth temperature requirement.
 		temp, _ := sys.envm.Value(zoneID(z), env.Temperature)
 		tempOK := temp >= sys.cfg.TempLow && temp <= sys.cfg.TempHigh
-		sys.tempTrace[z].Record(now, tempOK)
-		sat[sys.reqTemp[z]] = tempOK
-		if tempOK != sys.prevTempOK[z] {
-			if tempOK {
-				sys.recordSpan(EventRecovery, sys.tempViolSpan[z], sys.lastFaultSpan,
-					"zone %d temperature back in band (%.1f°)", z, temp)
-				sys.tempViolSpan[z] = 0
-			} else {
-				sys.tempViolSpan[z] = sys.bus.NewSpanID()
-				sys.recordSpan(EventViolation, sys.tempViolSpan[z], sys.lastFaultSpan,
-					"zone %d temperature out of band (%.1f°)", z, temp)
-			}
-			sys.prevTempOK[z] = tempOK
-		}
+		sys.monitor(&sys.tempViolSpan[z], z, ReqTemperature, tempOK, temp)
 
 		// Freshness at the active controller.
 		ctrl, up := sys.controllerStack(z)
@@ -223,20 +211,7 @@ func (sys *System) measure() {
 			ctrlView = ctrl.view
 			_, freshOK = sys.freshAt(ctrl.view, zoneTempKey(z))
 		}
-		sys.freshTrace[z].Record(now, freshOK)
-		sat[sys.reqFresh[z]] = freshOK
-		if freshOK != sys.prevFresh[z] {
-			if freshOK {
-				sys.recordSpan(EventRecovery, sys.freshViolSpan[z], sys.lastFaultSpan,
-					"zone %d data fresh at controller again", z)
-				sys.freshViolSpan[z] = 0
-			} else {
-				sys.freshViolSpan[z] = sys.bus.NewSpanID()
-				sys.recordSpan(EventViolation, sys.freshViolSpan[z], sys.lastFaultSpan,
-					"zone %d data stale at controller", z)
-			}
-			sys.prevFresh[z] = freshOK
-		}
+		sys.monitor(&sys.freshViolSpan[z], z, ReqFreshness, freshOK, 0)
 
 		// Pervasiveness: is any admissible collector alive and
 		// reachable from the zone's first sensor?
@@ -279,16 +254,15 @@ func (sys *System) measure() {
 			sys.dataAvail.RecordOutcome(fresh)
 		}
 	}
-	sys.goalTrace.Record(now, sys.goal.Satisfied(sat))
 }
 
-// report assembles the final Report, including the manual-intervention
-// attribution against the fault log.
+// report assembles the final Report. Its outcome numbers — R, MTTR,
+// recoveries and unresolved violations — come from the journal alone
+// (see Report.score).
 func (sys *System) report() Report {
 	end := sys.cfg.Duration
 	r := Report{
 		Archetype:          sys.arch,
-		GoalPersistence:    sys.goalTrace.TimeWeightedPersistence(end),
 		Pervasiveness:      sys.servable.Value(),
 		InvocationSuccess:  sys.invocations.Value(),
 		DataAvailability:   sys.dataAvail.Value(),
@@ -312,37 +286,11 @@ func (sys *System) report() Report {
 		r.ValidationCoverage = 1
 	}
 
-	// Requirements still violated at the final sample never recovered
-	// within the run (prev slices are nil only if measurement never
-	// started, i.e. the horizon ended inside the warmup window).
-	if sys.prevTempOK != nil {
-		for z := 0; z < sys.cfg.Zones; z++ {
-			if !sys.prevTempOK[z] {
-				r.UnresolvedViolations++
-			}
-			if !sys.prevFresh[z] {
-				r.UnresolvedViolations++
-			}
-		}
-	}
-
-	var persistSum float64
-	var mttrSum time.Duration
-	mttrCount := 0
-	recoveries := sys.recoveryTimes()
-	for z := 0; z < sys.cfg.Zones; z++ {
-		persistSum += sys.tempTrace[z].TimeWeightedPersistence(end)
-		if m := sys.tempTrace[z].MTTR(); m > 0 {
-			mttrSum += m
-			mttrCount++
-		}
-		manual, auto := attributeOutages(sys.tempTrace[z], recoveries)
-		r.ManualInterventions += manual
-		r.AutoRecoveries += auto
-	}
-	r.TempPersistence = persistSum / float64(sys.cfg.Zones)
-	if mttrCount > 0 {
-		r.MTTR = mttrSum / time.Duration(mttrCount)
+	r.score(Outages(sys.journal, end), sys.cfg.Zones, end, sys.recoveryTimes())
+	if sys.tempViolSpan == nil {
+		// The horizon ended inside the warmup window: nothing was
+		// sampled, so nothing persisted.
+		r.GoalPersistence, r.TempPersistence = 0, 0
 	}
 	return r
 }
@@ -357,25 +305,4 @@ func (sys *System) recoveryTimes() []time.Duration {
 		}
 	}
 	return out
-}
-
-// attributeOutages classifies each completed outage of a trace as
-// manually resolved (its end follows an external repair within the
-// settling window) or automatically resolved by the architecture.
-func attributeOutages(tr *metrics.SatisfactionTrace, recoveries []time.Duration) (manual, auto int) {
-	for _, end := range tr.OutageEnds() {
-		isManual := false
-		for _, rec := range recoveries {
-			if end >= rec && end-rec <= coolDownWindow {
-				isManual = true
-				break
-			}
-		}
-		if isManual {
-			manual++
-		} else {
-			auto++
-		}
-	}
-	return manual, auto
 }

@@ -140,10 +140,9 @@ type System struct {
 	warmup   time.Duration
 	endOfRun time.Duration
 
-	// Measurement state.
-	tempTrace   []*metrics.SatisfactionTrace
-	freshTrace  []*metrics.SatisfactionTrace
-	goalTrace   *metrics.SatisfactionTrace
+	// Measurement state. Requirement satisfaction is not kept here: the
+	// journal's violation and recovery records are its only account
+	// (see Outages).
 	servable    metrics.Ratio
 	invocations metrics.Ratio
 	dataAvail   metrics.Ratio
@@ -169,14 +168,15 @@ type System struct {
 	// keyed by logical event sequence; mergeJournal flattens them into
 	// journal after the run. Nil at Shards = 0.
 	laneJournals [][]laneEvent
-	prevTempOK   []bool
-	prevFresh    []bool
 
 	// Observability: every subsystem publishes onto one bus reading
 	// virtual time. Causal chaining state links each violation and
 	// recovery back to the most recent injected fault.
 	bus           *obs.Bus
 	lastFaultSpan uint64
+	// tempViolSpan[z] and freshViolSpan[z] are the spans of zone z's
+	// open temperature and freshness violations, 0 while the requirement
+	// holds. Both are nil until the first post-warmup sample.
 	tempViolSpan  []uint64
 	freshViolSpan []uint64
 }
@@ -499,13 +499,8 @@ func (sys *System) buildRequirements() {
 	cfg := sys.cfg
 	var reqs []*model.Requirement
 	var leaves []*model.Goal
-	sys.tempTrace = make([]*metrics.SatisfactionTrace, cfg.Zones)
-	sys.freshTrace = make([]*metrics.SatisfactionTrace, cfg.Zones)
-	sys.goalTrace = &metrics.SatisfactionTrace{}
 	sys.lastControlOK = make([]atomic.Int64, cfg.Zones)
 	for z := 0; z < cfg.Zones; z++ {
-		sys.tempTrace[z] = &metrics.SatisfactionTrace{}
-		sys.freshTrace[z] = &metrics.SatisfactionTrace{}
 		sys.lastControlOK[z].Store(int64(-time.Hour))
 		tempID := model.RequirementID(fmt.Sprintf("R-temp-%d", z))
 		freshID := model.RequirementID(fmt.Sprintf("R-fresh-%d", z))

@@ -26,11 +26,11 @@ func TestFormatTable(t *testing.T) {
 }
 
 func TestTable12Shape(t *testing.T) {
-	reports := Table12(quickCfg())
+	reports := core.RunMatrix(quickCfg())
 	if len(reports) != 4 {
 		t.Fatalf("reports = %d", len(reports))
 	}
-	out := FormatTable12(reports)
+	out := core.FormatReports(reports)
 	if !strings.Contains(out, "ML4-resilient") {
 		t.Fatalf("missing ML4 row:\n%s", out)
 	}

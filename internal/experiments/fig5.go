@@ -207,8 +207,10 @@ func runFig5(seed int64, shocksPerMinute float64, atEdge bool) (persistence floa
 	}
 	outage(20 * time.Second)
 
-	// Physics + ground truth sampling.
-	trace := &metrics.SatisfactionTrace{}
+	// Physics + ground truth sampling: each sample that leaves the band
+	// opens an outage, the next one back in band closes it.
+	var outages []metrics.Interval
+	inBand := true
 	var step func()
 	step = func() {
 		world.Step(fig5Step)
@@ -216,7 +218,14 @@ func runFig5(seed int64, shocksPerMinute float64, atEdge bool) (persistence floa
 			actuator.Apply(world, fig5Step)
 		}
 		v, _ := world.Value(zone, env.Temperature)
-		trace.Record(sim.Now(), v >= fig5TempLow && v <= fig5TempHigh)
+		if ok := v >= fig5TempLow && v <= fig5TempHigh; ok != inBand {
+			inBand = ok
+			if ok {
+				outages[len(outages)-1].To = sim.Now()
+			} else {
+				outages = append(outages, metrics.Interval{From: sim.Now(), To: fig5Horizon})
+			}
+		}
 		if sim.Now()+fig5Step <= fig5Horizon {
 			sim.After(fig5Step, step)
 		}
@@ -224,8 +233,11 @@ func runFig5(seed int64, shocksPerMinute float64, atEdge bool) (persistence floa
 	sim.After(fig5Step, step)
 
 	sim.RunUntil(fig5Horizon)
-	st := loop.Stats()
-	return trace.TimeWeightedPersistence(fig5Horizon), trace.MTTR(), st.ActionsExecuted
+	recovered := outages
+	if !inBand {
+		recovered = outages[:len(outages)-1]
+	}
+	return metrics.Persistence(outages, 0, fig5Horizon), metrics.MeanDuration(recovered), loop.Stats().ActionsExecuted
 }
 
 // fig5Table is the host's latest-reading cache.

@@ -7,18 +7,6 @@ import (
 	"repro/internal/core"
 )
 
-// Table12 runs the maturity matrix — the measured reproduction of the
-// paper's Tables 1 and 2: every archetype against the same workload
-// and standard disruption schedule.
-func Table12(cfg core.ScenarioConfig) []core.Report {
-	return core.RunMatrix(cfg)
-}
-
-// FormatTable12 renders the matrix.
-func FormatTable12(reports []core.Report) string {
-	return core.FormatReports(reports)
-}
-
 // ArchetypeStats aggregates the headline resilience metric across
 // several seeds for one archetype.
 type ArchetypeStats struct {

@@ -1,109 +1,65 @@
 // Package metrics quantifies resilience. The paper's working
 // definition — "the persistence of reliable requirements satisfaction
-// when facing change" — becomes a measurable quantity here: a
-// SatisfactionTrace samples whether requirements hold over time and
-// reports persistence (time-weighted satisfied fraction), outage ends
-// and MTTR; a LatencyRecorder summarizes distributions
-// (mean, percentiles) for timeliness properties; counters track
-// delivery availability. Every experiment in the repository reports its
-// results through these types.
+// when facing change" — becomes a measurable quantity here: Persistence
+// is the satisfied fraction of a time window given the intervals during
+// which a requirement was violated; a LatencyRecorder summarizes
+// distributions (mean, percentiles) for timeliness properties; counters
+// track delivery availability. Every experiment in the repository
+// reports its results through these types.
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
 
-// sample is one satisfaction observation.
-type sample struct {
-	at time.Duration
-	ok bool
+// Interval is the stretch of time [From, To). One with To <= From is
+// empty.
+type Interval struct {
+	From, To time.Duration
 }
 
-// SatisfactionTrace records requirement satisfaction over time. Record
-// observations in nondecreasing time order.
-type SatisfactionTrace struct {
-	samples []sample
+// Persistence returns the fraction of the window [lo, hi) covered by
+// none of the violated intervals. Overlapping intervals count once, and
+// the parts of an interval outside the window do not count. An empty
+// window has nothing to violate and returns 1.
+func Persistence(violated []Interval, lo, hi time.Duration) float64 {
+	if hi <= lo {
+		return 1
+	}
+	var in []Interval
+	for _, iv := range violated {
+		if iv := (Interval{max(iv.From, lo), min(iv.To, hi)}); iv.To > iv.From {
+			in = append(in, iv)
+		}
+	}
+	slices.SortFunc(in, func(a, b Interval) int { return cmp.Compare(a.From, b.From) })
+	var down time.Duration
+	covered := lo // everything before covered is already counted
+	for _, iv := range in {
+		if iv.To > covered {
+			down += iv.To - max(iv.From, covered)
+			covered = iv.To
+		}
+	}
+	return 1 - float64(down)/float64(hi-lo)
 }
 
-// Record appends one observation.
-func (tr *SatisfactionTrace) Record(at time.Duration, ok bool) {
-	tr.samples = append(tr.samples, sample{at: at, ok: ok})
-}
-
-// TimeWeightedPersistence returns the fraction of the interval [first
-// sample, end] during which the requirement was satisfied, holding each
-// observation's value until the next observation.
-func (tr *SatisfactionTrace) TimeWeightedPersistence(end time.Duration) float64 {
-	if len(tr.samples) == 0 {
+// MeanDuration returns the mean length of the intervals (0 when there
+// are none): the mean time to recover when they are recovered outages.
+func MeanDuration(ivs []Interval) time.Duration {
+	if len(ivs) == 0 {
 		return 0
 	}
-	start := tr.samples[0].at
-	if end <= start {
-		return 0
-	}
-	var satisfied time.Duration
-	for i, s := range tr.samples {
-		next := end
-		if i+1 < len(tr.samples) {
-			next = tr.samples[i+1].at
-		}
-		if next > end {
-			next = end
-		}
-		if s.ok && next > s.at {
-			satisfied += next - s.at
-		}
-	}
-	return float64(satisfied) / float64(end-start)
-}
-
-// MTTR returns the mean duration of completed outages (unsatisfied
-// periods that ended with a satisfied observation). A trace that starts
-// unsatisfied starts in an outage.
-func (tr *SatisfactionTrace) MTTR() time.Duration {
 	var total time.Duration
-	count := 0
-	var outageStart time.Duration
-	inOutage := false
-	prev := true
-	for _, s := range tr.samples {
-		switch {
-		case prev && !s.ok:
-			inOutage = true
-			outageStart = s.at
-		case inOutage && s.ok:
-			total += s.at - outageStart
-			count++
-			inOutage = false
-		}
-		prev = s.ok
+	for _, iv := range ivs {
+		total += iv.To - iv.From
 	}
-	if count == 0 {
-		return 0
-	}
-	return total / time.Duration(count)
-}
-
-// OutageEnds returns the times at which completed outages ended (the
-// first satisfied observation after each unsatisfied stretch).
-func (tr *SatisfactionTrace) OutageEnds() []time.Duration {
-	var out []time.Duration
-	inOutage := false
-	prev := true
-	for _, s := range tr.samples {
-		switch {
-		case prev && !s.ok:
-			inOutage = true
-		case inOutage && s.ok:
-			out = append(out, s.at)
-			inOutage = false
-		}
-		prev = s.ok
-	}
-	return out
+	return total / time.Duration(len(ivs))
 }
 
 // LatencyRecorder accumulates a latency distribution.

@@ -8,104 +8,96 @@ import (
 
 func sec(n int) time.Duration { return time.Duration(n) * time.Second }
 
-// trace with outage from 10s to 30s over [0,60].
-func outageTrace() *SatisfactionTrace {
-	tr := &SatisfactionTrace{}
-	for t := 0; t <= 60; t += 10 {
-		ok := !(t >= 10 && t < 30)
-		tr.Record(sec(t), ok)
-	}
-	return tr
-}
+func iv(from, to int) Interval { return Interval{From: sec(from), To: sec(to)} }
 
 func TestPersistenceEmpty(t *testing.T) {
-	tr := &SatisfactionTrace{}
-	if tr.TimeWeightedPersistence(sec(10)) != 0 || tr.MTTR() != 0 || len(tr.OutageEnds()) != 0 {
-		t.Fatal("empty trace should report 0")
+	if got := Persistence(nil, 0, sec(10)); got != 1 {
+		t.Fatalf("no violations: R = %v, want 1", got)
+	}
+	if got := Persistence([]Interval{iv(12, 20), iv(5, 5)}, 0, sec(10)); got != 1 {
+		t.Fatalf("violations outside the window or empty: R = %v, want 1", got)
 	}
 }
 
 func TestTimeWeightedPersistence(t *testing.T) {
-	tr := outageTrace()
-	// Unsatisfied during [10,30) = 20s of 60s → R = 40/60.
-	want := 40.0 / 60.0
-	if got := tr.TimeWeightedPersistence(sec(60)); got != want {
+	// Violated during [10,30) of [0,60) → R = 40/60.
+	down, width := 20.0, 60.0
+	want := 1 - down/width
+	if got := Persistence([]Interval{iv(10, 30)}, 0, sec(60)); got != want {
 		t.Fatalf("R = %v, want %v", got, want)
 	}
 }
 
 func TestTimeWeightedPersistenceEndBeforeStart(t *testing.T) {
-	tr := &SatisfactionTrace{}
-	tr.Record(sec(10), true)
-	if tr.TimeWeightedPersistence(sec(5)) != 0 {
-		t.Fatal("end before start should be 0")
+	if got := Persistence([]Interval{iv(0, 20)}, sec(10), sec(5)); got != 1 {
+		t.Fatalf("window ending before it starts: R = %v, want 1", got)
 	}
 }
 
-func TestOutageEndsAndMTTR(t *testing.T) {
-	tr := &SatisfactionTrace{}
-	// Outage 1: 10-20; outage 2: 40-45 (recorded at 5s granularity).
-	points := []struct {
-		t  int
-		ok bool
-	}{
-		{0, true}, {5, true}, {10, false}, {15, false}, {20, true},
-		{25, true}, {30, true}, {35, true}, {40, false}, {45, true}, {50, true},
+// A window that ends where the first violation starts holds none of it:
+// intervals are half-open.
+func TestTimeWeightedPersistenceEndAtFirstSample(t *testing.T) {
+	if got := Persistence([]Interval{iv(10, 20)}, 0, sec(10)); got != 1 {
+		t.Fatalf("R = %v, want 1", got)
 	}
-	for _, p := range points {
-		tr.Record(sec(p.t), p.ok)
-	}
-	if got := tr.OutageEnds(); len(got) != 2 || got[0] != sec(20) || got[1] != sec(45) {
-		t.Fatalf("OutageEnds = %v, want [20s 45s]", got)
-	}
-	// MTTR = ((20-10) + (45-40)) / 2 = 7.5s
-	if got := tr.MTTR(); got != 7500*time.Millisecond {
-		t.Fatalf("MTTR = %v, want 7.5s", got)
+	if got := Persistence([]Interval{iv(10, 20)}, sec(10), sec(10)); got != 1 {
+		t.Fatalf("zero-width window: R = %v, want 1", got)
 	}
 }
 
 func TestTraceStartingUnsatisfiedCountsOutage(t *testing.T) {
-	tr := &SatisfactionTrace{}
-	tr.Record(0, false)
-	tr.Record(sec(5), true)
-	if got := tr.OutageEnds(); len(got) != 1 || got[0] != sec(5) {
-		t.Fatalf("OutageEnds = %v, want [5s]", got)
-	}
-	if tr.MTTR() != sec(5) {
-		t.Fatalf("MTTR = %v", tr.MTTR())
+	if got := Persistence([]Interval{iv(0, 5)}, 0, sec(10)); got != 0.5 {
+		t.Fatalf("R = %v, want 0.5", got)
 	}
 }
 
+// An outage still open at the horizon runs past the window; only its
+// part inside the window counts.
 func TestOpenOutage(t *testing.T) {
-	tr := &SatisfactionTrace{}
-	tr.Record(0, true)
-	tr.Record(sec(10), false)
-	if tr.MTTR() != 0 {
-		t.Fatal("open outage should not contribute to MTTR")
+	if got := Persistence([]Interval{iv(10, 100)}, 0, sec(20)); got != 0.5 {
+		t.Fatalf("R = %v, want 0.5", got)
 	}
-	if got := tr.OutageEnds(); len(got) != 0 {
-		t.Fatalf("OutageEnds = %v, want none while the outage is open", got)
+	if got := Persistence([]Interval{iv(0, 100)}, sec(50), sec(60)); got != 0 {
+		t.Fatalf("window inside the outage: R = %v, want 0", got)
 	}
 }
 
-// Property: persistence is always in [0,1] and equals 1 iff all
-// observations are satisfied.
+func TestMeanDuration(t *testing.T) {
+	if got := MeanDuration(nil); got != 0 {
+		t.Fatalf("no intervals: mean = %v, want 0", got)
+	}
+	if got := MeanDuration([]Interval{iv(10, 20), iv(30, 35)}); got != 7500*time.Millisecond {
+		t.Fatalf("mean = %v, want 7.5s", got)
+	}
+}
+
+// Property: persistence is always in [0,1] and equals the brute-force
+// fraction of unviolated seconds, however the intervals overlap.
 func TestPersistenceBoundsProperty(t *testing.T) {
-	prop := func(bits []bool) bool {
-		tr := &SatisfactionTrace{}
-		all := true
-		for i, b := range bits {
-			tr.Record(time.Duration(i)*time.Second, b)
-			all = all && b
+	prop := func(spans [][2]uint8, lo, width uint8) bool {
+		var ivs []Interval
+		for _, s := range spans {
+			ivs = append(ivs, iv(int(s[0]), int(s[0])+int(s[1]%40)))
 		}
-		p := tr.TimeWeightedPersistence(time.Duration(len(bits)) * time.Second)
+		from, to := int(lo), int(lo)+int(width)
+		p := Persistence(ivs, sec(from), sec(to))
 		if p < 0 || p > 1 {
 			return false
 		}
-		if len(bits) > 0 && all != (p == 1) {
-			return false
+		if to == from {
+			return p == 1
 		}
-		return true
+		up := 0
+		for x := from; x < to; x++ {
+			violated := false
+			for _, v := range ivs {
+				violated = violated || (sec(x) >= v.From && sec(x) < v.To)
+			}
+			if !violated {
+				up++
+			}
+		}
+		return p == 1-float64(to-from-up)/float64(to-from)
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
@@ -173,30 +165,15 @@ func TestRatio(t *testing.T) {
 	}
 }
 
-// Property: time-weighted persistence of an alternating trace with
-// equal dwell times converges to ~0.5.
+// Property: alternating one-second violations over equal dwell times
+// give R = 0.5.
 func TestTimeWeightedAlternating(t *testing.T) {
-	tr := &SatisfactionTrace{}
-	for i := 0; i < 100; i++ {
-		tr.Record(time.Duration(i)*time.Second, i%2 == 0)
+	var ivs []Interval
+	for i := 1; i < 100; i += 2 {
+		ivs = append(ivs, iv(i, i+1))
 	}
-	got := tr.TimeWeightedPersistence(sec(100))
-	want := 50.0 / 99.0 // 50 satisfied seconds over the 99s span... plus tail
-	// With end=100: last sample (i=99, unsat) holds 1s; satisfied = 50s
-	// of span 100s.
-	want = 50.0 / 100.0
-	if got != want {
-		t.Fatalf("R = %v, want %v", got, want)
-	}
-}
-
-func TestTimeWeightedPersistenceEndAtFirstSample(t *testing.T) {
-	tr := &SatisfactionTrace{}
-	tr.Record(sec(10), true)
-	tr.Record(sec(20), false)
-	// A zero-length interval has no time to weight.
-	if got := tr.TimeWeightedPersistence(sec(10)); got != 0 {
-		t.Fatalf("R over empty interval = %v, want 0", got)
+	if got := Persistence(ivs, 0, sec(100)); got != 0.5 {
+		t.Fatalf("R = %v, want 0.5", got)
 	}
 }
 
@@ -223,17 +200,9 @@ func TestPercentileBoundaries(t *testing.T) {
 }
 
 func TestTraceNeverSatisfied(t *testing.T) {
-	tr := &SatisfactionTrace{}
-	tr.Record(0, false)
-	tr.Record(sec(10), false)
-	tr.Record(sec(20), false)
-	if got := tr.OutageEnds(); len(got) != 0 {
-		t.Fatalf("OutageEnds = %v, want none (the initial outage never ends)", got)
-	}
-	if tr.MTTR() != 0 {
-		t.Fatal("never-recovering outage must not contribute to MTTR")
-	}
-	if got := tr.TimeWeightedPersistence(sec(30)); got != 0 {
+	// Overlapping violations that cover the window count once: R is 0,
+	// not negative.
+	if got := Persistence([]Interval{iv(0, 20), iv(10, 30), iv(0, 30)}, 0, sec(30)); got != 0 {
 		t.Fatalf("R = %v, want 0", got)
 	}
 }

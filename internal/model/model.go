@@ -7,7 +7,9 @@
 // assumption — the concrete "IoT system model facet → verification"
 // pipeline of Figure 2. Requirements as first-class objects are what
 // make resilience *native*: the same Requirement drives design-time
-// checking, runtime monitoring and the persistence metric.
+// checking and runtime monitoring. The persistence metric is not
+// evaluated here: a run's R comes from the violation and recovery
+// records of its journal (core.Outages, metrics.Persistence).
 package model
 
 import (
@@ -34,9 +36,6 @@ type Requirement struct {
 	// Design is an optional design-time CTL property checked against a
 	// Kripke model of the configuration.
 	Design verify.CTLFormula
-	// Critical requirements gate the system's top-level goal even under
-	// OR refinement alternatives elsewhere.
-	Critical bool
 }
 
 // RuntimeProperty returns the LTL property to monitor (the explicit
@@ -138,44 +137,4 @@ func (m *GoalModel) Validate() error {
 		return nil
 	}
 	return walk(m.root)
-}
-
-// Satisfied evaluates the goal tree given per-requirement satisfaction.
-// Requirements absent from sat count as unsatisfied. A critical
-// requirement that is unsatisfied fails the whole tree regardless of OR
-// alternatives.
-func (m *GoalModel) Satisfied(sat map[RequirementID]bool) bool {
-	for id, r := range m.reqs {
-		if r.Critical && !sat[id] {
-			return false
-		}
-	}
-	return m.goalSatisfied(m.root, sat)
-}
-
-func (m *GoalModel) goalSatisfied(g *Goal, sat map[RequirementID]bool) bool {
-	for _, rid := range g.Requirements {
-		if !sat[rid] {
-			return false
-		}
-	}
-	if len(g.Subgoals) == 0 {
-		return true
-	}
-	switch g.Refinement {
-	case RefinementOR:
-		for _, c := range g.Subgoals {
-			if m.goalSatisfied(c, sat) {
-				return true
-			}
-		}
-		return false
-	default: // AND
-		for _, c := range g.Subgoals {
-			if !m.goalSatisfied(c, sat) {
-				return false
-			}
-		}
-		return true
-	}
 }

@@ -25,7 +25,7 @@ package observatory
 
 import (
 	"fmt"
-	"strconv"
+	"slices"
 	"strings"
 	"time"
 
@@ -33,18 +33,12 @@ import (
 	"repro/internal/metrics"
 )
 
-// Requirement classes an incident can violate, parsed from the
-// journal's violation/recovery details.
-const (
-	ReqTemperature = "temperature"
-	ReqFreshness   = "freshness"
-)
-
 // Incident is one violation episode of a single zone requirement: the
 // span from first detection to recovery, annotated with the fault it is
 // attributed to and the reactions taken while it was open.
 type Incident struct {
-	// Zone and Requirement identify the violated monitor.
+	// Zone and Requirement identify the violated monitor (Requirement
+	// is core.ReqTemperature or core.ReqFreshness).
 	Zone        int    `json:"zone"`
 	Requirement string `json:"requirement"`
 
@@ -155,63 +149,28 @@ type Analysis struct {
 	Placements        int `json:"placements,omitempty"`
 }
 
-// openKey identifies an open violation.
-type openKey struct {
-	zone int
-	req  string
-}
-
 // Analyze derives incidents and timelines from a run journal. It is a
 // pure function of the events: calling it (or not) cannot affect the
-// run that produced them.
+// run that produced them. Incidents are the journal's core.Outages, so
+// the analysis and the run's Report score the same episodes; given the
+// run's Duration, the timeline scores them over the same window, even
+// when a live run's last tick stamped records past it.
 func Analyze(events []core.RunEvent, opts Options) Analysis {
 	a := Analysis{Duration: opts.Duration, Zones: opts.Zones}
-	open := make(map[openKey]int) // key → index into a.Incidents
+	if a.Duration == 0 {
+		for _, ev := range events {
+			a.Duration = max(a.Duration, ev.At)
+		}
+	}
+	outages := core.Outages(events, a.Duration)
+	var open []int // incidents detected so far and not yet recovered
 	var lastFault *core.RunEvent
 
-	for i := range events {
-		ev := events[i]
-		if ev.At > a.Duration {
-			a.Duration = ev.At
-		}
+	for i, ev := range events {
 		switch ev.Kind {
 		case core.EventFault:
 			a.Faults = append(a.Faults, ev)
 			lastFault = &a.Faults[len(a.Faults)-1]
-		case core.EventViolation:
-			zone, req, ok := parseRequirement(ev.Detail)
-			if !ok {
-				continue
-			}
-			if zone+1 > a.Zones {
-				a.Zones = zone + 1
-			}
-			inc := Incident{
-				Zone: zone, Requirement: req,
-				DetectedAt: ev.At, Detect: ev.Detail,
-			}
-			if lastFault != nil {
-				inc.HasFault = true
-				inc.FaultAt = lastFault.At
-				inc.Fault = lastFault.Detail
-				inc.MTTD = ev.At - lastFault.At
-			}
-			open[openKey{zone, req}] = len(a.Incidents)
-			a.Incidents = append(a.Incidents, inc)
-		case core.EventRecovery:
-			zone, req, ok := parseRequirement(ev.Detail)
-			if !ok {
-				continue
-			}
-			idx, isOpen := open[openKey{zone, req}]
-			if !isOpen {
-				continue
-			}
-			inc := &a.Incidents[idx]
-			inc.Recovered = true
-			inc.RecoveredAt = ev.At
-			inc.TTR = ev.At - inc.DetectedAt
-			delete(open, openKey{zone, req})
 		case core.EventPlacement, core.EventIsland:
 			if ev.Kind == core.EventIsland {
 				a.IslandTransitions++
@@ -219,13 +178,40 @@ func Analyze(events []core.RunEvent, opts Options) Analysis {
 				a.Placements++
 			}
 			// A reaction belongs to every incident open while it fired.
-			for _, idx := range open {
-				a.Incidents[idx].Reactions = append(a.Incidents[idx].Reactions, ev)
+			open = slices.DeleteFunc(open, func(k int) bool { return outages[k].Recovery < i })
+			for _, k := range open {
+				a.Incidents[k].Reactions = append(a.Incidents[k].Reactions, ev)
 			}
 		}
+		// Outages come in detection order: the next one to become an
+		// incident is detected by this event or a later one.
+		n := len(a.Incidents)
+		if n == len(outages) || outages[n].Violation != i {
+			continue
+		}
+		o := outages[n]
+		a.Zones = max(a.Zones, o.Zone+1)
+		inc := Incident{
+			Zone: o.Zone, Requirement: o.Requirement,
+			DetectedAt: o.From, Detect: ev.Detail,
+			Recovered: o.Recovered,
+		}
+		if lastFault != nil {
+			inc.HasFault = true
+			inc.FaultAt = lastFault.At
+			inc.Fault = lastFault.Detail
+			inc.MTTD = o.From - lastFault.At
+		}
+		if o.Recovered {
+			inc.RecoveredAt = o.To
+			inc.TTR = o.To - o.From
+		} else {
+			a.Unresolved++
+		}
+		open = append(open, n)
+		a.Incidents = append(a.Incidents, inc)
 	}
 
-	a.Unresolved = len(open)
 	mttd := &metrics.LatencyRecorder{}
 	mttr := &metrics.LatencyRecorder{}
 	for _, inc := range a.Incidents {
@@ -238,32 +224,6 @@ func Analyze(events []core.RunEvent, opts Options) Analysis {
 	}
 	a.MTTD = statsOf(mttd)
 	a.MTTR = statsOf(mttr)
-	a.Timeline = buildTimeline(a.Incidents, a.Zones, a.Duration, opts.Windows)
+	a.Timeline = buildTimeline(outages, a.Zones, a.Duration, opts.Windows)
 	return a
-}
-
-// parseRequirement extracts the zone index and requirement class from a
-// violation/recovery journal detail ("zone 3 temperature out of band
-// (27.1°)", "zone 0 data fresh at controller again").
-func parseRequirement(detail string) (zone int, req string, ok bool) {
-	rest, found := strings.CutPrefix(detail, "zone ")
-	if !found {
-		return 0, "", false
-	}
-	sp := strings.IndexByte(rest, ' ')
-	if sp <= 0 {
-		return 0, "", false
-	}
-	zone, err := strconv.Atoi(rest[:sp])
-	if err != nil {
-		return 0, "", false
-	}
-	switch {
-	case strings.Contains(rest[sp:], "temperature"):
-		return zone, ReqTemperature, true
-	case strings.Contains(rest[sp:], "data"):
-		return zone, ReqFreshness, true
-	default:
-		return 0, "", false
-	}
 }

@@ -44,7 +44,7 @@ func TestAnalyzeIncidentLifecycle(t *testing.T) {
 	}
 
 	first := a.Incidents[0]
-	if first.Zone != 0 || first.Requirement != ReqFreshness {
+	if first.Zone != 0 || first.Requirement != core.ReqFreshness {
 		t.Fatalf("first incident = %+v", first)
 	}
 	if !first.HasFault || first.MTTD != 4*time.Second {
@@ -58,7 +58,7 @@ func TestAnalyzeIncidentLifecycle(t *testing.T) {
 	}
 
 	second := a.Incidents[1]
-	if second.Zone != 1 || second.Requirement != ReqTemperature {
+	if second.Zone != 1 || second.Requirement != core.ReqTemperature {
 		t.Fatalf("second incident = %+v", second)
 	}
 	if second.Recovered {
@@ -108,6 +108,23 @@ func TestAnalyzeInfersZonesAndDuration(t *testing.T) {
 	}
 }
 
+// A given Duration is the horizon even when records run past it, as a
+// live run's late last tick stamps them: R is scored over [0, Duration],
+// the window the run's Report scores.
+func TestAnalyzeKeepsGivenDuration(t *testing.T) {
+	j := journal(
+		ev(30*time.Second, core.EventViolation, "zone 0 temperature out of band (28.0°)"),
+		ev(70*time.Second, core.EventRecovery, "zone 0 temperature back in band (24.0°)"),
+	)
+	a := Analyze(j, Options{Duration: time.Minute, Zones: 1})
+	if a.Duration != time.Minute {
+		t.Fatalf("duration = %v, want 1m (given)", a.Duration)
+	}
+	if a.Timeline.GoalOverall != 0.5 {
+		t.Fatalf("overall = %v, want 0.5", a.Timeline.GoalOverall)
+	}
+}
+
 func TestAnalyzeRecoveryWithoutViolationIgnored(t *testing.T) {
 	j := journal(
 		ev(10*time.Second, core.EventRecovery, "zone 0 temperature back in band (24.0°)"),
@@ -119,6 +136,9 @@ func TestAnalyzeRecoveryWithoutViolationIgnored(t *testing.T) {
 	}
 }
 
+// TestParseRequirement: an incident names the zone and requirement its
+// violation record names, and a violation detail core never writes
+// makes no incident.
 func TestParseRequirement(t *testing.T) {
 	cases := []struct {
 		detail string
@@ -126,19 +146,21 @@ func TestParseRequirement(t *testing.T) {
 		req    string
 		ok     bool
 	}{
-		{"zone 0 temperature out of band (31.2°)", 0, ReqTemperature, true},
-		{"zone 12 data stale at controller", 12, ReqFreshness, true},
-		{"zone 3 temperature back in band (24.9°)", 3, ReqTemperature, true},
-		{"zone 7 data fresh at controller again", 7, ReqFreshness, true},
+		{"zone 0 temperature out of band (31.2°)", 0, core.ReqTemperature, true},
+		{"zone 12 data stale at controller", 12, core.ReqFreshness, true},
 		{"item k observed at cloud (origin campus)", 0, "", false},
 		{"zone x temperature out of band", 0, "", false},
 		{"zone 4", 0, "", false},
 	}
 	for _, c := range cases {
-		zone, req, ok := parseRequirement(c.detail)
-		if zone != c.zone || req != c.req || ok != c.ok {
-			t.Errorf("parseRequirement(%q) = (%d, %q, %v), want (%d, %q, %v)",
-				c.detail, zone, req, ok, c.zone, c.req, c.ok)
+		a := Analyze(journal(ev(time.Second, core.EventViolation, c.detail)), Options{Duration: time.Minute})
+		if got := len(a.Incidents) == 1; got != c.ok {
+			t.Errorf("%q: %d incident(s), want ok=%v", c.detail, len(a.Incidents), c.ok)
+			continue
+		}
+		if c.ok && (a.Incidents[0].Zone != c.zone || a.Incidents[0].Requirement != c.req) {
+			t.Errorf("%q: incident %d/%s, want %d/%s", c.detail,
+				a.Incidents[0].Zone, a.Incidents[0].Requirement, c.zone, c.req)
 		}
 	}
 }
@@ -208,7 +230,7 @@ func TestSparkAndFormat(t *testing.T) {
 }
 
 func TestIncidentStringUnresolved(t *testing.T) {
-	inc := Incident{Zone: 2, Requirement: ReqTemperature, DetectedAt: 5 * time.Second}
+	inc := Incident{Zone: 2, Requirement: core.ReqTemperature, DetectedAt: 5 * time.Second}
 	if s := inc.String(); !strings.Contains(s, "UNRESOLVED") || !strings.Contains(s, "no prior fault") {
 		t.Fatalf("incident string = %q", s)
 	}

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/metrics"
 )
 
 // DefaultWindows is the R(t) resolution when Options.Windows is zero.
@@ -29,21 +32,15 @@ type Timeline struct {
 	// Goal is whole-goal availability per window (1 when no zone held
 	// an open violation, time-weighted within the window).
 	Goal []float64 `json:"goal"`
-	// GoalOverall is the whole-run goal availability — the journal's
-	// approximation of Report.GoalPersistence (it differs only by the
-	// warmup window, during which monitors do not sample).
+	// GoalOverall is the whole-run goal availability: the run's
+	// Report.GoalPersistence, computed from the same outages.
 	GoalOverall float64 `json:"goal_overall"`
 	// PerZone holds each zone's row, ordered by zone index.
 	PerZone []ZoneTimeline `json:"per_zone"`
 }
 
-// interval is one violated stretch [from, to).
-type interval struct {
-	from, to time.Duration
-}
-
-// buildTimeline computes windowed availability from incident spans.
-func buildTimeline(incidents []Incident, zones int, duration time.Duration, windows int) Timeline {
+// buildTimeline computes windowed availability from the run's outages.
+func buildTimeline(outages []core.Outage, zones int, duration time.Duration, windows int) Timeline {
 	if windows <= 0 {
 		windows = DefaultWindows
 	}
@@ -56,106 +53,38 @@ func buildTimeline(incidents []Incident, zones int, duration time.Duration, wind
 		tl.Window = time.Nanosecond
 	}
 
-	perZone := make([][]interval, zones)
-	var all []interval
-	for _, inc := range incidents {
-		to := duration
-		if inc.Recovered {
-			to = inc.RecoveredAt
-		}
-		iv := interval{from: inc.DetectedAt, to: to}
-		if iv.to <= iv.from {
-			continue
-		}
-		if inc.Zone < zones {
-			perZone[inc.Zone] = append(perZone[inc.Zone], iv)
-		}
-		all = append(all, iv)
+	perZone := make([][]metrics.Interval, zones)
+	all := make([]metrics.Interval, 0, len(outages))
+	for _, o := range outages {
+		perZone[o.Zone] = append(perZone[o.Zone], o.Interval)
+		all = append(all, o.Interval)
 	}
 
 	tl.Goal = availability(all, duration, windows)
-	tl.GoalOverall = overallAvailability(all, duration)
+	tl.GoalOverall = metrics.Persistence(all, 0, duration)
 	for z := 0; z < zones; z++ {
 		tl.PerZone = append(tl.PerZone, ZoneTimeline{
 			Zone:    z,
 			R:       availability(perZone[z], duration, windows),
-			Overall: overallAvailability(perZone[z], duration),
+			Overall: metrics.Persistence(perZone[z], 0, duration),
 		})
 	}
 	return tl
 }
 
-// merge coalesces possibly-overlapping violated intervals (two
-// requirements of one zone can be violated at once; the violated time
-// must not double-count).
-func merge(ivs []interval) []interval {
-	if len(ivs) <= 1 {
-		return ivs
-	}
-	sorted := append([]interval(nil), ivs...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j].from < sorted[j-1].from; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	out := sorted[:1]
-	for _, iv := range sorted[1:] {
-		last := &out[len(out)-1]
-		if iv.from <= last.to {
-			if iv.to > last.to {
-				last.to = iv.to
-			}
-			continue
-		}
-		out = append(out, iv)
-	}
-	return out
-}
-
-// availability computes the satisfied fraction of each window.
-func availability(ivs []interval, duration time.Duration, windows int) []float64 {
-	ivs = merge(ivs)
+// availability computes the satisfied fraction of each window; the last
+// window absorbs the integer-division remainder.
+func availability(violated []metrics.Interval, duration time.Duration, windows int) []float64 {
 	out := make([]float64, windows)
 	w := duration / time.Duration(windows)
-	for i := 0; i < windows; i++ {
-		lo := time.Duration(i) * w
-		hi := lo + w
+	for i := range out {
+		lo, hi := time.Duration(i)*w, time.Duration(i+1)*w
 		if i == windows-1 {
-			hi = duration // absorb the integer-division remainder
+			hi = duration
 		}
-		width := hi - lo
-		if width <= 0 {
-			out[i] = 1
-			continue
-		}
-		var violated time.Duration
-		for _, iv := range ivs {
-			from, to := iv.from, iv.to
-			if from < lo {
-				from = lo
-			}
-			if to > hi {
-				to = hi
-			}
-			if to > from {
-				violated += to - from
-			}
-		}
-		out[i] = 1 - float64(violated)/float64(width)
+		out[i] = metrics.Persistence(violated, lo, hi)
 	}
 	return out
-}
-
-// overallAvailability computes the satisfied fraction of the whole run.
-func overallAvailability(ivs []interval, duration time.Duration) float64 {
-	if duration <= 0 {
-		return 1
-	}
-	var violated time.Duration
-	for _, iv := range merge(ivs) {
-		violated += iv.to - iv.from
-	}
-	return 1 - float64(violated)/float64(duration)
 }
 
 // sparkRunes maps availability to a glyph, worst (block) to best (dot).
