@@ -150,14 +150,18 @@ chaos-verify:
 	$(GO) run -race ./cmd/riotchaos verify -corpus corpus/chaos -parallel 4 -explain
 
 # Live corpus replay on real loopback UDP sockets: race-enabled realnet
-# tests and the sim/live injector conformance test, then every entry replays fully armed at wall-clock scale 0.05
+# tests (the delay-line and footprint tests five times over, to catch
+# ordering flakes in the shared heap) and the sim/live injector
+# conformance test, then every entry replays fully armed at wall-clock scale 0.05
 # under both profiles — default-knob runs must still fail, hardened
 # runs must match their expectations (no journal hashes: outcome-level
-# judging only, DESIGN.md §14). Finally the city smoke tier (365 live
+# judging only, DESIGN.md §14). Finally the city smoke tier (405 live
 # UDP nodes, hardened ML4) replays a corpus entry and must survive;
 # the city needs -scale >= 0.5 on a single core (see DESIGN.md §14).
+DELAY_LINE_TESTS = DelayLine|RestoreKeepsQueuedPacketDue|CloseWithQueuedPackets|ShapeLinkFootprint|ShaperPartitionDuringDelayedPacket
 realnet:
 	$(GO) test -race -count=1 ./internal/realnet/
+	$(GO) test -race -count=5 -run '$(DELAY_LINE_TESTS)' ./internal/realnet/
 	$(GO) test -race -count=1 -run TestInjectorConformance ./internal/fault/
 	$(GO) run ./cmd/riotchaos realnet -corpus corpus/chaos -profile both -scale 0.05
 	$(GO) run ./cmd/riotchaos realnet -corpus corpus/chaos -profile none -city -scale 0.5

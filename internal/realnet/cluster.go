@@ -2,6 +2,7 @@ package realnet
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"time"
 
@@ -97,15 +98,27 @@ func (c *Cluster) Start() error {
 	if c.started {
 		return fmt.Errorf("realnet: cluster already started")
 	}
-	for _, a := range c.order {
-		for _, b := range c.order {
-			if a == b {
-				continue
-			}
-			if err := c.nodes[a].AddPeer(b, c.nodes[b].Addr()); err != nil {
-				return err
+	// One address and one sender-table entry per node, shared by the
+	// whole mesh: nothing is resolved or allocated per ordered pair.
+	addrs := make([]*net.UDPAddr, len(c.order))
+	known := make(map[string]simnet.NodeID, len(c.order))
+	for i, id := range c.order {
+		addrs[i] = c.nodes[id].conn.LocalAddr().(*net.UDPAddr)
+		known[string(id)] = id
+	}
+	for i, a := range c.order {
+		n := c.nodes[a]
+		n.mu.Lock()
+		if len(n.peers) == 0 {
+			n.peers = make(map[simnet.NodeID]*net.UDPAddr, len(c.order)-1)
+		}
+		for j, b := range c.order {
+			if i != j {
+				n.peers[b] = addrs[j]
 			}
 		}
+		n.known = known
+		n.mu.Unlock()
 	}
 	c.epoch = time.Now()
 	for _, id := range c.order {

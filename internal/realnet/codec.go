@@ -286,8 +286,10 @@ func keyLess(a, b reflect.Value) bool {
 // decodeDatagram parses one datagram. It never panics and never
 // allocates more than a small multiple of len(b): every length and
 // count is checked against the bytes that remain before anything is
-// made. The returned message shares no memory with b.
-func (w *wireTypes) decodeDatagram(b []byte) (simnet.NodeID, simnet.Message, error) {
+// made. The returned message shares no memory with b. A sender named
+// in known comes back as known's NodeID, so its name is not allocated
+// again; any other sender decodes to a fresh string.
+func (w *wireTypes) decodeDatagram(b []byte, known map[string]simnet.NodeID) (simnet.NodeID, simnet.Message, error) {
 	if len(b) > maxDatagram {
 		return "", nil, errOversize
 	}
@@ -298,7 +300,11 @@ func (w *wireTypes) decodeDatagram(b []byte) (simnet.NodeID, simnet.Message, err
 	if err != nil {
 		return "", nil, err
 	}
-	from, b := simnet.NodeID(b[:n]), b[n:]
+	from, ok := known[string(b[:n])]
+	if !ok {
+		from = simnet.NodeID(b[:n])
+	}
+	b = b[n:]
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	v, b, err := w.decodeTagged(b, 0)

@@ -436,6 +436,8 @@ func TestSendConcurrentCallers(t *testing.T) {
 // allocates nothing, and decoding a ping allocates only what it hands
 // back (two strings, two boxed structs and their interfaces, one
 // slice) — the ~280 per datagram of a fresh gob stream cannot return.
+// From a known peer the sender's name is not among them: that decode
+// allocates exactly one object fewer than one from an unknown sender.
 func TestCodecAllocationGates(t *testing.T) {
 	for name, msg := range map[string]any{"ping": muxPing(), "store frame": storeFrame(40)} {
 		buf, err := realnet.Wire.Append(nil, "edge-17", msg)
@@ -448,10 +450,19 @@ func TestCodecAllocationGates(t *testing.T) {
 	}
 	buf, _ := realnet.Wire.Append(nil, "edge-17", muxPing())
 	const maxPingAllocs = 10
-	if n := testing.AllocsPerRun(100, func() { realnet.Wire.Decode(buf) }); n > maxPingAllocs {
-		t.Errorf("decoding a ping allocates %.0f times, want <= %d", n, maxPingAllocs)
+	unknown := testing.AllocsPerRun(100, func() { realnet.Wire.Decode(buf) })
+	if unknown > maxPingAllocs {
+		t.Errorf("decoding a ping allocates %.0f times, want <= %d", unknown, maxPingAllocs)
+	}
+	known := testing.AllocsPerRun(100, func() { realnet.Wire.DecodeKnown(buf, fuzzPeers) })
+	if known != unknown-1 {
+		t.Errorf("decoding a ping from a known peer allocates %.0f times, want %.0f (one fewer than the %.0f from an unknown sender)", known, unknown-1, unknown)
 	}
 }
+
+// fuzzPeers is a peer table as a node holds one: the benchmark's and
+// fuzz seeds' sender, another name, and the empty one.
+var fuzzPeers = map[string]simnet.NodeID{"edge-17": "edge-17", "cloud": "cloud", "": ""}
 
 var benchSink any
 
@@ -505,11 +516,17 @@ func BenchmarkSendRecvLoopback(b *testing.B) {
 // the input, and whatever it accepts must re-encode to bytes that
 // decode to the same value. "Same" is judged on the re-encoding, which
 // is canonical, since a NaN a fuzzer finds is not DeepEqual to itself.
+// Decoding against a peer table must accept and refuse the same bytes
+// and yield the same sender and message, known sender or not.
 func FuzzDecodeDatagram(f *testing.F) {
 	g := gen{rand.New(rand.NewSource(1))}
 	for _, typ := range liveTypes {
-		for _, v := range []reflect.Value{reflect.Zero(typ), g.value(typ, 0)} {
-			b, err := realnet.Wire.Append(nil, "edge-17", v.Interface())
+		for i, v := range []reflect.Value{reflect.Zero(typ), g.value(typ, 0)} {
+			from := simnet.NodeID("edge-17")
+			if i == 1 {
+				from = "edge-99" // not in fuzzPeers
+			}
+			b, err := realnet.Wire.Append(nil, from, v.Interface())
 			if err != nil {
 				f.Fatal(err)
 			}
@@ -524,8 +541,15 @@ func FuzzDecodeDatagram(f *testing.F) {
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+16<<10); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), got, limit)
 		}
+		kfrom, kmsg, kerr := realnet.Wire.DecodeKnown(data, fuzzPeers)
+		if (err == nil) != (kerr == nil) {
+			t.Fatalf("without a peer table the error is %v, with one %v", err, kerr)
+		}
 		if err != nil {
 			return
+		}
+		if kfrom != from {
+			t.Fatalf("sender %q decodes as %q against a peer table", from, kfrom)
 		}
 		if len(data) > realnet.MaxDatagram {
 			t.Fatalf("accepted %d bytes, over the datagram cap", len(data))
@@ -541,6 +565,9 @@ func FuzzDecodeDatagram(f *testing.F) {
 		third, err := realnet.Wire.Append(nil, from2, msg2)
 		if err != nil || from2 != from || !bytes.Equal(again, third) {
 			t.Fatalf("round trip changed the value: %+v from %q, then %+v from %q (%v)", msg, from, msg2, from2, err)
+		}
+		if known, err := realnet.Wire.Append(nil, kfrom, kmsg); err != nil || !bytes.Equal(again, known) {
+			t.Fatalf("decoded against a peer table: %+v, without: %+v (%v)", kmsg, msg, err)
 		}
 	})
 }

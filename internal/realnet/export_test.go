@@ -21,5 +21,10 @@ func (w *WireTypes) Append(b []byte, from simnet.NodeID, msg simnet.Message) ([]
 }
 
 func (w *WireTypes) Decode(b []byte) (simnet.NodeID, simnet.Message, error) {
-	return w.decodeDatagram(b)
+	return w.decodeDatagram(b, nil)
+}
+
+// DecodeKnown decodes as a node whose peer table is known does.
+func (w *WireTypes) DecodeKnown(b []byte, known map[string]simnet.NodeID) (simnet.NodeID, simnet.Message, error) {
+	return w.decodeDatagram(b, known)
 }

@@ -9,8 +9,11 @@
 // Node.SetDown mirrors simnet's crashed-node semantics, every node
 // carries a blocked-peer set (group partitions enforce bidirectional
 // drops at both the sender and the receiver) and a per-link shaper
-// (added latency through a FIFO delay queue, probabilistic loss from a
-// PRNG seeded deterministically per link). Cluster coordinates those
+// (probabilistic loss from a PRNG seeded deterministically per link;
+// added latency through the node's one delay line, a heap of packets in
+// flight that is FIFO per link and drained by one goroutine with one
+// timer, started by the node's first delayed packet — so shaping costs
+// memory per packet in flight, not per link). Cluster coordinates those
 // per-node controls across a node set with simnet's exact semantics and
 // is a fault.World, so the injector that replays a fault.Schedule (e.g.
 // a committed chaos counterexample) on the simulator replays it on live
@@ -50,8 +53,10 @@ const maxDatagram = 64 * 1024
 // are dead once the socket write returns.
 var sendBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// shapeQueueCap bounds each shaped link's delay queue; packets beyond
-// it drop, the overload behaviour of a congested real link.
+// shapeQueueCap bounds how many packets of one shaped link may wait in
+// the node's delay line at once: a send that finds shapeQueueCap of its
+// link's packets already waiting drops (counted in Dropped), the
+// overload behaviour of a congested real link.
 const shapeQueueCap = 4096
 
 // NetStats counts one node's datagram-level traffic and the pressure
@@ -80,25 +85,86 @@ type netCounters struct {
 	malformed atomic.Int64
 }
 
-// delayedPacket is one encoded datagram waiting in a link's delay
-// queue.
+// delayedPacket is one encoded datagram waiting in the node's delay
+// line.
 type delayedPacket struct {
+	due  time.Time
+	seq  uint64 // send order, breaking ties between equal due times
 	data []byte
 	addr *net.UDPAddr
-	to   simnet.NodeID
-	due  time.Time
+	link *linkShape
+}
+
+func (p *delayedPacket) before(o *delayedPacket) bool {
+	if !p.due.Equal(o.due) {
+		return p.due.Before(o.due)
+	}
+	return p.seq < o.seq
+}
+
+// delayLine is a node's one queue of packets waiting out a shaped
+// link's latency: a min-heap on (due, seq), grown on demand. Guarded by
+// Node.mu.
+type delayLine []delayedPacket
+
+func (q *delayLine) push(p delayedPacket) {
+	h := append(*q, p)
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !h[i].before(&h[up]) {
+			break
+		}
+		h[i], h[up] = h[up], h[i]
+		i = up
+	}
+	*q = h
+}
+
+func (q *delayLine) pop() delayedPacket {
+	h := *q
+	top, last := h[0], len(h)-1
+	h[0] = h[last]
+	h[last] = delayedPacket{} // the line keeps no sent bytes alive
+	h = h[:last]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= len(h) {
+			break
+		}
+		if r := m + 1; r < len(h) && h[r].before(&h[m]) {
+			m = r
+		}
+		if !h[m].before(&h[i]) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	*q = h
+	return top
 }
 
 // linkShape is the fault-injected state of one outgoing link: added
 // latency (virtual time; scaled to the wall clock at send) and
-// probabilistic loss drawn from a per-link deterministic PRNG. The
-// queue exists only while latency > 0 has been requested at least
-// once; its drain goroutine preserves FIFO order per link.
+// probabilistic loss drawn from a per-link deterministic PRNG. Its
+// delayed packets wait in the node's delay line; lastDue keeps them in
+// FIFO order. All fields are guarded by Node.mu.
 type linkShape struct {
+	to      simnet.NodeID
 	latency time.Duration
 	loss    float64
-	rng     *rand.Rand // guarded by Node.mu
-	q       chan delayedPacket
+	rng     *rand.Rand
+	lastDue time.Time // due time of the link's latest delayed packet
+	queued  int       // the link's packets waiting in the delay line
+}
+
+// event is one unit of event-loop work: a callback, or, when fn is nil,
+// a datagram for the handler — carried by value, so a received datagram
+// costs no closure.
+type event struct {
+	fn   func()
+	from simnet.NodeID
+	msg  simnet.Message
 }
 
 // Node is one real-network protocol host. Construct with NewNode, add
@@ -122,10 +188,19 @@ type Node struct {
 	onDown  []func()
 	blocked map[simnet.NodeID]bool
 	shapes  map[simnet.NodeID]*linkShape
+	line    delayLine
+	lineSeq uint64
+	wake    chan struct{} // nudges the drain goroutine; nil until it starts
+
+	// known maps a cluster member's ID bytes to its NodeID, so that a
+	// datagram from a member decodes without allocating the sender's
+	// name. Cluster.Start sets it before the read loop starts, which
+	// reads it without the lock; nil on a node outside a Cluster.
+	known map[string]simnet.NodeID
 
 	stat netCounters
 
-	events chan func()
+	events chan event
 	done   chan struct{}
 	wg     sync.WaitGroup
 }
@@ -165,7 +240,7 @@ func newNode(id simnet.NodeID, bind string, seed, netSeed int64) (*Node, error) 
 		peers:   make(map[simnet.NodeID]*net.UDPAddr),
 		blocked: make(map[simnet.NodeID]bool),
 		shapes:  make(map[simnet.NodeID]*linkShape),
-		events:  make(chan func(), 1024),
+		events:  make(chan event, 1024),
 		done:    make(chan struct{}),
 	}, nil
 }
@@ -264,29 +339,32 @@ func (n *Node) readLoop() {
 		if err != nil {
 			return // socket closed
 		}
-		from, msg, err := wire.decodeDatagram(buf[:sz])
+		from, msg, err := wire.decodeDatagram(buf[:sz], n.known)
 		if err != nil {
 			n.stat.malformed.Add(1)
 			continue
 		}
-		n.post(func() {
-			n.mu.Lock()
-			h := n.handler
-			down := n.down
-			blocked := n.blocked[from]
-			n.mu.Unlock()
-			if blocked {
-				// The sender was partitioned away by the time the
-				// datagram arrived — the receive-side half of simnet's
-				// delivery-time reachability check.
-				n.stat.dropped.Add(1)
-				return
-			}
-			if h != nil && !down {
-				n.stat.received.Add(1)
-				h(from, msg)
-			}
-		})
+		n.enqueue(event{from: from, msg: msg})
+	}
+}
+
+// receive hands a datagram to the handler on the event loop.
+func (n *Node) receive(from simnet.NodeID, msg simnet.Message) {
+	n.mu.Lock()
+	h := n.handler
+	down := n.down
+	blocked := n.blocked[from]
+	n.mu.Unlock()
+	if blocked {
+		// The sender was partitioned away by the time the datagram
+		// arrived — the receive-side half of simnet's delivery-time
+		// reachability check.
+		n.stat.dropped.Add(1)
+		return
+	}
+	if h != nil && !down {
+		n.stat.received.Add(1)
+		h(from, msg)
 	}
 }
 
@@ -294,13 +372,17 @@ func (n *Node) eventLoop() {
 	defer n.wg.Done()
 	for {
 		select {
-		case fn := <-n.events:
+		case ev := <-n.events:
 			if n.serial != nil {
 				n.serial.Lock()
-				fn()
-				n.serial.Unlock()
+			}
+			if ev.fn != nil {
+				ev.fn()
 			} else {
-				fn()
+				n.receive(ev.from, ev.msg)
+			}
+			if n.serial != nil {
+				n.serial.Unlock()
 			}
 		case <-n.done:
 			return
@@ -308,14 +390,17 @@ func (n *Node) eventLoop() {
 	}
 }
 
-// post enqueues a callback onto the event loop; events arriving after
-// shutdown are dropped.
-func (n *Node) post(fn func()) {
+// enqueue hands ev to the event loop; events arriving after shutdown
+// are dropped.
+func (n *Node) enqueue(ev event) {
 	select {
-	case n.events <- fn:
+	case n.events <- ev:
 	case <-n.done:
 	}
 }
+
+// post enqueues a callback onto the event loop.
+func (n *Node) post(fn func()) { n.enqueue(event{fn: fn}) }
 
 // Do runs fn on the event loop and waits for it to finish — the safe
 // way for external goroutines (tests, operator tooling) to inspect
@@ -324,7 +409,7 @@ func (n *Node) post(fn func()) {
 func (n *Node) Do(fn func()) bool {
 	done := make(chan struct{})
 	select {
-	case n.events <- func() { fn(); close(done) }:
+	case n.events <- event{fn: func() { fn(); close(done) }}:
 	case <-n.done:
 		return false
 	}
@@ -457,9 +542,6 @@ func (n *Node) Send(to simnet.NodeID, msg simnet.Message) bool {
 		}
 		delay = n.wall(sh.latency)
 		if delay > 0 {
-			// Enqueue under mu: the queue is only closed (by
-			// ClearShapedLink/Close) while mu is held and the shape
-			// removed from the map, so this send cannot race a close.
 			// A queued packet owns its bytes, so it is encoded into a
 			// fresh slice and not a pooled one.
 			data, ok := n.encode(nil, msg)
@@ -467,16 +549,15 @@ func (n *Node) Send(to simnet.NodeID, msg simnet.Message) bool {
 				n.mu.Unlock()
 				return false
 			}
-			select {
-			case sh.q <- delayedPacket{data: data, addr: addr, to: to, due: time.Now().Add(delay)}:
-				n.mu.Unlock()
-				n.stat.delayed.Add(1)
-				return true
-			default:
+			if sh.queued >= shapeQueueCap {
 				n.mu.Unlock()
 				n.stat.dropped.Add(1)
 				return false
 			}
+			n.delayLocked(sh, addr, data, time.Now().Add(delay))
+			n.mu.Unlock()
+			n.stat.delayed.Add(1)
+			return true
 		}
 	}
 	n.mu.Unlock()
@@ -500,8 +581,8 @@ func (n *Node) Send(to simnet.NodeID, msg simnet.Message) bool {
 // datagrams with — the per-node projection of a network partition.
 // Blocks apply on both paths: Send refuses immediately, the read loop
 // drops arrivals from blocked senders, and delayed packets re-check at
-// delivery time, so a partition starting while a packet sits in a delay
-// queue still cuts it off.
+// delivery time, so a partition starting while a packet sits in the
+// delay line still cuts it off.
 func (n *Node) SetBlocked(peers map[simnet.NodeID]bool) {
 	cp := make(map[simnet.NodeID]bool, len(peers))
 	for id, b := range peers {
@@ -515,10 +596,10 @@ func (n *Node) SetBlocked(peers map[simnet.NodeID]bool) {
 }
 
 // ShapeLink installs (or replaces) the outgoing shape of the link to
-// peer: latency is added virtual delay through a FIFO queue, loss the
-// per-datagram drop probability drawn from a PRNG stream derived
-// deterministically from (seed, from→to), so two runs with the same
-// seed and traffic see the same loss pattern.
+// peer: latency is added virtual delay through the node's delay line
+// (FIFO per link), loss the per-datagram drop probability drawn from a
+// PRNG stream derived deterministically from (seed, from→to), so two
+// runs with the same seed and traffic see the same loss pattern.
 func (n *Node) ShapeLink(to simnet.NodeID, latency time.Duration, loss float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -528,68 +609,89 @@ func (n *Node) ShapeLink(to simnet.NodeID, latency time.Duration, loss float64) 
 	sh := n.shapes[to]
 	if sh == nil {
 		sh = &linkShape{
+			to:  to,
 			rng: simnet.NewStream(subSeed(n.netSeed, "loss/"+string(n.id)+"->"+string(to))),
 		}
 		n.shapes[to] = sh
 	}
 	sh.latency, sh.loss = latency, loss
-	if latency > 0 && sh.q == nil {
-		sh.q = make(chan delayedPacket, shapeQueueCap)
-		n.wg.Add(1)
-		go n.drainShape(sh.q)
-	}
 }
 
 // ClearShapedLink removes the shape of the link to peer, restoring its
-// native latency and zero loss. Packets already in the delay queue
-// still deliver at their original due time, as in the simulator.
+// native latency and zero loss. Packets already in the delay line still
+// deliver at their original due time, as in the simulator.
 func (n *Node) ClearShapedLink(to simnet.NodeID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	sh := n.shapes[to]
-	if sh == nil {
-		return
-	}
 	delete(n.shapes, to)
-	if sh.q != nil {
-		close(sh.q) // drain flushes the backlog, then exits
+}
+
+// delayLocked puts one of sh's datagrams in the delay line, due no
+// earlier than the link's previous packet so that a latency drop never
+// lets a later packet overtake, and starts the drain goroutine with the
+// first one. Caller holds n.mu on an open node.
+func (n *Node) delayLocked(sh *linkShape, addr *net.UDPAddr, data []byte, due time.Time) {
+	if due.Before(sh.lastDue) {
+		due = sh.lastDue
+	}
+	sh.lastDue = due
+	sh.queued++
+	n.lineSeq++
+	n.line.push(delayedPacket{due: due, seq: n.lineSeq, data: data, addr: addr, link: sh})
+	switch {
+	case n.wake == nil:
+		n.wake = make(chan struct{}, 1)
+		n.wg.Add(1)
+		go n.drainLine(n.wake)
+	case n.line[0].seq == n.lineSeq: // the new packet is due first
+		nudge(n.wake)
 	}
 }
 
-// drainShape delivers one link's delayed packets in FIFO order,
-// re-checking partitions and shutdown at each packet's due time.
-func (n *Node) drainShape(q chan delayedPacket) {
+func nudge(wake chan struct{}) {
+	select {
+	case wake <- struct{}{}:
+	default:
+	}
+}
+
+// drainLine sends the delay line's packets as they fall due, with one
+// reused timer, re-checking partitions and shutdown at each delivery.
+// It runs from the node's first delayed packet until Close.
+func (n *Node) drainLine(wake chan struct{}) {
 	defer n.wg.Done()
+	// A func timer, not a channel one: a stale fire is one spurious
+	// nudge, and Reset needs no drain. The first Reset below arms it.
+	timer := time.AfterFunc(time.Hour, func() { nudge(wake) })
+	defer timer.Stop()
 	for {
+		n.mu.Lock()
+		if n.closed {
+			n.mu.Unlock()
+			return
+		}
+		if len(n.line) > 0 {
+			if wait := time.Until(n.line[0].due); wait > 0 {
+				timer.Reset(wait)
+			} else {
+				pkt := n.line.pop()
+				pkt.link.queued--
+				blocked := n.blocked[pkt.link.to]
+				n.mu.Unlock()
+				n.sendDelayed(pkt, blocked)
+				continue
+			}
+		}
+		n.mu.Unlock()
 		select {
-		case pkt, ok := <-q:
-			if !ok {
-				return
-			}
-			if d := time.Until(pkt.due); d > 0 {
-				t := time.NewTimer(d)
-				select {
-				case <-t.C:
-				case <-n.done:
-					t.Stop()
-					return
-				}
-			}
-			n.deliverDelayed(pkt)
+		case <-wake:
 		case <-n.done:
 			return
 		}
 	}
 }
 
-func (n *Node) deliverDelayed(pkt delayedPacket) {
-	n.mu.Lock()
-	blocked := n.blocked[pkt.to]
-	closed := n.closed
-	n.mu.Unlock()
-	if closed {
-		return
-	}
+func (n *Node) sendDelayed(pkt delayedPacket, blocked bool) {
 	if blocked {
 		n.stat.dropped.Add(1)
 		return

@@ -1,6 +1,9 @@
 package realnet
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +19,13 @@ type shaperHarness struct {
 	cluster *Cluster
 	inj     *fault.Injector
 	mu      sync.Mutex
-	recv    map[simnet.NodeID]int
+	recv    map[simnet.NodeID][]arrival
+}
+
+// arrival is one pingMsg a node received, and when.
+type arrival struct {
+	n  int
+	at time.Time
 }
 
 func newShaperHarness(t *testing.T, ids ...simnet.NodeID) *shaperHarness {
@@ -25,7 +34,7 @@ func newShaperHarness(t *testing.T, ids ...simnet.NodeID) *shaperHarness {
 	h := &shaperHarness{
 		t:       t,
 		cluster: NewCluster(ClusterConfig{Seed: 7}),
-		recv:    make(map[simnet.NodeID]int),
+		recv:    make(map[simnet.NodeID][]arrival),
 	}
 	for _, id := range ids {
 		id := id
@@ -33,9 +42,9 @@ func newShaperHarness(t *testing.T, ids ...simnet.NodeID) *shaperHarness {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.OnMessage(func(simnet.NodeID, simnet.Message) {
+		n.OnMessage(func(_ simnet.NodeID, m simnet.Message) {
 			h.mu.Lock()
-			h.recv[id]++
+			h.recv[id] = append(h.recv[id], arrival{m.(pingMsg).N, time.Now()})
 			h.mu.Unlock()
 		})
 	}
@@ -54,10 +63,12 @@ func (h *shaperHarness) inject(ev fault.Event) {
 	h.inj.Inject(ev)
 }
 
-func (h *shaperHarness) received(id simnet.NodeID) int {
+func (h *shaperHarness) received(id simnet.NodeID) int { return len(h.arrivals(id)) }
+
+func (h *shaperHarness) arrivals(id simnet.NodeID) []arrival {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.recv[id]
+	return append([]arrival(nil), h.recv[id]...)
 }
 
 func (h *shaperHarness) waitFor(what string, budget time.Duration, cond func() bool) {
@@ -208,5 +219,204 @@ func TestSeededLossIsReproducible(t *testing.T) {
 	}
 	if kept == 0 || kept == len(p1) {
 		t.Fatalf("loss 0.5 kept %d/%d packets — shaper not applying loss", kept, len(p1))
+	}
+}
+
+// TestDelayLineFIFOPerLink drops a link's latency while a packet is in
+// flight on it: the later packet, due sooner, must still arrive second.
+// Another link's packets are not held behind that backlog.
+func TestDelayLineFIFOPerLink(t *testing.T) {
+	h := newShaperHarness(t, "a", "b", "c")
+	a := h.cluster.node("a")
+	a.ShapeLink("b", 200*time.Millisecond, 0)
+	a.ShapeLink("c", 10*time.Millisecond, 0)
+	if !a.Send("b", pingMsg{N: 1}) {
+		t.Fatal("first send refused")
+	}
+	a.ShapeLink("b", 10*time.Millisecond, 0)
+	if !a.Send("b", pingMsg{N: 2}) || !a.Send("c", pingMsg{N: 3}) {
+		t.Fatal("send refused")
+	}
+	h.waitFor("all three packets", 2*time.Second, func() bool {
+		return h.received("b") == 2 && h.received("c") == 1
+	})
+	b, c := h.arrivals("b"), h.arrivals("c")
+	if b[0].n != 1 || b[1].n != 2 {
+		t.Fatalf("b received %d then %d, want 1 then 2", b[0].n, b[1].n)
+	}
+	if !c[0].at.Before(b[0].at) {
+		t.Fatal("c's 10ms packet waited behind b's 200ms one")
+	}
+}
+
+// TestDelayLineConcurrentLinks has three goroutines share one node's
+// delay line, each sending on its own link and changing that link's
+// latency as it goes: every link's packets arrive, in send order.
+func TestDelayLineConcurrentLinks(t *testing.T) {
+	const each = 200
+	peers := []simnet.NodeID{"b", "c", "d"}
+	h := newShaperHarness(t, append([]simnet.NodeID{"a"}, peers...)...)
+	a := h.cluster.node("a")
+	var wg sync.WaitGroup
+	for i, to := range peers {
+		wg.Add(1)
+		go func(seed int64, to simnet.NodeID) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(seed))
+			for n := 0; n < each; n++ {
+				a.ShapeLink(to, time.Duration(1+r.Intn(20))*time.Millisecond, 0)
+				if !a.Send(to, pingMsg{N: n}) {
+					t.Errorf("send %d to %s refused", n, to)
+					return
+				}
+			}
+		}(int64(i), to)
+	}
+	wg.Wait()
+	for _, to := range peers {
+		to := to
+		h.waitFor("every packet to "+string(to), 5*time.Second, func() bool { return h.received(to) == each })
+		for i, got := range h.arrivals(to) {
+			if got.n != i {
+				t.Fatalf("%s's arrival %d is packet %d: the link reordered", to, i, got.n)
+			}
+		}
+	}
+}
+
+// TestRestoreKeepsQueuedPacketDue restores a link with a packet still
+// in the delay line: the packet keeps its original due time, as in the
+// simulator, while a packet sent after the restore goes at once.
+func TestRestoreKeepsQueuedPacketDue(t *testing.T) {
+	const latency = 200 * time.Millisecond
+	h := newShaperHarness(t, "a", "b")
+	a := h.cluster.node("a")
+	h.cluster.DegradeLink("a", "b", latency, 0)
+	sent := time.Now()
+	if !a.Send("b", pingMsg{N: 1}) {
+		t.Fatal("send into delay line refused")
+	}
+	h.cluster.RestoreLink("a", "b")
+	if !a.Send("b", pingMsg{N: 2}) {
+		t.Fatal("send after restore refused")
+	}
+	h.waitFor("both packets", 2*time.Second, func() bool { return h.received("b") == 2 })
+	got := h.arrivals("b")
+	if got[0].n != 2 || got[1].n != 1 {
+		t.Fatalf("b received %d then %d, want the unshaped 2 first", got[0].n, got[1].n)
+	}
+	if waited := got[1].at.Sub(sent); waited < latency {
+		t.Fatalf("queued packet arrived after %v, before its %v due time", waited, latency)
+	}
+}
+
+// TestDelayLineBoundPerLink fills one link past shapeQueueCap: exactly
+// the packets beyond the bound drop, and another link of the same node
+// still has all of its room.
+func TestDelayLineBoundPerLink(t *testing.T) {
+	const k = 3
+	h := newShaperHarness(t, "a", "b", "c")
+	a := h.cluster.node("a")
+	a.ShapeLink("b", time.Hour, 0)
+	a.ShapeLink("c", time.Hour, 0)
+	refused := 0
+	for i := 0; i < shapeQueueCap+k; i++ {
+		if !a.Send("b", pingMsg{N: i}) {
+			refused++
+		}
+	}
+	if !a.Send("c", pingMsg{N: 0}) {
+		t.Fatal("a full link to b refused a send to c")
+	}
+	if s := a.NetStats(); refused != k || s.Dropped != k || s.Delayed != shapeQueueCap+1 {
+		t.Fatalf("refused %d, stats %+v; want %d dropped and %d delayed", refused, s, k, shapeQueueCap+1)
+	}
+}
+
+// TestCloseWithQueuedPackets closes a cluster whose delay lines still
+// hold packets due in an hour: Close returns and every goroutine the
+// cluster started is gone.
+func TestCloseWithQueuedPackets(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	h := newShaperHarness(t, "a", "b")
+	h.cluster.DegradeLink("a", "b", time.Hour, 0)
+	a, b := h.cluster.node("a"), h.cluster.node("b")
+	for i := 0; i < 10; i++ {
+		if !a.Send("b", pingMsg{N: i}) || !b.Send("a", pingMsg{N: i}) {
+			t.Fatal("send into delay line refused")
+		}
+	}
+	closed := make(chan struct{})
+	go func() {
+		h.cluster.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung with packets in the delay lines")
+	}
+	h.waitFor("goroutines back to baseline", 2*time.Second, func() bool {
+		return runtime.NumGoroutine() <= baseline
+	})
+}
+
+// TestShapeLinkFootprint is the gate on what shaping costs before any
+// packet is delayed: one node shaping 400 links allocates a few hundred
+// bytes per link and starts no goroutine. A queue or drain goroutine per
+// link (288 KiB of channel each at shapeQueueCap) fails it.
+func TestShapeLinkFootprint(t *testing.T) {
+	const links = 400
+	n, err := NewNode("hub", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	peers := make([]simnet.NodeID, links)
+	for i := range peers {
+		peers[i] = simnet.NodeID(fmt.Sprintf("edge-%03d", i))
+	}
+	goroutines := runtime.NumGoroutine()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, p := range peers {
+		n.ShapeLink(p, 200*time.Millisecond, 0.01)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / links; per > 4<<10 {
+		t.Errorf("ShapeLink allocates %d bytes per link, want <= 4 KiB", per)
+	}
+	if started := runtime.NumGoroutine() - goroutines; started > 1 {
+		t.Errorf("%d ShapeLink calls started %d goroutines, want <= 1", links, started)
+	}
+}
+
+// TestDelayLinePopsInDueOrder drives the heap with interleaved pushes
+// and pops against a linear scan for the least (due, seq).
+func TestDelayLinePopsInDueOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	base := time.Now()
+	var line delayLine
+	var model []delayedPacket
+	var seq uint64
+	for step := 0; step < 5000; step++ {
+		if len(line) == 0 || r.Intn(3) > 0 {
+			seq++
+			p := delayedPacket{due: base.Add(time.Duration(r.Intn(40)) * time.Millisecond), seq: seq}
+			line.push(p)
+			model = append(model, p)
+			continue
+		}
+		least := 0
+		for i := range model {
+			if model[i].before(&model[least]) {
+				least = i
+			}
+		}
+		want := model[least]
+		model = append(model[:least], model[least+1:]...)
+		if got := line.pop(); got.seq != want.seq {
+			t.Fatalf("step %d: popped seq %d, want %d", step, got.seq, want.seq)
+		}
 	}
 }
