@@ -71,13 +71,15 @@ bench-smoke: city-tables
 
 # Two riotnode processes with the HTTP data API take 300 writes
 # round-robin and the last one is read back from the other node — the
-# README "Serving traffic" walkthrough as one command.
+# README "Serving traffic" walkthrough as one command. It fails if
+# either node's /metrics counts a gossip.suspect event: the pair is
+# healthy throughout, so a suspicion is a false one.
 serve-demo:
 	$(GO) build -o /tmp/riotnode ./cmd/riotnode
 	/tmp/riotnode -id a -bind 127.0.0.1:7946 -peers b=127.0.0.1:7947 \
-		-serve-addr 127.0.0.1:8080 -duration 15s -interval 5s & \
+		-serve-addr 127.0.0.1:8080 -metrics-addr 127.0.0.1:9100 -duration 15s -interval 5s & \
 	/tmp/riotnode -id b -bind 127.0.0.1:7947 -peers a=127.0.0.1:7946 -seeds a \
-		-serve-addr 127.0.0.1:8081 -duration 15s -interval 5s & \
+		-serve-addr 127.0.0.1:8081 -metrics-addr 127.0.0.1:9101 -duration 15s -interval 5s & \
 	sleep 1; \
 	for i in $$(seq 1 300); do \
 		curl -sf -o /dev/null -X PUT -d "{\"value\": $$i}" \
@@ -85,7 +87,12 @@ serve-demo:
 			|| { echo "write $$i was not accepted"; break; }; \
 	done; \
 	sleep 1; curl -s http://127.0.0.1:8081/v1/data/demo/k12; echo; \
-	wait
+	suspect=0; for port in 9100 9101; do \
+		curl -sf "http://127.0.0.1:$$port/metrics" \
+			| grep -E '^riot_events_total\{[^}]*kind="gossip\.suspect"[^}]*\} [1-9]' \
+			&& { echo "node with metrics on :$$port suspected a healthy peer"; suspect=1; }; \
+	done; \
+	wait; exit $$suspect
 
 # Serial vs parallel campaign must print byte-identical journal
 # hashes, and the zone-sharded scheduler must print byte-identical

@@ -58,8 +58,6 @@ type Config struct {
 	ElectionTimeoutMax time.Duration
 	// HeartbeatInterval is the leader's AppendEntries period.
 	HeartbeatInterval time.Duration
-	// MaxEntriesPerMessage caps entries in one AppendEntries.
-	MaxEntriesPerMessage int
 	// DisablePreVote turns off the PreVote phase (Raft §9.6). With
 	// PreVote (the default), a node that timed out — e.g. isolated by
 	// a partition — first asks peers whether they *would* vote for it
@@ -85,11 +83,11 @@ func (c Config) withDefaults() Config {
 	if c.HeartbeatInterval == 0 {
 		c.HeartbeatInterval = 50 * time.Millisecond
 	}
-	if c.MaxEntriesPerMessage == 0 {
-		c.MaxEntriesPerMessage = 64
-	}
 	return c
 }
+
+// maxEntriesPerMessage caps entries in one AppendEntries.
+const maxEntriesPerMessage = 64
 
 // entry is one log slot.
 type entry struct {
@@ -97,34 +95,8 @@ type entry struct {
 	Cmd  Command
 }
 
-// Wire messages.
-
-type requestVoteMsg struct {
-	Term         uint64
-	Candidate    simnet.NodeID
-	LastLogIndex uint64
-	LastLogTerm  uint64
-}
-
-type requestVoteResp struct {
-	Term    uint64
-	Granted bool
-}
-
-// preVoteMsg probes electability without changing persistent state on
-// either side.
-type preVoteMsg struct {
-	Term         uint64 // the term the candidate would start
-	Candidate    simnet.NodeID
-	LastLogIndex uint64
-	LastLogTerm  uint64
-}
-
-type preVoteResp struct {
-	Term    uint64
-	Granted bool
-}
-
+// appendEntriesMsg is AppendEntries with its entries: the one raft
+// message that carries a payload, so the one that stays boxed.
 type appendEntriesMsg struct {
 	Term         uint64
 	Leader       simnet.NodeID
@@ -134,53 +106,32 @@ type appendEntriesMsg struct {
 	LeaderCommit uint64
 }
 
-type appendEntriesResp struct {
-	Term       uint64
-	Success    bool
-	MatchIndex uint64
-}
-
 // RegisterWire registers the protocol's message types with a wire
 // codec (e.g. realnet's datagram codec). Applications must additionally
 // register the concrete types of the commands they propose.
 func RegisterWire(register func(any)) {
-	register(requestVoteMsg{})
-	register(requestVoteResp{})
-	register(preVoteMsg{})
-	register(preVoteResp{})
 	register(appendEntriesMsg{})
-	register(appendEntriesResp{})
 	register(entry{})
 }
 
-func (m requestVoteMsg) Size() int    { return 48 }
-func (m requestVoteResp) Size() int   { return 16 }
-func (m preVoteMsg) Size() int        { return 48 }
-func (m preVoteResp) Size() int       { return 16 }
-func (m appendEntriesMsg) Size() int  { return 56 + 64*len(m.Entries) }
-func (m appendEntriesResp) Size() int { return 24 }
+func (m appendEntriesMsg) Size() int { return 56 + 64*len(m.Entries) }
 
-// Envelope kinds: every fixed-size protocol message also has a
-// simnet.Envelope encoding, used when the port supports allocation-free
-// sends (simulated endpoints). Entry-carrying AppendEntries keeps the
-// boxed form — it carries a slice. The Bytes fields below mirror the
-// Size() methods above so traffic accounting is representation-
-// independent.
+// Envelope kinds: every fixed-size protocol message travels as a
+// simnet.Envelope; only entry-carrying AppendEntries is boxed. Field
+// use is noted per kind ("last log" and "prev log" are index B and
+// term C), then the accounted wire size.
 const (
-	envPreVote uint16 = iota + 1
-	envPreVoteResp
-	envRequestVote
-	envRequestVoteResp
-	envAppendHeartbeat // appendEntriesMsg with no entries
-	envAppendResp
+	envPreVote         uint16 = iota + 1 // A=term it would start, S=candidate, B/C=last log; 48 B
+	envPreVoteResp                       // A=term, Flag=granted; 16 B
+	envRequestVote                       // A=term, S=candidate, B/C=last log; 48 B
+	envRequestVoteResp                   // A=term, Flag=granted; 16 B
+	envAppendHeartbeat                   // no entries: A=term, S=leader, B/C=prev log, D=commit; 56 B
+	envAppendResp                        // A=term, Flag=success, B=match index; 24 B
 )
 
 // Node is one Raft participant. Construct with New.
 type Node struct {
-	ep simnet.Port
-	// ec is ep's envelope extension when available; fixed-size protocol
-	// messages then travel without per-message heap allocation.
-	ec    simnet.EnvelopeCarrier
+	ep    simnet.Port
 	peers []simnet.NodeID // all group members including self
 	cfg   Config
 	apply ApplyFunc
@@ -257,10 +208,7 @@ func New(ep simnet.Port, peers []simnet.NodeID, cfg Config, apply ApplyFunc) *No
 	}
 	n.electionFn = n.onElectionTimeout
 	ep.OnMessage(n.handle)
-	if ec, ok := ep.(simnet.EnvelopeCarrier); ok {
-		n.ec = ec
-		ec.OnEnvelope(n.handleEnv)
-	}
+	ep.OnEnvelope(n.handleEnv)
 	ep.OnUp(n.onRecover)
 	ep.OnDown(n.onCrash)
 	return n
@@ -412,29 +360,7 @@ func (n *Node) onElectionTimeout() {
 	}
 	n.preVotes = map[simnet.NodeID]bool{n.ep.ID(): true}
 	n.resetElectionTimer()
-	if n.ec != nil {
-		env := simnet.Envelope{
-			Kind: envPreVote, A: n.currentTerm + 1, S: n.ep.ID(),
-			B: n.lastLogIndex(), C: n.lastLogTerm(), Bytes: 48,
-		}
-		for _, p := range n.peers {
-			if p != n.ep.ID() {
-				n.ec.SendEnvelope(p, env)
-			}
-		}
-	} else {
-		msg := preVoteMsg{
-			Term:         n.currentTerm + 1,
-			Candidate:    n.ep.ID(),
-			LastLogIndex: n.lastLogIndex(),
-			LastLogTerm:  n.lastLogTerm(),
-		}
-		for _, p := range n.peers {
-			if p != n.ep.ID() {
-				n.ep.Send(p, msg)
-			}
-		}
-	}
+	n.broadcastVote(envPreVote, n.currentTerm+1)
 	n.maybeStartRealElection()
 }
 
@@ -455,30 +381,21 @@ func (n *Node) startElection() {
 	n.preVotes = nil
 	n.votes = map[simnet.NodeID]bool{n.ep.ID(): true}
 	n.resetElectionTimer()
-	if n.ec != nil {
-		env := simnet.Envelope{
-			Kind: envRequestVote, A: n.currentTerm, S: n.ep.ID(),
-			B: n.lastLogIndex(), C: n.lastLogTerm(), Bytes: 48,
-		}
-		for _, p := range n.peers {
-			if p != n.ep.ID() {
-				n.ec.SendEnvelope(p, env)
-			}
-		}
-	} else {
-		msg := requestVoteMsg{
-			Term:         n.currentTerm,
-			Candidate:    n.ep.ID(),
-			LastLogIndex: n.lastLogIndex(),
-			LastLogTerm:  n.lastLogTerm(),
-		}
-		for _, p := range n.peers {
-			if p != n.ep.ID() {
-				n.ep.Send(p, msg)
-			}
+	n.broadcastVote(envRequestVote, n.currentTerm)
+	n.maybeWin()
+}
+
+// broadcastVote asks every peer for a (pre-)vote at term.
+func (n *Node) broadcastVote(kind uint16, term uint64) {
+	env := simnet.Envelope{
+		Kind: kind, A: term, S: n.ep.ID(),
+		B: n.lastLogIndex(), C: n.lastLogTerm(), Bytes: 48,
+	}
+	for _, p := range n.peers {
+		if p != n.ep.ID() {
+			n.ep.SendEnvelope(p, env)
 		}
 	}
-	n.maybeWin()
 }
 
 func (n *Node) maybeWin() {
@@ -586,15 +503,15 @@ func (n *Node) sendAppend(pi int) {
 	prevTerm := n.log[prevIdx].Term
 	var entries []entry
 	if n.lastLogIndex() >= next {
-		end := next + uint64(n.cfg.MaxEntriesPerMessage)
+		end := next + maxEntriesPerMessage
 		if end > n.lastLogIndex()+1 {
 			end = n.lastLogIndex() + 1
 		}
 		entries = append(entries, n.log[next:end]...)
 	}
-	if len(entries) == 0 && n.ec != nil {
-		// Heartbeat: fixed shape, so it can travel allocation-free.
-		n.ec.SendEnvelope(to, simnet.Envelope{
+	if len(entries) == 0 {
+		// Heartbeat: fixed shape, so it travels allocation-free.
+		n.ep.SendEnvelope(to, simnet.Envelope{
 			Kind: envAppendHeartbeat, A: n.currentTerm, S: n.ep.ID(),
 			B: prevIdx, C: prevTerm, D: n.commitIndex, Bytes: 56,
 		})
@@ -654,87 +571,68 @@ func (n *Node) handle(from simnet.NodeID, msg simnet.Message) {
 	if !n.started {
 		return
 	}
-	switch m := msg.(type) {
-	case requestVoteMsg:
-		n.handleRequestVote(from, m)
-	case requestVoteResp:
-		n.handleVoteResp(from, m)
-	case preVoteMsg:
-		n.handlePreVote(from, m)
-	case preVoteResp:
-		n.handlePreVoteResp(from, m)
-	case appendEntriesMsg:
+	if m, ok := msg.(appendEntriesMsg); ok {
 		n.handleAppendEntries(from, m)
-	case appendEntriesResp:
-		n.handleAppendResp(from, m)
 	}
 }
 
-// handleEnv is the envelope counterpart of handle: it reconstructs the
-// protocol struct on the stack (no allocation) and delegates to the
-// same per-message handlers, so the two representations are
-// behaviorally identical.
+// handleEnv dispatches the fixed-size messages, which all travel as
+// envelopes; a heartbeat is rebuilt as an entry-less AppendEntries on
+// the stack (no allocation).
 func (n *Node) handleEnv(from simnet.NodeID, e *simnet.Envelope) {
 	if !n.started {
 		return
 	}
 	switch e.Kind {
 	case envPreVote:
-		n.handlePreVote(from, preVoteMsg{Term: e.A, Candidate: e.S, LastLogIndex: e.B, LastLogTerm: e.C})
+		n.handlePreVote(from, e.A, e.B, e.C)
 	case envPreVoteResp:
-		n.handlePreVoteResp(from, preVoteResp{Term: e.A, Granted: e.Flag})
+		n.handlePreVoteResp(from, e.A, e.Flag)
 	case envRequestVote:
-		n.handleRequestVote(from, requestVoteMsg{Term: e.A, Candidate: e.S, LastLogIndex: e.B, LastLogTerm: e.C})
+		n.handleRequestVote(from, e.A, e.S, e.B, e.C)
 	case envRequestVoteResp:
-		n.handleVoteResp(from, requestVoteResp{Term: e.A, Granted: e.Flag})
+		n.handleVoteResp(from, e.A, e.Flag)
 	case envAppendHeartbeat:
 		n.handleAppendEntries(from, appendEntriesMsg{Term: e.A, Leader: e.S, PrevLogIndex: e.B, PrevLogTerm: e.C, LeaderCommit: e.D})
 	case envAppendResp:
-		n.handleAppendResp(from, appendEntriesResp{Term: e.A, Success: e.Flag, MatchIndex: e.B})
+		n.handleAppendResp(from, e.A, e.Flag, e.B)
 	}
 }
 
-// handlePreVote grants a pre-vote without touching currentTerm or
-// votedFor: the probe succeeds only if the candidate could win a real
-// election AND this node has not heard from a leader recently.
-func (n *Node) handlePreVote(from simnet.NodeID, m preVoteMsg) {
+// handlePreVote grants a pre-vote for the term a candidate would start
+// without touching currentTerm or votedFor: the probe succeeds only if
+// the candidate could win a real election AND this node has not heard
+// from a leader recently.
+func (n *Node) handlePreVote(from simnet.NodeID, term, lastIdx, lastTerm uint64) {
 	leaderRecent := n.leaderID != "" &&
 		n.ep.Now()-n.lastLeaderContact < n.cfg.ElectionTimeoutMin
-	granted := m.Term >= n.currentTerm && n.logUpToDate(m.LastLogIndex, m.LastLogTerm) && !leaderRecent
-	if n.ec != nil {
-		n.ec.SendEnvelope(from, simnet.Envelope{Kind: envPreVoteResp, A: n.currentTerm, Flag: granted, Bytes: 16})
-		return
-	}
-	n.ep.Send(from, preVoteResp{Term: n.currentTerm, Granted: granted})
+	granted := term >= n.currentTerm && n.logUpToDate(lastIdx, lastTerm) && !leaderRecent
+	n.ep.SendEnvelope(from, simnet.Envelope{Kind: envPreVoteResp, A: n.currentTerm, Flag: granted, Bytes: 16})
 }
 
-func (n *Node) handlePreVoteResp(from simnet.NodeID, m preVoteResp) {
-	if m.Term > n.currentTerm {
-		n.becomeFollower(m.Term, "")
+func (n *Node) handlePreVoteResp(from simnet.NodeID, term uint64, granted bool) {
+	if term > n.currentTerm {
+		n.becomeFollower(term, "")
 		return
 	}
-	if n.preVotes == nil || !m.Granted {
+	if n.preVotes == nil || !granted {
 		return
 	}
 	n.preVotes[from] = true
 	n.maybeStartRealElection()
 }
 
-func (n *Node) handleRequestVote(from simnet.NodeID, m requestVoteMsg) {
-	if m.Term > n.currentTerm {
-		n.becomeFollower(m.Term, "")
+func (n *Node) handleRequestVote(from simnet.NodeID, term uint64, candidate simnet.NodeID, lastIdx, lastTerm uint64) {
+	if term > n.currentTerm {
+		n.becomeFollower(term, "")
 	}
 	granted := false
-	if m.Term == n.currentTerm && (n.votedFor == "" || n.votedFor == m.Candidate) && n.logUpToDate(m.LastLogIndex, m.LastLogTerm) {
+	if term == n.currentTerm && (n.votedFor == "" || n.votedFor == candidate) && n.logUpToDate(lastIdx, lastTerm) {
 		granted = true
-		n.votedFor = m.Candidate
+		n.votedFor = candidate
 		n.resetElectionTimer()
 	}
-	if n.ec != nil {
-		n.ec.SendEnvelope(from, simnet.Envelope{Kind: envRequestVoteResp, A: n.currentTerm, Flag: granted, Bytes: 16})
-		return
-	}
-	n.ep.Send(from, requestVoteResp{Term: n.currentTerm, Granted: granted})
+	n.ep.SendEnvelope(from, simnet.Envelope{Kind: envRequestVoteResp, A: n.currentTerm, Flag: granted, Bytes: 16})
 }
 
 // logUpToDate implements Raft's §5.4.1 voting restriction.
@@ -745,26 +643,21 @@ func (n *Node) logUpToDate(lastIdx, lastTerm uint64) bool {
 	return lastIdx >= n.lastLogIndex()
 }
 
-func (n *Node) handleVoteResp(from simnet.NodeID, m requestVoteResp) {
-	if m.Term > n.currentTerm {
-		n.becomeFollower(m.Term, "")
+func (n *Node) handleVoteResp(from simnet.NodeID, term uint64, granted bool) {
+	if term > n.currentTerm {
+		n.becomeFollower(term, "")
 		return
 	}
-	if n.role != Candidate || m.Term < n.currentTerm || !m.Granted {
+	if n.role != Candidate || term < n.currentTerm || !granted {
 		return
 	}
 	n.votes[from] = true
 	n.maybeWin()
 }
 
-// sendAppendResp replies to an AppendEntries, allocation-free when the
-// port supports envelopes.
+// sendAppendResp replies to an AppendEntries.
 func (n *Node) sendAppendResp(to simnet.NodeID, success bool, match uint64) {
-	if n.ec != nil {
-		n.ec.SendEnvelope(to, simnet.Envelope{Kind: envAppendResp, A: n.currentTerm, Flag: success, B: match, Bytes: 24})
-		return
-	}
-	n.ep.Send(to, appendEntriesResp{Term: n.currentTerm, Success: success, MatchIndex: match})
+	n.ep.SendEnvelope(to, simnet.Envelope{Kind: envAppendResp, A: n.currentTerm, Flag: success, B: match, Bytes: 24})
 }
 
 func (n *Node) handleAppendEntries(from simnet.NodeID, m appendEntriesMsg) {
@@ -800,12 +693,12 @@ func (n *Node) handleAppendEntries(from simnet.NodeID, m appendEntriesMsg) {
 	n.sendAppendResp(from, true, match)
 }
 
-func (n *Node) handleAppendResp(from simnet.NodeID, m appendEntriesResp) {
-	if m.Term > n.currentTerm {
-		n.becomeFollower(m.Term, "")
+func (n *Node) handleAppendResp(from simnet.NodeID, term uint64, success bool, match uint64) {
+	if term > n.currentTerm {
+		n.becomeFollower(term, "")
 		return
 	}
-	if n.role != Leader || m.Term < n.currentTerm {
+	if n.role != Leader || term < n.currentTerm {
 		return
 	}
 	fi := n.peerIdx(from)
@@ -817,10 +710,10 @@ func (n *Node) handleAppendResp(from simnet.NodeID, m appendEntriesResp) {
 		// peer is reachable.
 		n.peerContact[fi] = n.ep.Now()
 	}
-	if m.Success {
-		moved := m.MatchIndex > n.matchIndex[fi]
+	if success {
+		moved := match > n.matchIndex[fi]
 		if moved {
-			n.matchIndex[fi] = m.MatchIndex
+			n.matchIndex[fi] = match
 		}
 		n.nextIndex[fi] = n.matchIndex[fi] + 1
 		// Only a moved match can move the commit point: Propose runs

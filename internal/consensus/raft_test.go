@@ -458,9 +458,6 @@ func TestPreVoteStillElectsWhenLeaderDies(t *testing.T) {
 }
 
 func TestMessageSizes(t *testing.T) {
-	if (requestVoteMsg{}).Size() != 48 || (requestVoteResp{}).Size() != 16 || (appendEntriesResp{}).Size() != 24 {
-		t.Fatal("unexpected fixed sizes")
-	}
 	with := appendEntriesMsg{Entries: []entry{{}, {}}}.Size()
 	without := appendEntriesMsg{}.Size()
 	if with <= without {

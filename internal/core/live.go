@@ -200,14 +200,12 @@ func (sys *System) setShard(id simnet.NodeID, shard int) {
 // wire — the protocol packages' and core's own — with a wire codec.
 func RegisterWire(register func(any)) {
 	simnet.RegisterMuxWire(register)
-	register(simnet.Envelope{})
 	gossip.RegisterWire(register)
 	dataflow.RegisterWire(register)
 	consensus.RegisterWire(register)
 	mape.RegisterWire(register)
 	pubsub.RegisterWire(register)
 	register(readingMsg{})
-	register(readingAck{})
 	register(actuateMsg{})
 	register(placementCmd{})
 }

@@ -19,55 +19,39 @@ type readingMsg struct {
 	Item dataflow.Item
 }
 
-// readingAck acknowledges a reading to its sensor.
-type readingAck struct {
-	Seq uint64
-}
-
-// actuateMsg commands an actuator to the desired engagement state. It
-// is idempotent and re-sent every control period so a restarted
-// actuator re-learns its state.
+// actuateMsg commands an actuator to the desired engagement state: the
+// payload ML2 publishes on a zone's actuation topic. The direct
+// actuation path sends the same command as an envActuate envelope.
+// Either way it is idempotent and re-sent every control period so a
+// restarted actuator re-learns its state.
 type actuateMsg struct {
 	Zone   int
 	Engage bool
 }
 
 func (m readingMsg) Size() int { return 24 + 64 }
-func (m readingAck) Size() int { return 12 }
 func (m actuateMsg) Size() int { return 16 }
 
 // Envelope kinds for the fixed-size core wire messages. Kinds are
 // namespaced per protocol port ("data" carries acks, "act" carries
-// actuation commands); Bytes mirrors the boxed Size so traffic
-// accounting is identical on either path.
+// actuation commands); readingMsg itself stays boxed (it carries an
+// Item).
 const (
-	envReadingAck uint16 = 1 // "data": A=Seq
-	envActuate    uint16 = 2 // "act": A=zone, Flag=engage
+	envReadingAck uint16 = 1 // "data": A=Seq; 12 B
+	envActuate    uint16 = 2 // "act": A=zone, Flag=engage; 16 B, actuateMsg's Size
 )
 
 // directActuate returns the send half of the direct actuation path
-// over port, envelope-encoded when the port supports it. readingMsg
-// itself stays boxed (it carries an Item).
+// over port.
 func directActuate(port simnet.Port) func(z int, engage bool) {
-	ec, _ := port.(simnet.EnvelopeCarrier)
-	return func(z int, engage bool) {
-		if ec != nil {
-			ec.SendEnvelope(actuatorID(z), simnet.Envelope{Kind: envActuate, A: uint64(z), Flag: engage, Bytes: 16})
-			return
-		}
-		port.Send(actuatorID(z), actuateMsg{Zone: z, Engage: engage})
-	}
+	return func(z int, engage bool) { sendActTo(port, actuatorID(z), z, engage) }
 }
 
 // sendActTo ships one actuation command to an explicit target — the
-// backup-actuator failover path. directActuate stays the fixed-primary
-// fast path; callers resolve ec once and pass it in.
-func sendActTo(port simnet.Port, ec simnet.EnvelopeCarrier, to simnet.NodeID, z int, engage bool) {
-	if ec != nil {
-		ec.SendEnvelope(to, simnet.Envelope{Kind: envActuate, A: uint64(z), Flag: engage, Bytes: 16})
-		return
-	}
-	port.Send(to, actuateMsg{Zone: z, Engage: engage})
+// backup-actuator failover path; directActuate is the fixed-primary
+// one.
+func sendActTo(port simnet.Port, to simnet.NodeID, z int, engage bool) {
+	port.SendEnvelope(to, simnet.Envelope{Kind: envActuate, A: uint64(z), Flag: engage, Bytes: 16})
 }
 
 // zoneTempKey is the data key of a zone's temperature stream.
@@ -155,8 +139,7 @@ func nearestFirst(rank *space.Ranking, from space.Point) candidateList {
 // (and eventually back, so a recovered primary is rediscovered).
 type reporter struct {
 	port      simnet.Port
-	argSched  simnet.ArgScheduler // non-nil when port supports arg timers
-	timeoutFn func(uint64)        // onAckTimeout bound once, reused per send
+	timeoutFn func(uint64) // onAckTimeout bound once, reused per send
 	candidateList
 	ordered []simnet.NodeID // order(), kept from the first failover on
 	cur     int
@@ -174,8 +157,8 @@ type reporter struct {
 	lastGood int // last candidate index that acked; -1 if none
 }
 
-// newReporter wires a reporter onto port. The port's message handler is
-// installed here; sensors own the whole port.
+// newReporter wires a reporter onto port. The port's envelope handler
+// is installed here; sensors own the whole port.
 func newReporter(port simnet.Port, candidates candidateList) *reporter {
 	if candidates.n == 0 {
 		panic(fmt.Sprintf("core: reporter on %s has no collector candidates", port.ID()))
@@ -186,20 +169,12 @@ func newReporter(port simnet.Port, candidates candidateList) *reporter {
 		pending:       make(map[uint64]*simnet.Timer),
 		lastGood:      -1,
 	}
-	r.argSched, _ = port.(simnet.ArgScheduler)
 	r.timeoutFn = r.onAckTimeout
-	port.OnMessage(func(_ simnet.NodeID, msg simnet.Message) {
-		if ack, ok := msg.(readingAck); ok {
-			r.onAck(ack.Seq)
+	port.OnEnvelope(func(_ simnet.NodeID, e *simnet.Envelope) {
+		if e.Kind == envReadingAck {
+			r.onAck(e.A)
 		}
 	})
-	if ec, ok := port.(simnet.EnvelopeCarrier); ok {
-		ec.OnEnvelope(func(_ simnet.NodeID, e *simnet.Envelope) {
-			if e.Kind == envReadingAck {
-				r.onAck(e.A)
-			}
-		})
-	}
 	if r.n > 1 {
 		// Periodically fail back to the primary so a recovered
 		// collector is rediscovered (otherwise the reporter would stay
@@ -223,7 +198,7 @@ func (r *reporter) target() simnet.NodeID {
 	return r.ordered[r.cur]
 }
 
-// onAck settles one acknowledged reading (boxed or envelope path).
+// onAck settles one acknowledged reading.
 func (r *reporter) onAck(seq uint64) {
 	if t, pending := r.pending[seq]; pending {
 		t.Stop()
@@ -263,11 +238,7 @@ func (r *reporter) send(item dataflow.Item) {
 	if r.bus.Active() {
 		r.bus.Emit("sensor.report", string(r.port.ID()), 0, 0, "%s → %s", item.Key, r.target())
 	}
-	if r.argSched != nil {
-		r.pending[seq] = r.argSched.AfterArg(ackTimeout, r.timeoutFn, seq)
-	} else {
-		r.pending[seq] = r.port.After(ackTimeout, func() { r.onAckTimeout(seq) })
-	}
+	r.pending[seq] = r.port.AfterArg(ackTimeout, r.timeoutFn, seq)
 }
 
 // collector receives readings on a port, hands items to sink and acks
@@ -280,7 +251,6 @@ type collector struct {
 // newCollector installs the collector's handler on port.
 func newCollector(port simnet.Port, sink func(dataflow.Item, simnet.NodeID)) *collector {
 	c := &collector{port: port, sink: sink}
-	ec, _ := port.(simnet.EnvelopeCarrier)
 	port.OnMessage(func(from simnet.NodeID, msg simnet.Message) {
 		m, ok := msg.(readingMsg)
 		if !ok {
@@ -288,11 +258,7 @@ func newCollector(port simnet.Port, sink func(dataflow.Item, simnet.NodeID)) *co
 		}
 		c.sink(m.Item, from)
 		if m.Seq != 0 {
-			if ec != nil {
-				ec.SendEnvelope(from, simnet.Envelope{Kind: envReadingAck, A: m.Seq, Bytes: 12})
-			} else {
-				c.port.Send(from, readingAck{Seq: m.Seq})
-			}
+			c.port.SendEnvelope(from, simnet.Envelope{Kind: envReadingAck, A: m.Seq, Bytes: 12})
 		}
 	})
 	return c

@@ -72,13 +72,13 @@ type scriptPort struct {
 	home        func()
 }
 
-func (p *scriptPort) ID() simnet.NodeID        { return "z0-t0" }
-func (p *scriptPort) OnMessage(simnet.Handler) {}
+func (p *scriptPort) ID() simnet.NodeID                 { return "z0-t0" }
+func (p *scriptPort) OnEnvelope(simnet.EnvelopeHandler) {}
 func (p *scriptPort) Send(to simnet.NodeID, _ simnet.Message) bool {
 	p.sent = append(p.sent, to)
 	return true
 }
-func (p *scriptPort) After(time.Duration, func()) *simnet.Timer {
+func (p *scriptPort) AfterArg(time.Duration, func(uint64), uint64) *simnet.Timer {
 	return simnet.NewExternalTimer(func() bool { return true })
 }
 func (p *scriptPort) Every(d time.Duration, fn func()) *simnet.Ticker {

@@ -127,9 +127,8 @@ type System struct {
 	cloud          *edgeStack
 	broker         *pubsub.Broker // ML2
 
-	goal     *model.GoalModel
-	reqTemp  []model.RequirementID
-	reqFresh []model.RequirementID
+	reqTemp  []*model.Requirement
+	reqFresh []*model.Requirement
 	auditor  *dataflow.Engine
 	// auditors replaces the single engine in sharded mode: one engine
 	// per lane, so concurrent shard windows never share auditor state.
@@ -492,40 +491,21 @@ func (sys *System) edgeIDs() []simnet.NodeID {
 	return sys.edgeIDCache
 }
 
-// buildRequirements creates the goal model: per zone, a temperature
-// band requirement and a data freshness requirement, all AND-refined
-// under the root goal.
+// buildRequirements creates the requirements: per zone, a temperature
+// band requirement and a data freshness requirement.
 func (sys *System) buildRequirements() {
 	cfg := sys.cfg
-	var reqs []*model.Requirement
-	var leaves []*model.Goal
 	sys.lastControlOK = make([]atomic.Int64, cfg.Zones)
 	for z := 0; z < cfg.Zones; z++ {
 		sys.lastControlOK[z].Store(int64(-time.Hour))
-		tempID := model.RequirementID(fmt.Sprintf("R-temp-%d", z))
-		freshID := model.RequirementID(fmt.Sprintf("R-fresh-%d", z))
-		sys.reqTemp = append(sys.reqTemp, tempID)
-		sys.reqFresh = append(sys.reqFresh, freshID)
-		reqs = append(reqs,
-			&model.Requirement{
-				ID: tempID, Prop: tempProp(z),
-				Description: fmt.Sprintf("zone %d temperature within [%.0f,%.0f]", z, cfg.TempLow, cfg.TempHigh),
-			},
-			&model.Requirement{
-				ID: freshID, Prop: freshProp(z),
-				Description: fmt.Sprintf("zone %d readings fresh at controller", z),
-			},
-		)
-		leaves = append(leaves, &model.Goal{
-			ID:           model.GoalID(fmt.Sprintf("G-zone-%d", z)),
-			Refinement:   model.RefinementAND,
-			Requirements: []model.RequirementID{tempID, freshID},
+		sys.reqTemp = append(sys.reqTemp, &model.Requirement{
+			ID: model.RequirementID(fmt.Sprintf("R-temp-%d", z)), Prop: tempProp(z),
+			Description: fmt.Sprintf("zone %d temperature within [%.0f,%.0f]", z, cfg.TempLow, cfg.TempHigh),
 		})
-	}
-	root := &model.Goal{ID: "G-root", Refinement: model.RefinementAND, Subgoals: leaves}
-	sys.goal = model.NewGoalModel(root, reqs)
-	if err := sys.goal.Validate(); err != nil {
-		panic(err)
+		sys.reqFresh = append(sys.reqFresh, &model.Requirement{
+			ID: model.RequirementID(fmt.Sprintf("R-fresh-%d", z)), Prop: freshProp(z),
+			Description: fmt.Sprintf("zone %d readings fresh at controller", z),
+		})
 	}
 }
 

@@ -62,26 +62,18 @@ func (sys *System) startSensorsWithReporter(candidates func(*sensorRig) candidat
 }
 
 // wireActuatorsDirect installs the direct actuation handler used by
-// ML1, ML3 and ML4: actuateMsg on the "act" port. A crashed actuator
-// loses its engagement; the idempotent periodic commands restore it.
+// ML1, ML3 and ML4: envActuate envelopes on the "act" port. A crashed
+// actuator loses its engagement; the idempotent periodic commands
+// restore it.
 func (sys *System) wireActuatorsDirect() {
 	for _, rig := range sys.actuators {
 		rig := rig
-		actPort := rig.mux.Port("act")
-		actPort.OnMessage(func(_ simnet.NodeID, msg simnet.Message) {
-			if m, ok := msg.(actuateMsg); ok && m.Zone == rig.zone {
+		rig.mux.Port("act").OnEnvelope(func(_ simnet.NodeID, e *simnet.Envelope) {
+			if e.Kind == envActuate && int(e.A) == rig.zone {
 				rig.lastCmd = rig.ep.Now()
-				rig.actuator.SetEngaged(m.Engage)
+				rig.actuator.SetEngaged(e.Flag)
 			}
 		})
-		if ec, ok := actPort.(simnet.EnvelopeCarrier); ok {
-			ec.OnEnvelope(func(_ simnet.NodeID, e *simnet.Envelope) {
-				if e.Kind == envActuate && int(e.A) == rig.zone {
-					rig.lastCmd = rig.ep.Now()
-					rig.actuator.SetEngaged(e.Flag)
-				}
-			})
-		}
 		sys.armActuatorWatchdog(rig)
 	}
 }
@@ -164,10 +156,8 @@ func (sys *System) installLoop(st *edgeStack, zones []int) {
 			age, ok := k.GetFloat(zoneTempAgeKey(z))
 			return ok && time.Duration(age) <= sys.freshWin
 		}})
-		tempReq, _ := sys.goal.Requirement(sys.reqTemp[z])
-		freshReq, _ := sys.goal.Requirement(sys.reqFresh[z])
-		loop.AddRequirement(tempReq)
-		loop.AddRequirement(freshReq)
+		loop.AddRequirement(sys.reqTemp[z])
+		loop.AddRequirement(sys.reqFresh[z])
 		sys.runtimeMonitored += 2
 	}
 	st.loop = loop
@@ -551,13 +541,12 @@ func (sys *System) wireML4() {
 		}
 		sendAct := directActuate(actPort)
 		if sys.cfg.BackupActuators > 0 {
-			ec, _ := actPort.(simnet.EnvelopeCarrier)
 			sendAct = func(z int, engage bool) {
 				target, ok := mape.Failover(sys.actCandidates[z], st.gossip.IsAlive)
 				if !ok {
 					target = actuatorID(z)
 				}
-				sendActTo(actPort, ec, target, z, engage)
+				sendActTo(actPort, target, z, engage)
 			}
 		}
 		st.ep.Every(sys.cfg.ControlInterval, sys.controlTick(st, controls, sendAct))

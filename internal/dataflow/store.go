@@ -140,8 +140,7 @@ type Store struct {
 	// A peer with no declaration receives the full relay stream.
 	peerInterest map[string]map[string]bool
 
-	maxFrame int
-	links    map[simnet.NodeID]*LinkStats
+	links map[simnet.NodeID]*LinkStats
 
 	received int
 	onApply  []func(Item, simnet.NodeID)
@@ -167,11 +166,12 @@ type StoreConfig struct {
 	// its frames carry the Relayed flag so receivers stop the chain
 	// there.
 	Relay bool
-	// MaxFrameBytes caps one sync frame's encoded size; a turn with
-	// more pending data emits several frames so a single turn never
-	// floods a link (default 4096).
-	MaxFrameBytes int
 }
+
+// maxFrameBytes caps one sync frame's encoded size; a turn with more
+// pending data emits several frames so a single turn never floods a
+// link.
+const maxFrameBytes = 4096
 
 // NewStore builds a store on port, placed in spaces (the node's own
 // entity ID must be placed there for domain lookups).
@@ -181,9 +181,6 @@ func NewStore(port simnet.Port, spaces *space.Map, cfg StoreConfig) *Store {
 	}
 	if cfg.Engine == nil {
 		cfg.Engine = DefaultPrivacyEngine()
-	}
-	if cfg.MaxFrameBytes <= 0 {
-		cfg.MaxFrameBytes = 4096
 	}
 	s := &Store{
 		port:      port,
@@ -196,7 +193,6 @@ func NewStore(port simnet.Port, spaces *space.Map, cfg StoreConfig) *Store {
 		buf:       crdt.NewDeltaBuffer(),
 		lastFrom:  make(map[string]simnet.NodeID),
 		relay:     cfg.Relay,
-		maxFrame:  cfg.MaxFrameBytes,
 		links:     make(map[simnet.NodeID]*LinkStats),
 	}
 	for _, p := range s.peers {
@@ -440,7 +436,7 @@ func (s *Store) syncTo(peer simnet.NodeID) {
 			continue
 		}
 		sz := crdt.EntrySize(e)
-		if len(entries) > 0 && bytes+sz > s.maxFrame {
+		if len(entries) > 0 && bytes+sz > maxFrameBytes {
 			flush()
 		}
 		entries = append(entries, e)

@@ -87,9 +87,6 @@ type Config struct {
 	// ProbeTimeout bounds the wait for a direct ack before indirect
 	// probing starts.
 	ProbeTimeout time.Duration
-	// IndirectProbes is the number of helpers asked to ping an
-	// unresponsive member.
-	IndirectProbes int
 	// SuspicionTimeout is how long a suspect has to refute before it is
 	// declared dead.
 	SuspicionTimeout time.Duration
@@ -115,15 +112,16 @@ type Config struct {
 	StrictResurrection bool
 }
 
+// indirectProbes is the number of helpers asked to ping an
+// unresponsive member.
+const indirectProbes = 3
+
 func (c Config) withDefaults() Config {
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = time.Second
 	}
 	if c.ProbeTimeout == 0 {
 		c.ProbeTimeout = 300 * time.Millisecond
-	}
-	if c.IndirectProbes == 0 {
-		c.IndirectProbes = 3
 	}
 	if c.SuspicionTimeout == 0 {
 		c.SuspicionTimeout = 3 * time.Second
@@ -203,8 +201,7 @@ func (m leaveMsg) Size() int   { return 32 }
 
 // Envelope kinds for updates-free pings and acks — the steady-state
 // probe traffic once membership has converged and the broadcast queue
-// is drained. Bytes mirrors the boxed Size with nil Updates, so the
-// byte accounting is identical on either path.
+// is drained. Bytes is the Size of pingMsg/ackMsg without Updates.
 const (
 	envPing uint16 = 1 // A=Seq
 	envAck  uint16 = 2 // A=Seq
@@ -226,7 +223,6 @@ type broadcast struct {
 // Start (optionally with seeds to join through).
 type Protocol struct {
 	ep  simnet.Port
-	ec  simnet.EnvelopeCarrier // non-nil when ep supports inline envelopes
 	cfg Config
 
 	incarnation uint64
@@ -287,10 +283,7 @@ func New(ep simnet.Port, cfg Config) *Protocol {
 	}
 	p.addMember(&memberState{Member: Member{ID: ep.ID(), Status: StatusAlive}})
 	ep.OnMessage(p.handle)
-	if ec, ok := ep.(simnet.EnvelopeCarrier); ok {
-		p.ec = ec
-		ec.OnEnvelope(p.handleEnv)
-	}
+	ep.OnEnvelope(p.handleEnv)
 	ep.OnUp(p.onRecover)
 	return p
 }
@@ -501,7 +494,7 @@ func (p *Protocol) probe() {
 }
 
 func (p *Protocol) indirectProbe(target simnet.NodeID) {
-	helpers := p.randomAliveExcept(p.cfg.IndirectProbes, target)
+	helpers := p.randomAliveExcept(indirectProbes, target)
 	seq := p.nextSeq()
 	for _, h := range helpers {
 		p.ep.Send(h, pingReqMsg{Seq: seq, Origin: p.ep.ID(), Target: target, Updates: p.takePiggyback()})
@@ -872,11 +865,11 @@ func (p *Protocol) handleEnv(from simnet.NodeID, e *simnet.Envelope) {
 }
 
 // sendPing transmits a probe carrying any pending piggyback updates;
-// with none pending it travels as an inline envelope where supported.
+// with none pending it travels as an envelope.
 func (p *Protocol) sendPing(to simnet.NodeID, seq uint64) {
 	ups := p.takePiggyback()
-	if ups == nil && p.ec != nil {
-		p.ec.SendEnvelope(to, simnet.Envelope{Kind: envPing, A: seq, Bytes: 16})
+	if ups == nil {
+		p.ep.SendEnvelope(to, simnet.Envelope{Kind: envPing, A: seq, Bytes: 16})
 		return
 	}
 	p.ep.Send(to, pingMsg{Seq: seq, Updates: ups})
@@ -885,8 +878,8 @@ func (p *Protocol) sendPing(to simnet.NodeID, seq uint64) {
 // sendAck mirrors sendPing for acknowledgements.
 func (p *Protocol) sendAck(to simnet.NodeID, seq uint64) {
 	ups := p.takePiggyback()
-	if ups == nil && p.ec != nil {
-		p.ec.SendEnvelope(to, simnet.Envelope{Kind: envAck, A: seq, Bytes: 16})
+	if ups == nil {
+		p.ep.SendEnvelope(to, simnet.Envelope{Kind: envAck, A: seq, Bytes: 16})
 		return
 	}
 	p.ep.Send(to, ackMsg{Seq: seq, Updates: ups})

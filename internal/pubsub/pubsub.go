@@ -39,10 +39,6 @@ type publishMsg struct {
 	Payload any
 }
 
-type pubAckMsg struct {
-	ID uint64
-}
-
 type deliverMsg struct {
 	Topic   string
 	Payload any
@@ -58,17 +54,15 @@ type deliverMsg struct {
 func RegisterWire(register func(any)) {
 	register(subscribeMsg{})
 	register(publishMsg{})
-	register(pubAckMsg{})
 	register(deliverMsg{})
 }
 
 func (m subscribeMsg) Size() int { return 8 + len(m.Topic) }
 func (m publishMsg) Size() int   { return 16 + len(m.Topic) + payloadSize(m.Payload) }
-func (m pubAckMsg) Size() int    { return 12 }
 func (m deliverMsg) Size() int   { return 8 + len(m.Topic) + payloadSize(m.Payload) }
 
-// envPubAck is the inline-envelope form of pubAckMsg (A=ID); Bytes
-// mirrors the boxed Size, so byte accounting is identical.
+// envPubAck is the envelope acknowledging a QoS-1 publication: A=ID,
+// 12 bytes.
 const envPubAck uint16 = 1
 
 func payloadSize(p any) int {
@@ -85,7 +79,6 @@ func payloadSize(p any) int {
 // faithful model of a non-replicated broker deployment.
 type Broker struct {
 	ep simnet.Port
-	ec simnet.EnvelopeCarrier // non-nil when ep supports inline envelopes
 	// subs has one row per subscribed pattern, and wild lists, in
 	// pattern order, the rows whose pattern holds a wildcard character.
 	// A pattern without one covers the topic spelled like it and no
@@ -121,7 +114,6 @@ func NewBroker(ep simnet.Port) *Broker {
 		subs:     make(map[string]*subscription),
 		retained: make(map[string]any),
 	}
-	b.ec, _ = ep.(simnet.EnvelopeCarrier)
 	ep.OnMessage(b.handle)
 	ep.OnUp(func() {
 		// A restarted broker has lost its network subscriptions and its
@@ -226,11 +218,7 @@ func (b *Broker) handle(from simnet.NodeID, msg simnet.Message) {
 		}
 	case publishMsg:
 		if m.ID != 0 {
-			if b.ec != nil {
-				b.ec.SendEnvelope(from, simnet.Envelope{Kind: envPubAck, A: m.ID, Bytes: 12})
-			} else {
-				b.ep.Send(from, pubAckMsg{ID: m.ID})
-			}
+			b.ep.SendEnvelope(from, simnet.Envelope{Kind: envPubAck, A: m.ID, Bytes: 12})
 		}
 		b.fanOut(from, m.Topic, m.Payload)
 	}
@@ -352,13 +340,11 @@ func NewClient(ep simnet.Port, brokerID simnet.NodeID, cfg ClientConfig) *Client
 		pending:       make(map[uint64]*simnet.Timer),
 	}
 	ep.OnMessage(c.handle)
-	if ec, ok := ep.(simnet.EnvelopeCarrier); ok {
-		ec.OnEnvelope(func(_ simnet.NodeID, e *simnet.Envelope) {
-			if e.Kind == envPubAck {
-				c.onPubAck(e.A)
-			}
-		})
-	}
+	ep.OnEnvelope(func(_ simnet.NodeID, e *simnet.Envelope) {
+		if e.Kind == envPubAck {
+			c.onPubAck(e.A)
+		}
+	})
 	ep.OnUp(c.resubscribe)
 	return c
 }
@@ -417,28 +403,27 @@ func (c *Client) resubscribe() {
 }
 
 func (c *Client) handle(_ simnet.NodeID, msg simnet.Message) {
-	switch m := msg.(type) {
-	case deliverMsg:
-		if m.SentAt > 0 && c.bus.Active() {
-			c.bus.Publish(obs.Event{
-				At: m.SentAt, Dur: c.bus.Now() - m.SentAt,
-				Kind: "pubsub.deliver", Node: string(c.ep.ID()),
-				Detail: "topic " + m.Topic,
-			})
+	m, ok := msg.(deliverMsg)
+	if !ok {
+		return
+	}
+	if m.SentAt > 0 && c.bus.Active() {
+		c.bus.Publish(obs.Event{
+			At: m.SentAt, Dur: c.bus.Now() - m.SentAt,
+			Kind: "pubsub.deliver", Node: string(c.ep.ID()),
+			Detail: "topic " + m.Topic,
+		})
+	}
+	// Subscriptions may be wildcard patterns; dispatch to every
+	// matching handler.
+	for _, s := range c.handlers {
+		if TopicMatches(s.pattern, m.Topic) {
+			s.h(m.Topic, m.Payload)
 		}
-		// Subscriptions may be wildcard patterns; dispatch to every
-		// matching handler.
-		for _, s := range c.handlers {
-			if TopicMatches(s.pattern, m.Topic) {
-				s.h(m.Topic, m.Payload)
-			}
-		}
-	case pubAckMsg:
-		c.onPubAck(m.ID)
 	}
 }
 
-// onPubAck settles a pending QoS-1 publish (boxed or envelope path).
+// onPubAck settles a pending QoS-1 publish.
 func (c *Client) onPubAck(id uint64) {
 	if t, ok := c.pending[id]; ok {
 		t.Stop()

@@ -310,9 +310,6 @@ func TestMessageSizes(t *testing.T) {
 	if (subscribeMsg{Topic: "abc"}).Size() != 11 {
 		t.Fatal("subscribe size")
 	}
-	if (pubAckMsg{}).Size() != 12 {
-		t.Fatal("ack size")
-	}
 	p := publishMsg{Topic: "t", Payload: "anything"}
 	if p.Size() != 16+1+64 {
 		t.Fatalf("publish size = %d", p.Size())

@@ -78,13 +78,14 @@ type wireTypes struct {
 }
 
 // newWireTypes returns a set holding the built-in scalars an interface
-// field may carry without the application registering anything.
+// field may carry, and simnet.Envelope, which every simnet.Port
+// carries, without the application registering anything.
 func newWireTypes() *wireTypes {
 	w := &wireTypes{byType: make(map[reflect.Type]*plan), byTag: make(map[uint32]*plan)}
 	for _, v := range []any{
 		false, int(0), int8(0), int16(0), int32(0), int64(0),
 		uint(0), uint8(0), uint16(0), uint32(0), uint64(0),
-		float32(0), float64(0), "", []byte(nil),
+		float32(0), float64(0), "", []byte(nil), simnet.Envelope{},
 	} {
 		w.register(v)
 	}

@@ -21,17 +21,21 @@ import (
 	"repro/internal/simnet"
 )
 
-// liveTypes is every message type core.registerLiveWire puts on the
-// wire (serve and riotnode register a subset: gossip, dataflow and the
-// mux envelope), registered with the codec under test and with gob,
-// which lives on here as the reference the codec replaced.
+// liveTypes is every message type a live city node puts on the wire:
+// the simnet.Envelope every port carries and the types
+// core.registerLiveWire registers (serve and riotnode register a
+// subset: gossip, dataflow and the mux envelope). Each is registered
+// with the codec under test and with gob, which lives on here as the
+// reference the codec replaced.
 var liveTypes = func() []reflect.Type {
 	var ts []reflect.Type
-	core.RegisterWire(func(v any) {
+	register := func(v any) {
 		realnet.RegisterWireType(v)
 		gob.Register(v)
 		ts = append(ts, reflect.TypeOf(v))
-	})
+	}
+	register(simnet.Envelope{})
+	core.RegisterWire(register)
 	return ts
 }()
 
@@ -519,19 +523,34 @@ func BenchmarkSendRecvLoopback(b *testing.B) {
 // Decoding against a peer table must accept and refuse the same bytes
 // and yield the same sender and message, known sender or not.
 func FuzzDecodeDatagram(f *testing.F) {
-	g := gen{rand.New(rand.NewSource(1))}
-	for _, typ := range liveTypes {
-		for i, v := range []reflect.Value{reflect.Zero(typ), g.value(typ, 0)} {
-			from := simnet.NodeID("edge-17")
-			if i == 1 {
-				from = "edge-99" // not in fuzzPeers
-			}
-			b, err := realnet.Wire.Append(nil, from, v.Interface())
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(b)
+	add := func(from simnet.NodeID, msg any) {
+		b, err := realnet.Wire.Append(nil, from, msg)
+		if err != nil {
+			f.Fatal(err)
 		}
+		f.Add(b)
+	}
+	g := gen{rand.New(rand.NewSource(1))}
+	for _, typ := range liveTypes { // a top-level simnet.Envelope first
+		add("edge-17", reflect.Zero(typ).Interface())
+		add("edge-99", g.value(typ, 0).Interface()) // not in fuzzPeers
+	}
+	// The small messages as the protocols send them, on a raw port and
+	// through the mux: a probe or ack, a vote or actuation reply, a
+	// (pre-)vote request, a heartbeat, an accepted and a refused append
+	// response, and every field at an extreme.
+	for _, env := range []simnet.Envelope{
+		{Kind: 1, A: 4711, Bytes: 16},
+		{Kind: 2, A: 12, Flag: true, Bytes: 16},
+		{Kind: 3, A: 9, S: "edge-17", B: 130, C: 8, Bytes: 48},
+		{Kind: 5, A: 9, S: "edge-17", B: 130, C: 8, D: 128, Bytes: 56},
+		{Kind: 6, A: 9, Flag: true, B: 131, Bytes: 24},
+		{Kind: 6, A: 9, Bytes: 24},
+		{Kind: ^uint16(0), Flag: true, A: ^uint64(0), B: 1 << 63, C: 1, D: ^uint64(0) >> 1,
+			S: "edge-99", T: "edge-17", Bytes: 1<<31 - 1},
+	} {
+		add("edge-17", env)
+		add("edge-17", build("simnet.envelope", map[string]any{"Proto": "raft", "Msg": env}))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats

@@ -21,7 +21,8 @@
 //
 // Wire format: a datagram-native binary codec (codec.go). Protocol
 // packages register their message types via their RegisterWire
-// functions before nodes start; registration compiles, once per type, a
+// functions before nodes start (simnet.Envelope, which every Port
+// carries, is built in); registration compiles, once per type, a
 // plan over the type's exported fields (bool, integers, floats,
 // strings, []byte, slices, maps, structs, and interface fields carrying
 // a built-in scalar or another registered type). A datagram is
@@ -182,6 +183,7 @@ type Node struct {
 	start   time.Time
 	peers   map[simnet.NodeID]*net.UDPAddr
 	handler simnet.Handler
+	envH    simnet.EnvelopeHandler
 	closed  bool
 	down    bool
 	onUp    []func()
@@ -348,10 +350,12 @@ func (n *Node) readLoop() {
 	}
 }
 
-// receive hands a datagram to the handler on the event loop.
+// receive hands a datagram to its handler on the event loop: an
+// Envelope to the envelope handler, any other message to the message
+// handler.
 func (n *Node) receive(from simnet.NodeID, msg simnet.Message) {
 	n.mu.Lock()
-	h := n.handler
+	h, eh := n.handler, n.envH
 	down := n.down
 	blocked := n.blocked[from]
 	n.mu.Unlock()
@@ -362,7 +366,17 @@ func (n *Node) receive(from simnet.NodeID, msg simnet.Message) {
 		n.stat.dropped.Add(1)
 		return
 	}
-	if h != nil && !down {
+	if down {
+		return
+	}
+	if e, ok := msg.(simnet.Envelope); ok {
+		if eh != nil {
+			n.stat.received.Add(1)
+			eh(from, &e)
+		}
+		return
+	}
+	if h != nil {
 		n.stat.received.Add(1)
 		h(from, msg)
 	}
@@ -455,6 +469,20 @@ func (n *Node) OnMessage(h simnet.Handler) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.handler = h
+}
+
+// OnEnvelope installs the handler for datagrams carrying a
+// simnet.Envelope.
+func (n *Node) OnEnvelope(h simnet.EnvelopeHandler) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.envH = h
+}
+
+// SendEnvelope transmits env as a datagram of its own, with Send's
+// semantics.
+func (n *Node) SendEnvelope(to simnet.NodeID, env simnet.Envelope) bool {
+	return n.Send(to, env)
 }
 
 // OnUp registers a recovery callback, invoked on the event loop when
@@ -741,6 +769,11 @@ func (n *Node) After(d time.Duration, fn func()) *simnet.Timer {
 		mu.Unlock()
 		return t.Stop() && !already
 	})
+}
+
+// AfterArg schedules fn(arg) like After.
+func (n *Node) AfterArg(d time.Duration, fn func(uint64), arg uint64) *simnet.Timer {
+	return n.After(d, func() { fn(arg) })
 }
 
 // Every runs fn on the event loop at the given (virtual) period until

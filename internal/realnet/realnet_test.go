@@ -237,6 +237,65 @@ func TestSendBetweenTwoNodes(t *testing.T) {
 	}
 }
 
+// TestEnvelopeRoundTripOverUDP sends one envelope node to node and
+// one through a protocol mux on each side: both reach the envelope
+// handler intact, and none reaches a message handler. Envelopes need no
+// registration; the mux wrapper does.
+func TestEnvelopeRoundTripOverUDP(t *testing.T) {
+	simnet.RegisterMuxWire(RegisterWireType)
+	a, err := NewNode("a", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := NewNode("b", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := a.AddPeer("b", b.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	type arrival struct {
+		via string
+		env simnet.Envelope
+	}
+	got := make(chan arrival, 2)
+	handler := func(via string) simnet.EnvelopeHandler {
+		return func(from simnet.NodeID, env *simnet.Envelope) {
+			if from == "a" {
+				got <- arrival{via, *env}
+			}
+		}
+	}
+	b.OnEnvelope(handler("raw"))
+	muxA, muxB := simnet.NewPortMux(a).Port("p"), simnet.NewPortMux(b).Port("p")
+	muxB.OnEnvelope(handler("mux"))
+	muxB.OnMessage(func(simnet.NodeID, simnet.Message) { t.Error("mux envelope reached the message handler") })
+	a.Run()
+	b.Run()
+
+	want := simnet.Envelope{Kind: 5, Flag: true, A: 1, B: 2, C: 3, D: 4, S: "a", T: "b", Bytes: 48}
+	if !a.SendEnvelope("b", want) {
+		t.Fatal("raw SendEnvelope failed")
+	}
+	if !muxA.SendEnvelope("b", want) {
+		t.Fatal("mux SendEnvelope failed")
+	}
+	seen := map[string]bool{}
+	for len(seen) < 2 {
+		select {
+		case m := <-got:
+			if m.env != want {
+				t.Fatalf("%s: got %+v, want %+v", m.via, m.env, want)
+			}
+			seen[m.via] = true
+		case <-time.After(5 * time.Second):
+			t.Fatalf("envelopes never arrived: saw %v", seen)
+		}
+	}
+}
+
 func TestRaftCommitsOverUDP(t *testing.T) {
 	registerWire()
 	consensus.RegisterWire(RegisterWireType)

@@ -201,3 +201,31 @@ func TestStartClusterValidation(t *testing.T) {
 		t.Fatal("mismatched registries accepted")
 	}
 }
+
+// TestHealthyClusterSuspectsNoOne runs a fault-free cluster for a few
+// seconds: gossip must probe, and no node may suspect a healthy peer.
+// Pings and acks without piggyback travel as envelopes, so a node whose
+// sockets cannot carry them times out every such probe.
+func TestHealthyClusterSuspectsNoOne(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-socket cluster test")
+	}
+	regs := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry(), obs.NewRegistry()}
+	cl, err := StartCluster(len(regs), ClusterOptions{Registries: regs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	time.Sleep(3 * time.Second)
+	for i, reg := range regs {
+		count := func(kind string) uint64 {
+			return reg.Counter("riot_events_total", "", "kind", kind).Value()
+		}
+		if n := count("gossip.probe"); n == 0 {
+			t.Errorf("node %d: no gossip.probe events", i)
+		}
+		if n := count("gossip.suspect"); n != 0 {
+			t.Errorf("node %d: %d gossip.suspect events in a fault-free cluster", i, n)
+		}
+	}
+}

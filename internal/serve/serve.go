@@ -80,11 +80,6 @@ type Config struct {
 	// MaxInFlight bounds concurrently admitted requests; beyond it the
 	// server sheds with 429 (default 256).
 	MaxInFlight int
-	// StreamBuffer is each subscriber's event buffer; events beyond it
-	// are dropped for that subscriber (default 64).
-	StreamBuffer int
-	// MaxStreams bounds concurrent stream subscribers (default 1024).
-	MaxStreams int
 }
 
 func (cfg Config) withDefaults() Config {
@@ -100,12 +95,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 256
-	}
-	if cfg.StreamBuffer <= 0 {
-		cfg.StreamBuffer = 64
-	}
-	if cfg.MaxStreams <= 0 {
-		cfg.MaxStreams = 1024
 	}
 	return cfg
 }
@@ -160,7 +149,7 @@ func NewServer(cfg Config) *Server {
 	s.shedTotal = s.reg.Counter("riot_serve_shed_total", "requests shed by admission control")
 	s.inflightG = s.reg.Gauge("riot_serve_inflight", "requests currently admitted")
 
-	s.hub = newHub(cfg.StreamBuffer, cfg.MaxStreams,
+	s.hub = newHub(
 		s.reg.Gauge("riot_serve_stream_subscribers", "live stream subscribers"),
 		s.reg.Counter("riot_serve_stream_dropped_total", "stream events dropped on slow subscribers"))
 	s.incidents = newIncidentLog(cfg.Now, s.reg)

@@ -25,6 +25,13 @@ type subscriber struct {
 	ch chan StreamEvent
 }
 
+// streamBuffer is each subscriber's event buffer; events beyond it are
+// dropped for that subscriber.
+const streamBuffer = 64
+
+// maxStreams bounds concurrent stream subscribers.
+const maxStreams = 1024
+
 // hub fans events out to subscribers. Publishes never block: a
 // subscriber whose buffer is full loses that event (counted), so one
 // slow reader cannot stall the event loop the publishers run on.
@@ -32,17 +39,13 @@ type hub struct {
 	mu      sync.Mutex
 	subs    map[*subscriber]struct{}
 	closed  bool
-	buf     int
-	maxSubs int
 	gauge   *obs.Gauge
 	dropped *obs.Counter
 }
 
-func newHub(buf, maxSubs int, gauge *obs.Gauge, dropped *obs.Counter) *hub {
+func newHub(gauge *obs.Gauge, dropped *obs.Counter) *hub {
 	return &hub{
 		subs:    make(map[*subscriber]struct{}),
-		buf:     buf,
-		maxSubs: maxSubs,
 		gauge:   gauge,
 		dropped: dropped,
 	}
@@ -59,10 +62,10 @@ func (h *hub) subscribe() (*subscriber, error) {
 	if h.closed {
 		return nil, errHubClosed
 	}
-	if len(h.subs) >= h.maxSubs {
+	if len(h.subs) >= maxStreams {
 		return nil, errHubFull
 	}
-	sub := &subscriber{ch: make(chan StreamEvent, h.buf)}
+	sub := &subscriber{ch: make(chan StreamEvent, streamBuffer)}
 	h.subs[sub] = struct{}{}
 	h.gauge.Set(float64(len(h.subs)))
 	return sub, nil

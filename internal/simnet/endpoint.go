@@ -64,20 +64,19 @@ func (e *Endpoint) After(d time.Duration, fn func()) *Timer {
 	return ln.newTimer(ev)
 }
 
-// ArgScheduler is an optional Port extension for allocation-free
-// per-occurrence timers: fn rides in the event together with its
-// argument, so callers that bind fn once (a method value) pay no
-// closure allocation per schedule. Callers must fall back to
-// Port.After with a capturing closure when the port does not
-// implement it.
-type ArgScheduler interface {
-	AfterArg(d time.Duration, fn func(uint64), arg uint64) *Timer
+// SendEnvelope transmits env inline, with Send's semantics: plain
+// traffic for the destination's OnEnvelope handler.
+func (e *Endpoint) SendEnvelope(to NodeID, env Envelope) bool {
+	return e.sim.send(e.node, "", to, nil, &env)
 }
 
-var _ ArgScheduler = (*Endpoint)(nil)
+// OnEnvelope installs the handler for plain (unmultiplexed) envelopes.
+func (e *Endpoint) OnEnvelope(h EnvelopeHandler) { e.node.setProtoEnvHandler("", h) }
 
 // AfterArg schedules fn(arg) to run once, d from now, with the same
-// down-gating as After.
+// down-gating as After. fn rides in the event together with its
+// argument, so a caller that binds fn once (a method value) pays no
+// closure allocation per schedule.
 func (e *Endpoint) AfterArg(d time.Duration, fn func(uint64), arg uint64) *Timer {
 	ev, ln := e.sim.scheduleOn(e.node, e.node.ln.now+d)
 	ev.owner = e.node

@@ -95,15 +95,17 @@ func TestRunUntilIntoThePast(t *testing.T) {
 
 // TestHotPathsDoNotAllocate asserts the property the engine's inline
 // payloads exist for: in steady state an envelope send plus its
-// delivery, and an AfterArg timer plus its firing, allocate nothing —
-// with and without shard lanes.
+// delivery — through a mux port or a raw endpoint — and an AfterArg
+// timer plus its firing, allocate nothing, with and without shard
+// lanes.
 func TestHotPathsDoNotAllocate(t *testing.T) {
 	for _, lanes := range []int{0, 1} {
 		s := withLanes(lanes, WithDefaultLatency(time.Millisecond))
-		a := NewMux(s.AddNode("a")).Port("p")
-		b := NewMux(s.AddNode("b")).Port("p")
+		rawA, rawB := s.AddNode("a"), s.AddNode("b")
+		a, b := NewMux(rawA).Port("p"), NewMux(rawB).Port("p")
 		var got uint64
-		b.(EnvelopeCarrier).OnEnvelope(func(_ NodeID, env *Envelope) { got += env.A })
+		b.OnEnvelope(func(_ NodeID, env *Envelope) { got += env.A })
+		rawB.OnEnvelope(func(_ NodeID, env *Envelope) { got += env.A })
 		onTimer := func(arg uint64) { got += arg }
 
 		cases := []struct {
@@ -111,11 +113,15 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 			op   func()
 		}{
 			{"envelope send+deliver", func() {
-				a.(EnvelopeCarrier).SendEnvelope("b", Envelope{Kind: 1, A: 1, Bytes: 24})
+				a.SendEnvelope("b", Envelope{Kind: 1, A: 1, Bytes: 24})
+				s.Run()
+			}},
+			{"raw envelope send+deliver", func() {
+				rawA.SendEnvelope("b", Envelope{Kind: 1, A: 1, Bytes: 24})
 				s.Run()
 			}},
 			{"AfterArg schedule+fire", func() {
-				a.(ArgScheduler).AfterArg(time.Millisecond, onTimer, 1)
+				a.AfterArg(time.Millisecond, onTimer, 1)
 				s.Run()
 			}},
 		}

@@ -7,14 +7,15 @@ package simnet
 // one heap allocation per message, which at city scale is the single
 // largest allocation source in a run. An Envelope instead travels
 // inline in the simulator's event arena: sending one costs no
-// allocation at all.
+// allocation at all. Every Port carries envelopes (Port.SendEnvelope),
+// so a fixed-shape message has this one encoding on every backend;
+// only messages with a variable payload (entries, piggybacked updates,
+// data items) stay boxed structs.
 //
 // Kind is a protocol-defined discriminator (namespaced per protocol
 // port, so protocols assign kinds independently); Flag, A–D, S and T
 // carry the message fields under protocol-defined meaning; Bytes is
-// the accounted wire size and must equal the Size() of the boxed
-// struct the envelope replaces, so traffic statistics are identical
-// whichever representation a sender picks.
+// the accounted wire size of the message.
 type Envelope struct {
 	Kind  uint16 // protocol-defined discriminator; zero is reserved (no envelope)
 	Flag  bool
@@ -27,29 +28,13 @@ type Envelope struct {
 	Bytes int32
 }
 
-// Size implements Sized so a boxed Envelope (the generic-Port
-// fallback) accounts the same wire size as the native path.
+// Size implements Sized, so an Envelope boxed into a generic port's
+// mux wrapper accounts the same wire size as the inline path.
 func (e Envelope) Size() int { return int(e.Bytes) }
 
-// EnvelopeHandler consumes envelopes arriving at a protocol port. The
-// pointer is valid only for the duration of the call: the storage
-// belongs to the simulator's event arena and is recycled afterwards.
+// EnvelopeHandler consumes envelopes arriving at a port. The pointer is
+// valid only for the duration of the call: the storage belongs to the
+// simulator's event arena and is recycled afterwards. Envelope and
+// boxed traffic flow independently: envelopes reach only the port's
+// EnvelopeHandler, boxed messages only its Handler.
 type EnvelopeHandler func(from NodeID, env *Envelope)
-
-// EnvelopeCarrier is an optional Port extension for allocation-free
-// fixed-size messages. Protocols type-assert once at construction and
-// fall back to boxed structs when the port does not implement it
-// (e.g. real-network adapters):
-//
-//	if ec, ok := port.(simnet.EnvelopeCarrier); ok { ... }
-//
-// A protocol that sends envelopes must install an EnvelopeHandler on
-// every peer's port; envelope and boxed traffic flow independently and
-// a port may receive both.
-type EnvelopeCarrier interface {
-	// SendEnvelope transmits env to the destination node with the same
-	// loss/latency/partition semantics as Send.
-	SendEnvelope(to NodeID, env Envelope) bool
-	// OnEnvelope installs the envelope handler.
-	OnEnvelope(h EnvelopeHandler)
-}

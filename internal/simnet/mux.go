@@ -9,7 +9,11 @@ import (
 // written against. *Endpoint implements Port directly (single-protocol
 // nodes); *Mux fans one endpoint out to several named Ports so that a
 // node can run gossip, consensus, data sync and control planes
-// side-by-side — which is exactly what an ML4 edge node does.
+// side-by-side — which is exactly what an ML4 edge node does; a
+// real-network node (realnet) implements it over a socket. Every Port
+// carries both boxed messages and inline envelopes, and schedules
+// argument timers, so protocol code has one way to send each message
+// whatever the backend.
 type Port interface {
 	// ID returns the node identifier.
 	ID() NodeID
@@ -23,8 +27,16 @@ type Port interface {
 	Send(to NodeID, msg Message) bool
 	// OnMessage installs the message handler.
 	OnMessage(h Handler)
+	// SendEnvelope transmits env to the destination node with the same
+	// loss/latency/partition semantics as Send.
+	SendEnvelope(to NodeID, env Envelope) bool
+	// OnEnvelope installs the envelope handler.
+	OnEnvelope(h EnvelopeHandler)
 	// After schedules fn unless the node is down when it fires.
 	After(d time.Duration, fn func()) *Timer
+	// AfterArg schedules fn(arg) like After; a caller that binds fn
+	// once pays no closure per schedule.
+	AfterArg(d time.Duration, fn func(uint64), arg uint64) *Timer
 	// Every runs fn periodically, skipping ticks while down.
 	Every(interval time.Duration, fn func()) *Ticker
 	// OnUp registers a recovery callback.
@@ -36,14 +48,15 @@ type Port interface {
 var _ Port = (*Endpoint)(nil)
 
 // protoOverhead is the framing cost in bytes attributed to tagging a
-// message with its protocol name, whether it travels as an envelope
-// (generic Ports) or as a native event field (simulated endpoints).
+// message with its protocol name, whether it travels in the mux
+// wrapper (generic Ports) or as a native event field (simulated
+// endpoints).
 const protoOverhead = 4
 
-// envelope wraps a protocol message with its protocol name for routing
-// at the receiving mux. Simulated endpoints bypass it (see
-// Sim.send); it remains the wire format for generic Ports such as
-// realnet adapters.
+// envelope wraps a protocol message (a boxed struct or an Envelope)
+// with its protocol name for routing at the receiving mux. Simulated
+// endpoints bypass it (see Sim.send); it remains the wire format for
+// generic Ports such as realnet nodes.
 type envelope struct {
 	Proto string
 	Msg   Message
@@ -92,12 +105,12 @@ func (m *Mux) dispatch(from NodeID, msg Message) {
 		return // non-multiplexed traffic is not for this node's stack
 	}
 	// Envelopes sent over a generic Port arrive boxed inside the wire
-	// envelope; route them to the protocol's envelope handler.
+	// envelope; they go to the protocol's envelope handler only.
 	if e, ok := env.Msg.(Envelope); ok {
-		if eh, ok := m.envHandlers[env.Proto]; ok && eh != nil {
+		if eh := m.envHandlers[env.Proto]; eh != nil {
 			eh(from, &e)
-			return
 		}
+		return
 	}
 	if h, ok := m.handlers[env.Proto]; ok && h != nil {
 		h(from, env.Msg)
@@ -117,11 +130,7 @@ type protoPort struct {
 	proto string
 }
 
-var (
-	_ Port            = (*protoPort)(nil)
-	_ EnvelopeCarrier = (*protoPort)(nil)
-	_ ArgScheduler    = (*protoPort)(nil)
-)
+var _ Port = (*protoPort)(nil)
 
 func (p *protoPort) ID() NodeID         { return p.mux.ep.ID() }
 func (p *protoPort) Now() time.Duration { return p.mux.ep.Now() }
@@ -146,9 +155,9 @@ func (p *protoPort) Send(to NodeID, msg Message) bool {
 }
 
 // SendEnvelope transmits env without boxing: over a simulated endpoint
-// the payload travels inline in the event arena. Generic ports fall
-// back to the boxed wire envelope, preserving semantics (and byte
-// accounting, via Envelope.Size) at the cost of the allocation.
+// the payload travels inline in the event arena. Over a generic port it
+// rides in the mux wrapper like any message, preserving semantics (and
+// byte accounting, via Envelope.Size).
 func (p *protoPort) SendEnvelope(to NodeID, env Envelope) bool {
 	if ep := p.mux.sim; ep != nil {
 		return ep.sim.send(ep.node, p.proto, to, nil, &env)
@@ -172,13 +181,8 @@ func (p *protoPort) After(d time.Duration, fn func()) *Timer {
 	return p.mux.ep.After(d, fn)
 }
 
-// AfterArg delegates to the underlying port's ArgScheduler, falling
-// back to a capturing closure over generic ports.
 func (p *protoPort) AfterArg(d time.Duration, fn func(uint64), arg uint64) *Timer {
-	if as, ok := p.mux.ep.(ArgScheduler); ok {
-		return as.AfterArg(d, fn, arg)
-	}
-	return p.mux.ep.After(d, func() { fn(arg) })
+	return p.mux.ep.AfterArg(d, fn, arg)
 }
 
 func (p *protoPort) Every(interval time.Duration, fn func()) *Ticker {

@@ -104,3 +104,40 @@ func TestMuxTwoProtocolsDontCross(t *testing.T) {
 		t.Fatalf("gossip=%d raft=%d, want 3/2", gossipMsgs, raftMsgs)
 	}
 }
+
+// TestRawEndpointCarriesEnvelopes: an envelope sent without a mux
+// reaches the destination's OnEnvelope handler, not its message
+// handler, and accounts exactly its Bytes — no protocol framing, as
+// for a plain boxed message — while a mux port's envelope adds the
+// framing.
+func TestRawEndpointCarriesEnvelopes(t *testing.T) {
+	s := New()
+	a, b := s.AddNode("a"), s.AddNode("b")
+	var got []Envelope
+	b.OnEnvelope(func(from NodeID, env *Envelope) {
+		if from != "a" {
+			t.Errorf("from = %q", from)
+		}
+		got = append(got, *env)
+	})
+	b.OnMessage(func(NodeID, Message) { t.Error("envelope reached the message handler") })
+	want := Envelope{Kind: 3, Flag: true, A: 7, S: "a", Bytes: 24}
+	if !a.SendEnvelope("b", want) {
+		t.Fatal("SendEnvelope refused")
+	}
+	s.Run()
+	if len(got) != 1 || got[0] != want {
+		t.Fatalf("got %+v, want [%+v]", got, want)
+	}
+	if st := s.Stats(); st.Bytes != 24 || st.Delivered != 1 {
+		t.Fatalf("stats %+v, want 24 bytes in 1 delivery", st)
+	}
+
+	ma, mb := NewMux(s.AddNode("c")), NewMux(s.AddNode("d"))
+	mb.Port("x").OnEnvelope(func(NodeID, *Envelope) {})
+	ma.Port("x").SendEnvelope("d", want)
+	s.Run()
+	if st := s.Stats(); st.Bytes != 24+24+protoOverhead {
+		t.Fatalf("mux envelope: %d bytes in total, want %d", st.Bytes, 24+24+protoOverhead)
+	}
+}

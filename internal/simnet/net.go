@@ -28,7 +28,9 @@ const defaultMessageSize = 100
 type Handler func(from NodeID, msg Message)
 
 // protoEntry binds one protocol name to its handlers on a node: h for
-// boxed messages, eh for envelopes (see env.go). Either may be nil.
+// boxed messages, eh for envelopes (see env.go). Either may be nil; the
+// "" entry holds only the plain-traffic envelope handler, since plain
+// boxed traffic goes to node.handler.
 type protoEntry struct {
 	proto string
 	h     Handler
@@ -327,8 +329,8 @@ func (s *Sim) send(src *node, proto string, to NodeID, msg Message, env *Envelop
 // happened after send. Protocol traffic dispatches straight to the
 // node's per-protocol handler; the byte accounting matches the wire
 // envelope it replaces (mux.go). An inline envelope goes to the
-// protocol's envelope handler, falling back to the boxed handler (which
-// then pays the boxing the sender avoided) if none is installed.
+// envelope handler of its protocol — the "" entry for plain traffic —
+// and nowhere else.
 func (s *Sim) laneDeliver(ln *lane, ev *event) {
 	dst := ev.dst
 	if dst.down || !s.Reachable(ev.from, dst.id) {
@@ -337,13 +339,15 @@ func (s *Sim) laneDeliver(ln *lane, ev *event) {
 	}
 	ln.stats.Delivered++
 	if ev.env.Kind != 0 {
-		ln.stats.Bytes += int(ev.env.Bytes) + protoOverhead
+		size := int(ev.env.Bytes)
+		if ev.proto != "" {
+			size += protoOverhead
+		}
+		ln.stats.Bytes += size
 		for i := range dst.protoHandlers {
 			if e := &dst.protoHandlers[i]; e.proto == ev.proto {
 				if e.eh != nil {
 					e.eh(ev.from, &ev.env)
-				} else if e.h != nil {
-					e.h(ev.from, ev.env)
 				}
 				return
 			}
