@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/realnet"
 )
 
 // runRealnet replays the corpus on real loopback UDP sockets: each
@@ -132,9 +133,9 @@ func replayOneLive(out io.Writer, ce *chaos.Counterexample, opts chaos.LiveOptio
 	if !ok {
 		mark = "FAIL"
 	}
-	fmt.Fprintf(out, "%s  %-8s %-12s %-44s R=%.3f (sim %.3f) armed=%d skipped=%d wall=%s\n",
+	fmt.Fprintf(out, "%s  %-8s %-12s %-44s R=%.3f (sim %.3f) armed=%d skipped=%d wall=%s %s\n",
 		mark, prof, res.Status, ce.Name, res.Report.GoalPersistence, ce.GoalPersistence,
-		res.Info.Armed, res.Info.Skipped, res.Info.WallDuration.Round(time.Millisecond))
+		res.Info.Armed, res.Info.Skipped, res.Info.WallDuration.Round(time.Millisecond), loopSummary(res.Info.Loop))
 	if !ok {
 		fmt.Fprintf(out, "      expected %s, got %s: %s\n", expect, res.Status, res.Verdict)
 	}
@@ -143,6 +144,13 @@ func replayOneLive(out io.Writer, ce *chaos.Counterexample, opts chaos.LiveOptio
 		explainRun(out, res.Verdict.Journal, cfg.Scenario)
 	}
 	return ok
+}
+
+// loopSummary is what the cluster's loop did, for a run line: the share
+// of wall time it was busy and how late its 99th-percentile timer fired
+// (the upper bound of a log2 bucket).
+func loopSummary(s realnet.LoopStats) string {
+	return fmt.Sprintf("loop(busy=%.0f%% late.p99<=%s)", 100*s.BusyFrac(), s.LateQuantile(0.99))
 }
 
 // runCityLive boots the city smoke tier (hardened ML4) on real sockets
@@ -175,10 +183,10 @@ func runCityLive(out io.Writer, ce *chaos.Counterexample, scale float64, explain
 	if !ok {
 		mark, status = "FAIL", "failed"
 	}
-	fmt.Fprintf(out, "%s  %-8s %-12s %-44s R=%.3f armed=%d skipped=%d wall=%s net(sent=%d recv=%d dropped=%d)\n",
+	fmt.Fprintf(out, "%s  %-8s %-12s %-44s R=%.3f armed=%d skipped=%d wall=%s net(sent=%d recv=%d dropped=%d) %s\n",
 		mark, "city", status, "city:"+ce.Name, report.GoalPersistence,
 		info.Armed, info.Skipped, info.WallDuration.Round(time.Millisecond),
-		info.Net.Sent, info.Net.Received, info.Net.Dropped)
+		info.Net.Sent, info.Net.Received, info.Net.Dropped, loopSummary(info.Loop))
 	if !ok {
 		fmt.Fprintf(out, "      %s\n", v)
 	}

@@ -55,12 +55,14 @@ func NewLiveSystem(cfg ScenarioConfig, arch Archetype, lc LiveConfig) (sys *Syst
 }
 
 // LiveInfo summarizes the non-Report side of a live run: the injector's
-// armed and skipped counts, the aggregate socket traffic, and the wall
-// time the run took.
+// armed and skipped counts, the aggregate socket traffic, what the
+// cluster's loop did (busy time, timer lateness), and the wall time the
+// run took.
 type LiveInfo struct {
 	Armed        int
 	Skipped      int
 	Net          realnet.NetStats
+	Loop         realnet.LoopStats
 	WallDuration time.Duration
 }
 
@@ -129,6 +131,7 @@ func (sys *System) RunLive() (Report, LiveInfo, error) {
 		Armed:        sys.injector.Armed(),
 		Skipped:      sys.injector.Skipped(),
 		Net:          lb.NetStats(),
+		Loop:         lb.LoopStats(),
 		WallDuration: time.Since(wallStart),
 	}
 	return r, info, nil

@@ -17,9 +17,9 @@ type ClusterConfig struct {
 	// TimeScale is wall seconds per virtual second (e.g. 0.1 runs a
 	// six-minute schedule in 36 s); <= 0 means 1.
 	TimeScale float64
-	// Serialize installs a shared world lock around every node's event
-	// callbacks, letting the harness read protocol state without racing
-	// the event loops — the live analogue of the simulator's
+	// Serialize runs every node's callbacks and timers on one shared
+	// loop under the world lock, letting the harness read protocol state
+	// without racing them — the live analogue of the simulator's
 	// single-threaded world.
 	Serialize bool
 }
@@ -38,12 +38,14 @@ type ClusterConfig struct {
 type Cluster struct {
 	cfg   ClusterConfig
 	world sync.Mutex
+	loop  *loop // shared by every node under Serialize; nil otherwise
 
 	mu      sync.Mutex
 	nodes   map[simnet.NodeID]*Node
 	order   []simnet.NodeID
 	group   map[simnet.NodeID]string
 	started bool
+	closed  bool
 	epoch   time.Time
 	pending []func()      // At calls made before Start
 	timers  []*time.Timer // At calls not yet cancelled by Close
@@ -54,12 +56,21 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1
 	}
-	return &Cluster{
+	c := &Cluster{
 		cfg:   cfg,
 		nodes: make(map[simnet.NodeID]*Node),
 		group: make(map[simnet.NodeID]string),
 	}
+	if cfg.Serialize {
+		c.loop = newLoop(&c.world, sharedLoopDepth)
+	}
+	return c
 }
+
+// sharedLoopDepth is the event queue of a serialized cluster's one loop:
+// its nodes' readers block on it, and their sockets' kernel buffers take
+// the rest of a burst.
+const sharedLoopDepth = 4096
 
 // AddNode binds a new node on an ephemeral loopback port. Call before
 // Start.
@@ -76,22 +87,19 @@ func (c *Cluster) AddNode(id simnet.NodeID) (*Node, error) {
 	// cluster seed and its ID, and the per-link loss streams from the
 	// cluster seed, so a replayed schedule draws the same loss pattern
 	// on every run.
-	n, err := newNode(id, "127.0.0.1:0", subSeed(c.cfg.Seed, "node/"+string(id)), c.cfg.Seed)
+	n, err := newNode(id, "127.0.0.1:0", subSeed(c.cfg.Seed, "node/"+string(id)), c.cfg.Seed, c.loop)
 	if err != nil {
 		return nil, err
 	}
 	n.SetTimeScale(c.cfg.TimeScale)
-	if c.cfg.Serialize {
-		n.SetSerializer(&c.world)
-	}
 	c.nodes[id] = n
 	c.order = append(c.order, id)
 	return n, nil
 }
 
 // Start wires the full peer mesh, resets every node's clock to a shared
-// epoch, starts the event loops and puts the At calls made so far on
-// that clock. Protocols must already be installed on the nodes.
+// epoch, starts the nodes and the shared loop and puts the At calls made
+// so far on that clock. Protocols must already be installed on the nodes.
 func (c *Cluster) Start() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -125,6 +133,9 @@ func (c *Cluster) Start() error {
 		c.nodes[id].resetClock()
 		c.nodes[id].Run()
 	}
+	if c.loop != nil {
+		c.loop.start()
+	}
 	c.started = true
 	for _, arm := range c.pending {
 		arm()
@@ -133,10 +144,16 @@ func (c *Cluster) Start() error {
 	return nil
 }
 
-// Close cancels every At callback still pending and shuts every node
-// down. Callbacks that already ran stay applied.
+// Close cancels every At callback still pending, shuts every node down
+// and then stops the shared loop. Callbacks that already ran stay
+// applied.
 func (c *Cluster) Close() {
 	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return
+	}
+	c.closed = true
 	for _, t := range c.timers {
 		t.Stop()
 	}
@@ -149,11 +166,24 @@ func (c *Cluster) Close() {
 	for _, n := range nodes {
 		n.Close()
 	}
+	if c.loop != nil {
+		c.loop.stop()
+	}
+}
+
+// LoopStats reports what the shared loop of a serialized cluster has
+// done; it is zero without Serialize.
+func (c *Cluster) LoopStats() LoopStats {
+	if c.loop == nil {
+		return LoopStats{}
+	}
+	return c.loop.snapshot()
 }
 
 // WorldLock returns the lock every At callback runs under — and, with
-// Serialize, every node event callback too: hold it to read state those
-// callbacks own.
+// Serialize, every node callback and timer too: hold it to read state
+// those callbacks own. Never call a node's Do while holding it; that
+// deadlocks.
 func (c *Cluster) WorldLock() *sync.Mutex { return &c.world }
 
 // Now returns the cluster's virtual time: wall time since Start divided

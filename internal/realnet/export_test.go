@@ -28,3 +28,18 @@ func (w *WireTypes) Decode(b []byte) (simnet.NodeID, simnet.Message, error) {
 func (w *WireTypes) DecodeKnown(b []byte, known map[string]simnet.NodeID) (simnet.NodeID, simnet.Message, error) {
 	return w.decodeDatagram(b, known)
 }
+
+// PendingTimers is the length of the heap of the node's loop.
+func (n *Node) PendingTimers() int {
+	n.loop.mu.Lock()
+	defer n.loop.mu.Unlock()
+	return len(n.loop.timers)
+}
+
+// nextDue is the due time of the earliest entry in the heap of the
+// node's loop.
+func (n *Node) nextDue() int64 {
+	n.loop.mu.Lock()
+	defer n.loop.mu.Unlock()
+	return n.loop.timers[0].due
+}

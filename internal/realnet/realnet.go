@@ -1,23 +1,27 @@
 // Package realnet runs the repository's protocol implementations over
 // a real network: a Node is a simnet.Port backed by a UDP socket and
 // the wall clock instead of the simulator. Protocol state machines are
-// written single-threaded; realnet preserves that contract by
-// funneling every event — incoming datagram, timer fire, tick —
-// through one event-loop goroutine, so the exact same gossip,
-// consensus and data-plane code that runs deterministically in the
-// simulator also runs on real infrastructure. Faults port too:
-// Node.SetDown mirrors simnet's crashed-node semantics, every node
-// carries a blocked-peer set (group partitions enforce bidirectional
-// drops at both the sender and the receiver) and a per-link shaper
-// (probabilistic loss from a PRNG seeded deterministically per link;
-// added latency through the node's one delay line, a heap of packets in
-// flight that is FIFO per link and drained by one goroutine with one
-// timer, started by the node's first delayed packet — so shaping costs
-// memory per packet in flight, not per link). Cluster coordinates those
-// per-node controls across a node set with simnet's exact semantics and
-// is a fault.World, so the injector that replays a fault.Schedule (e.g.
-// a committed chaos counterexample) on the simulator replays it on live
-// sockets.
+// written single-threaded; realnet preserves that contract by running
+// every callback — incoming datagram, posted function, timer fire, tick
+// — on one loop goroutine (loop.go). A standalone Node owns its loop; a
+// serialized Cluster shares one loop among all its nodes, under the
+// world lock, so a live city of hundreds of nodes runs its callbacks
+// and timers on one goroutine beside one socket reader per node. Timers
+// and tickers are entries in the loop's heap, not goroutines or runtime
+// timers of their own. The exact same gossip, consensus and data-plane
+// code that runs deterministically in the simulator thus also runs on
+// real infrastructure. Faults port too: Node.SetDown mirrors simnet's
+// crashed-node semantics, every node carries a blocked-peer set (group
+// partitions enforce bidirectional drops at both the sender and the
+// receiver) and a per-link shaper (probabilistic loss from a PRNG
+// seeded deterministically per link; added latency through the node's
+// one delay line, a heap of packets in flight that is FIFO per link and
+// drained by one goroutine with one timer, started by the node's first
+// delayed packet — so shaping costs memory per packet in flight, not
+// per link). Cluster coordinates those per-node controls across a node
+// set with simnet's exact semantics and is a fault.World, so the
+// injector that replays a fault.Schedule (e.g. a committed chaos
+// counterexample) on the simulator replays it on live sockets.
 //
 // Wire format: a datagram-native binary codec (codec.go). Protocol
 // packages register their message types via their RegisterWire
@@ -159,25 +163,18 @@ type linkShape struct {
 	queued  int       // the link's packets waiting in the delay line
 }
 
-// event is one unit of event-loop work: a callback, or, when fn is nil,
-// a datagram for the handler — carried by value, so a received datagram
-// costs no closure.
-type event struct {
-	fn   func()
-	from simnet.NodeID
-	msg  simnet.Message
-}
-
 // Node is one real-network protocol host. Construct with NewNode, add
 // peers, install protocols (they call OnMessage/Every through the Port
-// interface), then Run. Close stops the event loop and the socket.
+// interface), then Run. Close stops the socket and, on a node that owns
+// its loop, the loop.
 type Node struct {
 	id      simnet.NodeID
 	conn    *net.UDPConn
 	rng     *rand.Rand
-	scale   float64     // wall seconds per virtual second (default 1)
-	netSeed int64       // base seed for per-link loss PRNG streams
-	serial  *sync.Mutex // optional world lock around event callbacks
+	scale   float64 // wall seconds per virtual second (default 1)
+	netSeed int64   // base seed for per-link loss PRNG streams
+	loop    *loop   // runs the node's callbacks and timers
+	ownLoop bool    // false when a serialized Cluster shares its loop
 
 	mu      sync.Mutex
 	start   time.Time
@@ -202,9 +199,8 @@ type Node struct {
 
 	stat netCounters
 
-	events chan event
-	done   chan struct{}
-	wg     sync.WaitGroup
+	done chan struct{}
+	wg   sync.WaitGroup
 }
 
 var _ simnet.Port = (*Node)(nil)
@@ -213,12 +209,13 @@ var _ simnet.Port = (*Node)(nil)
 // Addr reports the actual address. The node's random stream is seeded
 // from the wall clock; Cluster nodes get deterministic seeds instead.
 func NewNode(id simnet.NodeID, bind string) (*Node, error) {
-	return newNode(id, bind, time.Now().UnixNano(), 0)
+	return newNode(id, bind, time.Now().UnixNano(), 0, nil)
 }
 
 // newNode binds the socket of a node whose random stream starts at
-// seed and whose per-link loss streams derive from netSeed.
-func newNode(id simnet.NodeID, bind string, seed, netSeed int64) (*Node, error) {
+// seed and whose per-link loss streams derive from netSeed. The node
+// runs on shared when it is not nil, and on a loop of its own otherwise.
+func newNode(id simnet.NodeID, bind string, seed, netSeed int64, shared *loop) (*Node, error) {
 	addr, err := net.ResolveUDPAddr("udp", bind)
 	if err != nil {
 		return nil, fmt.Errorf("realnet: resolve %q: %w", bind, err)
@@ -232,6 +229,10 @@ func newNode(id simnet.NodeID, bind string, seed, netSeed int64) (*Node, error) 
 	// instead of dropping. Best-effort: the OS clamps to its limits.
 	_ = conn.SetReadBuffer(1 << 20)
 	_ = conn.SetWriteBuffer(1 << 20)
+	l := shared
+	if l == nil {
+		l = newLoop(nil, 1024)
+	}
 	return &Node{
 		id:      id,
 		conn:    conn,
@@ -242,7 +243,8 @@ func newNode(id simnet.NodeID, bind string, seed, netSeed int64) (*Node, error) 
 		peers:   make(map[simnet.NodeID]*net.UDPAddr),
 		blocked: make(map[simnet.NodeID]bool),
 		shapes:  make(map[simnet.NodeID]*linkShape),
-		events:  make(chan event, 1024),
+		loop:    l,
+		ownLoop: shared == nil,
 		done:    make(chan struct{}),
 	}, nil
 }
@@ -258,13 +260,6 @@ func (n *Node) SetTimeScale(scale float64) {
 	}
 	n.scale = scale
 }
-
-// SetSerializer installs a shared mutex held around every event-loop
-// callback. A cluster of nodes sharing one serializer behaves like the
-// simulator's single-threaded world: any goroutine holding the mutex
-// can read protocol state without racing the event loops. Call before
-// Run. Never call Do while holding the serializer — that deadlocks.
-func (n *Node) SetSerializer(mu *sync.Mutex) { n.serial = mu }
 
 // resetClock restarts the node's virtual clock at zero. The cluster
 // harness calls it right before Run so every node's Now and the
@@ -311,15 +306,18 @@ func (n *Node) AddPeer(id simnet.NodeID, addr string) error {
 	return nil
 }
 
-// Run starts the reader and event-loop goroutines. Call after the
-// protocols are installed.
+// Run starts the reader goroutine and, on a node that owns its loop,
+// the loop goroutine. Call after the protocols are installed.
 func (n *Node) Run() {
-	n.wg.Add(2)
+	n.wg.Add(1)
 	go n.readLoop()
-	go n.eventLoop()
+	if n.ownLoop {
+		n.loop.start()
+	}
 }
 
-// Close shuts the node down and waits for its goroutines to exit.
+// Close shuts the node down and waits for its goroutines to exit. A
+// shared loop drops the node's events and timers from then on.
 func (n *Node) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -330,6 +328,9 @@ func (n *Node) Close() {
 	n.mu.Unlock()
 	close(n.done)
 	_ = n.conn.Close()
+	if n.ownLoop {
+		n.loop.stop()
+	}
 	n.wg.Wait()
 }
 
@@ -346,7 +347,7 @@ func (n *Node) readLoop() {
 			n.stat.malformed.Add(1)
 			continue
 		}
-		n.enqueue(event{from: from, msg: msg})
+		n.enqueue(event{node: n, from: from, msg: msg})
 	}
 }
 
@@ -382,48 +383,26 @@ func (n *Node) receive(from simnet.NodeID, msg simnet.Message) {
 	}
 }
 
-func (n *Node) eventLoop() {
-	defer n.wg.Done()
-	for {
-		select {
-		case ev := <-n.events:
-			if n.serial != nil {
-				n.serial.Lock()
-			}
-			if ev.fn != nil {
-				ev.fn()
-			} else {
-				n.receive(ev.from, ev.msg)
-			}
-			if n.serial != nil {
-				n.serial.Unlock()
-			}
-		case <-n.done:
-			return
-		}
-	}
-}
-
-// enqueue hands ev to the event loop; events arriving after shutdown
+// enqueue hands ev to the node's loop; events arriving after shutdown
 // are dropped.
 func (n *Node) enqueue(ev event) {
 	select {
-	case n.events <- ev:
+	case n.loop.events <- ev:
 	case <-n.done:
 	}
 }
 
-// post enqueues a callback onto the event loop.
-func (n *Node) post(fn func()) { n.enqueue(event{fn: fn}) }
+// post enqueues a callback onto the node's loop.
+func (n *Node) post(fn func()) { n.enqueue(event{node: n, fn: fn}) }
 
-// Do runs fn on the event loop and waits for it to finish — the safe
+// Do runs fn on the node's loop and waits for it to finish — the safe
 // way for external goroutines (tests, operator tooling) to inspect
 // protocol state owned by the loop. It reports false if the node shut
 // down before fn could run.
 func (n *Node) Do(fn func()) bool {
 	done := make(chan struct{})
 	select {
-	case n.events <- event{fn: func() { fn(); close(done) }}:
+	case n.loop.events <- event{node: n, fn: func() { fn(); close(done) }}:
 	case <-n.done:
 		return false
 	}
@@ -746,68 +725,35 @@ func subSeed(seed int64, label string) int64 {
 	return seed ^ int64(h)
 }
 
-// After schedules fn on the event loop d (virtual) from now.
+// After schedules fn on the node's loop d (virtual) from now. The
+// returned timer's Stop, safe from any goroutine, takes the timer out of
+// the loop's heap and reports whether that prevented the fire.
 func (n *Node) After(d time.Duration, fn func()) *simnet.Timer {
-	var fired sync.Once
-	stopped := false
-	var mu sync.Mutex
-	t := time.AfterFunc(n.wall(d), func() {
-		n.post(func() {
-			mu.Lock()
-			s := stopped
-			mu.Unlock()
-			if s || n.Down() {
-				return
-			}
-			fired.Do(fn)
-		})
-	})
-	return simnet.NewExternalTimer(func() bool {
-		mu.Lock()
-		already := stopped
-		stopped = true
-		mu.Unlock()
-		return t.Stop() && !already
-	})
+	return n.afterEntry(d, &timerEntry{idx: -1, node: n, fn: fn})
 }
 
-// AfterArg schedules fn(arg) like After.
+// AfterArg schedules fn(arg) like After, without a closure.
 func (n *Node) AfterArg(d time.Duration, fn func(uint64), arg uint64) *simnet.Timer {
-	return n.After(d, func() { fn(arg) })
+	return n.afterEntry(d, &timerEntry{idx: -1, node: n, argFn: fn, arg: arg})
 }
 
-// Every runs fn on the event loop at the given (virtual) period until
-// stopped or the node closes.
+func (n *Node) afterEntry(d time.Duration, e *timerEntry) *simnet.Timer {
+	l := n.loop
+	l.add(e, n.wall(d))
+	return simnet.NewExternalTimer(func() bool { return l.remove(e) })
+}
+
+// Every runs fn on the node's loop at the given (virtual) period until
+// stopped or the node closes. Like a time.Ticker it keeps its phase and
+// drops the ticks a busy loop missed; at high compression the wall
+// period is at least 100 µs.
 func (n *Node) Every(interval time.Duration, fn func()) *simnet.Ticker {
 	wall := n.wall(interval)
 	if wall < 100*time.Microsecond {
 		wall = 100 * time.Microsecond // ticker floor at high compression
 	}
-	ticker := time.NewTicker(wall)
-	stop := make(chan struct{})
-	var once sync.Once
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		for {
-			select {
-			case <-ticker.C:
-				n.post(func() {
-					if !n.Down() {
-						fn()
-					}
-				})
-			case <-stop:
-				return
-			case <-n.done:
-				return
-			}
-		}
-	}()
-	return simnet.NewExternalTicker(func() {
-		once.Do(func() {
-			ticker.Stop()
-			close(stop)
-		})
-	})
+	e := &timerEntry{idx: -1, node: n, fn: fn, period: int64(wall)}
+	l := n.loop
+	l.add(e, wall)
+	return simnet.NewExternalTicker(func() { l.remove(e) })
 }
