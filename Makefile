@@ -158,14 +158,15 @@ chaos-verify:
 
 # Live corpus replay on real loopback UDP sockets: race-enabled realnet
 # tests (the loop, delay-line and footprint tests five times over, to
-# catch ordering flakes in the timer heap and the delay line) and the sim/live injector
+# catch ordering flakes in the loop heap that holds timers and delayed
+# packets) and the sim/live injector
 # conformance test, then every entry replays fully armed at wall-clock scale 0.05
 # under both profiles — default-knob runs must still fail, hardened
 # runs must match their expectations (no journal hashes: outcome-level
 # judging only, DESIGN.md §14). Finally the city smoke tier (405 live
 # UDP nodes, hardened ML4) replays a corpus entry and must survive;
 # the city needs -scale >= 0.5 on a single core (see DESIGN.md §14).
-LOOP_AND_DELAY_LINE_TESTS = Loop|DelayLine|RestoreKeepsQueuedPacketDue|CloseWithQueuedPackets|ShapeLinkFootprint|ShaperPartitionDuringDelayedPacket
+LOOP_AND_DELAY_LINE_TESTS = Loop|DelayLine|RestoreKeepsQueuedPacketDue|CloseWithQueuedPackets|ShapeLinkFootprint|ShaperPartitionDuringDelayedPacket|ShaperCrashedSenderDelivers
 realnet:
 	$(GO) test -race -count=1 ./internal/realnet/
 	$(GO) test -race -count=5 -run '$(LOOP_AND_DELAY_LINE_TESTS)' ./internal/realnet/

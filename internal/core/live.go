@@ -34,13 +34,9 @@ func NewLiveSystem(cfg ScenarioConfig, arch Archetype, lc LiveConfig) (sys *Syst
 		return nil, fmt.Errorf("core: live runs do not support sharding (Shards=%d)", cfg.Shards)
 	}
 	registerLiveWire()
-	scale := lc.TimeScale
-	if scale <= 0 {
-		scale = 1
-	}
 	cluster := realnet.NewCluster(realnet.ClusterConfig{
 		Seed:      cfg.Seed,
-		TimeScale: scale,
+		TimeScale: lc.TimeScale,
 		Serialize: true,
 	})
 	defer func() {
@@ -51,7 +47,7 @@ func NewLiveSystem(cfg ScenarioConfig, arch Archetype, lc LiveConfig) (sys *Syst
 			sys, err = nil, fmt.Errorf("core: live boot failed: %v", r)
 		}
 	}()
-	return newSystem(cfg, arch, nil, liveWorld{cluster, scale}), nil
+	return newSystem(cfg, arch, nil, liveWorld{cluster}), nil
 }
 
 // LiveInfo summarizes the non-Report side of a live run: the injector's
@@ -67,66 +63,48 @@ type LiveInfo struct {
 }
 
 // RunLive executes a live system to its horizon on the wall clock and
-// returns the measured report. The driver replaces the simulator's
-// scheduler: environment and measurement ticks fire from a wall-clock
-// ticker under the cluster's world lock (the live analogue of the
-// simulator's single-threaded event loop), with virtual-time
-// watermarks so a late tick catches up rather than skipping samples.
+// returns the measured report. The cluster's loop replaces the
+// simulator's scheduler: every environment and measurement step is an
+// At callback at its own virtual instant, beside the fault schedule and
+// every node's callbacks, so a step the loop runs late still runs, and
+// the report is taken on the loop after the last step at or before the
+// horizon.
 func (sys *System) RunLive() (Report, LiveInfo, error) {
 	lb, ok := sys.world.(liveWorld)
 	if !ok {
 		return Report{}, LiveInfo{}, fmt.Errorf("core: RunLive on a simulated system; use Run")
 	}
 	wallStart := time.Now()
+	step, inv, end := sys.cfg.EnvStep, sys.cfg.ControlInterval, sys.cfg.Duration
+	for t := step; t <= end; t += step {
+		lb.At(t, func() {
+			sys.envTickBody(step)
+			if t >= sys.warmup {
+				sys.measure()
+			}
+		})
+	}
+	for t := inv; t <= end; t += inv {
+		if t >= sys.warmup {
+			lb.At(t, sys.sampleInvocations)
+		}
+	}
+	var r Report
+	done := make(chan struct{})
+	lb.At(end, func() {
+		if st := sys.SyncTraffic(); st.FramesSent > 0 || st.FramesIn > 0 {
+			sys.record(EventSync, "frames=%d entries=%d bytes=%d acks=%d",
+				st.FramesSent, st.EntriesSent, st.BytesSent, st.AcksIn)
+		}
+		r = sys.report()
+		close(done)
+	})
 	if err := lb.Start(); err != nil {
 		lb.Close()
 		return Report{}, LiveInfo{}, err
 	}
 	defer lb.Close()
-
-	lock := lb.WorldLock()
-	step := sys.cfg.EnvStep
-	inv := sys.cfg.ControlInterval
-	nextEnv, nextInv := step, inv
-	// Tick at half an (scaled) EnvStep so each virtual step is seen
-	// close to its due time; the watermark loops absorb scheduling
-	// jitter by running every step the wall clock has passed.
-	wallTick := time.Duration(float64(step) * lb.scale / 2)
-	if wallTick < time.Millisecond {
-		wallTick = time.Millisecond
-	}
-	ticker := time.NewTicker(wallTick)
-	defer ticker.Stop()
-	for {
-		<-ticker.C
-		now := lb.Now()
-		lock.Lock()
-		for nextEnv <= now && nextEnv <= sys.cfg.Duration {
-			sys.envTickBody(step)
-			if nextEnv >= sys.warmup {
-				sys.measure()
-			}
-			nextEnv += step
-		}
-		for nextInv <= now && nextInv <= sys.cfg.Duration {
-			if nextInv >= sys.warmup {
-				sys.sampleInvocations()
-			}
-			nextInv += inv
-		}
-		lock.Unlock()
-		if now >= sys.cfg.Duration {
-			break
-		}
-	}
-
-	lock.Lock()
-	if st := sys.SyncTraffic(); st.FramesSent > 0 || st.FramesIn > 0 {
-		sys.record(EventSync, "frames=%d entries=%d bytes=%d acks=%d",
-			st.FramesSent, st.EntriesSent, st.BytesSent, st.AcksIn)
-	}
-	r := sys.report()
-	lock.Unlock()
+	<-done
 	info := LiveInfo{
 		Armed:        sys.injector.Armed(),
 		Skipped:      sys.injector.Skipped(),
@@ -162,12 +140,8 @@ func (w simWorld) Traffic() (msgs, bytes int) {
 	return st.Delivered, st.Bytes
 }
 
-// liveWorld is a loopback UDP cluster; scale is its wall seconds per
-// virtual second.
-type liveWorld struct {
-	*realnet.Cluster
-	scale float64
-}
+// liveWorld is a loopback UDP cluster.
+type liveWorld struct{ *realnet.Cluster }
 
 // AddNode panics on a failed socket bind; NewLiveSystem recovers it.
 func (w liveWorld) AddNode(id simnet.NodeID) simnet.Port {

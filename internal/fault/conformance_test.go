@@ -66,10 +66,10 @@ func drive(w observedWorld, s *fault.Schedule, run func(fired <-chan struct{})) 
 // injector against a simulated and a live world and requires the two
 // to be indistinguishable through the fault surface: the same node and
 // reachability state after every event, the same log, the same
-// subscriber calls, the same armed and skipped counts. Events are
-// spaced apart because two live timers due at one instant may fire in
-// either order. What the sockets do under each fault (drops, delay
-// queues, seeded loss) is internal/realnet's to test.
+// subscriber calls, the same armed and skipped counts — events at one
+// instant included, which both worlds run in the order they were armed.
+// What the sockets do under each fault (drops, delayed packets, seeded
+// loss) is internal/realnet's to test.
 func TestInjectorConformance(t *testing.T) {
 	const step = 15 * time.Millisecond
 	ab := [][]simnet.NodeID{{"a"}, {"b", "c"}} // d: the implicit group
@@ -96,6 +96,12 @@ func TestInjectorConformance(t *testing.T) {
 			s.Crash(1*step, "ghost", step)
 			s.Crash(3*step, "d", 0)
 		}, 2},
+		{"events at one instant run in arm order", func(s *fault.Schedule) {
+			s.Partition(1*step, 0, ab...)
+			s.Crash(1*step, "c", step)
+			s.Partition(1*step, 0, []simnet.NodeID{"a", "b"}, []simnet.NodeID{"c"})
+			s.Add(fault.Event{At: 2 * step, Kind: fault.KindPartitionEnd})
+		}, 0},
 		{"model-level kinds", func(s *fault.Schedule) {
 			s.TransferDomain(1*step, "a", "foreign")
 			s.UpgradeStack(2*step, "b")

@@ -17,10 +17,11 @@ type ClusterConfig struct {
 	// TimeScale is wall seconds per virtual second (e.g. 0.1 runs a
 	// six-minute schedule in 36 s); <= 0 means 1.
 	TimeScale float64
-	// Serialize runs every node's callbacks and timers on one shared
-	// loop under the world lock, letting the harness read protocol state
-	// without racing them — the live analogue of the simulator's
-	// single-threaded world.
+	// Serialize runs every node's callbacks and timers on the
+	// cluster's loop, beside its At callbacks, so that one goroutine
+	// owns all protocol state and the At callbacks read it without
+	// racing them — the live analogue of the simulator's
+	// single-threaded world. Without it each node runs its own loop.
 	Serialize bool
 }
 
@@ -36,9 +37,8 @@ type ClusterConfig struct {
 // The fault methods are safe to call from any goroutine; they only flip
 // per-node drop/shape state, never touch protocol state.
 type Cluster struct {
-	cfg   ClusterConfig
-	world sync.Mutex
-	loop  *loop // shared by every node under Serialize; nil otherwise
+	cfg  ClusterConfig
+	loop *loop // runs At callbacks and, under Serialize, every node
 
 	mu      sync.Mutex
 	nodes   map[simnet.NodeID]*Node
@@ -46,9 +46,6 @@ type Cluster struct {
 	group   map[simnet.NodeID]string
 	started bool
 	closed  bool
-	epoch   time.Time
-	pending []func()      // At calls made before Start
-	timers  []*time.Timer // At calls not yet cancelled by Close
 }
 
 // NewCluster creates an empty cluster.
@@ -56,20 +53,17 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1
 	}
-	c := &Cluster{
+	return &Cluster{
 		cfg:   cfg,
+		loop:  newLoop(sharedLoopDepth),
 		nodes: make(map[simnet.NodeID]*Node),
 		group: make(map[simnet.NodeID]string),
 	}
-	if cfg.Serialize {
-		c.loop = newLoop(&c.world, sharedLoopDepth)
-	}
-	return c
 }
 
-// sharedLoopDepth is the event queue of a serialized cluster's one loop:
-// its nodes' readers block on it, and their sockets' kernel buffers take
-// the rest of a burst.
+// sharedLoopDepth is the event queue of a cluster's loop: under
+// Serialize its nodes' readers block on it, and their sockets' kernel
+// buffers take the rest of a burst.
 const sharedLoopDepth = 4096
 
 // AddNode binds a new node on an ephemeral loopback port. Call before
@@ -87,7 +81,11 @@ func (c *Cluster) AddNode(id simnet.NodeID) (*Node, error) {
 	// cluster seed and its ID, and the per-link loss streams from the
 	// cluster seed, so a replayed schedule draws the same loss pattern
 	// on every run.
-	n, err := newNode(id, "127.0.0.1:0", subSeed(c.cfg.Seed, "node/"+string(id)), c.cfg.Seed, c.loop)
+	var shared *loop
+	if c.cfg.Serialize {
+		shared = c.loop
+	}
+	n, err := newNode(id, "127.0.0.1:0", subSeed(c.cfg.Seed, "node/"+string(id)), c.cfg.Seed, shared)
 	if err != nil {
 		return nil, err
 	}
@@ -98,8 +96,9 @@ func (c *Cluster) AddNode(id simnet.NodeID) (*Node, error) {
 }
 
 // Start wires the full peer mesh, resets every node's clock to a shared
-// epoch, starts the nodes and the shared loop and puts the At calls made
-// so far on that clock. Protocols must already be installed on the nodes.
+// epoch and starts the nodes and the cluster's loop, whose clock — and
+// so every At call made so far — counts from that epoch. Protocols
+// must already be installed on the nodes.
 func (c *Cluster) Start() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -128,24 +127,18 @@ func (c *Cluster) Start() error {
 		n.known = known
 		n.mu.Unlock()
 	}
-	c.epoch = time.Now()
+	epoch := time.Now()
 	for _, id := range c.order {
-		c.nodes[id].resetClock()
+		c.nodes[id].resetClock(epoch)
 		c.nodes[id].Run()
 	}
-	if c.loop != nil {
-		c.loop.start()
-	}
+	c.loop.start(epoch)
 	c.started = true
-	for _, arm := range c.pending {
-		arm()
-	}
-	c.pending = nil
 	return nil
 }
 
-// Close cancels every At callback still pending, shuts every node down
-// and then stops the shared loop. Callbacks that already ran stay
+// Close stops the cluster's loop, cancelling every At callback still
+// pending, and shuts every node down. Callbacks that already ran stay
 // applied.
 func (c *Cluster) Close() {
 	c.mu.Lock()
@@ -154,71 +147,34 @@ func (c *Cluster) Close() {
 		return
 	}
 	c.closed = true
-	for _, t := range c.timers {
-		t.Stop()
-	}
-	c.timers, c.pending = nil, nil
 	nodes := make([]*Node, 0, len(c.order))
 	for _, id := range c.order {
 		nodes = append(nodes, c.nodes[id])
 	}
 	c.mu.Unlock()
+	c.loop.stop()
 	for _, n := range nodes {
 		n.Close()
 	}
-	if c.loop != nil {
-		c.loop.stop()
-	}
 }
 
-// LoopStats reports what the shared loop of a serialized cluster has
-// done; it is zero without Serialize.
-func (c *Cluster) LoopStats() LoopStats {
-	if c.loop == nil {
-		return LoopStats{}
-	}
-	return c.loop.snapshot()
-}
+// LoopStats reports what the cluster's loop has done: under Serialize
+// everything its nodes ran, otherwise its At callbacks alone.
+func (c *Cluster) LoopStats() LoopStats { return c.loop.snapshot() }
 
-// WorldLock returns the lock every At callback runs under — and, with
-// Serialize, every node callback and timer too: hold it to read state
-// those callbacks own. Never call a node's Do while holding it; that
-// deadlocks.
-func (c *Cluster) WorldLock() *sync.Mutex { return &c.world }
-
-// Now returns the cluster's virtual time: wall time since Start divided
-// by the time scale (zero before Start).
+// Now returns the cluster's virtual time: its loop clock, wall time
+// since Start, divided by the time scale (zero before Start).
 func (c *Cluster) Now() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.started {
-		return 0
-	}
-	return time.Duration(float64(time.Since(c.epoch)) / c.cfg.TimeScale)
+	return time.Duration(float64(c.loop.now()) / c.cfg.TimeScale)
 }
 
-// At runs fn at virtual time t on the cluster's clock (at once if t has
+// At runs fn on the cluster's loop at virtual time t (at once if t has
 // passed; once the clock starts if it has not yet). On top of what
-// Sim.At does it scales t onto the wall clock, holds the world lock
-// around fn so that fn is serialized with every other callback as the
-// simulator's single thread serializes them, and remembers the timer so
-// Close can cancel it.
+// Sim.At does it scales t onto the wall clock and lets Close cancel fn.
+// Its due time is t's own instant on the loop clock, so callbacks at one
+// instant run in the order they were armed, as on the simulator.
 func (c *Cluster) At(t time.Duration, fn func()) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	arm := func() {
-		delay := time.Duration(float64(t)*c.cfg.TimeScale) - time.Since(c.epoch)
-		c.timers = append(c.timers, time.AfterFunc(delay, func() {
-			c.world.Lock()
-			defer c.world.Unlock()
-			fn()
-		}))
-	}
-	if !c.started {
-		c.pending = append(c.pending, arm)
-		return
-	}
-	arm()
+	c.loop.at(&timerEntry{idx: -1, fn: fn}, int64(float64(t)*c.cfg.TimeScale))
 }
 
 // node returns the node with the given id, or nil.

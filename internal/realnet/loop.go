@@ -19,13 +19,15 @@ type event struct {
 	msg  simnet.Message
 }
 
-// timerEntry is one pending After, AfterArg or Every in a loop's heap.
-// Every field but node is guarded by loop.mu.
+// timerEntry is one pending entry in a loop's heap: an After, AfterArg
+// or Every of a node, a shaped datagram waiting out its link's latency,
+// a crash transition's hooks, or a Cluster.At callback. Every field but
+// node is guarded by loop.mu.
 type timerEntry struct {
-	due    int64 // wall nanoseconds since the loop's base
+	due    int64 // wall nanoseconds on the loop clock
 	seq    uint64
-	idx    int // heap position; -1 once fired, stopped or never queued
-	node   *Node
+	idx    int   // heap position; -1 once fired, stopped or never queued
+	node   *Node // nil: runs whatever state the node that queued it is in
 	fn     func()
 	argFn  func(uint64)
 	arg    uint64
@@ -72,12 +74,15 @@ const LateBuckets = 24
 // LoopStats is what one event loop did: the machinery's side of "why
 // did the live city fall behind its clock". Busy over Wall is the share
 // of wall time the loop was dispatching rather than waiting; Late is a
-// histogram of how long after its due time each timer fired.
+// histogram of how long after its due time each heap entry ran.
 type LoopStats struct {
-	Events int64         // channel events dispatched: datagrams and posted callbacks
-	Fires  int64         // timer and ticker fires, counting those skipped while down
-	Busy   time.Duration // wall time spent dispatching
-	Wall   time.Duration // wall time since the loop started
+	Events int64 // channel events dispatched: datagrams and Do callbacks
+	// Fires counts heap entries run: timer and ticker fires (those
+	// skipped while down too), At callbacks, crash hooks and delayed
+	// sends, whose lateness in Late is how late the datagram left.
+	Fires int64
+	Busy  time.Duration // wall time spent dispatching
+	Wall  time.Duration // wall time since the loop started
 	// Late[0] counts fires less than 1 µs late; Late[i] for i ≥ 1 counts
 	// fires [2^(i-1), 2^i) µs late; the last bucket takes everything
 	// beyond.
@@ -111,63 +116,71 @@ func (s LoopStats) LateQuantile(q float64) time.Duration {
 	return time.Microsecond << (LateBuckets - 1)
 }
 
-// loop is the one goroutine that runs protocol callbacks: datagrams
-// and posted functions arrive on its event channel; timers and tickers
-// wait in its heap, watched by one reusable channel timer. A standalone
-// Node owns a loop; a serialized Cluster shares one among all its nodes,
-// since a world lock already makes their callbacks run one at a time.
+// loop is the one goroutine that runs a world's callbacks: datagrams
+// and Do functions arrive on its event channel; everything with a due
+// time — timers, tickers, shaped datagrams, crash hooks and a Cluster's
+// At callbacks — waits in its heap, watched by one reusable channel
+// timer. A standalone Node owns a loop; a Cluster owns one, which with
+// Serialize all its nodes share, so nothing else touches their state.
 //
-// A channel event is dispatched without reading the clock or locking
-// the heap. The heap is looked at only when the clock fires; After,
-// Every and Stop re-arm the clock themselves, under mu, whenever they
-// change the heap's earliest entry. A fire left stale in the channel by
-// such a re-arm finds nothing due and is a harmless spurious wake.
+// The loop clock stands at zero until start bases it (at a Cluster's
+// epoch), so an entry queued before start counts from there. A channel
+// event is dispatched without reading the clock or locking the heap.
+// The heap is looked at only when the clock fires; adding or removing
+// an entry re-arms the clock, under mu, whenever it changes the heap's
+// earliest entry. A fire left stale in the channel by such a re-arm
+// finds nothing due and is a harmless spurious wake.
 type loop struct {
 	events chan event
 	quit   chan struct{}
 	exited chan struct{}
-	world  *sync.Mutex // held around every callback; nil on a standalone node
-	base   time.Time
 
-	mu      sync.Mutex
-	timers  timerHeap
-	seq     uint64
-	clock   *time.Timer
-	armed   bool
-	due     int64 // what the clock is armed for, when armed
-	firing  bool  // fireDue runs and re-arms the clock when it ends
-	started time.Time
-	stats   LoopStats
+	mu     sync.Mutex
+	base   time.Time // the clock's zero; set by start
+	timers timerHeap
+	seq    uint64
+	clock  *time.Timer
+	armed  bool
+	due    int64 // what the clock is armed for, when armed
+	firing bool  // fireDue runs and re-arms the clock when it ends
+	stats  LoopStats
 }
 
-func newLoop(world *sync.Mutex, depth int) *loop {
+func newLoop(depth int) *loop {
 	clock := time.NewTimer(time.Hour)
 	clock.Stop()
 	return &loop{
 		events: make(chan event, depth),
 		quit:   make(chan struct{}),
 		exited: make(chan struct{}),
-		world:  world,
-		base:   time.Now(),
 		clock:  clock,
 	}
 }
 
-// since is the loop's monotonic wall clock.
-func (l *loop) since() int64 { return int64(time.Since(l.base)) }
+// since is the loop clock: wall nanoseconds since base, zero before
+// start. The loop reads it freely; anyone else holds mu.
+func (l *loop) since() int64 {
+	if l.base.IsZero() {
+		return 0
+	}
+	return int64(time.Since(l.base))
+}
 
-func (l *loop) start() {
+// start bases the clock at base and runs the loop.
+func (l *loop) start(base time.Time) {
 	l.mu.Lock()
-	l.started = time.Now()
+	l.base = base
+	l.armLocked()
 	l.mu.Unlock()
 	go l.run()
 }
 
-// stop ends the loop and, if it was started, waits for it to exit.
+// stop ends the loop, so nothing left in its heap runs, and, if it was
+// started, waits for it to exit.
 func (l *loop) stop() {
 	close(l.quit)
 	l.mu.Lock()
-	started := !l.started.IsZero()
+	started := !l.base.IsZero()
 	l.clock.Stop()
 	l.armed = false
 	l.mu.Unlock()
@@ -206,6 +219,8 @@ func (l *loop) run() {
 			case <-l.clock.C:
 				fire = true
 				continue
+			case <-l.quit:
+				return
 			default:
 			}
 			break
@@ -234,23 +249,19 @@ func (l *loop) dispatch(ev event) {
 	if n.isClosed() {
 		return
 	}
-	if l.world != nil {
-		l.world.Lock()
-	}
 	if ev.fn != nil {
 		ev.fn()
 	} else {
 		n.receive(ev.from, ev.msg)
 	}
-	if l.world != nil {
-		l.world.Unlock()
-	}
 }
 
-// fireDue runs every timer due by now, one at a time under the world
-// lock, re-arms the clock, and folds the busy period so far (from busy,
-// with *events channel events) into the stats. It returns now, the new
-// start of the busy period.
+// fireDue runs every entry due by now, re-arms the clock, and folds the
+// busy period so far (from busy, with *events channel events) into the
+// stats. It returns now, the new start of the busy period. An entry
+// with an owner is skipped while that node is down or closed; one
+// without always runs, as simnet delivers a message whose sender
+// crashed after sending it.
 func (l *loop) fireDue(busy int64, events *int64) int64 {
 	now := l.since()
 	l.mu.Lock()
@@ -260,22 +271,16 @@ func (l *loop) fireDue(busy int64, events *int64) int64 {
 	l.firing = true
 	l.mu.Unlock()
 	for {
-		if l.world != nil {
-			l.world.Lock()
-		}
 		l.mu.Lock()
 		if len(l.timers) == 0 || l.timers[0].due > now {
 			l.firing = false
 			l.armLocked()
 			l.mu.Unlock()
-			if l.world != nil {
-				l.world.Unlock()
-			}
 			return now
 		}
 		e := l.timers[0]
 		n := e.node
-		closed := n.isClosed()
+		closed := n != nil && n.isClosed()
 		l.stats.Fires++
 		l.stats.Late[lateBucket(now-e.due)]++
 		fn, argFn, arg := e.fn, e.argFn, e.arg
@@ -288,15 +293,13 @@ func (l *loop) fireDue(busy int64, events *int64) int64 {
 			e.fn, e.argFn = nil, nil
 		}
 		l.mu.Unlock()
-		if !closed && !n.Down() {
-			if fn != nil {
-				fn()
-			} else {
-				argFn(arg)
-			}
+		if closed || n != nil && n.Down() {
+			continue
 		}
-		if l.world != nil {
-			l.world.Unlock()
+		if fn != nil {
+			fn()
+		} else {
+			argFn(arg)
 		}
 	}
 }
@@ -313,8 +316,12 @@ func lateBucket(late int64) int {
 }
 
 // armLocked sets the clock for the heap's earliest entry, or stops it
-// when the heap is empty. Caller holds l.mu.
+// when the heap is empty; before start it leaves the clock alone.
+// Caller holds l.mu.
 func (l *loop) armLocked() {
+	if l.base.IsZero() {
+		return
+	}
 	if len(l.timers) == 0 {
 		if l.armed {
 			l.clock.Stop()
@@ -327,18 +334,38 @@ func (l *loop) armLocked() {
 	l.armed, l.due = true, due
 }
 
-// add queues e, due wait from now, and re-arms the clock if e is now
-// the earliest entry. Safe from any goroutine.
-func (l *loop) add(e *timerEntry, wait time.Duration) {
+// now reads the loop clock from any goroutine.
+func (l *loop) now() int64 {
 	l.mu.Lock()
-	e.due = l.since() + int64(wait)
+	defer l.mu.Unlock()
+	return l.since()
+}
+
+// after queues e wait from now on the loop clock.
+func (l *loop) after(e *timerEntry, wait time.Duration) {
+	l.mu.Lock()
+	l.pushLocked(e, l.since()+int64(wait))
+	l.mu.Unlock()
+}
+
+// at queues e at due on the loop clock; entries due at one instant run
+// in the order they were queued.
+func (l *loop) at(e *timerEntry, due int64) {
+	l.mu.Lock()
+	l.pushLocked(e, due)
+	l.mu.Unlock()
+}
+
+// pushLocked queues e at due and re-arms the clock if e is now the
+// earliest entry. Caller holds l.mu.
+func (l *loop) pushLocked(e *timerEntry, due int64) {
+	e.due = due
 	l.seq++
 	e.seq = l.seq
 	heap.Push(&l.timers, e)
-	if e.idx == 0 && !l.firing && (!l.armed || e.due < l.due) {
+	if e.idx == 0 && !l.firing && (!l.armed || due < l.due) {
 		l.armLocked()
 	}
-	l.mu.Unlock()
 }
 
 // remove takes e out of the heap; it reports whether e was still
@@ -362,8 +389,8 @@ func (l *loop) snapshot() LoopStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	s := l.stats
-	if !l.started.IsZero() {
-		s.Wall = time.Since(l.started)
+	if !l.base.IsZero() {
+		s.Wall = time.Since(l.base)
 	}
 	return s
 }

@@ -254,16 +254,18 @@ func TestLoopStatsLateness(t *testing.T) {
 
 // TestLoopFootprint is the gate on what timers cost: a serialized
 // cluster runs one loop goroutine for all its nodes and no goroutine
-// per ticker, a standalone node runs its reader and its loop, and a
-// timer set and stopped allocates its entry, its handle and the stop
-// closure only.
+// per ticker or per node with delayed packets, a standalone node runs
+// its reader and its loop, and a timer set and stopped allocates its
+// entry, its handle and the stop closure only.
 func TestLoopFootprint(t *testing.T) {
 	const nodes = 50
+	RegisterWireType(pingMsg{})
+	id := func(i int) simnet.NodeID { return simnet.NodeID(fmt.Sprintf("n%02d", i%nodes)) }
 	base := runtime.NumGoroutine()
 	c := NewCluster(ClusterConfig{Seed: 1, Serialize: true})
 	defer c.Close()
 	for i := 0; i < nodes; i++ {
-		n, err := c.AddNode(simnet.NodeID(fmt.Sprintf("n%02d", i)))
+		n, err := c.AddNode(id(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,6 +282,18 @@ func TestLoopFootprint(t *testing.T) {
 	cluster := runtime.NumGoroutine() - base
 	if cluster > nodes+1 {
 		t.Errorf("serialized %d-node cluster runs %d goroutines, want %d readers + 1 loop", nodes, cluster, nodes)
+	}
+	for i := 0; i < 10; i++ {
+		n := c.node(id(i))
+		n.ShapeLink(id(i+1), time.Hour, 0)
+		for k := 0; k < 3; k++ {
+			if !n.Send(id(i+1), pingMsg{N: k}) {
+				t.Fatal("send on a shaped link refused")
+			}
+		}
+	}
+	if shaped := runtime.NumGoroutine() - base; shaped > nodes+1 {
+		t.Errorf("with delayed packets on 10 nodes the cluster runs %d goroutines, want %d readers + 1 loop", shaped, nodes)
 	}
 
 	base = runtime.NumGoroutine()

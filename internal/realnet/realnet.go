@@ -2,24 +2,24 @@
 // a real network: a Node is a simnet.Port backed by a UDP socket and
 // the wall clock instead of the simulator. Protocol state machines are
 // written single-threaded; realnet preserves that contract by running
-// every callback — incoming datagram, posted function, timer fire, tick
-// — on one loop goroutine (loop.go). A standalone Node owns its loop; a
-// serialized Cluster shares one loop among all its nodes, under the
-// world lock, so a live city of hundreds of nodes runs its callbacks
-// and timers on one goroutine beside one socket reader per node. Timers
-// and tickers are entries in the loop's heap, not goroutines or runtime
-// timers of their own. The exact same gossip, consensus and data-plane
-// code that runs deterministically in the simulator thus also runs on
-// real infrastructure. Faults port too: Node.SetDown mirrors simnet's
+// everything that touches a world's state on one loop goroutine
+// (loop.go): incoming datagrams and Do functions from its event
+// channel, and from its heap timer fires, ticks, shaped datagrams
+// falling due, crash hooks and a Cluster's At callbacks. A standalone
+// Node owns its loop; a serialized Cluster's nodes share the cluster's
+// loop, so a live city of hundreds of nodes runs on one goroutine
+// beside one socket reader per node, with no lock around its state. The
+// exact same gossip, consensus and data-plane code that runs
+// deterministically in the simulator thus also runs on real
+// infrastructure. Faults port too: Node.SetDown mirrors simnet's
 // crashed-node semantics, every node carries a blocked-peer set (group
 // partitions enforce bidirectional drops at both the sender and the
 // receiver) and a per-link shaper (probabilistic loss from a PRNG
-// seeded deterministically per link; added latency through the node's
-// one delay line, a heap of packets in flight that is FIFO per link and
-// drained by one goroutine with one timer, started by the node's first
-// delayed packet — so shaping costs memory per packet in flight, not
-// per link). Cluster coordinates those per-node controls across a node
-// set with simnet's exact semantics and is a fault.World, so the
+// seeded deterministically per link; added latency by queueing the
+// encoded datagram as a loop entry that sends it when due, FIFO per
+// link — so shaping costs memory per packet in flight, not per link,
+// and no goroutine). Cluster coordinates those per-node controls across
+// a node set with simnet's exact semantics and is a fault.World, so the
 // injector that replays a fault.Schedule (e.g. a committed chaos
 // counterexample) on the simulator replays it on live sockets.
 //
@@ -59,7 +59,7 @@ const maxDatagram = 64 * 1024
 var sendBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // shapeQueueCap bounds how many packets of one shaped link may wait in
-// the node's delay line at once: a send that finds shapeQueueCap of its
+// the node's loop at once: a send that finds shapeQueueCap of its
 // link's packets already waiting drops (counted in Dropped), the
 // overload behaviour of a congested real link.
 const shapeQueueCap = 4096
@@ -90,77 +90,18 @@ type netCounters struct {
 	malformed atomic.Int64
 }
 
-// delayedPacket is one encoded datagram waiting in the node's delay
-// line.
-type delayedPacket struct {
-	due  time.Time
-	seq  uint64 // send order, breaking ties between equal due times
-	data []byte
-	addr *net.UDPAddr
-	link *linkShape
-}
-
-func (p *delayedPacket) before(o *delayedPacket) bool {
-	if !p.due.Equal(o.due) {
-		return p.due.Before(o.due)
-	}
-	return p.seq < o.seq
-}
-
-// delayLine is a node's one queue of packets waiting out a shaped
-// link's latency: a min-heap on (due, seq), grown on demand. Guarded by
-// Node.mu.
-type delayLine []delayedPacket
-
-func (q *delayLine) push(p delayedPacket) {
-	h := append(*q, p)
-	for i := len(h) - 1; i > 0; {
-		up := (i - 1) / 2
-		if !h[i].before(&h[up]) {
-			break
-		}
-		h[i], h[up] = h[up], h[i]
-		i = up
-	}
-	*q = h
-}
-
-func (q *delayLine) pop() delayedPacket {
-	h := *q
-	top, last := h[0], len(h)-1
-	h[0] = h[last]
-	h[last] = delayedPacket{} // the line keeps no sent bytes alive
-	h = h[:last]
-	for i := 0; ; {
-		m := 2*i + 1
-		if m >= len(h) {
-			break
-		}
-		if r := m + 1; r < len(h) && h[r].before(&h[m]) {
-			m = r
-		}
-		if !h[m].before(&h[i]) {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	*q = h
-	return top
-}
-
 // linkShape is the fault-injected state of one outgoing link: added
 // latency (virtual time; scaled to the wall clock at send) and
 // probabilistic loss drawn from a per-link deterministic PRNG. Its
-// delayed packets wait in the node's delay line; lastDue keeps them in
-// FIFO order. All fields are guarded by Node.mu.
+// delayed packets wait as entries in the node's loop; lastDue keeps
+// them in FIFO order. All fields are guarded by Node.mu.
 type linkShape struct {
 	to      simnet.NodeID
 	latency time.Duration
 	loss    float64
 	rng     *rand.Rand
-	lastDue time.Time // due time of the link's latest delayed packet
-	queued  int       // the link's packets waiting in the delay line
+	lastDue int64 // loop-clock due time of the link's latest delayed packet
+	queued  int   // the link's packets waiting in the loop
 }
 
 // Node is one real-network protocol host. Construct with NewNode, add
@@ -187,9 +128,6 @@ type Node struct {
 	onDown  []func()
 	blocked map[simnet.NodeID]bool
 	shapes  map[simnet.NodeID]*linkShape
-	line    delayLine
-	lineSeq uint64
-	wake    chan struct{} // nudges the drain goroutine; nil until it starts
 
 	// known maps a cluster member's ID bytes to its NodeID, so that a
 	// datagram from a member decodes without allocating the sender's
@@ -231,7 +169,7 @@ func newNode(id simnet.NodeID, bind string, seed, netSeed int64, shared *loop) (
 	_ = conn.SetWriteBuffer(1 << 20)
 	l := shared
 	if l == nil {
-		l = newLoop(nil, 1024)
+		l = newLoop(1024)
 	}
 	return &Node{
 		id:      id,
@@ -261,12 +199,12 @@ func (n *Node) SetTimeScale(scale float64) {
 	n.scale = scale
 }
 
-// resetClock restarts the node's virtual clock at zero. The cluster
-// harness calls it right before Run so every node's Now and the
-// harness's own clock share one epoch.
-func (n *Node) resetClock() {
+// resetClock restarts the node's virtual clock at zero at epoch. The
+// cluster calls it right before Run so every node's Now and the
+// cluster's own clock share one epoch.
+func (n *Node) resetClock(epoch time.Time) {
 	n.mu.Lock()
-	n.start = time.Now()
+	n.start = epoch
 	n.mu.Unlock()
 }
 
@@ -312,7 +250,7 @@ func (n *Node) Run() {
 	n.wg.Add(1)
 	go n.readLoop()
 	if n.ownLoop {
-		n.loop.start()
+		n.loop.start(time.Now())
 	}
 }
 
@@ -391,9 +329,6 @@ func (n *Node) enqueue(ev event) {
 	case <-n.done:
 	}
 }
-
-// post enqueues a callback onto the node's loop.
-func (n *Node) post(fn func()) { n.enqueue(event{node: n, fn: fn}) }
 
 // Do runs fn on the node's loop and waits for it to finish — the safe
 // way for external goroutines (tests, operator tooling) to inspect
@@ -486,7 +421,8 @@ func (n *Node) OnDown(fn func()) {
 // callbacks — the realnet analogue of simnet's crashed-node semantics,
 // except the process (socket, goroutines, timers) stays alive so
 // SetDown(false) restarts it in place. Transition callbacks run on the
-// event loop; setting the current state again is a no-op.
+// event loop, queued in its heap so that a SetDown made on the loop
+// never waits for it; setting the current state again is a no-op.
 func (n *Node) SetDown(down bool) {
 	n.mu.Lock()
 	if n.closed || n.down == down {
@@ -499,11 +435,11 @@ func (n *Node) SetDown(down bool) {
 		hooks = n.onDown
 	}
 	n.mu.Unlock()
-	n.post(func() {
+	n.loop.after(&timerEntry{idx: -1, fn: func() {
 		for _, fn := range hooks {
 			fn()
 		}
-	})
+	}}, 0)
 }
 
 // Down reports whether a crash fault is currently injected.
@@ -561,7 +497,12 @@ func (n *Node) Send(to simnet.NodeID, msg simnet.Message) bool {
 				n.stat.dropped.Add(1)
 				return false
 			}
-			n.delayLocked(sh, addr, data, time.Now().Add(delay))
+			// Due no earlier than the link's previous packet, so that a
+			// latency drop never lets a later packet overtake. The entry
+			// has no owner: it goes out even if n crashes first.
+			sh.lastDue = max(n.loop.now()+int64(delay), sh.lastDue)
+			sh.queued++
+			n.loop.at(&timerEntry{idx: -1, fn: func() { n.sendDelayed(sh, addr, data) }}, sh.lastDue)
 			n.mu.Unlock()
 			n.stat.delayed.Add(1)
 			return true
@@ -588,8 +529,8 @@ func (n *Node) Send(to simnet.NodeID, msg simnet.Message) bool {
 // datagrams with — the per-node projection of a network partition.
 // Blocks apply on both paths: Send refuses immediately, the read loop
 // drops arrivals from blocked senders, and delayed packets re-check at
-// delivery time, so a partition starting while a packet sits in the
-// delay line still cuts it off.
+// delivery time, so a partition starting while a packet waits out its
+// link's latency still cuts it off.
 func (n *Node) SetBlocked(peers map[simnet.NodeID]bool) {
 	cp := make(map[simnet.NodeID]bool, len(peers))
 	for id, b := range peers {
@@ -603,10 +544,11 @@ func (n *Node) SetBlocked(peers map[simnet.NodeID]bool) {
 }
 
 // ShapeLink installs (or replaces) the outgoing shape of the link to
-// peer: latency is added virtual delay through the node's delay line
-// (FIFO per link), loss the per-datagram drop probability drawn from a
-// PRNG stream derived deterministically from (seed, from→to), so two
-// runs with the same seed and traffic see the same loss pattern.
+// peer: latency is added virtual delay, the datagram waiting in the
+// node's loop (FIFO per link), loss the per-datagram drop probability
+// drawn from a PRNG stream derived deterministically from (seed,
+// from→to), so two runs with the same seed and traffic see the same
+// loss pattern.
 func (n *Node) ShapeLink(to simnet.NodeID, latency time.Duration, loss float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -625,87 +567,28 @@ func (n *Node) ShapeLink(to simnet.NodeID, latency time.Duration, loss float64) 
 }
 
 // ClearShapedLink removes the shape of the link to peer, restoring its
-// native latency and zero loss. Packets already in the delay line still
-// deliver at their original due time, as in the simulator.
+// native latency and zero loss. Packets already waiting still deliver
+// at their original due time, as in the simulator.
 func (n *Node) ClearShapedLink(to simnet.NodeID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	delete(n.shapes, to)
 }
 
-// delayLocked puts one of sh's datagrams in the delay line, due no
-// earlier than the link's previous packet so that a latency drop never
-// lets a later packet overtake, and starts the drain goroutine with the
-// first one. Caller holds n.mu on an open node.
-func (n *Node) delayLocked(sh *linkShape, addr *net.UDPAddr, data []byte, due time.Time) {
-	if due.Before(sh.lastDue) {
-		due = sh.lastDue
-	}
-	sh.lastDue = due
-	sh.queued++
-	n.lineSeq++
-	n.line.push(delayedPacket{due: due, seq: n.lineSeq, data: data, addr: addr, link: sh})
-	switch {
-	case n.wake == nil:
-		n.wake = make(chan struct{}, 1)
-		n.wg.Add(1)
-		go n.drainLine(n.wake)
-	case n.line[0].seq == n.lineSeq: // the new packet is due first
-		nudge(n.wake)
-	}
-}
-
-func nudge(wake chan struct{}) {
-	select {
-	case wake <- struct{}{}:
-	default:
-	}
-}
-
-// drainLine sends the delay line's packets as they fall due, with one
-// reused timer, re-checking partitions and shutdown at each delivery.
-// It runs from the node's first delayed packet until Close.
-func (n *Node) drainLine(wake chan struct{}) {
-	defer n.wg.Done()
-	// A func timer, not a channel one: a stale fire is one spurious
-	// nudge, and Reset needs no drain. The first Reset below arms it.
-	timer := time.AfterFunc(time.Hour, func() { nudge(wake) })
-	defer timer.Stop()
-	for {
-		n.mu.Lock()
-		if n.closed {
-			n.mu.Unlock()
-			return
-		}
-		if len(n.line) > 0 {
-			if wait := time.Until(n.line[0].due); wait > 0 {
-				timer.Reset(wait)
-			} else {
-				pkt := n.line.pop()
-				pkt.link.queued--
-				blocked := n.blocked[pkt.link.to]
-				n.mu.Unlock()
-				n.sendDelayed(pkt, blocked)
-				continue
-			}
-		}
-		n.mu.Unlock()
-		select {
-		case <-wake:
-		case <-n.done:
-			return
-		}
-	}
-}
-
-func (n *Node) sendDelayed(pkt delayedPacket, blocked bool) {
+// sendDelayed writes one of sh's delayed datagrams when it falls due,
+// unless a partition has cut the link since it was queued.
+func (n *Node) sendDelayed(sh *linkShape, addr *net.UDPAddr, data []byte) {
+	n.mu.Lock()
+	sh.queued--
+	blocked := n.blocked[sh.to]
+	n.mu.Unlock()
 	if blocked {
 		n.stat.dropped.Add(1)
 		return
 	}
-	if _, err := n.conn.WriteToUDP(pkt.data, pkt.addr); err == nil {
+	if _, err := n.conn.WriteToUDP(data, addr); err == nil {
 		n.stat.sent.Add(1)
-		n.stat.sentBytes.Add(int64(len(pkt.data)))
+		n.stat.sentBytes.Add(int64(len(data)))
 	}
 }
 
@@ -739,7 +622,7 @@ func (n *Node) AfterArg(d time.Duration, fn func(uint64), arg uint64) *simnet.Ti
 
 func (n *Node) afterEntry(d time.Duration, e *timerEntry) *simnet.Timer {
 	l := n.loop
-	l.add(e, n.wall(d))
+	l.after(e, n.wall(d))
 	return simnet.NewExternalTimer(func() bool { return l.remove(e) })
 }
 
@@ -754,6 +637,6 @@ func (n *Node) Every(interval time.Duration, fn func()) *simnet.Ticker {
 	}
 	e := &timerEntry{idx: -1, node: n, fn: fn, period: int64(wall)}
 	l := n.loop
-	l.add(e, wall)
+	l.after(e, wall)
 	return simnet.NewExternalTicker(func() { l.remove(e) })
 }

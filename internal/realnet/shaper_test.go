@@ -1,9 +1,11 @@
 package realnet
 
 import (
+	"container/heap"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -56,11 +58,15 @@ func newShaperHarness(t *testing.T, ids ...simnet.NodeID) *shaperHarness {
 	return h
 }
 
-// inject applies ev now, under the world lock as an armed event would.
+// inject applies ev now, on the cluster's loop as an armed event is,
+// and waits for it.
 func (h *shaperHarness) inject(ev fault.Event) {
-	h.cluster.WorldLock().Lock()
-	defer h.cluster.WorldLock().Unlock()
-	h.inj.Inject(ev)
+	done := make(chan struct{})
+	h.cluster.At(0, func() {
+		h.inj.Inject(ev)
+		close(done)
+	})
+	<-done
 }
 
 func (h *shaperHarness) received(id simnet.NodeID) int { return len(h.arrivals(id)) }
@@ -250,7 +256,7 @@ func TestDelayLineFIFOPerLink(t *testing.T) {
 }
 
 // TestDelayLineConcurrentLinks has three goroutines share one node's
-// delay line, each sending on its own link and changing that link's
+// loop heap, each sending on its own link and changing that link's
 // latency as it goes: every link's packets arrive, in send order.
 func TestDelayLineConcurrentLinks(t *testing.T) {
 	const each = 200
@@ -310,6 +316,25 @@ func TestRestoreKeepsQueuedPacketDue(t *testing.T) {
 	}
 }
 
+// TestShaperCrashedSenderDelivers crashes a node while its packet
+// waits out a shaped link's latency: the packet still arrives, as a
+// simulated message whose sender crashed after sending it does — only
+// the receiver's state counts at delivery.
+func TestShaperCrashedSenderDelivers(t *testing.T) {
+	const latency = 100 * time.Millisecond
+	h := newShaperHarness(t, "a", "b")
+	h.cluster.DegradeLink("a", "b", latency, 0)
+	sent := time.Now()
+	if !h.cluster.node("a").Send("b", pingMsg{N: 1}) {
+		t.Fatal("send into delay line refused")
+	}
+	h.inject(fault.Event{Kind: fault.KindCrash, Node: "a"})
+	if time.Since(sent) >= latency {
+		t.Skip("the crash landed after the packet was due")
+	}
+	h.waitFor("the crashed sender's packet", 2*time.Second, func() bool { return h.received("b") == 1 })
+}
+
 // TestDelayLineBoundPerLink fills one link past shapeQueueCap: exactly
 // the packets beyond the bound drop, and another link of the same node
 // still has all of its room.
@@ -333,8 +358,8 @@ func TestDelayLineBoundPerLink(t *testing.T) {
 	}
 }
 
-// TestCloseWithQueuedPackets closes a cluster whose delay lines still
-// hold packets due in an hour: Close returns and every goroutine the
+// TestCloseWithQueuedPackets closes a cluster whose loops still hold
+// packets due in an hour: Close returns and every goroutine the
 // cluster started is gone.
 func TestCloseWithQueuedPackets(t *testing.T) {
 	baseline := runtime.NumGoroutine()
@@ -354,7 +379,7 @@ func TestCloseWithQueuedPackets(t *testing.T) {
 	select {
 	case <-closed:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Close hung with packets in the delay lines")
+		t.Fatal("Close hung with packets queued")
 	}
 	h.waitFor("goroutines back to baseline", 2*time.Second, func() bool {
 		return runtime.NumGoroutine() <= baseline
@@ -391,32 +416,44 @@ func TestShapeLinkFootprint(t *testing.T) {
 	}
 }
 
-// TestDelayLinePopsInDueOrder drives the heap with interleaved pushes
-// and pops against a linear scan for the least (due, seq).
+// TestDelayLinePopsInDueOrder drives the loop's heap, which holds the
+// delayed packets, with interleaved pushes, pops and removals by index
+// against a linear scan for the least (due, seq).
 func TestDelayLinePopsInDueOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	base := time.Now()
-	var line delayLine
-	var model []delayedPacket
+	var h timerHeap
+	var model []*timerEntry
 	var seq uint64
+	less := func(a, b *timerEntry) bool { return a.due < b.due || a.due == b.due && a.seq < b.seq }
 	for step := 0; step < 5000; step++ {
-		if len(line) == 0 || r.Intn(3) > 0 {
+		switch op := r.Intn(4); {
+		case len(h) == 0 || op < 2:
 			seq++
-			p := delayedPacket{due: base.Add(time.Duration(r.Intn(40)) * time.Millisecond), seq: seq}
-			line.push(p)
-			model = append(model, p)
-			continue
-		}
-		least := 0
-		for i := range model {
-			if model[i].before(&model[least]) {
-				least = i
+			e := &timerEntry{due: int64(r.Intn(40)), seq: seq}
+			heap.Push(&h, e)
+			model = append(model, e)
+		case op == 2:
+			least := 0
+			for i := range model {
+				if less(model[i], model[least]) {
+					least = i
+				}
 			}
+			want := model[least]
+			model = append(model[:least], model[least+1:]...)
+			if got := heap.Pop(&h).(*timerEntry); got != want || got.idx != -1 {
+				t.Fatalf("step %d: popped seq %d (idx %d), want seq %d", step, got.seq, got.idx, want.seq)
+			}
+		default:
+			e := model[r.Intn(len(model))]
+			if h[e.idx] != e {
+				t.Fatalf("step %d: seq %d does not sit at its index %d", step, e.seq, e.idx)
+			}
+			heap.Remove(&h, e.idx)
+			model = slices.DeleteFunc(model, func(m *timerEntry) bool { return m == e })
 		}
-		want := model[least]
-		model = append(model[:least], model[least+1:]...)
-		if got := line.pop(); got.seq != want.seq {
-			t.Fatalf("step %d: popped seq %d, want %d", step, got.seq, want.seq)
+		if len(h) != len(model) {
+			t.Fatalf("step %d: heap holds %d entries, model %d", step, len(h), len(model))
 		}
 	}
 }
