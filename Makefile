@@ -159,7 +159,8 @@ chaos-verify:
 # Live corpus replay on real loopback UDP sockets: race-enabled realnet
 # tests (the loop, delay-line and footprint tests five times over, to
 # catch ordering flakes in the loop heap that holds timers and delayed
-# packets) and the sim/live injector
+# packets), a serve cluster healing an injected partition five times
+# over, and the sim/live injector
 # conformance test, then every entry replays fully armed at wall-clock scale 0.05
 # under both profiles — default-knob runs must still fail, hardened
 # runs must match their expectations (no journal hashes: outcome-level
@@ -170,6 +171,7 @@ LOOP_AND_DELAY_LINE_TESTS = Loop|DelayLine|RestoreKeepsQueuedPacketDue|CloseWith
 realnet:
 	$(GO) test -race -count=1 ./internal/realnet/
 	$(GO) test -race -count=5 -run '$(LOOP_AND_DELAY_LINE_TESTS)' ./internal/realnet/
+	$(GO) test -race -count=5 -run TestServeClusterHealsPartition ./internal/serve/
 	$(GO) test -race -count=1 -run TestInjectorConformance ./internal/fault/
 	$(GO) run ./cmd/riotchaos realnet -corpus corpus/chaos -profile both -scale 0.05
 	$(GO) run ./cmd/riotchaos realnet -corpus corpus/chaos -profile none -city -scale 0.5

@@ -59,7 +59,7 @@ func NewGenerator(cfg Config) *Generator {
 // biased mutations of an earlier candidate — re-derived on the spot,
 // keeping the function pure.
 func (g *Generator) Candidate(seed int64, i int) *fault.Schedule {
-	rng := rand.New(rand.NewSource(mix(seed, int64(i))))
+	rng := rand.New(rand.NewSource(simnet.MixSeed(seed, uint64(i))))
 	if i >= mutateFrom && rng.Float64() < 0.5 {
 		base := g.Candidate(seed, rng.Intn(i))
 		return g.mutate(base, rng)
@@ -245,13 +245,4 @@ func remainder(all, island []simnet.NodeID) []simnet.NodeID {
 		}
 	}
 	return out
-}
-
-// mix derives an independent RNG seed from a search seed and a stream
-// index (splitmix64 finalizer).
-func mix(seed, stream int64) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(stream+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
 }

@@ -51,9 +51,10 @@ func NewLiveSystem(cfg ScenarioConfig, arch Archetype, lc LiveConfig) (sys *Syst
 }
 
 // LiveInfo summarizes the non-Report side of a live run: the injector's
-// armed and skipped counts, the aggregate socket traffic, what the
-// cluster's loop did (busy time, timer lateness), and the wall time the
-// run took.
+// armed and skipped counts, the aggregate socket traffic once the
+// datagrams in flight at the horizon have drained, what the cluster's
+// loop did up to the horizon (busy time, timer lateness), and the wall
+// time the run took to its horizon.
 type LiveInfo struct {
 	Armed        int
 	Skipped      int
@@ -68,7 +69,8 @@ type LiveInfo struct {
 // At callback at its own virtual instant, beside the fault schedule and
 // every node's callbacks, so a step the loop runs late still runs, and
 // the report is taken on the loop after the last step at or before the
-// horizon.
+// horizon. Closing the cluster then drains it, so the traffic counts
+// include what was still in flight at the horizon.
 func (sys *System) RunLive() (Report, LiveInfo, error) {
 	lb, ok := sys.world.(liveWorld)
 	if !ok {
@@ -103,15 +105,15 @@ func (sys *System) RunLive() (Report, LiveInfo, error) {
 		lb.Close()
 		return Report{}, LiveInfo{}, err
 	}
-	defer lb.Close()
 	<-done
 	info := LiveInfo{
 		Armed:        sys.injector.Armed(),
 		Skipped:      sys.injector.Skipped(),
-		Net:          lb.NetStats(),
 		Loop:         lb.LoopStats(),
 		WallDuration: time.Since(wallStart),
 	}
+	lb.Close()
+	info.Net = lb.NetStats()
 	return r, info, nil
 }
 

@@ -50,6 +50,12 @@ func TestLiveSystemSmoke(t *testing.T) {
 	if info.Net.Sent == 0 || info.Net.Received == 0 {
 		t.Fatalf("no traffic on live sockets: %+v", info.Net)
 	}
+	// Once the cluster has drained, every datagram sent was received or
+	// dropped by a fault; send-side drops never enter Sent, so the sum
+	// may exceed it.
+	if st := info.Net; st.Received+st.Dropped < st.Sent {
+		t.Fatalf("received %d + dropped %d < sent %d: datagrams unaccounted for", st.Received, st.Dropped, st.Sent)
+	}
 	if report.GoalPersistence <= 0 || report.GoalPersistence > 1 {
 		t.Fatalf("GoalPersistence = %.3f, want (0,1]", report.GoalPersistence)
 	}

@@ -85,20 +85,19 @@ func (c *Cluster) AddNode(id simnet.NodeID) (*Node, error) {
 	if c.cfg.Serialize {
 		shared = c.loop
 	}
-	n, err := newNode(id, "127.0.0.1:0", subSeed(c.cfg.Seed, "node/"+string(id)), c.cfg.Seed, shared)
+	n, err := newNode(id, "127.0.0.1:0", simnet.SubSeed(c.cfg.Seed, "node/"+string(id)), c.cfg.Seed, c.cfg.TimeScale, shared)
 	if err != nil {
 		return nil, err
 	}
-	n.SetTimeScale(c.cfg.TimeScale)
 	c.nodes[id] = n
 	c.order = append(c.order, id)
 	return n, nil
 }
 
-// Start wires the full peer mesh, resets every node's clock to a shared
-// epoch and starts the nodes and the cluster's loop, whose clock — and
-// so every At call made so far — counts from that epoch. Protocols
-// must already be installed on the nodes.
+// Start wires the full peer mesh and starts the nodes and the
+// cluster's loop with every loop clock based at one epoch, so the
+// nodes' Now, their timers and every At call made so far count from
+// the same instant. Protocols must already be installed on the nodes.
 func (c *Cluster) Start() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -129,17 +128,19 @@ func (c *Cluster) Start() error {
 	}
 	epoch := time.Now()
 	for _, id := range c.order {
-		c.nodes[id].resetClock(epoch)
-		c.nodes[id].Run()
+		c.nodes[id].run(epoch)
 	}
 	c.loop.start(epoch)
 	c.started = true
 	return nil
 }
 
-// Close stops the cluster's loop, cancelling every At callback still
-// pending, and shuts every node down. Callbacks that already ran stay
-// applied.
+// Close stops the cluster's loop, cancelling every At callback, timer
+// and delayed datagram still pending, and shuts every node down.
+// Callbacks that already ran stay applied. Under Serialize it drains
+// in between: arrivals are dispatched until the sockets have been quiet
+// for 5 ms (1 s at most), so NetStats read after Close counts what was
+// in flight at the last callback as received or dropped.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -153,6 +154,9 @@ func (c *Cluster) Close() {
 	}
 	c.mu.Unlock()
 	c.loop.stop()
+	if c.cfg.Serialize {
+		c.loop.drain()
+	}
 	for _, n := range nodes {
 		n.Close()
 	}

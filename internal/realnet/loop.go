@@ -189,6 +189,24 @@ func (l *loop) stop() {
 	}
 }
 
+// drain dispatches, on the caller's goroutine, the events that reach a
+// stopped loop until none has arrived for 5 ms (or for 1 s in all), so
+// what was in flight when it stopped is delivered and counted. Its heap
+// never fires again: a timer a drained handler arms is dropped.
+func (l *loop) drain() {
+	limit := time.After(time.Second)
+	for {
+		select {
+		case ev := <-l.events:
+			l.dispatch(ev)
+		case <-time.After(5 * time.Millisecond):
+			return
+		case <-limit:
+			return
+		}
+	}
+}
+
 func (l *loop) run() {
 	defer close(l.exited)
 	for {

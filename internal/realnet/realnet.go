@@ -8,8 +8,11 @@
 // falling due, crash hooks and a Cluster's At callbacks. A standalone
 // Node owns its loop; a serialized Cluster's nodes share the cluster's
 // loop, so a live city of hundreds of nodes runs on one goroutine
-// beside one socket reader per node, with no lock around its state. The
-// exact same gossip, consensus and data-plane code that runs
+// beside one socket reader per node, with no lock around its state.
+// Each node has one clock, its loop's: Now is the loop clock divided by
+// the node's time scale, so Now, timers and shaped latencies count from
+// one instant — Run for a standalone node, Start's epoch for a
+// Cluster's. The exact same gossip, consensus and data-plane code that runs
 // deterministically in the simulator thus also runs on real
 // infrastructure. Faults port too: Node.SetDown mirrors simnet's
 // crashed-node semantics, every node carries a blocked-peer set (group
@@ -66,15 +69,17 @@ const shapeQueueCap = 4096
 
 // NetStats counts one node's datagram-level traffic and the pressure
 // the fault machinery put on it. Dropped counts packets removed by
-// partitions, shaper loss, delay-queue overflow, and delayed packets
-// whose link was cut before delivery — not sends refused because the
-// node itself was down. Malformed counts arrivals the codec refused:
+// partitions, shaper loss, delay-queue overflow, delayed packets whose
+// link was cut before delivery, and arrivals while the node was down —
+// not sends refused because the node itself was down. A send-side drop
+// never enters Sent, so a cluster's Received + Dropped can exceed its
+// Sent. Malformed counts arrivals the codec refused:
 // a decode error, an unknown version or type tag, trailing bytes.
 type NetStats struct {
 	Sent      int64 // datagrams written to the socket
 	SentBytes int64 // bytes written to the socket
 	Received  int64 // datagrams delivered to the handler
-	Dropped   int64 // datagrams dropped by partition/loss/overflow
+	Dropped   int64 // datagrams dropped by partition/loss/overflow/crash
 	Delayed   int64 // datagrams routed through a delay queue
 	Shaped    int64 // datagrams that traversed a shaped link
 	Malformed int64 // datagrams received but undecodable
@@ -106,7 +111,8 @@ type linkShape struct {
 
 // Node is one real-network protocol host. Construct with NewNode, add
 // peers, install protocols (they call OnMessage/Every through the Port
-// interface), then Run. Close stops the socket and, on a node that owns
+// interface), then Run; a Cluster's nodes come from AddNode and run
+// from Start. Close stops the socket and, on a node that owns
 // its loop, the loop.
 type Node struct {
 	id      simnet.NodeID
@@ -118,7 +124,6 @@ type Node struct {
 	ownLoop bool    // false when a serialized Cluster shares its loop
 
 	mu      sync.Mutex
-	start   time.Time
 	peers   map[simnet.NodeID]*net.UDPAddr
 	handler simnet.Handler
 	envH    simnet.EnvelopeHandler
@@ -145,15 +150,20 @@ var _ simnet.Port = (*Node)(nil)
 
 // NewNode binds a UDP socket. bind may be ":0" for an ephemeral port;
 // Addr reports the actual address. The node's random stream is seeded
-// from the wall clock; Cluster nodes get deterministic seeds instead.
+// from the wall clock and its clock runs at real time; Cluster nodes
+// get deterministic seeds and the cluster's time scale instead.
 func NewNode(id simnet.NodeID, bind string) (*Node, error) {
-	return newNode(id, bind, time.Now().UnixNano(), 0, nil)
+	return newNode(id, bind, time.Now().UnixNano(), 0, 1, nil)
 }
 
 // newNode binds the socket of a node whose random stream starts at
-// seed and whose per-link loss streams derive from netSeed. The node
-// runs on shared when it is not nil, and on a loop of its own otherwise.
-func newNode(id simnet.NodeID, bind string, seed, netSeed int64, shared *loop) (*Node, error) {
+// seed, whose per-link loss streams derive from netSeed, and whose one
+// virtual second occupies scale wall seconds: Now reports virtual time,
+// and After/Every and shaper latencies convert virtual durations to
+// wall delays, so protocol code written against virtual intervals runs
+// unchanged at any compression. The node runs on shared when it is not
+// nil, and on a loop of its own otherwise.
+func newNode(id simnet.NodeID, bind string, seed, netSeed int64, scale float64, shared *loop) (*Node, error) {
 	addr, err := net.ResolveUDPAddr("udp", bind)
 	if err != nil {
 		return nil, fmt.Errorf("realnet: resolve %q: %w", bind, err)
@@ -175,9 +185,8 @@ func newNode(id simnet.NodeID, bind string, seed, netSeed int64, shared *loop) (
 		id:      id,
 		conn:    conn,
 		rng:     simnet.NewStream(seed),
-		scale:   1,
+		scale:   scale,
 		netSeed: netSeed,
-		start:   time.Now(),
 		peers:   make(map[simnet.NodeID]*net.UDPAddr),
 		blocked: make(map[simnet.NodeID]bool),
 		shapes:  make(map[simnet.NodeID]*linkShape),
@@ -185,27 +194,6 @@ func newNode(id simnet.NodeID, bind string, seed, netSeed int64, shared *loop) (
 		ownLoop: shared == nil,
 		done:    make(chan struct{}),
 	}, nil
-}
-
-// SetTimeScale compresses (or stretches) the node's clock: one virtual
-// second occupies scale wall seconds. Now reports virtual time;
-// After/Every and shaper latencies convert virtual durations to wall
-// delays, so protocol code written against virtual intervals runs
-// unchanged at any compression. Call before Run; values <= 0 mean 1.
-func (n *Node) SetTimeScale(scale float64) {
-	if scale <= 0 {
-		scale = 1
-	}
-	n.scale = scale
-}
-
-// resetClock restarts the node's virtual clock at zero at epoch. The
-// cluster calls it right before Run so every node's Now and the
-// cluster's own clock share one epoch.
-func (n *Node) resetClock(epoch time.Time) {
-	n.mu.Lock()
-	n.start = epoch
-	n.mu.Unlock()
 }
 
 // wall converts a virtual duration to a wall-clock delay.
@@ -245,12 +233,17 @@ func (n *Node) AddPeer(id simnet.NodeID, addr string) error {
 }
 
 // Run starts the reader goroutine and, on a node that owns its loop,
-// the loop goroutine. Call after the protocols are installed.
-func (n *Node) Run() {
+// the loop goroutine, whose clock counts from now. Call after the
+// protocols are installed.
+func (n *Node) Run() { n.run(time.Now()) }
+
+// run is Run with the loop clock based at epoch, so that every node of
+// a Cluster and the cluster's own loop share one zero.
+func (n *Node) run(epoch time.Time) {
 	n.wg.Add(1)
 	go n.readLoop()
 	if n.ownLoop {
-		n.loop.start(time.Now())
+		n.loop.start(epoch)
 	}
 }
 
@@ -298,14 +291,11 @@ func (n *Node) receive(from simnet.NodeID, msg simnet.Message) {
 	down := n.down
 	blocked := n.blocked[from]
 	n.mu.Unlock()
-	if blocked {
-		// The sender was partitioned away by the time the datagram
-		// arrived — the receive-side half of simnet's delivery-time
-		// reachability check.
+	if blocked || down {
+		// The sender was partitioned away, or the node crashed, by the
+		// time the datagram arrived — the receive-side half of simnet's
+		// delivery-time checks, which count both as dropped.
 		n.stat.dropped.Add(1)
-		return
-	}
-	if down {
 		return
 	}
 	if e, ok := msg.(simnet.Envelope); ok {
@@ -354,14 +344,12 @@ func (n *Node) Do(fn func()) bool {
 // ID returns the node identifier.
 func (n *Node) ID() simnet.NodeID { return n.id }
 
-// Now returns the virtual time since the node's clock epoch: wall time
-// elapsed divided by the time scale.
+// Now returns the node's virtual time: its loop clock divided by the
+// time scale (zero until the loop starts).
 func (n *Node) Now() time.Duration {
-	n.mu.Lock()
-	elapsed := time.Since(n.start)
-	n.mu.Unlock()
+	elapsed := n.loop.now()
 	if n.scale == 1 {
-		return elapsed
+		return time.Duration(elapsed)
 	}
 	return time.Duration(float64(elapsed) / n.scale)
 }
@@ -559,7 +547,7 @@ func (n *Node) ShapeLink(to simnet.NodeID, latency time.Duration, loss float64) 
 	if sh == nil {
 		sh = &linkShape{
 			to:  to,
-			rng: simnet.NewStream(subSeed(n.netSeed, "loss/"+string(n.id)+"->"+string(to))),
+			rng: simnet.NewStream(simnet.SubSeed(n.netSeed, "loss/"+string(n.id)+"->"+string(to))),
 		}
 		n.shapes[to] = sh
 	}
@@ -590,22 +578,6 @@ func (n *Node) sendDelayed(sh *linkShape, addr *net.UDPAddr, data []byte) {
 		n.stat.sent.Add(1)
 		n.stat.sentBytes.Add(int64(len(data)))
 	}
-}
-
-// subSeed derives an independent RNG-stream seed from a base seed and
-// a stream label (FNV-1a over the label, folded into the seed) — the
-// same derivation the fault package uses for schedule generation.
-func subSeed(seed int64, label string) int64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(label); i++ {
-		h ^= uint64(label[i])
-		h *= prime64
-	}
-	return seed ^ int64(h)
 }
 
 // After schedules fn on the node's loop d (virtual) from now. The

@@ -197,6 +197,26 @@ func TestCrashPlusPartitionSameNode(t *testing.T) {
 	})
 }
 
+// TestArrivalsAtCrashedNodeAreDropped crashes b and sends it k
+// datagrams: a, which cannot know, sends every one; b's socket takes
+// them and counts each as dropped, as the simulator counts a message
+// to a crashed node, and its handler receives none.
+func TestArrivalsAtCrashedNodeAreDropped(t *testing.T) {
+	const k = 5
+	h := newShaperHarness(t, "a", "b")
+	h.inject(fault.Event{Kind: fault.KindCrash, Node: "b"})
+	a, b := h.cluster.node("a"), h.cluster.node("b")
+	for i := 0; i < k; i++ {
+		if !a.Send("b", pingMsg{N: i}) {
+			t.Fatal("send to a crashed peer refused")
+		}
+	}
+	h.waitFor("arrivals counted as dropped", 2*time.Second, func() bool { return b.NetStats().Dropped == k })
+	if s := b.NetStats(); s.Received != 0 || s.Dropped != k || h.received("b") != 0 {
+		t.Fatalf("crashed node: stats %+v, handler got %d; want %d dropped, none received", s, h.received("b"), k)
+	}
+}
+
 // TestSeededLossIsReproducible sends the same traffic through a lossy
 // link on two clusters sharing a seed and asserts the surviving
 // pattern is identical — the seeded-loss reproducibility contract.

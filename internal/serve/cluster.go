@@ -42,17 +42,21 @@ type ClusterNode struct {
 	Server  *Server
 	URL     string
 
+	seeds  []simnet.NodeID
 	joined atomic.Bool
 	sub    *obs.Subscription
 }
 
-// Cluster is a set of loopback realnet nodes, each running gossip
+// Cluster is a set of loopback edge nodes, each running gossip
 // membership, a governed store synchronized all-to-all, and a serve
 // front door — the in-process shape of the CI smoke's three riotnode
-// processes. Used by the bench/ serve workloads and the e2e
-// tests.
+// processes. Its sockets are a realnet.Cluster (Net), one loop per
+// node, so it is a fault.World: a fault.Injector on Net partitions,
+// crashes and shapes the serving path. Used by the bench/ serve
+// workloads and the e2e tests.
 type Cluster struct {
 	Nodes []*ClusterNode
+	Net   *realnet.Cluster
 }
 
 var wireOnce sync.Once
@@ -67,24 +71,32 @@ func registerWire() {
 	})
 }
 
-// StartNode assembles the edge stack on an already-bound node whose
-// peers are registered, and starts it — the one way a live edge node is
-// put together, for riotnode and StartCluster alike. Gossip and the
-// store share the socket through the protocol mux, exactly as the ML4
-// edge stack does in simulation; the node and its peers sit in one
-// trusted site domain; gossip's timeouts derive from
-// opts.ProbeInterval and the store syncs every opts.SyncInterval. A
-// node with seeds is ready once a probe of any peer has been acked —
-// confirmed two-way contact, not the optimistic alive that Start
-// assumes for its seeds; a seedless node bootstraps its own cluster and
-// is ready at once. reg, when non-nil, also counts the node's bus
-// events; nil gives the server a private registry. The server is built
-// before the event loop starts, so its store and membership callbacks
-// are registered race-free; callers serve it on a listener of their
-// own.
+// StartNode assembles the edge stack on a bound node whose peers are
+// registered, runs the node and starts the stack's protocols — the one
+// way riotnode puts a live edge node together; StartCluster makes the
+// same two steps around its cluster's Start.
 func StartNode(node *realnet.Node, peers, seeds []simnet.NodeID, reg *obs.Registry, opts ClusterOptions) *ClusterNode {
+	cn := assembleNode(node, peers, seeds, reg, opts)
+	node.Run()
+	cn.start()
+	return cn
+}
+
+// assembleNode builds the edge stack on node before its loop runs, so
+// the server's store and membership callbacks are registered
+// race-free. Gossip and the store share the socket through the
+// protocol mux, exactly as the ML4 edge stack does in simulation; the
+// node and its peers sit in one trusted site domain; gossip's timeouts
+// derive from opts.ProbeInterval and the store syncs every
+// opts.SyncInterval. A node with seeds is ready once a probe of any
+// peer has been acked — confirmed two-way contact, not the optimistic
+// alive that Start assumes for its seeds; a seedless node bootstraps
+// its own cluster and is ready at once. reg, when non-nil, also counts
+// the node's bus events; nil gives the server a private registry.
+// Callers serve the server on a listener of their own.
+func assembleNode(node *realnet.Node, peers, seeds []simnet.NodeID, reg *obs.Registry, opts ClusterOptions) *ClusterNode {
 	registerWire()
-	cn := &ClusterNode{ID: node.ID(), Node: node}
+	cn := &ClusterNode{ID: node.ID(), Node: node, seeds: seeds}
 	world := space.NewMap()
 	world.AddDomain(space.Domain{ID: "site", Trusted: true})
 	world.Place(string(cn.ID), space.Point{}, "site")
@@ -120,12 +132,16 @@ func StartNode(node *realnet.Node, peers, seeds []simnet.NodeID, reg *obs.Regist
 		Now:         node.Now,
 		MaxInFlight: opts.MaxInFlight,
 	})
-	node.Run()
-	node.Do(func() {
-		cn.Members.Start(seeds...)
+	return cn
+}
+
+// start starts membership, joining through the node's seeds, and the
+// store on the node's running loop.
+func (cn *ClusterNode) start() {
+	cn.Node.Do(func() {
+		cn.Members.Start(cn.seeds...)
 		cn.Store.Start()
 	})
-	return cn
 }
 
 // Ready reports whether the node has joined its cluster.
@@ -157,41 +173,22 @@ func StartCluster(n int, opts ClusterOptions) (*Cluster, error) {
 		return nil, fmt.Errorf("serve: %d registries for %d nodes", len(opts.Registries), n)
 	}
 
-	c := &Cluster{}
-	ids := make([]simnet.NodeID, n)
-	nodes := make([]*realnet.Node, n)
+	c := &Cluster{Net: realnet.NewCluster(realnet.ClusterConfig{})}
 	ok := false
 	defer func() {
 		if !ok {
 			c.Close()
-			for _, node := range nodes {
-				if node != nil {
-					node.Close()
-				}
-			}
 		}
 	}()
-
-	for i := range nodes {
+	ids := make([]simnet.NodeID, n)
+	for i := range ids {
 		ids[i] = simnet.NodeID(fmt.Sprintf("n%d", i))
-		node, err := realnet.NewNode(ids[i], "127.0.0.1:0")
+	}
+	for i, id := range ids {
+		node, err := c.Net.AddNode(id)
 		if err != nil {
 			return nil, err
 		}
-		nodes[i] = node
-	}
-	for i, node := range nodes {
-		for j, other := range nodes {
-			if i == j {
-				continue
-			}
-			if err := node.AddPeer(ids[j], other.Addr()); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	for i, node := range nodes {
 		peers := append(append([]simnet.NodeID(nil), ids[:i]...), ids[i+1:]...)
 		var seeds []simnet.NodeID
 		if i > 0 {
@@ -201,14 +198,19 @@ func StartCluster(n int, opts ClusterOptions) (*Cluster, error) {
 		if opts.Registries != nil {
 			reg = opts.Registries[i]
 		}
+		c.Nodes = append(c.Nodes, assembleNode(node, peers, seeds, reg, opts))
+	}
+	if err := c.Net.Start(); err != nil {
+		return nil, err
+	}
+	for _, cn := range c.Nodes {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
-		cn := StartNode(node, peers, seeds, reg, opts)
 		cn.URL = "http://" + ln.Addr().String()
+		cn.start()
 		go func() { _ = cn.Server.Serve(ln) }()
-		c.Nodes = append(c.Nodes, cn)
 	}
 	ok = true
 	return c, nil
@@ -219,4 +221,5 @@ func (c *Cluster) Close() {
 	for _, cn := range c.Nodes {
 		cn.Close()
 	}
+	c.Net.Close()
 }

@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/simnet"
 )
 
 // waitOK polls url until it answers 200 and returns the body: /readyz
@@ -228,4 +230,111 @@ func TestHealthyClusterSuspectsNoOne(t *testing.T) {
 			t.Errorf("node %d: %d gossip.suspect events in a fault-free cluster", i, n)
 		}
 	}
+}
+
+// TestServeClusterHealsPartition is a fault on the serving path: the
+// injector partitions n2 from {n0, n1} past gossip's 800 ms suspicion
+// timeout, both sides keep answering writes while n0 holds an incident
+// open for n2, and after the heal every store holds every write with
+// nothing pending, every member is alive on every node and no incident
+// stays open.
+func TestServeClusterHealsPartition(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-socket fault test")
+	}
+	cl, err := StartCluster(3, ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	urls := nodeURLs(cl)
+	for _, u := range urls {
+		waitOK(t, u+"/readyz")
+	}
+	allAlive := func() bool {
+		for _, u := range urls {
+			var views []memberView
+			_, body := doReq(t, http.MethodGet, u+"/v1/members", "")
+			if json.Unmarshal([]byte(body), &views) != nil || len(views) != len(urls) {
+				return false
+			}
+			for _, v := range views {
+				if v.Status != "alive" {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	incidents := func(u string) IncidentsView {
+		var view IncidentsView
+		_, body := doReq(t, http.MethodGet, u+"/v1/incidents", "")
+		if err := json.Unmarshal([]byte(body), &view); err != nil {
+			t.Fatalf("%s/v1/incidents: %v", u, err)
+		}
+		return view
+	}
+	waitFor(t, 5*time.Second, allAlive)
+
+	inj := fault.NewInjector(cl.Net)
+	inj.Inject(fault.Event{Kind: fault.KindPartitionStart, Groups: [][]simnet.NodeID{{"n0", "n1"}, {"n2"}}})
+	waitFor(t, 5*time.Second, func() bool { // n0 opens an incident for n2
+		for _, inc := range incidents(urls[0]).Incidents {
+			if inc.Open && inc.Peer == "n2" {
+				return true
+			}
+		}
+		return false
+	})
+	keys := make([]string, len(cl.Nodes))
+	for i, cn := range cl.Nodes {
+		keys[i] = "part/" + string(cn.ID)
+		if resp, _ := doReq(t, http.MethodPut, urls[i]+"/v1/data/"+keys[i], `{"value": 1}`); resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("PUT on %s during the partition = %d", cn.ID, resp.StatusCode)
+		}
+	}
+
+	inj.Inject(fault.Event{Kind: fault.KindPartitionEnd})
+	healed := time.Now()
+	waitFor(t, 5*time.Second, func() bool { // every store holds every write, nothing pending
+		for _, cn := range cl.Nodes {
+			ok := true
+			cn.Node.Do(func() {
+				for _, k := range keys {
+					if _, held := cn.Store.Get(k); !held {
+						ok = false
+					}
+				}
+				for _, peer := range cl.Nodes {
+					if peer != cn && cn.Store.PendingFor(peer.ID) != 0 {
+						ok = false
+					}
+				}
+			})
+			if !ok {
+				return false
+			}
+		}
+		return true
+	})
+	converged := time.Since(healed)
+	waitFor(t, 15*time.Second, func() bool { // every member alive, no incident open
+		if !allAlive() {
+			return false
+		}
+		for _, u := range urls {
+			if incidents(u).Open != 0 {
+				return false
+			}
+		}
+		return true
+	})
+	settled := time.Since(healed)
+	var peers []string
+	for i, u := range urls {
+		for _, inc := range incidents(u).Incidents {
+			peers = append(peers, fmt.Sprintf("%s→%s", cl.Nodes[i].ID, inc.Peer))
+		}
+	}
+	t.Logf("after the heal: stores converged in %v, membership settled in %v; incidents %v", converged, settled, peers)
 }

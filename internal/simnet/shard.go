@@ -176,12 +176,6 @@ func (s *Sim) ExecContext(ep *Endpoint) (laneIdx int, seq uint64, ok bool) {
 	return ln.idx, ln.curSeq, true
 }
 
-// mixSeed derives a node's private stream seed from the simulation
-// seed and the node's rank: the rank-th splitmix64 output from seed.
-func mixSeed(seed int64, rank uint32) int64 {
-	return int64(splitmix64(uint64(seed) + 0x9e3779b97f4a7c15*uint64(rank)))
-}
-
 // addToLane gives a freshly added node its lane and its random stream.
 // Without shard lanes that is the coordinator lane and the simulation's
 // one shared stream. With them it is shard lane 0 until SetShard says
@@ -196,7 +190,7 @@ func (s *Sim) addToLane(n *node) {
 	}
 	sh.nextRank++
 	n.rank = sh.nextRank
-	n.rng = n.st.init(mixSeed(s.seed, n.rank))
+	n.rng = n.st.init(MixSeed(s.seed, uint64(n.rank)))
 	sh.laDirty = true
 }
 

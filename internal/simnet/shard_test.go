@@ -232,10 +232,10 @@ func TestShardNodeFootprint(t *testing.T) {
 func TestNodeStreamsAreSeededPCG(t *testing.T) {
 	s := New(WithSeed(7), WithShards(2))
 	a, b := s.AddNode("a"), s.AddNode("b")
-	ref := NewStream(mixSeed(7, 1))
+	ref := NewStream(MixSeed(7, 1))
 	for i := 0; i < 100; i++ {
 		if got, want := a.Rand().Int63(), ref.Int63(); got != want {
-			t.Fatalf("draw %d: node a got %d, NewStream(mixSeed(7, 1)) %d", i, got, want)
+			t.Fatalf("draw %d: node a got %d, NewStream(MixSeed(7, 1)) %d", i, got, want)
 		}
 	}
 	if a.Rand().Uint64() == b.Rand().Uint64() {

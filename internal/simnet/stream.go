@@ -14,20 +14,38 @@ type pcgSource struct{ pcg randv2.PCG }
 // Seed sets both PCG words from seed: the high word is seed itself,
 // the low word one more splitmix64 round over it.
 func (p *pcgSource) Seed(seed int64) {
-	p.pcg.Seed(uint64(seed), splitmix64(uint64(seed)))
+	p.pcg.Seed(uint64(seed), uint64(MixSeed(seed, 0)))
 }
 
 func (p *pcgSource) Uint64() uint64 { return p.pcg.Uint64() }
 
 func (p *pcgSource) Int63() int64 { return int64(p.pcg.Uint64() >> 1) }
 
-// splitmix64 is one splitmix64 step: a golden-ratio increment, then
-// the finalizer.
-func splitmix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
+// MixSeed derives the stream-th independent seed from seed: output
+// stream+1 of a splitmix64 generator started at seed (a golden-ratio
+// increment per step, then the finalizer). It seeds sharded nodes'
+// streams from their rank and chaos candidates from their index.
+func MixSeed(seed int64, stream uint64) int64 {
+	z := uint64(seed) + 0x9e3779b97f4a7c15*(stream+1)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return int64(z ^ (z >> 31))
+}
+
+// SubSeed derives an independent seed from seed and a stream label:
+// FNV-1a over the label, folded into the seed. Fault campaigns and
+// realnet's node and link streams name their streams this way.
+func SubSeed(seed int64, label string) int64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(label); i++ {
+		h ^= uint64(label[i])
+		h *= prime64
+	}
+	return seed ^ int64(h)
 }
 
 // stream is a *rand.Rand and the PCG source behind it in one value, so
