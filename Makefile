@@ -157,9 +157,9 @@ chaos-verify:
 	$(GO) run -race ./cmd/riotchaos verify -corpus corpus/chaos -parallel 4 -explain
 
 # Live corpus replay on real loopback UDP sockets: race-enabled realnet
-# tests (the loop, delay-line and footprint tests five times over, to
-# catch ordering flakes in the loop heap that holds timers and delayed
-# packets), a serve cluster healing an injected partition five times
+# tests (the loop, delay-line, reactor and footprint tests five times
+# over, to catch ordering flakes in the loop heap that holds timers and
+# delayed packets and lost wakes of a loop asleep in epoll), a serve cluster healing an injected partition five times
 # over, and the sim/live injector
 # conformance test, then every entry replays fully armed at wall-clock scale 0.05
 # under both profiles — default-knob runs must still fail, hardened
@@ -167,7 +167,7 @@ chaos-verify:
 # judging only, DESIGN.md §14). Finally the city smoke tier (405 live
 # UDP nodes, hardened ML4) replays a corpus entry and must survive;
 # the city needs -scale >= 0.5 on a single core (see DESIGN.md §14).
-LOOP_AND_DELAY_LINE_TESTS = Loop|DelayLine|RestoreKeepsQueuedPacketDue|CloseWithQueuedPackets|ShapeLinkFootprint|ShaperPartitionDuringDelayedPacket|ShaperCrashedSenderDelivers
+LOOP_AND_DELAY_LINE_TESTS = Loop|DelayLine|RestoreKeepsQueuedPacketDue|CloseWithQueuedPackets|ShapeLinkFootprint|ShaperPartitionDuringDelayedPacket|ShaperCrashedSenderDelivers|Reactor
 realnet:
 	$(GO) test -race -count=1 ./internal/realnet/
 	$(GO) test -race -count=5 -run '$(LOOP_AND_DELAY_LINE_TESTS)' ./internal/realnet/

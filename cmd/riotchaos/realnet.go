@@ -147,10 +147,11 @@ func replayOneLive(out io.Writer, ce *chaos.Counterexample, opts chaos.LiveOptio
 }
 
 // loopSummary is what the cluster's loop did, for a run line: the share
-// of wall time it was busy and how late its 99th-percentile timer fired
-// (the upper bound of a log2 bucket).
+// of wall time it was busy, how often it woke (events per wake is what
+// one wait bought) and how late its 99th-percentile timer fired (the
+// upper bound of a log2 bucket).
 func loopSummary(s realnet.LoopStats) string {
-	return fmt.Sprintf("loop(busy=%.0f%% late.p99<=%s)", 100*s.BusyFrac(), s.LateQuantile(0.99))
+	return fmt.Sprintf("loop(busy=%.0f%% wakes=%d late.p99<=%s)", 100*s.BusyFrac(), s.Wakes, s.LateQuantile(0.99))
 }
 
 // runCityLive boots the city smoke tier (hardened ML4) on real sockets

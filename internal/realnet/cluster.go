@@ -2,7 +2,6 @@ package realnet
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -21,7 +20,8 @@ type ClusterConfig struct {
 	// cluster's loop, beside its At callbacks, so that one goroutine
 	// owns all protocol state and the At callbacks read it without
 	// racing them — the live analogue of the simulator's
-	// single-threaded world. Without it each node runs its own loop.
+	// single-threaded world; on Linux that loop also reads the nodes'
+	// sockets itself. Without it each node runs its own loop.
 	Serialize bool
 }
 
@@ -53,17 +53,22 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1
 	}
+	var p poller // a Serialize cluster's loop polls where it can
+	if cfg.Serialize {
+		p = newPoller()
+	}
 	return &Cluster{
 		cfg:   cfg,
-		loop:  newLoop(sharedLoopDepth),
+		loop:  newLoop(sharedLoopDepth, p),
 		nodes: make(map[simnet.NodeID]*Node),
 		group: make(map[simnet.NodeID]string),
 	}
 }
 
-// sharedLoopDepth is the event queue of a cluster's loop: under
-// Serialize its nodes' readers block on it, and their sockets' kernel
-// buffers take the rest of a burst.
+// sharedLoopDepth is the event queue of a cluster's loop. A poller's
+// holds Do callbacks alone; off Linux, a Serialize cluster's readers
+// block on it, and their sockets' kernel buffers take the rest of a
+// burst.
 const sharedLoopDepth = 4096
 
 // AddNode binds a new node on an ephemeral loopback port. Call before
@@ -106,17 +111,17 @@ func (c *Cluster) Start() error {
 	}
 	// One address and one sender-table entry per node, shared by the
 	// whole mesh: nothing is resolved or allocated per ordered pair.
-	addrs := make([]*net.UDPAddr, len(c.order))
+	addrs := make([]*peer, len(c.order))
 	known := make(map[string]simnet.NodeID, len(c.order))
 	for i, id := range c.order {
-		addrs[i] = c.nodes[id].conn.LocalAddr().(*net.UDPAddr)
+		addrs[i] = newPeer(c.nodes[id].sock.localAddr())
 		known[string(id)] = id
 	}
 	for i, a := range c.order {
 		n := c.nodes[a]
 		n.mu.Lock()
 		if len(n.peers) == 0 {
-			n.peers = make(map[simnet.NodeID]*net.UDPAddr, len(c.order)-1)
+			n.peers = make(map[simnet.NodeID]*peer, len(c.order)-1)
 		}
 		for j, b := range c.order {
 			if i != j {
@@ -160,6 +165,7 @@ func (c *Cluster) Close() {
 	for _, n := range nodes {
 		n.Close()
 	}
+	c.loop.release()
 }
 
 // LoopStats reports what the cluster's loop has done: under Serialize

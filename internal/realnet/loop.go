@@ -2,6 +2,7 @@ package realnet
 
 import (
 	"container/heap"
+	"math"
 	"math/bits"
 	"sync"
 	"time"
@@ -76,7 +77,10 @@ const LateBuckets = 24
 // of wall time the loop was dispatching rather than waiting; Late is a
 // histogram of how long after its due time each heap entry ran.
 type LoopStats struct {
-	Events int64 // channel events dispatched: datagrams and Do callbacks
+	Events int64 // events dispatched: datagrams and Do callbacks
+	// Wakes counts the loop's returns from its wait; each starts a busy
+	// period, so Events over Wakes is what one wake dispatched.
+	Wakes int64
 	// Fires counts heap entries run: timer and ticker fires (those
 	// skipped while down too), At callbacks, crash hooks and delayed
 	// sends, whose lateness in Late is how late the datagram left.
@@ -117,44 +121,76 @@ func (s LoopStats) LateQuantile(q float64) time.Duration {
 }
 
 // loop is the one goroutine that runs a world's callbacks: datagrams
-// and Do functions arrive on its event channel; everything with a due
-// time — timers, tickers, shaped datagrams, crash hooks and a Cluster's
-// At callbacks — waits in its heap, watched by one reusable channel
-// timer. A standalone Node owns a loop; a Cluster owns one, which with
-// Serialize all its nodes share, so nothing else touches their state.
+// and Do functions, and everything with a due time — timers, tickers,
+// shaped datagrams, crash hooks and a Cluster's At callbacks — waiting
+// in its heap. A standalone Node owns a loop; a Cluster owns one, which
+// with Serialize all its nodes share, so nothing else touches their
+// state.
+//
+// A loop waits in one of two ways; only that step (wait) differs. An
+// own loop, and any loop off Linux, takes Do callbacks and the datagrams
+// of one reader goroutine per node from its event channel, and its heap
+// is watched by one reusable channel timer: adding or removing an entry
+// re-arms the timer, under mu, whenever it changes the heap's earliest
+// entry, and a fire left stale in the channel by such a re-arm finds
+// nothing due and is a harmless spurious wake. A shared loop on Linux
+// polls instead (poller, reactor_linux.go): it reads its nodes' sockets
+// itself and sleeps until the heap's earliest entry is due, and Do, or
+// an entry earlier than that, wakes it.
 //
 // The loop clock stands at zero until start bases it (at a Cluster's
 // epoch), so an entry queued before start counts from there. A channel
-// event is dispatched without reading the clock or locking the heap.
-// The heap is looked at only when the clock fires; adding or removing
-// an entry re-arms the clock, under mu, whenever it changes the heap's
-// earliest entry. A fire left stale in the channel by such a re-arm
-// finds nothing due and is a harmless spurious wake.
+// loop dispatches an event without reading the clock or locking the
+// heap; a poller reads both before each event, so that a burst of ready
+// sockets never holds a due entry back.
 type loop struct {
 	events chan event
 	quit   chan struct{}
 	exited chan struct{}
+	poll   poller // nil: the loop waits on its channel and clock
 
 	mu     sync.Mutex
 	base   time.Time // the clock's zero; set by start
 	timers timerHeap
 	seq    uint64
-	clock  *time.Timer
+	clock  *time.Timer // nil under a poller
+	// armed: the clock is set for due; under a poller, the loop sleeps
+	// until due (math.MaxInt64 for no limit).
 	armed  bool
-	due    int64 // what the clock is armed for, when armed
-	firing bool  // fireDue runs and re-arms the clock when it ends
+	due    int64
+	firing bool // fireDue runs and re-arms the clock when it ends
 	stats  LoopStats
 }
 
-func newLoop(depth int) *loop {
-	clock := time.NewTimer(time.Hour)
-	clock.Stop()
-	return &loop{
+// poller is a loop that reads its nodes' sockets itself: Linux's
+// reactor, the only implementation.
+type poller interface {
+	// listen binds a socket at bind for n, polled by the loop.
+	listen(n *Node, bind string) (socket, error)
+	// next returns a queued Do callback or a datagram from a ready
+	// socket; with neither it polls for up to timeout (0: not at all,
+	// negative: no limit) and looks once more.
+	next(l *loop, timeout time.Duration) (event, bool)
+	// wake ends a poll in progress, or the next one. Caller holds mu.
+	wake()
+	// close releases the poller. Caller holds mu.
+	close()
+}
+
+// newLoop makes a loop that waits through p, or, if p is nil, on its
+// channel and clock.
+func newLoop(depth int, p poller) *loop {
+	l := &loop{
 		events: make(chan event, depth),
 		quit:   make(chan struct{}),
 		exited: make(chan struct{}),
-		clock:  clock,
+		poll:   p,
 	}
+	if p == nil {
+		l.clock = time.NewTimer(time.Hour)
+		l.clock.Stop()
+	}
+	return l
 }
 
 // since is the loop clock: wall nanoseconds since base, zero before
@@ -181,7 +217,11 @@ func (l *loop) stop() {
 	close(l.quit)
 	l.mu.Lock()
 	started := !l.base.IsZero()
-	l.clock.Stop()
+	if l.poll != nil {
+		l.poll.wake()
+	} else {
+		l.clock.Stop()
+	}
 	l.armed = false
 	l.mu.Unlock()
 	if started {
@@ -189,66 +229,168 @@ func (l *loop) stop() {
 	}
 }
 
+// release frees a stopped loop's poller, once every node on it has
+// closed; a loop without one holds nothing to free.
+func (l *loop) release() {
+	if l.poll == nil {
+		return
+	}
+	l.mu.Lock()
+	l.poll.close()
+	l.mu.Unlock()
+}
+
 // drain dispatches, on the caller's goroutine, the events that reach a
 // stopped loop until none has arrived for 5 ms (or for 1 s in all), so
-// what was in flight when it stopped is delivered and counted. Its heap
-// never fires again: a timer a drained handler arms is dropped.
+// what was in flight when it stopped is delivered and counted: a poller
+// goes on polling the sockets, a channel loop reads its channel. Its
+// heap never fires again: a timer a drained handler arms is dropped.
 func (l *loop) drain() {
-	limit := time.After(time.Second)
+	const quiet = 5 * time.Millisecond
+	limit := time.Now().Add(time.Second)
+	last := time.Now()
 	for {
-		select {
-		case ev := <-l.events:
+		wait := min(quiet-time.Since(last), time.Until(limit))
+		if wait <= 0 {
+			return
+		}
+		var ev event
+		ok := false
+		if l.poll != nil {
+			ev, ok = l.poll.next(l, wait)
+		} else {
+			select {
+			case ev = <-l.events:
+				ok = true
+			case <-time.After(wait):
+			}
+		}
+		if ok {
 			l.dispatch(ev)
-		case <-time.After(5 * time.Millisecond):
-			return
-		case <-limit:
-			return
+			last = time.Now()
 		}
 	}
 }
 
+// step is what a loop's wait found.
+type step int
+
+const (
+	stepNone  step = iota // nothing ready
+	stepEvent             // an event to dispatch
+	stepFire              // heap entries may be due
+	stepQuit              // the loop is stopping
+)
+
 func (l *loop) run() {
 	defer close(l.exited)
 	for {
-		var ev event
-		fire := false
-		select {
-		case ev = <-l.events:
-		case <-l.clock.C:
-			fire = true
-		case <-l.quit:
-			return
-		}
-		// Busy until both queues run dry: the clock is read here, at
-		// each timer batch and when the loop goes idle, never per event.
+		s, ev := l.wait(true)
+		// Busy until nothing is ready: the busy clock is read here, at
+		// each timer batch and when the loop goes idle.
 		busy := l.since()
 		var events int64
-		for {
-			if fire {
+		for ; s != stepNone; s, ev = l.wait(false) {
+			switch s {
+			case stepQuit:
+				return
+			case stepFire:
 				busy = l.fireDue(busy, &events)
-			} else {
+			default:
 				l.dispatch(ev)
 				events++
 			}
-			select {
-			case ev = <-l.events:
-				fire = false
-				continue
-			case <-l.clock.C:
-				fire = true
-				continue
-			case <-l.quit:
-				return
-			default:
-			}
-			break
 		}
 		now := l.since()
 		l.mu.Lock()
+		l.stats.Wakes++
 		l.stats.Events += events
 		l.stats.Busy += time.Duration(now - busy)
 		l.mu.Unlock()
 	}
+}
+
+// wait is the one step the two kinds of loop do differently: it returns
+// what is ready, or, if block is set, blocks until something is.
+func (l *loop) wait(block bool) (step, event) {
+	if l.poll != nil {
+		return l.waitPolled(block)
+	}
+	if block {
+		select {
+		case ev := <-l.events:
+			return stepEvent, ev
+		case <-l.clock.C:
+			return stepFire, event{}
+		case <-l.quit:
+			return stepQuit, event{}
+		}
+	}
+	select {
+	case ev := <-l.events:
+		return stepEvent, ev
+	case <-l.clock.C:
+		return stepFire, event{}
+	case <-l.quit:
+		return stepQuit, event{}
+	default:
+		return stepNone, event{}
+	}
+}
+
+// waitPolled is wait under a poller. A due heap entry comes first, as a
+// channel loop's timer fire is taken between two events; then what the
+// last poll found; and only then a poll that sleeps until the earliest
+// entry is due. armed tells pushLocked and notify, under mu, that a wake
+// is needed; the poller looks at the event channel once more after
+// armed is set, so a Do queued before it is not slept through.
+func (l *loop) waitPolled(block bool) (step, event) {
+	for {
+		l.mu.Lock()
+		due, now := l.nextDueLocked(), l.since()
+		l.mu.Unlock()
+		if due <= now {
+			return stepFire, event{}
+		}
+		if ev, ok := l.poll.next(l, 0); ok {
+			return stepEvent, ev
+		}
+		select {
+		case <-l.quit:
+			return stepQuit, event{}
+		default:
+		}
+		if !block {
+			return stepNone, event{}
+		}
+		l.mu.Lock()
+		due, now = l.nextDueLocked(), l.since()
+		l.armed, l.due = due > now, due
+		l.mu.Unlock()
+		if due <= now {
+			continue
+		}
+		timeout := time.Duration(due - now)
+		if due == math.MaxInt64 {
+			timeout = -1
+		}
+		ev, ok := l.poll.next(l, timeout)
+		l.mu.Lock()
+		l.armed = false
+		l.mu.Unlock()
+		if ok {
+			return stepEvent, ev
+		}
+	}
+}
+
+// nextDueLocked is the due time of the heap's earliest entry,
+// math.MaxInt64 for an empty heap. Caller holds l.mu.
+func (l *loop) nextDueLocked() int64 {
+	if len(l.timers) == 0 {
+		return math.MaxInt64
+	}
+	return l.timers[0].due
 }
 
 // isClosed reports whether n has shut down; its loop drops n's events
@@ -275,7 +417,7 @@ func (l *loop) dispatch(ev event) {
 }
 
 // fireDue runs every entry due by now, re-arms the clock, and folds the
-// busy period so far (from busy, with *events channel events) into the
+// busy period so far (from busy, with *events events) into the
 // stats. It returns now, the new start of the busy period. An entry
 // with an owner is skipped while that node is down or closed; one
 // without always runs, as simnet delivers a message whose sender
@@ -334,10 +476,18 @@ func lateBucket(late int64) int {
 }
 
 // armLocked sets the clock for the heap's earliest entry, or stops it
-// when the heap is empty; before start it leaves the clock alone.
-// Caller holds l.mu.
+// when the heap is empty; before start it leaves the clock alone. A
+// poller reads the heap each time it sleeps, so it is woken only if it
+// sleeps past the earliest entry. Caller holds l.mu.
 func (l *loop) armLocked() {
 	if l.base.IsZero() {
+		return
+	}
+	if l.poll != nil {
+		if l.armed && len(l.timers) > 0 && l.timers[0].due < l.due {
+			l.armed = false
+			l.poll.wake()
+		}
 		return
 	}
 	if len(l.timers) == 0 {
@@ -350,6 +500,20 @@ func (l *loop) armLocked() {
 	due := l.timers[0].due
 	l.clock.Reset(time.Duration(due - l.since()))
 	l.armed, l.due = true, due
+}
+
+// notify wakes a poller that sleeps, for an event just queued on the
+// channel; a channel loop needs no wake.
+func (l *loop) notify() {
+	if l.poll == nil {
+		return
+	}
+	l.mu.Lock()
+	if l.armed {
+		l.armed = false
+		l.poll.wake()
+	}
+	l.mu.Unlock()
 }
 
 // now reads the loop clock from any goroutine.

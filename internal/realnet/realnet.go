@@ -3,12 +3,14 @@
 // the wall clock instead of the simulator. Protocol state machines are
 // written single-threaded; realnet preserves that contract by running
 // everything that touches a world's state on one loop goroutine
-// (loop.go): incoming datagrams and Do functions from its event
-// channel, and from its heap timer fires, ticks, shaped datagrams
-// falling due, crash hooks and a Cluster's At callbacks. A standalone
-// Node owns its loop; a serialized Cluster's nodes share the cluster's
-// loop, so a live city of hundreds of nodes runs on one goroutine
-// beside one socket reader per node, with no lock around its state.
+// (loop.go): incoming datagrams and Do functions, and from its heap
+// timer fires, ticks, shaped datagrams falling due, crash hooks and a
+// Cluster's At callbacks. A standalone Node owns its loop, fed by a
+// socket reader goroutine of its own; a serialized Cluster's nodes share
+// the cluster's loop, which on Linux waits in epoll over all their
+// sockets and reads them itself (reactor_linux.go), so a live city of
+// hundreds of nodes runs on one goroutine, with no reader beside it and
+// no lock around its state.
 // Each node has one clock, its loop's: Now is the loop clock divided by
 // the node's time scale, so Now, timers and shaped latencies count from
 // one instant — Run for a standalone node, Start's epoch for a
@@ -44,6 +46,7 @@
 package realnet
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -56,6 +59,61 @@ import (
 
 // maxDatagram bounds encoded message size.
 const maxDatagram = 64 * 1024
+
+// socketBuffer is what every socket asks of the kernel for its receive
+// and send buffers: large clusters burst hard on loopback (hundreds of
+// nodes sharing one machine), and bigger buffers queue those bursts
+// instead of dropping them.
+const socketBuffer = 1 << 20
+
+// errSendFull is a send refused, not waited out, because the socket's
+// send buffer was full; it counts as Dropped.
+var errSendFull = errors.New("realnet: send buffer full")
+
+// socket is a node's UDP endpoint: a net.UDPConn drained by a reader
+// goroutine of the node's, or, under a poller, a raw fd that the loop
+// reads itself (reactor_linux.go).
+type socket interface {
+	localAddr() *net.UDPAddr
+	writeTo(b []byte, to *peer) error
+	close() error
+}
+
+// peer is where a node sends to one peer, resolved once: the address,
+// and the same in the form a raw socket's sendto takes.
+type peer struct {
+	addr *net.UDPAddr
+	raw  rawAddr
+}
+
+func newPeer(addr *net.UDPAddr) *peer { return &peer{addr: addr, raw: toRawAddr(addr)} }
+
+// connSocket is a socket read by a goroutine.
+type connSocket struct{ *net.UDPConn }
+
+func (s connSocket) localAddr() *net.UDPAddr { return s.LocalAddr().(*net.UDPAddr) }
+
+func (s connSocket) writeTo(b []byte, to *peer) error {
+	_, err := s.WriteToUDP(b, to.addr)
+	return err
+}
+
+func (s connSocket) close() error { return s.Close() }
+
+func listenUDP(bind string) (socket, error) {
+	addr, err := net.ResolveUDPAddr("udp", bind)
+	if err != nil {
+		return nil, fmt.Errorf("realnet: resolve %q: %w", bind, err)
+	}
+	conn, err := net.ListenUDP("udp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("realnet: listen %q: %w", bind, err)
+	}
+	// Best-effort: the OS clamps to its limits.
+	_ = conn.SetReadBuffer(socketBuffer)
+	_ = conn.SetWriteBuffer(socketBuffer)
+	return connSocket{conn}, nil
+}
 
 // sendBufs recycles the buffers Send encodes into; a datagram's bytes
 // are dead once the socket write returns.
@@ -70,8 +128,9 @@ const shapeQueueCap = 4096
 // NetStats counts one node's datagram-level traffic and the pressure
 // the fault machinery put on it. Dropped counts packets removed by
 // partitions, shaper loss, delay-queue overflow, delayed packets whose
-// link was cut before delivery, and arrivals while the node was down —
-// not sends refused because the node itself was down. A send-side drop
+// link was cut before delivery, arrivals while the node was down, and
+// sends a polled socket's full send buffer refused — not sends refused
+// because the node itself was down. A send-side drop
 // never enters Sent, so a cluster's Received + Dropped can exceed its
 // Sent. Malformed counts arrivals the codec refused:
 // a decode error, an unknown version or type tag, trailing bytes.
@@ -116,7 +175,7 @@ type linkShape struct {
 // its loop, the loop.
 type Node struct {
 	id      simnet.NodeID
-	conn    *net.UDPConn
+	sock    socket
 	rng     *rand.Rand
 	scale   float64 // wall seconds per virtual second (default 1)
 	netSeed int64   // base seed for per-link loss PRNG streams
@@ -124,7 +183,7 @@ type Node struct {
 	ownLoop bool    // false when a serialized Cluster shares its loop
 
 	mu      sync.Mutex
-	peers   map[simnet.NodeID]*net.UDPAddr
+	peers   map[simnet.NodeID]*peer
 	handler simnet.Handler
 	envH    simnet.EnvelopeHandler
 	closed  bool
@@ -136,7 +195,7 @@ type Node struct {
 
 	// known maps a cluster member's ID bytes to its NodeID, so that a
 	// datagram from a member decodes without allocating the sender's
-	// name. Cluster.Start sets it before the read loop starts, which
+	// name. Cluster.Start sets it before the socket is read, which
 	// reads it without the lock; nil on a node outside a Cluster.
 	known map[string]simnet.NodeID
 
@@ -162,38 +221,35 @@ func NewNode(id simnet.NodeID, bind string) (*Node, error) {
 // and After/Every and shaper latencies convert virtual durations to
 // wall delays, so protocol code written against virtual intervals runs
 // unchanged at any compression. The node runs on shared when it is not
-// nil, and on a loop of its own otherwise.
+// nil, and on a loop of its own otherwise; a shared loop with a poller
+// reads the node's socket itself.
 func newNode(id simnet.NodeID, bind string, seed, netSeed int64, scale float64, shared *loop) (*Node, error) {
-	addr, err := net.ResolveUDPAddr("udp", bind)
-	if err != nil {
-		return nil, fmt.Errorf("realnet: resolve %q: %w", bind, err)
-	}
-	conn, err := net.ListenUDP("udp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("realnet: listen %q: %w", bind, err)
-	}
-	// Large clusters burst hard on loopback (hundreds of nodes sharing
-	// one machine); grow the kernel buffers so those bursts queue
-	// instead of dropping. Best-effort: the OS clamps to its limits.
-	_ = conn.SetReadBuffer(1 << 20)
-	_ = conn.SetWriteBuffer(1 << 20)
 	l := shared
 	if l == nil {
-		l = newLoop(1024)
+		l = newLoop(1024, nil)
 	}
-	return &Node{
+	n := &Node{
 		id:      id,
-		conn:    conn,
 		rng:     simnet.NewStream(seed),
 		scale:   scale,
 		netSeed: netSeed,
-		peers:   make(map[simnet.NodeID]*net.UDPAddr),
+		peers:   make(map[simnet.NodeID]*peer),
 		blocked: make(map[simnet.NodeID]bool),
 		shapes:  make(map[simnet.NodeID]*linkShape),
 		loop:    l,
 		ownLoop: shared == nil,
 		done:    make(chan struct{}),
-	}, nil
+	}
+	var err error
+	if l.poll != nil {
+		n.sock, err = l.poll.listen(n, bind)
+	} else {
+		n.sock, err = listenUDP(bind)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return n, nil
 }
 
 // wall converts a virtual duration to a wall-clock delay.
@@ -218,7 +274,7 @@ func (n *Node) NetStats() NetStats {
 }
 
 // Addr returns the bound UDP address.
-func (n *Node) Addr() string { return n.conn.LocalAddr().String() }
+func (n *Node) Addr() string { return n.sock.localAddr().String() }
 
 // AddPeer registers a peer's address.
 func (n *Node) AddPeer(id simnet.NodeID, addr string) error {
@@ -228,7 +284,7 @@ func (n *Node) AddPeer(id simnet.NodeID, addr string) error {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.peers[id] = ua
+	n.peers[id] = newPeer(ua)
 	return nil
 }
 
@@ -238,10 +294,13 @@ func (n *Node) AddPeer(id simnet.NodeID, addr string) error {
 func (n *Node) Run() { n.run(time.Now()) }
 
 // run is Run with the loop clock based at epoch, so that every node of
-// a Cluster and the cluster's own loop share one zero.
+// a Cluster and the cluster's own loop share one zero. A socket the
+// loop polls gets no reader.
 func (n *Node) run(epoch time.Time) {
-	n.wg.Add(1)
-	go n.readLoop()
+	if conn, ok := n.sock.(connSocket); ok {
+		n.wg.Add(1)
+		go n.readLoop(conn.UDPConn)
+	}
 	if n.ownLoop {
 		n.loop.start(epoch)
 	}
@@ -258,18 +317,18 @@ func (n *Node) Close() {
 	n.closed = true
 	n.mu.Unlock()
 	close(n.done)
-	_ = n.conn.Close()
+	_ = n.sock.close()
 	if n.ownLoop {
 		n.loop.stop()
 	}
 	n.wg.Wait()
 }
 
-func (n *Node) readLoop() {
+func (n *Node) readLoop(conn *net.UDPConn) {
 	defer n.wg.Done()
 	buf := make([]byte, maxDatagram)
 	for {
-		sz, _, err := n.conn.ReadFromUDP(buf)
+		sz, _, err := conn.ReadFromUDP(buf)
 		if err != nil {
 			return // socket closed
 		}
@@ -331,6 +390,7 @@ func (n *Node) Do(fn func()) bool {
 	case <-n.done:
 		return false
 	}
+	n.loop.notify()
 	select {
 	case <-done:
 		return true
@@ -449,10 +509,11 @@ func (n *Node) encode(b []byte, msg simnet.Message) ([]byte, bool) {
 // fault: a down node, a partitioned peer, or a loss draw on a shaped
 // link — mirroring simnet, where Send reports false when the message
 // will not arrive. Refusals are decided first, so only a message that
-// will be written or queued is encoded. Safe for concurrent callers.
+// will be written or queued is encoded. A full send buffer refuses too,
+// and counts as dropped, rather than block. Safe for concurrent callers.
 func (n *Node) Send(to simnet.NodeID, msg simnet.Message) bool {
 	n.mu.Lock()
-	addr, ok := n.peers[to]
+	p, ok := n.peers[to]
 	if !ok || n.closed || n.down {
 		n.mu.Unlock()
 		return false
@@ -473,6 +534,11 @@ func (n *Node) Send(to simnet.NodeID, msg simnet.Message) bool {
 		}
 		delay = n.wall(sh.latency)
 		if delay > 0 {
+			if sh.queued >= shapeQueueCap {
+				n.mu.Unlock()
+				n.stat.dropped.Add(1)
+				return false
+			}
 			// A queued packet owns its bytes, so it is encoded into a
 			// fresh slice and not a pooled one.
 			data, ok := n.encode(nil, msg)
@@ -480,17 +546,12 @@ func (n *Node) Send(to simnet.NodeID, msg simnet.Message) bool {
 				n.mu.Unlock()
 				return false
 			}
-			if sh.queued >= shapeQueueCap {
-				n.mu.Unlock()
-				n.stat.dropped.Add(1)
-				return false
-			}
 			// Due no earlier than the link's previous packet, so that a
 			// latency drop never lets a later packet overtake. The entry
 			// has no owner: it goes out even if n crashes first.
 			sh.lastDue = max(n.loop.now()+int64(delay), sh.lastDue)
 			sh.queued++
-			n.loop.at(&timerEntry{idx: -1, fn: func() { n.sendDelayed(sh, addr, data) }}, sh.lastDue)
+			n.loop.at(&timerEntry{idx: -1, fn: func() { n.sendDelayed(sh, p, data) }}, sh.lastDue)
 			n.mu.Unlock()
 			n.stat.delayed.Add(1)
 			return true
@@ -505,12 +566,21 @@ func (n *Node) Send(to simnet.NodeID, msg simnet.Message) bool {
 	if !ok {
 		return false
 	}
-	_, err := n.conn.WriteToUDP(data, addr)
-	if err == nil {
+	return n.write(data, p)
+}
+
+// write puts one datagram on n's socket and counts it: as sent, or, if
+// the send buffer was full, as dropped.
+func (n *Node) write(data []byte, p *peer) bool {
+	switch err := n.sock.writeTo(data, p); err {
+	case nil:
 		n.stat.sent.Add(1)
 		n.stat.sentBytes.Add(int64(len(data)))
+		return true
+	case errSendFull:
+		n.stat.dropped.Add(1)
 	}
-	return err == nil
+	return false
 }
 
 // SetBlocked replaces the set of peers this node must not exchange
@@ -565,7 +635,7 @@ func (n *Node) ClearShapedLink(to simnet.NodeID) {
 
 // sendDelayed writes one of sh's delayed datagrams when it falls due,
 // unless a partition has cut the link since it was queued.
-func (n *Node) sendDelayed(sh *linkShape, addr *net.UDPAddr, data []byte) {
+func (n *Node) sendDelayed(sh *linkShape, p *peer, data []byte) {
 	n.mu.Lock()
 	sh.queued--
 	blocked := n.blocked[sh.to]
@@ -574,10 +644,7 @@ func (n *Node) sendDelayed(sh *linkShape, addr *net.UDPAddr, data []byte) {
 		n.stat.dropped.Add(1)
 		return
 	}
-	if _, err := n.conn.WriteToUDP(data, addr); err == nil {
-		n.stat.sent.Add(1)
-		n.stat.sentBytes.Add(int64(len(data)))
-	}
+	n.write(data, p)
 }
 
 // After schedules fn on the node's loop d (virtual) from now. The
