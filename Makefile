@@ -159,7 +159,9 @@ chaos-verify:
 # Live corpus replay on real loopback UDP sockets: race-enabled realnet
 # tests (the loop, delay-line, reactor and footprint tests five times
 # over, to catch ordering flakes in the loop heap that holds timers and
-# delayed packets and lost wakes of a loop asleep in epoll), a serve cluster healing an injected partition five times
+# delayed packets and lost wakes of a loop asleep in epoll), a serve cluster healing an injected partition and the
+# readiness contract (ready one round trip after start, never before a
+# peer answers, ready through a probe after a lost join) five times
 # over, and the sim/live injector
 # conformance test, then every entry replays fully armed at wall-clock scale 0.05
 # under both profiles — default-knob runs must still fail, hardened
@@ -168,10 +170,11 @@ chaos-verify:
 # UDP nodes, hardened ML4) replays a corpus entry and must survive;
 # the city needs -scale >= 0.5 on a single core (see DESIGN.md §14).
 LOOP_AND_DELAY_LINE_TESTS = Loop|DelayLine|RestoreKeepsQueuedPacketDue|CloseWithQueuedPackets|ShapeLinkFootprint|ShaperPartitionDuringDelayedPacket|ShaperCrashedSenderDelivers|Reactor
+SERVE_FAULT_AND_READINESS_TESTS = TestServeClusterHealsPartition|TestClusterReadyInOneRoundTrip|TestReadyzWaitsForSeed|TestLostJoinReadyThroughProbe|TestJoined
 realnet:
 	$(GO) test -race -count=1 ./internal/realnet/
 	$(GO) test -race -count=5 -run '$(LOOP_AND_DELAY_LINE_TESTS)' ./internal/realnet/
-	$(GO) test -race -count=5 -run TestServeClusterHealsPartition ./internal/serve/
+	$(GO) test -race -count=5 -run '$(SERVE_FAULT_AND_READINESS_TESTS)' ./internal/serve/ ./internal/gossip/
 	$(GO) test -race -count=1 -run TestInjectorConformance ./internal/fault/
 	$(GO) run ./cmd/riotchaos realnet -corpus corpus/chaos -profile both -scale 0.05
 	$(GO) run ./cmd/riotchaos realnet -corpus corpus/chaos -profile none -city -scale 0.5

@@ -15,10 +15,10 @@
 //
 // With -metrics-addr the node serves Prometheus-format metrics at
 // /metrics, a liveness probe at /healthz, and a readiness probe at
-// /readyz that passes once the node has joined its cluster (a probe
-// of a peer has been acked; a seedless node is ready immediately).
-// The metrics
-// include incident counters derived from membership transitions:
+// /readyz that passes once the node has joined its cluster: a peer has
+// answered it, normally the seed's join ack one round trip after start
+// (a seedless node is ready immediately). The metrics include incident
+// counters derived from membership transitions:
 // riot_incidents_total, riot_incidents_open, and a
 // riot_incident_recovery_seconds histogram of dead-to-alive recovery
 // times. Use :0 for an ephemeral port; the chosen address is printed

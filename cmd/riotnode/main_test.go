@@ -292,8 +292,9 @@ func TestSignalShutdownDrains(t *testing.T) {
 }
 
 // TestReadyzFlipsAfterJoin: a two-node cluster where the joining
-// node's /readyz starts 503 and flips to 200 once its first probe of
-// the seed is acked.
+// node's /readyz starts 503 and flips to 200 once the seed answers it —
+// its join ack, or, when the join went out before the seed was
+// listening, the ack to its first probe.
 func TestReadyzFlipsAfterJoin(t *testing.T) {
 	addrA, addrB := "127.0.0.1:39471", "127.0.0.1:39472"
 	outA, outB := &syncWriter{}, &syncWriter{}

@@ -15,6 +15,7 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -253,6 +254,8 @@ type Protocol struct {
 	started  bool
 	left     bool
 	seeds    []simnet.NodeID
+	// joined is read off the loop (a readiness probe), so it is atomic.
+	joined atomic.Bool
 
 	bus *obs.Bus
 	// probeSent tracks direct-probe departure times by seq, populated
@@ -308,15 +311,37 @@ func (p *Protocol) SetBus(bus *obs.Bus) { p.bus = bus }
 func (p *Protocol) Start(seeds ...simnet.NodeID) {
 	p.seeds = append([]simnet.NodeID(nil), seeds...)
 	p.started = true
+	joined := true
 	for _, s := range p.seeds {
 		if s != p.ep.ID() {
+			joined = false
 			p.applyUpdate(Update{ID: s, Status: StatusAlive})
 			p.ep.Send(s, joinMsg{})
 		}
 	}
+	if joined {
+		p.joined.Store(true)
+	}
 	p.ticker = p.ep.Every(p.cfg.ProbeInterval, p.probe)
 	if p.cfg.AntiEntropyInterval > 0 {
 		p.aeTicker = p.ep.Every(p.cfg.AntiEntropyInterval, p.antiEntropy)
+	}
+}
+
+// Joined reports whether the node has heard from its cluster: true at
+// Start for a node with no seeds but itself, otherwise from the first
+// answer any peer gives it — a join ack (the seed's, or a sync reply)
+// or an ack to one of its pings. That is confirmed two-way contact,
+// not the alive status Start assumes for its seeds. It stays true
+// afterwards, also across a crash and recovery. Safe to call from any
+// goroutine.
+func (p *Protocol) Joined() bool { return p.joined.Load() }
+
+// heard records an answer from a peer for Joined. The load keeps the
+// steady state, where every ack lands here, a plain read.
+func (p *Protocol) heard() {
+	if !p.joined.Load() {
+		p.joined.Store(true)
 	}
 }
 
@@ -811,6 +836,7 @@ func (p *Protocol) handle(from simnet.NodeID, msg simnet.Message) {
 		p.applyUpdate(Update{ID: from, Status: StatusAlive, Incarnation: 0})
 		p.ep.Send(from, joinAckMsg{Members: p.fullState()})
 	case joinAckMsg:
+		p.heard()
 		p.applyAll(m.Members)
 	case syncMsg:
 		p.applyAll(m.Members)
@@ -830,6 +856,7 @@ func (p *Protocol) onPing(from simnet.NodeID, seq uint64, updates []Update) {
 
 // onAck settles a pending probe (boxed or envelope path).
 func (p *Protocol) onAck(from simnet.NodeID, seq uint64, updates []Update) {
+	p.heard()
 	p.applyAll(updates)
 	p.applyUpdate(Update{ID: from, Status: StatusAlive, Incarnation: incOf(p, from)})
 	if t, ok := p.acked[seq]; ok {

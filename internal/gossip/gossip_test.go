@@ -407,3 +407,55 @@ func TestBusInstrumentation(t *testing.T) {
 		t.Fatalf("leave events = %d, want 1", kinds["gossip.leave"])
 	}
 }
+
+// TestJoined: a seeded node has joined once a peer answers it — the
+// seed's join ack, or when the join was lost an ack to one of its
+// probes — and a node without seeds (or seeded only by itself) has
+// joined at Start.
+func TestJoined(t *testing.T) {
+	t.Run("seedless at start", func(t *testing.T) {
+		sim := simnet.New(simnet.WithSeed(1))
+		solo, self := New(sim.AddNode("a"), fastCfg()), New(sim.AddNode("b"), fastCfg())
+		if solo.Joined() {
+			t.Fatal("joined before Start")
+		}
+		solo.Start()
+		self.Start("b")
+		if !solo.Joined() || !self.Joined() {
+			t.Fatalf("joined at Start: no seeds %v, seeded by itself %v, want both true", solo.Joined(), self.Joined())
+		}
+	})
+	t.Run("join ack", func(t *testing.T) {
+		sim := simnet.New(simnet.WithSeed(2), simnet.WithDefaultLatency(2*time.Millisecond))
+		pa, pb := New(sim.AddNode("a"), fastCfg()), New(sim.AddNode("b"), fastCfg())
+		pa.Start()
+		pb.Start("a")
+		if pb.Joined() {
+			t.Fatal("joined before the seed answered")
+		}
+		// One round trip, well before the first probe tick at 200 ms.
+		sim.RunUntil(10 * time.Millisecond)
+		if !pb.Joined() {
+			t.Fatal("not joined after the seed's join ack")
+		}
+	})
+	t.Run("probe ack", func(t *testing.T) {
+		sim := simnet.New(simnet.WithSeed(3), simnet.WithDefaultLatency(2*time.Millisecond))
+		pa, pb := New(sim.AddNode("a"), fastCfg()), New(sim.AddNode("b"), fastCfg())
+		sim.Partition([]simnet.NodeID{"a"}, []simnet.NodeID{"b"})
+		pa.Start()
+		pb.Start("a")
+		sim.RunUntil(100 * time.Millisecond)
+		sim.HealPartition()
+		// The join was lost and the seed does not know b: nothing can
+		// answer b before its first probe at 200 ms.
+		sim.RunUntil(199 * time.Millisecond)
+		if pb.Joined() {
+			t.Fatal("joined with the join lost and no probe sent")
+		}
+		sim.RunUntil(210 * time.Millisecond)
+		if !pb.Joined() {
+			t.Fatal("not joined after the seed acked b's first probe")
+		}
+	})
+}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -107,42 +106,72 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// labelSignature renders label pairs canonically ("" for none). labels
-// are alternating key, value; an odd trailing key is ignored.
-func labelSignature(labels []string) string {
-	if len(labels) < 2 {
-		return ""
+// inlinePairs is how many label pairs appendSignature orders in a
+// stack array; a lookup with more allocates its order.
+const inlinePairs = 8
+
+// appendSignature appends the canonical rendering of label pairs to b:
+// nothing for none, otherwise {k="v",...} sorted by key, equal keys in
+// call order, values escaped. labels are alternating key, value; an
+// odd trailing key is ignored. It allocates only if b must grow or
+// there are more than inlinePairs pairs.
+func appendSignature(b []byte, labels []string) []byte {
+	n := len(labels) / 2
+	if n == 0 {
+		return b
 	}
-	type kv struct{ k, v string }
-	pairs := make([]kv, 0, len(labels)/2)
-	for i := 0; i+1 < len(labels); i += 2 {
-		pairs = append(pairs, kv{labels[i], labels[i+1]})
+	var small [inlinePairs]int
+	order := small[:0]
+	if n > len(small) {
+		order = make([]int, 0, n)
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, p := range pairs {
-		if i > 0 {
-			b.WriteByte(',')
+	// Insertion sort by key: stable, and a series has a handful of pairs.
+	for i := 0; i < n; i++ {
+		j := len(order)
+		order = append(order, i)
+		for ; j > 0 && labels[2*order[j-1]] > labels[2*i]; j-- {
+			order[j] = order[j-1]
 		}
-		b.WriteString(p.k)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(p.v))
-		b.WriteByte('"')
+		order[j] = i
 	}
-	b.WriteByte('}')
-	return b.String()
+	b = append(b, '{')
+	for k, i := range order {
+		if k > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, labels[2*i]...)
+		b = append(b, `="`...)
+		b = appendEscaped(b, labels[2*i+1])
+		b = append(b, '"')
+	}
+	return append(b, '}')
 }
 
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	return v
+// appendEscaped appends a label value with backslash, newline and
+// double quote escaped, as the text format requires.
+func appendEscaped(b []byte, v string) []byte {
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; c {
+		case '\\':
+			b = append(b, `\\`...)
+		case '\n':
+			b = append(b, `\n`...)
+		case '"':
+			b = append(b, `\"`...)
+		default:
+			b = append(b, c)
+		}
+	}
+	return b
 }
 
+// lookup returns the series of family name with the given labels,
+// registering both on first use. Finding an existing series allocates
+// nothing: the signature is built on the stack and the map is indexed
+// by it without a string copy.
 func (r *Registry) lookup(name, help, typ string, labels []string, make func() interface{}) interface{} {
-	sig := labelSignature(labels)
+	var buf [128]byte
+	sig := appendSignature(buf[:0], labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
@@ -153,10 +182,10 @@ func (r *Registry) lookup(name, help, typ string, labels []string, make func() i
 	if f.typ != typ {
 		panic(fmt.Sprintf("obs: metric %q registered as %s, requested as %s", name, f.typ, typ))
 	}
-	m, ok := f.series[sig]
+	m, ok := f.series[string(sig)]
 	if !ok {
 		m = make()
-		f.series[sig] = m
+		f.series[string(sig)] = m
 	}
 	return m
 }

@@ -154,3 +154,38 @@ func TestRegistryConcurrentUse(t *testing.T) {
 		t.Fatalf("ops = %d", v)
 	}
 }
+
+// TestLookupHitAllocatesNothing: finding an existing series — as every
+// request's counter and every bus event's do — allocates nothing.
+func TestLookupHitAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	route, code := "put_data", "204"
+	r.Counter("riot_serve_requests_total", "", "route", route, "code", code)
+	if n := testing.AllocsPerRun(100, func() {
+		r.Counter("riot_serve_requests_total", "", "route", route, "code", code).Inc()
+	}); n != 0 {
+		t.Fatalf("repeated Counter lookup: %v allocations, want 0", n)
+	}
+}
+
+// TestSignatureOrderAndEscaping: label pairs render sorted by key with
+// equal keys in call order, values escaped, past the inline pair count
+// too.
+func TestSignatureOrderAndEscaping(t *testing.T) {
+	for _, tc := range []struct {
+		labels []string
+		want   string
+	}{
+		{nil, ""},
+		{[]string{"odd"}, ""},
+		{[]string{"b", "2", "a", "1", "dangling"}, `{a="1",b="2"}`},
+		{[]string{"k", "second", "a", "x", "k", "first"}, `{a="x",k="second",k="first"}`},
+		{[]string{"v", "q\"\\\nz"}, `{v="q\"\\\nz"}`},
+		{[]string{"j", "", "i", "", "h", "", "g", "", "f", "", "e", "", "d", "", "c", "", "b", "", "a", ""},
+			`{a="",b="",c="",d="",e="",f="",g="",h="",i="",j=""}`},
+	} {
+		if got := string(appendSignature(nil, tc.labels)); got != tc.want {
+			t.Errorf("signature of %q = %s, want %s", tc.labels, got, tc.want)
+		}
+	}
+}

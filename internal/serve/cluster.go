@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dataflow"
@@ -42,9 +41,7 @@ type ClusterNode struct {
 	Server  *Server
 	URL     string
 
-	seeds  []simnet.NodeID
-	joined atomic.Bool
-	sub    *obs.Subscription
+	seeds []simnet.NodeID
 }
 
 // Cluster is a set of loopback edge nodes, each running gossip
@@ -88,12 +85,15 @@ func StartNode(node *realnet.Node, peers, seeds []simnet.NodeID, reg *obs.Regist
 // protocol mux, exactly as the ML4 edge stack does in simulation; the
 // node and its peers sit in one trusted site domain; gossip's timeouts
 // derive from opts.ProbeInterval and the store syncs every
-// opts.SyncInterval. A node with seeds is ready once a probe of any
-// peer has been acked — confirmed two-way contact, not the optimistic
-// alive that Start assumes for its seeds; a seedless node bootstraps
-// its own cluster and is ready at once. reg, when non-nil, also counts
-// the node's bus events; nil gives the server a private registry.
-// Callers serve the server on a listener of their own.
+// opts.SyncInterval, and membership anti-entropy runs every ten probe
+// intervals, the simulator's ML4 ratio. The node is ready once gossip
+// has joined (Protocol.Joined): for a node with seeds, when the first
+// peer answers it — normally the seed's join ack, one round trip after
+// start — which is confirmed two-way contact, not the optimistic alive
+// that Start assumes for its seeds; a seedless node bootstraps its own
+// cluster and is ready at once. reg, when non-nil, also counts the
+// node's bus events; nil gives the server a private registry. Callers
+// serve the server on a listener of their own.
 func assembleNode(node *realnet.Node, peers, seeds []simnet.NodeID, reg *obs.Registry, opts ClusterOptions) *ClusterNode {
 	registerWire()
 	cn := &ClusterNode{ID: node.ID(), Node: node, seeds: seeds}
@@ -105,21 +105,16 @@ func assembleNode(node *realnet.Node, peers, seeds []simnet.NodeID, reg *obs.Reg
 	}
 	mux := simnet.NewPortMux(node)
 	cn.Members = gossip.New(mux.Port("gossip"), gossip.Config{
-		ProbeInterval:    opts.ProbeInterval,
-		ProbeTimeout:     opts.ProbeInterval / 2,
-		SuspicionTimeout: 4 * opts.ProbeInterval,
+		ProbeInterval:       opts.ProbeInterval,
+		ProbeTimeout:        opts.ProbeInterval / 2,
+		SuspicionTimeout:    4 * opts.ProbeInterval,
+		AntiEntropyInterval: 10 * opts.ProbeInterval,
 	})
-	bus := obs.NewBus(node.Now)
-	cn.Members.SetBus(bus)
 	if reg != nil {
+		bus := obs.NewBus(node.Now)
+		cn.Members.SetBus(bus)
 		reg.WatchBus(bus)
 	}
-	cn.joined.Store(len(seeds) == 0)
-	cn.sub = bus.SubscribeFunc(func(ev obs.Event) {
-		if ev.Kind == "gossip.probe" {
-			cn.joined.Store(true)
-		}
-	})
 	cn.Store = dataflow.NewStore(mux.Port("store"), world, dataflow.StoreConfig{
 		Peers: peers, SyncInterval: opts.SyncInterval,
 	})
@@ -144,15 +139,15 @@ func (cn *ClusterNode) start() {
 	})
 }
 
-// Ready reports whether the node has joined its cluster.
-func (cn *ClusterNode) Ready() bool { return cn.joined.Load() }
+// Ready reports whether the node has joined its cluster. Safe to call
+// from any goroutine.
+func (cn *ClusterNode) Ready() bool { return cn.Members.Joined() }
 
 // Close drains the server (bounded) and stops the node.
 func (cn *ClusterNode) Close() {
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	_ = cn.Server.Shutdown(ctx)
 	cancel()
-	cn.sub.Close()
 	cn.Node.Close()
 }
 
@@ -160,6 +155,21 @@ func (cn *ClusterNode) Close() {
 // protocols, TCP for the serve API), joins them through node 0, and
 // returns once every server is accepting. Callers own Close.
 func StartCluster(n int, opts ClusterOptions) (*Cluster, error) {
+	c, err := newCluster(n, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.start(); err != nil {
+		c.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
+// newCluster binds n nodes, assembles the edge stack on each with node
+// 0 as every other node's seed, and runs their sockets; no protocol
+// has started and no server is listening until start.
+func newCluster(n int, opts ClusterOptions) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("serve: cluster size %d", n)
 	}
@@ -203,17 +213,23 @@ func StartCluster(n int, opts ClusterOptions) (*Cluster, error) {
 	if err := c.Net.Start(); err != nil {
 		return nil, err
 	}
+	ok = true
+	return c, nil
+}
+
+// start starts every node's protocols, in node order, and serves each
+// node on an ephemeral loopback listener.
+func (c *Cluster) start() error {
 	for _, cn := range c.Nodes {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		cn.URL = "http://" + ln.Addr().String()
 		cn.start()
 		go func() { _ = cn.Server.Serve(ln) }()
 	}
-	ok = true
-	return c, nil
+	return nil
 }
 
 // Close drains every server (bounded) and stops every node.

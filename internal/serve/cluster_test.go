@@ -338,3 +338,93 @@ func TestServeClusterHealsPartition(t *testing.T) {
 	}
 	t.Logf("after the heal: stores converged in %v, membership settled in %v; incidents %v", converged, settled, peers)
 }
+
+// TestClusterReadyInOneRoundTrip: readiness is the seed's join ack, not
+// a probe tick, so with probes two seconds apart every node of a fresh
+// cluster answers /readyz 200 within 200 ms of StartCluster returning.
+func TestClusterReadyInOneRoundTrip(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-socket cluster test")
+	}
+	cl, err := StartCluster(3, ClusterOptions{ProbeInterval: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	returned := time.Now()
+	defer cl.Close()
+	deadline := returned.Add(200 * time.Millisecond)
+	for _, u := range nodeURLs(cl) {
+		for {
+			if resp, _ := doReq(t, http.MethodGet, u+"/readyz", ""); resp.StatusCode == http.StatusOK {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s/readyz not 200 %v after StartCluster returned", u, time.Since(returned))
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// startSeedCut starts a two-node cluster, n1 seeded through n0, whose
+// nodes are partitioned before their protocols start: n1's join
+// datagram is lost, and no answer from n0 can reach it.
+func startSeedCut(t *testing.T, opts ClusterOptions) *Cluster {
+	t.Helper()
+	cl, err := newCluster(2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	cl.Net.Partition([]simnet.NodeID{"n0"}, []simnet.NodeID{"n1"})
+	if err := cl.start(); err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
+// TestReadyzWaitsForSeed: a seeded node whose seed never answers is
+// not ready — Start's optimistic alive for the seed is not contact — and
+// its /readyz answers 503 for three probe intervals and more.
+func TestReadyzWaitsForSeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-socket cluster test")
+	}
+	const probe = 100 * time.Millisecond
+	cl := startSeedCut(t, ClusterOptions{ProbeInterval: probe})
+	for until := time.Now().Add(3*probe + probe/2); time.Now().Before(until); time.Sleep(10 * time.Millisecond) {
+		if resp, _ := doReq(t, http.MethodGet, cl.Nodes[1].URL+"/readyz", ""); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("/readyz of a node whose seed never answered = %d, want 503", resp.StatusCode)
+		}
+	}
+}
+
+// TestLostJoinReadyThroughProbe: a node whose join was lost to a
+// partition is not ready while the partition lasts, and turns ready
+// through its probe of the seed within two probe intervals of the heal
+// — before anti-entropy, ten probe intervals apart, would run.
+func TestLostJoinReadyThroughProbe(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-socket fault test")
+	}
+	const probe = 200 * time.Millisecond
+	cl := startSeedCut(t, ClusterOptions{ProbeInterval: probe})
+	joiner := cl.Nodes[1]
+	// Heal between the third and fourth probe ticks: the seed is
+	// suspect by then but not yet dead, so it is still a probe target,
+	// and the next tick is half an interval away.
+	for until := time.Now().Add(3*probe + probe/2); time.Now().Before(until); time.Sleep(5 * time.Millisecond) {
+		if joiner.Ready() {
+			t.Fatal("ready before the partition healed")
+		}
+	}
+	cl.Net.HealPartition()
+	healed := time.Now()
+	for !joiner.Ready() {
+		if time.Since(healed) > 2*probe {
+			t.Fatalf("not ready %v after the heal", time.Since(healed))
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Logf("ready %v after the heal", time.Since(healed))
+}

@@ -256,7 +256,25 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 
 func (s *Server) count(route string, code int) {
 	s.reg.Counter("riot_serve_requests_total", "serving-path requests by route and status",
-		"route", route, "code", strconv.Itoa(code)).Inc()
+		"route", route, "code", codeText(code)).Inc()
+}
+
+// codeTexts holds the decimal text of every code below 600, which
+// covers every HTTP status class, so that counting a response
+// allocates no string.
+var codeTexts = func() (t [600]string) {
+	for i := range t {
+		t[i] = strconv.Itoa(i)
+	}
+	return t
+}()
+
+// codeText is code in decimal.
+func codeText(code int) string {
+	if code >= 0 && code < len(codeTexts) {
+		return codeTexts[code]
+	}
+	return strconv.Itoa(code)
 }
 
 // putBody is the PUT /v1/data/{key} request payload.

@@ -512,6 +512,22 @@ func TestServeMetricsExposed(t *testing.T) {
 	}
 }
 
+// TestCountAllocatesNothing: counting a request against an existing
+// series allocates nothing, status text included. The node never runs,
+// so nothing else allocates while the count is measured.
+func TestCountAllocatesNothing(t *testing.T) {
+	ts := newTestStack(t)
+	defer ts.node.Close()
+	srv := NewServer(Config{Loop: ts.node, Store: ts.store, Members: ts.members, Registry: obs.NewRegistry(), Now: ts.node.Now})
+	srv.count("put_data", http.StatusNoContent)
+	if n := testing.AllocsPerRun(100, func() { srv.count("put_data", http.StatusNoContent) }); n != 0 {
+		t.Fatalf("count: %v allocations, want 0", n)
+	}
+	if codeText(204) != "204" || codeText(1234) != "1234" || codeText(-1) != "-1" {
+		t.Fatal("codeText is not the decimal code")
+	}
+}
+
 func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(d)
