@@ -161,8 +161,10 @@ chaos-verify:
 # over, to catch ordering flakes in the loop heap that holds timers and
 # delayed packets and lost wakes of a loop asleep in epoll), a serve cluster healing an injected partition and the
 # readiness contract (ready one round trip after start, never before a
-# peer answers, ready through a probe after a lost join) five times
-# over, and the sim/live injector
+# peer answers, ready through a probe after a lost join, not ready from
+# a recovery until the seed answers) five times over, the realnet,
+# serve, fault and gossip tests on linux/386, where every loop waits
+# through reader goroutines and a chanPoller, and the sim/live injector
 # conformance test, then every entry replays fully armed at wall-clock scale 0.05
 # under both profiles — default-knob runs must still fail, hardened
 # runs must match their expectations (no journal hashes: outcome-level
@@ -170,11 +172,12 @@ chaos-verify:
 # UDP nodes, hardened ML4) replays a corpus entry and must survive;
 # the city needs -scale >= 0.5 on a single core (see DESIGN.md §14).
 LOOP_AND_DELAY_LINE_TESTS = Loop|DelayLine|RestoreKeepsQueuedPacketDue|CloseWithQueuedPackets|ShapeLinkFootprint|ShaperPartitionDuringDelayedPacket|ShaperCrashedSenderDelivers|Reactor
-SERVE_FAULT_AND_READINESS_TESTS = TestServeClusterHealsPartition|TestClusterReadyInOneRoundTrip|TestReadyzWaitsForSeed|TestLostJoinReadyThroughProbe|TestJoined
+SERVE_FAULT_AND_READINESS_TESTS = TestServeClusterHealsPartition|TestClusterReadyInOneRoundTrip|TestReadyzWaitsForSeed|TestLostJoinReadyThroughProbe|TestJoined|TestReadyzFallsAcrossCrash
 realnet:
 	$(GO) test -race -count=1 ./internal/realnet/
 	$(GO) test -race -count=5 -run '$(LOOP_AND_DELAY_LINE_TESTS)' ./internal/realnet/
 	$(GO) test -race -count=5 -run '$(SERVE_FAULT_AND_READINESS_TESTS)' ./internal/serve/ ./internal/gossip/
+	GOARCH=386 $(GO) test -count=1 ./internal/realnet/ ./internal/serve/ ./internal/fault/ ./internal/gossip/
 	$(GO) test -race -count=1 -run TestInjectorConformance ./internal/fault/
 	$(GO) run ./cmd/riotchaos realnet -corpus corpus/chaos -profile both -scale 0.05
 	$(GO) run ./cmd/riotchaos realnet -corpus corpus/chaos -profile none -city -scale 0.5

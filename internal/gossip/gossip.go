@@ -311,6 +311,16 @@ func (p *Protocol) SetBus(bus *obs.Bus) { p.bus = bus }
 func (p *Protocol) Start(seeds ...simnet.NodeID) {
 	p.seeds = append([]simnet.NodeID(nil), seeds...)
 	p.started = true
+	p.join()
+	p.ticker = p.ep.Every(p.cfg.ProbeInterval, p.probe)
+	if p.cfg.AntiEntropyInterval > 0 {
+		p.aeTicker = p.ep.Every(p.cfg.AntiEntropyInterval, p.antiEntropy)
+	}
+}
+
+// join adopts every seed but this node as alive and asks it for a full
+// state exchange. Joined holds only if there was no seed to ask.
+func (p *Protocol) join() {
 	joined := true
 	for _, s := range p.seeds {
 		if s != p.ep.ID() {
@@ -319,21 +329,16 @@ func (p *Protocol) Start(seeds ...simnet.NodeID) {
 			p.ep.Send(s, joinMsg{})
 		}
 	}
-	if joined {
-		p.joined.Store(true)
-	}
-	p.ticker = p.ep.Every(p.cfg.ProbeInterval, p.probe)
-	if p.cfg.AntiEntropyInterval > 0 {
-		p.aeTicker = p.ep.Every(p.cfg.AntiEntropyInterval, p.antiEntropy)
-	}
+	p.joined.Store(joined)
 }
 
 // Joined reports whether the node has heard from its cluster: true at
 // Start for a node with no seeds but itself, otherwise from the first
 // answer any peer gives it — a join ack (the seed's, or a sync reply)
 // or an ack to one of its pings. That is confirmed two-way contact,
-// not the alive status Start assumes for its seeds. It stays true
-// afterwards, also across a crash and recovery. Safe to call from any
+// not the alive status Start assumes for its seeds. A seeded node's
+// recovery from a crash rejoins through its seeds, so Joined is false
+// again until the first answer after the restart. Safe to call from any
 // goroutine.
 func (p *Protocol) Joined() bool { return p.joined.Load() }
 
@@ -423,12 +428,7 @@ func (p *Protocol) onRecover() {
 	p.probeOrder = nil
 	p.probeIdx = 0
 	p.enqueue(Update{ID: p.ep.ID(), Status: StatusAlive, Incarnation: p.incarnation})
-	for _, s := range p.seeds {
-		if s != p.ep.ID() {
-			p.applyUpdate(Update{ID: s, Status: StatusAlive})
-			p.ep.Send(s, joinMsg{})
-		}
-	}
+	p.join()
 }
 
 func stopSuspect(ms *memberState) {

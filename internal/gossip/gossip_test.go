@@ -458,4 +458,30 @@ func TestJoined(t *testing.T) {
 			t.Fatal("not joined after the seed acked b's first probe")
 		}
 	})
+	t.Run("recovery", func(t *testing.T) {
+		sim := simnet.New(simnet.WithSeed(4), simnet.WithDefaultLatency(2*time.Millisecond))
+		pa, pb := New(sim.AddNode("a"), fastCfg()), New(sim.AddNode("b"), fastCfg())
+		pa.Start()
+		pb.Start("a")
+		sim.RunUntil(time.Second)
+		if !pb.Joined() {
+			t.Fatal("not joined before the crash")
+		}
+		sim.SetDown("a", true)
+		sim.SetDown("b", true)
+		sim.RunUntil(2 * time.Second)
+		sim.SetDown("a", false)
+		sim.SetDown("b", false)
+		if pb.Joined() {
+			t.Fatal("joined after recovery before the seed answered the rejoin")
+		}
+		if !pa.Joined() {
+			t.Fatal("a seedless node, with no one to rejoin through, lost Joined on recovery")
+		}
+		// One round trip, well before b's next probe tick.
+		sim.RunUntil(2*time.Second + 10*time.Millisecond)
+		if !pb.Joined() {
+			t.Fatal("not joined after the seed's ack to the rejoin")
+		}
+	})
 }

@@ -53,9 +53,11 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1
 	}
-	var p poller // a Serialize cluster's loop polls where it can
+	var p poller
 	if cfg.Serialize {
-		p = newPoller()
+		p = newPoller() // the reactor, on Linux
+	} else {
+		p = newChanPoller()
 	}
 	return &Cluster{
 		cfg:   cfg,
@@ -65,7 +67,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	}
 }
 
-// sharedLoopDepth is the event queue of a cluster's loop. A poller's
+// sharedLoopDepth is the event queue of a cluster's loop. A reactor's
 // holds Do callbacks alone; off Linux, a Serialize cluster's readers
 // block on it, and their sockets' kernel buffers take the rest of a
 // burst.

@@ -127,70 +127,119 @@ func (s LoopStats) LateQuantile(q float64) time.Duration {
 // with Serialize all its nodes share, so nothing else touches their
 // state.
 //
-// A loop waits in one of two ways; only that step (wait) differs. An
-// own loop, and any loop off Linux, takes Do callbacks and the datagrams
-// of one reader goroutine per node from its event channel, and its heap
-// is watched by one reusable channel timer: adding or removing an entry
-// re-arms the timer, under mu, whenever it changes the heap's earliest
-// entry, and a fire left stale in the channel by such a re-arm finds
-// nothing due and is a harmless spurious wake. A shared loop on Linux
-// polls instead (poller, reactor_linux.go): it reads its nodes' sockets
-// itself and sleeps until the heap's earliest entry is due, and Do, or
-// an entry earlier than that, wakes it.
+// Every loop waits one way (wait): it runs what is due, then takes what
+// is ready, and only then sleeps in its poller until the heap's earliest
+// entry is due. A serialized cluster's poller on Linux is the reactor
+// (reactor_linux.go), which reads its nodes' sockets itself; every other
+// loop's is a chanPoller, which takes the datagrams of one reader
+// goroutine per node from the event channel. Do, or an entry earlier
+// than the one the loop sleeps until, wakes it.
 //
 // The loop clock stands at zero until start bases it (at a Cluster's
-// epoch), so an entry queued before start counts from there. A channel
-// loop dispatches an event without reading the clock or locking the
-// heap; a poller reads both before each event, so that a burst of ready
-// sockets never holds a due entry back.
+// epoch), so an entry queued before start counts from there. The loop
+// reads the clock and the heap before each event, so that a burst of
+// ready events never holds a due entry back.
 type loop struct {
 	events chan event
 	quit   chan struct{}
 	exited chan struct{}
-	poll   poller // nil: the loop waits on its channel and clock
+	poll   poller
 
 	mu     sync.Mutex
 	base   time.Time // the clock's zero; set by start
 	timers timerHeap
 	seq    uint64
-	clock  *time.Timer // nil under a poller
-	// armed: the clock is set for due; under a poller, the loop sleeps
-	// until due (math.MaxInt64 for no limit).
-	armed  bool
-	due    int64
-	firing bool // fireDue runs and re-arms the clock when it ends
-	stats  LoopStats
+	// armed: the loop sleeps until due (math.MaxInt64 for no limit), so
+	// an earlier entry must wake it.
+	armed bool
+	due   int64
+	stats LoopStats
 }
 
-// poller is a loop that reads its nodes' sockets itself: Linux's
-// reactor, the only implementation.
+// poller is how a loop waits: the reactor, which reads the nodes'
+// sockets itself, or a chanPoller, which leaves them to reader
+// goroutines.
 type poller interface {
-	// listen binds a socket at bind for n, polled by the loop.
+	// listen binds a socket at bind for n.
 	listen(n *Node, bind string) (socket, error)
-	// next returns a queued Do callback or a datagram from a ready
-	// socket; with neither it polls for up to timeout (0: not at all,
-	// negative: no limit) and looks once more.
-	next(l *loop, timeout time.Duration) (event, bool)
-	// wake ends a poll in progress, or the next one. Caller holds mu.
+	// next returns a queued Do callback or a received datagram; with
+	// neither it waits until the loop clock, which reads now, reaches due
+	// (math.MaxInt64: no limit; due <= now: not at all) and looks once
+	// more.
+	next(l *loop, now, due int64) (event, bool)
+	// wake ends a wait in progress, or the next one. Caller holds mu.
 	wake()
+	// queued wakes l, if it sleeps, for an event just sent on its
+	// channel, unless the send itself ended the wait.
+	queued(l *loop)
 	// close releases the poller. Caller holds mu.
 	close()
 }
 
-// newLoop makes a loop that waits through p, or, if p is nil, on its
-// channel and clock.
+// chanPoller waits on the loop's event channel, fed by a reader
+// goroutine per node, a one-slot wake channel and one reusable timer,
+// which is reset only when the time it should fire at moves.
+type chanPoller struct {
+	wakes chan struct{}
+	timer *time.Timer
+	at    int64 // the loop-clock time timer fires at; 0 once it has
+}
+
+func newChanPoller() *chanPoller {
+	c := &chanPoller{wakes: make(chan struct{}, 1), timer: time.NewTimer(time.Hour)}
+	c.timer.Stop()
+	return c
+}
+
+func (c *chanPoller) listen(_ *Node, bind string) (socket, error) { return listenUDP(bind) }
+
+func (c *chanPoller) next(l *loop, now, due int64) (event, bool) {
+	if due <= now {
+		select {
+		case ev := <-l.events:
+			return ev, true
+		default:
+			return event{}, false
+		}
+	}
+	var fire <-chan time.Time
+	if due != math.MaxInt64 {
+		if due != c.at {
+			c.timer.Reset(time.Duration(due - now))
+			c.at = due
+		}
+		fire = c.timer.C
+	}
+	select {
+	case ev := <-l.events:
+		return ev, true
+	case <-c.wakes:
+	case <-fire:
+		c.at = 0
+	}
+	return event{}, false
+}
+
+func (c *chanPoller) wake() {
+	select {
+	case c.wakes <- struct{}{}:
+	default:
+	}
+}
+
+// queued does nothing: a sleeping chanPoller receives the event itself.
+func (c *chanPoller) queued(*loop) {}
+
+func (c *chanPoller) close() { c.timer.Stop() }
+
+// newLoop makes a loop that waits through p.
 func newLoop(depth int, p poller) *loop {
-	l := &loop{
+	return &loop{
 		events: make(chan event, depth),
 		quit:   make(chan struct{}),
 		exited: make(chan struct{}),
 		poll:   p,
 	}
-	if p == nil {
-		l.clock = time.NewTimer(time.Hour)
-		l.clock.Stop()
-	}
-	return l
 }
 
 // since is the loop clock: wall nanoseconds since base, zero before
@@ -206,7 +255,6 @@ func (l *loop) since() int64 {
 func (l *loop) start(base time.Time) {
 	l.mu.Lock()
 	l.base = base
-	l.armLocked()
 	l.mu.Unlock()
 	go l.run()
 }
@@ -217,12 +265,7 @@ func (l *loop) stop() {
 	close(l.quit)
 	l.mu.Lock()
 	started := !l.base.IsZero()
-	if l.poll != nil {
-		l.poll.wake()
-	} else {
-		l.clock.Stop()
-	}
-	l.armed = false
+	l.poll.wake()
 	l.mu.Unlock()
 	if started {
 		<-l.exited
@@ -230,11 +273,8 @@ func (l *loop) stop() {
 }
 
 // release frees a stopped loop's poller, once every node on it has
-// closed; a loop without one holds nothing to free.
+// closed.
 func (l *loop) release() {
-	if l.poll == nil {
-		return
-	}
 	l.mu.Lock()
 	l.poll.close()
 	l.mu.Unlock()
@@ -242,9 +282,8 @@ func (l *loop) release() {
 
 // drain dispatches, on the caller's goroutine, the events that reach a
 // stopped loop until none has arrived for 5 ms (or for 1 s in all), so
-// what was in flight when it stopped is delivered and counted: a poller
-// goes on polling the sockets, a channel loop reads its channel. Its
-// heap never fires again: a timer a drained handler arms is dropped.
+// what was in flight when it stopped is delivered and counted. Its heap
+// never fires again: a timer a drained handler arms is dropped.
 func (l *loop) drain() {
 	const quiet = 5 * time.Millisecond
 	limit := time.Now().Add(time.Second)
@@ -254,18 +293,8 @@ func (l *loop) drain() {
 		if wait <= 0 {
 			return
 		}
-		var ev event
-		ok := false
-		if l.poll != nil {
-			ev, ok = l.poll.next(l, wait)
-		} else {
-			select {
-			case ev = <-l.events:
-				ok = true
-			case <-time.After(wait):
-			}
-		}
-		if ok {
+		now := l.now()
+		if ev, ok := l.poll.next(l, now, now+int64(wait)); ok {
 			l.dispatch(ev)
 			last = time.Now()
 		}
@@ -310,41 +339,13 @@ func (l *loop) run() {
 	}
 }
 
-// wait is the one step the two kinds of loop do differently: it returns
-// what is ready, or, if block is set, blocks until something is.
+// wait returns what is ready, or, if block is set, sleeps in the
+// poller until something is. A due heap entry comes first, then a ready
+// event, and only then a sleep until the earliest entry is due. armed
+// tells pushLocked, and the reactor's queued, under mu, that a wake is
+// needed; the poller looks at the event channel once more after armed
+// is set, so a Do queued before it is not slept through.
 func (l *loop) wait(block bool) (step, event) {
-	if l.poll != nil {
-		return l.waitPolled(block)
-	}
-	if block {
-		select {
-		case ev := <-l.events:
-			return stepEvent, ev
-		case <-l.clock.C:
-			return stepFire, event{}
-		case <-l.quit:
-			return stepQuit, event{}
-		}
-	}
-	select {
-	case ev := <-l.events:
-		return stepEvent, ev
-	case <-l.clock.C:
-		return stepFire, event{}
-	case <-l.quit:
-		return stepQuit, event{}
-	default:
-		return stepNone, event{}
-	}
-}
-
-// waitPolled is wait under a poller. A due heap entry comes first, as a
-// channel loop's timer fire is taken between two events; then what the
-// last poll found; and only then a poll that sleeps until the earliest
-// entry is due. armed tells pushLocked and notify, under mu, that a wake
-// is needed; the poller looks at the event channel once more after
-// armed is set, so a Do queued before it is not slept through.
-func (l *loop) waitPolled(block bool) (step, event) {
 	for {
 		l.mu.Lock()
 		due, now := l.nextDueLocked(), l.since()
@@ -352,7 +353,7 @@ func (l *loop) waitPolled(block bool) (step, event) {
 		if due <= now {
 			return stepFire, event{}
 		}
-		if ev, ok := l.poll.next(l, 0); ok {
+		if ev, ok := l.poll.next(l, now, now); ok {
 			return stepEvent, ev
 		}
 		select {
@@ -370,11 +371,7 @@ func (l *loop) waitPolled(block bool) (step, event) {
 		if due <= now {
 			continue
 		}
-		timeout := time.Duration(due - now)
-		if due == math.MaxInt64 {
-			timeout = -1
-		}
-		ev, ok := l.poll.next(l, timeout)
+		ev, ok := l.poll.next(l, now, due)
 		l.mu.Lock()
 		l.armed = false
 		l.mu.Unlock()
@@ -416,25 +413,21 @@ func (l *loop) dispatch(ev event) {
 	}
 }
 
-// fireDue runs every entry due by now, re-arms the clock, and folds the
-// busy period so far (from busy, with *events events) into the
-// stats. It returns now, the new start of the busy period. An entry
-// with an owner is skipped while that node is down or closed; one
-// without always runs, as simnet delivers a message whose sender
-// crashed after sending it.
+// fireDue runs every entry due by now and folds the busy period so far
+// (from busy, with *events events) into the stats. It returns now, the
+// new start of the busy period. An entry with an owner is skipped while
+// that node is down or closed; one without always runs, as simnet
+// delivers a message whose sender crashed after sending it.
 func (l *loop) fireDue(busy int64, events *int64) int64 {
 	now := l.since()
 	l.mu.Lock()
 	l.stats.Events += *events
 	l.stats.Busy += time.Duration(now - busy)
 	*events = 0
-	l.firing = true
 	l.mu.Unlock()
 	for {
 		l.mu.Lock()
 		if len(l.timers) == 0 || l.timers[0].due > now {
-			l.firing = false
-			l.armLocked()
 			l.mu.Unlock()
 			return now
 		}
@@ -475,47 +468,6 @@ func lateBucket(late int64) int {
 	return b
 }
 
-// armLocked sets the clock for the heap's earliest entry, or stops it
-// when the heap is empty; before start it leaves the clock alone. A
-// poller reads the heap each time it sleeps, so it is woken only if it
-// sleeps past the earliest entry. Caller holds l.mu.
-func (l *loop) armLocked() {
-	if l.base.IsZero() {
-		return
-	}
-	if l.poll != nil {
-		if l.armed && len(l.timers) > 0 && l.timers[0].due < l.due {
-			l.armed = false
-			l.poll.wake()
-		}
-		return
-	}
-	if len(l.timers) == 0 {
-		if l.armed {
-			l.clock.Stop()
-			l.armed = false
-		}
-		return
-	}
-	due := l.timers[0].due
-	l.clock.Reset(time.Duration(due - l.since()))
-	l.armed, l.due = true, due
-}
-
-// notify wakes a poller that sleeps, for an event just queued on the
-// channel; a channel loop needs no wake.
-func (l *loop) notify() {
-	if l.poll == nil {
-		return
-	}
-	l.mu.Lock()
-	if l.armed {
-		l.armed = false
-		l.poll.wake()
-	}
-	l.mu.Unlock()
-}
-
 // now reads the loop clock from any goroutine.
 func (l *loop) now() int64 {
 	l.mu.Lock()
@@ -538,32 +490,30 @@ func (l *loop) at(e *timerEntry, due int64) {
 	l.mu.Unlock()
 }
 
-// pushLocked queues e at due and re-arms the clock if e is now the
-// earliest entry. Caller holds l.mu.
+// pushLocked queues e at due and wakes the loop if it sleeps past due.
+// Caller holds l.mu.
 func (l *loop) pushLocked(e *timerEntry, due int64) {
 	e.due = due
 	l.seq++
 	e.seq = l.seq
 	heap.Push(&l.timers, e)
-	if e.idx == 0 && !l.firing && (!l.armed || due < l.due) {
-		l.armLocked()
+	if l.armed && due < l.due {
+		l.armed = false
+		l.poll.wake()
 	}
 }
 
 // remove takes e out of the heap; it reports whether e was still
-// queued, which for a one-shot timer means the fire was prevented.
+// queued, which for a one-shot timer means the fire was prevented. A
+// loop sleeping until e's due time then wakes once for nothing.
 func (l *loop) remove(e *timerEntry) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if e.idx < 0 {
 		return false
 	}
-	top := e.idx == 0
 	heap.Remove(&l.timers, e.idx)
 	e.fn, e.argFn = nil, nil
-	if top && !l.firing {
-		l.armLocked()
-	}
 	return true
 }
 

@@ -109,6 +109,88 @@ func TestLoopEarlierTimerFromOutsideRearms(t *testing.T) {
 	}
 }
 
+// wakeBound is how long a sleeping loop may take to run work handed to
+// it from another goroutine: a lost wake would leave it asleep until the
+// hour-long entry every case queues first.
+const wakeBound = 100 * time.Millisecond
+
+// TestLoopWakesFromOtherGoroutines lets a loop fall asleep with nothing
+// due for an hour, then hands it work from other goroutines: a Do, an
+// After and a SetDown each run within wakeBound. A serialized cluster's
+// loop, which on Linux sleeps in epoll and must be woken through its
+// eventfd, also takes a Cluster.At earlier than every queued entry; a
+// standalone node's loop sleeps in a chanPoller.
+func TestLoopWakesFromOtherGoroutines(t *testing.T) {
+	t.Run("serialized cluster", func(t *testing.T) {
+		c := NewCluster(ClusterConfig{Seed: 1, Serialize: true})
+		defer c.Close()
+		n, err := c.AddNode("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.At(time.Hour, func() {})
+		if err := c.Start(); err != nil {
+			t.Fatal(err)
+		}
+		checkWakes(t, n, func(lead time.Duration, fn func()) { c.At(c.Now()+lead, fn) })
+	})
+	t.Run("standalone node", func(t *testing.T) {
+		n, err := NewNode("x", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		n.After(time.Hour, func() {})
+		n.Run()
+		checkWakes(t, n, nil)
+	})
+}
+
+// checkWakes hands n's sleeping loop a Do, an earlier After and, when
+// runAt is given, an earlier runAt, three times each, then a SetDown,
+// each from a goroutine of its own, and checks that each runs within
+// wakeBound of its due time.
+func checkWakes(t *testing.T, n *Node, runAt func(lead time.Duration, fn func())) {
+	t.Helper()
+	downs := make(chan time.Time, 1)
+	n.OnDown(func() { downs <- time.Now() })
+	within := func(what string, lead time.Duration, ran <-chan time.Time, start time.Time) {
+		t.Helper()
+		select {
+		case at := <-ran:
+			if took := at.Sub(start); took < lead || took > lead+wakeBound {
+				t.Errorf("%s ran after %v, want %v to %v", what, took, lead, lead+wakeBound)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s from another goroutine did not wake the sleeping loop", what)
+		}
+	}
+	const lead = 5 * time.Millisecond
+	for i := 0; i < 3; i++ {
+		time.Sleep(10 * time.Millisecond) // the loop goes back to sleep
+		ran := make(chan time.Time, 1)
+		start := time.Now()
+		go n.Do(func() { ran <- time.Now() })
+		within("Do", 0, ran, start)
+
+		if runAt != nil {
+			time.Sleep(10 * time.Millisecond)
+			start = time.Now()
+			go runAt(lead, func() { ran <- time.Now() })
+			within("an earlier At", lead, ran, start)
+		}
+
+		time.Sleep(10 * time.Millisecond)
+		start = time.Now()
+		go n.After(lead, func() { ran <- time.Now() })
+		within("an earlier After", lead, ran, start)
+	}
+	time.Sleep(10 * time.Millisecond)
+	start := time.Now()
+	go n.SetDown(true)
+	within("SetDown's hooks", 0, downs, start)
+}
+
 // TestLoopTickerKeepsPhaseAndDropsMissedTicks blocks the loop for ten
 // periods: the ticker fires once to catch up, not ten times, and its
 // next due time stays on the original phase.

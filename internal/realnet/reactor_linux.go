@@ -4,6 +4,7 @@ package realnet
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"syscall"
@@ -19,16 +20,16 @@ const sysEpollPwait2 = 441
 // their index in reactor.socks.
 const wakeSlot = -1
 
-// reactor is how a shared loop waits on Linux: in epoll over every
-// node's socket, a raw non-blocking UDP fd outside Go's netpoller, plus
-// one eventfd that Do and an earlier heap entry write to wake it, with
-// the heap's next due time as a nanosecond timeout. A ready socket
-// gives up one datagram per poll, read into one buffer and dispatched
-// on the loop, so no node has a reader goroutine, a buffer or a channel
-// hop of its own. Everything but wake and close runs on the loop (or
+// reactor is how a serialized cluster's loop waits on Linux: in epoll
+// over every node's socket, a raw non-blocking UDP fd outside Go's
+// netpoller, plus one eventfd that Do and an earlier heap entry write to
+// wake it, with the heap's next due time as a nanosecond timeout. A
+// ready socket gives up one datagram per poll, read into one buffer and
+// dispatched on the loop, so no node has a reader goroutine, a buffer or
+// a channel hop of its own. Everything but wake and close runs on the loop (or
 // on the goroutine draining a stopped one). linux/386 reaches sendto
-// only through socketcall, so it keeps the reader goroutines
-// (reactor_other.go).
+// only through socketcall, so it keeps the reader goroutines and a
+// chanPoller (reactor_other.go).
 type reactor struct {
 	epfd   int
 	efd    int    // the eventfd; -1 once closed (guarded by loop.mu)
@@ -42,23 +43,23 @@ type reactor struct {
 	buf    []byte
 }
 
-// newPoller returns a reactor, or nil, leaving the loop on its channel,
-// if the kernel refuses an epoll set or an eventfd.
+// newPoller returns a reactor for a serialized cluster's loop, or a
+// chanPoller if the kernel refuses an epoll set or an eventfd.
 func newPoller() poller {
 	epfd, err := syscall.EpollCreate1(syscall.EPOLL_CLOEXEC)
 	if err != nil {
-		return nil
+		return newChanPoller()
 	}
 	efd, _, e := syscall.Syscall(syscall.SYS_EVENTFD2, 0, syscall.O_NONBLOCK|syscall.O_CLOEXEC, 0)
 	if e != 0 {
 		syscall.Close(epfd)
-		return nil
+		return newChanPoller()
 	}
 	ev := syscall.EpollEvent{Events: syscall.EPOLLIN, Fd: wakeSlot}
 	if err := syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, int(efd), &ev); err != nil {
 		syscall.Close(int(efd))
 		syscall.Close(epfd)
-		return nil
+		return newChanPoller()
 	}
 	r := &reactor{
 		epfd:  epfd,
@@ -114,10 +115,10 @@ func (r *reactor) listen(n *Node, bind string) (socket, error) {
 
 // next returns a Do callback waiting on the loop's channel, or one
 // datagram from a socket the last poll found ready. With neither, and
-// a timeout other than 0, it polls once, for up to timeout (forever if
-// negative), and looks again; false means the poll brought no event:
-// it timed out, was interrupted or was only a wake.
-func (r *reactor) next(l *loop, timeout time.Duration) (event, bool) {
+// due later than now, it polls once, until due, and looks again; false
+// means the poll brought no event: it timed out, was interrupted or was
+// only a wake.
+func (r *reactor) next(l *loop, now, due int64) (event, bool) {
 	polled := false
 	for {
 		select {
@@ -136,19 +137,24 @@ func (r *reactor) next(l *loop, timeout time.Duration) (event, bool) {
 				return ev, true
 			}
 		}
-		if polled || timeout == 0 {
+		if polled || due <= now {
 			return event{}, false
 		}
-		r.poll(timeout)
+		r.poll(now, due)
 		polled = true
 	}
 }
 
-// poll waits in epoll for up to timeout (forever if negative) and
-// leaves what is ready in r.ready. It is a blocking Syscall6, never the
-// raw form, so the runtime hands the thread's P on while it waits.
-func (r *reactor) poll(timeout time.Duration) {
+// poll waits in epoll from now until due on the loop clock (forever at
+// math.MaxInt64) and leaves what is ready in r.ready. It is a blocking
+// Syscall6, never the raw form, so the runtime hands the thread's P on
+// while it waits.
+func (r *reactor) poll(now, due int64) {
 	r.ready, r.head = r.ready[:cap(r.ready)], 0
+	timeout := time.Duration(due - now)
+	if due == math.MaxInt64 {
+		timeout = -1
+	}
 	n := 0
 	if r.pwait2 {
 		var ts uintptr // nil: no limit
@@ -201,6 +207,17 @@ func (r *reactor) wake() {
 	if r.efd >= 0 {
 		syscall.Syscall(syscall.SYS_WRITE, uintptr(r.efd), uintptr(unsafe.Pointer(&r.one)), 8)
 	}
+}
+
+// queued wakes l if it sleeps in epoll, which a send on its channel
+// does not end.
+func (r *reactor) queued(l *loop) {
+	l.mu.Lock()
+	if l.armed {
+		l.armed = false
+		r.wake()
+	}
+	l.mu.Unlock()
 }
 
 // close releases the epoll set and the eventfd. Caller holds loop.mu.

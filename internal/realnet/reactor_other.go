@@ -4,9 +4,10 @@ package realnet
 
 import "net"
 
-// newPoller returns nil: off Linux (and on linux/386) every loop waits on its channel and
-// its clock, and every node reads its socket on a goroutine of its own.
-func newPoller() poller { return nil }
+// newPoller returns a chanPoller: off Linux (and on linux/386) a
+// serialized cluster's loop waits as every other loop does, and every
+// node reads its socket on a goroutine of its own.
+func newPoller() poller { return newChanPoller() }
 
 // rawAddr is empty: only a Linux reactor's sockets send to raw
 // addresses.

@@ -5,12 +5,13 @@
 // everything that touches a world's state on one loop goroutine
 // (loop.go): incoming datagrams and Do functions, and from its heap
 // timer fires, ticks, shaped datagrams falling due, crash hooks and a
-// Cluster's At callbacks. A standalone Node owns its loop, fed by a
-// socket reader goroutine of its own; a serialized Cluster's nodes share
-// the cluster's loop, which on Linux waits in epoll over all their
-// sockets and reads them itself (reactor_linux.go), so a live city of
-// hundreds of nodes runs on one goroutine, with no reader beside it and
-// no lock around its state.
+// Cluster's At callbacks. Every loop waits one way, through a poller. A
+// standalone Node owns its loop, fed by a socket reader goroutine of its
+// own through the portable chanPoller; a serialized Cluster's nodes
+// share the cluster's loop, whose poller on Linux is a reactor that
+// waits in epoll over all their sockets and reads them itself
+// (reactor_linux.go), so a live city of hundreds of nodes runs on one
+// goroutine, with no reader beside it and no lock around its state.
 // Each node has one clock, its loop's: Now is the loop clock divided by
 // the node's time scale, so Now, timers and shaped latencies count from
 // one instant — Run for a standalone node, Start's epoch for a
@@ -71,7 +72,7 @@ const socketBuffer = 1 << 20
 var errSendFull = errors.New("realnet: send buffer full")
 
 // socket is a node's UDP endpoint: a net.UDPConn drained by a reader
-// goroutine of the node's, or, under a poller, a raw fd that the loop
+// goroutine of the node's, or, under the reactor, a raw fd that the loop
 // reads itself (reactor_linux.go).
 type socket interface {
 	localAddr() *net.UDPAddr
@@ -221,12 +222,12 @@ func NewNode(id simnet.NodeID, bind string) (*Node, error) {
 // and After/Every and shaper latencies convert virtual durations to
 // wall delays, so protocol code written against virtual intervals runs
 // unchanged at any compression. The node runs on shared when it is not
-// nil, and on a loop of its own otherwise; a shared loop with a poller
-// reads the node's socket itself.
+// nil, and on a loop of its own otherwise; the loop's poller binds the
+// node's socket.
 func newNode(id simnet.NodeID, bind string, seed, netSeed int64, scale float64, shared *loop) (*Node, error) {
 	l := shared
 	if l == nil {
-		l = newLoop(1024, nil)
+		l = newLoop(1024, newChanPoller())
 	}
 	n := &Node{
 		id:      id,
@@ -241,12 +242,7 @@ func newNode(id simnet.NodeID, bind string, seed, netSeed int64, scale float64, 
 		done:    make(chan struct{}),
 	}
 	var err error
-	if l.poll != nil {
-		n.sock, err = l.poll.listen(n, bind)
-	} else {
-		n.sock, err = listenUDP(bind)
-	}
-	if err != nil {
+	if n.sock, err = l.poll.listen(n, bind); err != nil {
 		return nil, err
 	}
 	return n, nil
@@ -390,7 +386,7 @@ func (n *Node) Do(fn func()) bool {
 	case <-n.done:
 		return false
 	}
-	n.loop.notify()
+	n.loop.poll.queued(n.loop)
 	select {
 	case <-done:
 		return true

@@ -58,6 +58,10 @@ type Cluster struct {
 
 var wireOnce sync.Once
 
+// site is the one trusted domain an edge node and its peers sit in, and
+// the origin its API writes are stamped with.
+const site space.DomainID = "site"
+
 // registerWire makes the edge stack's protocol messages encodable by
 // realnet exactly once per process.
 func registerWire() {
@@ -98,10 +102,10 @@ func assembleNode(node *realnet.Node, peers, seeds []simnet.NodeID, reg *obs.Reg
 	registerWire()
 	cn := &ClusterNode{ID: node.ID(), Node: node, seeds: seeds}
 	world := space.NewMap()
-	world.AddDomain(space.Domain{ID: "site", Trusted: true})
-	world.Place(string(cn.ID), space.Point{}, "site")
+	world.AddDomain(space.Domain{ID: site, Trusted: true})
+	world.Place(string(cn.ID), space.Point{}, site)
 	for _, p := range peers {
-		world.Place(string(p), space.Point{}, "site")
+		world.Place(string(p), space.Point{}, site)
 	}
 	mux := simnet.NewPortMux(node)
 	cn.Members = gossip.New(mux.Port("gossip"), gossip.Config{

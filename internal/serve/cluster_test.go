@@ -428,3 +428,53 @@ func TestLostJoinReadyThroughProbe(t *testing.T) {
 	}
 	t.Logf("ready %v after the heal", time.Since(healed))
 }
+
+// TestReadyzFallsAcrossCrash: a seeded node's recovery from a crash
+// rejoins through its seed, so its /readyz answers 503 from the recovery
+// until the seed answers, and 200 again within two probe intervals. The
+// 503 is read by a recovery hook, which holds the node's loop, so the
+// seed's answer cannot land before it.
+func TestReadyzFallsAcrossCrash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-socket fault test")
+	}
+	const probe = 200 * time.Millisecond
+	cl, err := StartCluster(3, ClusterOptions{ProbeInterval: probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	n1 := cl.Nodes[1]
+	waitOK(t, n1.URL+"/readyz")
+	status := make(chan int, 1)
+	n1.Node.OnUp(func() {
+		code := 0
+		if resp, err := http.Get(n1.URL + "/readyz"); err == nil {
+			code = resp.StatusCode
+			resp.Body.Close()
+		}
+		status <- code
+	})
+	cl.Net.SetDown("n1", true)
+	time.Sleep(probe)
+	cl.Net.SetDown("n1", false)
+	recovered := time.Now()
+	select {
+	case code := <-status:
+		if code != http.StatusServiceUnavailable {
+			t.Fatalf("/readyz at recovery = %d, want 503", code)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the recovery hooks did not run")
+	}
+	for {
+		if resp, _ := doReq(t, http.MethodGet, n1.URL+"/readyz", ""); resp.StatusCode == http.StatusOK {
+			break
+		}
+		if time.Since(recovered) > 2*probe {
+			t.Fatalf("/readyz not 200 %v after recovery", time.Since(recovered))
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Logf("ready %v after recovery", time.Since(recovered))
+}

@@ -46,7 +46,6 @@ import (
 	"repro/internal/gossip"
 	"repro/internal/obs"
 	"repro/internal/simnet"
-	"repro/internal/space"
 )
 
 // Loop serializes access to protocol state owned by a node's event
@@ -75,8 +74,6 @@ type Config struct {
 	// Now is the clock incidents and items are stamped with; nil uses
 	// wall time since NewServer.
 	Now func() time.Duration
-	// Origin is the domain label stamped on API writes (default "site").
-	Origin space.DomainID
 	// MaxInFlight bounds concurrently admitted requests; beyond it the
 	// server sheds with 429 (default 256).
 	MaxInFlight int
@@ -89,9 +86,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Now == nil {
 		start := time.Now()
 		cfg.Now = func() time.Duration { return time.Since(start) }
-	}
-	if cfg.Origin == "" {
-		cfg.Origin = "site"
 	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 256
@@ -326,7 +320,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	item := dataflow.Item{
 		Key:   key,
 		Value: body.Value,
-		Label: dataflow.Label{Topic: topic, Sensitivity: sens, Origin: s.cfg.Origin, TTL: ttl},
+		Label: dataflow.Label{Topic: topic, Sensitivity: sens, Origin: site, TTL: ttl},
 	}
 	// A draining server refuses here: a handler mounted outside Serve
 	// still reaches a live loop after Shutdown.
