@@ -24,7 +24,10 @@ bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 
 # Four-archetype matrix at the Figure-1 city tier (200 gateways, 5009
-# devices, ~10 s). CI smokes the reduced tier with -short.
+# devices, ~10 s). Its 208-node ML4 edge group is past six nodes, so it
+# peers over the 4-successor ring with 500 ms Raft heartbeats, the size
+# rule in internal/core/wiring.go. CI smokes the reduced tier with
+# -short.
 bench-city:
 	$(GO) test -bench BenchmarkCityScaleMatrix -benchmem -benchtime=1x .
 
@@ -32,11 +35,11 @@ bench-city:
 # members and the two-run broadcast queue, orchestrator hosts and their
 # per-zone index over the map's change counter, Raft peer slots, broker
 # topics, recycled wheel buckets): reference-model and allocation-gate
-# tests, the city journal pins, then one iteration of each table's
-# benchmark. CI runs this in the bench-smoke job.
+# tests, the paper and city journal pins, then one iteration of each
+# table's benchmark. CI runs this in the bench-smoke job.
 CITY_TABLES = ./internal/gossip/ ./internal/orchestrate/ ./internal/space/ ./internal/consensus/ ./internal/pubsub/ ./internal/simnet/ ./internal/core/
 city-tables:
-	$(GO) test -count=1 -run 'TestQueueMatchesStableSortModel|TestSortedMembersTrackMap|TestAntiEntropyMatchesSortedPoolModel|TestPerMessageAllocations|TestPickMatchesBruteForce|TestPickDoesNotAllocate|TestChangesCountsZoneInputs|TestPeerIdxResolvesEveryPeer|TestIndexMatchesFullScan|TestFanOutOrderIsReproducible|TestExactFanOutCost|TestWheelMatchesHeapModel|TestWheelRecyclesBucketArrays|TestCityJournalsPinned' $(CITY_TABLES)
+	$(GO) test -count=1 -run 'TestQueueMatchesStableSortModel|TestSortedMembersTrackMap|TestAntiEntropyMatchesSortedPoolModel|TestPerMessageAllocations|TestPickMatchesBruteForce|TestPickDoesNotAllocate|TestChangesCountsZoneInputs|TestPeerIdxResolvesEveryPeer|TestIndexMatchesFullScan|TestFanOutOrderIsReproducible|TestExactFanOutCost|TestWheelMatchesHeapModel|TestWheelRecyclesBucketArrays|TestCityJournalsPinned|TestPaperJournalsPinned' $(CITY_TABLES)
 	$(GO) test -run '^$$' -bench 'BenchmarkProbeRound|BenchmarkAntiEntropy|BenchmarkPick|BenchmarkFanOutExact' -benchmem -benchtime 1x ./internal/gossip/ ./internal/orchestrate/ ./internal/pubsub/
 
 # Package-level micro-benchmarks.

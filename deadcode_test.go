@@ -23,12 +23,6 @@ import (
 // that will give it one. The list can only shrink: an entry that gains
 // a caller, or whose symbol is gone, fails TestNoTestOnlySymbols.
 var testOnlyKeep = map[string]string{
-	"consensus.Node.Term":               "One spec, checked continuously: invariant oracle",
-	"consensus.Node.Leader":             "One spec, checked continuously: invariant oracle",
-	"consensus.Node.CommitIndex":        "One spec, checked continuously: invariant oracle",
-	"consensus.Node.LogLen":             "One spec, checked continuously: invariant oracle",
-	"consensus.Node.CommittedCommands":  "One spec, checked continuously: invariant oracle",
-	"consensus.Node.OnLeaderChange":     "One spec, checked continuously: invariant oracle",
 	"verify.ParseLTL":                   "One spec, checked continuously: invariant oracle",
 	"verify.EvalTrace":                  "One spec, checked continuously: invariant oracle",
 	"verify.Counterexamples":            "Design-time verdicts against run-time outcomes: model-guided search",

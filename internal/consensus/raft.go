@@ -174,8 +174,6 @@ type Node struct {
 	// without a per-call allocation.
 	matchScratch []uint64
 
-	onLeaderChange []func(leader simnet.NodeID)
-
 	bus *obs.Bus
 	// proposedAt tracks when each still-uncommitted proposal was
 	// accepted, populated only while the bus has subscribers, so commit
@@ -223,34 +221,6 @@ func (n *Node) Start() {
 // Role returns the node's current role.
 func (n *Node) Role() Role { return n.role }
 
-// Term returns the current term.
-func (n *Node) Term() uint64 { return n.currentTerm }
-
-// Leader returns the last known leader's ID ("" if unknown).
-func (n *Node) Leader() simnet.NodeID { return n.leaderID }
-
-// CommitIndex returns the highest committed log index.
-func (n *Node) CommitIndex() uint64 { return n.commitIndex }
-
-// LogLen returns the number of real entries in the log.
-func (n *Node) LogLen() int { return len(n.log) - 1 }
-
-// CommittedCommands returns a copy of the committed command prefix, in
-// log order.
-func (n *Node) CommittedCommands() []Command {
-	out := make([]Command, 0, n.commitIndex)
-	for i := uint64(1); i <= n.commitIndex; i++ {
-		out = append(out, n.log[i].Cmd)
-	}
-	return out
-}
-
-// OnLeaderChange registers a callback invoked when this node observes a
-// leadership change (including itself winning).
-func (n *Node) OnLeaderChange(fn func(leader simnet.NodeID)) {
-	n.onLeaderChange = append(n.onLeaderChange, fn)
-}
-
 // SetBus attaches an observability bus. Elections are published as
 // "raft.election", leadership wins as "raft.leader", and per-proposal
 // commit latency as "raft.commit" spans. A nil bus keeps the node
@@ -259,7 +229,7 @@ func (n *Node) SetBus(bus *obs.Bus) { n.bus = bus }
 
 // Propose appends a command if this node is the leader. It returns the
 // assigned log index and true, or 0 and false when not leader (callers
-// should redirect to Leader()).
+// should redirect to the leader).
 func (n *Node) Propose(cmd Command) (uint64, bool) {
 	if n.role != Leader || !n.ep.Up() {
 		return 0, false
@@ -314,7 +284,6 @@ func (n *Node) stopTimers() {
 }
 
 func (n *Node) becomeFollower(term uint64, leader simnet.NodeID) {
-	prevLeader := n.leaderID
 	if term > n.currentTerm {
 		n.currentTerm = term
 		n.votedFor = ""
@@ -328,15 +297,6 @@ func (n *Node) becomeFollower(term uint64, leader simnet.NodeID) {
 		n.heartbeat = nil
 	}
 	n.resetElectionTimer()
-	if leader != "" && leader != prevLeader {
-		n.notifyLeader(leader)
-	}
-}
-
-func (n *Node) notifyLeader(leader simnet.NodeID) {
-	for _, fn := range n.onLeaderChange {
-		fn(leader)
-	}
 }
 
 func (n *Node) resetElectionTimer() {
@@ -425,7 +385,6 @@ func (n *Node) maybeWin() {
 	n.broadcastAppend()
 	n.heartbeat = n.ep.Every(n.cfg.HeartbeatInterval, n.heartbeatTick)
 	n.bus.Emit("raft.leader", string(n.ep.ID()), 0, 0, "won term %d", n.currentTerm)
-	n.notifyLeader(n.ep.ID())
 }
 
 func (n *Node) quorum() int { return len(n.peers)/2 + 1 }

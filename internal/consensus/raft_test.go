@@ -346,24 +346,6 @@ func TestConsistencyUnderLossAndDuplication(t *testing.T) {
 	_ = lead
 }
 
-func TestOnLeaderChangeFires(t *testing.T) {
-	sim := simnet.New(simnet.WithSeed(9), simnet.WithDefaultLatency(2*time.Millisecond))
-	ids := []simnet.NodeID{"r0", "r1", "r2"}
-	var changes []simnet.NodeID
-	nodes := make([]*Node, 3)
-	for i, id := range ids {
-		nodes[i] = New(sim.AddNode(id), ids, Config{}, nil)
-	}
-	nodes[0].OnLeaderChange(func(l simnet.NodeID) { changes = append(changes, l) })
-	for _, nd := range nodes {
-		nd.Start()
-	}
-	waitForLeader(t, sim, nodes, 3*time.Second)
-	if len(changes) == 0 {
-		t.Fatal("no leader-change notification")
-	}
-}
-
 func TestDeterministicElections(t *testing.T) {
 	run := func() (simnet.NodeID, uint64) {
 		sim := simnet.New(simnet.WithSeed(42), simnet.WithDefaultLatency(2*time.Millisecond))

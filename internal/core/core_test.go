@@ -249,6 +249,21 @@ func TestModelsAtRuntimeAlertsWhenAssumptionBreaks(t *testing.T) {
 	}
 }
 
+// TestEdgeFanoutFollowsGroupSize pins the one ML4 size rule at its
+// edge: up to 6 edge nodes (gateways + cloudlets) peer all-to-all,
+// and a seventh turns on the bounded ring, relay and slow heartbeat.
+func TestEdgeFanoutFollowsGroupSize(t *testing.T) {
+	for _, c := range []struct{ zones, cloudlets, want int }{
+		{2, 1, 0}, {4, 2, 0}, {5, 2, 4}, {6, 2, 4}, {40, 4, 4},
+	} {
+		cfg := quickCfg(FaultsNone)
+		cfg.Zones, cfg.Cloudlets = c.zones, c.cloudlets
+		if got := NewSystem(cfg, ML4).edgeFanout(); got != c.want {
+			t.Errorf("%d gateways + %d cloudlets: fanout %d, want %d", c.zones, c.cloudlets, got, c.want)
+		}
+	}
+}
+
 func TestJournalRecordsRunStory(t *testing.T) {
 	cfg := quickCfg(FaultsStandard)
 	sys := NewSystem(cfg, ML4)

@@ -5,6 +5,28 @@ import (
 	"testing"
 )
 
+// journalPin is one pinned run: a tier's scenario at seed 1.
+type journalPin struct {
+	tier   string
+	cfg    ScenarioConfig
+	arch   Archetype
+	shards int
+	hash   string
+}
+
+// TestPaperJournalsPinned pins the paper matrix, seed 1. The corpus
+// replays ML1 and ML4 at paper scale under its own schedules, but not
+// the default run every table starts from, so a change that moves only
+// that run would otherwise pass unseen.
+func TestPaperJournalsPinned(t *testing.T) {
+	checkPins(t, []journalPin{
+		{"paper", DefaultScenario(), ML1, 0, "9c1bca0b416a5efefac58c1dff03a8853413e415d90298e859f057082c531fd7"},
+		{"paper", DefaultScenario(), ML2, 0, "71e1e9118daf2a6859c0bfe53d7b9db152856ca28aa8a4ca0c2cbd83dad859d7"},
+		{"paper", DefaultScenario(), ML3, 0, "7b88d5b62aca277160a7251d3bb9b1ac19694e7bbced7882c4a25428b903a3eb"},
+		{"paper", DefaultScenario(), ML4, 0, "8673692d63f082252b6192f6e25fd942a5cf6559fdb32cbb901aafdf357b8ecc"},
+	})
+}
+
 // TestCityJournalsPinned pins journal hashes above paper scale, where
 // the corpus (every entry 4-zone) does not reach: 200-member gossip,
 // zoned placement over hundreds of hosts, a 208-member Raft group and
@@ -14,13 +36,7 @@ import (
 // every lane count.
 func TestCityJournalsPinned(t *testing.T) {
 	const smokeML4Sharded = "67d551a6364cd0205863b0b1ff86e3b922bca516f51d73b591b0389864e29975"
-	pins := []struct {
-		tier   string
-		cfg    ScenarioConfig
-		arch   Archetype
-		shards int
-		hash   string
-	}{
+	checkPins(t, []journalPin{
 		{"city-smoke", CityScenarioSmoke(), ML1, 0, "7d47cbfae7f403e8eb153006a288be856707b9dfbcca64d6d925f9ce38790196"},
 		{"city-smoke", CityScenarioSmoke(), ML2, 0, "9394f3e78a8a42559bd718434f31df36aa45607c39483b9b3dac6eb13f6e5dfc"},
 		{"city-smoke", CityScenarioSmoke(), ML3, 0, "f287ddcdf147603a0200b3087e016b527414c018b07f09b09ed9e9d500eb896b"},
@@ -28,7 +44,12 @@ func TestCityJournalsPinned(t *testing.T) {
 		{"city-smoke", CityScenarioSmoke(), ML4, 1, smokeML4Sharded},
 		{"city-smoke", CityScenarioSmoke(), ML4, 2, smokeML4Sharded},
 		{"city", CityScenario(), ML4, 0, "41f6fd67cecdbeba37a338b30db00d5e55a9863f56abeb76c172791fa23b86d4"},
-	}
+	})
+}
+
+// checkPins runs every pin at seed 1 as a subtest named
+// tier/arch[/shardsN] and compares its journal hash.
+func checkPins(t *testing.T, pins []journalPin) {
 	for _, p := range pins {
 		name := p.tier + "/" + p.arch.String()
 		if p.shards > 0 {

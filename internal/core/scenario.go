@@ -27,7 +27,8 @@ const (
 // ScenarioConfig describes the smart-city workload every archetype
 // runs: zones with drifting/shocked temperature controlled through
 // cooling actuators, plus a sensitive occupancy stream per zone. Zero
-// fields take defaults (see DefaultScenario).
+// fields take defaults (see DefaultScenario). How the ML4 edge group
+// peers is not a field: it follows from the group's size (edgeFanout).
 type ScenarioConfig struct {
 	Seed  int64
 	Zones int
@@ -71,32 +72,6 @@ type ScenarioConfig struct {
 	// period (default: SampleInterval). The X2 experiment sweeps it to
 	// trade traffic against freshness.
 	ML4SyncInterval time.Duration
-
-	// EdgePeerFanout bounds how many edge peers each ML4 store and
-	// MAPE knowledge syncer gossips with (nearest ring neighbours plus
-	// the cloud). Zero keeps the paper-scale default of full all-to-all
-	// peering; the city tier sets a small fanout because O(n²) peering
-	// across hundreds of gateways would dominate the run.
-	EdgePeerFanout int
-
-	// StrictMembership makes the ML4 gossip detector require a
-	// strictly newer incarnation before an Alive claim overrides a
-	// Dead verdict (gossip.Config.StrictResurrection). The city tier
-	// sets it: at 200+ members, stale Alive echoes outlive the
-	// dissemination of a death verdict and flap crashed gateways back
-	// to life, so the replanner parks controllers on dead nodes. Off
-	// by default — the paper-scale group converges within a round, and
-	// its journals are pinned to the lenient rule.
-	StrictMembership bool
-
-	// RaftHeartbeat overrides the ML4 placement group's AppendEntries
-	// period (election timeouts scale with it). Zero keeps the
-	// consensus package's 50 ms default, which is right for a 6-member
-	// paper-scale group but floods a 200+-member city group: the
-	// placement log changes every few seconds, so the city tier
-	// stretches the heartbeat instead of paying ~1M idle appends per
-	// run.
-	RaftHeartbeat time.Duration
 
 	// Resilience hardening knobs (DESIGN.md §9). All default off/zero
 	// so every pinned journal — paper scale, city tier, and the chaos
@@ -212,10 +187,8 @@ func DefaultScenario() ScenarioConfig {
 // comfortably above the two-hop sync latency of relayed data (≤10 s)
 // yet far below the heavy schedule's 48–72 s outages — the
 // discrimination between archetypes lives in that inequality.
-// EdgePeerFanout bounds the ML4 peering degree and RaftHeartbeat
-// stretches the 208-member placement group's idle traffic, since
-// all-to-all sync and 50 ms heartbeats across 200 gateways would
-// measure O(n²) peering instead of the architecture.
+// Its 208-node ML4 edge group peers over a bounded ring with 500 ms
+// Raft heartbeats, as every edge group past six nodes does.
 func CityScenario() ScenarioConfig {
 	cfg := DefaultScenario()
 	cfg.Zones = 200
@@ -228,16 +201,13 @@ func CityScenario() ScenarioConfig {
 	cfg.Drift = 0.024      // +0.12 per 5 s decision, as at paper scale
 	cfg.CoolRate = -0.12   // −0.6 per 5 s decision, as at paper scale
 	cfg.ShockProb = 0.0005 // ~5 shocks per run city-wide, as at paper scale
-	cfg.EdgePeerFanout = 4
-	cfg.StrictMembership = true
-	cfg.RaftHeartbeat = 500 * time.Millisecond
 	cfg.Preset = FaultsHeavy
 	return cfg
 }
 
 // CityScenarioSmoke returns the reduced city tier the CI smoke job
-// runs: the same stretched intervals and bounded fanout, scaled down
-// to finish a four-archetype matrix in seconds.
+// runs: the same stretched intervals and bounded ring, scaled down to
+// finish a four-archetype matrix in seconds.
 func CityScenarioSmoke() ScenarioConfig {
 	cfg := CityScenario()
 	cfg.Zones = 40

@@ -347,13 +347,27 @@ func (sys *System) wireML3() {
 
 // --- ML4: resilient IoT ---
 
+// edgeFanout is the one size rule of the ML4 edge group. Up to 6 edge
+// nodes (the paper tier's 4 gateways and 2 cloudlets) it is 0: stores
+// and MAPE syncers peer all-to-all and Raft keeps its 50 ms heartbeat.
+// Larger groups get 4: each peers with its 4 ring successors, the
+// cloud relays writes by declared interest and Raft heartbeats every
+// 500 ms, as O(n²) peering and idle appends would otherwise measure
+// the mesh instead of the architecture.
+func (sys *System) edgeFanout() int {
+	if len(sys.edgeIDs()) <= 6 {
+		return 0
+	}
+	return 4
+}
+
 // edgePeersOf returns the ML4 sync peers of id among ids: everyone
-// else at the paper-scale default, or the EdgePeerFanout ring
-// successors at the city tier (bounded degree; deltas still reach
-// every replica transitively around the ring and via the cloud hub).
+// else in a small group, or the edgeFanout ring successors (bounded
+// degree; deltas still reach every replica transitively around the
+// ring and via the cloud hub).
 func (sys *System) edgePeersOf(id simnet.NodeID, ids []simnet.NodeID) []simnet.NodeID {
-	f := sys.cfg.EdgePeerFanout
-	if f <= 0 || f >= len(ids)-1 {
+	f := sys.edgeFanout()
+	if f == 0 || f >= len(ids)-1 {
 		out := make([]simnet.NodeID, 0, len(ids)-1)
 		for _, other := range ids {
 			if other != id {
@@ -402,7 +416,7 @@ func (sys *System) wireML4() {
 	// every placement apply). Without the scoping the hub re-broadcasts
 	// every write to every edge, which is almost all of the deployment's
 	// sync bytes.
-	cloudRelays := sys.cfg.EdgePeerFanout > 0 && sys.cfg.ML4Ablation != "no-sync"
+	cloudRelays := sys.edgeFanout() > 0 && sys.cfg.ML4Ablation != "no-sync"
 	for _, st := range edge {
 		st := st
 		var peers []simnet.NodeID
@@ -428,8 +442,8 @@ func (sys *System) wireML4() {
 	// pushes to — redistributes: any delta reaches any replica in two
 	// sync rounds instead of a trip around the ring.
 	var cloudPeers []simnet.NodeID
-	if sys.cfg.EdgePeerFanout > 0 && sys.cfg.ML4Ablation != "no-sync" {
-		cloudPeers = append(cloudPeers, edgeIDs...)
+	if cloudRelays {
+		cloudPeers = edgeIDs
 	}
 	sys.cloud.store = dataflow.NewStore(sys.cloud.mux.Port("store"), sys.spaces, dataflow.StoreConfig{
 		Peers:        cloudPeers,
@@ -452,10 +466,9 @@ func (sys *System) wireML4() {
 
 	// Gossip membership across the edge group.
 	gossipCfg := gossip.Config{
-		ProbeInterval:      time.Second,
-		ProbeTimeout:       200 * time.Millisecond,
-		SuspicionTimeout:   3 * time.Second,
-		StrictResurrection: sys.cfg.StrictMembership,
+		ProbeInterval:    time.Second,
+		ProbeTimeout:     200 * time.Millisecond,
+		SuspicionTimeout: 3 * time.Second,
 	}
 	seeds := []simnet.NodeID{sys.gateways[0].id, sys.cloudlets[0].id}
 	for _, st := range edge {
@@ -485,7 +498,8 @@ func (sys *System) wireML4() {
 			st.orch.RegisterHost(other.dev)
 		}
 		var raftCfg consensus.Config
-		if hb := sys.cfg.RaftHeartbeat; hb > 0 {
+		if sys.edgeFanout() > 0 {
+			const hb = 500 * time.Millisecond
 			raftCfg.HeartbeatInterval = hb
 			// Wide randomization window: with hundreds of members the
 			// spread, not the floor, is what avoids split votes.

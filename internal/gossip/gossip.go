@@ -56,19 +56,14 @@ type Member struct {
 type Update Member
 
 // overrides implements SWIM's update precedence rules against the
-// currently known (status, incarnation) of the same member. With
-// strict set, an Alive claim needs a strictly newer incarnation to
-// override a Dead verdict (see Config.StrictResurrection); otherwise
-// an equal-incarnation Alive resurrects, which converges faster in
-// small groups where update echoes die out within a round or two.
-func (u Update) overrides(cur Member, strict bool) bool {
+// currently known (status, incarnation) of the same member. Only the
+// member itself advances its incarnation (refutation, restart), so an
+// Alive claim needs a strictly newer one to override even a Dead
+// verdict: a stale Alive echo in a piggyback queue never undoes it.
+func (u Update) overrides(cur Member) bool {
 	switch u.Status {
 	case StatusAlive:
-		if strict {
-			return u.Incarnation > cur.Incarnation
-		}
-		return u.Incarnation > cur.Incarnation ||
-			(cur.Status == StatusDead && u.Incarnation >= cur.Incarnation)
+		return u.Incarnation > cur.Incarnation
 	case StatusSuspect:
 		if cur.Status == StatusAlive {
 			return u.Incarnation >= cur.Incarnation
@@ -101,16 +96,6 @@ type Config struct {
 	// a healed partition reconverges without external reseeding).
 	// Zero takes the default; negative disables anti-entropy.
 	AntiEntropyInterval time.Duration
-	// StrictResurrection requires a strictly newer incarnation before
-	// an Alive claim overrides a Dead verdict. Only the member itself
-	// advances its incarnation (refutation, restart), so with this
-	// set a death verdict can never be undone by a stale Alive echo
-	// still circulating in piggyback queues. Large groups want it:
-	// at hundreds of members those echoes outlive the dissemination
-	// of the verdict and flap crashed nodes back to life. Small
-	// groups keep the default lenient rule, where equal-incarnation
-	// resurrection reconverges a healed minority faster.
-	StrictResurrection bool
 }
 
 // indirectProbes is the number of helpers asked to ping an
@@ -777,7 +762,7 @@ func (p *Protocol) applyUpdate(u Update) {
 		p.notify(ms.Member)
 		return
 	}
-	if !u.overrides(ms.Member, p.cfg.StrictResurrection) {
+	if !u.overrides(ms.Member) {
 		return
 	}
 	prev := ms.Status

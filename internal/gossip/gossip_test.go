@@ -47,27 +47,25 @@ func TestStatusString(t *testing.T) {
 
 func TestOverridesRules(t *testing.T) {
 	tests := []struct {
-		name   string
-		u      Update
-		cur    Member
-		strict bool
-		want   bool
+		name string
+		u    Update
+		cur  Member
+		want bool
 	}{
-		{"alive needs higher inc over alive", Update{Status: StatusAlive, Incarnation: 1}, Member{Status: StatusAlive, Incarnation: 1}, false, false},
-		{"alive higher inc beats alive", Update{Status: StatusAlive, Incarnation: 2}, Member{Status: StatusAlive, Incarnation: 1}, false, true},
-		{"alive higher inc beats suspect", Update{Status: StatusAlive, Incarnation: 2}, Member{Status: StatusSuspect, Incarnation: 1}, false, true},
-		{"alive same inc does not refute suspect", Update{Status: StatusAlive, Incarnation: 1}, Member{Status: StatusSuspect, Incarnation: 1}, false, false},
-		{"alive same inc resurrects dead", Update{Status: StatusAlive, Incarnation: 1}, Member{Status: StatusDead, Incarnation: 1}, false, true},
-		{"strict: alive same inc stays dead", Update{Status: StatusAlive, Incarnation: 1}, Member{Status: StatusDead, Incarnation: 1}, true, false},
-		{"strict: alive higher inc rejoins", Update{Status: StatusAlive, Incarnation: 2}, Member{Status: StatusDead, Incarnation: 1}, true, true},
-		{"suspect same inc beats alive", Update{Status: StatusSuspect, Incarnation: 1}, Member{Status: StatusAlive, Incarnation: 1}, false, true},
-		{"suspect same inc does not re-suspect", Update{Status: StatusSuspect, Incarnation: 1}, Member{Status: StatusSuspect, Incarnation: 1}, false, false},
-		{"dead same inc beats suspect", Update{Status: StatusDead, Incarnation: 1}, Member{Status: StatusSuspect, Incarnation: 1}, false, true},
-		{"dead never overrides dead", Update{Status: StatusDead, Incarnation: 9}, Member{Status: StatusDead, Incarnation: 1}, false, false},
+		{"alive needs higher inc over alive", Update{Status: StatusAlive, Incarnation: 1}, Member{Status: StatusAlive, Incarnation: 1}, false},
+		{"alive higher inc beats alive", Update{Status: StatusAlive, Incarnation: 2}, Member{Status: StatusAlive, Incarnation: 1}, true},
+		{"alive higher inc beats suspect", Update{Status: StatusAlive, Incarnation: 2}, Member{Status: StatusSuspect, Incarnation: 1}, true},
+		{"alive same inc does not refute suspect", Update{Status: StatusAlive, Incarnation: 1}, Member{Status: StatusSuspect, Incarnation: 1}, false},
+		{"strict: alive same inc stays dead", Update{Status: StatusAlive, Incarnation: 1}, Member{Status: StatusDead, Incarnation: 1}, false},
+		{"strict: alive higher inc rejoins", Update{Status: StatusAlive, Incarnation: 2}, Member{Status: StatusDead, Incarnation: 1}, true},
+		{"suspect same inc beats alive", Update{Status: StatusSuspect, Incarnation: 1}, Member{Status: StatusAlive, Incarnation: 1}, true},
+		{"suspect same inc does not re-suspect", Update{Status: StatusSuspect, Incarnation: 1}, Member{Status: StatusSuspect, Incarnation: 1}, false},
+		{"dead same inc beats suspect", Update{Status: StatusDead, Incarnation: 1}, Member{Status: StatusSuspect, Incarnation: 1}, true},
+		{"dead never overrides dead", Update{Status: StatusDead, Incarnation: 9}, Member{Status: StatusDead, Incarnation: 1}, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.u.overrides(tt.cur, tt.strict); got != tt.want {
+			if got := tt.u.overrides(tt.cur); got != tt.want {
 				t.Fatalf("overrides = %v, want %v", got, tt.want)
 			}
 		})
@@ -156,6 +154,54 @@ func TestPartitionSuspicionAndHeal(t *testing.T) {
 	for i, p := range ps {
 		if got := p.AliveCount(); got != 6 {
 			t.Fatalf("node %d sees %d alive after heal, want 6 (anti-entropy reconvergence)", i, got)
+		}
+	}
+}
+
+// TestHealWithoutResurrection partitions one member of a three-node
+// group away at serve's ratios (suspicion 4 × probe, anti-entropy
+// 10 × probe) and heals it. No view may ever move a member from Dead
+// back to Alive at the incarnation that was declared dead: only the
+// member's own refutation at a newer incarnation undoes a verdict, or
+// stale Alive echoes flip the view back and forth after the heal. And
+// every view must be all-alive within 3 s of the heal and stay so.
+func TestHealWithoutResurrection(t *testing.T) {
+	const heal = 6 * time.Second
+	cfg := Config{
+		ProbeInterval:       200 * time.Millisecond,
+		ProbeTimeout:        100 * time.Millisecond,
+		SuspicionTimeout:    800 * time.Millisecond,
+		AntiEntropyInterval: 2 * time.Second,
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		sim := simnet.New(simnet.WithSeed(seed), simnet.WithDefaultLatency(time.Millisecond))
+		ps := cluster(t, sim, 3, cfg)
+		var settled time.Duration // the last change any view saw after the heal
+		for _, p := range ps {
+			p := p
+			seen := map[simnet.NodeID]Member{}
+			p.OnChange(func(m Member) {
+				if prev, ok := seen[m.ID]; ok && prev.Status == StatusDead && m.Status == StatusAlive && m.Incarnation == prev.Incarnation {
+					t.Errorf("seed %d: %s resurrected %s at incarnation %d, t=%v", seed, p.ep.ID(), m.ID, m.Incarnation, sim.Now())
+				}
+				seen[m.ID] = m
+				if sim.Now() > heal {
+					settled = sim.Now()
+				}
+			})
+		}
+		sim.RunUntil(3 * time.Second)
+		sim.Partition([]simnet.NodeID{"n0", "n1"}, []simnet.NodeID{"n2"})
+		sim.RunUntil(heal)
+		sim.HealPartition()
+		sim.RunUntil(30 * time.Second)
+		for i, p := range ps {
+			if got := p.AliveCount(); got != 3 {
+				t.Fatalf("seed %d: n%d sees %d alive at the end, want 3; members=%v", seed, i, got, p.Members())
+			}
+		}
+		if settled > heal+3*time.Second {
+			t.Errorf("seed %d: membership still changing %v after the heal", seed, settled-heal)
 		}
 	}
 }
