@@ -33,9 +33,9 @@ func entryLess(a, b heapEntry) bool {
 // lane's event queue. A heap pays O(log n) sift cost per event against
 // the *whole* pending set — at city scale that is a ~10^5-entry array
 // walked on every push and pop. The wheel buckets events by coarse
-// deadline instead, so an insert is an append into one of 512 slots and
-// a pop drains one small bucket at a time: O(1) amortized in the total
-// queue size.
+// deadline instead, so an insert is a list push onto one of 512 slots
+// and a pop drains one small bucket at a time: O(1) amortized in the
+// total queue size.
 //
 // Layout (bucket widths are powers of two so slot math is a shift):
 //
@@ -44,31 +44,35 @@ func entryLess(a, b heapEntry) bool {
 //	spill:    sorted slice for everything beyond the L1 horizon
 //	          (scenario faults, run-end timers — rare by construction)
 //
-// Buckets are unordered; when a bucket becomes current it is sorted by
-// (at, seq) into the *run* — the currently draining, totally ordered
-// slice. Because (at, seq) is a total order (seq is unique), the pop
-// sequence is exactly a heap's pop sequence — verified against a
-// container/heap model by the property tests in wheel_test.go — which
-// is what journal determinism rests on.
+// A bucket is an unordered list threaded through links by event arena
+// index (an event is queued at most once at a time): it holds memory
+// only for the entries in it now, and a cascade relinks them without
+// copying. When a bucket becomes current its list is walked into the
+// *run* — the currently draining slice — and sorted by (at, seq), a
+// total order (seq is unique), so the pop sequence is exactly a heap's
+// — verified against a container/heap model by the property tests in
+// wheel_test.go — which is what journal determinism rests on.
 //
 // Invariants, with runHi == cur0<<l0Shift at all times:
 //
 //	run[head:]        all entries with at <  runHi, sorted by (at, seq)
-//	l0[b&mask]        entries with at>>l0Shift == b, cur0 <= b < cur1<<8
-//	l1[b&mask]        entries with at>>l1Shift == b, cur1 <= b < cur1+256
+//	list l0[b&mask]   entries with at>>l0Shift == b, cur0 <= b < cur1<<8
+//	list l1[b&mask]   entries with at>>l1Shift == b, cur1 <= b < cur1+256
 //	spill             entries with at >= (cur1+256)<<l1Shift,
 //	                  sorted descending so promotion pops from the end
+//	links[i]          key and successor of bucketed entry i, else stale
 //
 // Inserts below runHi (same-tick sends, zero-delay callbacks) binary-
 // insert into the run, preserving the total order; everything else is
-// a bucket append. Cancellation is not the wheel's job: events are
-// marked dead in the arena and skipped at pop.
+// a list push. Cancellation is not the wheel's job: events are marked
+// dead in the arena and skipped at pop.
 type timerWheel struct {
 	run    []heapEntry // current sorted drain window
 	head   int         // next run entry to pop
 	runHi  time.Duration
-	l0     [wheelSlots][]heapEntry
-	l1     [wheelSlots][]heapEntry
+	l0     [wheelSlots]uint32 // list heads (arena indices), noLink if empty
+	l1     [wheelSlots]uint32
+	links  []wheelLink
 	cur0   int64 // next absolute L0 bucket to drain; runHi == cur0<<l0Shift
 	cur1   int64 // next absolute L1 bucket to cascade into L0
 	n0, n1 int   // queued entry counts per level
@@ -80,16 +84,13 @@ type timerWheel struct {
 	// second between events.
 	occ0 [wheelSlots / 64]uint64
 	occ1 [wheelSlots / 64]uint64
-	// spare holds each level's emptied bucket arrays, length zero,
-	// capacity kept. A drained bucket gives its array back and an empty
-	// bucket takes one before its first append, so a level grows about
-	// as many arrays as it has buckets occupied at once — in the ML4
-	// city about two dozen L1 buckets, not all 256 slots each regrowing
-	// from nil.
-	// L0's arrays pass through the run: a drained bucket becomes the run
-	// and the run it replaces is spare. Each lane owns its wheel, so the
-	// lists need no lock.
-	spare [2][][]heapEntry
+}
+
+// wheelLink is a bucketed entry's key and its successor's arena index.
+type wheelLink struct {
+	at   time.Duration
+	seq  uint64
+	next uint32
 }
 
 const (
@@ -97,10 +98,15 @@ const (
 	l1Shift    = 28 // 2^28ns ~ 268ms per L1 bucket
 	wheelSlots = 256
 	wheelMask  = wheelSlots - 1
+	noLink     = ^uint32(0)
 )
 
 func newTimerWheel() *timerWheel {
-	return &timerWheel{cur1: 1} // L0 owns [0, 256); L1 owns [1, 257)
+	w := &timerWheel{cur1: 1} // L0 owns [0, 256); L1 owns [1, 257)
+	for i := range w.l0 {
+		w.l0[i], w.l1[i] = noLink, noLink
+	}
+	return w
 }
 
 // entryCmp is entryLess as a three-way comparison for slices.SortFunc.
@@ -138,11 +144,11 @@ func (w *timerWheel) push(at time.Duration, seq uint64, idx uint32) {
 		return
 	}
 	if b := int64(at >> l0Shift); b < w.cur1<<8 {
-		w.file0(b&wheelMask, e)
+		w.file0(b&wheelMask, w.key(e))
 		return
 	}
 	if b := int64(at >> l1Shift); b < w.cur1+wheelSlots {
-		w.file1(b&wheelMask, e)
+		w.file1(b&wheelMask, w.key(e))
 		return
 	}
 	// Far future: sorted descending, so the minimum sits at the end.
@@ -160,36 +166,27 @@ func (w *timerWheel) push(at time.Duration, seq uint64, idx uint32) {
 	w.spill[lo] = e
 }
 
-// file0 and file1 append e to an L0 or L1 slot, marking it occupied.
-func (w *timerWheel) file0(slot int64, e heapEntry) {
-	w.l0[slot] = w.bucketAppend(0, w.l0[slot], e)
+// key stores e's key in links, grown to the arena's size, at e.idx.
+func (w *timerWheel) key(e heapEntry) uint32 {
+	if n := int(e.idx) + 1; n > len(w.links) {
+		w.links = slices.Grow(w.links, n-len(w.links))[:n]
+	}
+	w.links[e.idx].at, w.links[e.idx].seq = e.at, e.seq
+	return e.idx
+}
+
+// file0 and file1 push entry i, keyed in links, onto an L0 or L1 slot's
+// list, marking the slot full.
+func (w *timerWheel) file0(slot int64, i uint32) {
+	w.links[i].next, w.l0[slot] = w.l0[slot], i
 	w.occ0[slot>>6] |= 1 << (uint(slot) & 63)
 	w.n0++
 }
 
-func (w *timerWheel) file1(slot int64, e heapEntry) {
-	w.l1[slot] = w.bucketAppend(1, w.l1[slot], e)
+func (w *timerWheel) file1(slot int64, i uint32) {
+	w.links[i].next, w.l1[slot] = w.l1[slot], i
 	w.occ1[slot>>6] |= 1 << (uint(slot) & 63)
 	w.n1++
-}
-
-// bucketAppend appends e to bucket b of the level, giving an empty
-// bucket a spare array first.
-func (w *timerWheel) bucketAppend(level int, b []heapEntry, e heapEntry) []heapEntry {
-	if b == nil {
-		if sp := w.spare[level]; len(sp) > 0 {
-			b = sp[len(sp)-1]
-			w.spare[level] = sp[:len(sp)-1]
-		}
-	}
-	return append(b, e)
-}
-
-// recycle returns a drained bucket's array to the level's spare list.
-func (w *timerWheel) recycle(level int, b []heapEntry) {
-	if cap(b) > 0 {
-		w.spare[level] = append(w.spare[level], b[:0])
-	}
 }
 
 // peek returns the minimum entry without removing it.
@@ -221,12 +218,13 @@ func (w *timerWheel) advance() bool {
 			w.cur0 = (w.cur0 &^ wheelMask) | int64(idx)
 			w.cur0++
 			w.runHi = time.Duration(w.cur0) << l0Shift
-			b := &w.l0[idx]
-			w.n0 -= len(*b)
-			w.recycle(0, w.run)
-			w.run, *b = *b, nil
+			w.run, w.head = w.run[:0], 0
+			for i := w.l0[idx]; i != noLink; i = w.links[i].next {
+				w.run = append(w.run, heapEntry{at: w.links[i].at, seq: w.links[i].seq, idx: i})
+			}
+			w.n0 -= len(w.run)
+			w.l0[idx] = noLink
 			w.occ0[idx>>6] &^= 1 << (uint(idx) & 63)
-			w.head = 0
 			slices.SortFunc(w.run, entryCmp)
 			return true
 		}
@@ -257,15 +255,16 @@ func (w *timerWheel) advance() bool {
 		w.cur1 = next
 		w.cur0 = w.cur1 << 8
 		w.runHi = time.Duration(w.cur0) << l0Shift
-		b := &w.l1[w.cur1&wheelMask]
-		w.occ1[(w.cur1&wheelMask)>>6] &^= 1 << (uint(w.cur1) & 63)
+		slot := w.cur1 & wheelMask
+		w.occ1[slot>>6] &^= 1 << (uint(slot) & 63)
 		w.cur1++
-		w.n1 -= len(*b)
-		for _, e := range *b {
-			w.file0(int64(e.at>>l0Shift)&wheelMask, e)
+		for j := w.l1[slot]; j != noLink; {
+			i, l := j, &w.links[j]
+			j = l.next
+			w.file0(int64(l.at>>l0Shift)&wheelMask, i)
 		}
-		w.recycle(1, *b)
-		*b = nil
+		w.n1 -= w.n0 // L0 was empty, so n0 counts the entries moved
+		w.l1[slot] = noLink
 		w.promote()
 	}
 }
@@ -303,7 +302,7 @@ func (w *timerWheel) promote() {
 	for n := len(w.spill); n > 0 && w.spill[n-1].at < limit; n = len(w.spill) {
 		e := w.spill[n-1]
 		w.spill = w.spill[:n-1]
-		w.file1(int64(e.at>>l1Shift)&wheelMask, e)
+		w.file1(int64(e.at>>l1Shift)&wheelMask, w.key(e))
 	}
 }
 
@@ -311,11 +310,12 @@ func (w *timerWheel) promote() {
 // order) to dst; used by Pending and diagnostics only.
 func (w *timerWheel) entries(dst []heapEntry) []heapEntry {
 	dst = append(dst, w.run[w.head:]...)
-	for i := range w.l0 {
-		dst = append(dst, w.l0[i]...)
-	}
-	for i := range w.l1 {
-		dst = append(dst, w.l1[i]...)
+	for _, heads := range [][wheelSlots]uint32{w.l0, w.l1} {
+		for _, i := range heads {
+			for ; i != noLink; i = w.links[i].next {
+				dst = append(dst, heapEntry{at: w.links[i].at, seq: w.links[i].seq, idx: i})
+			}
+		}
 	}
 	return append(dst, w.spill...)
 }

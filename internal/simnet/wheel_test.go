@@ -174,8 +174,9 @@ func TestWheelSpillPromotion(t *testing.T) {
 // its successor as it pops, like a city's sample ticks and probe
 // timeouts — for three L1 rotations, and bounds the bytes the wheel
 // allocates by a small multiple of the entries it ever holds at once:
-// bucket arrays circulate among the buckets occupied together instead
-// of each of the 512 slots growing its own.
+// filing and cascading only relink entries in one table sized to the
+// arena, so steady churn allocates nothing once that table and the run
+// have grown.
 func TestWheelRecyclesBucketArrays(t *testing.T) {
 	const population = 4000
 	period := func(idx uint32) time.Duration {
@@ -211,6 +212,51 @@ func TestWheelRecyclesBucketArrays(t *testing.T) {
 		pops, horizon, alloc>>10, held>>10, float64(alloc)/float64(held))
 	if alloc > 32*held {
 		t.Fatalf("the wheel allocated %d KB for at most %d KB of queued entries: more than 32x", alloc>>10, held>>10)
+	}
+}
+
+// TestWheelHoldsWhatIsQueued re-arms 4 000 entries every second at one
+// phase, so they all land in one L0 bucket like a city's synchronized
+// ticks, beside 4 000 timeouts redrawn from (0, 1 s], for four virtual
+// minutes. It then bounds the heap the wheel still holds, after a
+// collection, by 4x the bytes of the most entries ever queued at once:
+// a bucket costs memory for what it holds now, not for the largest
+// burst that ever passed through a slot.
+func TestWheelHoldsWhatIsQueued(t *testing.T) {
+	const ticks, timeouts = 4000, 4000
+	rng := rand.New(rand.NewSource(1))
+	rearm := func(idx uint32, now time.Duration) time.Duration {
+		if idx < ticks {
+			return now + time.Second
+		}
+		return now + 1 + time.Duration(rng.Int63n(int64(time.Second)))
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	w := newTimerWheel()
+	seq := uint64(0)
+	for i := uint32(0); i < ticks+timeouts; i++ {
+		seq++
+		w.push(rearm(i, 0), seq, i)
+	}
+	peak := w.len()
+	const horizon = 4 * time.Minute
+	for e, _ := w.peek(); e.at < horizon; e, _ = w.peek() {
+		w.pop()
+		seq++
+		w.push(rearm(e.idx, e.at), seq, e.idx)
+		peak = max(peak, w.len())
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(w)
+	queued := uint64(peak) * uint64(unsafe.Sizeof(heapEntry{}))
+	held := after.HeapAlloc - min(after.HeapAlloc, before.HeapAlloc)
+	t.Logf("after %v: the wheel holds %d KB for at most %d KB of queued entries (%.1fx)",
+		horizon, held>>10, queued>>10, float64(held)/float64(queued))
+	if held > 4*queued {
+		t.Fatalf("the wheel holds %d KB for at most %d KB of queued entries: more than 4x", held>>10, queued>>10)
 	}
 }
 
