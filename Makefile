@@ -34,13 +34,14 @@ bench-city:
 # The ordered tables behind the city's per-message handlers (gossip
 # members and the two-run broadcast queue, orchestrator hosts and their
 # per-zone index over the map's change counter, Raft peer slots, broker
-# topics, wheel buckets that hold only what is queued): reference-model,
+# topics, wheel buckets that hold only what is queued, a small event
+# whose delivery payload lives in an arena of its own): reference-model,
 # allocation and held-memory gates, the paper and city journal pins,
 # then one iteration of each table's benchmark. CI runs this in the
 # bench-smoke job.
 CITY_TABLES = ./internal/gossip/ ./internal/orchestrate/ ./internal/space/ ./internal/consensus/ ./internal/pubsub/ ./internal/simnet/ ./internal/core/
 city-tables:
-	$(GO) test -count=1 -run 'TestQueueMatchesStableSortModel|TestSortedMembersTrackMap|TestAntiEntropyMatchesSortedPoolModel|TestPerMessageAllocations|TestPickMatchesBruteForce|TestPickDoesNotAllocate|TestChangesCountsZoneInputs|TestPeerIdxResolvesEveryPeer|TestIndexMatchesFullScan|TestFanOutOrderIsReproducible|TestExactFanOutCost|TestWheelMatchesHeapModel|TestWheelRecyclesBucketArrays|TestWheelHoldsWhatIsQueued|TestCityJournalsPinned|TestPaperJournalsPinned' $(CITY_TABLES)
+	$(GO) test -count=1 -run 'TestQueueMatchesStableSortModel|TestSortedMembersTrackMap|TestAntiEntropyMatchesSortedPoolModel|TestPerMessageAllocations|TestPickMatchesBruteForce|TestPickDoesNotAllocate|TestChangesCountsZoneInputs|TestPeerIdxResolvesEveryPeer|TestIndexMatchesFullScan|TestFanOutOrderIsReproducible|TestExactFanOutCost|TestWheelMatchesHeapModel|TestWheelRecyclesBucketArrays|TestWheelHoldsWhatIsQueued|TestEventIsSmall|TestDeliveryArenaRecycles|TestCityJournalsPinned|TestPaperJournalsPinned' $(CITY_TABLES)
 	$(GO) test -run '^$$' -bench 'BenchmarkProbeRound|BenchmarkAntiEntropy|BenchmarkPick|BenchmarkFanOutExact' -benchmem -benchtime 1x ./internal/gossip/ ./internal/orchestrate/ ./internal/pubsub/
 
 # Package-level micro-benchmarks.

@@ -307,16 +307,6 @@ func (s *Store) PendingFor(peer simnet.NodeID) int {
 	return s.buf.PendingCount(string(peer))
 }
 
-// ResyncPeer queues the store's entire current key set for one peer —
-// the digest-less recovery path for a peer that lost its state (a
-// restarted real-socket node). In-simulation crashes preserve store
-// memory, so the per-peer buffers alone cover heals there.
-func (s *Store) ResyncPeer(peer simnet.NodeID) {
-	for _, k := range s.data.Keys() {
-		s.buf.Dirty(string(peer), k)
-	}
-}
-
 // domainOf resolves a node's administrative domain from the space map.
 func (s *Store) domainOf(node simnet.NodeID) space.Domain {
 	pl, ok := s.spaces.PlacementOf(string(node))

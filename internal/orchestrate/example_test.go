@@ -8,7 +8,8 @@ import (
 )
 
 // Deviceless placement: functions declare capabilities and resources,
-// never devices. When a host fails, HealHost migrates its functions.
+// never devices. When a host fails, deploying a function again moves it
+// to a live host.
 func ExampleOrchestrator() {
 	down := map[device.ID]bool{}
 	orch := orchestrate.New(nil, func(id device.ID) bool { return !down[id] })
@@ -22,9 +23,13 @@ func ExampleOrchestrator() {
 	fmt.Println("placed on:", host)
 
 	down[host] = true
-	fmt.Println("migrated off", host+":", orch.HealHost(host))
+	moved, _ := orch.Deploy(orchestrate.Function{
+		Name: "analytics", Requires: []device.Capability{device.CapCompute},
+		CPUMIPS: 100, MemMB: 64,
+	})
+	fmt.Println("moved off", host, "to:", moved)
 
 	// Output:
 	// placed on: gw-a
-	// migrated off gw-a: [analytics]
+	// moved off gw-a to: gw-b
 }

@@ -13,7 +13,6 @@ package orchestrate
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/device"
 	"repro/internal/space"
@@ -208,33 +207,6 @@ func (o *Orchestrator) release(p Placement) {
 	delete(o.placements, p.Function.Name)
 }
 
-// replicaGroup returns the base name of a replica ("svc#b2" → "svc"),
-// or "" for non-replicated functions.
-func replicaGroup(name string) string {
-	for i := len(name) - 1; i >= 0; i-- {
-		if name[i] == '#' {
-			return name[:i]
-		}
-	}
-	return ""
-}
-
-// siblingHosts returns the hosts occupied by other replicas of the
-// same group, for anti-affinity during (re)placement.
-func (o *Orchestrator) siblingHosts(name string) map[device.ID]bool {
-	group := replicaGroup(name)
-	if group == "" {
-		return nil
-	}
-	out := make(map[device.ID]bool)
-	for other, p := range o.placements {
-		if other != name && replicaGroup(other) == group {
-			out[p.Host] = true
-		}
-	}
-	return out
-}
-
 // DeployAvoiding places fn like Deploy but never on a host in avoid.
 // The partition-aware planner uses it to spread a zone's controller
 // replicas across connectivity domains: the backup replica avoids the
@@ -250,40 +222,4 @@ func (o *Orchestrator) DeployAvoiding(fn Function, avoid map[device.ID]bool) (de
 	}
 	o.place(fn, host)
 	return host, nil
-}
-
-// migrate tries to move one broken placement to a feasible host
-// (respecting replica anti-affinity). When no alternative exists the
-// placement is kept on its dead host — still accounted, still visible,
-// retried by the next heal pass.
-func (o *Orchestrator) migrate(p Placement) bool {
-	o.release(p)
-	host, ok := o.pick(p.Function, o.siblingHosts(p.Function.Name))
-	if !ok {
-		o.place(p.Function, p.Host) // keep it; a later heal retries
-		return false
-	}
-	o.place(p.Function, host)
-	return true
-}
-
-// HealHost migrates every function off a failed host. It returns the
-// names of the functions successfully re-placed; functions with no
-// feasible alternative stay on the failed host (non-operational) and
-// are retried by later heal passes.
-func (o *Orchestrator) HealHost(failed device.ID) []string {
-	var victims []Placement
-	for _, p := range o.placements {
-		if p.Host == failed {
-			victims = append(victims, p)
-		}
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].Function.Name < victims[j].Function.Name })
-	var migrated []string
-	for _, p := range victims {
-		if o.migrate(p) {
-			migrated = append(migrated, p.Function.Name)
-		}
-	}
-	return migrated
 }

@@ -157,10 +157,14 @@ func TestZoneConstraintWithoutSpaces(t *testing.T) {
 	}
 }
 
-func TestHealHostMigrates(t *testing.T) {
+// TestRedeployMovesOffDeadHost: a heal is a replan deploying the
+// function again, which releases the dead host and places it on a live
+// one.
+func TestRedeployMovesOffDeadHost(t *testing.T) {
 	down := map[device.ID]bool{}
 	o := pool(t, func(id device.ID) bool { return !down[id] })
-	host, err := o.Deploy(Function{Name: "ctrl", CPUMIPS: 100, MemMB: 64, PreferEdge: true})
+	fn := Function{Name: "ctrl", CPUMIPS: 100, MemMB: 64, PreferEdge: true}
+	host, err := o.Deploy(fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,15 +172,18 @@ func TestHealHostMigrates(t *testing.T) {
 	if operational(o, "ctrl") {
 		t.Fatal("operational on dead host")
 	}
-	migrated := o.HealHost(host)
-	if len(migrated) != 1 || migrated[0] != "ctrl" {
-		t.Fatalf("migrated = %v", migrated)
+	moved, err := o.Deploy(fn)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if o.placements["ctrl"].Host == host {
-		t.Fatal("function still on failed host")
+	if moved == host || o.placements["ctrl"].Host != moved {
+		t.Fatalf("redeployed on %s, dead host %s", moved, host)
 	}
 	if !operational(o, "ctrl") {
 		t.Fatal("not operational after heal")
+	}
+	if o.usedCPU[host] != 0 || o.usedMem[host] != 0 {
+		t.Fatalf("dead host still accounts cpu=%d mem=%d", o.usedCPU[host], o.usedMem[host])
 	}
 }
 
@@ -184,21 +191,21 @@ func TestHealFailsWhenNoHostFeasible(t *testing.T) {
 	down := map[device.ID]bool{}
 	o := New(nil, func(id device.ID) bool { return !down[id] })
 	o.RegisterHost(device.New("only", device.Config{Class: device.ClassGateway}))
-	o.Deploy(Function{Name: "f", CPUMIPS: 10, MemMB: 1})
+	fn := Function{Name: "f", CPUMIPS: 10, MemMB: 1}
+	o.Deploy(fn)
 	down["only"] = true
-	if migrated := o.HealHost("only"); len(migrated) != 0 {
-		t.Fatalf("migrated %v with no feasible host", migrated)
-	}
-	// The placement is kept (non-operational) so later heals retry.
-	if _, ok := o.placements["f"]; !ok {
-		t.Fatal("failed migration dropped the placement entirely")
+	if host, err := o.Deploy(fn); err == nil {
+		t.Fatalf("redeployed on %s with no feasible host", host)
 	}
 	if operational(o, "f") {
 		t.Fatal("function operational on a dead host")
 	}
-	// Recovery: host comes back; the placement is operational again
-	// without any migration.
+	// Recovery: the host comes back and the next replan places the
+	// function on it again.
 	down["only"] = false
+	if host, err := o.Deploy(fn); err != nil || host != "only" {
+		t.Fatalf("redeploy after recovery = %q, %v", host, err)
+	}
 	if !operational(o, "f") {
 		t.Fatal("function not operational after host recovery")
 	}
@@ -242,27 +249,34 @@ func TestReplicatedSurvivesSingleHostFailure(t *testing.T) {
 	if operational(o, "svc#0") || !operational(o, "svc#1") {
 		t.Fatal("a single host failure should take out exactly the replica on it")
 	}
-	// Healing migrates the dead replica to the remaining distinct host.
-	if migrated := o.HealHost(hosts[0]); len(migrated) != 1 {
-		t.Fatalf("migrated %v, want the one dead replica", migrated)
+	// Healing re-places the dead replica on the remaining distinct host.
+	host, err := o.DeployAvoiding(Function{Name: "svc#0", CPUMIPS: 10, MemMB: 1}, map[device.ID]bool{hosts[1]: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if host == hosts[0] || host == hosts[1] {
+		t.Fatalf("dead replica re-placed on %s, hosts in use %v", host, hosts)
 	}
 }
 
 func TestHealPreservesAntiAffinity(t *testing.T) {
 	// 3 hosts, 3 replicas: when one host dies there is no distinct
-	// host left, so the heal must fail that replica rather than stack
-	// two replicas on one host.
+	// host left, so re-placing its replica away from its siblings
+	// must fail rather than stack two replicas on one host.
 	down := map[device.ID]bool{}
 	o := pool(t, func(id device.ID) bool { return !down[id] })
-	hosts := deployReplicas(t, o, Function{Name: "svc", CPUMIPS: 10, MemMB: 1}, 3)
+	fn := Function{Name: "svc", CPUMIPS: 10, MemMB: 1}
+	hosts := deployReplicas(t, o, fn, 3)
 	down[hosts[0]] = true
-	if migrated := o.HealHost(hosts[0]); len(migrated) != 0 {
-		t.Fatalf("migrated %v; stacking replicas violates anti-affinity", migrated)
+	siblings := map[device.ID]bool{hosts[1]: true, hosts[2]: true}
+	fn.Name = "svc#0"
+	if host, err := o.DeployAvoiding(fn, siblings); err == nil {
+		t.Fatalf("re-placed on %s; stacking replicas violates anti-affinity", host)
 	}
 	// With a 4th host available the heal succeeds onto it.
 	o.RegisterHost(device.New("extra", device.Config{Class: device.ClassGateway}))
-	if migrated := o.HealHost(hosts[0]); len(migrated) != 1 {
-		t.Fatalf("migrated %v onto the new host, want one replica", migrated)
+	if host, err := o.DeployAvoiding(fn, siblings); err != nil || host != "extra" {
+		t.Fatalf("re-placed on %q (%v), want the new host", host, err)
 	}
 	counts := map[device.ID]int{}
 	for _, p := range o.placements {
@@ -272,12 +286,6 @@ func TestHealPreservesAntiAffinity(t *testing.T) {
 		if n > 1 {
 			t.Fatalf("host %s runs %d replicas", h, n)
 		}
-	}
-}
-
-func TestReplicaGroup(t *testing.T) {
-	if replicaGroup("svc#2") != "svc" || replicaGroup("plain") != "" || replicaGroup("a#b#1") != "a#b" {
-		t.Fatal("replicaGroup parsing wrong")
 	}
 }
 

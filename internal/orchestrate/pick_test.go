@@ -122,11 +122,15 @@ func TestPickMatchesBruteForce(t *testing.T) {
 				id := registered[rng.Intn(len(registered))]
 				down[id] = !down[id]
 			case 3:
-				o.HealHost(registered[rng.Intn(len(registered))])
+				// A heal: move the function off its current host.
+				if p, ok := o.placements[fn.Name]; ok {
+					o.DeployAvoiding(p.Function, map[device.ID]bool{p.Host: true})
+				}
 			case 4:
 				o.DeployAvoiding(fn, excluded)
 			case 5:
-				// A replica: healing keeps it off its siblings' hosts.
+				// A replica, kept off a host as a heal keeps it off its
+				// siblings' hosts.
 				o.DeployAvoiding(function(fmt.Sprintf("r%d#%d", rng.Intn(3), rng.Intn(2))), excluded)
 			case 6:
 				id := registered[rng.Intn(len(registered))]

@@ -126,7 +126,7 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 			}},
 		}
 		for _, c := range cases {
-			for i := 0; i < 2*eventArenaSize; i++ { // warm the arenas and wheel buckets
+			for i := 0; i < 2*timerChunk; i++ { // warm the arenas and wheel buckets
 				c.op()
 			}
 			before := got

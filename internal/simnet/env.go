@@ -6,7 +6,7 @@ package simnet
 // struct sent through Port.Send is boxed into a Message interface —
 // one heap allocation per message, which at city scale is the single
 // largest allocation source in a run. An Envelope instead travels
-// inline in the simulator's event arena: sending one costs no
+// inline in the simulator's delivery arena: sending one costs no
 // allocation at all. Every Port carries envelopes (Port.SendEnvelope),
 // so a fixed-shape message has this one encoding on every backend;
 // only messages with a variable payload (entries, piggybacked updates,
@@ -34,7 +34,7 @@ func (e Envelope) Size() int { return int(e.Bytes) }
 
 // EnvelopeHandler consumes envelopes arriving at a port. The pointer is
 // valid only for the duration of the call: the storage belongs to the
-// simulator's event arena and is recycled afterwards. Envelope and
+// simulator's delivery arena and is recycled afterwards. Envelope and
 // boxed traffic flow independently: envelopes reach only the port's
 // EnvelopeHandler, boxed messages only its Handler.
 type EnvelopeHandler func(from NodeID, env *Envelope)

@@ -155,7 +155,7 @@ func (p *protoPort) Send(to NodeID, msg Message) bool {
 }
 
 // SendEnvelope transmits env without boxing: over a simulated endpoint
-// the payload travels inline in the event arena. Over a generic port it
+// the payload travels inline in the delivery arena. Over a generic port it
 // rides in the mux wrapper like any message, preserving semantics (and
 // byte accounting, via Envelope.Size).
 func (p *protoPort) SendEnvelope(to NodeID, env Envelope) bool {

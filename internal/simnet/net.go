@@ -256,13 +256,13 @@ func (s *Sim) linkParams(from, to NodeID) (time.Duration, float64) {
 // delivery time, mirroring how a real datagram can be lost by a failure
 // occurring while it is in flight.
 //
-// proto travels as an event field instead of a wrapper message, so
+// proto travels as a delivery field instead of a wrapper message, so
 // protocol traffic (the bulk of every ML4 run) avoids one interface
 // boxing per message; an empty proto is plain traffic for the node's
 // main handler. The payload is msg, or — when env is non-nil — the
-// envelope, copied inline into the event (see env.go). Deliveries are
-// payload-carrying events, not closures, so a send costs no allocation
-// beyond its arena-pooled queue slot.
+// envelope, copied inline into the lane's delivery arena (see env.go).
+// Deliveries are events pointing at a pooled payload slot, not
+// closures, so a send costs no allocation beyond its arena slots.
 //
 // All random draws come from the sender's stream and the delivery key
 // is assigned by the sender, so with shard lanes the outcome depends
@@ -299,26 +299,20 @@ func (s *Sim) send(src *node, proto string, to NodeID, msg Message, env *Envelop
 		// A duplicate trails the original by up to one latency.
 		at := ln.now + latency + time.Duration(i)*latency
 		seq := s.nextKey(src)
+		var d *delivery
 		if s.shd.inPar && dst.ln != ln {
 			if at < s.shd.windowEnd {
 				panic(fmt.Sprintf("simnet: lookahead violated: %s→%s arrives %v inside window ending %v",
 					src.id, to, at, s.shd.windowEnd))
 			}
-			x := xfer{at: at, seq: seq, dst: dst, from: src.id, proto: proto, msg: msg}
-			if env != nil {
-				x.env = *env
-			}
-			ln.outbox = append(ln.outbox, x)
-			continue
+			ln.outbox = append(ln.outbox, xfer{at: at, seq: seq, dst: dst})
+			d = &ln.outbox[len(ln.outbox)-1].delivery
+		} else {
+			d = dst.ln.queueDelivery(at, seq, dst)
 		}
-		idx, ev := dst.ln.alloc()
-		dst.ln.wheel.push(at, seq, idx)
-		ev.dst = dst
-		ev.from = src.id
-		ev.proto = proto
-		ev.msg = msg
+		d.from, d.proto, d.msg = src.id, proto, msg
 		if env != nil {
-			ev.env = *env
+			d.env = *env
 		}
 	}
 	return true
@@ -331,42 +325,41 @@ func (s *Sim) send(src *node, proto string, to NodeID, msg Message, env *Envelop
 // envelope it replaces (mux.go). An inline envelope goes to the
 // envelope handler of its protocol — the "" entry for plain traffic —
 // and nowhere else.
-func (s *Sim) laneDeliver(ln *lane, ev *event) {
-	dst := ev.dst
-	if dst.down || !s.Reachable(ev.from, dst.id) {
+func (s *Sim) laneDeliver(ln *lane, dst *node, d *delivery) {
+	if dst.down || !s.Reachable(d.from, dst.id) {
 		ln.stats.Dropped++
 		return
 	}
 	ln.stats.Delivered++
-	if ev.env.Kind != 0 {
-		size := int(ev.env.Bytes)
-		if ev.proto != "" {
+	if d.env.Kind != 0 {
+		size := int(d.env.Bytes)
+		if d.proto != "" {
 			size += protoOverhead
 		}
 		ln.stats.Bytes += size
 		for i := range dst.protoHandlers {
-			if e := &dst.protoHandlers[i]; e.proto == ev.proto {
+			if e := &dst.protoHandlers[i]; e.proto == d.proto {
 				if e.eh != nil {
-					e.eh(ev.from, &ev.env)
+					e.eh(d.from, &d.env)
 				}
 				return
 			}
 		}
 		return
 	}
-	size := messageSize(ev.msg)
-	if ev.proto != "" {
+	size := messageSize(d.msg)
+	if d.proto != "" {
 		size += protoOverhead
 	}
 	ln.stats.Bytes += size
-	if ev.proto != "" {
-		if h := dst.protoHandler(ev.proto); h != nil {
-			h(ev.from, ev.msg)
+	if d.proto != "" {
+		if h := dst.protoHandler(d.proto); h != nil {
+			h(d.from, d.msg)
 		}
 		return
 	}
 	if dst.handler != nil {
-		dst.handler(ev.from, ev.msg)
+		dst.handler(d.from, d.msg)
 	}
 }
 

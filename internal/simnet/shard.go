@@ -7,10 +7,10 @@ package simnet
 // node is assigned to a shard lane (SetShard); sim-level timers
 // (Sim.At/After — environment stepping, fault injection, measurement)
 // run on the coordinator lane. Each lane owns a full scheduler — timing
-// wheel, event arena, timer arena, traffic stats — so lanes execute
-// without sharing any scheduler state. With n == 0 (no WithShards) the
-// coordinator lane is the whole simulation: every node lives on it and
-// nothing below the accessors in this file runs.
+// wheel, event, delivery and timer arenas, traffic stats — so lanes
+// execute without sharing any scheduler state. With n == 0 (no
+// WithShards) the coordinator lane is the whole simulation: every node
+// lives on it and nothing below the accessors in this file runs.
 //
 // Correctness at n >= 1 rests on three mechanisms:
 //
@@ -67,13 +67,10 @@ const ctrBits = 40
 // The key (at, seq) was assigned by the sender at send time, so the
 // barrier's injection order cannot affect the delivery order.
 type xfer struct {
-	at    time.Duration
-	seq   uint64
-	dst   *node
-	from  NodeID
-	proto string
-	msg   Message
-	env   Envelope
+	at  time.Duration
+	seq uint64
+	dst *node
+	delivery
 }
 
 // laneJob dispatches one lane's window to a worker goroutine.
@@ -229,13 +226,7 @@ func (s *Sim) drainOutboxes() {
 	for _, ln := range s.shd.lanes[:s.shd.n] {
 		for i := range ln.outbox {
 			x := &ln.outbox[i]
-			idx, ev := x.dst.ln.alloc()
-			x.dst.ln.wheel.push(x.at, x.seq, idx)
-			ev.dst = x.dst
-			ev.from = x.from
-			ev.proto = x.proto
-			ev.msg = x.msg
-			ev.env = x.env
+			*x.dst.ln.queueDelivery(x.at, x.seq, x.dst) = x.delivery
 			*x = xfer{} // drop the payload reference
 		}
 		ln.outbox = ln.outbox[:0]

@@ -27,8 +27,12 @@
 // per-lane arena and recycled after firing, and the highest-volume
 // event kinds — message deliveries and periodic ticks — are encoded as
 // struct fields instead of closures so that steady-state simulation
-// does not allocate per event. A generation counter on each event
-// keeps recycled storage safe against stale Timer handles.
+// does not allocate per event. An event holds only what every kind
+// needs; a delivery's payload (sender, protocol, message, envelope)
+// lives in a second per-lane arena and the event holds its slot, so
+// the timers and tickers that fill the queue stay small. A generation
+// counter on each event keeps recycled storage safe against stale
+// Timer handles.
 package simnet
 
 import (
@@ -51,56 +55,97 @@ type Clock interface {
 	Rand() *rand.Rand
 }
 
-// event is a scheduled entry in a lane's queue. Exactly one of
-// three payloads is set: fn (a plain callback, optionally gated on
-// owner being up), dst (a message delivery, executed without any
-// closure), or tick (a periodic ticker that re-arms its own event).
-// The ordering key lives in the queue's heapEntry, not here. Events
-// are pooled: gen increments on every recycle so stale Timer handles
-// cannot cancel the storage's next occupant.
+// event is a scheduled entry in a lane's queue: a plain callback (fn
+// or argFn, skipped while owner is down), a message delivery (dlv:
+// owner is the destination and arg the payload's slot in the lane's
+// delivery arena, executed without any closure) or a periodic ticker
+// (tick, which re-arms its own event). The ordering key lives in the
+// queue's heapEntry, not here. Events are pooled: gen increments on
+// every recycle so stale Timer handles cannot cancel the storage's
+// next occupant.
 type event struct {
 	gen  uint32 // incremented on recycle; guards pooled reuse
 	dead bool
+	dlv  bool
 
-	// Callback payload. argFn carries its uint64 argument inline in
-	// arg, so a caller that binds argFn once (a method value) schedules
-	// per-occurrence timers without allocating a capturing closure.
+	// argFn carries its uint64 argument inline in arg, so a caller
+	// that binds argFn once (a method value) schedules per-occurrence
+	// timers without allocating a capturing closure.
 	fn    func()
 	argFn func(uint64)
 	arg   uint64
-	owner *node // when set, fn/argFn is skipped while the owner is down
-
-	// Delivery payload (dst != nil): msg from `from` to node dst. When
-	// env.Kind is nonzero the payload is the inline envelope instead of
-	// the boxed msg — the allocation-free fast path (see env.go).
-	dst   *node
-	from  NodeID
-	proto string // non-empty for multiplexed protocol traffic
-	msg   Message
-	env   Envelope
-
-	// Ticker payload.
-	tick *Ticker
+	owner *node
+	tick  *Ticker
 }
 
-// eventArenaSize is the number of Timers allocated at once when the
-// timer arena runs dry. Chunked allocation keeps pooled objects close
+// delivery is a message in flight: msg from `from`, or — when env.Kind
+// is nonzero — the inline envelope instead of the boxed msg, the
+// allocation-free fast path (see env.go). proto is non-empty for
+// multiplexed protocol traffic.
+type delivery struct {
+	from  NodeID
+	proto string
+	msg   Message
+	env   Envelope
+}
+
+// timerChunk is the number of Timers newTimer allocates at once when
+// its chunk runs dry. Chunked allocation keeps the handles close
 // together in memory and divides the allocator traffic by the chunk
 // size.
-const eventArenaSize = 64
+const timerChunk = 64
 
-// Event storage is paged: events live in fixed-size pages and are
+// Arena storage is paged: slots live in fixed-size pages and are
 // addressed by a uint32 index (page number in the high bits, offset in
-// the low). The queue stores that index instead of a pointer, which
-// keeps heapEntry pointer-free — sift operations then move plain
+// the low). The queue stores an event's index instead of a pointer,
+// which keeps heapEntry pointer-free — sift operations then move plain
 // integers and never trip the GC write barrier. Pages are never
-// reallocated, so *event pointers held by Timer/Ticker handles stay
-// valid for the lifetime of the Sim. Indices are per lane.
+// reallocated, so *event pointers held by Timer/Ticker handles and the
+// *Envelope an EnvelopeHandler reads stay valid. Indices are per lane.
 const (
-	eventPageShift = 9 // 512 events per page
+	eventPageShift = 9 // 512 slots per page
 	eventPageSize  = 1 << eventPageShift
 	eventPageMask  = eventPageSize - 1
 )
+
+// arena is a paged slab of T with a stack of free indices.
+type arena[T any] struct {
+	pages [][]T
+	free  []uint32
+}
+
+// at resolves an index to its slot.
+func (a *arena[T]) at(idx uint32) *T {
+	return &a.pages[idx>>eventPageShift][idx&eventPageMask]
+}
+
+// alloc takes an index from the free stack, appending a fresh page
+// when the stack is empty.
+func (a *arena[T]) alloc() (uint32, *T) {
+	if len(a.free) == 0 {
+		a.grow()
+	}
+	n := len(a.free) - 1
+	idx := a.free[n]
+	a.free = a.free[:n]
+	return idx, a.at(idx)
+}
+
+// grow appends a page and pushes its indices, lowest on top.
+func (a *arena[T]) grow() {
+	base := uint32(len(a.pages)) << eventPageShift
+	a.pages = append(a.pages, make([]T, eventPageSize))
+	for i := eventPageSize - 1; i >= 0; i-- {
+		a.free = append(a.free, base+uint32(i))
+	}
+}
+
+// release zeroes a slot and pushes it on the free stack.
+func (a *arena[T]) release(idx uint32) {
+	var zero T
+	*a.at(idx) = zero
+	a.free = append(a.free, idx)
+}
 
 // Timer is a handle to a scheduled callback.
 type Timer struct {
@@ -213,13 +258,14 @@ func (s *Sim) Now() time.Duration { return s.shd.coord.now }
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
 // lane is one independently schedulable slice of the simulation: its
-// own clock, timing wheel, event/timer arenas and traffic counters.
+// own clock, timing wheel, event/delivery/timer arenas and traffic
+// counters.
 type lane struct {
 	idx        int
 	now        time.Duration
 	wheel      *timerWheel
-	pages      [][]event
-	free       []uint32 // free event indices, used as a stack
+	events     arena[event]
+	deliveries arena[delivery]
 	timerArena []Timer
 	stats      Stats
 	// outbox buffers cross-lane transfers generated during a parallel
@@ -231,43 +277,29 @@ type lane struct {
 }
 
 // eventAt resolves an arena index to its event.
-func (l *lane) eventAt(idx uint32) *event {
-	return &l.pages[idx>>eventPageShift][idx&eventPageMask]
-}
+func (l *lane) eventAt(idx uint32) *event { return l.events.at(idx) }
 
-// alloc takes an event index from the free list, appending a fresh
-// page when the list is empty.
-func (l *lane) alloc() (uint32, *event) {
-	if n := len(l.free); n > 0 {
-		idx := l.free[n-1]
-		l.free = l.free[:n-1]
-		return idx, l.eventAt(idx)
-	}
-	page := make([]event, eventPageSize)
-	base := uint32(len(l.pages)) << eventPageShift
-	l.pages = append(l.pages, page)
-	for i := eventPageSize - 1; i >= 1; i-- {
-		l.free = append(l.free, base+uint32(i))
-	}
-	return base, &page[0]
-}
-
-// recycle returns a fired or cancelled event to the free list, bumping
-// its generation so outstanding Timer handles become inert.
+// recycle returns a fired or cancelled event, and a delivery's payload
+// slot, to their free stacks, bumping the event's generation so
+// outstanding Timer handles become inert.
 func (l *lane) recycle(idx uint32, ev *event) {
-	ev.gen++
-	ev.dead = false
-	ev.fn = nil
-	ev.argFn = nil
-	ev.arg = 0
-	ev.owner = nil
-	ev.dst = nil
-	ev.from = ""
-	ev.proto = ""
-	ev.msg = nil
-	ev.env = Envelope{}
-	ev.tick = nil
-	l.free = append(l.free, idx)
+	if ev.dlv {
+		l.deliveries.release(uint32(ev.arg))
+	}
+	*ev = event{gen: ev.gen + 1}
+	l.events.free = append(l.events.free, idx)
+}
+
+// queueDelivery queues a delivery to dst at key (at, seq) and returns
+// its zeroed payload slot for the caller to fill.
+func (l *lane) queueDelivery(at time.Duration, seq uint64, dst *node) *delivery {
+	slot, d := l.deliveries.alloc()
+	idx, ev := l.events.alloc()
+	l.wheel.push(at, seq, idx)
+	ev.dlv = true
+	ev.owner = dst
+	ev.arg = uint64(slot)
+	return d
 }
 
 // newTimer hands out a Timer for ev from a chunked arena: timers are
@@ -275,7 +307,7 @@ func (l *lane) recycle(idx uint32, ev *event) {
 // turns per-schedule allocator traffic into a rounding error.
 func (l *lane) newTimer(ev *event) *Timer {
 	if len(l.timerArena) == 0 {
-		l.timerArena = make([]Timer, eventArenaSize)
+		l.timerArena = make([]Timer, timerChunk)
 	}
 	t := &l.timerArena[0]
 	l.timerArena = l.timerArena[1:]
@@ -345,7 +377,7 @@ func (s *Sim) scheduleOn(n *node, t time.Duration) (*event, *lane) {
 	if t < ln.now {
 		t = ln.now
 	}
-	idx, ev := ln.alloc()
+	idx, ev := ln.events.alloc()
 	ln.wheel.push(t, s.nextKey(n), idx)
 	return ev, ln
 }
@@ -372,8 +404,10 @@ func (s *Sim) laneExec(ln *lane, entry heapEntry) {
 	ln.now = entry.at
 	ln.curSeq = entry.seq
 	switch {
-	case ev.dst != nil:
-		s.laneDeliver(ln, ev)
+	case ev.dlv:
+		// The payload is released only after the handler returns, so
+		// the *Envelope it reads stays valid for the whole call.
+		s.laneDeliver(ln, ev.owner, ln.deliveries.at(uint32(ev.arg)))
 		ln.recycle(entry.idx, ev)
 	case ev.tick != nil:
 		s.laneTick(ln, entry.idx, ev)
