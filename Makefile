@@ -48,12 +48,11 @@ city-tables:
 microbench:
 	$(GO) test -bench=. -benchtime=100x ./internal/...
 
-# Short fuzz pass over the parsers, the topic matcher, the realnet
+# Short fuzz pass over the CTL parser, the topic matcher, the realnet
 # datagram decoder, the fault-schedule JSON decoder, the chaos corpus
 # entry decoder and the serve PUT handler.
 fuzz:
 	$(GO) test -fuzz FuzzParseCTL -fuzztime 10s ./internal/verify/
-	$(GO) test -fuzz FuzzParseLTL -fuzztime 10s ./internal/verify/
 	$(GO) test -fuzz FuzzTopicMatches -fuzztime 10s ./internal/pubsub/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeDatagram -fuzztime 20s ./internal/realnet/
 	$(GO) test -run '^$$' -fuzz FuzzScheduleJSON -fuzztime 10s ./internal/fault/

@@ -4,7 +4,7 @@
 // required services), a failure assumption, and CTL properties over
 // the derived propositions (svc:<name>, comp:<id>, all-up).
 //
-// Example specification:
+// Example specification (testdata/edge.json):
 //
 //	{
 //	  "maxConcurrentFailures": 1,

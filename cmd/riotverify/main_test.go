@@ -37,6 +37,20 @@ func TestRunGoodSpec(t *testing.T) {
 	}
 }
 
+// TestRunCommittedSpec runs the package doc's example specification,
+// committed as testdata/edge.json, as CI does.
+func TestRunCommittedSpec(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{filepath.Join("testdata", "edge.json")}, &out); err != nil {
+		t.Fatalf("%v\n%s", err, out.String())
+	}
+	for _, want := range []string{"HOLDS   sensing-redundant:", "HOLDS   recoverable:"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
+	}
+}
+
 func TestRunFailingProperty(t *testing.T) {
 	spec := `{
 	  "components": [{"id": "c", "host": "h", "provides": ["x"]}],

@@ -23,8 +23,6 @@ import (
 // that will give it one. The list can only shrink: an entry that gains
 // a caller, or whose symbol is gone, fails TestNoTestOnlySymbols.
 var testOnlyKeep = map[string]string{
-	"verify.ParseLTL":        "One spec, checked continuously: invariant oracle",
-	"verify.EvalTrace":       "One spec, checked continuously: invariant oracle",
 	"verify.Counterexamples": "Design-time verdicts against run-time outcomes: model-guided search",
 	"verify.DiagnoseAG":      "Design-time verdicts against run-time outcomes: model-guided search",
 }

@@ -1,12 +1,12 @@
 // Package model provides the analyzable system representations of the
 // paper's modeling roadmap (§IV): requirements that carry their own
-// formal properties (design-time CTL, runtime LTL), a software
-// configuration graph (components, services, hosts), and a translation of
-// configurations into Kripke structures under a bounded-failure
-// assumption — the concrete "IoT system model facet → verification"
+// runtime LTL property, a software configuration graph (components,
+// services, hosts), and a translation of configurations into Kripke
+// structures under a bounded-failure assumption, checked with CTL at
+// design time — the concrete "IoT system model facet → verification"
 // pipeline of Figure 2. Requirements as first-class objects are what
-// make resilience *native*: the same Requirement drives design-time
-// checking and runtime monitoring. The persistence metric is not
+// make resilience *native*: each Requirement carries the property its
+// MAPE-K loop monitors at runtime. The persistence metric is not
 // evaluated here: a run's R comes from the violation and recovery
 // records of its journal (core.Outages, metrics.Persistence).
 package model
@@ -17,8 +17,7 @@ import "repro/internal/verify"
 type RequirementID string
 
 // Requirement is a first-class requirement: a human description plus
-// the formal artifacts used to validate it at design time and monitor
-// it at runtime.
+// the formal property used to monitor it at runtime.
 type Requirement struct {
 	ID          RequirementID
 	Description string
@@ -28,9 +27,6 @@ type Requirement struct {
 	// Temporal is the runtime property monitored over the trace of
 	// observations. When nil, it defaults to G(Prop) — an invariant.
 	Temporal verify.LTLFormula
-	// Design is an optional design-time CTL property checked against a
-	// Kripke model of the configuration.
-	Design verify.CTLFormula
 }
 
 // RuntimeProperty returns the LTL property to monitor (the explicit

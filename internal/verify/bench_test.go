@@ -40,16 +40,16 @@ func BenchmarkCTLFixpoints(b *testing.B) {
 }
 
 // BenchmarkLTLMonitorStep measures one progression step of a realistic
-// response property.
+// freshness property: handled is seen at least every sixth observation.
 func BenchmarkLTLMonitorStep(b *testing.B) {
-	f := LGlobally(LImplies(LAP("alarm"), LEventuallyWithin(5, LAP("handled"))))
+	f := LGlobally(LEventuallyWithin(5, LAP("handled")))
 	m := NewMonitor(f)
-	alarm := map[Prop]bool{"alarm": true}
+	idle := map[Prop]bool{}
 	handled := map[Prop]bool{"handled": true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%2 == 0 {
-			m.Step(alarm)
+			m.Step(idle)
 		} else {
 			m.Step(handled)
 		}

@@ -29,10 +29,10 @@ func Example() {
 }
 
 // Runtime monitors carry design-time properties to runtime: this
-// response property ("every alarm handled within 2 steps") is
-// monitored over a live trace with three-valued verdicts.
+// freshness property ("handled is never missing for three observations
+// in a row") is monitored over a live trace with three-valued verdicts.
 func ExampleMonitor() {
-	f, _ := verify.ParseLTL("G(alarm -> F<=2 handled)")
+	f := verify.LGlobally(verify.LEventuallyWithin(2, verify.LAP("handled")))
 	m := verify.NewMonitor(f)
 
 	obs := func(props ...verify.Prop) map[verify.Prop]bool {
@@ -42,10 +42,10 @@ func ExampleMonitor() {
 		}
 		return out
 	}
-	fmt.Println(m.Step(obs()))               // nothing happening
-	fmt.Println(m.Step(obs("alarm")))        // obligation opens
-	fmt.Println(m.Step(obs("handled")))      // obligation met
-	fmt.Println(m.Step(obs("alarm")), "...") // another alarm
+	fmt.Println(m.Step(obs("handled"))) // fresh
+	fmt.Println(m.Step(obs()))          // obligation opens
+	fmt.Println(m.Step(obs("handled"))) // obligation met
+	fmt.Println(m.Step(obs()), "...")   // another gap
 	m.Step(obs())
 	fmt.Println(m.Step(obs())) // deadline missed
 

@@ -30,32 +30,3 @@ func FuzzParseCTL(f *testing.F) {
 		}
 	})
 }
-
-// FuzzParseLTL mirrors FuzzParseCTL for the linear logic, and also
-// runs every accepted formula through a short monitor to check
-// progression never panics.
-func FuzzParseLTL(f *testing.F) {
-	for _, seed := range []string{
-		"G(alarm -> F<=3 handled)",
-		"p U (q U r)",
-		"X X X p",
-		"F<=0 p & G<=0 q",
-		"!F !G p",
-	} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, input string) {
-		formula, err := ParseLTL(input)
-		if err != nil {
-			return
-		}
-		rendered := formula.String()
-		if _, err := ParseLTL(rendered); err != nil {
-			t.Fatalf("rendered form %q of %q does not re-parse: %v", rendered, input, err)
-		}
-		m := NewMonitor(formula)
-		m.Step(map[Prop]bool{"p": true, "alarm": true})
-		m.Step(map[Prop]bool{"q": true})
-		m.Step(nil)
-	})
-}

@@ -32,61 +32,28 @@ func (v Verdict) String() string {
 }
 
 // LTLFormula is a linear-temporal-logic formula, monitored over traces
-// by formula progression. Construct with the L-prefixed constructors.
+// by formula progression. Construct with LAP, LGlobally, LEventually and
+// LEventuallyWithin.
 type LTLFormula interface {
 	// progress rewrites the formula given the current observation.
 	progress(obs map[Prop]bool) LTLFormula
-	// finalize evaluates the formula at the end of a finite trace
-	// (LTLf semantics: pending F/U/X become false, G becomes true).
-	finalize() bool
 	String() string
 }
 
 type ltlTrue struct{}
 type ltlFalse struct{}
 type ltlAP struct{ p Prop }
-type ltlNot struct{ f LTLFormula }
 type ltlAnd struct{ fs []LTLFormula }
 type ltlOr struct{ fs []LTLFormula }
-type ltlNext struct{ f LTLFormula }
-type ltlUntil struct{ a, b LTLFormula }
 type ltlGlobally struct{ f LTLFormula }
 type ltlEventually struct{ f LTLFormula }
 type ltlBoundedEventually struct {
 	k int
 	f LTLFormula
 }
-type ltlBoundedGlobally struct {
-	k int
-	f LTLFormula
-}
-
-// LTrue is the always-satisfied formula.
-func LTrue() LTLFormula { return ltlTrue{} }
-
-// LFalse is the never-satisfied formula.
-func LFalse() LTLFormula { return ltlFalse{} }
 
 // LAP holds when the proposition is observed.
 func LAP(p Prop) LTLFormula { return ltlAP{p: p} }
-
-// LNot negates f.
-func LNot(f LTLFormula) LTLFormula { return simplifyNot(f) }
-
-// LAnd is the conjunction of fs.
-func LAnd(fs ...LTLFormula) LTLFormula { return simplifyAnd(fs) }
-
-// LOr is the disjunction of fs.
-func LOr(fs ...LTLFormula) LTLFormula { return simplifyOr(fs) }
-
-// LImplies is a→b.
-func LImplies(a, b LTLFormula) LTLFormula { return LOr(LNot(a), b) }
-
-// LNext holds if f holds at the next observation.
-func LNext(f LTLFormula) LTLFormula { return ltlNext{f: f} }
-
-// LUntil holds if a holds until b eventually holds.
-func LUntil(a, b LTLFormula) LTLFormula { return ltlUntil{a: a, b: b} }
 
 // LGlobally holds if f holds at every observation.
 func LGlobally(f LTLFormula) LTLFormula { return ltlGlobally{f: f} }
@@ -100,25 +67,7 @@ func LEventuallyWithin(k int, f LTLFormula) LTLFormula {
 	return ltlBoundedEventually{k: k, f: f}
 }
 
-// LGloballyFor holds if f holds now and for the next k observations.
-func LGloballyFor(k int, f LTLFormula) LTLFormula {
-	return ltlBoundedGlobally{k: k, f: f}
-}
-
 // --- simplification ---
-
-func simplifyNot(f LTLFormula) LTLFormula {
-	switch g := f.(type) {
-	case ltlTrue:
-		return ltlFalse{}
-	case ltlFalse:
-		return ltlTrue{}
-	case ltlNot:
-		return g.f
-	default:
-		return ltlNot{f: f}
-	}
-}
 
 func simplifyAnd(fs []LTLFormula) LTLFormula {
 	flat := make([]LTLFormula, 0, len(fs))
@@ -198,10 +147,6 @@ func (f ltlAP) progress(obs map[Prop]bool) LTLFormula {
 	return ltlFalse{}
 }
 
-func (f ltlNot) progress(obs map[Prop]bool) LTLFormula {
-	return simplifyNot(f.f.progress(obs))
-}
-
 func (f ltlAnd) progress(obs map[Prop]bool) LTLFormula {
 	out := make([]LTLFormula, len(f.fs))
 	for i, g := range f.fs {
@@ -216,16 +161,6 @@ func (f ltlOr) progress(obs map[Prop]bool) LTLFormula {
 		out[i] = g.progress(obs)
 	}
 	return simplifyOr(out)
-}
-
-func (f ltlNext) progress(map[Prop]bool) LTLFormula { return f.f }
-
-func (f ltlUntil) progress(obs map[Prop]bool) LTLFormula {
-	// a U b  ⇒  prog(b) ∨ (prog(a) ∧ (a U b))
-	return simplifyOr([]LTLFormula{
-		f.b.progress(obs),
-		simplifyAnd([]LTLFormula{f.a.progress(obs), f}),
-	})
 }
 
 func (f ltlGlobally) progress(obs map[Prop]bool) LTLFormula {
@@ -244,52 +179,11 @@ func (f ltlBoundedEventually) progress(obs map[Prop]bool) LTLFormula {
 	return simplifyOr([]LTLFormula{now, ltlBoundedEventually{k: f.k - 1, f: f.f}})
 }
 
-func (f ltlBoundedGlobally) progress(obs map[Prop]bool) LTLFormula {
-	now := f.f.progress(obs)
-	if f.k <= 0 {
-		return now
-	}
-	return simplifyAnd([]LTLFormula{now, ltlBoundedGlobally{k: f.k - 1, f: f.f}})
-}
-
-// --- finalization (LTLf end-of-trace semantics) ---
-
-func (ltlTrue) finalize() bool  { return true }
-func (ltlFalse) finalize() bool { return false }
-func (f ltlAP) finalize() bool  { return false } // no observation left
-func (f ltlNot) finalize() bool { return !f.f.finalize() }
-
-func (f ltlAnd) finalize() bool {
-	for _, g := range f.fs {
-		if !g.finalize() {
-			return false
-		}
-	}
-	return true
-}
-
-func (f ltlOr) finalize() bool {
-	for _, g := range f.fs {
-		if g.finalize() {
-			return true
-		}
-	}
-	return false
-}
-
-func (f ltlNext) finalize() bool              { return false }
-func (f ltlUntil) finalize() bool             { return false }
-func (f ltlGlobally) finalize() bool          { return true }
-func (f ltlEventually) finalize() bool        { return false }
-func (f ltlBoundedEventually) finalize() bool { return false }
-func (f ltlBoundedGlobally) finalize() bool   { return true }
-
 // --- strings ---
 
 func (ltlTrue) String() string  { return "true" }
 func (ltlFalse) String() string { return "false" }
 func (f ltlAP) String() string  { return string(f.p) }
-func (f ltlNot) String() string { return "!" + f.f.String() }
 
 func joinLTL(fs []LTLFormula, sep string) string {
 	parts := make([]string, len(fs))
@@ -299,19 +193,12 @@ func joinLTL(fs []LTLFormula, sep string) string {
 	return "(" + strings.Join(parts, sep) + ")"
 }
 
-func (f ltlAnd) String() string  { return joinLTL(f.fs, " & ") }
-func (f ltlOr) String() string   { return joinLTL(f.fs, " | ") }
-func (f ltlNext) String() string { return "X " + f.f.String() }
-func (f ltlUntil) String() string {
-	return fmt.Sprintf("(%s U %s)", f.a, f.b)
-}
+func (f ltlAnd) String() string        { return joinLTL(f.fs, " & ") }
+func (f ltlOr) String() string         { return joinLTL(f.fs, " | ") }
 func (f ltlGlobally) String() string   { return "G " + f.f.String() }
 func (f ltlEventually) String() string { return "F " + f.f.String() }
 func (f ltlBoundedEventually) String() string {
 	return fmt.Sprintf("F<=%d %s", f.k, f.f)
-}
-func (f ltlBoundedGlobally) String() string {
-	return fmt.Sprintf("G<=%d %s", f.k, f.f)
 }
 
 // Monitor tracks one LTL property over a growing trace. The verdict
@@ -344,19 +231,3 @@ func (m *Monitor) Step(obs map[Prop]bool) Verdict {
 
 // Verdict returns the current verdict.
 func (m *Monitor) Verdict() Verdict { return m.verdict }
-
-// EvalTrace checks f on a complete finite trace under LTLf semantics
-// and returns a definite verdict.
-func EvalTrace(f LTLFormula, trace []map[Prop]bool) bool {
-	cur := f
-	for _, obs := range trace {
-		cur = cur.progress(obs)
-		switch cur.(type) {
-		case ltlTrue:
-			return true
-		case ltlFalse:
-			return false
-		}
-	}
-	return cur.finalize()
-}

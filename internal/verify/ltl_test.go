@@ -49,37 +49,6 @@ func TestMonitorEventually(t *testing.T) {
 	}
 }
 
-func TestMonitorNext(t *testing.T) {
-	m := NewMonitor(LNext(LAP("p")))
-	if v := m.Step(obs("p")); v != VerdictUnknown {
-		t.Fatalf("X p decided on first step: %v", v)
-	}
-	if v := m.Step(obs("p")); v != VerdictTrue {
-		t.Fatalf("verdict = %v", v)
-	}
-
-	m2 := NewMonitor(LNext(LAP("p")))
-	m2.Step(obs("p"))
-	if v := m2.Step(obs()); v != VerdictFalse {
-		t.Fatalf("verdict = %v", v)
-	}
-}
-
-func TestMonitorUntil(t *testing.T) {
-	m := NewMonitor(LUntil(LAP("wait"), LAP("go")))
-	m.Step(obs("wait"))
-	m.Step(obs("wait"))
-	if v := m.Step(obs("go")); v != VerdictTrue {
-		t.Fatalf("verdict = %v, want true", v)
-	}
-
-	m2 := NewMonitor(LUntil(LAP("wait"), LAP("go")))
-	m2.Step(obs("wait"))
-	if v := m2.Step(obs()); v != VerdictFalse {
-		t.Fatalf("verdict = %v, want false (neither wait nor go)", v)
-	}
-}
-
 func TestMonitorBoundedEventually(t *testing.T) {
 	// F<=2 p: must see p at step 1, 2 or 3.
 	m := NewMonitor(LEventuallyWithin(2, LAP("p")))
@@ -96,33 +65,18 @@ func TestMonitorBoundedEventually(t *testing.T) {
 	}
 }
 
-func TestMonitorBoundedGlobally(t *testing.T) {
-	// G<=2 p: p must hold at steps 1..3, then the property is settled.
-	m := NewMonitor(LGloballyFor(2, LAP("p")))
-	m.Step(obs("p"))
-	m.Step(obs("p"))
-	if v := m.Step(obs("p")); v != VerdictTrue {
-		t.Fatalf("verdict = %v, want true after window", v)
-	}
-	m2 := NewMonitor(LGloballyFor(2, LAP("p")))
-	m2.Step(obs("p"))
-	if v := m2.Step(obs()); v != VerdictFalse {
-		t.Fatalf("verdict = %v, want false on violation", v)
-	}
-}
-
 func TestMonitorResponseProperty(t *testing.T) {
-	// G(alarm -> F<=2 handled): every alarm handled within 2 steps.
-	f := LGlobally(LImplies(LAP("alarm"), LEventuallyWithin(2, LAP("handled"))))
+	// G(F<=2 handled): handled is never missing for three observations
+	// in a row.
+	f := LGlobally(LEventuallyWithin(2, LAP("handled")))
 	m := NewMonitor(f)
 	m.Step(obs())
-	m.Step(obs("alarm"))
 	m.Step(obs())
 	if v := m.Step(obs("handled")); v != VerdictUnknown {
 		t.Fatalf("verdict = %v, want unknown (G keeps watching)", v)
 	}
-	// A second alarm that is never handled violates at the deadline.
-	m.Step(obs("alarm"))
+	m.Step(obs("handled"))
+	// A gap of three observations without handled violates at its end.
 	m.Step(obs())
 	m.Step(obs())
 	if v := m.Step(obs()); v != VerdictFalse {
@@ -130,81 +84,41 @@ func TestMonitorResponseProperty(t *testing.T) {
 	}
 }
 
-func TestEvalTraceFiniteSemantics(t *testing.T) {
-	trace := []map[Prop]bool{obs("a"), obs("a"), obs("a", "b")}
-	tests := []struct {
-		name string
-		f    LTLFormula
-		want bool
-	}{
-		{"G a holds on full trace", LGlobally(LAP("a")), true},
-		{"F b holds", LEventually(LAP("b")), true},
-		{"F c pending at end → false", LEventually(LAP("c")), false},
-		{"G b fails", LGlobally(LAP("b")), false},
-		{"a U b holds", LUntil(LAP("a"), LAP("b")), true},
-		{"X a holds", LNext(LAP("a")), true},
-		{"X at end → false", LNext(LNext(LNext(LAP("a")))), false},
-		{"!F c", LNot(LEventually(LAP("c"))), true},
-		{"true", LTrue(), true},
-		{"false", LFalse(), false},
-		{"implication", LImplies(LAP("a"), LEventually(LAP("b"))), true},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := EvalTrace(tt.f, trace); got != tt.want {
-				t.Fatalf("EvalTrace(%v) = %v, want %v", tt.f, got, tt.want)
-			}
-		})
-	}
-}
-
-func TestEvalTraceEmptyTrace(t *testing.T) {
-	if !EvalTrace(LGlobally(LAP("p")), nil) {
-		t.Fatal("G p on empty trace should hold (vacuous)")
-	}
-	if EvalTrace(LEventually(LAP("p")), nil) {
-		t.Fatal("F p on empty trace should fail")
-	}
-}
-
+// The progression simplifier drops neutral members, short-circuits on
+// an absorbing one, flattens nesting and removes duplicates.
 func TestSimplification(t *testing.T) {
-	if got := LAnd(LTrue(), LAP("p"), LTrue()).String(); got != "p" {
-		t.Fatalf("And simplification = %q", got)
+	p, q := LAP("p"), LAP("q")
+	tests := []struct {
+		got  LTLFormula
+		want string
+	}{
+		{simplifyAnd([]LTLFormula{ltlTrue{}, p, ltlTrue{}}), "p"},
+		{simplifyAnd([]LTLFormula{p, ltlFalse{}}), "false"},
+		{simplifyOr([]LTLFormula{ltlFalse{}, p}), "p"},
+		{simplifyOr([]LTLFormula{ltlTrue{}, p}), "true"},
+		{simplifyAnd([]LTLFormula{p, p}), "p"},
+		{simplifyAnd([]LTLFormula{q, simplifyAnd([]LTLFormula{p, q})}), "(p & q)"},
+		{simplifyOr([]LTLFormula{q, simplifyOr([]LTLFormula{p, q})}), "(p | q)"},
+		{simplifyAnd(nil), "true"},
+		{simplifyOr(nil), "false"},
 	}
-	if got := LAnd(LAP("p"), LFalse()).String(); got != "false" {
-		t.Fatalf("And false = %q", got)
-	}
-	if got := LOr(LFalse(), LAP("p")).String(); got != "p" {
-		t.Fatalf("Or simplification = %q", got)
-	}
-	if got := LOr(LTrue(), LAP("p")).String(); got != "true" {
-		t.Fatalf("Or true = %q", got)
-	}
-	if got := LNot(LNot(LAP("p"))).String(); got != "p" {
-		t.Fatalf("double negation = %q", got)
-	}
-	if got := LAnd(LAP("p"), LAP("p")).String(); got != "p" {
-		t.Fatalf("dedup = %q", got)
-	}
-	if got := LAnd().String(); got != "true" {
-		t.Fatalf("empty And = %q", got)
-	}
-	if got := LOr().String(); got != "false" {
-		t.Fatalf("empty Or = %q", got)
+	for i, tt := range tests {
+		if tt.got.String() != tt.want {
+			t.Errorf("case %d = %q, want %q", i, tt.got, tt.want)
+		}
 	}
 }
 
-// Property: the monitor never grows without bound on G(p → F<=k q)
-// style obligations because duplicate pending windows collapse.
+// Property: the monitor never grows without bound on G(F<=k q)
+// obligations, because a window opened at each observation collapses
+// into the pending ones when q is seen.
 func TestMonitorBoundedGrowth(t *testing.T) {
-	f := LGlobally(LImplies(LAP("p"), LEventuallyWithin(5, LAP("q"))))
+	f := LGlobally(LEventuallyWithin(5, LAP("q")))
 	m := NewMonitor(f)
 	for i := 0; i < 1000; i++ {
-		var o map[Prop]bool
-		if i%2 == 0 {
-			o = obs("p")
-		} else {
-			o = obs("p", "q")
+		o := obs()
+		if i%3 == 2 {
+			o = obs("q")
 		}
 		m.Step(o)
 		if n := len(m.cur.String()); n > 500 {
@@ -216,28 +130,32 @@ func TestMonitorBoundedGrowth(t *testing.T) {
 	}
 }
 
-// Property: EvalTrace(G p) is equivalent to "p in every observation",
-// EvalTrace(F p) to "p in some observation".
+// Property: a G p monitor latches false exactly when some observation
+// lacks p and is otherwise unknown; an F p monitor latches true exactly
+// when some observation has p and is otherwise unknown.
 func TestLTLQuickEquivalences(t *testing.T) {
 	prop := func(bits []bool) bool {
-		trace := make([]map[Prop]bool, len(bits))
+		g := NewMonitor(LGlobally(LAP("p")))
+		f := NewMonitor(LEventually(LAP("p")))
 		all, some := true, false
-		for i, b := range bits {
+		for _, b := range bits {
+			o := obs()
 			if b {
-				trace[i] = obs("p")
-				some = true
-			} else {
-				trace[i] = obs()
-				all = false
+				o = obs("p")
 			}
+			all = all && b
+			some = some || b
+			g.Step(o)
+			f.Step(o)
 		}
-		if EvalTrace(LGlobally(LAP("p")), trace) != all {
-			return false
+		wantG, wantF := VerdictUnknown, VerdictUnknown
+		if !all {
+			wantG = VerdictFalse
 		}
-		if len(bits) > 0 && EvalTrace(LEventually(LAP("p")), trace) != some {
-			return false
+		if some {
+			wantF = VerdictTrue
 		}
-		return true
+		return g.Verdict() == wantG && f.Verdict() == wantF
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
@@ -245,18 +163,22 @@ func TestLTLQuickEquivalences(t *testing.T) {
 }
 
 func TestLTLStrings(t *testing.T) {
-	f := LGlobally(LImplies(LAP("a"), LEventuallyWithin(3, LAP("b"))))
-	want := "G (!a | F<=3 b)"
-	if f.String() != want {
-		t.Fatalf("String = %q, want %q", f.String(), want)
+	f := LGlobally(LEventuallyWithin(3, LAP("b")))
+	if got, want := f.String(), "G F<=3 b"; got != want {
+		t.Fatalf("String = %q, want %q", got, want)
 	}
-	if got := LUntil(LAP("a"), LAP("b")).String(); got != "(a U b)" {
+	if got := LEventually(LAP("p")).String(); got != "F p" {
 		t.Fatalf("String = %q", got)
 	}
-	if got := LGloballyFor(2, LAP("p")).String(); got != "G<=2 p" {
-		t.Fatalf("String = %q", got)
+	// Progression renders the residual conjunction and disjunction.
+	m := NewMonitor(LGlobally(LEventuallyWithin(2, LAP("b"))))
+	m.Step(obs())
+	if got, want := m.cur.String(), "(F<=1 b & G F<=2 b)"; got != want {
+		t.Fatalf("residual = %q, want %q", got, want)
 	}
-	if got := LNext(LAP("p")).String(); got != "X p" {
-		t.Fatalf("String = %q", got)
+	m2 := NewMonitor(LEventually(LEventuallyWithin(1, LAP("a"))))
+	m2.Step(obs())
+	if got, want := m2.cur.String(), "(F F<=1 a | F<=0 a)"; got != want {
+		t.Fatalf("residual = %q, want %q", got, want)
 	}
 }

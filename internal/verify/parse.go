@@ -2,7 +2,6 @@ package verify
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -25,35 +24,14 @@ func ParseCTL(input string) (CTLFormula, error) {
 	return f, nil
 }
 
-// ParseLTL parses an LTL formula from text. Grammar mirrors ParseCTL
-// with temporal operators G, F, X, the infix "U", and bounded forms
-// "F<=k" and "G<=k". Example:
-//
-//	G(alarm -> F<=3 handled)
-func ParseLTL(input string) (LTLFormula, error) {
-	p := &parser{tokens: lex(input)}
-	f, err := p.parseLTLExpr()
-	if err != nil {
-		return nil, err
-	}
-	if !p.eof() {
-		return nil, fmt.Errorf("verify: unexpected trailing input %q", p.peek())
-	}
-	return f, nil
-}
-
 // --- lexer ---
 
 // lex splits the input into tokens: parens, brackets, operators and
 // atoms. Atoms are ASCII ([A-Za-z0-9_:./-]); any other byte becomes a
-// single-byte token the parser will reject or pass through verbatim.
+// single-byte token, which the parser rejects.
 func lex(input string) []string {
 	var tokens []string
 	i := 0
-	isAtomRune := func(r byte) bool {
-		return (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
-			(r >= '0' && r <= '9') || strings.IndexByte("_:./-", r) >= 0
-	}
 	for i < len(input) {
 		c := input[i]
 		switch {
@@ -64,9 +42,6 @@ func lex(input string) []string {
 			i++
 		case c == '-' && i+1 < len(input) && input[i+1] == '>':
 			tokens = append(tokens, "->")
-			i += 2
-		case c == '<' && i+1 < len(input) && input[i+1] == '=':
-			tokens = append(tokens, "<=")
 			i += 2
 		default:
 			j := i
@@ -90,6 +65,12 @@ func lex(input string) []string {
 		}
 	}
 	return tokens
+}
+
+// isAtomRune reports whether c may appear in a proposition name.
+func isAtomRune(c byte) bool {
+	return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+		(c >= '0' && c <= '9') || strings.IndexByte("_:./-", c) >= 0
 }
 
 // parser is a recursive-descent parser over the token stream.
@@ -121,14 +102,16 @@ func (p *parser) expect(tok string) error {
 	return nil
 }
 
-// isAtomToken reports whether tok can be a proposition name.
+// isAtomToken reports whether tok can be a proposition name: one or
+// more atom bytes, and not the until keyword.
 func isAtomToken(tok string) bool {
-	if tok == "" {
+	if tok == "" || tok == "U" {
 		return false
 	}
-	switch tok {
-	case "(", ")", "[", "]", "!", "&", "|", "->", "<=", "U":
-		return false
+	for i := 0; i < len(tok); i++ {
+		if !isAtomRune(tok[i]) {
+			return false
+		}
 	}
 	return true
 }
@@ -256,133 +239,6 @@ func (p *parser) parseCTLUnary() (CTLFormula, error) {
 		if isAtomToken(tok) {
 			p.next()
 			return AP(Prop(tok)), nil
-		}
-		return nil, fmt.Errorf("verify: unexpected token %q", tok)
-	}
-}
-
-// --- LTL parsing ---
-
-func (p *parser) parseLTLExpr() (LTLFormula, error) {
-	left, err := p.parseLTLOr()
-	if err != nil {
-		return nil, err
-	}
-	switch p.peek() {
-	case "->":
-		p.next()
-		right, err := p.parseLTLExpr()
-		if err != nil {
-			return nil, err
-		}
-		return LImplies(left, right), nil
-	case "U":
-		p.next()
-		right, err := p.parseLTLExpr()
-		if err != nil {
-			return nil, err
-		}
-		return LUntil(left, right), nil
-	}
-	return left, nil
-}
-
-func (p *parser) parseLTLOr() (LTLFormula, error) {
-	left, err := p.parseLTLAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.peek() == "|" {
-		p.next()
-		right, err := p.parseLTLAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = LOr(left, right)
-	}
-	return left, nil
-}
-
-func (p *parser) parseLTLAnd() (LTLFormula, error) {
-	left, err := p.parseLTLUnary()
-	if err != nil {
-		return nil, err
-	}
-	for p.peek() == "&" {
-		p.next()
-		right, err := p.parseLTLUnary()
-		if err != nil {
-			return nil, err
-		}
-		left = LAnd(left, right)
-	}
-	return left, nil
-}
-
-func (p *parser) parseLTLUnary() (LTLFormula, error) {
-	tok := p.peek()
-	switch tok {
-	case "!":
-		p.next()
-		f, err := p.parseLTLUnary()
-		if err != nil {
-			return nil, err
-		}
-		return LNot(f), nil
-	case "(":
-		p.next()
-		f, err := p.parseLTLExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
-		}
-		return f, nil
-	case "G", "F":
-		p.next()
-		// Bounded form: G<=k / F<=k.
-		if p.peek() == "<=" {
-			p.next()
-			kTok := p.next()
-			k, err := strconv.Atoi(kTok)
-			if err != nil || k < 0 {
-				return nil, fmt.Errorf("verify: bad bound %q", kTok)
-			}
-			f, err := p.parseLTLUnary()
-			if err != nil {
-				return nil, err
-			}
-			if tok == "G" {
-				return LGloballyFor(k, f), nil
-			}
-			return LEventuallyWithin(k, f), nil
-		}
-		f, err := p.parseLTLUnary()
-		if err != nil {
-			return nil, err
-		}
-		if tok == "G" {
-			return LGlobally(f), nil
-		}
-		return LEventually(f), nil
-	case "X":
-		p.next()
-		f, err := p.parseLTLUnary()
-		if err != nil {
-			return nil, err
-		}
-		return LNext(f), nil
-	case "true":
-		p.next()
-		return LTrue(), nil
-	case "false":
-		p.next()
-		return LFalse(), nil
-	default:
-		if isAtomToken(tok) {
-			p.next()
-			return LAP(Prop(tok)), nil
 		}
 		return nil, fmt.Errorf("verify: unexpected token %q", tok)
 	}
