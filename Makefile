@@ -176,7 +176,7 @@ chaos-verify:
 # UDP nodes, hardened ML4) replays a corpus entry and must survive;
 # the city needs -scale >= 0.5 on a single core (see DESIGN.md §14).
 LOOP_AND_DELAY_LINE_TESTS = Loop|DelayLine|RestoreKeepsQueuedPacketDue|CloseWithQueuedPackets|ShapeLinkFootprint|ShaperPartitionDuringDelayedPacket|ShaperCrashedSenderDelivers|Reactor
-SERVE_FAULT_AND_READINESS_TESTS = TestServeClusterHealsPartition|TestClusterReadyInOneRoundTrip|TestReadyzWaitsForSeed|TestLostJoinReadyThroughProbe|TestJoined|TestReadyzFallsAcrossCrash
+SERVE_FAULT_AND_READINESS_TESTS = TestServeClusterHealsPartition|TestClusterReadyInOneRoundTrip|TestReadyzWaitsForSeed|TestLostJoinReadyThroughProbe|TestJoined|TestReadyzFallsAcrossCrash|TestWriteReplicatesWithinWindow|TestWriteTriggerSurvivesCrash|TestWriteBurstCoalesces
 realnet:
 	$(GO) test -race -count=1 ./internal/realnet/
 	$(GO) test -race -count=5 -run '$(LOOP_AND_DELAY_LINE_TESTS)' ./internal/realnet/

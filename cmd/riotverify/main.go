@@ -20,6 +20,10 @@
 //	  ]
 //	}
 //
+// maxConcurrentFailures bounds how many hosts may be down at once: an
+// absent key means 1, 0 asks for the fault-free model, and a negative
+// value is an error. So is a key the schema does not know.
+//
 // Usage:
 //
 //	riotverify spec.json
@@ -27,6 +31,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -36,9 +41,10 @@ import (
 	"repro/internal/verify"
 )
 
-// spec is the JSON input schema.
+// spec is the JSON input schema. An absent maxConcurrentFailures means
+// one failure at a time; 0 asks for the fault-free model.
 type spec struct {
-	MaxConcurrentFailures int             `json:"maxConcurrentFailures"`
+	MaxConcurrentFailures *int            `json:"maxConcurrentFailures"`
 	Components            []specComponent `json:"components"`
 	Properties            []specProperty  `json:"properties"`
 }
@@ -78,8 +84,13 @@ func run(args []string, out io.Writer) error {
 	}
 
 	var s spec
-	if err := json.Unmarshal(data, &s); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
 		return fmt.Errorf("parsing specification: %w", err)
+	}
+	if dec.More() {
+		return fmt.Errorf("parsing specification: data after the top-level object")
 	}
 	if len(s.Components) == 0 {
 		return fmt.Errorf("specification has no components")
@@ -100,9 +111,12 @@ func run(args []string, out io.Writer) error {
 		cfg.Add(comp)
 	}
 
-	maxDown := s.MaxConcurrentFailures
-	if maxDown == 0 {
-		maxDown = 1
+	maxDown := 1
+	if s.MaxConcurrentFailures != nil {
+		maxDown = *s.MaxConcurrentFailures
+	}
+	if maxDown < 0 {
+		return fmt.Errorf("maxConcurrentFailures %d: must be 0 or more", maxDown)
 	}
 	k, err := model.FailureKripke(cfg, model.FailureModelOptions{MaxConcurrentFailures: maxDown})
 	if err != nil {

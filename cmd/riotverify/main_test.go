@@ -95,3 +95,58 @@ func TestRunUsageAndMissingFile(t *testing.T) {
 		t.Fatal("missing file accepted")
 	}
 }
+
+// failureBoundSpec is goodSpec's two redundant sensors with the bound
+// line given verbatim ("" leaves the key out).
+func failureBoundSpec(bound string) string {
+	return `{` + bound + `
+  "components": [
+    {"id": "sense-a", "host": "s1", "provides": ["sensing"]},
+    {"id": "sense-b", "host": "s2", "provides": ["sensing"]}
+  ],
+  "properties": [{"name": "redundant", "formula": "AG svc:sensing"}]
+}`
+}
+
+func TestRunAbsentBoundMeansOne(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{writeSpec(t, failureBoundSpec(""))}, &out); err != nil {
+		t.Fatalf("%v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "≤1 concurrent failures → 3 states") {
+		t.Fatalf("output = %q", out.String())
+	}
+}
+
+// TestRunZeroBoundIsFaultFree: 0 is the fault-free model, where even
+// a property no failure can be allowed to break holds.
+func TestRunZeroBoundIsFaultFree(t *testing.T) {
+	spec := `{
+	  "maxConcurrentFailures": 0,
+	  "components": [{"id": "c", "host": "h", "provides": ["x"]}],
+	  "properties": [{"name": "spa", "formula": "AG svc:x"}]
+	}`
+	var out strings.Builder
+	if err := run([]string{writeSpec(t, spec)}, &out); err != nil {
+		t.Fatalf("%v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "≤0 concurrent failures → 1 states") || !strings.Contains(out.String(), "HOLDS") {
+		t.Fatalf("output = %q", out.String())
+	}
+}
+
+func TestRunNegativeBoundIsError(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{writeSpec(t, failureBoundSpec(`"maxConcurrentFailures": -1,`))}, &out)
+	if err == nil || !strings.Contains(err.Error(), "maxConcurrentFailures -1") {
+		t.Fatalf("err = %v, output %q", err, out.String())
+	}
+}
+
+func TestRunUnknownFieldIsError(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{writeSpec(t, failureBoundSpec(`"maxConcurentFailures": 2,`))}, &out)
+	if err == nil || !strings.Contains(err.Error(), "maxConcurentFailures") {
+		t.Fatalf("err = %v, output %q", err, out.String())
+	}
+}

@@ -12,35 +12,33 @@ import (
 // caller exports the key's *current* entry at send time, so
 // intermediate LWW versions never reach the wire. Frames carry a
 // per-peer sequence number; the receiver acknowledges each frame, and
-// an acknowledged key whose dirty version has not advanced since the
-// frame was cut is evicted. Unacknowledged frames are requeued at the
-// next sync turn, giving retransmit-until-acked under loss, and a
-// peer that is down simply accumulates pending keys — on heal it
-// receives exactly the coalesced set it missed, not a full-state
-// reship.
+// an ack retires the frame. A key re-dirtied while its frame was in
+// flight is already pending again, so it goes out once more whatever
+// the ack says. Unacknowledged frames are requeued at a later sync
+// turn, giving retransmit-until-acked under loss, and a peer that is
+// down simply accumulates pending keys — on heal it receives exactly
+// the coalesced set it missed, not a full-state reship.
 //
 // The buffer is keyed by opaque peer and key strings and holds no
 // values, so it composes with any keyed CRDT (the LWW map here; the
 // OR-set and counters ship their own join-decompositions, see
 // DeltaSince on each type).
 type DeltaBuffer struct {
-	ver   uint64 // global dirty-version counter
 	peers map[string]*peerBuffer
 }
 
 type peerBuffer struct {
-	// pending maps dirty keys to the version of their latest change.
-	pending map[string]uint64
-	// inFlight maps a sent frame's sequence number to the key versions
-	// it carried and its send time. Entries live until acked or
-	// requeued.
-	inFlight map[uint64]*inFlightFrame
+	// pending is the set of dirty keys.
+	pending map[string]struct{}
+	// inFlight maps a sent frame's sequence number to the keys it
+	// carried and its send time. Entries live until acked or requeued.
+	inFlight map[uint64]inFlightFrame
 	nextSeq  uint64
 }
 
 type inFlightFrame struct {
 	at   time.Duration
-	keys map[string]uint64
+	keys []string
 }
 
 // NewDeltaBuffer returns an empty buffer tracking the given peers.
@@ -57,28 +55,23 @@ func NewDeltaBuffer(peers ...string) *DeltaBuffer {
 func (b *DeltaBuffer) AddPeer(peer string) {
 	if _, ok := b.peers[peer]; !ok {
 		b.peers[peer] = &peerBuffer{
-			pending:  make(map[string]uint64),
-			inFlight: make(map[uint64]*inFlightFrame),
+			pending:  make(map[string]struct{}),
+			inFlight: make(map[uint64]inFlightFrame),
 		}
 	}
 }
 
-// Dirty marks key as changed for one peer. Repeated calls coalesce:
-// only the latest version is remembered.
+// Dirty marks key as changed for one peer. Repeated calls coalesce.
 func (b *DeltaBuffer) Dirty(peer, key string) {
-	pb, ok := b.peers[peer]
-	if !ok {
-		return
+	if pb, ok := b.peers[peer]; ok {
+		pb.pending[key] = struct{}{}
 	}
-	b.ver++
-	pb.pending[key] = b.ver
 }
 
 // DirtyAll marks key as changed for every tracked peer.
 func (b *DeltaBuffer) DirtyAll(key string) {
-	b.ver++
 	for _, pb := range b.peers {
-		pb.pending[key] = b.ver
+		pb.pending[key] = struct{}{}
 	}
 }
 
@@ -92,12 +85,12 @@ func (b *DeltaBuffer) Drop(peer, key string) {
 }
 
 // Requeue moves unacknowledged in-flight keys from frames sent at or
-// before the cutoff back into the peer's pending set, preserving newer
-// pending versions. Call at the start of a sync turn with a cutoff one
-// retransmission timeout in the past: frames that were genuinely lost
-// (or whose peer is down) get retransmitted, while frames whose ack is
-// simply still in flight are left alone — an immediate SyncNow burst
-// must not re-ship everything that was sent milliseconds ago.
+// before the cutoff back into the peer's pending set. Call at the
+// start of a sync turn with a cutoff one retransmission timeout in the
+// past: frames that were genuinely lost (or whose peer is down) get
+// retransmitted, while frames whose ack is simply still in flight are
+// left alone — an immediate SyncNow burst must not re-ship everything
+// that was sent milliseconds ago.
 func (b *DeltaBuffer) Requeue(peer string, before time.Duration) {
 	pb, ok := b.peers[peer]
 	if !ok {
@@ -107,10 +100,8 @@ func (b *DeltaBuffer) Requeue(peer string, before time.Duration) {
 		if fr.at > before {
 			continue
 		}
-		for k, v := range fr.keys {
-			if _, dirty := pb.pending[k]; !dirty {
-				pb.pending[k] = v
-			}
+		for _, k := range fr.keys {
+			pb.pending[k] = struct{}{}
 		}
 		delete(pb.inFlight, seq)
 	}
@@ -152,27 +143,29 @@ func (b *DeltaBuffer) NextSeq(peer string) uint64 {
 
 // MarkSent records that the keys went out to peer in frame seq at the
 // given time and removes them from pending. They stay tracked
-// in-flight until Ack (evicted) or Requeue (retransmitted).
+// in-flight until Ack (evicted) or Requeue (retransmitted). Keys that
+// were not pending are not tracked; the frame keeps its own copy of
+// the rest, so callers may reuse keys.
 func (b *DeltaBuffer) MarkSent(peer string, seq uint64, keys []string, at time.Duration) {
 	pb, ok := b.peers[peer]
 	if !ok || len(keys) == 0 {
 		return
 	}
-	sent := make(map[string]uint64, len(keys))
+	sent := make([]string, 0, len(keys))
 	for _, k := range keys {
-		if v, dirty := pb.pending[k]; dirty {
-			sent[k] = v
+		if _, dirty := pb.pending[k]; dirty {
+			sent = append(sent, k)
 			delete(pb.pending, k)
 		}
 	}
 	if len(sent) > 0 {
-		pb.inFlight[seq] = &inFlightFrame{at: at, keys: sent}
+		pb.inFlight[seq] = inFlightFrame{at: at, keys: sent}
 	}
 }
 
 // Ack acknowledges frame seq from peer: its keys are confirmed
 // delivered and evicted. Keys re-dirtied after the frame was cut are
-// already pending again under a newer version and stay queued.
+// already pending again and stay queued.
 // Duplicate or late acks are no-ops. Reports whether the seq was
 // still tracked.
 func (b *DeltaBuffer) Ack(peer string, seq uint64) bool {

@@ -1,6 +1,9 @@
 package crdt
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 )
@@ -133,5 +136,144 @@ func TestDeltaBufferUnknownPeer(t *testing.T) {
 	}
 	if b.Ack("ghost", 1) {
 		t.Fatal("unknown peer acked")
+	}
+}
+
+// refDeltaBuffer is the plain set-based model DeltaBuffer must agree
+// with: per peer a pending key set, and per sent frame its send time and
+// the keys that were pending when it was cut.
+type refDeltaBuffer struct {
+	pending  map[string]map[string]bool
+	inFlight map[string]map[uint64]refFrame
+	nextSeq  map[string]uint64
+}
+
+type refFrame struct {
+	at   time.Duration
+	keys map[string]bool
+}
+
+func newRefDeltaBuffer(peers []string) *refDeltaBuffer {
+	r := &refDeltaBuffer{
+		pending:  map[string]map[string]bool{},
+		inFlight: map[string]map[uint64]refFrame{},
+		nextSeq:  map[string]uint64{},
+	}
+	for _, p := range peers {
+		r.pending[p] = map[string]bool{}
+		r.inFlight[p] = map[uint64]refFrame{}
+	}
+	return r
+}
+
+func (r *refDeltaBuffer) pendingSorted(peer string) []string {
+	var out []string
+	for k := range r.pending[peer] {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestDeltaBufferMatchesSetModel runs random sequences of every
+// mutating call over three tracked peers (and one untracked) and checks
+// Pending, PendingCount and Ack's report against the reference model
+// after each step.
+func TestDeltaBufferMatchesSetModel(t *testing.T) {
+	peers := []string{"p0", "p1", "p2"}
+	all := append([]string{"stranger"}, peers...)
+	keys := []string{"a", "b", "c", "d", "e", "f"}
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		b := NewDeltaBuffer(peers...)
+		ref := newRefDeltaBuffer(peers)
+		var now time.Duration
+		for step := 0; step < 300; step++ {
+			now += time.Duration(rng.Intn(100)) * time.Millisecond
+			peer := all[rng.Intn(len(all))]
+			key := keys[rng.Intn(len(keys))]
+			var op string
+			switch rng.Intn(6) {
+			case 0:
+				op = "Dirty"
+				b.Dirty(peer, key)
+				if set, ok := ref.pending[peer]; ok {
+					set[key] = true
+				}
+			case 1:
+				op = "DirtyAll"
+				b.DirtyAll(key)
+				for _, set := range ref.pending {
+					set[key] = true
+				}
+			case 2:
+				op = "Drop"
+				b.Drop(peer, key)
+				delete(ref.pending[peer], key)
+			case 3:
+				op = "MarkSent"
+				// A frame may name keys that are no longer pending; only
+				// the pending ones go in flight.
+				var sent []string
+				for _, k := range keys {
+					if rng.Intn(2) == 0 {
+						sent = append(sent, k)
+					}
+				}
+				seq := b.NextSeq(peer)
+				if _, ok := ref.pending[peer]; ok {
+					ref.nextSeq[peer]++
+					if seq != ref.nextSeq[peer] {
+						t.Fatalf("seed %d step %d: NextSeq(%s) = %d, model %d", seed, step, peer, seq, ref.nextSeq[peer])
+					}
+				} else if seq != 0 {
+					t.Fatalf("seed %d step %d: NextSeq(%s) = %d for an untracked peer", seed, step, peer, seq)
+				}
+				b.MarkSent(peer, seq, sent, now)
+				if set, ok := ref.pending[peer]; ok {
+					fr := refFrame{at: now, keys: map[string]bool{}}
+					for _, k := range sent {
+						if set[k] {
+							fr.keys[k] = true
+							delete(set, k)
+						}
+					}
+					if len(fr.keys) > 0 {
+						ref.inFlight[peer][seq] = fr
+					}
+				}
+			case 4:
+				op = "Ack"
+				seq := uint64(rng.Intn(int(ref.nextSeq[peer]) + 2))
+				got := b.Ack(peer, seq)
+				_, want := ref.inFlight[peer][seq]
+				delete(ref.inFlight[peer], seq)
+				if got != want {
+					t.Fatalf("seed %d step %d: Ack(%s, %d) = %v, model %v", seed, step, peer, seq, got, want)
+				}
+			case 5:
+				op = "Requeue"
+				cutoff := now - time.Duration(rng.Intn(1000))*time.Millisecond
+				b.Requeue(peer, cutoff)
+				for seq, fr := range ref.inFlight[peer] {
+					if fr.at > cutoff {
+						continue
+					}
+					for k := range fr.keys {
+						ref.pending[peer][k] = true
+					}
+					delete(ref.inFlight[peer], seq)
+				}
+			}
+			for _, p := range all {
+				want := ref.pendingSorted(p)
+				if got := b.Pending(p); !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d after %s(%s, %s): Pending(%s) = %v, model %v", seed, step, op, peer, key, p, got, want)
+				}
+				if got := b.PendingCount(p); got != len(want) {
+					t.Fatalf("seed %d step %d after %s: PendingCount(%s) = %d, model %d", seed, step, op, p, got, len(want))
+				}
+			}
+		}
 	}
 }

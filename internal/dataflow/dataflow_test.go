@@ -625,3 +625,47 @@ func TestStoreKeysSorted(t *testing.T) {
 		t.Fatal("local get failed")
 	}
 }
+
+// TestSyncWithinFollowsTheWrite: at an hour's anti-entropy period only
+// SyncWithin moves data. Ten writes inside one window share one turn
+// and one frame, and a crash that swallows an armed turn does not
+// leave the trigger dead: the next write after recovery arms again.
+func TestSyncWithinFollowsTheWrite(t *testing.T) {
+	const window = 25 * time.Millisecond
+	sim := simnet.New(simnet.WithSeed(1))
+	m := twoDomains()
+	m.Place("edge", space.Point{}, "eu")
+	m.Place("peer", space.Point{}, "eu2")
+	edge := NewStore(sim.AddNode("edge"), m, StoreConfig{Peers: []simnet.NodeID{"peer"}, SyncInterval: time.Hour})
+	peer := NewStore(sim.AddNode("peer"), m, StoreConfig{Peers: []simnet.NodeID{"edge"}, SyncInterval: time.Hour})
+	edge.Start()
+	peer.Start()
+	write := func(at time.Duration, key string) {
+		sim.At(at, func() {
+			edge.Put(publicItem(key))
+			edge.SyncWithin(window)
+		})
+	}
+	for i := 0; i < 10; i++ {
+		write(time.Duration(i)*time.Millisecond, fmt.Sprintf("burst/%d", i))
+	}
+	sim.RunUntil(4 * window)
+	if got := len(peer.Keys()); got != 10 {
+		t.Fatalf("peer holds %d of the burst's 10 keys after %v", got, 4*window)
+	}
+	if frames := edge.SyncStats().FramesSent; frames != 1 {
+		t.Fatalf("the burst took %d frames, want 1", frames)
+	}
+
+	// The armed turn falls due while the edge is down and is swallowed.
+	write(200*time.Millisecond, "before-crash")
+	sim.At(205*time.Millisecond, func() { sim.SetDown("edge", true) })
+	sim.At(300*time.Millisecond, func() { sim.SetDown("edge", false) })
+	write(310*time.Millisecond, "after-crash")
+	sim.RunUntil(310*time.Millisecond + 4*window)
+	for _, k := range []string{"before-crash", "after-crash"} {
+		if _, ok := peer.Get(k); !ok {
+			t.Fatalf("peer lacks %q %v after the post-crash write", k, 4*window)
+		}
+	}
+}

@@ -104,8 +104,8 @@ func (ls *LinkStats) Add(o LinkStats) {
 
 // Store is a governed, replicated data store hosted by one node: local
 // writes are LWW entries whose values are Items (with labels), and
-// periodic delta synchronization to peers crosses the policy engine in
-// both directions — the sender filters its out-flow, the receiver
+// delta synchronization to peers (periodic, or armed by a write through
+// SyncWithin) crosses the policy engine in both directions — the sender filters its out-flow, the receiver
 // checks its in-flow (each component controls its own data in/out
 // policies, §VI).
 //
@@ -124,6 +124,11 @@ type Store struct {
 	interval  time.Duration
 	ticker    *simnet.Ticker
 	lastWrite time.Duration
+	// syncDue is when the turn SyncWithin last armed falls due. A turn
+	// is armed while now < syncDue; the time, not a flag the turn
+	// clears, is what is kept, because a crash swallows the turn and a
+	// flag would then stay set for good.
+	syncDue time.Duration
 
 	// buf tracks per-peer dirty keys with seq/ack bookkeeping.
 	buf *crdt.DeltaBuffer
@@ -367,6 +372,19 @@ func (s *Store) peerWants(peer simnet.NodeID, key string) bool {
 // periodic schedule — a counteraction a MAPE planner can take when it
 // detects stale data.
 func (s *Store) SyncNow() { s.syncAll() }
+
+// SyncWithin arms one sync turn at most d from now, unless a turn
+// armed earlier is still due: a burst of writes shares one turn. The
+// turn is the same as the periodic one, which stays as anti-entropy
+// and as the retransmit path for unacknowledged frames.
+func (s *Store) SyncWithin(d time.Duration) {
+	now := s.port.Now()
+	if now < s.syncDue {
+		return
+	}
+	s.syncDue = now + d
+	s.port.After(d, s.syncAll)
+}
 
 // syncTo cuts the peer's pending delta into size-capped frames and
 // ships them. Keys whose current winner came from the peer (echo), or

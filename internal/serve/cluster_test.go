@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/dataflow"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/simnet"
@@ -113,20 +115,29 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 
 members:
-	// Membership view on node 1 has all three alive.
-	_, body := doReq(t, http.MethodGet, urls[1]+"/v1/members", "")
-	var views []memberView
-	if err := json.Unmarshal([]byte(body), &views); err != nil {
-		t.Fatal(err)
-	}
-	alive := 0
-	for _, v := range views {
-		if v.Status == "alive" {
-			alive++
+	// Membership view on node 1 comes to hold all three alive. n2's join
+	// reaches n1 on gossip's schedule, which a replicated write does not
+	// wait for.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, body := doReq(t, http.MethodGet, urls[1]+"/v1/members", "")
+		var views []memberView
+		if err := json.Unmarshal([]byte(body), &views); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if alive != 3 {
-		t.Fatalf("node 1 sees %d alive members, want 3: %+v", alive, views)
+		alive := 0
+		for _, v := range views {
+			if v.Status == "alive" {
+				alive++
+			}
+		}
+		if alive == 3 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("node 1 sees %d alive members, want 3: %+v", alive, views)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -337,6 +348,128 @@ func TestServeClusterHealsPartition(t *testing.T) {
 		}
 	}
 	t.Logf("after the heal: stores converged in %v, membership settled in %v; incidents %v", converged, settled, peers)
+
+	// A write made after the heal reaches every node within the
+	// write-triggered bound, from the side that was cut off.
+	awaitEverywhere(t, cl, "healed", 3, putAcked(t, urls[2], "healed", 3))
+}
+
+// replicaBound is how long an accepted write may take to be readable
+// on every node: ten write-triggered sync windows.
+const replicaBound = 10 * syncWithin
+
+// awaitEverywhere polls every node's store until each holds key at
+// value, and fails the test once replicaBound has passed since the
+// write was acknowledged at acked.
+func awaitEverywhere(t *testing.T, cl *Cluster, key string, value float64, acked time.Time) {
+	t.Helper()
+	for {
+		held := 0
+		for _, cn := range cl.Nodes {
+			cn.Node.Do(func() {
+				if item, ok := cn.Store.Get(key); ok && item.Value == value {
+					held++
+				}
+			})
+		}
+		if held == len(cl.Nodes) {
+			return
+		}
+		if waited := time.Since(acked); waited > replicaBound {
+			t.Fatalf("%s=%v held by %d of %d nodes %v after its PUT was acknowledged", key, value, held, len(cl.Nodes), waited)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// putAcked writes key=value through url and returns when the write was
+// acknowledged.
+func putAcked(t *testing.T, url, key string, value float64) time.Time {
+	t.Helper()
+	if resp, _ := doReq(t, http.MethodPut, url+"/v1/data/"+key, fmt.Sprintf(`{"value": %v}`, value)); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("PUT %s on %s = %d", key, url, resp.StatusCode)
+	}
+	return time.Now()
+}
+
+// hourSyncCluster starts a ready 3-node cluster whose periodic sync
+// turn never comes during a test, so only the write trigger replicates.
+func hourSyncCluster(t *testing.T) *Cluster {
+	t.Helper()
+	cl, err := StartCluster(3, ClusterOptions{SyncInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	for _, u := range nodeURLs(cl) {
+		waitOK(t, u+"/readyz")
+	}
+	return cl
+}
+
+// TestWriteReplicatesWithinWindow: a PUT arms its store's sync turn, so
+// the write reaches both peers within replicaBound although the
+// periodic turn is an hour away.
+func TestWriteReplicatesWithinWindow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-socket cluster test")
+	}
+	cl := hourSyncCluster(t)
+	awaitEverywhere(t, cl, "fresh", 7, putAcked(t, cl.Nodes[0].URL, "fresh", 7))
+}
+
+// TestWriteTriggerSurvivesCrash: the turn a PUT armed falls due while
+// its node is down and is swallowed. After recovery the next PUT must
+// arm a turn of its own, which ships both writes.
+func TestWriteTriggerSurvivesCrash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-socket fault test")
+	}
+	cl := hourSyncCluster(t)
+	n0 := cl.Nodes[0]
+	putAcked(t, n0.URL, "before-crash", 1)
+	cl.Net.SetDown(n0.ID, true)
+	time.Sleep(2 * syncWithin)
+	cl.Net.SetDown(n0.ID, false)
+	acked := putAcked(t, n0.URL, "after-crash", 2)
+	awaitEverywhere(t, cl, "after-crash", 2, acked)
+	awaitEverywhere(t, cl, "before-crash", 1, acked)
+}
+
+// TestWriteBurstCoalesces: 500 back-to-back PUTs share their sync
+// turns. Each peer gets a few frames of many entries, not one frame per
+// write, and every write arrives.
+func TestWriteBurstCoalesces(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-socket cluster test")
+	}
+	const writes = 500
+	cl := hourSyncCluster(t)
+	n0 := cl.Nodes[0]
+	h := n0.Server.Handler()
+	for i := range writes {
+		req := httptest.NewRequest(http.MethodPut, fmt.Sprintf("/v1/data/burst/%03d", i), strings.NewReader(`{"value": 1}`))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusNoContent {
+			t.Fatalf("PUT %d = %d", i, rec.Code)
+		}
+	}
+	awaitEverywhere(t, cl, fmt.Sprintf("burst/%03d", writes-1), 1, time.Now())
+	var sent dataflow.LinkStats
+	n0.Node.Do(func() { sent = n0.Store.SyncStats() })
+	perPeer := sent.FramesSent / uint64(len(cl.Nodes)-1)
+	if perPeer >= 50 {
+		t.Fatalf("%d writes took %d frames per peer, want fewer than 50", writes, perPeer)
+	}
+	for _, cn := range cl.Nodes[1:] {
+		held := 0
+		cn.Node.Do(func() { held = len(cn.Store.Keys()) })
+		if held != writes {
+			t.Fatalf("%s holds %d of %d burst keys", cn.ID, held, writes)
+		}
+	}
+	t.Logf("%d writes, %d frames per peer", writes, perPeer)
 }
 
 // TestClusterReadyInOneRoundTrip: readiness is the seed's join ack, not

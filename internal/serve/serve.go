@@ -279,6 +279,12 @@ type putBody struct {
 	TTL         string `json:"ttl"`
 }
 
+// syncWithin bounds how long an accepted write waits in the store's
+// delta buffer before a sync turn ships it to the peers. Writes inside
+// one window share the turn. It is a budget of the serving path, not
+// an option: the store's periodic turn stays as anti-entropy.
+const syncWithin = 25 * time.Millisecond
+
 func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if key == "" {
@@ -330,6 +336,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	}
 	if !s.loop.Do(func() {
 		s.store.Put(item)
+		s.store.SyncWithin(syncWithin)
 		s.hub.publish(StreamEvent{Type: "data", Key: item.Key, Value: item.Value, From: "local"})
 	}) {
 		writeError(w, http.StatusServiceUnavailable, "node shut down")
