@@ -49,8 +49,8 @@ func TestNoTestOnlySymbols(t *testing.T) {
 	}
 }
 
-// TestDeadcodeFixture runs the same checker on testdata/deadcode, a
-// tree with one case for each clause of the rule.
+// TestDeadcodeFixture runs the same checkers on testdata/deadcode, a
+// tree with one case for each clause of each rule.
 func TestDeadcodeFixture(t *testing.T) {
 	keep := map[string]string{
 		"live.Kept":       "still used only by its own tests: allowed",
@@ -76,6 +76,156 @@ func TestDeadcodeFixture(t *testing.T) {
 	if fmt.Sprint(problems) != fmt.Sprint(want) {
 		t.Errorf("problems = %q, want %q", problems, want)
 	}
+
+	unset, err := unsetOptions("testdata/deadcode")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = nil
+	for _, s := range unset {
+		got = append(got, s.pos+" "+s.name)
+	}
+	want = []string{
+		"internal/live/options.go:8 live.Options.DefaultsOnly",
+		"internal/live/options.go:10 live.Options.TestsOnly",
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("unset = %q, want %q", got, want)
+	}
+}
+
+// TestNoUnsetOptions fails on any exported field of an exported struct
+// type under internal/ named *Config or *Options that no non-test file
+// writes, as a composite-literal key, an assignment or increment
+// target, or the operand of &. Writes in the type's own withDefaults
+// method do not count: a field that only tests set, or only its
+// defaults fill, picks nothing in any real run, so it is a constant.
+func TestNoUnsetOptions(t *testing.T) {
+	unset, err := unsetOptions(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range unset {
+		t.Errorf("%s %s", s.pos, s.name)
+	}
+	if len(unset) > 0 {
+		t.Errorf("%d options above are set only by tests or defaults, or by nothing: make each a constant or give it a caller", len(unset))
+	}
+}
+
+// unsetOptions applies TestNoUnsetOptions' rule to the tree at root and
+// returns the offending fields in file order.
+func unsetOptions(root string) ([]dcSymbol, error) {
+	l, paths, err := loadTree(root)
+	if err != nil {
+		return nil, err
+	}
+	owner := map[*types.Var]*types.TypeName{}
+	fields := map[*types.Var]dcSymbol{}
+	for _, p := range paths {
+		pkg := l.pkgs[p]
+		if !underInternal(root, pkg.dir) {
+			continue
+		}
+		for _, obj := range pkg.info.Defs {
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() || !tn.Exported() || tn.Parent() != tn.Pkg().Scope() ||
+				!strings.HasSuffix(tn.Name(), "Config") && !strings.HasSuffix(tn.Name(), "Options") {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if !f.Exported() {
+					continue
+				}
+				pos := l.fset.Position(f.Pos())
+				rel, _ := filepath.Rel(root, pos.Filename)
+				owner[f] = tn
+				fields[f] = dcSymbol{
+					name:  pkg.checked.Name() + "." + tn.Name() + "." + f.Name(),
+					pos:   fmt.Sprintf("%s:%d", filepath.ToSlash(rel), pos.Line),
+					start: f.Pos(),
+				}
+			}
+		}
+	}
+	for _, p := range paths {
+		pkg := l.pkgs[p]
+		for _, f := range pkg.files {
+			for _, decl := range f.Decls {
+				// defaults is the type whose own withDefaults this is.
+				var defaults *types.TypeName
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "withDefaults" {
+					recv := pkg.info.Defs[fd.Name].(*types.Func).Type().(*types.Signature).Recv().Type()
+					if ptr, ok := recv.(*types.Pointer); ok {
+						recv = ptr.Elem()
+					}
+					if n, ok := recv.(*types.Named); ok {
+						defaults = n.Obj()
+					}
+				}
+				write := func(id *ast.Ident) {
+					if v, ok := pkg.info.Uses[id].(*types.Var); ok && v.IsField() {
+						if v = v.Origin(); owner[v] != defaults {
+							delete(fields, v)
+						}
+					}
+				}
+				// target marks every field selected on the way to what
+				// an assignment, increment or & writes.
+				target := func(e ast.Expr) {
+					for {
+						switch x := e.(type) {
+						case *ast.ParenExpr:
+							e = x.X
+						case *ast.IndexExpr:
+							e = x.X
+						case *ast.StarExpr:
+							e = x.X
+						case *ast.SelectorExpr:
+							write(x.Sel)
+							e = x.X
+						default:
+							return
+						}
+					}
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						for _, el := range n.Elts {
+							if kv, ok := el.(*ast.KeyValueExpr); ok {
+								if id, ok := kv.Key.(*ast.Ident); ok {
+									write(id)
+								}
+							}
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							target(lhs)
+						}
+					case *ast.IncDecStmt:
+						target(n.X)
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							target(n.X)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	unset := make([]dcSymbol, 0, len(fields))
+	for _, s := range fields {
+		unset = append(unset, s)
+	}
+	sort.Slice(unset, func(i, j int) bool { return unset[i].start < unset[j].start })
+	return unset, nil
 }
 
 // dcSymbol is a declaration the rule applies to.
@@ -114,20 +264,9 @@ type dcLoader struct {
 // offenders that keep does not list, in file order, and one problem for
 // each keep entry that names nothing or has gained a caller.
 func testOnlySymbols(root string, keep map[string]string) ([]dcSymbol, []string, error) {
-	l := &dcLoader{fset: token.NewFileSet(), pkgs: map[string]*dcPackage{}}
-	l.std = importer.ForCompiler(l.fset, "source", nil)
-	if err := l.parseTree(root); err != nil {
+	l, paths, err := loadTree(root)
+	if err != nil {
 		return nil, nil, err
-	}
-	paths := make([]string, 0, len(l.pkgs))
-	for p := range l.pkgs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if _, err := l.check(l.pkgs[p]); err != nil {
-			return nil, nil, err
-		}
 	}
 	for _, p := range paths {
 		l.checkTests(l.pkgs[p])
@@ -135,8 +274,7 @@ func testOnlySymbols(root string, keep map[string]string) ([]dcSymbol, []string,
 
 	decls := map[string]dcSymbol{}
 	for _, p := range paths {
-		pkg := l.pkgs[p]
-		if rel, _ := filepath.Rel(root, pkg.dir); strings.HasPrefix(filepath.ToSlash(rel), "internal/") {
+		if pkg := l.pkgs[p]; underInternal(root, pkg.dir) {
 			for _, f := range pkg.files {
 				l.declared(root, pkg, f, decls)
 			}
@@ -172,6 +310,33 @@ func testOnlySymbols(root string, keep map[string]string) ([]dcSymbol, []string,
 	}
 	sort.Strings(problems)
 	return unused, problems, nil
+}
+
+// loadTree parses the tree at root and type-checks the non-test files
+// of every package, returning the import paths in sorted order.
+func loadTree(root string) (*dcLoader, []string, error) {
+	l := &dcLoader{fset: token.NewFileSet(), pkgs: map[string]*dcPackage{}}
+	l.std = importer.ForCompiler(l.fset, "source", nil)
+	if err := l.parseTree(root); err != nil {
+		return nil, nil, err
+	}
+	paths := make([]string, 0, len(l.pkgs))
+	for p := range l.pkgs {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	for _, p := range paths {
+		if _, err := l.check(l.pkgs[p]); err != nil {
+			return nil, nil, err
+		}
+	}
+	return l, paths, nil
+}
+
+// underInternal reports whether dir lies under root's internal/.
+func underInternal(root, dir string) bool {
+	rel, _ := filepath.Rel(root, dir)
+	return strings.HasPrefix(filepath.ToSlash(rel), "internal/")
 }
 
 var dcModuleLine = regexp.MustCompile(`(?m)^module\s+(\S+)`)

@@ -58,13 +58,6 @@ type Config struct {
 	ElectionTimeoutMax time.Duration
 	// HeartbeatInterval is the leader's AppendEntries period.
 	HeartbeatInterval time.Duration
-	// DisablePreVote turns off the PreVote phase (Raft §9.6). With
-	// PreVote (the default), a node that timed out — e.g. isolated by
-	// a partition — first asks peers whether they *would* vote for it
-	// without touching any terms; while peers still hear a healthy
-	// leader they refuse, so the node's term never inflates and its
-	// return does not depose the leader.
-	DisablePreVote bool
 	// CheckQuorum makes a leader surrender leadership when it has not
 	// heard AppendEntries responses from a quorum within
 	// ElectionTimeoutMax: a leader stranded on the minority side of a
@@ -312,12 +305,12 @@ func (n *Node) resetElectionTimer() {
 }
 
 // onElectionTimeout starts an election, preceded by a PreVote round
-// unless disabled.
+// (Raft §9.6): a node that timed out — e.g. isolated by a partition —
+// first asks peers whether they *would* vote for it without touching
+// any terms; while peers still hear a healthy leader they refuse, so
+// the node's term never inflates and its return does not depose the
+// leader.
 func (n *Node) onElectionTimeout() {
-	if n.cfg.DisablePreVote {
-		n.startElection()
-		return
-	}
 	n.preVotes = map[simnet.NodeID]bool{n.ep.ID(): true}
 	n.resetElectionTimer()
 	n.broadcastVote(envPreVote, n.currentTerm+1)
@@ -662,6 +655,12 @@ func (n *Node) handleAppendResp(from simnet.NodeID, term uint64, success bool, m
 	}
 	fi := n.peerIdx(from)
 	if fi < 0 {
+		return
+	}
+	if success && match > n.lastLogIndex() {
+		// No follower can hold an entry the leader never had: the
+		// reply is forged or corrupt, and taking it would send
+		// AppendEntries from past the end of the log.
 		return
 	}
 	if n.peerContact != nil {

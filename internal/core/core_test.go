@@ -60,7 +60,7 @@ func TestParseTier(t *testing.T) {
 
 func TestDefaultsFilled(t *testing.T) {
 	cfg := ScenarioConfig{}.withDefaults()
-	if cfg.Zones == 0 || cfg.Duration == 0 || cfg.TempHigh <= cfg.TempLow || cfg.CoolRate >= 0 {
+	if cfg.Zones == 0 || cfg.Duration == 0 || cfg.CoolRate >= 0 {
 		t.Fatalf("defaults incomplete: %+v", cfg)
 	}
 }

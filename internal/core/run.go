@@ -200,7 +200,7 @@ func (sys *System) measure() {
 	for z := 0; z < sys.cfg.Zones; z++ {
 		// Ground-truth temperature requirement.
 		temp, _ := sys.envm.Value(zoneID(z), env.Temperature)
-		tempOK := temp >= sys.cfg.TempLow && temp <= sys.cfg.TempHigh
+		tempOK := temp >= tempLow && temp <= tempHigh
 		sys.monitor(&sys.tempViolSpan[z], z, ReqTemperature, tempOK, temp)
 
 		// Freshness at the active controller.

@@ -24,6 +24,18 @@ const (
 	FaultsHeavy
 )
 
+// The zone climate every tier shares: temperature starts at tempInit,
+// inside the requirement band [tempLow, tempHigh], and moves with
+// Brownian noise of envNoise per √s and heat shocks of shockMag. The
+// rates that scale with a tier's intervals are ScenarioConfig fields.
+const (
+	tempInit = 21.0
+	tempLow  = 18.0
+	tempHigh = 26.0
+	envNoise = 0.03
+	shockMag = 3.0
+)
+
 // ScenarioConfig describes the smart-city workload every archetype
 // runs: zones with drifting/shocked temperature controlled through
 // cooling actuators, plus a sensitive occupancy stream per zone. Zero
@@ -43,13 +55,8 @@ type ScenarioConfig struct {
 	ControlInterval time.Duration // controller decision period
 	EnvStep         time.Duration // environment integration step
 
-	TempInit  float64
-	TempLow   float64 // requirement band lower bound
-	TempHigh  float64 // requirement band upper bound
 	Drift     float64 // ambient heating, units/s
-	Noise     float64 // environment noise stddev
 	ShockProb float64 // heat-shock probability per env step
-	ShockMag  float64 // heat-shock magnitude
 	CoolRate  float64 // actuator effect, units/s (negative)
 
 	Preset FaultPreset
@@ -161,13 +168,8 @@ func DefaultScenario() ScenarioConfig {
 		SampleInterval:     2 * time.Second,
 		ControlInterval:    2 * time.Second,
 		EnvStep:            time.Second,
-		TempInit:           21,
-		TempLow:            18,
-		TempHigh:           26,
 		Drift:              0.06,
-		Noise:              0.03,
 		ShockProb:          0.002,
-		ShockMag:           3,
 		CoolRate:           -0.3,
 		Preset:             FaultsStandard,
 	}
@@ -302,26 +304,11 @@ func (c ScenarioConfig) withDefaults() ScenarioConfig {
 	if c.EnvStep == 0 {
 		c.EnvStep = d.EnvStep
 	}
-	if c.TempInit == 0 {
-		c.TempInit = d.TempInit
-	}
-	if c.TempLow == 0 {
-		c.TempLow = d.TempLow
-	}
-	if c.TempHigh == 0 {
-		c.TempHigh = d.TempHigh
-	}
 	if c.Drift == 0 {
 		c.Drift = d.Drift
 	}
-	if c.Noise == 0 {
-		c.Noise = d.Noise
-	}
 	if c.ShockProb == 0 {
 		c.ShockProb = d.ShockProb
-	}
-	if c.ShockMag == 0 {
-		c.ShockMag = d.ShockMag
 	}
 	if c.CoolRate == 0 {
 		c.CoolRate = d.CoolRate

@@ -296,8 +296,8 @@ func (sys *System) buildWorld() {
 			panic(err)
 		}
 		sys.envm.Define(zoneID(z), env.Temperature, env.Process{
-			Initial: cfg.TempInit, Drift: cfg.Drift, Noise: cfg.Noise,
-			ShockProb: cfg.ShockProb, ShockMag: cfg.ShockMag,
+			Initial: tempInit, Drift: cfg.Drift, Noise: envNoise,
+			ShockProb: cfg.ShockProb, ShockMag: shockMag,
 			Min: -20, Max: 60,
 		})
 		sys.envm.Define(zoneID(z), env.Occupancy, env.Process{
@@ -500,7 +500,7 @@ func (sys *System) buildRequirements() {
 		sys.lastControlOK[z].Store(int64(-time.Hour))
 		sys.reqTemp = append(sys.reqTemp, &model.Requirement{
 			ID: model.RequirementID(fmt.Sprintf("R-temp-%d", z)), Prop: tempProp(z),
-			Description: fmt.Sprintf("zone %d temperature within [%.0f,%.0f]", z, cfg.TempLow, cfg.TempHigh),
+			Description: fmt.Sprintf("zone %d temperature within [%.0f,%.0f]", z, tempLow, tempHigh),
 		})
 		sys.reqFresh = append(sys.reqFresh, &model.Requirement{
 			ID: model.RequirementID(fmt.Sprintf("R-fresh-%d", z)), Prop: freshProp(z),

@@ -95,7 +95,7 @@ func (sys *System) armActuatorWatchdog(rig *actRig) {
 // idempotent actuation commands.
 func (sys *System) controlTick(st *edgeStack, controls func(z int) bool, sendAct func(z int, engage bool)) func() {
 	cfg := sys.cfg
-	mid := (cfg.TempLow + cfg.TempHigh) / 2
+	mid := (tempLow + tempHigh) / 2
 	return func() {
 		for z := 0; z < cfg.Zones; z++ {
 			if !controls(z) {
@@ -150,7 +150,7 @@ func (sys *System) installLoop(st *edgeStack, zones []int) {
 		})
 		loop.AddRule(mape.PropRule{Prop: tempProp(z), Eval: func(k *mape.Knowledge) bool {
 			v, ok := k.GetFloat(zoneTempKey(z))
-			return ok && v >= cfg.TempLow && v <= cfg.TempHigh
+			return ok && v >= tempLow && v <= tempHigh
 		}})
 		loop.AddRule(mape.PropRule{Prop: freshProp(z), Eval: func(k *mape.Knowledge) bool {
 			age, ok := k.GetFloat(zoneTempAgeKey(z))

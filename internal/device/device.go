@@ -97,12 +97,9 @@ func (c Capability) Matches(query Capability) bool {
 	return c == query
 }
 
-// SoftwareStack describes the software a device hosts. Heterogeneity and
-// vendor-driven updates (configuration change) are modeled by Version
-// bumps and stack differences.
+// SoftwareStack describes the software a device hosts. Vendor-driven
+// updates (configuration change) are modeled by Version bumps.
 type SoftwareStack struct {
-	OS      string
-	Runtime string
 	Version int
 }
 
@@ -121,16 +118,12 @@ type Device struct {
 	drained   bool
 }
 
-// Config parameterizes New. Zero fields take class-profile defaults.
+// Config parameterizes New. The class profile decides the energy draw;
+// a nil Resources takes the class's resources too.
 type Config struct {
 	Class        Class
 	Resources    *Resources
-	Stack        SoftwareStack
 	Capabilities []Capability
-	// IdleDrawmAhPerSec and PerSamplemAh override the class energy
-	// profile.
-	IdleDrawmAhPerSec float64
-	PerSamplemAh      float64
 }
 
 // profile returns the default resources and energy profile for a class,
@@ -155,18 +148,12 @@ func profile(c Class) (res Resources, idle, perSample float64) {
 	}
 }
 
-// New constructs a device of the given class, applying class-profile
-// defaults for unset config fields.
+// New constructs a device of the given class at its class profile's
+// energy draw.
 func New(id ID, cfg Config) *Device {
 	res, idle, perSample := profile(cfg.Class)
 	if cfg.Resources != nil {
 		res = *cfg.Resources
-	}
-	if cfg.IdleDrawmAhPerSec != 0 {
-		idle = cfg.IdleDrawmAhPerSec
-	}
-	if cfg.PerSamplemAh != 0 {
-		perSample = cfg.PerSamplemAh
 	}
 	caps := make([]Capability, len(cfg.Capabilities))
 	copy(caps, cfg.Capabilities)
@@ -178,7 +165,6 @@ func New(id ID, cfg Config) *Device {
 		id:        id,
 		class:     cfg.Class,
 		res:       res,
-		stack:     cfg.Stack,
 		caps:      caps,
 		battery:   res.BatterymAh,
 		idleDraw:  idle,

@@ -83,13 +83,13 @@ func TestConfigOverridesResources(t *testing.T) {
 }
 
 func TestBatteryDrain(t *testing.T) {
-	d := New("s", Config{Class: ClassSensorNode, Resources: &Resources{BatterymAh: 1},
-		IdleDrawmAhPerSec: 0.1})
-	if d.Idle(5 * time.Second) {
+	// A sensor node idles at 0.002 mAh/s.
+	d := New("s", Config{Class: ClassSensorNode, Resources: &Resources{BatterymAh: 0.01}})
+	if d.Idle(2500 * time.Millisecond) {
 		t.Fatal("device drained too early")
 	}
-	if d.battery != 0.5 {
-		t.Fatalf("battery = %v mAh, want 0.5", d.battery)
+	if d.battery != 0.005 {
+		t.Fatalf("battery = %v mAh, want 0.005", d.battery)
 	}
 	if !d.Idle(10 * time.Second) {
 		t.Fatal("device did not report draining")
@@ -113,9 +113,9 @@ func TestMainsNeverDrains(t *testing.T) {
 }
 
 func TestSpendSampleDrains(t *testing.T) {
-	d := New("s", Config{Class: ClassSensorNode, Resources: &Resources{BatterymAh: 0.01},
-		PerSamplemAh: 0.005})
-	d.SpendSample() // 0.005 left
+	// A sensor node spends 0.0005 mAh per sample.
+	d := New("s", Config{Class: ClassSensorNode, Resources: &Resources{BatterymAh: 0.001}})
+	d.SpendSample() // 0.0005 left
 	if d.Drained() {
 		t.Fatal("drained too early")
 	}
@@ -125,10 +125,11 @@ func TestSpendSampleDrains(t *testing.T) {
 }
 
 func TestUpgradeStack(t *testing.T) {
-	d := New("m", Config{Class: ClassMobile, Stack: SoftwareStack{OS: "android", Version: 3}})
+	d := New("m", Config{Class: ClassMobile})
 	d.UpgradeStack()
-	if d.Stack().Version != 4 {
-		t.Fatalf("version = %d, want 4", d.Stack().Version)
+	d.UpgradeStack()
+	if d.Stack().Version != 2 {
+		t.Fatalf("version = %d, want 2", d.Stack().Version)
 	}
 }
 
@@ -160,8 +161,8 @@ func TestSensorSampleUndefinedVariable(t *testing.T) {
 
 func TestSensorDrainedCannotSample(t *testing.T) {
 	e := newEnvWithTemp(t, 22)
-	d := New("s", Config{Class: ClassSensorNode, Resources: &Resources{BatterymAh: 0.001},
-		PerSamplemAh: 0.002})
+	// Less charge than the class's 0.0005 mAh per sample.
+	d := New("s", Config{Class: ClassSensorNode, Resources: &Resources{BatterymAh: 0.0004}})
 	s := &Sensor{Device: d, Zone: "z", Variable: env.Temperature}
 	if _, ok := s.Sample(e, 0); !ok {
 		t.Fatal("first sample should succeed (drains after)")
@@ -190,8 +191,8 @@ func TestActuatorAffectsEnvironment(t *testing.T) {
 
 func TestDrainedActuatorDisengages(t *testing.T) {
 	e := newEnvWithTemp(t, 30)
-	d := New("a", Config{Class: ClassActuatorNode, Resources: &Resources{BatterymAh: 0.001},
-		IdleDrawmAhPerSec: 1})
+	// Less charge than one second of the class's 0.002 mAh/s idle draw.
+	d := New("a", Config{Class: ClassActuatorNode, Resources: &Resources{BatterymAh: 0.001}})
 	a := &Actuator{Device: d, Zone: "z", Variable: env.Temperature, Effect: -1}
 	a.SetEngaged(true)
 	d.Idle(time.Second) // drains

@@ -12,6 +12,7 @@ package gossip
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"strings"
@@ -78,7 +79,10 @@ func (u Update) overrides(cur Member) bool {
 
 // Config tunes the failure detector. Zero fields take defaults.
 type Config struct {
-	// ProbeInterval is the period of the probe loop.
+	// ProbeInterval is the period of the probe loop. Anti-entropy —
+	// a full push-pull state exchange with one random known member,
+	// dead ones included, so a healed partition reconverges without
+	// external reseeding — runs every ten of them (antiEntropyProbes).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds the wait for a direct ack before indirect
 	// probing starts.
@@ -86,21 +90,20 @@ type Config struct {
 	// SuspicionTimeout is how long a suspect has to refute before it is
 	// declared dead.
 	SuspicionTimeout time.Duration
-	// RetransmitMult scales how many times an update is piggybacked:
-	// RetransmitMult * ceil(log2(n+1)).
-	RetransmitMult int
-	// MaxPiggyback caps updates carried per message.
-	MaxPiggyback int
-	// AntiEntropyInterval is the period of full push-pull state
-	// exchange with one random known member (including dead ones, so
-	// a healed partition reconverges without external reseeding).
-	// Zero takes the default; negative disables anti-entropy.
-	AntiEntropyInterval time.Duration
 }
 
-// indirectProbes is the number of helpers asked to ping an
-// unresponsive member.
-const indirectProbes = 3
+const (
+	// indirectProbes is the number of helpers asked to ping an
+	// unresponsive member.
+	indirectProbes = 3
+	// retransmitMult scales how many times an update is piggybacked:
+	// retransmitMult * ceil(log2(n+1)).
+	retransmitMult = 3
+	// maxPiggyback caps updates carried per message.
+	maxPiggyback = 6
+	// antiEntropyProbes is the anti-entropy period in probe intervals.
+	antiEntropyProbes = 10
+)
 
 func (c Config) withDefaults() Config {
 	if c.ProbeInterval == 0 {
@@ -111,15 +114,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SuspicionTimeout == 0 {
 		c.SuspicionTimeout = 3 * time.Second
-	}
-	if c.RetransmitMult == 0 {
-		c.RetransmitMult = 3
-	}
-	if c.MaxPiggyback == 0 {
-		c.MaxPiggyback = 6
-	}
-	if c.AntiEntropyInterval == 0 {
-		c.AntiEntropyInterval = 10 * time.Second
 	}
 	return c
 }
@@ -298,9 +292,7 @@ func (p *Protocol) Start(seeds ...simnet.NodeID) {
 	p.started = true
 	p.join()
 	p.ticker = p.ep.Every(p.cfg.ProbeInterval, p.probe)
-	if p.cfg.AntiEntropyInterval > 0 {
-		p.aeTicker = p.ep.Every(p.cfg.AntiEntropyInterval, p.antiEntropy)
-	}
+	p.aeTicker = p.ep.Every(antiEntropyProbes*p.cfg.ProbeInterval, p.antiEntropy)
 }
 
 // join adopts every seed but this node as alive and asks it for a full
@@ -626,7 +618,7 @@ func (p *Protocol) enqueue(u Update) {
 // are only ever added, except by onRecover, which empties the queue.
 func (p *Protocol) retransmitLimit() int {
 	// bits.Len(n) is ceil(log2(n+1)) for every n >= 0.
-	return p.cfg.RetransmitMult * bits.Len(uint(len(p.members)))
+	return retransmitMult * bits.Len(uint(len(p.members)))
 }
 
 // sortQueue orders the queue by transmits, least first, keeping the
@@ -689,7 +681,7 @@ func (p *Protocol) mergeHead() {
 	}
 }
 
-// takePiggyback selects up to MaxPiggyback least-transmitted updates and
+// takePiggyback selects up to maxPiggyback least-transmitted updates and
 // accounts the transmission.
 func (p *Protocol) takePiggyback() []Update {
 	if len(p.queue) == 0 {
@@ -700,7 +692,7 @@ func (p *Protocol) takePiggyback() []Update {
 	} else {
 		p.mergeHead()
 	}
-	n := min(len(p.queue), p.cfg.MaxPiggyback)
+	n := min(len(p.queue), maxPiggyback)
 	if n <= 0 {
 		p.front = 0
 		return nil
@@ -733,6 +725,12 @@ func (p *Protocol) takePiggyback() []Update {
 // applyUpdate merges a membership claim into local state, refuting
 // claims about self and disseminating accepted changes.
 func (p *Protocol) applyUpdate(u Update) {
+	// A suspect or dead claim at the top incarnation could never be
+	// refuted: the refutation would wrap to 0 and lose everywhere.
+	// Honest members never get near it, so no one accepts it.
+	if u.Status != StatusAlive && u.Incarnation == math.MaxUint64 {
+		return
+	}
 	if u.ID == p.ep.ID() {
 		// Self-refutation: someone thinks we are suspect/dead. A node
 		// that deliberately left does not refute its own death claim.

@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -159,8 +160,8 @@ func TestPartitionSuspicionAndHeal(t *testing.T) {
 }
 
 // TestHealWithoutResurrection partitions one member of a three-node
-// group away at serve's ratios (suspicion 4 × probe, anti-entropy
-// 10 × probe) and heals it. No view may ever move a member from Dead
+// group away at serve's ratios (suspicion 4 × probe; anti-entropy is
+// always 10 × probe) and heals it. No view may ever move a member from Dead
 // back to Alive at the incarnation that was declared dead: only the
 // member's own refutation at a newer incarnation undoes a verdict, or
 // stale Alive echoes flip the view back and forth after the heal. And
@@ -168,10 +169,9 @@ func TestPartitionSuspicionAndHeal(t *testing.T) {
 func TestHealWithoutResurrection(t *testing.T) {
 	const heal = 6 * time.Second
 	cfg := Config{
-		ProbeInterval:       200 * time.Millisecond,
-		ProbeTimeout:        100 * time.Millisecond,
-		SuspicionTimeout:    800 * time.Millisecond,
-		AntiEntropyInterval: 2 * time.Second,
+		ProbeInterval:    200 * time.Millisecond,
+		ProbeTimeout:     100 * time.Millisecond,
+		SuspicionTimeout: 800 * time.Millisecond,
 	}
 	for seed := int64(1); seed <= 20; seed++ {
 		sim := simnet.New(simnet.WithSeed(seed), simnet.WithDefaultLatency(time.Millisecond))
@@ -271,6 +271,25 @@ func TestFalsePositiveRefutation(t *testing.T) {
 	}
 }
 
+// TestTopIncarnationClaimIgnored applies one suspect claim at the top
+// incarnation about a live member. A member that accepted it could
+// never refute it (the refutation would wrap to 0), so it would count
+// the live member dead for good; every member must ignore it.
+func TestTopIncarnationClaimIgnored(t *testing.T) {
+	sim := simnet.New(simnet.WithSeed(3), simnet.WithDefaultLatency(2*time.Millisecond))
+	ps := cluster(t, sim, 3, fastCfg())
+	sim.RunUntil(3 * time.Second)
+	ps[0].applyUpdate(Update{ID: "n1", Status: StatusSuspect, Incarnation: math.MaxUint64})
+	sim.RunUntil(23 * time.Second)
+	for i, p := range ps {
+		for _, m := range p.Members() {
+			if m.ID == "n1" && m.Status != StatusAlive {
+				t.Fatalf("n%d counts the live n1 %v at incarnation %d", i, m.Status, m.Incarnation)
+			}
+		}
+	}
+}
+
 func TestStopHaltsProbing(t *testing.T) {
 	sim := simnet.New(simnet.WithSeed(9))
 	pa := New(sim.AddNode("a"), fastCfg())
@@ -356,14 +375,15 @@ func TestLeaverCanRejoinAfterRestart(t *testing.T) {
 }
 
 func TestAntiEntropyDisabled(t *testing.T) {
-	// With anti-entropy disabled, a healed partition does NOT
+	// With anti-entropy stopped, a healed partition does NOT
 	// reconverge (the classic SWIM limitation) — this pins down that
 	// the reconvergence in TestPartitionSuspicionAndHeal really comes
 	// from the anti-entropy exchange.
 	sim := simnet.New(simnet.WithSeed(12), simnet.WithDefaultLatency(2*time.Millisecond))
-	cfg := fastCfg()
-	cfg.AntiEntropyInterval = -1
-	ps := cluster(t, sim, 4, cfg)
+	ps := cluster(t, sim, 4, fastCfg())
+	for _, p := range ps {
+		p.aeTicker.Stop()
+	}
 	sim.RunUntil(3 * time.Second)
 	sim.Partition([]simnet.NodeID{"n0", "n1"}, []simnet.NodeID{"n2", "n3"})
 	sim.RunUntil(10 * time.Second)
@@ -379,7 +399,6 @@ func TestAntiEntropyConvergesTwoIsolatedGroups(t *testing.T) {
 	// via a third node's sync converge through push-pull exchanges.
 	sim := simnet.New(simnet.WithSeed(13), simnet.WithDefaultLatency(2*time.Millisecond))
 	cfg := fastCfg()
-	cfg.AntiEntropyInterval = time.Second
 	a := New(sim.AddNode("a"), cfg)
 	b := New(sim.AddNode("b"), cfg)
 	c := New(sim.AddNode("c"), cfg)

@@ -34,8 +34,7 @@ func solo(tb testing.TB, n int, cfg Config) *Protocol {
 // and the Protocol with one operation sequence and requires equal
 // returned updates and equal surviving queues at every step.
 type queueModel struct {
-	queue        []broadcast
-	mult, maxOut int
+	queue []broadcast
 }
 
 func (m *queueModel) enqueue(u Update) {
@@ -53,11 +52,11 @@ func (m *queueModel) take(members int) []Update {
 		return nil
 	}
 	sort.SliceStable(m.queue, func(i, j int) bool { return m.queue[i].transmits < m.queue[j].transmits })
-	limit := m.mult * int(math.Ceil(math.Log2(float64(members+1))))
+	limit := retransmitMult * int(math.Ceil(math.Log2(float64(members+1))))
 	var out []Update
 	kept := m.queue[:0]
 	for _, b := range m.queue {
-		if len(out) < m.maxOut {
+		if len(out) < maxPiggyback {
 			out = append(out, b.update)
 			b.transmits++
 		}
@@ -73,23 +72,22 @@ func TestQueueMatchesStableSortModel(t *testing.T) {
 	shapes := []struct {
 		name            string
 		members, ids    int // table size; ids the enqueues draw from
-		mult, maxOut    int
 		enqueuePerMille int
 		joinPerMille    int // a new member: one more enqueue, maybe a higher limit
 	}{
-		{"city", 200, 220, 3, 6, 300, 0},
-		{"replace-heavy", 40, 12, 3, 6, 700, 0},
-		{"drops", 3, 30, 1, 2, 500, 0},
-		{"one-per-message", 16, 40, 2, 1, 400, 0},
-		{"transmits-past-64", 200, 20, 12, 8, 50, 0},
-		{"merges", 200, 220, 3, 6, 5, 0},
-		{"joins", 2, 20, 2, 3, 20, 60},
+		{"city", 200, 220, 300, 0},
+		{"replace-heavy", 40, 12, 700, 0},
+		{"drops", 3, 30, 500, 0},
+		{"small-table", 16, 40, 400, 0},
+		{"few-ids", 200, 20, 50, 0},
+		{"merges", 200, 220, 5, 0},
+		{"joins", 2, 20, 20, 60},
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 5; seed++ {
-				p := solo(t, sh.members, Config{RetransmitMult: sh.mult, MaxPiggyback: sh.maxOut})
-				m := &queueModel{mult: sh.mult, maxOut: sh.maxOut}
+				p := solo(t, sh.members, Config{})
+				m := &queueModel{}
 				m.queue = slices.Clone(p.queue)
 				rng := rand.New(rand.NewSource(seed))
 				joined := 0
@@ -124,6 +122,27 @@ func TestQueueMatchesStableSortModel(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSortQueuePastSmallCounts drives sortQueue's spill past its
+// 64-slot count array directly: transmits reach 64 only in a group of
+// more than 2^21 members, which no model run can afford.
+func TestSortQueuePastSmallCounts(t *testing.T) {
+	p := solo(t, 2, Config{})
+	rng := rand.New(rand.NewSource(1))
+	p.queue = p.queue[:0]
+	for i := 0; i < 300; i++ {
+		p.queue = append(p.queue, broadcast{
+			update:    Update{ID: simnet.NodeID(fmt.Sprintf("n%03d", i))},
+			transmits: rng.Intn(100),
+		})
+	}
+	want := slices.Clone(p.queue)
+	slices.SortStableFunc(want, func(a, b broadcast) int { return a.transmits - b.transmits })
+	p.sortQueue()
+	if !slices.Equal(p.queue, want) {
+		t.Fatalf("sortQueue differs from a stable sort by transmits")
 	}
 }
 
@@ -232,7 +251,7 @@ func TestPerMessageAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { took += len(p.takePiggyback()) }); n > 1 {
 		t.Errorf("takePiggyback: %v allocs, want at most 1 (the updates)", n)
 	}
-	if took != 101*p.cfg.MaxPiggyback {
+	if took != 101*maxPiggyback {
 		t.Fatalf("takePiggyback carried %d updates over 101 calls, want a full message each", took)
 	}
 	if n := testing.AllocsPerRun(100, func() { p.nextProbeTarget() }); n != 0 {

@@ -146,9 +146,6 @@ type FailureModelOptions struct {
 	// in the model (the failure assumption under which design-time
 	// guarantees hold). Values < 0 mean "all hosts may fail".
 	MaxConcurrentFailures int
-	// ExtraLabels, if set, adds propositions per state given the set of
-	// down hosts.
-	ExtraLabels func(down map[string]bool) []verify.Prop
 }
 
 // FailureKripke translates the configuration into a Kripke structure
@@ -186,9 +183,6 @@ func FailureKripke(cfg *Configuration, opts FailureModelOptions) (*verify.Kripke
 		var props []verify.Prop
 		for p := range cfg.Snapshot(hostUp) {
 			props = append(props, p)
-		}
-		if opts.ExtraLabels != nil {
-			props = append(props, opts.ExtraLabels(down)...)
 		}
 		if mask == 0 {
 			props = append(props, "all-up")

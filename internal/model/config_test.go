@@ -159,27 +159,6 @@ func TestFailureKripkeUnboundedFailures(t *testing.T) {
 	}
 }
 
-func TestFailureKripkeExtraLabels(t *testing.T) {
-	cfg := demoConfig()
-	k, err := FailureKripke(cfg, FailureModelOptions{
-		MaxConcurrentFailures: 1,
-		ExtraLabels: func(down map[string]bool) []verify.Prop {
-			if down["cloud"] {
-				return []verify.Prop{"cloud-out"}
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Even during a cloud outage, control keeps working: AG(cloud-out
-	// → svc:control).
-	if !verify.Check(k, verify.AG(verify.Implies(verify.AP("cloud-out"), verify.AP(ServiceProp("control"))))) {
-		t.Fatal("edge control should survive cloud outage in the model")
-	}
-}
-
 func TestFailureKripkeTooManyHosts(t *testing.T) {
 	cfg := NewConfiguration()
 	for i := 0; i < 21; i++ {

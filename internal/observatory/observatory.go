@@ -118,8 +118,6 @@ type Options struct {
 	Duration time.Duration
 	// Zones is the zone count. Zero infers max seen zone + 1.
 	Zones int
-	// Windows is the R(t) timeline resolution. Zero selects 24.
-	Windows int
 }
 
 // Analysis is the derived explanation of one run.
@@ -224,6 +222,6 @@ func Analyze(events []core.RunEvent, opts Options) Analysis {
 	}
 	a.MTTD = statsOf(mttd)
 	a.MTTR = statsOf(mttr)
-	a.Timeline = buildTimeline(outages, a.Zones, a.Duration, opts.Windows)
+	a.Timeline = buildTimeline(outages, a.Zones, a.Duration)
 	return a
 }

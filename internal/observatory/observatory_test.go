@@ -166,13 +166,22 @@ func TestParseRequirement(t *testing.T) {
 }
 
 func TestTimelineWindowsAccountOutage(t *testing.T) {
-	// One zone violated for the middle half of a 40s run, 4 windows.
+	// One zone violated for the middle half of a 48s run: 2 s windows,
+	// the first and last six fully available, the middle twelve not.
 	j := journal(
-		ev(10*time.Second, core.EventViolation, "zone 0 temperature out of band (28.0°)"),
-		ev(30*time.Second, core.EventRecovery, "zone 0 temperature back in band (24.0°)"),
+		ev(12*time.Second, core.EventViolation, "zone 0 temperature out of band (28.0°)"),
+		ev(36*time.Second, core.EventRecovery, "zone 0 temperature back in band (24.0°)"),
 	)
-	a := Analyze(j, Options{Duration: 40 * time.Second, Zones: 1, Windows: 4})
-	want := []float64{1, 0, 0, 1}
+	a := Analyze(j, Options{Duration: 48 * time.Second, Zones: 1})
+	want := make([]float64, 24)
+	for i := range want {
+		if i < 6 || i >= 18 {
+			want[i] = 1
+		}
+	}
+	if len(a.Timeline.Goal) != len(want) {
+		t.Fatalf("goal windows = %v, want %v", a.Timeline.Goal, want)
+	}
 	for i, r := range a.Timeline.Goal {
 		if r != want[i] {
 			t.Fatalf("goal windows = %v, want %v", a.Timeline.Goal, want)
@@ -188,17 +197,27 @@ func TestTimelineWindowsAccountOutage(t *testing.T) {
 
 func TestTimelineOverlappingRequirementsNoDoubleCount(t *testing.T) {
 	// Temperature and freshness of the same zone violated over
-	// overlapping spans: violated time is the union, not the sum.
+	// overlapping spans: violated time is the union, not the sum, both
+	// over the run and in the 1 s windows it spans.
 	j := journal(
-		ev(10*time.Second, core.EventViolation, "zone 0 temperature out of band (28.0°)"),
-		ev(15*time.Second, core.EventViolation, "zone 0 data stale at controller"),
-		ev(20*time.Second, core.EventRecovery, "zone 0 temperature back in band (24.0°)"),
-		ev(25*time.Second, core.EventRecovery, "zone 0 data fresh at controller again"),
+		ev(8*time.Second, core.EventViolation, "zone 0 temperature out of band (28.0°)"),
+		ev(12*time.Second, core.EventViolation, "zone 0 data stale at controller"),
+		ev(16*time.Second, core.EventRecovery, "zone 0 temperature back in band (24.0°)"),
+		ev(20*time.Second, core.EventRecovery, "zone 0 data fresh at controller again"),
 	)
-	a := Analyze(j, Options{Duration: 30 * time.Second, Zones: 1, Windows: 1})
-	want := 1 - 15.0/30.0
+	a := Analyze(j, Options{Duration: 24 * time.Second, Zones: 1})
+	want := 1 - 12.0/24.0
 	if got := a.Timeline.GoalOverall; got != want {
 		t.Fatalf("overall = %v, want %v", got, want)
+	}
+	for i, r := range a.Timeline.Goal {
+		w := 1.0
+		if i >= 8 && i < 20 {
+			w = 0
+		}
+		if r != w {
+			t.Fatalf("goal window %d = %v, want %v", i, r, w)
+		}
 	}
 }
 

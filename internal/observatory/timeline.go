@@ -9,8 +9,9 @@ import (
 	"repro/internal/metrics"
 )
 
-// DefaultWindows is the R(t) resolution when Options.Windows is zero.
-const DefaultWindows = 24
+// timelineWindows is the R(t) resolution: the bucket count of every
+// timeline.
+const timelineWindows = 24
 
 // ZoneTimeline is one zone's windowed availability.
 type ZoneTimeline struct {
@@ -40,15 +41,12 @@ type Timeline struct {
 }
 
 // buildTimeline computes windowed availability from the run's outages.
-func buildTimeline(outages []core.Outage, zones int, duration time.Duration, windows int) Timeline {
-	if windows <= 0 {
-		windows = DefaultWindows
-	}
-	tl := Timeline{Windows: windows}
+func buildTimeline(outages []core.Outage, zones int, duration time.Duration) Timeline {
+	tl := Timeline{Windows: timelineWindows}
 	if duration <= 0 || zones <= 0 {
 		return tl
 	}
-	tl.Window = duration / time.Duration(windows)
+	tl.Window = duration / timelineWindows
 	if tl.Window <= 0 {
 		tl.Window = time.Nanosecond
 	}
@@ -60,12 +58,12 @@ func buildTimeline(outages []core.Outage, zones int, duration time.Duration, win
 		all = append(all, o.Interval)
 	}
 
-	tl.Goal = availability(all, duration, windows)
+	tl.Goal = availability(all, duration)
 	tl.GoalOverall = metrics.Persistence(all, 0, duration)
 	for z := 0; z < zones; z++ {
 		tl.PerZone = append(tl.PerZone, ZoneTimeline{
 			Zone:    z,
-			R:       availability(perZone[z], duration, windows),
+			R:       availability(perZone[z], duration),
 			Overall: metrics.Persistence(perZone[z], 0, duration),
 		})
 	}
@@ -74,12 +72,12 @@ func buildTimeline(outages []core.Outage, zones int, duration time.Duration, win
 
 // availability computes the satisfied fraction of each window; the last
 // window absorbs the integer-division remainder.
-func availability(violated []metrics.Interval, duration time.Duration, windows int) []float64 {
-	out := make([]float64, windows)
-	w := duration / time.Duration(windows)
+func availability(violated []metrics.Interval, duration time.Duration) []float64 {
+	out := make([]float64, timelineWindows)
+	w := duration / timelineWindows
 	for i := range out {
 		lo, hi := time.Duration(i)*w, time.Duration(i+1)*w
-		if i == windows-1 {
+		if i == timelineWindows-1 {
 			hi = duration
 		}
 		out[i] = metrics.Persistence(violated, lo, hi)

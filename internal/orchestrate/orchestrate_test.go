@@ -3,6 +3,7 @@ package orchestrate
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/device"
 	"repro/internal/env"
@@ -214,14 +215,14 @@ func TestHealFailsWhenNoHostFeasible(t *testing.T) {
 func TestDrainedHostInfeasible(t *testing.T) {
 	o := New(nil, alwaysAlive)
 	d := device.New("bat", device.Config{Class: device.ClassMobile,
-		Resources: &device.Resources{CPUMIPS: 1000, MemMB: 1000, BatterymAh: 0.001}, IdleDrawmAhPerSec: 1})
+		Resources: &device.Resources{CPUMIPS: 1000, MemMB: 1000, BatterymAh: 0.001}})
 	o.RegisterHost(d)
 	if _, err := o.Deploy(Function{Name: "f", CPUMIPS: 1, MemMB: 1}); err != nil {
 		t.Fatal(err)
 	}
-	d.Idle(10) // drains (10ns of idle at 1 mAh/s is still 0; use seconds)
-	if !d.Drained() {
-		d.Idle(1e9) // 1 second
+	// A mobile idles at 0.05 mAh/s: one second drains it.
+	if !d.Idle(time.Second) {
+		t.Fatal("host did not drain")
 	}
 	if operational(o, "f") {
 		t.Fatal("operational on drained host")

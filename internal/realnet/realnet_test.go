@@ -28,10 +28,9 @@ func gossipCluster(t *testing.T, n int) ([]*Node, []*gossip.Protocol) {
 	t.Helper()
 	registerWire()
 	cfg := gossip.Config{
-		ProbeInterval:       50 * time.Millisecond,
-		ProbeTimeout:        20 * time.Millisecond,
-		SuspicionTimeout:    300 * time.Millisecond,
-		AntiEntropyInterval: 200 * time.Millisecond,
+		ProbeInterval:    50 * time.Millisecond,
+		ProbeTimeout:     20 * time.Millisecond,
+		SuspicionTimeout: 300 * time.Millisecond,
 	}
 	nodes := make([]*Node, n)
 	protos := make([]*gossip.Protocol, n)

@@ -23,8 +23,6 @@ type ClusterOptions struct {
 	ProbeInterval time.Duration
 	// SyncInterval is the store anti-entropy period (default 250ms).
 	SyncInterval time.Duration
-	// MaxInFlight configures each node's server.
-	MaxInFlight int
 	// Registries, when non-nil, must have one registry per node; nil
 	// gives each server a private registry.
 	Registries []*obs.Registry
@@ -109,10 +107,9 @@ func assembleNode(node *realnet.Node, peers, seeds []simnet.NodeID, reg *obs.Reg
 	}
 	mux := simnet.NewPortMux(node)
 	cn.Members = gossip.New(mux.Port("gossip"), gossip.Config{
-		ProbeInterval:       opts.ProbeInterval,
-		ProbeTimeout:        opts.ProbeInterval / 2,
-		SuspicionTimeout:    4 * opts.ProbeInterval,
-		AntiEntropyInterval: 10 * opts.ProbeInterval,
+		ProbeInterval:    opts.ProbeInterval,
+		ProbeTimeout:     opts.ProbeInterval / 2,
+		SuspicionTimeout: 4 * opts.ProbeInterval,
 	})
 	if reg != nil {
 		bus := obs.NewBus(node.Now)
@@ -123,13 +120,12 @@ func assembleNode(node *realnet.Node, peers, seeds []simnet.NodeID, reg *obs.Reg
 		Peers: peers, SyncInterval: opts.SyncInterval,
 	})
 	cn.Server = NewServer(Config{
-		Loop:        node,
-		Store:       cn.Store,
-		Members:     cn.Members,
-		Registry:    reg,
-		Ready:       cn.Ready,
-		Now:         node.Now,
-		MaxInFlight: opts.MaxInFlight,
+		Loop:     node,
+		Store:    cn.Store,
+		Members:  cn.Members,
+		Registry: reg,
+		Ready:    cn.Ready,
+		Now:      node.Now,
 	})
 	return cn
 }

@@ -74,10 +74,11 @@ type Config struct {
 	// Now is the clock incidents and items are stamped with; nil uses
 	// wall time since NewServer.
 	Now func() time.Duration
-	// MaxInFlight bounds concurrently admitted requests; beyond it the
-	// server sheds with 429 (default 256).
-	MaxInFlight int
 }
+
+// maxInFlight bounds concurrently admitted requests; beyond it the
+// server sheds with 429.
+const maxInFlight = 256
 
 func (cfg Config) withDefaults() Config {
 	if cfg.Registry == nil {
@@ -86,9 +87,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Now == nil {
 		start := time.Now()
 		cfg.Now = func() time.Duration { return time.Since(start) }
-	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = 256
 	}
 	return cfg
 }
@@ -133,7 +131,7 @@ func NewServer(cfg Config) *Server {
 		members:  cfg.Members,
 		reg:      cfg.Registry,
 		mux:      http.NewServeMux(),
-		inflight: make(chan struct{}, cfg.MaxInFlight),
+		inflight: make(chan struct{}, maxInFlight),
 	}
 	s.reqSeconds = make(map[string]*obs.Histogram, len(routeNames))
 	for _, r := range routeNames {

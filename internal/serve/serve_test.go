@@ -229,13 +229,14 @@ func TestAdmissionControlSheds(t *testing.T) {
 	gate := make(chan struct{})
 	reg := obs.NewRegistry()
 	srv := NewServer(Config{
-		Loop:        gatedLoop{inner: ts.node, gate: gate},
-		Store:       ts.store,
-		Members:     ts.members,
-		Registry:    reg,
-		Now:         ts.node.Now,
-		MaxInFlight: 1,
+		Loop:     gatedLoop{inner: ts.node, gate: gate},
+		Store:    ts.store,
+		Members:  ts.members,
+		Registry: reg,
+		Now:      ts.node.Now,
 	})
+	// One admission slot stands in for a full server.
+	srv.inflight = make(chan struct{}, 1)
 	ts.start()
 	hts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {

@@ -6,4 +6,4 @@ import (
 	"fixture/internal/live"
 )
 
-func main() { println(core.Run(&live.Cluster{})) }
+func main() { println(core.Run(&live.Cluster{}), live.Sum(live.Options{Set: 1})) }
