@@ -37,13 +37,13 @@
 // realnet replays corpus entries on real loopback UDP sockets at a
 // wall-clock time scale: the entry's topology boots live, every fault
 // kind arms on wall timers (skipped arms fail the run), and the oracle
-// judges outcomes — default-knob runs must still fail, hardened runs
+// judges outcomes — default-profile runs must still fail, hardened runs
 // must match their `expect` field; -city additionally boots the city
 // smoke tier live under hardened ML4, replays the -city-entry corpus
 // schedule against it at the entry's horizon, and requires the city to
 // survive the oracle.
-// refresh re-runs every entry at default knobs and re-records its
-// journal hash, goal persistence and hash-suffixed file name — the
+// refresh re-runs every entry under the default profile and re-records
+// its journal hash, goal persistence and hash-suffixed file name — the
 // maintained path after an intentional behavioral change (e.g. a wire-
 // protocol rework) moves every hash; entries whose recorded failures no
 // longer reproduce abort the refresh and must be re-minimized instead.

@@ -16,7 +16,7 @@ import (
 // entry's topology boots as live riotnode-style endpoints, the schedule
 // arms on wall-clock timers (crashes, partitions, link shaping — every
 // fault kind), and the oracle judges the outcome. The expectations
-// mirror `replay`/`verify` at the outcome level: default-knob runs must
+// mirror `replay`/`verify` at the outcome level: default-profile runs must
 // still fail (they are counterexamples), hardened runs must match each
 // entry's `expect` field. Journal hashes are never compared — live runs
 // carry no bit-level determinism contract (DESIGN.md §14).

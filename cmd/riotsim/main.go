@@ -25,9 +25,9 @@
 //
 //	riotsim -arch ML4 -duration 5m -trace run.json
 //
-// -hardened turns on the full resilience profile (island mode,
-// placement spreading, backup actuators, sticky failover) over whatever
-// the tier and overrides chose. -explain follows the report with the
+// -hardened applies ScenarioConfig.Hardened(), the one resilience
+// profile (island mode, placement spread, a backup actuator per zone,
+// sticky failback), over whatever the tier and overrides chose. -explain follows the report with the
 // run's explanation, derived from its journal without changing it:
 // incident records (fault → detection → reactions → recovery, with
 // MTTD/TTR), the per-zone R(t) timeline and MTTD/MTTR percentiles.
@@ -74,7 +74,7 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", 1, "simulation seed")
 	shards := fs.Int("shards", 0, "zone-shard lane count; picks the journal family (0 = one lane, shared random stream: the pinned hashes; >= 1 = per-node streams, identical at any count, 1 = serial reference leg)")
 	preset := fs.String("preset", "standard", "fault preset: standard, none or heavy (a named tier keeps its own unless this is given)")
-	hardened := fs.Bool("hardened", false, "enable the full resilience profile (island mode, spread, backups, sticky failover)")
+	hardened := fs.Bool("hardened", false, "apply the hardened resilience profile (island mode, placement spread, backup actuators, sticky failback)")
 	matrix := fs.Bool("matrix", false, "run all four archetypes (Tables 1/2)")
 	events := fs.Bool("events", false, "print the run journal (faults, placements, violations, alerts)")
 	hash := fs.Bool("hash", false, "print the journal hash (per archetype with -matrix)")

@@ -163,8 +163,8 @@ func TestRunExplainTraceOverlay(t *testing.T) {
 	}
 }
 
-// TestRunHardened: -hardened is the default tier's config with every
-// resilience knob on, and it changes the run.
+// TestRunHardened: -hardened is the default tier's config under
+// Hardened(), and it changes the run.
 func TestRunHardened(t *testing.T) {
 	cfg := core.DefaultScenario()
 	cfg.Duration = 2 * time.Minute

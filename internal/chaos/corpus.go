@@ -54,7 +54,7 @@ type Counterexample struct {
 	// gaps that are supposed to stay open (ML1 has no mechanism to fix
 	// them — that ordering is the paper's Table 1 vs Table 2 claim).
 	// Empty means ExpectStillFails. Plain `replay` ignores this field:
-	// its contract pins the default-knob run bit-for-bit.
+	// its contract pins the default-profile run bit-for-bit.
 	Expect string `json:"expect,omitempty"`
 }
 
@@ -112,9 +112,9 @@ func (ce *Counterexample) setName() {
 	ce.Name = fmt.Sprintf("%s-%s-%s", strings.ToLower(ce.Archetype), kind, hash)
 }
 
-// Refresh re-runs the counterexample at default knobs and re-records
-// its expected outcome: failure kinds, goal persistence, journal hash
-// and the hash-suffixed name. It is the maintained path after an
+// Refresh re-runs the counterexample under the default profile and
+// re-records its expected outcome: failure kinds, goal persistence,
+// journal hash and the hash-suffixed name. It is the maintained path after an
 // intentional behavioral change to the simulated stack (e.g. a wire-
 // protocol rework) moves every journal hash. Every recorded failure
 // kind must still recur — an entry the change actually fixes needs
@@ -160,8 +160,8 @@ func (ce *Counterexample) Config() (Config, error) {
 	return Config{Scenario: sc, Archetype: arch, MinPersistence: ce.MinPersistence}, nil
 }
 
-// HardenedConfig rebuilds the oracle configuration with every
-// resilience knob on — the profile verify runs against.
+// HardenedConfig rebuilds the oracle configuration under
+// core.ScenarioConfig.Hardened() — the profile verify runs against.
 func (ce *Counterexample) HardenedConfig() (Config, error) {
 	cfg, err := ce.Config()
 	if err != nil {
@@ -275,7 +275,7 @@ type VerifyResult struct {
 	Expect string // what the corpus entry declares
 	Status string // what the hardened run produced
 	// R is the hardened run's goal persistence; RecordedR the
-	// persistence recorded when the entry was found (default knobs).
+	// persistence recorded when the entry was found (default profile).
 	R         float64
 	RecordedR float64
 	// Detail summarizes the surviving failures when Status is
@@ -302,7 +302,7 @@ type VerifyOptions struct {
 // failure class for another), ExpectStillFails otherwise. Unlike
 // Replay it does not compare journal hashes: the hardened run is a
 // different execution by design; the recorded hash pins only the
-// default-knob replay. The hardened run's journal is always retained
+// default-profile replay. The hardened run's journal is always retained
 // on the result — twelve short runs make journal capture free, and it
 // is what verify -explain analyzes. opts adds observability only.
 func (ce *Counterexample) Verify(opts VerifyOptions) VerifyResult {

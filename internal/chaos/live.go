@@ -13,7 +13,7 @@ type LiveOptions struct {
 	// replays in ~36 s of wall time.
 	TimeScale float64
 	// Hardened replays against the hardened scenario profile instead
-	// of the default knobs the entry was found under.
+	// of the default profile the entry was found under.
 	Hardened bool
 }
 
@@ -21,7 +21,7 @@ type LiveOptions struct {
 type LiveOutcome struct {
 	Name string
 	// Expect is the entry's declared hardened expectation
-	// (still-fails/fixed); for default-knob replays a counterexample
+	// (still-fails/fixed); for default-profile replays a counterexample
 	// is by definition expected to fail.
 	Expect string
 	// Status classifies the live run like Verify does: still-fails

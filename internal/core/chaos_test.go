@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -9,27 +10,38 @@ import (
 	"repro/internal/simnet"
 )
 
-// chaosCfg builds a scenario driven by a random fault campaign over
-// the edge infrastructure.
+// chaosCfg builds a scenario driven by a rolling-crash campaign over
+// the edge infrastructure: each gateway and cloudlet crashes after
+// exponential up-times of mean mtbf and repairs after exponential
+// down-times of mean repair (a second when that draws zero), each
+// drawing from its own stream keyed by the target's name.
 func chaosCfg(seed int64, mtbf, repair time.Duration) ScenarioConfig {
 	cfg := DefaultScenario()
 	cfg.Seed = seed
 	cfg.Duration = 10 * time.Minute
 	var targets []simnet.NodeID
-	for z := 0; z < cfg.Zones; z++ {
-		targets = append(targets, gatewayID(z))
-	}
 	for i := 0; i < cfg.Cloudlets; i++ {
 		targets = append(targets, cloudletID(i))
 	}
-	campaign := fault.Campaign{
-		Seed:       seed + 100,
-		Horizon:    cfg.Duration,
-		Targets:    targets,
-		MTBF:       mtbf,
-		MeanRepair: repair,
+	for z := 0; z < cfg.Zones; z++ {
+		targets = append(targets, gatewayID(z))
 	}
-	cfg.Faults = campaign.Generate()
+	exp := func(rng *rand.Rand, mean time.Duration) time.Duration {
+		return time.Duration(rng.ExpFloat64() * float64(mean))
+	}
+	sched := &fault.Schedule{}
+	for _, n := range targets {
+		rng := rand.New(rand.NewSource(simnet.SubSeed(seed+100, "crash/"+string(n))))
+		for t := exp(rng, mtbf); t < cfg.Duration; {
+			down := exp(rng, repair)
+			if down <= 0 {
+				down = time.Second
+			}
+			sched.Crash(t, n, down)
+			t += down + exp(rng, mtbf)
+		}
+	}
+	cfg.Faults = sched
 	return cfg
 }
 

@@ -31,8 +31,8 @@ const (
 	EventPrivacy   = "privacy"
 	EventAlert     = "models@runtime"
 	// EventIsland marks island-mode transitions (enter/rejoin). Only
-	// emitted under the hardened profile (ScenarioConfig.IslandMode),
-	// so default-knob journals never contain it.
+	// emitted under the hardened profile (ScenarioConfig.Hardened), so
+	// default journals never contain it.
 	EventIsland = "island"
 	// EventSync summarizes the run's replication traffic (frames,
 	// entries, bytes, acks over all store links). Emitted once at the

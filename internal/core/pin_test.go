@@ -47,6 +47,20 @@ func TestCityJournalsPinned(t *testing.T) {
 	})
 }
 
+// TestHardenedJournalsPinned pins the hardened profile's ML4 runs at
+// seed 1. riotchaos verify judges hardened corpus runs by verdict only,
+// so without these rows a change that moved a hardened journal — and
+// left every default journal alone — would pass unseen.
+func TestHardenedJournalsPinned(t *testing.T) {
+	const smokeML4Sharded = "3c5dd44bac56f6f88ba7dc45a4cb183336f2566c6dde3f1edd2d51cceeb54633"
+	checkPins(t, []journalPin{
+		{"paper", DefaultScenario().Hardened(), ML4, 0, "832f1ff9477c04b6c6a6a29efe2b91069bf2c92b43d894f7c26cf7c701d3ef0e"},
+		{"city-smoke", CityScenarioSmoke().Hardened(), ML4, 0, "402a88ecf58bfbd3ab866d3427d734a27a17236c7d05f07b3680fed1fc8c4395"},
+		{"city-smoke", CityScenarioSmoke().Hardened(), ML4, 1, smokeML4Sharded},
+		{"city-smoke", CityScenarioSmoke().Hardened(), ML4, 2, smokeML4Sharded},
+	})
+}
+
 // checkPins runs every pin at seed 1 as a subtest named
 // tier/arch[/shardsN] and compares its journal hash.
 func checkPins(t *testing.T, pins []journalPin) {

@@ -47,9 +47,8 @@ func directActuate(port simnet.Port) func(z int, engage bool) {
 	return func(z int, engage bool) { sendActTo(port, actuatorID(z), z, engage) }
 }
 
-// sendActTo ships one actuation command to an explicit target — the
-// backup-actuator failover path; directActuate is the fixed-primary
-// one.
+// sendActTo ships one actuation command to an explicit target — ML4's
+// actuator failover path; directActuate is the fixed-primary one.
 func sendActTo(port simnet.Port, to simnet.NodeID, z int, engage bool) {
 	port.SendEnvelope(to, simnet.Envelope{Kind: envActuate, A: uint64(z), Flag: engage, Bytes: 16})
 }
@@ -147,7 +146,7 @@ type reporter struct {
 	seq     uint64
 	pending map[uint64]*simnet.Timer
 	bus     *obs.Bus
-	// sticky (ScenarioConfig.StickyFailover) makes a failed home retry
+	// sticky (the hardened profile's failback) makes a failed home retry
 	// jump straight back to the last acked candidate instead of walking
 	// the list from the top. Inside a device-side island most of the
 	// list is unreachable, and the walk (reporterMissLimit × ackTimeout

@@ -118,7 +118,7 @@ func (w *eagerWalk) home() { w.cur, w.misses = 0, 0 }
 
 // TestReporterWalkMatchesEagerList drives a lazy reporter and the eager
 // reference through the same random history of acks, missed acks and
-// 30 s home resets, with and without StickyFailover, and requires the
+// 30 s home resets, with and without sticky failback, and requires the
 // same target for every send — and that the order was asked for once at
 // most, and not at all if the reporter never left its primary.
 func TestReporterWalkMatchesEagerList(t *testing.T) {

@@ -111,24 +111,20 @@ func (sys *System) controllerStack(z int) (*edgeStack, bool) {
 		bak := sys.backupFor(z)
 		return bak, sys.world.NodeUp(bak.id)
 	case ML4:
-		if !sys.ml4Hardened() {
-			for _, st := range sys.edgeStacks() {
-				if st.applied[z] == st.id && sys.world.NodeUp(st.id) {
-					return st, true
-				}
-			}
-			return nil, false
-		}
-		// Hardened claim resolution: several stacks may claim a zone
-		// during a partition (an islanded node and the quorum side both
-		// believe they control it). The zone's effective controller is
-		// the first claimant actually holding fresh data — the only one
-		// whose control tick can act — falling back to the first bare
-		// claimant when nobody has data.
+		// Several stacks may claim a zone during a partition (an
+		// islanded node and the quorum side both believe they control
+		// it). The default profile's effective controller is the first
+		// claimant; the hardened profile's is the first claimant
+		// actually holding fresh data — the only one whose control tick
+		// can act — falling back to the first bare claimant when nobody
+		// has data.
 		var first *edgeStack
 		for _, st := range sys.edgeStacks() {
-			if !sys.world.NodeUp(st.id) || !sys.ml4Controls(st, z) {
+			if !sys.ml4Controls(st, z) || !sys.world.NodeUp(st.id) {
 				continue
+			}
+			if !sys.cfg.hardened {
+				return st, true
 			}
 			if _, fresh := sys.freshAt(st.view, zoneTempKey(z)); fresh {
 				return st, true

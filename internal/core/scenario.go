@@ -80,36 +80,18 @@ type ScenarioConfig struct {
 	// trade traffic against freshness.
 	ML4SyncInterval time.Duration
 
-	// Resilience hardening knobs (DESIGN.md §9). All default off/zero
-	// so every pinned journal — paper scale, city tier, and the chaos
-	// corpus replay contract — stays bit-identical. Hardened() turns
-	// them on as a profile; `riotchaos verify` runs the corpus against
-	// that profile.
-
-	// IslandMode lets an ML4 edge node that has lost Raft quorum
-	// contact for 3 × ControlInterval — long enough that an
-	// election-timeout flap never trips it — fall back to a local
-	// planner: the node keeps its zones' sensing→analysis→actuation
-	// chains running from locally-cached state and hands control back
-	// deterministically when quorum contact returns (CRDT merge +
-	// placement handoff).
-	IslandMode bool
-	// PlacementSpread makes the ML4 planner place each zone controller
-	// on PlacementSpread distinct hosts spanning connectivity domains
-	// (primary + off-zone backups), so no single partition isolates
-	// every replica. 0 or 1 keeps single-replica placement.
-	PlacementSpread int
 	// BackupActuators adds that many standby actuators per zone to the
 	// topology. The ML4 actuation path fails over to the first
 	// gossip-alive candidate when the primary dies; other archetypes
 	// keep commanding only the primary (the maturity gap under test).
+	// Hardened() sets it to 1.
 	BackupActuators int
-	// StickyFailover makes sensor reporters return to the last node
-	// that acked them — instead of restarting the candidate walk from
-	// their home gateway — after the periodic home retry fails. Without
-	// it a reporter inside a device-side island spends most of each
-	// retry cycle walking dead candidates and freshness flaps.
-	StickyFailover bool
+	// hardened switches on the resilience profile (DESIGN.md §9):
+	// island-mode degraded operation, 2-way partition-aware placement
+	// spread and sticky reporter failback. Only Hardened() sets it, so
+	// the default world — every pinned journal and the chaos corpus
+	// replay contract — stays bit-identical.
+	hardened bool
 
 	// Shards is the number of simnet shard lanes (DESIGN.md §11) and
 	// thereby the journal family. Zero runs the whole simulation on
@@ -125,15 +107,18 @@ type ScenarioConfig struct {
 	Shards int
 }
 
-// Hardened returns a copy of the config with every resilience knob
-// turned on: island-mode degraded operation, 2-way placement spread,
-// one backup actuator per zone, and sticky reporter failover. This is
-// the profile `riotchaos verify` replays the corpus against.
+// Hardened returns a copy of the config with the resilience profile on
+// (DESIGN.md §9): an ML4 edge node that has lost Raft quorum contact
+// for 3 × ControlInterval runs its zones from locally cached state
+// until quorum contact returns (island mode); each zone controller gets
+// a backup replica off the zone's gateway (placement spread); each zone
+// gets one standby actuator; and sensor reporters return to the last
+// node that acked them rather than walk the candidate list from their
+// home gateway (sticky failback). This is the one way to get the
+// profile, and the one `riotchaos verify` replays the corpus against.
 func (c ScenarioConfig) Hardened() ScenarioConfig {
-	c.IslandMode = true
-	c.PlacementSpread = 2
+	c.hardened = true
 	c.BackupActuators = 1
-	c.StickyFailover = true
 	return c
 }
 

@@ -57,9 +57,9 @@ type actRig struct {
 	// away (a standard hardware failsafe, present at every maturity
 	// level).
 	lastCmd time.Duration
-	// gossip joins actuator rigs to the ML4 membership group when
-	// BackupActuators is on, so controllers detect actuator death and
-	// fail actuation over (DESIGN.md §9).
+	// gossip joins actuator rigs to the ML4 membership group when the
+	// zones have backup actuators, so controllers detect actuator death
+	// and fail actuation over (DESIGN.md §9).
 	gossip *gossip.Protocol
 }
 
@@ -85,9 +85,8 @@ type edgeStack struct {
 	syncer  *mape.Syncer              // ML4 knowledge sharing
 
 	// appliedBackups mirrors applied for the raft-replicated backup
-	// controller replicas (PlacementSpread > 1); guard is the
-	// island-mode state machine (IslandMode). Both stay nil with the
-	// hardening knobs off.
+	// controller replicas; guard is the island-mode state machine. Both
+	// stay nil outside the hardened profile.
 	appliedBackups map[int][]simnet.NodeID
 	guard          *mape.IslandGuard
 

@@ -13,7 +13,7 @@ type Topology struct {
 	Cloudlets []simnet.NodeID
 	// Sensors holds the temperature sensors then the occupancy sensor
 	// of each zone; Actuators the primary HVAC rig of each zone
-	// followed by its backups when ScenarioConfig.BackupActuators > 0.
+	// followed by its ScenarioConfig.BackupActuators standby rigs.
 	Sensors   []simnet.NodeID
 	Actuators []simnet.NodeID
 	Cloud     simnet.NodeID

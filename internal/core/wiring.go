@@ -48,7 +48,7 @@ func (sys *System) startSensorsWithReporter(candidates func(*sensorRig) candidat
 		rig := rig
 		rig.reporter = newReporter(rig.mux.Port("data"), candidates(rig))
 		rig.reporter.bus = sys.bus
-		rig.reporter.sticky = sys.cfg.StickyFailover
+		rig.reporter.sticky = sys.cfg.hardened
 		rig.ep.Every(sys.cfg.SampleInterval, func() {
 			val, ok := rig.sensor.Sample(sys.envm, rig.ep.Rand().NormFloat64())
 			if !ok {
@@ -508,7 +508,7 @@ func (sys *System) wireML4() {
 		}
 		// Island mode needs lease surrender: a leader stranded on the
 		// minority side must stop believing its stale placements.
-		raftCfg.CheckQuorum = sys.cfg.IslandMode
+		raftCfg.CheckQuorum = sys.cfg.hardened
 		st.raft = consensus.New(st.mux.Port("raft"), edgeIDs, raftCfg, func(_ uint64, cmd consensus.Command) {
 			pc, ok := cmd.(placementCmd)
 			if !ok {
@@ -533,7 +533,7 @@ func (sys *System) wireML4() {
 		})
 		st.raft.SetBus(sys.bus)
 		st.raft.Start()
-		if sys.cfg.IslandMode {
+		if sys.cfg.hardened {
 			sys.armIslandGuard(st)
 		}
 		if sys.cfg.ML4Ablation == "no-replan" {
@@ -543,25 +543,18 @@ func (sys *System) wireML4() {
 			st.ep.Every(2*sys.cfg.ControlInterval, func() { sys.ml4Replan(st) })
 		}
 
-		// Controller: runs the zones this node is assigned. The
-		// hardened profile widens both halves: claim resolution gains
-		// island-mode takeover and backup-replica failover, and the
-		// actuation sender targets the first gossip-alive rig instead
-		// of only the primary.
+		// Controller: runs the zones this node is assigned, commanding
+		// the first gossip-alive actuator rig. Without standby rigs no
+		// actuator is in the membership group, so the primary is the
+		// target whatever the gossip view says.
 		actPort := st.mux.Port("act")
-		controls := func(z int) bool { return st.applied[z] == st.id }
-		if sys.ml4Hardened() {
-			controls = func(z int) bool { return sys.ml4Controls(st, z) }
-		}
-		sendAct := directActuate(actPort)
-		if sys.cfg.BackupActuators > 0 {
-			sendAct = func(z int, engage bool) {
-				target, ok := mape.Failover(sys.actCandidates[z], st.gossip.IsAlive)
-				if !ok {
-					target = actuatorID(z)
-				}
-				sendActTo(actPort, target, z, engage)
+		controls := func(z int) bool { return sys.ml4Controls(st, z) }
+		sendAct := func(z int, engage bool) {
+			target, ok := mape.Failover(sys.actCandidates[z], st.gossip.IsAlive)
+			if !ok {
+				target = actuatorID(z)
 			}
+			sendActTo(actPort, target, z, engage)
 		}
 		st.ep.Every(sys.cfg.ControlInterval, sys.controlTick(st, controls, sendAct))
 	}
@@ -702,13 +695,6 @@ func (sys *System) ml4InterestKeys(st *edgeStack) []string {
 	return keys
 }
 
-// ml4Hardened reports whether any hardened-profile claim rule is on;
-// with every knob off the legacy applied-only resolution is kept
-// byte-for-byte (pinned journals).
-func (sys *System) ml4Hardened() bool {
-	return sys.cfg.IslandMode || sys.cfg.PlacementSpread > 1 || sys.cfg.BackupActuators > 0
-}
-
 // armIslandGuard ticks the stack's island-mode state machine: enter
 // degraded local operation after a full grace window without Raft
 // quorum contact, reconcile and hand control back on rejoin. The
@@ -736,14 +722,17 @@ func (sys *System) armIslandGuard(st *edgeStack) {
 	})
 }
 
-// ml4Controls is the hardened claim rule: does stack st currently
-// control zone z?
+// ml4Controls is the ML4 claim rule: does stack st currently control
+// zone z?
 //
 // In island mode the Raft-applied placements are untrustworthy — the
 // quorum may have moved them, or frozen — so the island elects locally
 // (islandController). Otherwise the applied primary controls, unless
 // the stack's membership view says it is dead, in which case the first
 // alive applied backup replica takes over until the next replan lands.
+// Without an island guard or applied backups (the default profile) this
+// is applied[z] == st.id. controlTick asks it for every zone each tick,
+// so a stack with no backups for z answers before any gossip lookup.
 func (sys *System) ml4Controls(st *edgeStack, z int) bool {
 	if st.guard != nil && st.guard.Island() {
 		return sys.islandController(st, z) == st.id
@@ -752,13 +741,12 @@ func (sys *System) ml4Controls(st *edgeStack, z int) bool {
 	if primary == st.id {
 		return true
 	}
-	if primary == "" || st.gossip.IsAlive(primary) {
+	backups := st.appliedBackups[z]
+	if len(backups) == 0 || primary == "" || st.gossip.IsAlive(primary) {
 		return false
 	}
-	if id, ok := mape.Failover(st.appliedBackups[z], st.gossip.IsAlive); ok {
-		return id == st.id
-	}
-	return false
+	id, ok := mape.Failover(backups, st.gossip.IsAlive)
+	return ok && id == st.id
 }
 
 // islandController elects zone z's controller inside st's island: the
@@ -789,10 +777,9 @@ func (sys *System) ml4Replan(st *edgeStack) {
 	if st.raft.Role() != consensus.Leader {
 		return
 	}
-	spread := sys.cfg.PlacementSpread
 	desired := make(map[int]simnet.NodeID, sys.cfg.Zones)
 	var backups map[int][]simnet.NodeID
-	if spread > 1 {
+	if sys.cfg.hardened {
 		backups = make(map[int][]simnet.NodeID, sys.cfg.Zones)
 	}
 	for z := 0; z < sys.cfg.Zones; z++ {
@@ -813,20 +800,15 @@ func (sys *System) ml4Replan(st *edgeStack) {
 			continue
 		}
 		desired[z] = simnet.NodeID(host)
-		if spread > 1 {
-			// Partition-aware spreading: replicas avoid the primary's
-			// host AND the zone's own gateway, so severing the zone
-			// never isolates every replica.
+		if backups != nil {
+			// Partition-aware spreading: the backup replica avoids the
+			// primary's host AND the zone's own gateway, so severing the
+			// zone never isolates both.
+			rep := fn
+			rep.Name = controlFnName(z) + "#b1"
 			avoid := map[device.ID]bool{host: true, device.ID(gatewayID(z)): true}
-			for k := 1; k < spread; k++ {
-				rep := fn
-				rep.Name = fmt.Sprintf("%s#b%d", controlFnName(z), k)
-				bHost, bErr := st.orch.DeployAvoiding(rep, avoid)
-				if bErr != nil {
-					break
-				}
-				backups[z] = append(backups[z], simnet.NodeID(bHost))
-				avoid[bHost] = true
+			if bHost, err := st.orch.DeployAvoiding(rep, avoid); err == nil {
+				backups[z] = []simnet.NodeID{simnet.NodeID(bHost)}
 			}
 		}
 	}
@@ -931,8 +913,8 @@ func backupsEqual(a, b map[int][]simnet.NodeID) bool {
 	return true
 }
 
-// formatBackups renders the backup replica map (empty string when
-// spreading is off, keeping default-knob journals unchanged).
+// formatBackups renders the backup replica map (empty string in the
+// default profile, which places no backups).
 func formatBackups(m map[int][]simnet.NodeID) string {
 	if len(m) == 0 {
 		return ""
@@ -962,8 +944,8 @@ func (sys *System) edgeSubset(ids []simnet.NodeID) []simnet.NodeID {
 }
 
 // placementCmd is the Raft command replicating controller placements:
-// the per-zone primary plus, under PlacementSpread, the ordered backup
-// replicas.
+// the per-zone primary plus, under the hardened profile, the backup
+// replica.
 type placementCmd struct {
 	Assignments map[int]simnet.NodeID
 	Backups     map[int][]simnet.NodeID

@@ -4,14 +4,14 @@
 // and enumerates the classes this package implements: internal faults
 // (crashes), non-persistent connectivity (partitions, link degradation),
 // transfer of administrative domains, and software configuration change
-// (§I, §II). Faults are either scripted (a Schedule) for head-to-head
-// archetype comparisons, or generated by a random Campaign for
-// failure-injection testing; both are deterministic under a seed.
+// (§I, §II). Faults are scripted as a Schedule — by hand for
+// head-to-head archetype comparisons, or drawn at random by
+// chaos.Generator for failure-injection search — and one Injector
+// applies a schedule to a simulated or live world.
 package fault
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"sort"
 	"time"
@@ -274,72 +274,4 @@ func (in *Injector) Log() []Event {
 	out := make([]Event, len(in.log))
 	copy(out, in.log)
 	return out
-}
-
-// Campaign generates a random disruption schedule: each target node
-// crashes with exponential inter-failure times of mean MTBF and repairs
-// after an exponential time of mean MeanRepair; partitions of the whole
-// node set into two halves occur at rate PartitionEvery with duration
-// PartitionFor. Generation is deterministic under Seed.
-type Campaign struct {
-	Seed           int64
-	Horizon        time.Duration
-	Targets        []simnet.NodeID
-	MTBF           time.Duration // 0 disables crashes
-	MeanRepair     time.Duration
-	PartitionEvery time.Duration // 0 disables partitions
-	PartitionFor   time.Duration
-}
-
-// Generate materializes the campaign into a schedule. Generation is a
-// pure function of the campaign parameters: each target draws its
-// crash history from its own RNG stream keyed by (Seed, target name),
-// and partitions from a separate stream over the sorted target set, so
-// the schedule is identical however Targets was ordered — including
-// when callers collect targets from a map.
-func (c Campaign) Generate() *Schedule {
-	targets := append([]simnet.NodeID(nil), c.Targets...)
-	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-	s := &Schedule{}
-	if c.MTBF > 0 {
-		for _, n := range targets {
-			rng := rand.New(rand.NewSource(simnet.SubSeed(c.Seed, "crash/"+string(n))))
-			t := expDuration(rng, c.MTBF)
-			for t < c.Horizon {
-				repair := expDuration(rng, c.MeanRepair)
-				if repair <= 0 {
-					repair = time.Second
-				}
-				s.Crash(t, n, repair)
-				t += repair + expDuration(rng, c.MTBF)
-			}
-		}
-	}
-	if c.PartitionEvery > 0 && len(targets) > 1 {
-		rng := rand.New(rand.NewSource(simnet.SubSeed(c.Seed, "partition")))
-		for t := expDuration(rng, c.PartitionEvery); t < c.Horizon; t += expDuration(rng, c.PartitionEvery) {
-			// Split targets in two random halves.
-			perm := rng.Perm(len(targets))
-			half := len(targets) / 2
-			var g1, g2 []simnet.NodeID
-			for i, idx := range perm {
-				if i < half {
-					g1 = append(g1, targets[idx])
-				} else {
-					g2 = append(g2, targets[idx])
-				}
-			}
-			s.Partition(t, c.PartitionFor, g1, g2)
-			t += c.PartitionFor
-		}
-	}
-	return s
-}
-
-// expDuration draws an exponential duration with the given mean.
-func expDuration(rng *rand.Rand, mean time.Duration) time.Duration {
-	if mean <= 0 {
-		return 0
-	}
-	return time.Duration(rng.ExpFloat64() * float64(mean))
 }

@@ -157,79 +157,3 @@ func TestInjectImmediate(t *testing.T) {
 	}
 }
 
-func TestCampaignDeterministic(t *testing.T) {
-	c := Campaign{
-		Seed:       9,
-		Horizon:    10 * time.Minute,
-		Targets:    []simnet.NodeID{"a", "b", "c"},
-		MTBF:       time.Minute,
-		MeanRepair: 10 * time.Second,
-	}
-	s1, s2 := c.Generate(), c.Generate()
-	e1, e2 := s1.Events(), s2.Events()
-	if len(e1) == 0 {
-		t.Fatal("campaign generated no events")
-	}
-	if len(e1) != len(e2) {
-		t.Fatalf("lengths differ: %d vs %d", len(e1), len(e2))
-	}
-	for i := range e1 {
-		if e1[i].At != e2[i].At || e1[i].Kind != e2[i].Kind || e1[i].Node != e2[i].Node {
-			t.Fatalf("event %d differs: %+v vs %+v", i, e1[i], e2[i])
-		}
-	}
-}
-
-func TestCampaignCrashesPairedWithRecoveries(t *testing.T) {
-	c := Campaign{
-		Seed:       3,
-		Horizon:    30 * time.Minute,
-		Targets:    []simnet.NodeID{"a", "b"},
-		MTBF:       2 * time.Minute,
-		MeanRepair: 20 * time.Second,
-	}
-	crashes, recoveries := 0, 0
-	for _, ev := range c.Generate().Events() {
-		switch ev.Kind {
-		case KindCrash:
-			crashes++
-		case KindRecover:
-			recoveries++
-		}
-	}
-	if crashes == 0 || crashes != recoveries {
-		t.Fatalf("crashes = %d, recoveries = %d; want equal and >0", crashes, recoveries)
-	}
-}
-
-func TestCampaignPartitions(t *testing.T) {
-	c := Campaign{
-		Seed:           11,
-		Horizon:        time.Hour,
-		Targets:        []simnet.NodeID{"a", "b", "c", "d"},
-		PartitionEvery: 5 * time.Minute,
-		PartitionFor:   time.Minute,
-	}
-	starts, ends := 0, 0
-	for _, ev := range c.Generate().Events() {
-		switch ev.Kind {
-		case KindPartitionStart:
-			starts++
-			if len(ev.Groups) != 2 || len(ev.Groups[0])+len(ev.Groups[1]) != 4 {
-				t.Fatalf("bad partition groups: %+v", ev.Groups)
-			}
-		case KindPartitionEnd:
-			ends++
-		}
-	}
-	if starts == 0 || starts != ends {
-		t.Fatalf("starts = %d, ends = %d", starts, ends)
-	}
-}
-
-func TestCampaignZeroRatesProduceEmptySchedule(t *testing.T) {
-	c := Campaign{Seed: 1, Horizon: time.Hour, Targets: []simnet.NodeID{"a"}}
-	if got := c.Generate().Len(); got != 0 {
-		t.Fatalf("events = %d, want 0", got)
-	}
-}

@@ -146,65 +146,3 @@ func TestScheduleString(t *testing.T) {
 	}
 }
 
-func TestCampaignGenerateDeepEqual(t *testing.T) {
-	c := Campaign{
-		Seed:           7,
-		Horizon:        20 * time.Minute,
-		Targets:        []simnet.NodeID{"gw-0", "gw-1", "cl-0", "cl-1"},
-		MTBF:           2 * time.Minute,
-		MeanRepair:     30 * time.Second,
-		PartitionEvery: 5 * time.Minute,
-		PartitionFor:   time.Minute,
-	}
-	s1, s2 := c.Generate(), c.Generate()
-	if s1.Len() == 0 {
-		t.Fatal("campaign generated no events")
-	}
-	if !reflect.DeepEqual(s1, s2) {
-		t.Fatalf("same seed, different schedules:\n%s\nvs\n%s", s1, s2)
-	}
-}
-
-func TestCampaignGenerateOrderIndependent(t *testing.T) {
-	base := Campaign{
-		Seed:           7,
-		Horizon:        20 * time.Minute,
-		Targets:        []simnet.NodeID{"gw-0", "gw-1", "cl-0", "cl-1"},
-		MTBF:           2 * time.Minute,
-		MeanRepair:     30 * time.Second,
-		PartitionEvery: 5 * time.Minute,
-		PartitionFor:   time.Minute,
-	}
-	shuffled := base
-	shuffled.Targets = []simnet.NodeID{"cl-1", "gw-1", "cl-0", "gw-0"}
-	if !reflect.DeepEqual(base.Generate(), shuffled.Generate()) {
-		t.Fatal("schedule depends on Targets order (map-iteration hazard)")
-	}
-}
-
-func TestCampaignPerTargetStreamsIndependent(t *testing.T) {
-	// Adding a target must not perturb the existing targets' crash
-	// histories: each target draws from its own stream.
-	small := Campaign{
-		Seed: 3, Horizon: 30 * time.Minute,
-		Targets: []simnet.NodeID{"a", "b"},
-		MTBF:    2 * time.Minute, MeanRepair: 20 * time.Second,
-	}
-	big := small
-	big.Targets = []simnet.NodeID{"a", "b", "c"}
-	crashesOf := func(s *Schedule, n simnet.NodeID) []Event {
-		var out []Event
-		for _, ev := range s.Events() {
-			if ev.Node == n {
-				out = append(out, ev)
-			}
-		}
-		return out
-	}
-	sSmall, sBig := small.Generate(), big.Generate()
-	for _, n := range small.Targets {
-		if !reflect.DeepEqual(crashesOf(sSmall, n), crashesOf(sBig, n)) {
-			t.Fatalf("target %s history changed when %q was added", n, "c")
-		}
-	}
-}
