@@ -65,8 +65,8 @@ type LiveInfo struct {
 
 // RunLive executes a live system to its horizon on the wall clock and
 // returns the measured report. The cluster's loop replaces the
-// simulator's scheduler: every environment and measurement step is an
-// At callback at its own virtual instant, beside the fault schedule and
+// simulator's scheduler: the samplers are the same At chains Run arms,
+// each step at its own virtual instant beside the fault schedule and
 // every node's callbacks, so a step the loop runs late still runs, and
 // the report is taken on the loop after the last step at or before the
 // horizon. Closing the cluster then drains it, so the traffic counts
@@ -77,29 +77,17 @@ func (sys *System) RunLive() (Report, LiveInfo, error) {
 		return Report{}, LiveInfo{}, fmt.Errorf("core: RunLive on a simulated system; use Run")
 	}
 	wallStart := time.Now()
-	step, inv, end := sys.cfg.EnvStep, sys.cfg.ControlInterval, sys.cfg.Duration
-	for t := step; t <= end; t += step {
-		lb.At(t, func() {
-			sys.envTickBody(step)
-			if t >= sys.warmup {
-				sys.measure()
-			}
-		})
-	}
-	for t := inv; t <= end; t += inv {
-		if t >= sys.warmup {
-			lb.At(t, sys.sampleInvocations)
-		}
-	}
+	sys.startSamplers()
 	var r Report
 	done := make(chan struct{})
+	end := sys.cfg.Duration
 	lb.At(end, func() {
-		if st := sys.SyncTraffic(); st.FramesSent > 0 || st.FramesIn > 0 {
-			sys.record(EventSync, "frames=%d entries=%d bytes=%d acks=%d",
-				st.FramesSent, st.EntriesSent, st.BytesSent, st.AcksIn)
-		}
-		r = sys.report()
-		close(done)
+		// The samplers' steps at end were armed after this callback;
+		// queue once more at end to run behind all of them.
+		lb.At(end, func() {
+			r = sys.finish()
+			close(done)
+		})
 	})
 	if err := lb.Start(); err != nil {
 		lb.Close()

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/realnet"
 	"repro/internal/simnet"
 )
 
@@ -82,5 +84,66 @@ func TestLiveSystemRejectsShards(t *testing.T) {
 	cfg.Shards = 2
 	if _, err := NewLiveSystem(cfg, ML1, LiveConfig{TimeScale: 0.05}); err == nil {
 		t.Fatal("NewLiveSystem accepted a sharded config")
+	}
+}
+
+// TestEveryOnBothWorlds runs the sampler driver on a bare simulator and
+// on a live cluster at a high compression. Each calls fn with exactly
+// period, 2·period, … up to the horizon and never after it. On the
+// live cluster one tick stalls the loop for several periods, and the
+// later ticks still carry their own instants rather than drifting with
+// the loop's lateness.
+func TestEveryOnBothWorlds(t *testing.T) {
+	const period, horizon = 100 * time.Millisecond, 1050 * time.Millisecond
+	var want []time.Duration
+	for at := period; at <= horizon; at += period {
+		want = append(want, at)
+	}
+
+	sim := simnet.New(simnet.WithSeed(1))
+	var got []time.Duration
+	every(sim, period, horizon, func(at time.Duration) {
+		if now := sim.Now(); now != at {
+			t.Errorf("sim: tick %v ran at %v", at, now)
+		}
+		got = append(got, at)
+	})
+	sim.RunUntil(3 * horizon)
+	if !slices.Equal(got, want) {
+		t.Errorf("sim ticks %v, want %v", got, want)
+	}
+
+	const scale = 0.01
+	c := realnet.NewCluster(realnet.ClusterConfig{Seed: 1, TimeScale: scale, Serialize: true})
+	defer c.Close()
+	var live []time.Duration
+	late := false
+	every(c, period, horizon, func(at time.Duration) {
+		// A microsecond of slack for the float conversions between the
+		// virtual instant and the loop clock.
+		now := c.Now()
+		if now+time.Microsecond < at {
+			t.Errorf("live: tick %v ran early, at %v", at, now)
+		}
+		if now-at >= period {
+			late = true
+		}
+		live = append(live, at)
+		if at == 3*period {
+			// Stall the loop for five periods of virtual time.
+			time.Sleep(time.Duration(5 * float64(period) * scale))
+		}
+	})
+	done := make(chan struct{})
+	c.At(3*horizon, func() { close(done) })
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if !slices.Equal(live, want) {
+		t.Errorf("live ticks %v, want %v", live, want)
+	}
+	if !late {
+		t.Error("live: no tick ran a period late; the stall did not take")
 	}
 }

@@ -11,23 +11,65 @@ import (
 // Run executes the scenario to its horizon and returns the measured
 // report. Run may be called once per System.
 func (sys *System) Run() Report {
-	sys.startEnvironmentLoop()
-	sys.startMeasurementLoop()
+	sys.startSamplers()
 	sys.sim.RunUntil(sys.cfg.Duration)
 	sys.mergeJournal()
+	return sys.finish()
+}
+
+// finish closes a run at its horizon: one sync summary line (on the
+// simulator after the lane merge, so it lands last regardless of shard
+// count), then the report.
+func (sys *System) finish() Report {
 	if st := sys.SyncTraffic(); st.FramesSent > 0 || st.FramesIn > 0 {
-		// One summary line at the horizon, after the lane merge so it
-		// lands last regardless of shard count.
 		sys.record(EventSync, "frames=%d entries=%d bytes=%d acks=%d",
 			st.FramesSent, st.EntriesSent, st.BytesSent, st.AcksIn)
 	}
 	return sys.report()
 }
 
-// envTickBody advances the physical world by one step: environment
-// processes, actuator effects and battery drain. Shared between the
-// simulated scheduler loop and the live wall-clock driver.
-func (sys *System) envTickBody(step time.Duration) {
+// every calls fn(t) on w at t = period, 2·period, … up to horizon. Each
+// tick runs fn, then arms the next at t+period counted from its own
+// instant t, not from w.Now(): on the simulator the two agree, and on a
+// live cluster whose loop runs late Now() lags, so counting from t
+// keeps every tick on its virtual instant. No tick runs after horizon.
+func every(w fault.World, period, horizon time.Duration, fn func(t time.Duration)) {
+	t := period
+	var tick func()
+	tick = func() {
+		fn(t)
+		if t += period; t <= horizon {
+			w.At(t, tick)
+		}
+	}
+	if t <= horizon {
+		w.At(t, tick)
+	}
+}
+
+// startSamplers arms the three samplers on the system's world, the
+// simulator and a live cluster alike: the environment step (processes,
+// actuator effects, battery drain) and the measurement sample every
+// EnvStep, and the invocation sample every ControlInterval. Samples
+// start at the end of the warmup window.
+func (sys *System) startSamplers() {
+	step, end := sys.cfg.EnvStep, sys.cfg.Duration
+	every(sys.world, step, end, func(time.Duration) { sys.envTick(step) })
+	every(sys.world, step, end, func(t time.Duration) {
+		if t >= sys.warmup {
+			sys.measure()
+		}
+	})
+	every(sys.world, sys.cfg.ControlInterval, end, func(t time.Duration) {
+		if t >= sys.warmup {
+			sys.sampleInvocations()
+		}
+	})
+}
+
+// envTick advances the physical world by one step: environment
+// processes, actuator effects and battery drain.
+func (sys *System) envTick(step time.Duration) {
 	sys.envm.Step(step)
 	for _, rig := range sys.actuators {
 		// A crashed actuator node has no effect on the world.
@@ -43,20 +85,6 @@ func (sys *System) envTickBody(step time.Duration) {
 	}
 }
 
-// startEnvironmentLoop advances the physical world: environment
-// processes, actuator effects and battery drain, every EnvStep.
-func (sys *System) startEnvironmentLoop() {
-	step := sys.cfg.EnvStep
-	var tick func()
-	tick = func() {
-		sys.envTickBody(step)
-		if sys.sim.Now()+step <= sys.cfg.Duration {
-			sys.sim.After(step, tick)
-		}
-	}
-	sys.sim.After(step, tick)
-}
-
 // sampleInvocations records one invocation-success sample per zone:
 // did each zone see a successful control tick within 1.5 control
 // intervals?
@@ -66,33 +94,6 @@ func (sys *System) sampleInvocations() {
 		ok := sys.world.Now()-time.Duration(sys.lastControlOK[z].Load()) <= inv+inv/2
 		sys.invocations.RecordOutcome(ok)
 	}
-}
-
-// startMeasurementLoop samples ground truth and per-vector metrics.
-func (sys *System) startMeasurementLoop() {
-	step := sys.cfg.EnvStep
-	var tick func()
-	tick = func() {
-		if sys.sim.Now() >= sys.warmup {
-			sys.measure()
-		}
-		if sys.sim.Now()+step <= sys.cfg.Duration {
-			sys.sim.After(step, tick)
-		}
-	}
-	sys.sim.After(step, tick)
-
-	inv := sys.cfg.ControlInterval
-	var invTick func()
-	invTick = func() {
-		if sys.sim.Now() >= sys.warmup {
-			sys.sampleInvocations()
-		}
-		if sys.sim.Now()+inv <= sys.cfg.Duration {
-			sys.sim.After(inv, invTick)
-		}
-	}
-	sys.sim.After(inv, invTick)
 }
 
 // controllerStack resolves which stack currently controls zone z (and

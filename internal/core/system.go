@@ -85,9 +85,10 @@ type edgeStack struct {
 	syncer  *mape.Syncer              // ML4 knowledge sharing
 
 	// appliedBackups mirrors applied for the raft-replicated backup
-	// controller replicas; guard is the island-mode state machine. Both
+	// controller: one replica node per zone, off the primary's host and
+	// the zone's gateway. guard is the island-mode state machine. Both
 	// stay nil outside the hardened profile.
-	appliedBackups map[int][]simnet.NodeID
+	appliedBackups map[int]simnet.NodeID
 	guard          *mape.IslandGuard
 
 	// ml4Replan's models@runtime verdict depends only on the alive
@@ -128,15 +129,13 @@ type System struct {
 
 	reqTemp  []*model.Requirement
 	reqFresh []*model.Requirement
-	auditor  *dataflow.Engine
-	// auditors replaces the single engine in sharded mode: one engine
-	// per lane, so concurrent shard windows never share auditor state.
-	// The per-item verdict is stateless, so the summed violation count
-	// is shard-count-invariant.
+	// auditors holds one privacy auditor per scheduler lane (one in
+	// all when unsharded or live), so concurrent shard windows never
+	// share auditor state. The per-item verdict is stateless, so the
+	// summed violation count is shard-count-invariant.
 	auditors []*dataflow.Engine
 	freshWin time.Duration
 	warmup   time.Duration
-	endOfRun time.Duration
 
 	// Measurement state. Requirement satisfaction is not kept here: the
 	// journal's violation and recovery records are its only account
@@ -205,10 +204,8 @@ func newSystem(cfg ScenarioConfig, arch Archetype, sim *simnet.Sim, w world) *Sy
 		injector:     fault.NewInjector(w),
 		envm:         env.New(cfg.Seed + 1),
 		spaces:       space.NewMap(),
-		auditor:      dataflow.ObservedEngine(),
 		freshWin:     freshnessFactor * cfg.SampleInterval,
 		warmup:       cfg.Duration / 20,
-		endOfRun:     cfg.Duration,
 		staleness:    &metrics.LatencyRecorder{},
 		designPassed: true,
 		// Presize the run journal: growth reallocations on the hot
@@ -216,12 +213,13 @@ func newSystem(cfg ScenarioConfig, arch Archetype, sim *simnet.Sim, w world) *Sy
 		journal: make([]RunEvent, 0, 256),
 	}
 	sys.bus = obs.NewBus(w.Now)
-	if n := sys.shardCount(); n > 0 {
+	n := sys.shardCount()
+	if n > 0 {
 		sys.laneJournals = make([][]laneEvent, n+1)
-		sys.auditors = make([]*dataflow.Engine, n+1)
-		for i := range sys.auditors {
-			sys.auditors[i] = dataflow.ObservedEngine()
-		}
+	}
+	sys.auditors = make([]*dataflow.Engine, n+1)
+	for i := range sys.auditors {
+		sys.auditors[i] = dataflow.ObservedEngine()
 	}
 	sys.buildWorld()
 	sys.buildRequirements()
@@ -571,10 +569,10 @@ func (sys *System) auditArrival(item dataflow.Item, at simnet.NodeID, ep simnet.
 	if fromDom.ID == toDom.ID {
 		return // intra-domain placement is never a flow violation
 	}
-	eng := sys.auditor
-	if sys.auditors != nil {
-		// auditors is only non-nil in sharded simulation, where every
-		// ep is a simulator endpoint.
+	eng := sys.auditors[0]
+	if len(sys.auditors) > 1 {
+		// Several auditors only in sharded simulation, where every ep
+		// is a simulator endpoint.
 		sep, _ := ep.(*simnet.Endpoint)
 		laneIdx, _, _ := sys.sim.ExecContext(sep)
 		eng = sys.auditors[laneIdx]
@@ -619,12 +617,8 @@ func (sys *System) SyncTraffic() dataflow.LinkStats {
 	return total
 }
 
-// violationCount sums privacy violations across whichever auditor
-// layout is active.
+// violationCount sums privacy violations across the lanes' auditors.
 func (sys *System) violationCount() int {
-	if sys.auditors == nil {
-		return sys.auditor.ViolationCount()
-	}
 	n := 0
 	for _, e := range sys.auditors {
 		n += e.ViolationCount()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"time"
@@ -490,7 +491,6 @@ func (sys *System) wireML4() {
 	// capability-aware orchestrator on the leader.
 	for _, st := range edge {
 		st := st
-		st.applied = make(map[int]simnet.NodeID)
 		st.orch = orchestrate.New(sys.spaces, func(id device.ID) bool {
 			return st.gossip.IsAlive(simnet.NodeID(id))
 		})
@@ -514,16 +514,8 @@ func (sys *System) wireML4() {
 			if !ok {
 				return
 			}
-			st.applied = make(map[int]simnet.NodeID, len(pc.Assignments))
-			for z, host := range pc.Assignments {
-				st.applied[z] = host
-			}
-			if len(pc.Backups) > 0 || st.appliedBackups != nil {
-				st.appliedBackups = make(map[int][]simnet.NodeID, len(pc.Backups))
-				for z, hosts := range pc.Backups {
-					st.appliedBackups[z] = hosts
-				}
-			}
+			st.applied = maps.Clone(pc.Assignments)
+			st.appliedBackups = maps.Clone(pc.Backups)
 			// Placements moved: refresh this node's relay-interest scope
 			// so the hub starts forwarding its newly assigned zones (and
 			// stops forwarding ones it lost).
@@ -680,12 +672,9 @@ func (sys *System) ml4InterestKeys(st *edgeStack) []string {
 			zones[z] = true
 		}
 	}
-	for z, hosts := range st.appliedBackups {
-		for _, h := range hosts {
-			if h == st.id {
-				zones[z] = true
-				break
-			}
+	for z, host := range st.appliedBackups {
+		if host == st.id {
+			zones[z] = true
 		}
 	}
 	keys := make([]string, 0, 2*len(zones))
@@ -728,11 +717,12 @@ func (sys *System) armIslandGuard(st *edgeStack) {
 // In island mode the Raft-applied placements are untrustworthy — the
 // quorum may have moved them, or frozen — so the island elects locally
 // (islandController). Otherwise the applied primary controls, unless
-// the stack's membership view says it is dead, in which case the first
-// alive applied backup replica takes over until the next replan lands.
-// Without an island guard or applied backups (the default profile) this
-// is applied[z] == st.id. controlTick asks it for every zone each tick,
-// so a stack with no backups for z answers before any gossip lookup.
+// the stack's membership view says it is dead, in which case the
+// zone's applied backup replica takes over, while alive, until the next
+// replan lands. Without an island guard or applied backups (the default
+// profile) this is applied[z] == st.id. controlTick asks it for every
+// zone each tick, so a stack that is not z's backup answers before any
+// gossip lookup.
 func (sys *System) ml4Controls(st *edgeStack, z int) bool {
 	if st.guard != nil && st.guard.Island() {
 		return sys.islandController(st, z) == st.id
@@ -741,17 +731,15 @@ func (sys *System) ml4Controls(st *edgeStack, z int) bool {
 	if primary == st.id {
 		return true
 	}
-	backups := st.appliedBackups[z]
-	if len(backups) == 0 || primary == "" || st.gossip.IsAlive(primary) {
+	if st.appliedBackups[z] != st.id || primary == "" || st.gossip.IsAlive(primary) {
 		return false
 	}
-	id, ok := mape.Failover(backups, st.gossip.IsAlive)
-	return ok && id == st.id
+	return st.gossip.IsAlive(st.id)
 }
 
 // islandController elects zone z's controller inside st's island: the
 // zone's home gateway while the island still sees it alive, else the
-// first alive applied backup replica, else the lowest-ID alive edge
+// applied backup replica if alive, else the lowest-ID alive edge
 // node. Every island member computes the same answer from the same
 // local membership view, so the election needs no coordination — and a
 // data-less claimant is harmless, since both the control tick and the
@@ -760,7 +748,7 @@ func (sys *System) islandController(st *edgeStack, z int) simnet.NodeID {
 	if home := gatewayID(z); st.gossip.IsAlive(home) {
 		return home
 	}
-	if id, ok := mape.Failover(st.appliedBackups[z], st.gossip.IsAlive); ok {
+	if id, ok := st.appliedBackups[z]; ok && st.gossip.IsAlive(id) {
 		return id
 	}
 	for _, id := range sys.edgeIDs() {
@@ -778,9 +766,9 @@ func (sys *System) ml4Replan(st *edgeStack) {
 		return
 	}
 	desired := make(map[int]simnet.NodeID, sys.cfg.Zones)
-	var backups map[int][]simnet.NodeID
+	var backups map[int]simnet.NodeID
 	if sys.cfg.hardened {
-		backups = make(map[int][]simnet.NodeID, sys.cfg.Zones)
+		backups = make(map[int]simnet.NodeID, sys.cfg.Zones)
 	}
 	for z := 0; z < sys.cfg.Zones; z++ {
 		fn := orchestrate.Function{
@@ -808,14 +796,18 @@ func (sys *System) ml4Replan(st *edgeStack) {
 			rep.Name = controlFnName(z) + "#b1"
 			avoid := map[device.ID]bool{host: true, device.ID(gatewayID(z)): true}
 			if bHost, err := st.orch.DeployAvoiding(rep, avoid); err == nil {
-				backups[z] = []simnet.NodeID{simnet.NodeID(bHost)}
+				backups[z] = simnet.NodeID(bHost)
 			}
 		}
 	}
-	if !placementsEqual(desired, st.applied) || !backupsEqual(backups, st.appliedBackups) {
+	if !placementsEqual(desired, st.applied) || !placementsEqual(backups, st.appliedBackups) {
 		st.raft.Propose(placementCmd{Assignments: desired, Backups: backups})
-		sys.recordAt(st.ep, EventPlacement, 0, sys.lastFaultSpan,
-			"leader %s proposes %s%s", st.id, formatPlacements(desired), formatBackups(backups))
+		detail := formatPlacements(desired, "→")
+		if len(backups) > 0 {
+			// The default profile places no backups.
+			detail += " backups " + formatPlacements(backups, "⇢")
+		}
+		sys.recordAt(st.ep, EventPlacement, 0, sys.lastFaultSpan, "leader %s proposes %s", st.id, detail)
 	}
 
 	// models@runtime (roadmap, validation vector): re-verify the
@@ -869,15 +861,13 @@ func nodeSetKey(ids []simnet.NodeID) string {
 	return b.String()
 }
 
-// formatPlacements renders a placement map compactly and stably.
-func formatPlacements(m map[int]simnet.NodeID) string {
+// formatPlacements renders a per-zone host map compactly and stably:
+// "z<zone><arrow><host>" in zone order.
+func formatPlacements(m map[int]simnet.NodeID, arrow string) string {
 	parts := make([]string, 0, len(m))
-	for z := 0; z < len(m)+16; z++ { // zones are small dense ints
+	for z := 0; z < len(m)+16 && len(parts) < len(m); z++ { // zones are small dense ints
 		if host, ok := m[z]; ok {
-			parts = append(parts, fmt.Sprintf("z%d→%s", z, host))
-			if len(parts) == len(m) {
-				break
-			}
+			parts = append(parts, fmt.Sprintf("z%d%s%s", z, arrow, host))
 		}
 	}
 	return strings.Join(parts, " ")
@@ -893,43 +883,6 @@ func placementsEqual(a, b map[int]simnet.NodeID) bool {
 		}
 	}
 	return true
-}
-
-func backupsEqual(a, b map[int][]simnet.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for z, hosts := range a {
-		other, ok := b[z]
-		if !ok || len(other) != len(hosts) {
-			return false
-		}
-		for i, h := range hosts {
-			if other[i] != h {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// formatBackups renders the backup replica map (empty string in the
-// default profile, which places no backups).
-func formatBackups(m map[int][]simnet.NodeID) string {
-	if len(m) == 0 {
-		return ""
-	}
-	parts := make([]string, 0, len(m))
-	seen := 0
-	for z := 0; z < len(m)+16 && seen < len(m); z++ { // zones are small dense ints
-		if hosts, ok := m[z]; ok {
-			seen++
-			for _, h := range hosts {
-				parts = append(parts, fmt.Sprintf("z%d⇢%s", z, h))
-			}
-		}
-	}
-	return " backups " + strings.Join(parts, " ")
 }
 
 // edgeSubset filters a sorted membership list down to edge hosts.
@@ -948,5 +901,5 @@ func (sys *System) edgeSubset(ids []simnet.NodeID) []simnet.NodeID {
 // replica.
 type placementCmd struct {
 	Assignments map[int]simnet.NodeID
-	Backups     map[int][]simnet.NodeID
+	Backups     map[int]simnet.NodeID
 }

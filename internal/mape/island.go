@@ -46,9 +46,9 @@ func (g *IslandGuard) Observe(now, quorumContact time.Duration) (changed bool) {
 }
 
 // Failover returns the first candidate the alive predicate accepts, in
-// candidate-priority order. It is the shared selection rule for backup
-// actuators and island controllers: deterministic, no state, so every
-// node looking at the same membership view picks the same survivor.
+// candidate-priority order. It is the selection rule for backup
+// actuators: deterministic, no state, so every node looking at the same
+// membership view picks the same survivor.
 // ok is false when no candidate is alive.
 func Failover(candidates []simnet.NodeID, alive func(simnet.NodeID) bool) (id simnet.NodeID, ok bool) {
 	for _, c := range candidates {

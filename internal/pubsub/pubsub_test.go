@@ -318,8 +318,8 @@ func TestMessageSizes(t *testing.T) {
 
 func TestMuxedClientAndBrokerCoexistWithOtherProtocols(t *testing.T) {
 	sim := simnet.New()
-	mb := simnet.NewMux(sim.AddNode("broker"))
-	mc := simnet.NewMux(sim.AddNode("c0"))
+	mb := simnet.NewPortMux(sim.AddNode("broker"))
+	mc := simnet.NewPortMux(sim.AddNode("c0"))
 	NewBroker(mb.Port("pubsub"))
 	c := NewClient(mc.Port("pubsub"), "broker", ClientConfig{})
 	other := 0

@@ -208,13 +208,22 @@ func TestRoundTripMatchesGob(t *testing.T) {
 	}
 }
 
+// nestedGroups carries an empty slice inside a map, a shape none of
+// core's wire types has; it is registered with the codec and with gob.
+type nestedGroups struct {
+	Groups map[int][]simnet.NodeID
+}
+
 // Empty slices and maps arrive nil, as they did under gob, and the
 // raft commands the tests propose (bare strings) ride as built-ins.
 func TestRoundTripEmptyAndScalars(t *testing.T) {
+	realnet.RegisterWireType(nestedGroups{})
+	gob.Register(nestedGroups{})
 	for _, msg := range []any{
 		build("gossip.pingMsg", map[string]any{"Seq": uint64(1), "Updates": []gossip.Update{}}),
 		build("dataflow.storeInterest", map[string]any{"Keys": []string{}}),
-		build("core.placementCmd", map[string]any{"Assignments": map[int]simnet.NodeID{}, "Backups": map[int][]simnet.NodeID{2: {}}}),
+		build("core.placementCmd", map[string]any{"Assignments": map[int]simnet.NodeID{}, "Backups": map[int]simnet.NodeID{}}),
+		nestedGroups{Groups: map[int][]simnet.NodeID{2: {}}},
 		build("consensus.entry", map[string]any{"Term": uint64(2), "Cmd": "set x=1"}),
 		dataflow.Item{Key: "k", Value: []byte{}, Lineage: []dataflow.Hop{}},
 		"bare string", 42, 1.5, true,

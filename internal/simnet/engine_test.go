@@ -102,7 +102,7 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 	for _, lanes := range []int{0, 1} {
 		s := withLanes(lanes, WithDefaultLatency(time.Millisecond))
 		rawA, rawB := s.AddNode("a"), s.AddNode("b")
-		a, b := NewMux(rawA).Port("p"), NewMux(rawB).Port("p")
+		a, b := NewPortMux(rawA).Port("p"), NewPortMux(rawB).Port("p")
 		var got uint64
 		b.OnEnvelope(func(_ NodeID, env *Envelope) { got += env.A })
 		rawB.OnEnvelope(func(_ NodeID, env *Envelope) { got += env.A })

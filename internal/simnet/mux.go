@@ -68,8 +68,8 @@ func (e envelope) Size() int { return protoOverhead + messageSize(e.Msg) }
 // Mux multiplexes one port among multiple named protocols. Messages
 // sent through a protocol port are wrapped in an envelope; the mux
 // routes arriving envelopes to the port registered under that name.
-// Construct with NewMux (simulated endpoints) or NewPortMux (any Port,
-// e.g. a real-network node); either takes over the message handler.
+// Construct with NewPortMux over any Port (a simulated endpoint or a
+// real-network node); it takes over the message handler.
 //
 // Over a simulated *Endpoint the mux short-circuits the envelope
 // entirely: sends go through Sim.send (no per-message boxing) and
@@ -80,9 +80,6 @@ type Mux struct {
 	handlers    map[string]Handler
 	envHandlers map[string]EnvelopeHandler
 }
-
-// NewMux creates a mux over a simulated endpoint.
-func NewMux(ep *Endpoint) *Mux { return NewPortMux(ep) }
 
 // NewPortMux creates a mux over any Port implementation.
 func NewPortMux(p Port) *Mux {

@@ -7,8 +7,8 @@ import (
 
 func TestMuxRoutesByProtocol(t *testing.T) {
 	s := New()
-	ma := NewMux(s.AddNode("a"))
-	mb := NewMux(s.AddNode("b"))
+	ma := NewPortMux(s.AddNode("a"))
+	mb := NewPortMux(s.AddNode("b"))
 
 	var gotX, gotY []Message
 	mb.Port("x").OnMessage(func(_ NodeID, m Message) { gotX = append(gotX, m) })
@@ -30,7 +30,7 @@ func TestMuxRoutesByProtocol(t *testing.T) {
 func TestMuxIgnoresNonEnvelopeTraffic(t *testing.T) {
 	s := New()
 	a := s.AddNode("a")
-	mb := NewMux(s.AddNode("b"))
+	mb := NewPortMux(s.AddNode("b"))
 	called := false
 	mb.Port("x").OnMessage(func(NodeID, Message) { called = true })
 	a.Send("b", "raw")
@@ -42,7 +42,7 @@ func TestMuxIgnoresNonEnvelopeTraffic(t *testing.T) {
 
 func TestMuxPortSurface(t *testing.T) {
 	s := New(WithSeed(3))
-	m := NewMux(s.AddNode("a"))
+	m := NewPortMux(s.AddNode("a"))
 	p := m.Port("x")
 	if p.ID() != "a" {
 		t.Fatalf("ID = %v", p.ID())
@@ -83,8 +83,8 @@ func TestEnvelopeSize(t *testing.T) {
 
 func TestMuxTwoProtocolsDontCross(t *testing.T) {
 	s := New()
-	ma := NewMux(s.AddNode("a"))
-	mb := NewMux(s.AddNode("b"))
+	ma := NewPortMux(s.AddNode("a"))
+	mb := NewPortMux(s.AddNode("b"))
 	xa, xb := ma.Port("gossip"), mb.Port("gossip")
 	ya, yb := ma.Port("raft"), mb.Port("raft")
 
@@ -133,7 +133,7 @@ func TestRawEndpointCarriesEnvelopes(t *testing.T) {
 		t.Fatalf("stats %+v, want 24 bytes in 1 delivery", st)
 	}
 
-	ma, mb := NewMux(s.AddNode("c")), NewMux(s.AddNode("d"))
+	ma, mb := NewPortMux(s.AddNode("c")), NewPortMux(s.AddNode("d"))
 	mb.Port("x").OnEnvelope(func(NodeID, *Envelope) {})
 	ma.Port("x").SendEnvelope("d", want)
 	s.Run()
