@@ -34,15 +34,19 @@ bench-city:
 # The ordered tables behind the city's per-message handlers (gossip
 # members and the two-run broadcast queue, orchestrator hosts and their
 # per-zone index over the map's change counter, Raft peer slots, broker
-# topics, wheel buckets that hold only what is queued, a small event
-# whose delivery payload lives in an arena of its own): reference-model,
-# allocation and held-memory gates, the paper, city and hardened
-# journal pins, then one iteration of each table's benchmark. CI runs
-# this in the bench-smoke job.
+# topics, wheel buckets that hold only what is queued, a far-future
+# spill heap whose arming cost does not depend on arming order, a small
+# event whose delivery payload lives in an arena of its own, a fault
+# schedule's stable time order): reference-model, allocation, held-memory
+# and growth gates, the paper, city and hardened journal pins, then one
+# iteration of each table's benchmark. CI runs this in the bench-smoke
+# job.
 CITY_TABLES = ./internal/gossip/ ./internal/orchestrate/ ./internal/space/ ./internal/consensus/ ./internal/pubsub/ ./internal/simnet/ ./internal/core/
 city-tables:
-	$(GO) test -count=1 -run 'TestQueueMatchesStableSortModel|TestSortedMembersTrackMap|TestAntiEntropyMatchesSortedPoolModel|TestPerMessageAllocations|TestPickMatchesBruteForce|TestPickDoesNotAllocate|TestChangesCountsZoneInputs|TestPeerIdxResolvesEveryPeer|TestIndexMatchesFullScan|TestFanOutOrderIsReproducible|TestExactFanOutCost|TestWheelMatchesHeapModel|TestWheelRecyclesBucketArrays|TestWheelHoldsWhatIsQueued|TestEventIsSmall|TestDeliveryArenaRecycles|TestCityJournalsPinned|TestPaperJournalsPinned|TestHardenedJournalsPinned' $(CITY_TABLES)
+	$(GO) test -count=1 -run 'TestQueueMatchesStableSortModel|TestSortedMembersTrackMap|TestAntiEntropyMatchesSortedPoolModel|TestPerMessageAllocations|TestPickMatchesBruteForce|TestPickDoesNotAllocate|TestChangesCountsZoneInputs|TestPeerIdxResolvesEveryPeer|TestIndexMatchesFullScan|TestFanOutOrderIsReproducible|TestExactFanOutCost|TestWheelMatchesHeapModel|TestWheelRecyclesBucketArrays|TestWheelHoldsWhatIsQueued|TestSpillArmStaysLinear|TestEventIsSmall|TestDeliveryArenaRecycles|TestCityJournalsPinned|TestPaperJournalsPinned|TestHardenedJournalsPinned' $(CITY_TABLES)
 	$(GO) test -run '^$$' -bench 'BenchmarkProbeRound|BenchmarkAntiEntropy|BenchmarkPick|BenchmarkFanOutExact' -benchmem -benchtime 1x ./internal/gossip/ ./internal/orchestrate/ ./internal/pubsub/
+	$(GO) test -count=1 -run 'TestEventsMatchesStableSort' ./internal/fault/
+	$(GO) test -run '^$$' -bench 'BenchmarkSpillArm' -benchmem -benchtime 1x ./internal/simnet/
 
 # Package-level micro-benchmarks.
 microbench:
@@ -137,10 +141,11 @@ metro-smoke:
 	diff -u /tmp/metro1.txt /tmp/metro4.txt
 
 # What the metropolis pays before its first event: NewSystem alone at
-# the sim-metro shape (B/device, ms/kdev), then the gate that bounds
-# B/device and its growth with the zone count.
+# the sim-metro shape (B/device, ms/kdev) and for the city matrix
+# (ms/matrix), then the gate that bounds B/device and its growth with
+# the zone count.
 metro-setup:
-	$(GO) test -run '^$$' -bench BenchmarkMetroConstruction -benchmem -benchtime=3x .
+	$(GO) test -run '^$$' -bench 'BenchmarkMetroConstruction|BenchmarkCitySetup' -benchmem -benchtime=3x .
 	$(GO) test -count=1 -run TestMetroConstructionStaysLinear -v ./internal/core/
 
 # Chaos search: sample disruption schedules, shrink every violation to

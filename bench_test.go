@@ -76,7 +76,24 @@ func BenchmarkMetroConstruction(b *testing.B) {
 	b.ReportMetric(b.Elapsed().Seconds()*1e3/n/(devices/1000), "ms/kdev")
 }
 
-// builtSystem keeps BenchmarkMetroConstruction's result reachable.
+// BenchmarkCitySetup prices what the gated benchmark's sim-city
+// workload reports as setup_s: core.NewSystem for each of the four
+// archetypes at the city tier (200 zones, heavy faults), one matrix per
+// op. Its fault schedule arms thousands of link restores past the
+// wheel's L1 horizon, so a set-up cost that grows with the square of
+// the schedule shows here first.
+func BenchmarkCitySetup(b *testing.B) {
+	cfg := core.CityScenario()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, a := range core.AllArchetypes() {
+			builtSystem = core.NewSystem(cfg, a)
+		}
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/matrix")
+}
+
+// builtSystem keeps the construction benchmarks' results reachable.
 var builtSystem *core.System
 
 // BenchmarkMatrixCampaignParallel measures the experiment engine's

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -123,11 +124,11 @@ func (sys *System) mergeJournal() {
 	for _, lj := range sys.laneJournals {
 		all = append(all, lj...)
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].ev.At != all[j].ev.At {
-			return all[i].ev.At < all[j].ev.At
+	slices.SortStableFunc(all, func(a, b laneEvent) int {
+		if c := cmp.Compare(a.ev.At, b.ev.At); c != 0 {
+			return c
 		}
-		return all[i].seq < all[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	merged := make([]RunEvent, 0, len(sys.journal)+len(all))
 	merged = append(merged, sys.journal...)

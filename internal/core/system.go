@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -459,7 +458,7 @@ func (sys *System) allNodeIDs() []simnet.NodeID {
 		out = append(out, c.id)
 	}
 	out = append(out, cloudID)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

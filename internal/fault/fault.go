@@ -11,9 +11,9 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/simnet"
@@ -156,11 +156,22 @@ func (s *Schedule) DrainBattery(t time.Duration, node simnet.NodeID) *Schedule {
 	return s.Add(Event{At: t, Kind: KindBatteryDrain, Node: node})
 }
 
-// Events returns the schedule sorted by time (stable for equal times).
+// Events returns a copy of the schedule sorted by time; events at the
+// same time keep the order they were added in. It stable-sorts a
+// permutation of 4-byte indices, not the events, and then copies each
+// event once into its place.
 func (s *Schedule) Events() []Event {
+	perm := make([]int32, len(s.events))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortStableFunc(perm, func(a, b int32) int {
+		return cmp.Compare(s.events[a].At, s.events[b].At)
+	})
 	out := make([]Event, len(s.events))
-	copy(out, s.events)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+	for i, j := range perm {
+		out[i] = s.events[j]
+	}
 	return out
 }
 
@@ -215,9 +226,12 @@ func (in *Injector) Subscribe(fn Subscriber) {
 	in.subs = append(in.subs, fn)
 }
 
-// Arm schedules every event of the schedule on the world's clock. The
-// sorted copy Events makes is the only one: each timer points into it
-// instead of closing over its own Event, and the log is sized for it.
+// Arm schedules every event of the schedule on the world's clock, in
+// time order. The sorted copy Events makes is the only one: each timer
+// points into it instead of closing over its own Event, and the log is
+// sized for it. Arming in time order means the world's queue receives
+// each far-future event as its largest so far, which the simulator's
+// spill heap files without moving another entry.
 func (in *Injector) Arm(s *Schedule) {
 	events := s.Events()
 	in.log = slices.Grow(in.log, len(events))

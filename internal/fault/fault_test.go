@@ -1,7 +1,12 @@
 package fault
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"repro/internal/simnet"
@@ -23,6 +28,45 @@ func TestScheduleOrdering(t *testing.T) {
 	evs := s.Events()
 	if evs[0].Node != "a" || evs[1].Node != "b" {
 		t.Fatalf("events not sorted: %+v", evs)
+	}
+}
+
+// TestEventsMatchesStableSort checks that Events orders a schedule
+// exactly as a stable sort of the events by At would: by time, and in
+// the order they were added among events at the same time. At is drawn
+// from a handful of values so that most schedules have ties, and the
+// events carry every field so that a copy that drops one shows.
+func TestEventsMatchesStableSort(t *testing.T) {
+	prop := func(seed int64, n uint8, instants uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		distinct := 1 + int(instants%6)
+		s := &Schedule{}
+		for i := 0; i < int(n); i++ {
+			node := simnet.NodeID(fmt.Sprintf("n%d", i))
+			s.Add(Event{
+				At:      time.Duration(rng.Intn(distinct)) * time.Second,
+				Kind:    Kind(1 + rng.Intn(len(kindNames))),
+				Node:    node,
+				Groups:  [][]simnet.NodeID{{node}},
+				From:    node,
+				To:      "peer",
+				Latency: time.Duration(i) * time.Millisecond,
+				Loss:    float64(i) / 256,
+				Detail:  string(node),
+			})
+		}
+		want := make([]Event, len(s.events))
+		copy(want, s.events)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].At < want[j].At })
+		got := s.Events()
+		if !reflect.DeepEqual(got, want) {
+			t.Logf("seed %d, %d events over %d instants: Events differs from the stable sort", seed, n, distinct)
+			return false
+		}
+		return len(got) == 0 || &got[0] != &s.events[0] // a copy, not the schedule itself
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -156,4 +200,3 @@ func TestInjectImmediate(t *testing.T) {
 		t.Fatalf("log = %+v", got)
 	}
 }
-

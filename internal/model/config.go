@@ -3,7 +3,7 @@ package model
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/verify"
 )
@@ -59,7 +59,7 @@ func (c *Configuration) Hosts() []string {
 	for h := range set {
 		out = append(out, h)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -106,7 +106,7 @@ func (c *Configuration) Services() []Service {
 	for s := range set {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

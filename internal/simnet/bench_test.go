@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -55,5 +56,24 @@ func BenchmarkFanOut(b *testing.B) {
 			src.Send(id, i)
 		}
 		s.Run()
+	}
+}
+
+// BenchmarkSpillArm prices arming far-future entries (past the wheel's
+// L1 horizon) into an empty wheel, in each arming order of spillOrders
+// and at 10^3, 10^4 and 10^5 entries. ns/entry should stay about flat
+// as the count grows; TestSpillArmStaysLinear gates that.
+func BenchmarkSpillArm(b *testing.B) {
+	for _, order := range spillOrders {
+		for _, n := range []int{1_000, 10_000, 100_000} {
+			b.Run(fmt.Sprintf("%s/%d", order, n), func(b *testing.B) {
+				deadlines := spillDeadlines(order, n)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					armSpill(newTimerWheel(), deadlines)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/entry")
+			})
+		}
 	}
 }

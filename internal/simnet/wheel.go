@@ -41,8 +41,8 @@ func entryLess(a, b heapEntry) bool {
 //
 //	level 0:  256 slots x 2^20ns (~1.05ms)  — covers ~268ms
 //	level 1:  256 slots x 2^28ns (~268ms)   — covers ~68.7s
-//	spill:    sorted slice for everything beyond the L1 horizon
-//	          (scenario faults, run-end timers — rare by construction)
+//	spill:    binary min-heap for everything beyond the L1 horizon
+//	          (scenario faults, run-end timers)
 //
 // A bucket is an unordered list threaded through links by event arena
 // index (an event is queued at most once at a time): it holds memory
@@ -58,8 +58,9 @@ func entryLess(a, b heapEntry) bool {
 //	run[head:]        all entries with at <  runHi, sorted by (at, seq)
 //	list l0[b&mask]   entries with at>>l0Shift == b, cur0 <= b < cur1<<8
 //	list l1[b&mask]   entries with at>>l1Shift == b, cur1 <= b < cur1+256
-//	spill             entries with at >= (cur1+256)<<l1Shift,
-//	                  sorted descending so promotion pops from the end
+//	spill             entries with at >= (cur1+256)<<l1Shift, a
+//	                  binary min-heap on (at, seq): spill[0] is the
+//	                  minimum, and promotion pops it
 //	links[i]          key and successor of bucketed entry i, else stale
 //
 // Inserts below runHi (same-tick sends, zero-delay callbacks) binary-
@@ -151,19 +152,8 @@ func (w *timerWheel) push(at time.Duration, seq uint64, idx uint32) {
 		w.file1(b&wheelMask, w.key(e))
 		return
 	}
-	// Far future: sorted descending, so the minimum sits at the end.
-	lo, hi := 0, len(w.spill)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if entryLess(e, w.spill[mid]) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	w.spill = append(w.spill, heapEntry{})
-	copy(w.spill[lo+1:], w.spill[lo:])
-	w.spill[lo] = e
+	// Far future: a min-heap, so arming order does not matter.
+	w.spillPush(e)
 }
 
 // key stores e's key in links, grown to the arena's size, at e.idx.
@@ -234,7 +224,7 @@ func (w *timerWheel) advance() bool {
 		if w.n1 == 0 {
 			// Idle gap: slide the L1 window so the spill minimum lands
 			// inside it instead of cascading empty slots one by one.
-			min := w.spill[len(w.spill)-1]
+			min := w.spill[0]
 			if b := int64(min.at >> l1Shift); b >= w.cur1+wheelSlots {
 				w.cur1 = b - (wheelSlots - 1)
 			}
@@ -248,7 +238,7 @@ func (w *timerWheel) advance() bool {
 		// lost, so the jump is clamped to that boundary).
 		next := w.nextL1()
 		if len(w.spill) > 0 {
-			if s := int64(w.spill[len(w.spill)-1].at>>l1Shift) - (wheelSlots - 1); s > w.cur1 && s < next {
+			if s := int64(w.spill[0].at>>l1Shift) - (wheelSlots - 1); s > w.cur1 && s < next {
 				next = s
 			}
 		}
@@ -295,15 +285,61 @@ func nextSet(occ []uint64, from int) (int, bool) {
 	return 0, false
 }
 
-// promote moves spill entries now covered by the L1 window into L1.
-// The spill is sorted descending, so candidates sit at the end.
+// promote moves spill entries now covered by the L1 window into L1,
+// minimum first. The order they are filed in does not matter: a
+// bucket is sorted when it becomes the run.
 func (w *timerWheel) promote() {
 	limit := time.Duration(w.cur1+wheelSlots) << l1Shift
-	for n := len(w.spill); n > 0 && w.spill[n-1].at < limit; n = len(w.spill) {
-		e := w.spill[n-1]
-		w.spill = w.spill[:n-1]
+	for len(w.spill) > 0 && w.spill[0].at < limit {
+		e := w.spillPop()
 		w.file1(int64(e.at>>l1Shift)&wheelMask, w.key(e))
 	}
+}
+
+// spillPush adds e to the spill heap. A fault schedule arms its events
+// in time order, so each entry is usually the largest so far and stops
+// at once; no order costs more than O(log n) moves.
+func (w *timerWheel) spillPush(e heapEntry) {
+	h := append(w.spill, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !entryLess(e, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+	w.spill = h
+}
+
+// spillPop removes and returns the spill minimum, spill[0].
+func (w *timerWheel) spillPop() heapEntry {
+	h := w.spill
+	top, n := h[0], len(h)-1
+	last := h[n]
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && entryLess(h[r], h[c]) {
+				c = r
+			}
+			if !entryLess(h[c], last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	w.spill = h
+	return top
 }
 
 // entries appends every queued entry (live or dead, in no particular

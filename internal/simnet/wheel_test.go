@@ -2,8 +2,10 @@ package simnet
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -58,52 +60,84 @@ func drawDeadline(rng *rand.Rand, now time.Duration) time.Duration {
 }
 
 // TestWheelMatchesHeapModel drives the wheel and the reference model
-// with the same randomized insert/advance sequence and checks that
-// every pop returns the same (at, seq, idx) triple — i.e. the wheel
-// realizes exactly the (at, seq) total order, which is the property
-// journal determinism rests on.
+// with the same insert/advance sequence and checks that every pop
+// returns the same (at, seq, idx) triple — i.e. the wheel realizes
+// exactly the (at, seq) total order, which is the property journal
+// determinism rests on. The random shape spreads deadlines over every
+// level; the spill shapes arm far-future entries the way a fault
+// schedule does — in time order, reversed, all at one instant, and
+// mixed with L0/L1 pushes and pops while the spill is being promoted.
 func TestWheelMatchesHeapModel(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		w := newTimerWheel()
-		ref := &refModel{}
-		var (
-			seq uint64
-			now time.Duration
-		)
-		for op := 0; op < 4000; op++ {
-			if n := rng.Intn(10); n < 6 || ref.Len() == 0 {
-				seq++
-				at := drawDeadline(rng, now)
-				w.push(at, seq, uint32(seq))
-				heap.Push(ref, heapEntry{at: at, seq: seq, idx: uint32(seq)})
-				continue
+	const spillN = 3000
+	shapes := []struct {
+		name     string
+		seeds    int64
+		ops      int
+		push     int // of every 10 ops, how many push; the rest pop
+		deadline func(rng *rand.Rand, seq uint64, now time.Duration) time.Duration
+	}{
+		{"random", 20, 4000, 6, func(rng *rand.Rand, _ uint64, now time.Duration) time.Duration {
+			return drawDeadline(rng, now)
+		}},
+		{"spill-ascending", 1, spillN, 10, func(_ *rand.Rand, seq uint64, _ time.Duration) time.Duration {
+			return 70*time.Second + time.Duration(seq)*time.Millisecond
+		}},
+		{"spill-descending", 1, spillN, 10, func(_ *rand.Rand, seq uint64, _ time.Duration) time.Duration {
+			return 70*time.Second + time.Duration(spillN-seq)*time.Millisecond
+		}},
+		{"spill-one-instant", 1, spillN, 10, func(*rand.Rand, uint64, time.Duration) time.Duration {
+			return 96 * time.Second
+		}},
+		{"spill-mixed", 5, 4000, 8, func(rng *rand.Rand, seq uint64, now time.Duration) time.Duration {
+			if seq%3 == 0 {
+				return drawDeadline(rng, now) // run, L0, L1 or spill
 			}
-			want := heap.Pop(ref).(heapEntry)
-			gotPeek, ok := w.peek()
-			if !ok || gotPeek != want {
-				t.Fatalf("seed %d op %d: peek = %+v (ok=%v), want %+v", seed, op, gotPeek, ok, want)
+			return now + 69*time.Second + time.Duration(rng.Int63n(int64(3*time.Minute)))
+		}},
+	}
+	for _, sh := range shapes {
+		for seed := int64(0); seed < sh.seeds; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			w := newTimerWheel()
+			ref := &refModel{}
+			var (
+				seq uint64
+				now time.Duration
+			)
+			for op := 0; op < sh.ops; op++ {
+				if n := rng.Intn(10); n < sh.push || ref.Len() == 0 {
+					seq++
+					at := sh.deadline(rng, seq, now)
+					w.push(at, seq, uint32(seq))
+					heap.Push(ref, heapEntry{at: at, seq: seq, idx: uint32(seq)})
+					continue
+				}
+				want := heap.Pop(ref).(heapEntry)
+				gotPeek, ok := w.peek()
+				if !ok || gotPeek != want {
+					t.Fatalf("%s seed %d op %d: peek = %+v (ok=%v), want %+v", sh.name, seed, op, gotPeek, ok, want)
+				}
+				got := w.pop()
+				if got != want {
+					t.Fatalf("%s seed %d op %d: pop = %+v, want %+v", sh.name, seed, op, got, want)
+				}
+				now = got.at // simulation time advances to the popped event
 			}
-			got := w.pop()
-			if got != want {
-				t.Fatalf("seed %d op %d: pop = %+v, want %+v", seed, op, got, want)
+			// Drain both completely; the tails must agree too.
+			for ref.Len() > 0 {
+				want := heap.Pop(ref).(heapEntry)
+				got, ok := w.peek()
+				if !ok || got != want {
+					t.Fatalf("%s seed %d drain: peek = %+v (ok=%v), want %+v", sh.name, seed, got, ok, want)
+				}
+				w.pop()
 			}
-			now = got.at // simulation time advances to the popped event
-		}
-		// Drain both completely; the tails must agree too.
-		for ref.Len() > 0 {
-			want := heap.Pop(ref).(heapEntry)
-			got, ok := w.peek()
-			if !ok || got != want {
-				t.Fatalf("seed %d drain: peek = %+v (ok=%v), want %+v", seed, got, ok, want)
+			if e, ok := w.peek(); ok {
+				t.Fatalf("%s seed %d: wheel still has %+v after drain", sh.name, seed, e)
 			}
-			w.pop()
-		}
-		if e, ok := w.peek(); ok {
-			t.Fatalf("seed %d: wheel still has %+v after drain", seed, e)
-		}
-		if w.len() != 0 {
-			t.Fatalf("seed %d: wheel len = %d after drain", seed, w.len())
+			if w.len() != 0 {
+				t.Fatalf("%s seed %d: wheel len = %d after drain", sh.name, seed, w.len())
+			}
 		}
 	}
 }
@@ -327,6 +361,68 @@ func TestSimSchedulerEquivalence(t *testing.T) {
 		}
 		if s.Pending() != 0 {
 			t.Fatalf("lanes=%d: %d events still pending", lanes, s.Pending())
+		}
+	}
+}
+
+// spillOrders are the arming orders of the spill tests: time order, as
+// fault.Injector arms a schedule, its reverse, and a shuffle.
+var spillOrders = []string{"ascending", "descending", "random"}
+
+// spillDeadlines returns n distinct deadlines past the initial L1
+// horizon, 1 ms apart, in the named arming order.
+func spillDeadlines(order string, n int) []time.Duration {
+	out := make([]time.Duration, n)
+	for i := range out {
+		out[i] = 70*time.Second + time.Duration(i)*time.Millisecond
+	}
+	switch order {
+	case "descending":
+		slices.Reverse(out)
+	case "random":
+		rand.New(rand.NewSource(int64(n))).Shuffle(n, func(i, j int) { out[i], out[j] = out[j], out[i] })
+	}
+	return out
+}
+
+// armSpill pushes every deadline into w, keyed by position.
+func armSpill(w *timerWheel, deadlines []time.Duration) {
+	for i, at := range deadlines {
+		w.push(at, uint64(i+1), uint32(i))
+	}
+}
+
+// TestSpillArmStaysLinear is the spill's growth gate. It times arming
+// far-future entries into an empty wheel at 10^4 and 8*10^4 entries,
+// in each order of spillOrders, and fails if the cost per entry at the
+// larger count is more than 4x the cost at the smaller. A spill that
+// shifts on insert pays per entry in proportion to the entries already
+// there (an 8x ratio in theory, about 50x measured once the larger
+// spill leaves the cache); a heap pays O(log n) and measured 1.7-2.0x,
+// the rest being cache misses at the larger size. It is a timing test,
+// so each figure is the fastest of seven runs into one reused wheel: a
+// run slowed by the scheduler or a collection does not count.
+func TestSpillArmStaysLinear(t *testing.T) {
+	nsPerEntry := func(order string, n int) float64 {
+		deadlines := spillDeadlines(order, n)
+		w, best := newTimerWheel(), time.Duration(math.MaxInt64)
+		for run := 0; run < 7; run++ {
+			// Every entry is in the spill, so emptying it empties the
+			// wheel; keeping its array times the inserts, not the page
+			// faults of growing it.
+			w.spill = w.spill[:0]
+			start := time.Now()
+			armSpill(w, deadlines)
+			best = min(best, time.Since(start))
+		}
+		return float64(best.Nanoseconds()) / float64(n)
+	}
+	for _, order := range spillOrders {
+		small, large := nsPerEntry(order, 10_000), nsPerEntry(order, 80_000)
+		ratio := large / small
+		t.Logf("%s: %.1f ns per entry at 10^4, %.1f at 8*10^4 (%.1fx)", order, small, large, ratio)
+		if ratio > 4 {
+			t.Errorf("%s arming costs %.1fx more per entry at 8*10^4 entries than at 10^4: the spill is not linear", order, ratio)
 		}
 	}
 }
